@@ -31,7 +31,7 @@ from chdp.curvature import (
     scan_grid,
     unnormalized_curvature,
 )
-from chdp.evolution import EvolutionConfig, evolve
+from chdp.evolution import EvolutionConfig, evolve, step_count
 from chdp.flowmap import evolve_flowmap, momentum_drift
 from chdp.presets import PRESET_HELP, initial_condition
 from chdp.rigidbody import RigidBodyState, coadjoint_drift, evolve_rigidbody
@@ -165,35 +165,27 @@ def parse_config(argv) -> RunConfig:
             key = "negative_trials"
         setattr(config, key, value)
 
-    if config.n is not None:
-        if config.n % 2 != 0:
-            raise CliError("--n: grid size must be even")
-        if config.n < 16:
-            raise CliError("--n: grid size must be at least 16")
-    if config.command in ("evolve", "flowmap"):
-        if config.dt <= 0:
-            raise CliError("--dt must be positive")
-        if config.t_end <= config.dt:
-            raise CliError("--t-end must exceed --dt")
-        if config.stride < 1:
-            raise CliError("--stride must be >= 1")
-        if config.snapshot_stride < 0:
-            raise CliError("--snapshot-stride must be >= 0")
-        if config.slope_threshold >= 0:
-            raise CliError("--slope-threshold must be negative")
-        if config.rhox_threshold <= 0:
-            raise CliError("--rhox-threshold must be positive")
+    try:
+        if config.n is not None:
+            Grid(config.n)
+        if config.command in ("evolve", "flowmap"):
+            _evolution_config(config)
+        if config.command == "rigidbody":
+            step_count(config.dt, config.t_end)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+    if config.command in ("evolve", "flowmap") and config.snapshot_stride < 0:
+        raise CliError("--snapshot-stride must be >= 0")
+    if config.command == "evolve" and config.snapshot_stride % config.stride:
+        raise CliError("--snapshot-stride must be a multiple of --stride")
     if config.command == "curvature-scan" and config.max_mode < 2:
         raise CliError("--max-mode must be at least 2")
     if config.command == "curvature":
         for flag in ("k1", "k2", "l1", "l2"):
             if getattr(config, flag) < 1:
                 raise CliError(f"--{flag}: modes must be positive integers")
-    if config.command == "rigidbody":
-        if any(v <= 0 for v in config.inertia):
-            raise CliError("--inertia: moments must be positive")
-        if config.dt <= 0 or config.t_end <= config.dt:
-            raise CliError("--dt/--t-end: need 0 < dt < t_end")
+    if config.command == "rigidbody" and any(v <= 0 for v in config.inertia):
+        raise CliError("--inertia: moments must be positive")
     return config
 
 
@@ -210,23 +202,25 @@ def _manifest(config: RunConfig, status: str, reason, final_diagnostics,
     return payload
 
 
+def _evolution_config(config: RunConfig) -> EvolutionConfig:
+    """The EvolutionConfig of an evolve/flowmap run; raises ValueError."""
+    return EvolutionConfig(Model(config.model), dt=config.dt, t_end=config.t_end,
+                           grid_n=config.n,
+                           blowup_slope_threshold=config.slope_threshold,
+                           blowup_rhox_threshold=config.rhox_threshold,
+                           diagnostics_stride=config.stride)
+
+
 def _snapshot_steps(n_records: int, snapshot_stride: int, stride: int) -> set[int]:
-    if snapshot_stride <= 0:
+    """Record indices to write: every snapshot_stride // stride, plus the ends."""
+    if snapshot_stride == 0:
         return {0, n_records - 1}
-    keep = set(range(0, n_records, max(1, snapshot_stride // max(stride, 1))))
-    keep.add(n_records - 1)
-    return keep
+    return set(range(0, n_records, snapshot_stride // stride)) | {n_records - 1}
 
 
 def _run_evolve(config: RunConfig, out: Path) -> int:
-    grid = Grid(config.n)
-    model = Model(config.model)
-    initial = initial_condition(config.ic, grid)
-    evo_config = EvolutionConfig(model, dt=config.dt, t_end=config.t_end,
-                                 grid_n=config.n,
-                                 blowup_slope_threshold=config.slope_threshold,
-                                 blowup_rhox_threshold=config.rhox_threshold,
-                                 diagnostics_stride=config.stride)
+    evo_config = _evolution_config(config)
+    initial = initial_condition(config.ic, Grid(config.n))
     start = time.perf_counter()
     result = evolve(evo_config, initial)
     wall = time.perf_counter() - start
@@ -245,25 +239,20 @@ def _run_evolve(config: RunConfig, out: Path) -> int:
 
 
 def _run_flowmap(config: RunConfig, out: Path) -> int:
+    evo_config = _evolution_config(config)
     grid = Grid(config.n)
-    model = Model(config.model)
     initial = initial_condition(config.ic, grid)
-    evo_config = EvolutionConfig(model, dt=config.dt, t_end=config.t_end,
-                                 grid_n=config.n,
-                                 blowup_slope_threshold=config.slope_threshold,
-                                 blowup_rhox_threshold=config.rhox_threshold,
-                                 diagnostics_stride=config.stride)
     start = time.perf_counter()
     result = evolve_flowmap(evo_config, initial)
     wall = time.perf_counter() - start
 
     jac = result.jacobians()
     n_saved = len(result.times)
-    keep = sorted(_snapshot_steps(n_saved, config.snapshot_stride or 0, 1))
+    keep = sorted(_snapshot_steps(n_saved, config.snapshot_stride, 1))
     for i in keep:
         csvio.write_flowmap_snapshot(out / f"flowmap_{i:06d}.csv", grid,
                                      result.psi[i], jac[i], result.f[i])
-    drifts = momentum_drift(model, result, stride=max(1, n_saved // 20))
+    drifts = momentum_drift(evo_config.model, result, stride=max(1, n_saved // 20))
     final = {
         "t": float(result.times[-1]),
         "min_phix": float(jac[-1].min()),

@@ -58,6 +58,8 @@ def read_snapshot(path) -> VelocityPair:
             raise ValueError(f"{path}: expected header x,u,rho, got {header}")
         rows = [[float(v) for v in row] for row in reader if row]
     data = np.asarray(rows)
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: snapshot holds non-finite values")
     grid = Grid(data.shape[0])
     if np.max(np.abs(data[:, 0] - grid.points)) > 1e-12:
         raise ValueError(f"{path}: x column is not the uniform grid on [0, 1)")

@@ -9,8 +9,9 @@ operator:
           rho_t = -u rho_x - 2 rho u_x
 
 CH and DP are the rho = 0 reductions.  Time stepping is fixed-step
-classical RK4 with 2/3-rule dealiasing inside every stage; blow-up is
-detected by thresholds on min u_x and max |rho_x|.
+classical RK4 (`rk4`, shared by every integrator) with 2/3-rule
+dealiasing; blow-up is detected by non-finite values and by thresholds on
+min u_x and max |rho_x|, checked at t=0 and after every step.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 from chdp.connection import Model, VelocityPair, metric
 from chdp.spectral import (
     Grid,
+    PeriodicField,
     constant_field,
     dealias,
     dealiased_product,
@@ -38,6 +40,8 @@ __all__ = [
     "RunStatus",
     "EvolveResult",
     "BlowupError",
+    "rk4",
+    "step_count",
     "rhs",
     "rhs_momentum_form",
     "step_rk4",
@@ -49,6 +53,27 @@ __all__ = [
 
 class BlowupError(RuntimeError):
     """Non-finite values appeared during a time step."""
+
+
+def rk4(f, y, dt: float):
+    """One classical RK4 step of y' = f(y), for any y with + and scalar *."""
+    k1 = f(y)
+    k2 = f(y + (0.5 * dt) * k1)
+    k3 = f(y + (0.5 * dt) * k2)
+    k4 = f(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def step_count(dt: float, t_end: float) -> int:
+    """Steps of size dt to t_end: finite 0 < dt < t_end, t_end/dt whole to 1e-9."""
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if not (np.isfinite(t_end) and t_end > dt):
+        raise ValueError(f"t_end must be finite and exceed dt={dt!r}, got {t_end!r}")
+    steps = t_end / dt
+    if not np.isfinite(steps) or abs(round(steps) * dt - t_end) > 1e-9 * t_end:
+        raise ValueError(f"t_end={t_end!r} is not a whole number of steps of dt={dt!r}")
+    return round(steps)
 
 
 @dataclass(frozen=True)
@@ -64,10 +89,7 @@ class EvolutionConfig:
     diagnostics_stride: int = 10
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end <= 0 or self.dt >= self.t_end:
-            raise ValueError("need 0 < dt < t_end")
+        step_count(self.dt, self.t_end)
         if not np.isfinite(self.blowup_slope_threshold) or self.blowup_slope_threshold >= 0:
             raise ValueError("slope threshold must be finite and negative")
         if not np.isfinite(self.blowup_rhox_threshold) or self.blowup_rhox_threshold <= 0:
@@ -78,7 +100,7 @@ class EvolutionConfig:
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.t_end / self.dt))
+        return step_count(self.dt, self.t_end)
 
 
 @dataclass(frozen=True)
@@ -171,24 +193,19 @@ def rhs_momentum_form(model: Model, state: VelocityPair) -> VelocityPair:
     return VelocityPair(m_t, rho_t)
 
 
-def _check_finite(state: VelocityPair, t: float):
-    if not (np.all(np.isfinite(state.u.values)) and np.all(np.isfinite(state.rho.values))):
+def _check_finite(t: float, *fields: PeriodicField):
+    if not all(np.all(np.isfinite(f.values)) for f in fields):
         raise BlowupError(f"non-finite values at t={t:.6g}")
 
 
 def step_rk4(model: Model, state: VelocityPair, dt: float, t: float = 0.0) -> VelocityPair:
-    """One classical RK4 step; raises BlowupError on non-finite stages."""
-    k1 = rhs(model, state)
-    _check_finite(k1, t)
-    k2 = rhs(model, state + (0.5 * dt) * k1)
-    _check_finite(k2, t)
-    k3 = rhs(model, state + (0.5 * dt) * k2)
-    _check_finite(k3, t)
-    k4 = rhs(model, state + dt * k3)
-    _check_finite(k4, t)
-    new = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One dealiased RK4 step from time t; raises BlowupError if non-finite.
+
+    A non-finite stage spreads through the RK4 sum and `dealias` to every point.
+    """
+    new = rk4(lambda s: rhs(model, s), state, dt)
     out = VelocityPair(dealias(new.u), dealias(new.rho))
-    _check_finite(out, t + dt)
+    _check_finite(t + dt, out.u, out.rho)
     return out
 
 
@@ -197,7 +214,7 @@ def conserved_energy(state: VelocityPair) -> float:
     return metric(state, state)
 
 
-def mean_invariants(state: VelocityPair, model: Model = Model.CH2) -> tuple[float, float]:
+def mean_invariants(state: VelocityPair) -> tuple[float, float]:
     """Integrals of m = A u and rho over the circle.
 
     Both are conserved by 2CH: rho_t is a perfect x-derivative, and
@@ -207,8 +224,8 @@ def mean_invariants(state: VelocityPair, model: Model = Model.CH2) -> tuple[floa
     return inner_l2(helmholtz(state.u), one), inner_l2(state.rho, one)
 
 
-def _diagnostics(t: float, state: VelocityPair, model: Model) -> DiagnosticsRecord:
-    mean_m, mean_rho = mean_invariants(state, model)
+def _diagnostics(t: float, state: VelocityPair) -> DiagnosticsRecord:
+    mean_m, mean_rho = mean_invariants(state)
     return DiagnosticsRecord(
         t=t,
         energy=conserved_energy(state),
@@ -227,21 +244,25 @@ def _threshold_reason(config: EvolutionConfig, state: VelocityPair) -> str | Non
     return None
 
 
-def evolve(config: EvolutionConfig, initial: VelocityPair) -> EvolveResult:
-    """Integrate to t_end, recording snapshots/diagnostics every stride.
-
-    Stops early with status blowup_detected when a threshold is crossed or
-    a stage goes non-finite; the status carries the first offending time
-    and the criterion that fired.
-    """
+def _initial_state(config: EvolutionConfig, initial: VelocityPair) -> VelocityPair:
+    """Validate initial data against the config; return it dealiased."""
     if initial.grid.n != config.grid_n:
         raise ValueError(f"initial data on n={initial.grid.n}, config wants {config.grid_n}")
     if not config.model.two_component and np.max(np.abs(initial.rho.values)) != 0.0:
         raise ValueError(f"model {config.model.value} requires rho = 0 initial data")
+    return VelocityPair(dealias(initial.u), dealias(initial.rho))
 
-    state = VelocityPair(dealias(initial.u), dealias(initial.rho))
+
+def evolve(config: EvolutionConfig, initial: VelocityPair) -> EvolveResult:
+    """Integrate to t_end, recording snapshots/diagnostics every stride.
+
+    Stops early with status blowup_detected when a threshold is crossed
+    (checked at t=0 and after every step) or a step goes non-finite; the
+    status carries the first offending time and the criterion that fired.
+    """
+    state = _initial_state(config, initial)
     result = EvolveResult(times=[0.0], snapshots=[state],
-                          diagnostics=[_diagnostics(0.0, state, config.model)])
+                          diagnostics=[_diagnostics(0.0, state)])
 
     reason = _threshold_reason(config, state)
     if reason is not None:
@@ -261,7 +282,7 @@ def evolve(config: EvolutionConfig, initial: VelocityPair) -> EvolveResult:
         if record or reason is not None:
             result.times.append(t)
             result.snapshots.append(state)
-            result.diagnostics.append(_diagnostics(t, state, config.model))
+            result.diagnostics.append(_diagnostics(t, state))
         if reason is not None:
             result.status = RunStatus("blowup_detected", t=t, reason=reason)
             return result

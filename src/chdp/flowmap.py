@@ -9,8 +9,9 @@ The geodesic is advanced as the first-order system
 
 which is equivalent to the second-order geodesic equation by
 right-invariance; that equivalence is a tested property, not an
-assumption.  Along exact two-component CH flows (rho o phi) phi_x and the
-full coadjoint-transported momentum pair are constant; along 2DP flows
+assumption.  It shares `rk4` and the blow-up monitor with `evolve`.
+Along exact two-component CH flows (rho o phi) phi_x and the full
+coadjoint-transported momentum pair are constant; along 2DP flows
 (rho o phi) phi_x^2 is constant.  These are the quantities reported by
 `momentum_drift`.
 """
@@ -23,7 +24,8 @@ import numpy as np
 from scipy.integrate import simpson
 
 from chdp.connection import Model, VelocityPair
-from chdp.evolution import BlowupError, EvolutionConfig, RunStatus, rhs
+from chdp.evolution import (BlowupError, EvolutionConfig, RunStatus, _check_finite,
+                            _initial_state, _threshold_reason, rhs, rk4)
 from chdp.spectral import (
     Diffeo,
     Grid,
@@ -193,63 +195,40 @@ def evolve_flowmap(config: EvolutionConfig, initial: VelocityPair,
                    jacobian_floor: float = 1e-8) -> FlowmapResult:
     """Co-integrate (u, rho, psi, f) from (initial, identity) with RK4.
 
-    Every step is stored.  Stops early on an Eulerian blow-up threshold or
-    when min phi_x drops to `jacobian_floor` (reason 'phix_degenerate',
-    distinct from the Eulerian criteria).
+    Every step is stored.  Stops early on the blow-up monitor of `evolve`
+    (same status and time) or when min phi_x drops to `jacobian_floor`
+    (reason 'phix_degenerate', checked before the Eulerian thresholds).
     """
-    if initial.grid.n != config.grid_n:
-        raise ValueError(f"initial data on n={initial.grid.n}, config wants {config.grid_n}")
-    if not config.model.two_component and np.max(np.abs(initial.rho.values)) != 0.0:
-        raise ValueError(f"model {config.model.value} requires rho = 0 initial data")
     grid = initial.grid
     model = config.model
     kmax = grid.dealias_cutoff
-
-    state = _State(VelocityPair(dealias(initial.u), dealias(initial.rho)),
-                   zero_field(grid), zero_field(grid))
-    n_steps = config.n_steps
-    times = [0.0]
-    rows_u, rows_rho = [state.pair.u.values], [state.pair.rho.values]
-    rows_psi, rows_f = [state.psi.values], [state.f.values]
+    state = _State(_initial_state(config, initial), zero_field(grid), zero_field(grid))
+    times, rows_u, rows_rho, rows_psi, rows_f = [], [], [], [], []
     status = RunStatus("completed")
 
-    for step in range(1, n_steps + 1):
+    for step in range(config.n_steps + 1):
         t = step * config.dt
-        try:
-            k1 = _flow_rhs(model, state, kmax)
-            k2 = _flow_rhs(model, state + (0.5 * config.dt) * k1, kmax)
-            k3 = _flow_rhs(model, state + (0.5 * config.dt) * k2, kmax)
-            k4 = _flow_rhs(model, state + config.dt * k3, kmax)
-            new = state + (config.dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step > 0:
+            new = rk4(lambda s: _flow_rhs(model, s, kmax), state, config.dt)
             state = _State(VelocityPair(dealias(new.pair.u), dealias(new.pair.rho)),
                            new.psi, new.f)
-        except FloatingPointError:
-            status = RunStatus("blowup_detected", t=t, reason="non_finite")
-            break
-        finite = (np.all(np.isfinite(state.pair.u.values))
-                  and np.all(np.isfinite(state.pair.rho.values))
-                  and np.all(np.isfinite(state.psi.values))
-                  and np.all(np.isfinite(state.f.values)))
-        if not finite:
-            status = RunStatus("blowup_detected", t=t, reason="non_finite")
-            break
+            try:
+                _check_finite(t, state.pair.u, state.pair.rho, state.psi, state.f)
+            except BlowupError:
+                status = RunStatus("blowup_detected", t=t, reason="non_finite")
+                break
         times.append(t)
         rows_u.append(state.pair.u.values)
         rows_rho.append(state.pair.rho.values)
         rows_psi.append(state.psi.values)
         rows_f.append(state.f.values)
 
-        min_jac = 1.0 + derivative(state.psi).values.min()
-        if min_jac <= jacobian_floor:
-            status = RunStatus("blowup_detected", t=t, reason="phix_degenerate")
-            break
-        min_ux = float(derivative(state.pair.u).values.min())
-        if min_ux < config.blowup_slope_threshold:
-            status = RunStatus("blowup_detected", t=t, reason="min_ux")
-            break
-        max_rhox = float(np.max(np.abs(derivative(state.pair.rho).values)))
-        if max_rhox > config.blowup_rhox_threshold:
-            status = RunStatus("blowup_detected", t=t, reason="max_abs_rhox")
+        if 1.0 + derivative(state.psi).values.min() <= jacobian_floor:
+            reason = "phix_degenerate"
+        else:
+            reason = _threshold_reason(config, state.pair)
+        if reason is not None:
+            status = RunStatus("blowup_detected", t=t, reason=reason)
             break
 
     return FlowmapResult(grid=grid, model=model, times=np.asarray(times),

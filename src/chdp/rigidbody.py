@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from chdp.evolution import rk4, step_count
+
 __all__ = [
     "RigidBodyState",
     "RigidBodyTrajectory",
@@ -90,35 +92,31 @@ def _reorthonormalize(mat: np.ndarray) -> np.ndarray:
 
 
 def evolve_rigidbody(state0: RigidBodyState, dt: float, t_end: float) -> RigidBodyTrajectory:
-    """RK4 co-integration of (Omega, R), re-orthonormalizing R each step."""
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
+    """RK4 co-integration of (Omega, R), re-orthonormalizing R each step.
+
+    `rk4` steps one (4, 3) array: Omega in row 0, R in rows 1-3.
+    """
     inertia = state0.inertia
-    n_steps = int(round(t_end / dt))
+    n_steps = step_count(dt, t_end)
 
-    def rhs(omega, attitude):
-        d_omega = np.cross(inertia * omega, omega) / inertia
-        d_attitude = attitude @ hat(omega)
-        return d_omega, d_attitude
+    def rhs(y):
+        omega, attitude = y[0], y[1:]
+        dy = np.empty((4, 3))
+        dy[0] = np.cross(inertia * omega, omega) / inertia
+        dy[1:] = attitude @ hat(omega)
+        return dy
 
-    omega = state0.omega.copy()
-    attitude = state0.attitude.copy()
+    y = np.vstack([state0.omega, state0.attitude])
     times = np.empty(n_steps + 1)
     omegas = np.empty((n_steps + 1, 3))
     attitudes = np.empty((n_steps + 1, 3, 3))
     for step in range(n_steps + 1):
         times[step] = step * dt
-        omegas[step] = omega
-        attitudes[step] = attitude
+        omegas[step], attitudes[step] = y[0], y[1:]
         if step == n_steps:
             break
-        k1w, k1r = rhs(omega, attitude)
-        k2w, k2r = rhs(omega + 0.5 * dt * k1w, attitude + 0.5 * dt * k1r)
-        k3w, k3r = rhs(omega + 0.5 * dt * k2w, attitude + 0.5 * dt * k2r)
-        k4w, k4r = rhs(omega + dt * k3w, attitude + dt * k3r)
-        omega = omega + (dt / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        attitude = attitude + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-        attitude = _reorthonormalize(attitude)
+        y = rk4(rhs, y, dt)
+        y[1:] = _reorthonormalize(y[1:])
 
     body_momentum = omegas * inertia
     spatial_momentum = np.einsum("tij,tj->ti", attitudes, body_momentum)

@@ -324,11 +324,6 @@ class Diffeo:
         """phi evaluated at the grid points (not reduced mod 1)."""
         return self.grid.points + self.displacement.values
 
-    def at(self, y) -> np.ndarray:
-        """phi evaluated at arbitrary points."""
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        return y + evaluate(self.displacement, y)
-
     def __repr__(self):
         return (f"Diffeo(n={self.grid.n}, "
                 f"min_jacobian={self.jacobian.values.min():.3g})")

@@ -43,6 +43,7 @@ from chdp.evolution import (
     evolve,
     rhs,
     rhs_momentum_form,
+    step_count,
     step_rk4,
 )
 from chdp.flowmap import evolve_flowmap, momentum_drift, reconstruct_f
@@ -303,7 +304,7 @@ def check_rk4_order(seed: int) -> tuple[bool, str]:
     for model in (Model.CH2, Model.DP2):
         def integrate(dt, t_end=0.5):
             s = s0
-            for _ in range(int(round(t_end / dt))):
+            for _ in range(step_count(dt, t_end)):
                 s = step_rk4(model, s, dt)
             return s
         ref = integrate(5e-4).u.values

@@ -5,11 +5,17 @@ import pytest
 
 from chdp import verification
 from chdp.cli import CliError, main, parse_config
-from chdp.csvio import read_manifest, read_snapshot
+from chdp.connection import VelocityPair
+from chdp.csvio import read_manifest, read_snapshot, write_snapshot
+from chdp.spectral import Grid, PeriodicField
 
 
 EVOLVE_ARGS = ["evolve", "--model", "2ch", "--ic", "pair:1:0.1:1:0.1",
                "--n", "64", "--dt", "1e-3", "--t-end", "0.05", "--stride", "5"]
+FLOWMAP_ARGS = ["flowmap", "--model", "2ch", "--ic", "pair:1:0.1:1:0.1",
+                "--n", "64", "--dt", "1e-3", "--t-end", "0.05", "--snapshot-stride", "10"]
+RIGIDBODY_ARGS = ["rigidbody", "--inertia", "1,2,3", "--omega0", "1,1,1",
+                  "--dt", "1e-2", "--t-end", "1.0"]
 
 
 def run_cli(args, out_dir):
@@ -47,6 +53,26 @@ class TestParse:
         with pytest.raises(CliError, match="--inertia"):
             parse_config(["rigidbody", "--inertia", "1,-2,3"])
 
+    @pytest.mark.parametrize("command", ["evolve", "flowmap", "rigidbody"])
+    @pytest.mark.parametrize("steps, name", [
+        (["--dt", "1e-3", "--t-end", "inf"], "t_end"),
+        (["--dt", "nan", "--t-end", "0.01"], "dt"),
+        (["--dt", "0.3", "--t-end", "1"], "t_end"),
+    ], ids=["t_end_inf", "dt_nan", "t_end_not_whole_steps"])
+    def test_bad_step_size_exits_1(self, tmp_path, capsys, command, steps, name):
+        model = [] if command == "rigidbody" else ["--model", "2ch", "--ic", "zero", "--n", "64"]
+        code = main([command, *model, *steps, "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "run.json").exists()
+
+    def test_uneven_snapshot_stride_rejected(self):
+        with pytest.raises(CliError, match="--snapshot-stride must be a multiple of --stride"):
+            parse_config(EVOLVE_ARGS + ["--snapshot-stride", "12"])
+        assert parse_config(EVOLVE_ARGS + ["--snapshot-stride", "15"]).snapshot_stride == 15
+        # the flow map stores every step, so it takes any snapshot stride
+        assert parse_config(FLOWMAP_ARGS + ["--stride", "3"]).snapshot_stride == 10
+
 
 class TestEvolveCommand:
     def test_outputs_and_manifest(self, tmp_path):
@@ -63,13 +89,6 @@ class TestEvolveCommand:
         snap = read_snapshot(out / "snapshot_000000.csv")
         assert snap.grid.n == 64
         assert np.max(np.abs(snap.u.values - 0.1 * np.cos(2 * np.pi * snap.grid.points))) <= 1e-12
-
-    def test_deterministic_outputs(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert run_cli(EVOLVE_ARGS, out1) == 0
-        assert run_cli(EVOLVE_ARGS, out2) == 0
-        for name in ("diagnostics.csv", "snapshot_000000.csv"):
-            assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
 
     def test_manifest_roundtrip(self, tmp_path):
         out1 = tmp_path / "a"
@@ -95,6 +114,19 @@ class TestEvolveCommand:
         assert manifest["status"] == "blowup_detected"
         assert manifest["reason"] == "min_ux"
 
+    def test_nonfinite_snapshot_rejected(self, tmp_path, capsys):
+        grid = Grid(64)
+        u = np.cos(2 * np.pi * grid.points)
+        u[5] = np.nan
+        snap = tmp_path / "nan_snapshot.csv"
+        write_snapshot(snap, VelocityPair.single(PeriodicField(grid, u)))
+        code = main(["evolve", "--model", "2ch", "--ic", f"file:{snap}",
+                     "--n", "64", "--dt", "1e-3", "--t-end", "0.05",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "nan_snapshot.csv" in err and "non-finite" in err
+
     def test_file_preset_roundtrip(self, tmp_path):
         out1 = tmp_path / "a"
         assert run_cli(EVOLVE_ARGS, out1) == 0
@@ -104,6 +136,18 @@ class TestEvolveCommand:
                      "--n", "64", "--dt", "1e-3", "--t-end", "0.05",
                      "--out-dir", str(out2)])
         assert code == 0
+
+
+@pytest.mark.parametrize("args", [EVOLVE_ARGS, FLOWMAP_ARGS, RIGIDBODY_ARGS],
+                         ids=["evolve", "flowmap", "rigidbody"])
+def test_deterministic_outputs(tmp_path, args):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert run_cli(args, out1) == 0
+    assert run_cli(args, out2) == 0
+    names = sorted(p.name for p in out1.glob("*.csv"))
+    assert names and names == sorted(p.name for p in out2.glob("*.csv"))
+    for name in names:
+        assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
 
 
 class TestFlowmapCommand:

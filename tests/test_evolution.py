@@ -11,6 +11,8 @@ from chdp.evolution import (
     mean_invariants,
     rhs,
     rhs_momentum_form,
+    rk4,
+    step_count,
     step_rk4,
 )
 from chdp.spectral import (
@@ -86,6 +88,37 @@ class TestMomentumForm:
         m_t = -u * m.diff(x) - 2 * m * u.diff(x) - rho * rho.diff(x)
         flux = u * m + u**2 / 2 - u.diff(x) ** 2 / 2 + rho**2 / 2
         assert sympy.simplify(m_t + flux.diff(x)) == 0
+
+
+class TestRk4:
+    def test_linear_system_is_rk4_polynomial(self, rng):
+        a = rng.standard_normal((4, 4))
+        y = rng.standard_normal(4)
+        ha = 0.1 * a
+        ha2 = ha @ ha
+        poly = np.eye(4) + ha + ha2 / 2 + ha2 @ ha / 6 + ha2 @ ha2 / 24
+        out = rk4(lambda v: a @ v, y, 0.1)
+        assert np.max(np.abs(out - poly @ y)) <= 1e-14
+
+
+class TestStepCount:
+    @pytest.mark.parametrize("dt, t_end, steps", [(1e-4, 1.0, 10000), (1e-3, 0.05, 50),
+                                                  (5e-4, 2.0, 4000), (0.3, 0.9, 3)])
+    def test_whole_steps(self, dt, t_end, steps):
+        assert step_count(dt, t_end) == steps
+
+    @pytest.mark.parametrize("dt, t_end, name", [
+        (np.nan, 1.0, "dt"),
+        (0.0, 1.0, "dt"),
+        (1e-3, np.inf, "t_end"),
+        (1e-3, np.nan, "t_end"),
+        (0.2, 0.1, "t_end"),
+        (0.3, 1.0, "t_end"),
+        (1e-300, 1e300, "t_end"),
+    ])
+    def test_rejects(self, dt, t_end, name):
+        with pytest.raises(ValueError, match=name):
+            step_count(dt, t_end)
 
 
 class TestStepRk4:
@@ -216,3 +249,5 @@ class TestScalars:
         with pytest.raises(ValueError):
             EvolutionConfig(Model.CH2, dt=1e-3, t_end=1.0, grid_n=64,
                             blowup_slope_threshold=1.0)
+        with pytest.raises(ValueError, match="whole number of steps"):
+            EvolutionConfig(Model.CH2, dt=0.3, t_end=1.0, grid_n=64)

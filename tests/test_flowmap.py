@@ -198,6 +198,24 @@ class TestEvolveFlowmap:
         assert res.status.reason == "phix_degenerate"
 
 
+@pytest.mark.parametrize("model, n, initial, thresholds, expected", [
+    pytest.param(Model.CH2, 64, lambda g: VelocityPair(zero_field(g), cosine_field(g, 1, 1.0)),
+                 {"blowup_rhox_threshold": 5.0}, ("max_abs_rhox", 0.0), id="initial_rhox"),
+    pytest.param(Model.CH, 128, lambda g: VelocityPair.single(cosine_field(g, 1, 2.0)),
+                 {"blowup_slope_threshold": -20.0}, ("min_ux", 0.044), id="steep_min_ux"),
+    pytest.param(Model.CH2, 64, lambda g: VelocityPair(constant_field(g, np.nan), zero_field(g)),
+                 {}, ("non_finite", 0.001), id="nan_initial"),
+])
+def test_evolve_and_flowmap_share_blowup_monitor(model, n, initial, thresholds, expected):
+    config = EvolutionConfig(model, dt=1e-3, t_end=0.1, grid_n=n, **thresholds)
+    data = initial(Grid(n))
+    eul = evolve(config, data).status
+    flow = evolve_flowmap(config, data).status
+    assert (flow.kind, flow.reason, flow.t) == (eul.kind, eul.reason, eul.t)
+    assert eul.kind == "blowup_detected"
+    assert (eul.reason, eul.t) == (expected[0], pytest.approx(expected[1]))
+
+
 class TestReconstructF:
     def test_zero_density(self):
         grid = Grid(64)
