@@ -31,7 +31,7 @@ from chdp.curvature import (
     scan_grid,
     unnormalized_curvature,
 )
-from chdp.evolution import EvolutionConfig, evolve, step_count
+from chdp.evolution import EvolutionConfig, RunStatus, evolve, step_count
 from chdp.flowmap import evolve_flowmap, momentum_drift
 from chdp.presets import PRESET_HELP, initial_condition
 from chdp.rigidbody import RigidBodyState, coadjoint_drift, evolve_rigidbody
@@ -189,16 +189,18 @@ def parse_config(argv) -> RunConfig:
     return config
 
 
-def _manifest(config: RunConfig, status: str, reason, final_diagnostics,
+def _manifest(config: RunConfig, status: RunStatus, final_diagnostics,
               wall_seconds: float) -> dict:
+    """The run.json payload; a blow-up adds its reason and time (`blowup_t`)."""
     payload = {
         "config": asdict(config),
-        "status": status,
+        "status": status.kind,
         "final_diagnostics": final_diagnostics,
         "wall_seconds": wall_seconds,
     }
-    if reason is not None:
-        payload["reason"] = reason
+    if status.reason is not None:
+        payload["reason"] = status.reason
+        payload["blowup_t"] = status.t
     return payload
 
 
@@ -209,6 +211,13 @@ def _evolution_config(config: RunConfig) -> EvolutionConfig:
                            blowup_slope_threshold=config.slope_threshold,
                            blowup_rhox_threshold=config.rhox_threshold,
                            diagnostics_stride=config.stride)
+
+
+def _outcome(status: RunStatus, t_last: float) -> str:
+    """'completed at t=...' or 'blowup_detected (reason) at t=<blow-up time>'."""
+    if status.completed:
+        return f"completed at t={t_last:.6g}"
+    return f"{status.kind} ({status.reason}) at t={status.t:.6g}"
 
 
 def _snapshot_steps(n_records: int, snapshot_stride: int, stride: int) -> set[int]:
@@ -232,8 +241,8 @@ def _run_evolve(config: RunConfig, out: Path) -> int:
             csvio.write_snapshot(out / f"snapshot_{i:06d}.csv", snap)
     final = result.diagnostics[-1]
     csvio.write_manifest(out / "run.json", _manifest(
-        config, result.status.kind, result.status.reason, asdict(final), wall))
-    print(f"{config.command}: {result.status.kind} at t={result.times[-1]:.6g} "
+        config, result.status, asdict(final), wall))
+    print(f"{config.command}: {_outcome(result.status, result.times[-1])} "
           f"({len(result.diagnostics)} diagnostic records) -> {out}")
     return 0 if result.status.completed else 2
 
@@ -259,8 +268,8 @@ def _run_flowmap(config: RunConfig, out: Path) -> int:
         "momentum_drift": {key: float(np.max(vals)) for key, vals in drifts.items()},
     }
     csvio.write_manifest(out / "run.json", _manifest(
-        config, result.status.kind, result.status.reason, final, wall))
-    print(f"flowmap: {result.status.kind} at t={result.times[-1]:.6g} "
+        config, result.status, final, wall))
+    print(f"flowmap: {_outcome(result.status, result.times[-1])} "
           f"({len(keep)} snapshots) -> {out}")
     return 0 if result.status.completed else 2
 
@@ -283,7 +292,7 @@ def _run_curvature(config: RunConfig, out: Path) -> int:
                   s_num, s_closed, sec, gram)
     csvio.write_scan(out / "curvature.csv", [row])
     csvio.write_manifest(out / "run.json", _manifest(
-        config, "completed", None,
+        config, RunStatus("completed"),
         {"S_numeric": s_num, "S_closed": s_closed, "Sec": sec, "gram": gram}, wall))
     print(f"S_numeric={s_num!r} S_closed={s_closed!r} Sec={sec!r} gram={gram!r}")
     return 0
@@ -315,7 +324,7 @@ def _run_scan(config: RunConfig, out: Path) -> int:
               + (f", most negative Sec {found[0][1]:.4f}" if found else ""))
     wall = time.perf_counter() - start
     csvio.write_manifest(out / "run.json", _manifest(
-        config, "completed", None, summary, wall))
+        config, RunStatus("completed"), summary, wall))
     print(f"curvature-scan: {len(rows)} tuples, min S "
           f"{summary['min_S_numeric']:.6f} > 0 -> {out}")
     return 0
@@ -336,7 +345,7 @@ def _run_rigidbody(config: RunConfig, out: Path) -> int:
         "coadjoint_drift": coadjoint_drift(traj),
     }
     csvio.write_manifest(out / "run.json", _manifest(
-        config, "completed", None, final, wall))
+        config, RunStatus("completed"), final, wall))
     print(f"rigidbody: pi drift {pi_drift:.3e} over t={config.t_end:g} -> {out}")
     return 0
 
@@ -348,7 +357,7 @@ def _run_verify(config: RunConfig, out: Path) -> int:
     print(verification.format_table(results))
     all_passed = all(r.passed for r in results)
     csvio.write_manifest(out / "run.json", _manifest(
-        config, "completed" if all_passed else "failed", None,
+        config, RunStatus("completed" if all_passed else "failed"),
         {r.criterion: {"passed": r.passed, "detail": r.detail} for r in results},
         wall))
     return 0 if all_passed else 1

@@ -9,7 +9,11 @@ The geodesic is advanced as the first-order system
 
 which is equivalent to the second-order geodesic equation by
 right-invariance; that equivalence is a tested property, not an
-assumption.  It shares `rk4` and the blow-up monitor with `evolve`.
+assumption.  It shares `rk4`, the Eulerian kernel and the blow-up monitor
+with `evolve`: the state is one (4, n) array (u, rho, psi, f), rows 0-1
+step through the kernel, and each RK4 stage builds one series plan at
+phi = id + psi and applies it to the series weights of u and rho in one
+matrix product.  Every step is written into one history array.
 Along exact two-component CH flows (rho o phi) phi_x and the full
 coadjoint-transported momentum pair are constant; along 2DP flows
 (rho o phi) phi_x^2 is constant.  These are the quantities reported by
@@ -25,14 +29,13 @@ from scipy.integrate import simpson
 
 from chdp.connection import Model, VelocityPair
 from chdp.evolution import (BlowupError, EvolutionConfig, RunStatus, _check_finite,
-                            _initial_state, _threshold_reason, rhs, rk4)
+                            _initial_state, _kernel, _Kernel, _threshold_reason, rk4)
 from chdp.spectral import (
     Diffeo,
     Grid,
     PeriodicField,
     apply_series_matrix,
     compose,
-    dealias,
     derivative,
     helmholtz,
     invert_diffeo,
@@ -134,26 +137,12 @@ def body_velocity(g: GroupElement, phi_t: PeriodicField,
 # Coupled Eulerian + flow-map integration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _State:
-    pair: VelocityPair
-    psi: PeriodicField
-    f: PeriodicField
-
-    def __add__(self, other):
-        return _State(self.pair + other.pair, self.psi + other.psi, self.f + other.f)
-
-    def __mul__(self, scalar):
-        return _State(scalar * self.pair, self.psi * scalar, self.f * scalar)
-
-    __rmul__ = __mul__
-
-
 @dataclass
 class FlowmapResult:
     """Stacked per-step history of the coupled run.
 
-    Rows of u/rho/psi/f are the fields at `times`; phi = id + psi.
+    Rows of u/rho/psi/f are the fields at `times`; phi = id + psi.  The
+    four arrays are views of one history array.
     """
 
     grid: Grid
@@ -181,60 +170,63 @@ class FlowmapResult:
         return 1.0 + np.fft.irfft(hat, n=self.grid.n, axis=1)
 
 
-def _flow_rhs(model: Model, state: _State, kmax: int) -> _State:
-    eul = rhs(model, state.pair)
-    grid = state.psi.grid
-    warped = grid.points + state.psi.values
-    plan = series_matrix(grid, warped, kmax=kmax)
-    psi_dot = apply_series_matrix(plan, state.pair.u)
-    f_dot = apply_series_matrix(plan, state.pair.rho)
-    return _State(eul, PeriodicField(grid, psi_dot), PeriodicField(grid, f_dot))
+def _flow_rhs(kernel: _Kernel, grid: Grid, y: np.ndarray) -> np.ndarray:
+    """d/dt of the stacked (u, rho, psi, f): the kernel, then (u, rho) o phi."""
+    out = np.empty_like(y)
+    out[:2] = kernel(y[:2])
+    kmax = grid.dealias_cutoff
+    plan = series_matrix(grid, grid.points + y[2], kmax=kmax)
+    # Series weights of u and rho, as in `apply_series_matrix`.
+    weights = np.fft.rfft(y[:2])[:, :kmax + 1] / grid.n
+    weights[:, 1:] *= 2.0
+    out[2:] = (plan @ weights.T).real.T
+    return out
 
 
 def evolve_flowmap(config: EvolutionConfig, initial: VelocityPair,
                    jacobian_floor: float = 1e-8) -> FlowmapResult:
     """Co-integrate (u, rho, psi, f) from (initial, identity) with RK4.
 
-    Every step is stored.  Stops early on the blow-up monitor of `evolve`
-    (same status and time) or when min phi_x drops to `jacobian_floor`
-    (reason 'phix_degenerate', checked before the Eulerian thresholds).
+    The state is one (4, n) array; every step is written into one
+    (4, steps + 1, n) history, whose rows the result's fields view.
+    Stops early on the blow-up monitor of `evolve` (same status and time)
+    or when min phi_x drops to `jacobian_floor` (reason 'phix_degenerate',
+    checked before the Eulerian thresholds).
     """
     grid = initial.grid
-    model = config.model
-    kmax = grid.dealias_cutoff
-    state = _State(_initial_state(config, initial), zero_field(grid), zero_field(grid))
-    times, rows_u, rows_rho, rows_psi, rows_f = [], [], [], [], []
+    start = _initial_state(config, initial)
+    kernel = _kernel(config.model, grid)
+    y = np.zeros((4, grid.n))
+    y[0], y[1] = start.u.values, start.rho.values
+    history = np.empty((4, config.n_steps + 1, grid.n))
     status = RunStatus("completed")
 
     for step in range(config.n_steps + 1):
         t = step * config.dt
         if step > 0:
-            new = rk4(lambda s: _flow_rhs(model, s, kmax), state, config.dt)
-            state = _State(VelocityPair(dealias(new.pair.u), dealias(new.pair.rho)),
-                           new.psi, new.f)
+            y = rk4(lambda s: _flow_rhs(kernel, grid, s), y, config.dt)
+            y[:2] = kernel.dealias(y[:2])
             try:
-                _check_finite(t, state.pair.u, state.pair.rho, state.psi, state.f)
+                _check_finite(t, y)
             except BlowupError:
                 status = RunStatus("blowup_detected", t=t, reason="non_finite")
                 break
-        times.append(t)
-        rows_u.append(state.pair.u.values)
-        rows_rho.append(state.pair.rho.values)
-        rows_psi.append(state.psi.values)
-        rows_f.append(state.f.values)
+        history[:, step] = y
+        stored = step + 1
 
-        if 1.0 + derivative(state.psi).values.min() <= jacobian_floor:
+        slopes = kernel.derivative(y[:3])  # u_x, rho_x, psi_x
+        if 1.0 + slopes[2].min() <= jacobian_floor:
             reason = "phix_degenerate"
         else:
-            reason = _threshold_reason(config, state.pair)
+            reason = _threshold_reason(config, slopes)
         if reason is not None:
             status = RunStatus("blowup_detected", t=t, reason=reason)
             break
 
-    return FlowmapResult(grid=grid, model=model, times=np.asarray(times),
-                         u=np.vstack(rows_u), rho=np.vstack(rows_rho),
-                         psi=np.vstack(rows_psi), f=np.vstack(rows_f),
-                         status=status)
+    u, rho, psi, f = history[:, :stored]
+    return FlowmapResult(grid=grid, model=config.model,
+                         times=np.arange(stored) * config.dt,
+                         u=u, rho=rho, psi=psi, f=f, status=status)
 
 
 def reconstruct_f(model: Model, rho0: PeriodicField, times: np.ndarray,

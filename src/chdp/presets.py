@@ -5,9 +5,14 @@ Grammar:
     cosmode:M:AMP            u = AMP cos(2 pi M x), rho = 0
     pair:M1:A1:M2:A2         u = A1 cos(2 pi M1 x), rho = A2 cos(2 pi M2 x)
     file:PATH                snapshot CSV with header x,u,rho
+
+Modes must be integers in 1..the grid's dealias cutoff and amplitudes must
+be finite.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from chdp.connection import VelocityPair
 from chdp.csvio import read_snapshot
@@ -25,10 +30,10 @@ def initial_condition(spec: str, grid: Grid) -> VelocityPair:
             raise ValueError("zero preset takes no parameters")
         return VelocityPair(zero_field(grid), zero_field(grid))
     if name == "cosmode":
-        mode, amp = _parse_params(spec, rest, 2)
+        mode, amp = _parse_params(spec, rest, 2, grid)
         return VelocityPair(cosine_field(grid, int(mode), amp), zero_field(grid))
     if name == "pair":
-        m1, a1, m2, a2 = _parse_params(spec, rest, 4)
+        m1, a1, m2, a2 = _parse_params(spec, rest, 4, grid)
         return VelocityPair(cosine_field(grid, int(m1), a1),
                             cosine_field(grid, int(m2), a2))
     if name == "file":
@@ -43,7 +48,12 @@ def initial_condition(spec: str, grid: Grid) -> VelocityPair:
                      f"(expected {PRESET_HELP})")
 
 
-def _parse_params(spec, rest, count):
+def _parse_params(spec, rest, count, grid: Grid):
+    """(mode, amplitude, ...) pairs: finite amplitudes, modes 1..dealias cutoff.
+
+    A mode above the cutoff would be aliased or dealiased away by the grid,
+    so the run would not start from the data the preset names.
+    """
     parts = rest.split(":") if rest else []
     if len(parts) != count:
         raise ValueError(f"preset {spec!r} needs {count} ':'-separated parameters")
@@ -51,7 +61,12 @@ def _parse_params(spec, rest, count):
         values = [float(p) for p in parts]
     except ValueError as exc:
         raise ValueError(f"preset {spec!r}: {exc}") from None
+    cutoff = grid.dealias_cutoff
     for v in values[::2]:
-        if v < 1 or v != int(v):
-            raise ValueError(f"preset {spec!r}: modes must be positive integers")
+        if not (1 <= v <= cutoff and v == int(v)):
+            raise ValueError(f"preset {spec!r}: modes must be integers in 1..{cutoff} "
+                             f"(the dealias cutoff of n={grid.n})")
+    for v in values[1::2]:
+        if not np.isfinite(v):
+            raise ValueError(f"preset {spec!r}: amplitudes must be finite")
     return values

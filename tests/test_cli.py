@@ -7,6 +7,7 @@ from chdp import verification
 from chdp.cli import CliError, main, parse_config
 from chdp.connection import VelocityPair
 from chdp.csvio import read_manifest, read_snapshot, write_snapshot
+from chdp.presets import initial_condition
 from chdp.spectral import Grid, PeriodicField
 
 
@@ -16,6 +17,11 @@ FLOWMAP_ARGS = ["flowmap", "--model", "2ch", "--ic", "pair:1:0.1:1:0.1",
                 "--n", "64", "--dt", "1e-3", "--t-end", "0.05", "--snapshot-stride", "10"]
 RIGIDBODY_ARGS = ["rigidbody", "--inertia", "1,2,3", "--omega0", "1,1,1",
                   "--dt", "1e-2", "--t-end", "1.0"]
+
+
+def read_csv_column(path, name):
+    with open(path, newline="") as handle:
+        return [row[name] for row in csv.DictReader(handle)]
 
 
 def run_cli(args, out_dir):
@@ -48,6 +54,22 @@ class TestParse:
                      "--n", "64", "--dt", "1e-3", "--t-end", "0.01",
                      "--out-dir", str(tmp_path)])
         assert code == 1
+
+    @pytest.mark.parametrize("ic", ["cosmode:inf:0.1", "cosmode:1:nan", "pair:1:0.1:1:inf",
+                                    "cosmode:40:0.001", "cosmode:64:0.1"],
+                             ids=["mode_inf", "amplitude_nan", "amplitude_inf",
+                                  "mode_above_cutoff", "mode_aliased_to_zero"])
+    def test_bad_preset_parameters_exit_1(self, tmp_path, capsys, ic):
+        # n=64 keeps modes 1..21; mode 40 aliases to 24 and mode 64 to 0
+        code = main(["evolve", "--model", "2ch", "--ic", ic, "--n", "64",
+                     "--dt", "1e-3", "--t-end", "0.01", "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert f"preset {ic!r}" in capsys.readouterr().err
+        assert not (tmp_path / "run.json").exists()
+
+    def test_preset_mode_at_cutoff_accepted(self):
+        state = initial_condition("pair:21:0.1:1:0.2", Grid(64))
+        assert np.max(np.abs(state.u.values - 0.1 * np.cos(42 * np.pi * state.grid.points))) == 0.0
 
     def test_bad_inertia(self):
         with pytest.raises(CliError, match="--inertia"):
@@ -103,7 +125,7 @@ class TestEvolveCommand:
         assert filecmp.cmp(out1 / "diagnostics.csv", out2 / "diagnostics.csv",
                            shallow=False)
 
-    def test_blowup_exit_code(self, tmp_path):
+    def test_blowup_exit_code(self, tmp_path, capsys):
         out = tmp_path / "steep"
         code = main(["evolve", "--model", "2ch", "--ic", "cosmode:1:2.0",
                      "--n", "256", "--dt", "5e-4", "--t-end", "2.0",
@@ -113,6 +135,9 @@ class TestEvolveCommand:
         manifest = read_manifest(out / "run.json")
         assert manifest["status"] == "blowup_detected"
         assert manifest["reason"] == "min_ux"
+        last_t = float(read_csv_column(out / "diagnostics.csv", "t")[-1])
+        assert 0.0 < manifest["blowup_t"] == last_t < 2.0
+        assert f"(min_ux) at t={last_t:.6g}" in capsys.readouterr().out
 
     def test_nonfinite_snapshot_rejected(self, tmp_path, capsys):
         grid = Grid(64)
@@ -148,6 +173,23 @@ def test_deterministic_outputs(tmp_path, args):
     assert names and names == sorted(p.name for p in out2.glob("*.csv"))
     for name in names:
         assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("command", ["evolve", "flowmap"])
+def test_nonfinite_blowup_time(tmp_path, capsys, command):
+    # u^2 overflows in the first step: the time reported is t=dt, not
+    # the last stored record (t=0 for evolve).
+    out = tmp_path / "overflow"
+    code = main([command, "--model", "ch", "--ic", "cosmode:1:1e200",
+                 "--n", "64", "--dt", "1e-3", "--t-end", "0.01",
+                 "--slope-threshold=-1e300", "--rhox-threshold", "1e300",
+                 "--out-dir", str(out)])
+    assert code == 2
+    manifest = read_manifest(out / "run.json")
+    assert (manifest["reason"], manifest["blowup_t"]) == ("non_finite", 1e-3)
+    assert "(non_finite) at t=0.001 " in capsys.readouterr().out
 
 
 class TestFlowmapCommand:

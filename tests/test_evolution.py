@@ -1,7 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
+import object_form
 from chdp.connection import Model, VelocityPair, christoffel
 from chdp.evolution import (
     BlowupError,
@@ -59,6 +63,58 @@ class TestRhs:
         adv_rho = out.rho + dealiased_product(s.u, derivative(s.rho))
         assert np.max(np.abs(adv_u.values - gamma.u.values)) <= 1e-10
         assert np.max(np.abs(adv_rho.values - gamma.rho.values)) <= 1e-10
+
+
+def max_gap(a, b):
+    return float(np.max(np.abs(a - b)))
+
+
+class TestKernel:
+    """The batched kernel against the object-form reference in `object_form`."""
+
+    @given(seed=st.integers(0, 2**31 - 1), n=st.sampled_from([16, 64, 256]),
+           model=st.sampled_from(list(Model)))
+    @settings(max_examples=60, deadline=None)
+    def test_rhs_matches_object_form(self, seed, n, model):
+        # 1e-12 relative to the reference's max norm (at least 1).
+        grid = Grid(n)
+        rng = np.random.default_rng(seed)
+        max_mode = int(rng.integers(1, grid.dealias_cutoff + 1))
+        s = random_state(grid, rng, model, max_mode=max_mode, scale=rng.uniform(0.01, 1.0))
+        out, ref = rhs(model, s), object_form.rhs(model, s)
+        for got, want in ((out.u.values, ref.u.values), (out.rho.values, ref.rho.values)):
+            assert max_gap(got, want) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        if not model.two_component:
+            assert np.array_equal(out.rho.values, np.zeros(n))
+
+    @pytest.mark.parametrize("model", list(Model))
+    def test_step_rk4_matches_object_form(self, model, grid64):
+        rho = cosine_field(grid64, 2, 0.2) if model.two_component else zero_field(grid64)
+        s = ref = VelocityPair(cosine_field(grid64, 1, 0.3) + 0.1, rho)
+        for _ in range(100):
+            s = step_rk4(model, s, 1e-3)
+            ref = object_form.step_rk4(model, ref, 1e-3)
+        assert max_gap(s.u.values, ref.u.values) <= 1e-12
+        assert max_gap(s.rho.values, ref.rho.values) <= 1e-12
+
+    @pytest.mark.parametrize("model", [Model.CH2, Model.DP2])
+    def test_step_rk4_fft_budget(self, model, grid256, monkeypatch):
+        # Guards the batching: per-field FFTs would cost about 60 calls.
+        calls = []
+
+        def counting(fn):
+            @functools.wraps(fn)
+            def counted(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return counted
+
+        s = VelocityPair(cosine_field(grid256, 1, 0.3), cosine_field(grid256, 2, 0.2))
+        s = step_rk4(model, s, 1e-4)
+        monkeypatch.setattr(np.fft, "rfft", counting(np.fft.rfft))
+        monkeypatch.setattr(np.fft, "irfft", counting(np.fft.irfft))
+        step_rk4(model, s, 1e-4)
+        assert 0 < len(calls) <= 20
 
 
 class TestMomentumForm:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import object_form
 from chdp.connection import Model, VelocityPair, bracket, metric
 from chdp.evolution import EvolutionConfig, evolve
 from chdp.flowmap import (
@@ -175,6 +176,20 @@ class TestEvolveFlowmap:
         eul = evolve(config, initial)
         assert np.array_equal(res.u[-1], eul.final.u.values)
         assert np.array_equal(res.rho[-1], eul.final.rho.values)
+
+    @pytest.mark.parametrize("model", [Model.CH2, Model.DP2])
+    def test_matches_object_form_trajectory(self, model):
+        grid = Grid(64)
+        config = EvolutionConfig(model, dt=1e-3, t_end=0.05, grid_n=64)
+        initial = VelocityPair(cosine_field(grid, 1, 0.2), cosine_field(grid, 2, 0.1))
+        res = evolve_flowmap(config, initial)
+        ref = object_form.flowmap_trajectory(model, initial, 1e-3, 50)
+        got = np.stack((res.u, res.rho, res.psi, res.f))
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12
+        # the four fields view one stored history
+        assert res.u.base is not None
+        assert all(a.base is res.u.base for a in (res.rho, res.psi, res.f))
 
     def test_velocity_reconstruction(self):
         # phi_t o phi^{-1} must match the Eulerian u
