@@ -23,6 +23,7 @@ from chdp.connection import Model
 from chdp.curvature import (
     CosineDirectionPair,
     ScanRow,
+    check_resolution,
     closed_form_curvature,
     cosine_pair,
     gram_determinant,
@@ -184,6 +185,13 @@ def parse_config(argv) -> RunConfig:
         for flag in ("k1", "k2", "l1", "l2"):
             if getattr(config, flag) < 1:
                 raise CliError(f"--{flag}: modes must be positive integers")
+    if config.command in ("curvature", "curvature-scan") and config.n is not None:
+        max_mode = (config.max_mode if config.command == "curvature-scan"
+                    else max(config.k1, config.k2, config.l1, config.l2))
+        try:
+            check_resolution(Grid(config.n), max_mode)
+        except ValueError as exc:
+            raise CliError(f"--n: {exc}") from None
     if config.command == "rigidbody" and any(v <= 0 for v in config.inertia):
         raise CliError("--inertia: moments must be positive")
     return config
@@ -255,12 +263,12 @@ def _run_flowmap(config: RunConfig, out: Path) -> int:
     result = evolve_flowmap(evo_config, initial)
     wall = time.perf_counter() - start
 
-    jac = result.jacobians()
     n_saved = len(result.times)
     keep = sorted(_snapshot_steps(n_saved, config.snapshot_stride, 1))
-    for i in keep:
+    jac = result.jacobians(keep)  # keep ends with the last row
+    for i, jac_i in zip(keep, jac):
         csvio.write_flowmap_snapshot(out / f"flowmap_{i:06d}.csv", grid,
-                                     result.psi[i], jac[i], result.f[i])
+                                     result.psi[i], jac_i, result.f[i])
     drifts = momentum_drift(evo_config.model, result, stride=max(1, n_saved // 20))
     final = {
         "t": float(result.times[-1]),
@@ -283,7 +291,7 @@ def _run_curvature(config: RunConfig, out: Path) -> int:
     start = time.perf_counter()
     u, v = cosine_pair(grid, direction)
     s_num = unnormalized_curvature(u, v)
-    s_closed = closed_form_curvature(direction, grid)
+    s_closed = closed_form_curvature(direction)
     gram = gram_determinant(u, v)
     sec = s_num / gram
     wall = time.perf_counter() - start

@@ -16,6 +16,26 @@ by exact integer mode comparisons.  Wavenumbers are 2*pi*m for positive
 integer modes m.  On the cosine family S is strictly positive, and on
 directions with vanishing first components the normalized curvature is
 bounded below by 1/8 with Gram determinant exactly 1/4.
+
+S is evaluated by a private kernel per grid on stacked (planes, 2, n)
+arrays of directions (u, rho).  Gamma(a, b) costs one rfft of the two
+stacked quadratic terms (u v + u_x v_x/2 + rho tau/2, u_x tau + v_x rho),
+whose spectra are multiplied by -Ainv d/dx and -1/2 with the 2/3-rule
+mask folded in (the multipliers of the 2CH evolution kernel).  The metric
+(H^1 on u, L^2 on rho) and the Gram determinant pair rfft spectra by
+Parseval, so no inverse transform follows.  `positivity_scan` computes
+the spectra, u_x and Gamma(a, a) once per distinct slot tuple and then
+only Gamma(a, b) per plane, in chunks of a fixed size, so the whole
+mode-8 scan (2044 planes) costs 19 batched FFT calls;
+`unnormalized_curvature`, `gram_determinant` and `sectional_curvature`
+are the one-plane `VelocityPair` views of the same kernel, and
+`chdp.connection.christoffel_2ch` with `metric` is the field-by-field
+form they agree with to round-off.
+
+Resolution: Gamma and the metric pair products of two directions, whose
+modes reach twice the largest mode M.  A grid resolves them exactly when
+its dealias cutoff is at least 2M (even n >= 6M + 2); `cosine_pair`,
+`positivity_scan` and `negative_search` reject coarser grids.
 """
 
 from __future__ import annotations
@@ -23,11 +43,13 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from chdp.connection import Model, VelocityPair, christoffel, metric
-from chdp.spectral import Grid, cosine_field, random_band_limited, zero_field
+from chdp.connection import Model, VelocityPair
+from chdp.evolution import _kernel
+from chdp.spectral import Grid, cosine_field, zero_field
 
 __all__ = [
     "CosineDirectionPair",
@@ -40,6 +62,7 @@ __all__ = [
     "closed_form_integrals",
     "closed_form_curvature",
     "cosine_pair",
+    "check_resolution",
     "scan_grid",
     "positivity_scan",
     "negative_search",
@@ -48,6 +71,10 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 TWO_PI = 2.0 * np.pi
+
+# Planes per batched Gamma(a, b) pass: bounds the working arrays at
+# (_CHUNK, 2, n) however many planes a scan holds.
+_CHUNK = 128
 
 
 class DegeneratePlaneError(ValueError):
@@ -85,24 +112,100 @@ class CosineDirectionPair:
         return max(self.m_k1, self.m_k2, self.m_l1, self.m_l2)
 
 
+class _CurvatureKernel:
+    """2CH Christoffel map and metric of one grid, on stacked arrays.
+
+    A direction is a (2, n) array (u, rho); batches stack directions on
+    leading axes.  `slopes` is one irfft giving u_x from the rfft spectra,
+    `christoffel` one rfft giving the spectrum of Gamma(a, b), and
+    `metric` pairs spectra by Parseval.
+    """
+
+    def __init__(self, grid: Grid):
+        ch2 = _kernel(Model.CH2, grid)
+        self.n = grid.n
+        self.ik = ch2.ik
+        # Gamma = (-keep Ainv d/dx Q1, -keep Q2 / 2); ch2.mult holds -keep,
+        # -keep Ainv d/dx and -keep.
+        self.mult = np.stack((ch2.mult[1], 0.5 * ch2.mult[2]))
+        # (1/n) sum_j f_j g_j = sum_k c_k Re(f^_k conj(g^_k)) / n^2, with
+        # c_k = 2 but 1 at k = 0 and Nyquist; u adds the u_x term, whose
+        # Nyquist mode `derivative` drops (ik is 0 there).
+        c = np.full(grid.n // 2 + 1, 2.0 / grid.n**2)
+        c[[0, -1]] /= 2.0
+        self.weight = np.stack((c * (1.0 + self.ik.imag**2), c))
+        for arr in (self.mult, self.weight):
+            arr.setflags(write=False)
+
+    def slopes(self, hat: np.ndarray) -> np.ndarray:
+        """u_x of every direction, from its spectrum."""
+        return np.fft.irfft(hat[..., 0, :] * self.ik, self.n)
+
+    def christoffel(self, a, ax, b, bx) -> np.ndarray:
+        """Spectrum of Gamma(a, b) for directions a, b with slopes ax, bx."""
+        u, rho = a[..., 0, :], a[..., 1, :]
+        v, tau = b[..., 0, :], b[..., 1, :]
+        q = np.stack((u * v + 0.5 * (ax * bx) + 0.5 * (rho * tau),
+                      ax * tau + bx * rho), axis=-2)
+        return np.fft.rfft(q) * self.mult
+
+    def metric(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """<f, g> of stacked spectra: H^1 on u, L^2 on rho."""
+        return ((f.real * g.real + f.imag * g.imag) * self.weight).sum(axis=(-2, -1))
+
+
+@lru_cache(maxsize=None)
+def _curvature_kernel(grid: Grid) -> _CurvatureKernel:
+    """The curvature kernel of grid, built on first use and then shared."""
+    return _CurvatureKernel(grid)
+
+
+def _curvatures(grid: Grid, y: np.ndarray, planes: np.ndarray):
+    """(S, Gram) of each plane (y[i], y[j]) for the rows (i, j) of planes.
+
+    Spectra, slopes, Gamma(a, a) and <a, a> are computed once per
+    direction; Gamma(a, b) once per plane, _CHUNK planes per rfft.
+    """
+    kernel = _curvature_kernel(grid)
+    hat = np.fft.rfft(y)
+    yx = kernel.slopes(hat)
+    gamma_self = kernel.christoffel(y, yx, y, yx)
+    norm = kernel.metric(hat, hat)
+    s = np.empty(len(planes))
+    gram = np.empty(len(planes))
+    for start in range(0, len(planes), _CHUNK):
+        i, j = planes[start:start + _CHUNK].T
+        gamma = kernel.christoffel(y[i], yx[i], y[j], yx[j])
+        s[start:start + _CHUNK] = (kernel.metric(gamma, gamma)
+                                   - kernel.metric(gamma_self[i], gamma_self[j]))
+        gram[start:start + _CHUNK] = norm[i] * norm[j] - kernel.metric(hat[i], hat[j]) ** 2
+    return s, gram
+
+
+def _plane(a: VelocityPair, b: VelocityPair) -> tuple[float, float]:
+    """(S, Gram) of the plane of a and b."""
+    if a.grid.n != b.grid.n:
+        raise ValueError(f"grid mismatch: n={a.grid.n} vs n={b.grid.n}")
+    y = np.array([(a.u.values, a.rho.values), (b.u.values, b.rho.values)])
+    s, gram = _curvatures(a.grid, y, np.array([[0, 1]]))
+    return float(s[0]), float(gram[0])
+
+
 def unnormalized_curvature(a: VelocityPair, b: VelocityPair) -> float:
     """S(a, b) from the two-component CH Christoffel map."""
-    gamma_ab = christoffel(Model.CH2, a, b)
-    gamma_aa = christoffel(Model.CH2, a, a)
-    gamma_bb = christoffel(Model.CH2, b, b)
-    return metric(gamma_ab, gamma_ab) - metric(gamma_aa, gamma_bb)
+    return _plane(a, b)[0]
 
 
 def gram_determinant(a: VelocityPair, b: VelocityPair) -> float:
-    return metric(a, a) * metric(b, b) - metric(a, b) ** 2
+    return _plane(a, b)[1]
 
 
 def sectional_curvature(a: VelocityPair, b: VelocityPair) -> float:
     """S(a, b) normalized by the Gram determinant of the plane."""
-    gram = gram_determinant(a, b)
+    s, gram = _plane(a, b)
     if gram <= 1e-12:
         raise DegeneratePlaneError(f"gram determinant {gram:.3e} too small")
-    return unnormalized_curvature(a, b) / gram
+    return s / gram
 
 
 def ch_cosine_curvature(m_k: int, m_l: int) -> float:
@@ -149,8 +252,22 @@ def closed_form_integrals(direction: CosineDirectionPair) -> tuple[float, float,
     return i1, i2, i3, i4
 
 
+def check_resolution(grid: Grid, max_mode: int):
+    """Raise ValueError unless grid resolves S of directions up to max_mode.
+
+    Products of two directions reach mode 2 * max_mode, which the 2/3 rule
+    keeps only when it is at most the dealias cutoff.
+    """
+    if grid.dealias_cutoff < 2 * max_mode:
+        raise ValueError(
+            f"n={grid.n} keeps modes up to {grid.dealias_cutoff} after dealiasing, "
+            f"but curvature of modes up to {max_mode} needs {2 * max_mode} "
+            f"(n >= {max(16, 6 * max_mode + 2)})")
+
+
 def cosine_pair(grid: Grid, direction: CosineDirectionPair) -> tuple[VelocityPair, VelocityPair]:
-    """Sample the direction pair on a grid."""
+    """Sample the direction pair on a grid that resolves it."""
+    check_resolution(grid, direction.max_mode)
     d = direction
     if d.first_components_zero:
         u = VelocityPair(zero_field(grid), cosine_field(grid, d.m_k2))
@@ -167,13 +284,11 @@ def scan_grid(max_mode: int) -> Grid:
     return Grid(n + n % 2)
 
 
-def closed_form_curvature(direction: CosineDirectionPair,
-                          grid: Grid | None = None) -> float:
+def closed_form_curvature(direction: CosineDirectionPair) -> float:
     """S on a cosine direction pair from the closed-form pieces.
 
-    The single-component closed form assumes distinct velocity modes; for
-    equal velocity modes that contribution is computed numerically (it
-    vanishes identically, being S of a direction against itself).
+    The single-component closed form assumes distinct velocity modes; equal
+    velocity modes contribute S(u1, u1) = 0.
     """
     if direction.degenerate:
         raise ValueError("direction pair is degenerate (u = v)")
@@ -183,11 +298,7 @@ def closed_form_curvature(direction: CosineDirectionPair,
     if direction.m_k1 != direction.m_l1:
         ch_term = ch_cosine_curvature(direction.m_k1, direction.m_l1)
     else:
-        if grid is None:
-            grid = scan_grid(direction.max_mode)
-        u1 = VelocityPair.single(cosine_field(grid, direction.m_k1))
-        v1 = VelocityPair.single(cosine_field(grid, direction.m_l1))
-        ch_term = unnormalized_curvature(u1, v1)
+        ch_term = 0.0
     return ch_term + sum(integrals)
 
 
@@ -211,47 +322,46 @@ def positivity_scan(max_mode: int, grid: Grid | None = None,
     """Enumerate cosine direction pairs with modes <= max_mode.
 
     Scans the full family (asserting S > 0) and the zero-first-component
-    family (asserting Sec >= 1/8 - 1e-12 and Gram = 1/4).  Degenerate
-    u = v tuples are skipped and logged.  With enforce, a violated bound
-    raises RuntimeError naming the offending tuple.
+    family (asserting Sec >= 1/8 - 1e-12 and Gram = 1/4), skipping the
+    degenerate u = v tuples.  With enforce, a violated bound raises
+    RuntimeError naming the offending tuple.
     """
     if max_mode < 2:
         raise ValueError("max_mode must be at least 2")
     if grid is None:
         grid = scan_grid(max_mode)
+    check_resolution(grid, max_mode)
+
+    # The distinct slot tuples: (k1, k2) of the full family, then (0, k2)
+    # of the density family; row m of `table` is cos(2 pi m x), row 0 is 0.
+    modes = range(1, max_mode + 1)
+    tuples = list(itertools.product(modes, repeat=2)) + [(0, m) for m in modes]
+    table = np.zeros((max_mode + 1, grid.n))
+    table[1:] = np.cos(TWO_PI * np.arange(1, max_mode + 1)[:, None] * grid.points)
+    full = max_mode * max_mode
+    planes = np.concatenate((np.column_stack(np.triu_indices(full, 1)),
+                             full + np.column_stack(np.triu_indices(max_mode, 1))))
+    log.debug("scanning %d planes of %d slot tuples on n=%d", len(planes), len(tuples), grid.n)
+    s_num, gram = _curvatures(grid, table[np.array(tuples)], planes)
 
     rows: list[ScanRow] = []
     violations: list[str] = []
-
-    slot_pairs = list(itertools.product(range(1, max_mode + 1), repeat=2))
-    for i, ku in enumerate(slot_pairs):
-        for kv in slot_pairs[i:]:
-            if ku == kv:
-                log.debug("skipping degenerate direction pair %s", ku)
-                continue
-            direction = CosineDirectionPair(ku[0], ku[1], kv[0], kv[1])
-            u, v = cosine_pair(grid, direction)
-            s_num = unnormalized_curvature(u, v)
-            s_closed = closed_form_curvature(direction, grid)
-            gram = gram_determinant(u, v)
-            rows.append(ScanRow(ku[0], ku[1], kv[0], kv[1],
-                                s_num, s_closed, s_num / gram, gram))
-            if s_num <= 0.0 or s_closed <= 0.0:
-                violations.append(f"S <= 0 at modes {ku}+{kv}: "
-                                  f"numeric {s_num:.6e}, closed {s_closed:.6e}")
-
-    for mk2, ml2 in itertools.combinations(range(1, max_mode + 1), 2):
-        direction = CosineDirectionPair(1, mk2, 1, ml2, first_components_zero=True)
-        u, v = cosine_pair(grid, direction)
-        s_num = unnormalized_curvature(u, v)
-        s_closed = closed_form_curvature(direction, grid)
-        gram = gram_determinant(u, v)
-        sec = s_num / gram
-        rows.append(ScanRow(0, mk2, 0, ml2, s_num, s_closed, sec, gram))
-        if sec < 0.125 - 1e-12:
-            violations.append(f"Sec < 1/8 at density modes ({mk2}, {ml2}): {sec:.12f}")
-        if abs(gram - 0.25) > 1e-12:
-            violations.append(f"Gram != 1/4 at density modes ({mk2}, {ml2}): {gram:.15f}")
+    for (i, j), s, g in zip(planes.tolist(), s_num.tolist(), gram.tolist()):
+        (k1, k2), (l1, l2) = tuples[i], tuples[j]
+        sec = s / g
+        if k1 == 0:
+            s_closed = closed_form_curvature(
+                CosineDirectionPair(1, k2, 1, l2, first_components_zero=True))
+            if sec < 0.125 - 1e-12:
+                violations.append(f"Sec < 1/8 at density modes ({k2}, {l2}): {sec:.12f}")
+            if abs(g - 0.25) > 1e-12:
+                violations.append(f"Gram != 1/4 at density modes ({k2}, {l2}): {g:.15f}")
+        else:
+            s_closed = closed_form_curvature(CosineDirectionPair(k1, k2, l1, l2))
+            if s <= 0.0 or s_closed <= 0.0:
+                violations.append(f"S <= 0 at modes {tuples[i]}+{tuples[j]}: "
+                                  f"numeric {s:.6e}, closed {s_closed:.6e}")
+        rows.append(ScanRow(k1, k2, l1, l2, s, s_closed, sec, g))
 
     if enforce and violations:
         raise RuntimeError("curvature bounds violated:\n" + "\n".join(violations))
@@ -262,17 +372,26 @@ def negative_search(grid: Grid, rng: np.random.Generator, trials: int,
                     max_mode: int = 6) -> list[tuple[int, float]]:
     """Hunt for negatively curved planes among random trig directions.
 
-    Returns (trial, Sec) sorted most-negative first.  Reported, never
-    asserted: the bounds above hold only on the cosine families.
+    Each trial draws a = (u, rho) and b = (v, tau) like
+    `random_band_limited`: per slot and mode m, a cosine and a sine
+    coefficient, standard normal times 1/m, in that order (one draw of
+    shape (trials, 4, max_mode, 2) gives the same stream).  Planes with
+    Gram <= 1e-9 are dropped.  Returns (trial, Sec) sorted most-negative
+    first.  Reported, never asserted: the bounds above hold only on the
+    cosine families.
     """
-    results = []
-    for trial in range(trials):
-        a = VelocityPair(random_band_limited(grid, rng, max_mode),
-                         random_band_limited(grid, rng, max_mode))
-        b = VelocityPair(random_band_limited(grid, rng, max_mode),
-                         random_band_limited(grid, rng, max_mode))
-        if gram_determinant(a, b) <= 1e-9:
-            continue
-        results.append((trial, sectional_curvature(a, b)))
+    check_resolution(grid, max_mode)
+    modes = np.arange(1, max_mode + 1)
+    coef = rng.standard_normal((trials, 4, max_mode, 2)) * (1.0 / modes)[:, None]
+    phase = TWO_PI * modes[:, None] * grid.points
+    cos, sin = np.cos(phase), np.sin(phase)
+    # Summed mode by mode, as `random_band_limited` sums each field.
+    y = np.zeros((trials, 4, grid.n))
+    for m in range(max_mode):
+        y += coef[..., m, 0, None] * cos[m] + coef[..., m, 1, None] * sin[m]
+    s, gram = _curvatures(grid, y.reshape(2 * trials, 2, grid.n),
+                          np.arange(2 * trials).reshape(trials, 2))
+    kept = np.flatnonzero(gram > 1e-9)
+    results = list(zip(kept.tolist(), (s[kept] / gram[kept]).tolist()))
     results.sort(key=lambda item: item[1])
     return results

@@ -162,9 +162,13 @@ class FlowmapResult:
         return GroupElement(Diffeo(PeriodicField(self.grid, self.psi[i])),
                             PeriodicField(self.grid, self.f[i]))
 
-    def jacobians(self) -> np.ndarray:
-        """phi_x history, shape (len(times), n), via batched spectral derivative."""
-        hat = np.fft.rfft(self.psi, axis=1)
+    def jacobians(self, rows=None) -> np.ndarray:
+        """phi_x at the given history rows (default all), via batched spectral derivative.
+
+        The shape is (len(rows), n); every row equals the same row of the full history.
+        """
+        psi = self.psi if rows is None else self.psi[rows]
+        hat = np.fft.rfft(psi, axis=1)
         hat *= 1j * self.grid.omega
         hat[:, -1] = 0.0
         return 1.0 + np.fft.irfft(hat, n=self.grid.n, axis=1)
@@ -261,7 +265,7 @@ def momentum_drift(model: Model, result: FlowmapResult,
     indices = list(range(0, len(result.times), stride))
     if indices[-1] != len(result.times) - 1:
         indices.append(len(result.times) - 1)
-    jac_all = result.jacobians()
+    jac_rows = result.jacobians(indices)
 
     track_rho = model.two_component
     track_m = model.has_metric
@@ -269,10 +273,9 @@ def momentum_drift(model: Model, result: FlowmapResult,
 
     rho_series, m_series = [], []
     rho_ref, m_ref = None, None
-    for i in indices:
+    for i, jac in zip(indices, jac_rows):
         warped = grid.points + result.psi[i]
         plan = series_matrix(grid, warped)
-        jac = jac_all[i]
         if track_rho:
             rho_i = PeriodicField(grid, result.rho[i])
             q = apply_series_matrix(plan, rho_i) * jac**rho_power

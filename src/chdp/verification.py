@@ -129,7 +129,7 @@ def check_curvature_oracle(seed: int) -> tuple[bool, str]:
         direction = CosineDirectionPair(ku[0], ku[1], kv[0], kv[1])
         u, v = cosine_pair(grid, direction)
         s_num = unnormalized_curvature(u, v)
-        s_closed = closed_form_curvature(direction, grid)
+        s_closed = closed_form_curvature(direction)
         worst = max(worst, abs(s_num - s_closed) / (1.0 + abs(s_closed)))
         count += 1
     return worst <= 1e-8, f"max rel err {worst:.2e} over {count} tuples (tol 1e-8)"

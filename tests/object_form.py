@@ -1,9 +1,9 @@
-"""Object-form reference integrators, kept as oracles for the array kernel.
+"""Object-form references, kept as oracles for the array kernels.
 
 Each operation here builds `PeriodicField` objects and calls the
-single-field spectral operators, one FFT at a time.  `chdp.evolution` and
-`chdp.flowmap` compute the same quantities on stacked arrays with batched
-FFTs; the tests compare the two to round-off.
+single-field spectral operators, one FFT at a time.  `chdp.evolution`,
+`chdp.flowmap` and `chdp.curvature` compute the same quantities on stacked
+arrays with batched FFTs; the tests compare the two to round-off.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from chdp.connection import Model, VelocityPair
+from chdp.connection import Model, VelocityPair, christoffel_2ch, metric
 from chdp.evolution import rk4
 from chdp.spectral import (
     PeriodicField,
@@ -21,6 +21,7 @@ from chdp.spectral import (
     dealiased_product,
     derivative,
     helmholtz_inverse,
+    random_band_limited,
     series_matrix,
     zero_field,
 )
@@ -101,3 +102,30 @@ def flowmap_trajectory(model: Model, initial: VelocityPair, dt: float,
         rows.append([state.pair.u.values, state.pair.rho.values,
                      state.psi.values, state.f.values])
     return np.transpose(np.asarray(rows), (1, 0, 2))
+
+
+def curvature_terms(a: VelocityPair, b: VelocityPair) -> tuple[float, float]:
+    """<Gamma(a, b), Gamma(a, b)> and <Gamma(a, a), Gamma(b, b)>; S is their difference."""
+    gamma_ab = christoffel_2ch(a, b)
+    return metric(gamma_ab, gamma_ab), metric(christoffel_2ch(a, a), christoffel_2ch(b, b))
+
+
+def gram_determinant(a: VelocityPair, b: VelocityPair) -> float:
+    return metric(a, a) * metric(b, b) - metric(a, b) ** 2
+
+
+def negative_search(grid, rng, trials: int, max_mode: int) -> list[tuple[int, float]]:
+    """(trial, Sec) of random band-limited planes, one trial and field at a time."""
+    results = []
+    for trial in range(trials):
+        a = VelocityPair(random_band_limited(grid, rng, max_mode),
+                         random_band_limited(grid, rng, max_mode))
+        b = VelocityPair(random_band_limited(grid, rng, max_mode),
+                         random_band_limited(grid, rng, max_mode))
+        gram = gram_determinant(a, b)
+        if gram <= 1e-9:
+            continue
+        first, second = curvature_terms(a, b)
+        results.append((trial, (first - second) / gram))
+    results.sort(key=lambda item: item[1])
+    return results

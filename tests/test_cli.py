@@ -7,6 +7,7 @@ from chdp import verification
 from chdp.cli import CliError, main, parse_config
 from chdp.connection import VelocityPair
 from chdp.csvio import read_manifest, read_snapshot, write_snapshot
+from chdp.flowmap import FlowmapResult
 from chdp.presets import initial_condition
 from chdp.spectral import Grid, PeriodicField
 
@@ -17,6 +18,7 @@ FLOWMAP_ARGS = ["flowmap", "--model", "2ch", "--ic", "pair:1:0.1:1:0.1",
                 "--n", "64", "--dt", "1e-3", "--t-end", "0.05", "--snapshot-stride", "10"]
 RIGIDBODY_ARGS = ["rigidbody", "--inertia", "1,2,3", "--omega0", "1,1,1",
                   "--dt", "1e-2", "--t-end", "1.0"]
+SCAN_ARGS = ["curvature-scan", "--max-mode", "4", "--negative-search", "16", "--seed", "3"]
 
 
 def read_csv_column(path, name):
@@ -163,8 +165,8 @@ class TestEvolveCommand:
         assert code == 0
 
 
-@pytest.mark.parametrize("args", [EVOLVE_ARGS, FLOWMAP_ARGS, RIGIDBODY_ARGS],
-                         ids=["evolve", "flowmap", "rigidbody"])
+@pytest.mark.parametrize("args", [EVOLVE_ARGS, FLOWMAP_ARGS, RIGIDBODY_ARGS, SCAN_ARGS],
+                         ids=["evolve", "flowmap", "rigidbody", "curvature-scan"])
 def test_deterministic_outputs(tmp_path, args):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run_cli(args, out1) == 0
@@ -205,6 +207,19 @@ class TestFlowmapCommand:
         manifest = read_manifest(out / "run.json")
         assert manifest["final_diagnostics"]["momentum_drift"]["rho0"] <= 1e-8
 
+    def test_jacobians_only_for_used_rows(self, tmp_path, monkeypatch):
+        # 51 rows: snapshots 0, 10, ..., 50, then drift samples 0, 2, ..., 50
+        seen = []
+        original = FlowmapResult.jacobians
+
+        def spy(self, rows=None):
+            seen.append(None if rows is None else list(rows))
+            return original(self, rows)
+
+        monkeypatch.setattr(FlowmapResult, "jacobians", spy)
+        assert run_cli(FLOWMAP_ARGS, tmp_path) == 0
+        assert seen == [list(range(0, 51, 10)), list(range(0, 51, 2))]
+
 
 class TestCurvatureCommands:
     def test_single_direction(self, tmp_path, capsys):
@@ -221,6 +236,24 @@ class TestCurvatureCommands:
         code = main(["curvature", "--k1", "1", "--k2", "1", "--l1", "1",
                      "--l2", "1", "--out-dir", str(tmp_path)])
         assert code == 1
+
+    @pytest.mark.parametrize("args", [
+        ["curvature-scan", "--max-mode", "8", "--n", "32"],
+        ["curvature-scan", "--max-mode", "40", "--n", "64"],
+        ["curvature", "--k1", "9", "--k2", "1", "--l1", "1", "--l2", "2", "--n", "16"],
+    ], ids=["scan_m8_n32", "scan_m40_n64", "single_m9_n16"])
+    def test_under_resolved_n_exits_1(self, tmp_path, capsys, args):
+        code = main([*args, "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert "error: --n: " in capsys.readouterr().err
+        assert not (tmp_path / "run.json").exists()
+
+    def test_smallest_resolving_n_accepted(self, tmp_path):
+        code = main(["curvature", "--k1", "9", "--k2", "1", "--l1", "1", "--l2", "2",
+                     "--n", "56", "--out-dir", str(tmp_path)])
+        assert code == 0
+        result = read_manifest(tmp_path / "run.json")["final_diagnostics"]
+        assert abs(result["S_numeric"] - result["S_closed"]) <= 1e-8 * (1 + abs(result["S_closed"]))
 
     def test_scan_csv_all_positive(self, tmp_path):
         out = tmp_path / "scan"

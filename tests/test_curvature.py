@@ -1,13 +1,17 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import object_form
 from chdp.connection import VelocityPair, christoffel_ch
 from chdp.curvature import (
     CosineDirectionPair,
     DegeneratePlaneError,
     ch_cosine_curvature,
+    check_resolution,
     closed_form_curvature,
     closed_form_integrals,
     cosine_pair,
@@ -151,7 +155,7 @@ class TestClosedForms:
                 d = CosineDirectionPair(ku[0], ku[1], kv[0], kv[1])
                 u, v = cosine_pair(grid, d)
                 s_num = unnormalized_curvature(u, v)
-                s_closed = closed_form_curvature(d, grid)
+                s_closed = closed_form_curvature(d)
                 assert abs(s_num - s_closed) <= 1e-8 * (1 + abs(s_closed)), (ku, kv)
 
     def test_zero_first_family_is_i1_plus_i2(self):
@@ -163,6 +167,15 @@ class TestClosedForms:
     def test_degenerate_pair_rejected(self):
         with pytest.raises(ValueError):
             closed_form_curvature(CosineDirectionPair(1, 2, 1, 2))
+
+    @pytest.mark.parametrize("modes", [(1, 1, 1, 2), (3, 2, 3, 1), (2, 4, 2, 1)])
+    def test_equal_velocity_modes_are_the_integrals(self, modes):
+        # S(u1, u1) = 0, so only I1..I4 remain; the numeric S agrees
+        d = CosineDirectionPair(*modes)
+        s_closed = closed_form_curvature(d)
+        assert s_closed == 0.0 + sum(closed_form_integrals(d))
+        u, v = cosine_pair(scan_grid(4), d)
+        assert abs(unnormalized_curvature(u, v) - s_closed) <= 1e-8 * (1 + abs(s_closed))
 
 
 class TestScan:
@@ -184,6 +197,104 @@ class TestScan:
         a = positivity_scan(2)
         b = positivity_scan(2)
         assert a == b
+
+
+class TestResolution:
+    """Gamma pairs products reaching mode 2M: the dealias cutoff must keep them."""
+
+    @pytest.mark.parametrize("max_mode", [2, 3, 4, 8])
+    def test_smallest_resolving_grid(self, max_mode):
+        n = max(16, 6 * max_mode + 2)
+        check_resolution(Grid(n), max_mode)
+        if n > 16:
+            with pytest.raises(ValueError, match=f"n >= {n}"):
+                check_resolution(Grid(n - 2), max_mode)
+
+    def test_cosine_pair_rejects_coarse_grid(self):
+        with pytest.raises(ValueError, match="n >= 56"):
+            cosine_pair(Grid(16), CosineDirectionPair(9, 1, 1, 2))
+
+    @pytest.mark.parametrize("max_mode, n", [(8, 32), (40, 64)])
+    def test_scan_rejects_coarse_grid(self, max_mode, n):
+        with pytest.raises(ValueError, match="dealiasing"):
+            positivity_scan(max_mode, grid=Grid(n))
+
+    def test_negative_search_rejects_coarse_grid(self):
+        with pytest.raises(ValueError, match="dealiasing"):
+            negative_search(Grid(32), np.random.default_rng(0), 4, max_mode=6)
+
+    def test_smallest_grid_is_exact(self):
+        # n = 20 keeps modes <= 6: C1 holds on every row of the mode-3 scan
+        for r in positivity_scan(3, grid=Grid(20)):
+            assert abs(r.s_numeric - r.s_closed) <= 1e-8 * (1 + abs(r.s_closed))
+
+
+def _object_plane(a, b):
+    """(S, Gram, scale of the two terms of S) from the object form."""
+    first, second = object_form.curvature_terms(a, b)
+    return first - second, object_form.gram_determinant(a, b), abs(first) + abs(second)
+
+
+class TestKernel:
+    """The batched curvature kernel against the object form in `object_form`."""
+
+    @given(seed=st.integers(0, 2**31 - 1), n=st.sampled_from([64, 128, 256]))
+    @settings(max_examples=40, deadline=None)
+    def test_plane_matches_object_form(self, seed, n):
+        # S to 1e-12 of its two terms, Gram of <a, a><b, b>, Sec of both
+        grid = Grid(n)
+        rng = np.random.default_rng(seed)
+        max_mode = int(rng.integers(1, grid.dealias_cutoff // 2 + 1))
+        scale = rng.uniform(0.01, 2.0)
+        a, b = (VelocityPair(random_band_limited(grid, rng, max_mode, scale),
+                             random_band_limited(grid, rng, max_mode, scale))
+                for _ in range(2))
+        s, gram, size = _object_plane(a, b)
+        assert abs(unnormalized_curvature(a, b) - s) <= 1e-12 * size
+        norms = object_form.metric(a, a) * object_form.metric(b, b)
+        assert abs(gram_determinant(a, b) - gram) <= 1e-12 * norms
+        if gram > 1e-6 * norms:
+            sec = s / gram
+            assert abs(sectional_curvature(a, b) - sec) <= 1e-12 * max(abs(sec), size / gram)
+
+    def test_scan_rows_match_object_form(self):
+        grid = scan_grid(4)
+        rows = positivity_scan(4)
+        assert len(rows) == 120 + 6
+        for r in rows:
+            first_zero = r.m_k1 == 0
+            d = CosineDirectionPair(r.m_k1 or 1, r.m_k2, r.m_l1 or 1, r.m_l2,
+                                    first_components_zero=first_zero)
+            s, gram, _ = _object_plane(*cosine_pair(grid, d))
+            assert abs(r.s_numeric - s) <= 1e-12 * abs(s), r
+            assert abs(r.gram - gram) <= 1e-12 * abs(gram), r
+            assert r.s_closed == closed_form_curvature(d)
+
+    def test_negative_search_matches_object_form(self):
+        grid = scan_grid(8)
+        got = negative_search(grid, np.random.default_rng(11), 64, 8)
+        want = object_form.negative_search(grid, np.random.default_rng(11), 64, 8)
+        assert [t for t, _ in got] == [t for t, _ in want]
+        for (_, sec), (_, ref) in zip(got, want):
+            assert abs(sec - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_fft_budget(self, monkeypatch):
+        # Guards the batching: the object form costs about 146k calls.
+        calls = []
+
+        def counting(fn):
+            @functools.wraps(fn)
+            def counted(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(np.fft, "rfft", counting(np.fft.rfft))
+        monkeypatch.setattr(np.fft, "irfft", counting(np.fft.irfft))
+        rows = positivity_scan(8)
+        found = negative_search(scan_grid(8), np.random.default_rng(0), 64, 8)
+        assert len(rows) == 2044 and len(found) == 64
+        assert 0 < len(calls) <= 200
 
 
 def test_negative_search_reports():

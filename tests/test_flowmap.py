@@ -168,6 +168,14 @@ class TestEvolveFlowmap:
         assert np.max(np.abs(jac - 1.0)) <= 1e-12
         assert np.max(np.abs(res.f[-1] - 0.7 * 0.3)) <= 1e-12
 
+    def test_jacobian_rows_match_full_history(self):
+        grid = Grid(64)
+        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.05, grid_n=64)
+        initial = VelocityPair(cosine_field(grid, 1, 0.2), cosine_field(grid, 2, 0.1))
+        res = evolve_flowmap(config, initial)
+        rows = [0, 7, 50]
+        assert np.array_equal(res.jacobians(rows), res.jacobians()[rows])
+
     def test_eulerian_block_matches_evolve(self):
         grid = Grid(64)
         config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.1, grid_n=64)
