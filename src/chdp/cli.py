@@ -181,6 +181,8 @@ def parse_config(argv) -> RunConfig:
         raise CliError("--snapshot-stride must be a multiple of --stride")
     if config.command == "curvature-scan" and config.max_mode < 2:
         raise CliError("--max-mode must be at least 2")
+    if config.command == "curvature-scan" and config.negative_trials < 0:
+        raise CliError("--negative-search must be >= 0")
     if config.command == "curvature":
         for flag in ("k1", "k2", "l1", "l2"):
             if getattr(config, flag) < 1:

@@ -53,10 +53,17 @@ def write_snapshot(path, state: VelocityPair):
 def read_snapshot(path) -> VelocityPair:
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, expected header x,u,rho")
         if [h.strip() for h in header] != ["x", "u", "rho"]:
             raise ValueError(f"{path}: expected header x,u,rho, got {header}")
-        rows = [[float(v) for v in row] for row in reader if row]
+        try:
+            rows = [[float(v) for v in row] for row in reader if row]
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if not rows or any(len(row) != 3 for row in rows):
+        raise ValueError(f"{path}: expected data rows of 3 values (x, u, rho)")
     data = np.asarray(rows)
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: snapshot holds non-finite values")

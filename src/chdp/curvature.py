@@ -122,7 +122,7 @@ class _CurvatureKernel:
     """
 
     def __init__(self, grid: Grid):
-        ch2 = _kernel(Model.CH2, grid)
+        ch2 = _kernel(Model.CH2, grid.n)
         self.n = grid.n
         self.ik = ch2.ik
         # Gamma = (-keep Ainv d/dx Q1, -keep Q2 / 2); ch2.mult holds -keep,

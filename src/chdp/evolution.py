@@ -20,6 +20,8 @@ batched FFT calls along the last axis: rfft of (u, rho), irfft of
 The dealias mask, d/dx and the inverse Helmholtz factor of each term are
 folded into one multiplier, so an RK4 step costs 18 FFT calls.  `rhs` is
 the `VelocityPair` view of the same kernel.
+`evolve` and `evolve_flowmap` share one step loop, `_integrate`, with one
+step (`_advance`) and one monitor; `evolve` builds fields for kept rows only.
 """
 
 from __future__ import annotations
@@ -210,9 +212,9 @@ class _Kernel:
 
 
 @lru_cache(maxsize=None)
-def _kernel(model: Model, grid: Grid) -> _Kernel:
-    """The kernel of (model, grid), built on first use and then shared."""
-    return _Kernel(model, grid)
+def _kernel(model: Model, n: int) -> _Kernel:
+    """The kernel of (model, n-point grid), built on first use and then shared."""
+    return _Kernel(model, Grid(n))
 
 
 def _stack(state: VelocityPair) -> np.ndarray:
@@ -225,7 +227,7 @@ def _pair(grid: Grid, y: np.ndarray) -> VelocityPair:
 
 def rhs(model: Model, state: VelocityPair) -> VelocityPair:
     """Time derivative (u_t, rho_t) of the weak Cauchy form."""
-    return _pair(state.grid, _kernel(model, state.grid)(_stack(state)))
+    return _pair(state.grid, _kernel(model, state.grid.n)(_stack(state)))
 
 
 def rhs_momentum_form(model: Model, state: VelocityPair) -> VelocityPair:
@@ -255,20 +257,18 @@ def rhs_momentum_form(model: Model, state: VelocityPair) -> VelocityPair:
     return VelocityPair(m_t, rho_t)
 
 
-def _check_finite(t: float, y: np.ndarray):
-    if not np.all(np.isfinite(y)):
-        raise BlowupError(f"non-finite values at t={t:.6g}")
-
-
-def step_rk4(model: Model, state: VelocityPair, dt: float, t: float = 0.0) -> VelocityPair:
+def step_rk4(model: Model, state: VelocityPair | np.ndarray, dt: float,
+             t: float = 0.0) -> VelocityPair | np.ndarray:
     """One dealiased RK4 step from time t; raises BlowupError if non-finite.
 
-    A non-finite stage spreads through the RK4 sum and the dealias to every point.
+    `state` is a VelocityPair, or the stacked (2, n) array of (u, rho) that
+    `evolve` steps without building fields; the result takes the same form.
     """
-    kernel = _kernel(model, state.grid)
-    y = kernel.dealias(rk4(kernel, _stack(state), dt))
-    _check_finite(t + dt, y)
-    return _pair(state.grid, y)
+    pair = isinstance(state, VelocityPair)
+    y = _stack(state) if pair else state
+    kernel = _kernel(model, y.shape[-1])
+    y = _advance(kernel, kernel, y, dt, t)
+    return _pair(state.grid, y) if pair else y
 
 
 def conserved_energy(state: VelocityPair) -> float:
@@ -286,28 +286,6 @@ def mean_invariants(state: VelocityPair) -> tuple[float, float]:
     return inner_l2(helmholtz(state.u), one), inner_l2(state.rho, one)
 
 
-def _diagnostics(t: float, state: VelocityPair, slopes: np.ndarray) -> DiagnosticsRecord:
-    """The record at t; slopes holds (u_x, rho_x), as the monitor saw them."""
-    mean_m, mean_rho = mean_invariants(state)
-    return DiagnosticsRecord(
-        t=t,
-        energy=conserved_energy(state),
-        min_ux=float(slopes[0].min()),
-        max_abs_rhox=float(np.max(np.abs(slopes[1]))),
-        mean_m=mean_m,
-        mean_rho=mean_rho,
-    )
-
-
-def _threshold_reason(config: EvolutionConfig, slopes: np.ndarray) -> str | None:
-    """The threshold crossed by slopes = (u_x, rho_x), or None."""
-    if float(slopes[0].min()) < config.blowup_slope_threshold:
-        return "min_ux"
-    if float(np.max(np.abs(slopes[1]))) > config.blowup_rhox_threshold:
-        return "max_abs_rhox"
-    return None
-
-
 def _initial_state(config: EvolutionConfig, initial: VelocityPair) -> VelocityPair:
     """Validate initial data against the config; return it dealiased."""
     if initial.grid.n != config.grid_n:
@@ -317,6 +295,60 @@ def _initial_state(config: EvolutionConfig, initial: VelocityPair) -> VelocityPa
     return VelocityPair(dealias(initial.u), dealias(initial.rho))
 
 
+def _advance(f, kernel: _Kernel, y: np.ndarray, dt: float, t: float) -> np.ndarray:
+    """One RK4 step of y' = f(y) from time t, with rows 0-1 (u, rho) dealiased.
+
+    Raises BlowupError if any value is non-finite: a non-finite stage
+    spreads through the RK4 sum and the dealias to every point.
+    """
+    y = rk4(f, y, dt)
+    y[:2] = kernel.dealias(y[:2])
+    if not np.all(np.isfinite(y)):
+        raise BlowupError(f"non-finite values at t={t + dt:.6g}")
+    return y
+
+
+def _threshold_reason(config: EvolutionConfig, slopes: np.ndarray) -> str | None:
+    """The threshold crossed by slopes = (u_x, rho_x, ...), or None."""
+    if float(slopes[0].min()) < config.blowup_slope_threshold:
+        return "min_ux"
+    if float(np.max(np.abs(slopes[1]))) > config.blowup_rhox_threshold:
+        return "max_abs_rhox"
+    return None
+
+
+def _integrate(config: EvolutionConfig, kernel: _Kernel, y: np.ndarray, step, stride: int,
+               degenerate=lambda slopes: None):
+    """Step y, (u, rho) in rows 0-1, to t_end; return kept steps, their history, status.
+
+    `step(y, t)` is `_advance` from t.  A non-finite step stops the run
+    unkept; else the monitor derives all rows of y in one call (also at
+    t=0) and stops at `degenerate(slopes)`, else at a threshold.  Kept
+    steps (every `stride`-th, the last, a blow-up) fill one history array.
+    """
+    n_steps = config.n_steps
+    history = np.empty((len(y), -(-n_steps // stride) + 1, y.shape[-1]))
+    kept = []
+    status = RunStatus("completed")
+    for i in range(n_steps + 1):
+        t = i * config.dt
+        if i > 0:
+            try:
+                y = step(y, t - config.dt)
+            except BlowupError:
+                status = RunStatus("blowup_detected", t=t, reason="non_finite")
+                break
+        slopes = kernel.derivative(y)
+        reason = degenerate(slopes) or _threshold_reason(config, slopes)
+        if i % stride == 0 or i == n_steps or reason is not None:
+            history[:, len(kept)] = y
+            kept.append(i)
+        if reason is not None:
+            status = RunStatus("blowup_detected", t=t, reason=reason)
+            break
+    return kept, history[:, :len(kept)], status
+
+
 def evolve(config: EvolutionConfig, initial: VelocityPair) -> EvolveResult:
     """Integrate to t_end, recording snapshots/diagnostics every stride.
 
@@ -324,33 +356,18 @@ def evolve(config: EvolutionConfig, initial: VelocityPair) -> EvolveResult:
     (checked at t=0 and after every step) or a step goes non-finite; the
     status carries the first offending time and the criterion that fired.
     """
-    state = _initial_state(config, initial)
-    kernel = _kernel(config.model, state.grid)
-    slopes = kernel.derivative(_stack(state))
-    result = EvolveResult(times=[0.0], snapshots=[state],
-                          diagnostics=[_diagnostics(0.0, state, slopes)])
-
-    reason = _threshold_reason(config, slopes)
-    if reason is not None:
-        result.status = RunStatus("blowup_detected", t=0.0, reason=reason)
-        return result
-
-    n_steps = config.n_steps
-    for step in range(1, n_steps + 1):
-        t = step * config.dt
-        try:
-            state = step_rk4(config.model, state, config.dt, t - config.dt)
-        except BlowupError:
-            result.status = RunStatus("blowup_detected", t=t, reason="non_finite")
-            return result
-        slopes = kernel.derivative(_stack(state))
-        reason = _threshold_reason(config, slopes)
-        record = step % config.diagnostics_stride == 0 or step == n_steps
-        if record or reason is not None:
-            result.times.append(t)
-            result.snapshots.append(state)
-            result.diagnostics.append(_diagnostics(t, state, slopes))
-        if reason is not None:
-            result.status = RunStatus("blowup_detected", t=t, reason=reason)
-            return result
-    return result
+    start = _initial_state(config, initial)
+    kernel = _kernel(config.model, config.grid_n)
+    # Steps go through the public `step_rk4`, the span perfbench's tracer
+    # counts as the stepping layer.
+    kept, history, status = _integrate(
+        config, kernel, _stack(start),
+        lambda y, t: step_rk4(config.model, y, config.dt, t), config.diagnostics_stride)
+    history.setflags(write=False)  # the snapshots view it without a copy
+    times = [i * config.dt for i in kept]
+    # Row 0 is `start`, whose fields keep the spectra `dealias` gave them.
+    snapshots = [start] + [_pair(start.grid, history[:, j]) for j in range(1, len(kept))]
+    diagnostics = [DiagnosticsRecord(t, conserved_energy(s), float(ux.min()),
+                                     float(np.max(np.abs(rhox))), *mean_invariants(s))
+                   for t, s, ux, rhox in zip(times, snapshots, *kernel.derivative(history))]
+    return EvolveResult(times, snapshots, diagnostics, status)

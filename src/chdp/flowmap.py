@@ -9,11 +9,12 @@ The geodesic is advanced as the first-order system
 
 which is equivalent to the second-order geodesic equation by
 right-invariance; that equivalence is a tested property, not an
-assumption.  It shares `rk4`, the Eulerian kernel and the blow-up monitor
-with `evolve`: the state is one (4, n) array (u, rho, psi, f), rows 0-1
-step through the kernel, and each RK4 stage builds one series plan at
+assumption.  It runs the step loop of `evolve` (`evolution._integrate`:
+RK4, dealiasing, blow-up monitor, kept-row history) on one (4, n) array
+(u, rho, psi, f) and keeps every step.  Rows 0-1 step through the
+Eulerian kernel, and each RK4 stage builds one series plan at
 phi = id + psi and applies it to the series weights of u and rho in one
-matrix product.  Every step is written into one history array.
+matrix product.  The monitor adds the phi_x floor before the thresholds.
 Along exact two-component CH flows (rho o phi) phi_x and the full
 coadjoint-transported momentum pair are constant; along 2DP flows
 (rho o phi) phi_x^2 is constant.  These are the quantities reported by
@@ -28,8 +29,8 @@ import numpy as np
 from scipy.integrate import simpson
 
 from chdp.connection import Model, VelocityPair
-from chdp.evolution import (BlowupError, EvolutionConfig, RunStatus, _check_finite,
-                            _initial_state, _kernel, _Kernel, _threshold_reason, rk4)
+from chdp.evolution import (EvolutionConfig, RunStatus, _advance, _initial_state,
+                            _integrate, _kernel, _Kernel, _stack)
 from chdp.spectral import (
     Diffeo,
     Grid,
@@ -108,17 +109,22 @@ def adjoint_action(g: GroupElement, v: VelocityPair) -> VelocityPair:
     return VelocityPair(first, second)
 
 
+def _coadjoint_m0(m_w, rho_w, jac, fx):
+    """(m o phi) phi_x^2 + (rho o phi) f_x phi_x, the velocity part of Ad*_(phi,f)(m, rho).
+
+    Takes arrays, so it also serves a stored flow-map row with phi_x <= 0.
+    """
+    return m_w * jac**2 + rho_w * fx * jac
+
+
 def coadjoint_action(g: GroupElement, m: PeriodicField,
                      rho: PeriodicField) -> BodyMomentum:
     """Ad*_(phi,f)(m, rho) = ((m o phi) phi_x^2 + (rho o phi) f_x phi_x, (rho o phi) phi_x)."""
     plan = series_matrix(g.grid, g.phi.warped_points)
-    m_w = apply_series_matrix(plan, m)
     rho_w = apply_series_matrix(plan, rho)
     jac = g.phi.jacobian.values
-    fx = derivative(g.f).values
-    m0 = m_w * jac**2 + rho_w * fx * jac
-    rho0 = rho_w * jac
-    return BodyMomentum(PeriodicField(g.grid, m0), PeriodicField(g.grid, rho0))
+    m0 = _coadjoint_m0(apply_series_matrix(plan, m), rho_w, jac, derivative(g.f).values)
+    return BodyMomentum(PeriodicField(g.grid, m0), PeriodicField(g.grid, rho_w * jac))
 
 
 def body_velocity(g: GroupElement, phi_t: PeriodicField,
@@ -154,10 +160,6 @@ class FlowmapResult:
     f: np.ndarray
     status: RunStatus
 
-    def velocity_pair(self, i: int) -> VelocityPair:
-        return VelocityPair(PeriodicField(self.grid, self.u[i]),
-                            PeriodicField(self.grid, self.rho[i]))
-
     def group_element(self, i: int) -> GroupElement:
         return GroupElement(Diffeo(PeriodicField(self.grid, self.psi[i])),
                             PeriodicField(self.grid, self.f[i]))
@@ -191,45 +193,27 @@ def evolve_flowmap(config: EvolutionConfig, initial: VelocityPair,
                    jacobian_floor: float = 1e-8) -> FlowmapResult:
     """Co-integrate (u, rho, psi, f) from (initial, identity) with RK4.
 
-    The state is one (4, n) array; every step is written into one
-    (4, steps + 1, n) history, whose rows the result's fields view.
-    Stops early on the blow-up monitor of `evolve` (same status and time)
-    or when min phi_x drops to `jacobian_floor` (reason 'phix_degenerate',
-    checked before the Eulerian thresholds).
+    The state is one (4, n) array stepped by the step loop of `evolve`,
+    keeping every step in one (4, steps + 1, n) history, whose rows the
+    result's fields view.  Stops early on the blow-up monitor of `evolve`
+    (same status and time) or when min phi_x drops to `jacobian_floor`
+    (reason 'phix_degenerate', checked before the Eulerian thresholds).
     """
     grid = initial.grid
-    start = _initial_state(config, initial)
-    kernel = _kernel(config.model, grid)
+    kernel = _kernel(config.model, grid.n)
     y = np.zeros((4, grid.n))
-    y[0], y[1] = start.u.values, start.rho.values
-    history = np.empty((4, config.n_steps + 1, grid.n))
-    status = RunStatus("completed")
+    y[:2] = _stack(_initial_state(config, initial))
 
-    for step in range(config.n_steps + 1):
-        t = step * config.dt
-        if step > 0:
-            y = rk4(lambda s: _flow_rhs(kernel, grid, s), y, config.dt)
-            y[:2] = kernel.dealias(y[:2])
-            try:
-                _check_finite(t, y)
-            except BlowupError:
-                status = RunStatus("blowup_detected", t=t, reason="non_finite")
-                break
-        history[:, step] = y
-        stored = step + 1
+    def step(v, t):
+        return _advance(lambda w: _flow_rhs(kernel, grid, w), kernel, v, config.dt, t)
 
-        slopes = kernel.derivative(y[:3])  # u_x, rho_x, psi_x
-        if 1.0 + slopes[2].min() <= jacobian_floor:
-            reason = "phix_degenerate"
-        else:
-            reason = _threshold_reason(config, slopes)
-        if reason is not None:
-            status = RunStatus("blowup_detected", t=t, reason=reason)
-            break
+    def degenerate(slopes):  # slopes[2] is psi_x, so phi_x = 1 + psi_x
+        return "phix_degenerate" if 1.0 + slopes[2].min() <= jacobian_floor else None
 
-    u, rho, psi, f = history[:, :stored]
+    kept, history, status = _integrate(config, kernel, y, step, 1, degenerate)
+    u, rho, psi, f = history
     return FlowmapResult(grid=grid, model=config.model,
-                         times=np.arange(stored) * config.dt,
+                         times=np.array(kept) * config.dt,
                          u=u, rho=rho, psi=psi, f=f, status=status)
 
 
@@ -265,37 +249,21 @@ def momentum_drift(model: Model, result: FlowmapResult,
     indices = list(range(0, len(result.times), stride))
     if indices[-1] != len(result.times) - 1:
         indices.append(len(result.times) - 1)
-    jac_rows = result.jacobians(indices)
-
-    track_rho = model.two_component
-    track_m = model.has_metric
     rho_power = 1 if model in (Model.CH, Model.CH2) else 2
 
-    rho_series, m_series = [], []
-    rho_ref, m_ref = None, None
-    for i, jac in zip(indices, jac_rows):
-        warped = grid.points + result.psi[i]
-        plan = series_matrix(grid, warped)
-        if track_rho:
-            rho_i = PeriodicField(grid, result.rho[i])
-            q = apply_series_matrix(plan, rho_i) * jac**rho_power
-            if rho_ref is None:
-                rho_ref = q
-            rho_series.append(np.max(np.abs(q - rho_ref)))
-        if track_m:
-            m_i = helmholtz(PeriodicField(grid, result.u[i]))
-            q = apply_series_matrix(plan, m_i) * jac**2
-            if track_rho:
-                f_i = PeriodicField(grid, result.f[i])
-                rho_i = PeriodicField(grid, result.rho[i])
-                q = q + apply_series_matrix(plan, rho_i) * derivative(f_i).values * jac
-            if m_ref is None:
-                m_ref = q
-            m_series.append(np.max(np.abs(q - m_ref)))
+    deviations, first = [], None
+    for i, jac in zip(indices, result.jacobians(indices)):
+        plan = series_matrix(grid, grid.points + result.psi[i])
+        q, rho_w = [], 0.0  # rho = 0 on one-component models
+        if model.two_component:
+            rho_w = apply_series_matrix(plan, PeriodicField(grid, result.rho[i]))
+            q.append(rho_w * jac**rho_power)
+        if model.has_metric:
+            m_w = apply_series_matrix(plan, helmholtz(PeriodicField(grid, result.u[i])))
+            fx = derivative(PeriodicField(grid, result.f[i])).values
+            q.append(_coadjoint_m0(m_w, rho_w, jac, fx))
+        first = q if first is None else first
+        deviations.append([np.max(np.abs(a - b)) for a, b in zip(q, first)])
 
-    out = {}
-    if track_rho:
-        out["rho0"] = np.asarray(rho_series)
-    if track_m:
-        out["m0"] = np.asarray(m_series)
-    return out
+    keys = [key for key, on in (("rho0", model.two_component), ("m0", model.has_metric)) if on]
+    return {key: np.array(column) for key, column in zip(keys, zip(*deviations))}

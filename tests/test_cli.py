@@ -154,6 +154,23 @@ class TestEvolveCommand:
         err = capsys.readouterr().err
         assert "nan_snapshot.csv" in err and "non-finite" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        ("x,u,rho\n", "expected data rows of 3 values"),
+        ("x,u,rho\n0.0,1.0,0.0\n0.5,1.0\n", "expected data rows of 3 values"),
+        ("x,u,rho\n0.0,a,0.0\n", "could not convert string to float"),
+    ], ids=["empty", "header_only", "ragged", "non_numeric"])
+    def test_malformed_snapshot_rejected(self, tmp_path, capsys, text, message):
+        snap = tmp_path / "bad_snapshot.csv"
+        snap.write_text(text)
+        code = main(["evolve", "--model", "2ch", "--ic", f"file:{snap}",
+                     "--n", "64", "--dt", "1e-3", "--t-end", "0.05",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{snap}: {message}" in err
+        assert not (tmp_path / "out" / "run.json").exists()
+
     def test_file_preset_roundtrip(self, tmp_path):
         out1 = tmp_path / "a"
         assert run_cli(EVOLVE_ARGS, out1) == 0
@@ -254,6 +271,13 @@ class TestCurvatureCommands:
         assert code == 0
         result = read_manifest(tmp_path / "run.json")["final_diagnostics"]
         assert abs(result["S_numeric"] - result["S_closed"]) <= 1e-8 * (1 + abs(result["S_closed"]))
+
+    def test_negative_trial_count_rejected(self, tmp_path, capsys):
+        code = main(["curvature-scan", "--max-mode", "2", "--negative-search", "-3",
+                     "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert "error: --negative-search" in capsys.readouterr().err
+        assert not (tmp_path / "run.json").exists()
 
     def test_scan_csv_all_positive(self, tmp_path):
         out = tmp_path / "scan"

@@ -21,6 +21,7 @@ from chdp.evolution import (
 )
 from chdp.spectral import (
     Grid,
+    PeriodicField,
     constant_field,
     cosine_field,
     dealiased_product,
@@ -115,6 +116,52 @@ class TestKernel:
         monkeypatch.setattr(np.fft, "irfft", counting(np.fft.irfft))
         step_rk4(model, s, 1e-4)
         assert 0 < len(calls) <= 20
+
+
+def count_calls(monkeypatch, owner, names):
+    """Wrap owner.<name> for each name; returns the list the wrappers append to."""
+    calls = []
+
+    def counting(fn):
+        @functools.wraps(fn)
+        def counted(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(owner, name, counting(getattr(owner, name)))
+    return calls
+
+
+class TestEvolveCost:
+    """`evolve` steps one (2, n) array and builds fields only for recorded steps."""
+
+    @pytest.mark.parametrize("stride", [100, 10])
+    def test_fft_budget_of_a_run(self, grid256, monkeypatch, stride):
+        # 20 FFT calls per step (18 for the RK4 step, 2 for the monitor) plus
+        # about 4 per record; per-field stepping would cost about 60 per step.
+        config = EvolutionConfig(Model.CH2, dt=1e-4, t_end=0.01, grid_n=256,
+                                 diagnostics_stride=stride)
+        initial = VelocityPair(cosine_field(grid256, 1, 0.3), cosine_field(grid256, 2, 0.2))
+        calls = count_calls(monkeypatch, np.fft, ["rfft", "irfft"])
+        result = evolve(config, initial)
+        records = len(result.diagnostics)
+        assert records == 100 // stride + 1
+        assert 20 * 100 < len(calls) <= 20 * 100 + 5 * records + 10
+
+    def test_fields_only_for_recorded_steps(self, grid64, monkeypatch):
+        initial = VelocityPair(cosine_field(grid64, 1, 0.3), cosine_field(grid64, 2, 0.2))
+        built = []
+        for steps in (50, 200):
+            config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=steps * 1e-3, grid_n=64,
+                                     diagnostics_stride=steps)
+            with monkeypatch.context() as patch:
+                calls = count_calls(patch, PeriodicField, ["__init__"])
+                result = evolve(config, initial)
+            assert len(result.snapshots) == 2
+            built.append(len(calls))
+        assert built[0] == built[1]
 
 
 class TestMomentumForm:

@@ -176,14 +176,21 @@ class TestEvolveFlowmap:
         rows = [0, 7, 50]
         assert np.array_equal(res.jacobians(rows), res.jacobians()[rows])
 
-    def test_eulerian_block_matches_evolve(self):
+    @pytest.mark.parametrize("model", list(Model))
+    def test_eulerian_block_matches_evolve(self, model):
+        # One step loop: every row `evolve` keeps is the flow map's row at that step.
         grid = Grid(64)
-        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.1, grid_n=64)
-        initial = VelocityPair(cosine_field(grid, 1, 0.2), cosine_field(grid, 1, 0.1))
+        config = EvolutionConfig(model, dt=1e-3, t_end=0.1, grid_n=64, diagnostics_stride=7)
+        rho = cosine_field(grid, 1, 0.1) if model.two_component else zero_field(grid)
+        initial = VelocityPair(cosine_field(grid, 1, 0.2), rho)
         res = evolve_flowmap(config, initial)
         eul = evolve(config, initial)
-        assert np.array_equal(res.u[-1], eul.final.u.values)
-        assert np.array_equal(res.rho[-1], eul.final.rho.values)
+        steps = [round(t / config.dt) for t in eul.times]
+        assert steps == [*range(0, 101, 7), 100]
+        for t, step, snap in zip(eul.times, steps, eul.snapshots):
+            assert t == res.times[step]
+            assert np.array_equal(snap.u.values, res.u[step])
+            assert np.array_equal(snap.rho.values, res.rho[step])
 
     @pytest.mark.parametrize("model", [Model.CH2, Model.DP2])
     def test_matches_object_form_trajectory(self, model):
@@ -278,6 +285,40 @@ class TestReconstructF:
 
 
 class TestMomentumDrift:
+    def test_matches_coadjoint_action(self):
+        grid = Grid(64)
+        config = EvolutionConfig(Model.CH2, dt=1e-2, t_end=0.2, grid_n=64)
+        initial = VelocityPair(cosine_field(grid, 1, 0.3), cosine_field(grid, 2, 0.2))
+        res = evolve_flowmap(config, initial)
+        last = len(res.times) - 1
+
+        def transported(i):
+            return coadjoint_action(res.group_element(i), helmholtz(PeriodicField(grid, res.u[i])),
+                                    PeriodicField(grid, res.rho[i]))
+
+        start, end = transported(0), transported(last)
+        drifts = momentum_drift(Model.CH2, res, stride=last)
+        want_m0 = np.max(np.abs(end.m0.values - start.m0.values))
+        want_rho0 = np.max(np.abs(end.rho0.values - start.rho0.values))
+        assert drifts["m0"][-1] == pytest.approx(want_m0, rel=1e-12, abs=1e-15)
+        assert drifts["rho0"][-1] == pytest.approx(want_rho0, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("model", list(Model))
+    def test_row_with_folded_map(self, model):
+        # A run stopped by phix_degenerate may store a row with phi_x <= 0.
+        grid = Grid(64)
+        config = EvolutionConfig(model, dt=1e-2, t_end=0.02, grid_n=64)
+        rho = cosine_field(grid, 1, 0.2) if model.two_component else zero_field(grid)
+        res = evolve_flowmap(config, VelocityPair(cosine_field(grid, 1, 0.3), rho))
+        res.psi[-1] = cosine_field(grid, 1, 0.5).values  # phi_x = 1 - pi sin(2 pi x)
+        assert res.jacobians([len(res.times) - 1]).min() < 0.0
+        drifts = momentum_drift(model, res)
+        assert set(drifts) == ({"rho0"} if model.two_component else set()) | (
+            {"m0"} if model.has_metric else set())
+        for values in drifts.values():
+            assert values.shape == (len(res.times),)
+            assert np.all(np.isfinite(values)) and values[0] == 0.0
+
     def test_zero_data(self):
         grid = Grid(64)
         config = EvolutionConfig(Model.CH2, dt=1e-2, t_end=0.1, grid_n=64)
