@@ -22,15 +22,11 @@ from chdp import csvio
 from chdp.connection import Model
 from chdp.curvature import (
     CosineDirectionPair,
-    ScanRow,
     check_resolution,
-    closed_form_curvature,
-    cosine_pair,
-    gram_determinant,
     negative_search,
     positivity_scan,
+    scan_direction,
     scan_grid,
-    unnormalized_curvature,
 )
 from chdp.evolution import EvolutionConfig, RunStatus, evolve, step_count
 from chdp.flowmap import evolve_flowmap, momentum_drift
@@ -189,7 +185,7 @@ def parse_config(argv) -> RunConfig:
                 raise CliError(f"--{flag}: modes must be positive integers")
     if config.command in ("curvature", "curvature-scan") and config.n is not None:
         max_mode = (config.max_mode if config.command == "curvature-scan"
-                    else max(config.k1, config.k2, config.l1, config.l2))
+                    else _direction(config).max_mode)
         try:
             check_resolution(Grid(config.n), max_mode)
         except ValueError as exc:
@@ -284,39 +280,37 @@ def _run_flowmap(config: RunConfig, out: Path) -> int:
     return 0 if result.status.completed else 2
 
 
+def _direction(config: RunConfig) -> CosineDirectionPair:
+    """The direction pair of a curvature run; --first-zero zeroes the velocity modes."""
+    if config.first_zero:
+        return CosineDirectionPair(0, config.k2, 0, config.l2)
+    return CosineDirectionPair(config.k1, config.k2, config.l1, config.l2)
+
+
 def _run_curvature(config: RunConfig, out: Path) -> int:
-    direction = CosineDirectionPair(config.k1, config.k2, config.l1, config.l2,
-                                    first_components_zero=config.first_zero)
-    if direction.degenerate:
-        raise CliError("direction pair is degenerate (u = v)")
+    direction = _direction(config)
     grid = Grid(config.n) if config.n else scan_grid(direction.max_mode)
     start = time.perf_counter()
-    u, v = cosine_pair(grid, direction)
-    s_num = unnormalized_curvature(u, v)
-    s_closed = closed_form_curvature(direction)
-    gram = gram_determinant(u, v)
-    sec = s_num / gram
+    table = scan_direction(grid, direction)
     wall = time.perf_counter() - start
-    row = ScanRow(0 if config.first_zero else config.k1, config.k2,
-                  0 if config.first_zero else config.l1, config.l2,
-                  s_num, s_closed, sec, gram)
-    csvio.write_scan(out / "curvature.csv", [row])
+    csvio.write_scan(out / "curvature.csv", table)
+    result = {"S_numeric": float(table.s_numeric[0]), "S_closed": float(table.s_closed[0]),
+              "Sec": float(table.sec[0]), "gram": float(table.gram[0])}
     csvio.write_manifest(out / "run.json", _manifest(
-        config, RunStatus("completed"),
-        {"S_numeric": s_num, "S_closed": s_closed, "Sec": sec, "gram": gram}, wall))
-    print(f"S_numeric={s_num!r} S_closed={s_closed!r} Sec={sec!r} gram={gram!r}")
+        config, RunStatus("completed"), result, wall))
+    print(" ".join(f"{name}={value!r}" for name, value in result.items()))
     return 0
 
 
 def _run_scan(config: RunConfig, out: Path) -> int:
     grid = Grid(config.n) if config.n else None
     start = time.perf_counter()
-    rows = positivity_scan(config.max_mode, grid=grid)
-    csvio.write_scan(out / "scan.csv", rows)
+    table = positivity_scan(config.max_mode, grid=grid)
+    csvio.write_scan(out / "scan.csv", table)
     summary = {
-        "tuples": len(rows),
-        "min_S_numeric": min(r.s_numeric for r in rows),
-        "min_sec_density_family": min(r.sec for r in rows if r.m_k1 == 0),
+        "tuples": len(table),
+        "min_S_numeric": float(table.s_numeric.min()),
+        "min_sec_density_family": float(table.sec[table.m_k1 == 0].min()),
     }
     if config.negative_trials > 0:
         search_grid = grid or scan_grid(config.max_mode)
@@ -335,7 +329,7 @@ def _run_scan(config: RunConfig, out: Path) -> int:
     wall = time.perf_counter() - start
     csvio.write_manifest(out / "run.json", _manifest(
         config, RunStatus("completed"), summary, wall))
-    print(f"curvature-scan: {len(rows)} tuples, min S "
+    print(f"curvature-scan: {len(table)} tuples, min S "
           f"{summary['min_S_numeric']:.6f} > 0 -> {out}")
     return 0
 

@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
 
 from chdp.connection import VelocityPair
+from chdp.curvature import ScanTable
 from chdp.evolution import DiagnosticsRecord
 from chdp.spectral import Grid, PeriodicField
 
@@ -28,26 +30,20 @@ __all__ = [
 ]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-def _write_rows(path, header, rows):
+def _write_columns(path, header, columns):
+    """Write equal-length columns under header: ints with str, floats with repr."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
 
 
 def write_snapshot(path, state: VelocityPair):
     grid = state.grid
-    _write_rows(path, ["x", "u", "rho"],
-                zip(grid.points, state.u.values, state.rho.values))
+    _write_columns(path, ["x", "u", "rho"],
+                   (grid.points, state.u.values, state.rho.values))
 
 
 def read_snapshot(path) -> VelocityPair:
@@ -74,29 +70,25 @@ def read_snapshot(path) -> VelocityPair:
 
 
 def write_diagnostics(path, records: list[DiagnosticsRecord]):
-    _write_rows(path, ["t", "energy", "min_ux", "max_abs_rhox", "mean_m", "mean_rho"],
-                ((r.t, r.energy, r.min_ux, r.max_abs_rhox, r.mean_m, r.mean_rho)
-                 for r in records))
+    _write_columns(path, ["t", "energy", "min_ux", "max_abs_rhox", "mean_m", "mean_rho"],
+                   zip(*(astuple(r) for r in records)))
 
 
 def write_flowmap_snapshot(path, grid: Grid, psi_values, jacobian_values, f_values):
     phi = grid.points + psi_values
-    _write_rows(path, ["x", "phi", "phix", "f"],
-                zip(grid.points, phi, jacobian_values, f_values))
+    _write_columns(path, ["x", "phi", "phix", "f"],
+                   (grid.points, phi, jacobian_values, f_values))
 
 
-def write_scan(path, rows):
-    _write_rows(path, ["m_k1", "m_k2", "m_l1", "m_l2",
-                       "S_numeric", "S_closed", "Sec", "gram"],
-                ((r.m_k1, r.m_k2, r.m_l1, r.m_l2,
-                  r.s_numeric, r.s_closed, r.sec, r.gram) for r in rows))
+def write_scan(path, table: ScanTable):
+    _write_columns(path, ["m_k1", "m_k2", "m_l1", "m_l2", "S_numeric", "S_closed", "Sec", "gram"],
+                   (getattr(table, f.name) for f in fields(table)))
 
 
 def write_rigidbody(path, trajectory):
-    _write_rows(path, ["t", "w1", "w2", "w3", "pi1", "pi2", "pi3", "energy"],
-                ((trajectory.times[i], *trajectory.omega[i],
-                  *trajectory.spatial_momentum[i], trajectory.energy[i])
-                 for i in range(len(trajectory.times))))
+    _write_columns(path, ["t", "w1", "w2", "w3", "pi1", "pi2", "pi3", "energy"],
+                   (trajectory.times, *trajectory.omega.T,
+                    *trajectory.spatial_momentum.T, trajectory.energy))
 
 
 def _json_default(obj):

@@ -11,11 +11,13 @@ first-component piece
     S1(k, l) = [ (1 + kl/2)^2 (k-l)^2 / (1 + (k-l)^2)
                + (1 - kl/2)^2 (k+l)^2 / (1 + (k+l)^2) ] / 8,   k != l,
 
-plus four integral corrections I1..I4 whose Kronecker deltas are decided
-by exact integer mode comparisons.  Wavenumbers are 2*pi*m for positive
-integer modes m.  On the cosine family S is strictly positive, and on
-directions with vanishing first components the normalized curvature is
-bounded below by 1/8 with Gram determinant exactly 1/4.
+plus four integral corrections I1..I4.  Wavenumbers are 2*pi*m for
+integer modes m; velocity modes m_k1 = m_l1 = 0 mean zero velocity slots
+(the density-only family).  The closed forms take integer mode arrays,
+scalars broadcasting, and decide each Kronecker delta by an exact integer
+comparison.  On the cosine family S is strictly positive, and on the
+density-only family the normalized curvature is bounded below by 1/8
+with Gram determinant exactly 1/4.
 
 S is evaluated by a private kernel per grid on stacked (planes, 2, n)
 arrays of directions (u, rho).  Gamma(a, b) costs one rfft of the two
@@ -24,23 +26,24 @@ whose spectra are multiplied by -Ainv d/dx and -1/2 with the 2/3-rule
 mask folded in (the multipliers of the 2CH evolution kernel).  The metric
 (H^1 on u, L^2 on rho) and the Gram determinant pair rfft spectra by
 Parseval, so no inverse transform follows.  `positivity_scan` computes
-the spectra, u_x and Gamma(a, a) once per distinct slot tuple and then
-only Gamma(a, b) per plane, in chunks of a fixed size, so the whole
-mode-8 scan (2044 planes) costs 19 batched FFT calls;
-`unnormalized_curvature`, `gram_determinant` and `sectional_curvature`
-are the one-plane `VelocityPair` views of the same kernel, and
-`chdp.connection.christoffel_2ch` with `metric` is the field-by-field
-form they agree with to round-off.
+the spectra, u_x and Gamma(a, a) once per distinct slot tuple, Gamma(a, b)
+per plane in chunks of a fixed size and the closed forms in one call on
+the mode columns, checks its bounds with masks and returns a `ScanTable`
+of 1-D columns; `scan_direction` is the one-row table of the same path.
+`unnormalized_curvature`, `gram_determinant` and
+`sectional_curvature` are the one-plane `VelocityPair` views of the
+kernel, and `chdp.connection.christoffel_2ch` with `metric` is the
+field-by-field form they agree with to round-off.
 
 Resolution: Gamma and the metric pair products of two directions, whose
 modes reach twice the largest mode M.  A grid resolves them exactly when
 its dealias cutoff is at least 2M (even n >= 6M + 2); `cosine_pair`,
-`positivity_scan` and `negative_search` reject coarser grids.
+`scan_direction`, `positivity_scan` and `negative_search` reject coarser
+grids.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
@@ -54,7 +57,7 @@ from chdp.spectral import Grid, cosine_field, zero_field
 __all__ = [
     "CosineDirectionPair",
     "DegeneratePlaneError",
-    "ScanRow",
+    "ScanTable",
     "unnormalized_curvature",
     "gram_determinant",
     "sectional_curvature",
@@ -64,6 +67,7 @@ __all__ = [
     "cosine_pair",
     "check_resolution",
     "scan_grid",
+    "scan_direction",
     "positivity_scan",
     "negative_search",
 ]
@@ -85,31 +89,45 @@ class DegeneratePlaneError(ValueError):
 class CosineDirectionPair:
     """Direction pair u = (cos k1 x, cos k2 x), v = (cos l1 x, cos l2 x).
 
-    Modes are positive integers carrying wavenumber 2*pi*m.  With
-    first_components_zero the velocity slots are identically zero and only
-    the density modes matter.
+    Modes are integers carrying wavenumber 2*pi*m.  Density modes are
+    positive; velocity modes m_k1 = m_l1 = 0 mean zero velocity slots (the
+    density-only family), otherwise both are positive.
     """
 
     m_k1: int
     m_k2: int
     m_l1: int
     m_l2: int
-    first_components_zero: bool = False
 
     def __post_init__(self):
-        for m in (self.m_k1, self.m_k2, self.m_l1, self.m_l2):
-            if m < 1:
-                raise ValueError("modes must be positive integers")
+        if (min(self.m_k2, self.m_l2) < 1 or min(self.m_k1, self.m_l1) < 0
+                or (self.m_k1 == 0) != (self.m_l1 == 0)):
+            raise ValueError("modes must be positive integers; velocity modes may both be 0")
 
     @property
     def degenerate(self) -> bool:
-        if self.first_components_zero:
-            return self.m_k2 == self.m_l2
         return (self.m_k1, self.m_k2) == (self.m_l1, self.m_l2)
 
     @property
     def max_mode(self) -> int:
         return max(self.m_k1, self.m_k2, self.m_l1, self.m_l2)
+
+
+@dataclass(frozen=True, eq=False)
+class ScanTable:
+    """Scanned direction pairs as 1-D columns, one entry per plane (m_k1 = 0: density-only)."""
+
+    m_k1: np.ndarray
+    m_k2: np.ndarray
+    m_l1: np.ndarray
+    m_l2: np.ndarray
+    s_numeric: np.ndarray
+    s_closed: np.ndarray
+    sec: np.ndarray
+    gram: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.m_k1)
 
 
 class _CurvatureKernel:
@@ -208,46 +226,45 @@ def sectional_curvature(a: VelocityPair, b: VelocityPair) -> float:
     return s / gram
 
 
-def ch_cosine_curvature(m_k: int, m_l: int) -> float:
-    """Closed-form single-component curvature on distinct cosine modes."""
-    if m_k == m_l:
-        raise ValueError("closed form requires distinct modes")
+def _ch_term(m_k, m_l):
+    """The single-component closed form, evaluated whatever the modes."""
     k = TWO_PI * m_k
     l = TWO_PI * m_l
     return ((1 + 0.5 * k * l) ** 2 / (1 + (k - l) ** 2) * (k - l) ** 2
             + (1 - 0.5 * k * l) ** 2 / (1 + (k + l) ** 2) * (k + l) ** 2) / 8.0
 
 
-def closed_form_integrals(direction: CosineDirectionPair) -> tuple[float, float, float, float]:
-    """The four correction integrals, deltas evaluated on integer modes."""
-    d = direction
-    a = TWO_PI * d.m_k1
-    b = TWO_PI * d.m_l1
-    c = TWO_PI * d.m_k2
-    e = TWO_PI * d.m_l2
+def ch_cosine_curvature(m_k, m_l):
+    """Closed-form single-component curvature on distinct cosine modes (ints or int arrays)."""
+    if np.any(np.equal(m_k, m_l)):
+        raise ValueError("closed form requires distinct modes")
+    return _ch_term(m_k, m_l)
 
-    def delta(i, j):
-        return 1.0 if i == j else 0.0
+
+def closed_form_integrals(m_k1, m_k2, m_l1, m_l2):
+    """The correction integrals (I1, I2, I3, I4) on integer modes or mode arrays.
+
+    Zero velocity modes make I3 and I4 exactly 0.
+    """
+    a = TWO_PI * m_k1
+    b = TWO_PI * m_l1
+    c = TWO_PI * m_k2
+    e = TWO_PI * m_l2
 
     i1 = ((c - e) ** 2 / (1 + (c - e) ** 2)
           + (c + e) ** 2 / (1 + (c + e) ** 2)) / 32.0
-    i2 = -c**2 / (1 + (2 * c) ** 2) / 8.0 * delta(d.m_k2, d.m_l2)
-    if d.first_components_zero:
-        return i1, i2, 0.0, 0.0
-
-    sum_deltas = (delta(d.m_k1 + d.m_l1, d.m_k2 - d.m_l2)
-                  + delta(d.m_k1 + d.m_l1, d.m_l2 - d.m_k2)
-                  + delta(d.m_k1 + d.m_l1, d.m_k2 + d.m_l2))
-    diff_deltas = (delta(d.m_k1 - d.m_l1, d.m_k2 - d.m_l2)
-                   + delta(d.m_k1 - d.m_l1, d.m_l2 - d.m_k2)
-                   + delta(d.m_k1 - d.m_l1, d.m_k2 + d.m_l2)
-                   + delta(d.m_l1 - d.m_k1, d.m_k2 + d.m_l2))
+    i2 = -c**2 / (1 + (2 * c) ** 2) / 8.0 * (m_k2 == m_l2)
+    plus, minus = m_k1 + m_l1, m_k1 - m_l1
+    sum_deltas = (1.0 * (plus == m_k2 - m_l2) + (plus == m_l2 - m_k2)
+                  + (plus == m_k2 + m_l2))
+    diff_deltas = (1.0 * (minus == m_k2 - m_l2) + (minus == m_l2 - m_k2)
+                   + (minus == m_k2 + m_l2) + (-minus == m_k2 + m_l2))
     i3 = ((1 - 0.5 * a * b) * (a + b) ** 2 / (1 + (a + b) ** 2) / 8.0 * sum_deltas
           + (1 + 0.5 * a * b) * (a - b) ** 2 / (1 + (a - b) ** 2) / 8.0 * diff_deltas
-          - a**2 / 4.0 * (1 - 0.5 * a**2) / (1 + (2 * a) ** 2) * delta(d.m_k1, d.m_l2)
-          - b**2 / 4.0 * (1 - 0.5 * b**2) / (1 + (2 * b) ** 2) * delta(d.m_k2, d.m_l1))
-    i4 = (a**2 / 16.0 * (1 - 0.5 * delta(d.m_k1, d.m_l2))
-          + b**2 / 16.0 * (1 - 0.5 * delta(d.m_l1, d.m_k2))
+          - a**2 / 4.0 * (1 - 0.5 * a**2) / (1 + (2 * a) ** 2) * (m_k1 == m_l2)
+          - b**2 / 4.0 * (1 - 0.5 * b**2) / (1 + (2 * b) ** 2) * (m_k2 == m_l1))
+    i4 = (a**2 / 16.0 * (1 - 0.5 * (m_k1 == m_l2))
+          + b**2 / 16.0 * (1 - 0.5 * (m_l1 == m_k2))
           - a * b / 16.0 * (diff_deltas - sum_deltas))
     return i1, i2, i3, i4
 
@@ -269,13 +286,9 @@ def cosine_pair(grid: Grid, direction: CosineDirectionPair) -> tuple[VelocityPai
     """Sample the direction pair on a grid that resolves it."""
     check_resolution(grid, direction.max_mode)
     d = direction
-    if d.first_components_zero:
-        u = VelocityPair(zero_field(grid), cosine_field(grid, d.m_k2))
-        v = VelocityPair(zero_field(grid), cosine_field(grid, d.m_l2))
-    else:
-        u = VelocityPair(cosine_field(grid, d.m_k1), cosine_field(grid, d.m_k2))
-        v = VelocityPair(cosine_field(grid, d.m_l1), cosine_field(grid, d.m_l2))
-    return u, v
+    slots = [cosine_field(grid, m) if m else zero_field(grid)
+             for m in (d.m_k1, d.m_k2, d.m_l1, d.m_l2)]
+    return VelocityPair(*slots[:2]), VelocityPair(*slots[2:])
 
 
 def scan_grid(max_mode: int) -> Grid:
@@ -284,47 +297,49 @@ def scan_grid(max_mode: int) -> Grid:
     return Grid(n + n % 2)
 
 
-def closed_form_curvature(direction: CosineDirectionPair) -> float:
-    """S on a cosine direction pair from the closed-form pieces.
+def closed_form_curvature(m_k1, m_k2, m_l1, m_l2):
+    """S on cosine direction pairs (integer modes or mode arrays) from the closed forms.
 
-    The single-component closed form assumes distinct velocity modes; equal
-    velocity modes contribute S(u1, u1) = 0.
+    Equal velocity modes, zero slots included, contribute S(u1, u1) = 0.
     """
-    if direction.degenerate:
+    if np.any((m_k1 == m_l1) & (m_k2 == m_l2)):
         raise ValueError("direction pair is degenerate (u = v)")
-    integrals = closed_form_integrals(direction)
-    if direction.first_components_zero:
-        return sum(integrals)
-    if direction.m_k1 != direction.m_l1:
-        ch_term = ch_cosine_curvature(direction.m_k1, direction.m_l1)
-    else:
-        ch_term = 0.0
-    return ch_term + sum(integrals)
+    i1, i2, i3, i4 = closed_form_integrals(m_k1, m_k2, m_l1, m_l2)
+    ch_term = np.where(m_k1 == m_l1, 0.0, _ch_term(m_k1, m_l1))
+    return ch_term + (i1 + i2 + i3 + i4)
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    """One scanned direction pair; zero velocity modes mark the
-    first-components-zero family."""
+def _cosine_table(grid: Grid, tuples: np.ndarray, planes: np.ndarray) -> ScanTable:
+    """The scan table of the planes (tuples[i], tuples[j]) for the rows (i, j) of planes.
 
-    m_k1: int
-    m_k2: int
-    m_l1: int
-    m_l2: int
-    s_numeric: float
-    s_closed: float
-    sec: float
-    gram: float
+    A tuple holds the (velocity, density) modes of one cosine direction.
+    The closed forms come first, so a degenerate plane raises before the kernel runs.
+    """
+    (k1, k2), (l1, l2) = tuples[planes[:, 0]].T, tuples[planes[:, 1]].T
+    s_closed = closed_form_curvature(k1, k2, l1, l2)
+    # Row m is cos(2 pi m x), row 0 the zero slot.
+    cosines = np.cos(TWO_PI * np.arange(tuples.max() + 1)[:, None] * grid.points)
+    cosines[0] = 0.0
+    s, gram = _curvatures(grid, cosines[tuples], planes)
+    return ScanTable(k1, k2, l1, l2, s, s_closed, s / gram, gram)
+
+
+def scan_direction(grid: Grid, direction: CosineDirectionPair) -> ScanTable:
+    """The one-row scan table of a direction pair, on a grid that resolves it."""
+    check_resolution(grid, direction.max_mode)
+    d = direction
+    return _cosine_table(grid, np.array([[d.m_k1, d.m_k2], [d.m_l1, d.m_l2]]),
+                         np.array([[0, 1]]))
 
 
 def positivity_scan(max_mode: int, grid: Grid | None = None,
-                    enforce: bool = True) -> list[ScanRow]:
+                    enforce: bool = True) -> ScanTable:
     """Enumerate cosine direction pairs with modes <= max_mode.
 
     Scans the full family (asserting S > 0) and the zero-first-component
     family (asserting Sec >= 1/8 - 1e-12 and Gram = 1/4), skipping the
     degenerate u = v tuples.  With enforce, a violated bound raises
-    RuntimeError naming the offending tuple.
+    RuntimeError naming the offending tuples.
     """
     if max_mode < 2:
         raise ValueError("max_mode must be at least 2")
@@ -333,39 +348,35 @@ def positivity_scan(max_mode: int, grid: Grid | None = None,
     check_resolution(grid, max_mode)
 
     # The distinct slot tuples: (k1, k2) of the full family, then (0, k2)
-    # of the density family; row m of `table` is cos(2 pi m x), row 0 is 0.
-    modes = range(1, max_mode + 1)
-    tuples = list(itertools.product(modes, repeat=2)) + [(0, m) for m in modes]
-    table = np.zeros((max_mode + 1, grid.n))
-    table[1:] = np.cos(TWO_PI * np.arange(1, max_mode + 1)[:, None] * grid.points)
+    # of the density family.
+    modes = np.arange(1, max_mode + 1)
+    tuples = np.concatenate((
+        np.column_stack((np.repeat(modes, max_mode), np.tile(modes, max_mode))),
+        np.column_stack((np.zeros_like(modes), modes))))
     full = max_mode * max_mode
     planes = np.concatenate((np.column_stack(np.triu_indices(full, 1)),
                              full + np.column_stack(np.triu_indices(max_mode, 1))))
     log.debug("scanning %d planes of %d slot tuples on n=%d", len(planes), len(tuples), grid.n)
-    s_num, gram = _curvatures(grid, table[np.array(tuples)], planes)
+    table = _cosine_table(grid, tuples, planes)
 
-    rows: list[ScanRow] = []
-    violations: list[str] = []
-    for (i, j), s, g in zip(planes.tolist(), s_num.tolist(), gram.tolist()):
-        (k1, k2), (l1, l2) = tuples[i], tuples[j]
-        sec = s / g
-        if k1 == 0:
-            s_closed = closed_form_curvature(
-                CosineDirectionPair(1, k2, 1, l2, first_components_zero=True))
-            if sec < 0.125 - 1e-12:
-                violations.append(f"Sec < 1/8 at density modes ({k2}, {l2}): {sec:.12f}")
-            if abs(g - 0.25) > 1e-12:
-                violations.append(f"Gram != 1/4 at density modes ({k2}, {l2}): {g:.15f}")
-        else:
-            s_closed = closed_form_curvature(CosineDirectionPair(k1, k2, l1, l2))
-            if s <= 0.0 or s_closed <= 0.0:
-                violations.append(f"S <= 0 at modes {tuples[i]}+{tuples[j]}: "
-                                  f"numeric {s:.6e}, closed {s_closed:.6e}")
-        rows.append(ScanRow(k1, k2, l1, l2, s, s_closed, sec, g))
-
-    if enforce and violations:
+    density = table.m_k1 == 0
+    s_low = ~density & ((table.s_numeric <= 0.0) | (table.s_closed <= 0.0))
+    sec_low = density & (table.sec < 0.125 - 1e-12)
+    gram_off = density & (np.abs(table.gram - 0.25) > 1e-12)
+    bad = np.flatnonzero(s_low | sec_low | gram_off)
+    if enforce and len(bad):
+        t, violations = table, []
+        for r in bad:
+            k1, k2, l1, l2 = t.m_k1[r], t.m_k2[r], t.m_l1[r], t.m_l2[r]
+            if s_low[r]:
+                violations.append(f"S <= 0 at modes ({k1}, {k2})+({l1}, {l2}): "
+                                  f"numeric {t.s_numeric[r]:.6e}, closed {t.s_closed[r]:.6e}")
+            if sec_low[r]:
+                violations.append(f"Sec < 1/8 at density modes ({k2}, {l2}): {t.sec[r]:.12f}")
+            if gram_off[r]:
+                violations.append(f"Gram != 1/4 at density modes ({k2}, {l2}): {t.gram[r]:.15f}")
         raise RuntimeError("curvature bounds violated:\n" + "\n".join(violations))
-    return rows
+    return table
 
 
 def negative_search(grid: Grid, rng: np.random.Generator, trials: int,

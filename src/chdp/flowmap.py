@@ -165,15 +165,12 @@ class FlowmapResult:
                             PeriodicField(self.grid, self.f[i]))
 
     def jacobians(self, rows=None) -> np.ndarray:
-        """phi_x at the given history rows (default all), via batched spectral derivative.
+        """phi_x at the given history rows (default all), via the kernel's batched derivative.
 
         The shape is (len(rows), n); every row equals the same row of the full history.
         """
         psi = self.psi if rows is None else self.psi[rows]
-        hat = np.fft.rfft(psi, axis=1)
-        hat *= 1j * self.grid.omega
-        hat[:, -1] = 0.0
-        return 1.0 + np.fft.irfft(hat, n=self.grid.n, axis=1)
+        return 1.0 + _kernel(self.model, self.grid.n).derivative(psi)
 
 
 def _flow_rhs(kernel: _Kernel, grid: Grid, y: np.ndarray) -> np.ndarray:
@@ -244,7 +241,11 @@ def momentum_drift(model: Model, result: FlowmapResult,
     family, (rho o phi) phi_x^2 for DP) on two-component models, 'm0' for
     the velocity component of the coadjoint-transported pair on the
     metric models (CH, 2CH).  Values are arrays over the sampled steps.
+    DP tracks neither and returns {} without sampling any step.
     """
+    keys = [key for key, on in (("rho0", model.two_component), ("m0", model.has_metric)) if on]
+    if not keys:
+        return {}
     grid = result.grid
     indices = list(range(0, len(result.times), stride))
     if indices[-1] != len(result.times) - 1:
@@ -265,5 +266,4 @@ def momentum_drift(model: Model, result: FlowmapResult,
         first = q if first is None else first
         deviations.append([np.max(np.abs(a - b)) for a, b in zip(q, first)])
 
-    keys = [key for key, on in (("rho0", model.two_component), ("m0", model.has_metric)) if on]
     return {key: np.array(column) for key, column in zip(keys, zip(*deviations))}

@@ -129,3 +129,39 @@ def negative_search(grid, rng, trials: int, max_mode: int) -> list[tuple[int, fl
         results.append((trial, (first - second) / gram))
     results.sort(key=lambda item: item[1])
     return results
+
+
+def closed_form_curvature(m_k1: int, m_k2: int, m_l1: int, m_l2: int) -> float:
+    """S on one cosine direction pair in Python floats, one Kronecker delta at a time.
+
+    Velocity modes m_k1 = m_l1 = 0 mean zero velocity slots, where the
+    velocity terms (CH term, I3, I4) are absent.
+    """
+    tau = 2.0 * np.pi
+    a, b, c, e = tau * m_k1, tau * m_l1, tau * m_k2, tau * m_l2
+
+    def delta(i, j):
+        return 1.0 if i == j else 0.0
+
+    i1 = ((c - e) ** 2 / (1 + (c - e) ** 2)
+          + (c + e) ** 2 / (1 + (c + e) ** 2)) / 32.0
+    i2 = -c**2 / (1 + (2 * c) ** 2) / 8.0 * delta(m_k2, m_l2)
+    if m_k1 == 0:
+        return sum((i1, i2, 0.0, 0.0))
+    sum_deltas = (delta(m_k1 + m_l1, m_k2 - m_l2) + delta(m_k1 + m_l1, m_l2 - m_k2)
+                  + delta(m_k1 + m_l1, m_k2 + m_l2))
+    diff_deltas = (delta(m_k1 - m_l1, m_k2 - m_l2) + delta(m_k1 - m_l1, m_l2 - m_k2)
+                   + delta(m_k1 - m_l1, m_k2 + m_l2) + delta(m_l1 - m_k1, m_k2 + m_l2))
+    i3 = ((1 - 0.5 * a * b) * (a + b) ** 2 / (1 + (a + b) ** 2) / 8.0 * sum_deltas
+          + (1 + 0.5 * a * b) * (a - b) ** 2 / (1 + (a - b) ** 2) / 8.0 * diff_deltas
+          - a**2 / 4.0 * (1 - 0.5 * a**2) / (1 + (2 * a) ** 2) * delta(m_k1, m_l2)
+          - b**2 / 4.0 * (1 - 0.5 * b**2) / (1 + (2 * b) ** 2) * delta(m_k2, m_l1))
+    i4 = (a**2 / 16.0 * (1 - 0.5 * delta(m_k1, m_l2))
+          + b**2 / 16.0 * (1 - 0.5 * delta(m_l1, m_k2))
+          - a * b / 16.0 * (diff_deltas - sum_deltas))
+    ch_term = 0.0
+    if m_k1 != m_l1:
+        k, l = a, b
+        ch_term = ((1 + 0.5 * k * l) ** 2 / (1 + (k - l) ** 2) * (k - l) ** 2
+                   + (1 - 0.5 * k * l) ** 2 / (1 + (k + l) ** 2) * (k + l) ** 2) / 8.0
+    return ch_term + sum((i1, i2, i3, i4))

@@ -3,7 +3,7 @@ import filecmp
 import numpy as np
 import pytest
 
-from chdp import verification
+from chdp import curvature, verification
 from chdp.cli import CliError, main, parse_config
 from chdp.connection import VelocityPair
 from chdp.csvio import read_manifest, read_snapshot, write_snapshot
@@ -292,6 +292,40 @@ class TestCurvatureCommands:
         header = list(rows[0].keys())
         assert header == ["m_k1", "m_k2", "m_l1", "m_l2",
                           "S_numeric", "S_closed", "Sec", "gram"]
+
+    def test_single_plane_row_is_the_scan_row(self, tmp_path):
+        # max-mode 5 and the one-plane commands below all pick n = 128
+        assert main(["curvature-scan", "--max-mode", "5",
+                     "--out-dir", str(tmp_path / "scan")]) == 0
+        with open(tmp_path / "scan" / "scan.csv", newline="") as handle:
+            scan_rows = {tuple(row[:4]): row for row in csv.reader(handle)}
+        for args in (["--k1", "2", "--k2", "5", "--l1", "4", "--l2", "1"],
+                     ["--first-zero", "--k2", "2", "--l2", "5"]):
+            out = tmp_path / "-".join(args)
+            assert main(["curvature", *args, "--out-dir", str(out)]) == 0
+            with open(out / "curvature.csv", newline="") as handle:
+                header, row = csv.reader(handle)
+            assert header == scan_rows[tuple(header[:4])]
+            assert row == scan_rows[tuple(row[:4])]
+
+    def test_first_zero_grid_from_used_modes(self, tmp_path, monkeypatch):
+        # --k1/--l1 are not used by --first-zero, so they do not size the grid
+        grids = []
+        real = curvature._curvatures
+
+        def spy(grid, y, planes):
+            grids.append(grid.n)
+            return real(grid, y, planes)
+
+        monkeypatch.setattr(curvature, "_curvatures", spy)
+        args = ["curvature", "--first-zero", "--k2", "1", "--l2", "2"]
+        assert main([*args, "--out-dir", str(tmp_path / "plain")]) == 0
+        assert main([*args, "--k1", "30", "--l1", "20", "--out-dir", str(tmp_path / "big")]) == 0
+        assert grids == [128, 128]
+        assert filecmp.cmp(tmp_path / "plain" / "curvature.csv",
+                           tmp_path / "big" / "curvature.csv", shallow=False)
+        assert main([*args, "--k1", "9", "--n", "16", "--out-dir", str(tmp_path / "n16")]) == 0
+        assert grids[-1] == 16
 
 
 class TestRigidbodyCommand:

@@ -1,11 +1,13 @@
 import functools
 import itertools
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import object_form
+from chdp import curvature
 from chdp.connection import VelocityPair, christoffel_ch
 from chdp.curvature import (
     CosineDirectionPair,
@@ -124,13 +126,12 @@ class TestClosedForms:
             ch_cosine_curvature(2, 2)
 
     def test_i2_vanishes_for_distinct_density_modes(self):
-        d = CosineDirectionPair(1, 1, 2, 2)
-        assert closed_form_integrals(d)[1] == 0.0
+        assert closed_form_integrals(1, 1, 2, 2)[1] == 0.0
 
     def test_i2_equal_density_modes(self):
         # k1 = l1 = 2pi, k2 = l2 = 4pi: I2 = -(1/8)(4pi)^2 / (1 + (8pi)^2)
         # (degenerate as a direction pair, but I2 itself is still defined)
-        i2 = closed_form_integrals(CosineDirectionPair(1, 2, 1, 2))[1]
+        i2 = closed_form_integrals(1, 2, 1, 2)[1]
         expected = -(4 * np.pi) ** 2 / (1 + (8 * np.pi) ** 2) / 8
         assert i2 == pytest.approx(expected, rel=1e-14)
 
@@ -140,9 +141,8 @@ class TestClosedForms:
     ])
     def test_integrals_match_quadrature(self, modes):
         grid = scan_grid(4)
-        d = CosineDirectionPair(*modes)
-        closed = closed_form_integrals(d)
-        quad = quadrature_integrals(grid, d)
+        closed = closed_form_integrals(*modes)
+        quad = quadrature_integrals(grid, CosineDirectionPair(*modes))
         for name, c, q in zip("1234", closed, quad):
             assert c == pytest.approx(q, abs=1e-10), f"I{name} mismatch at {modes}"
 
@@ -152,51 +152,108 @@ class TestClosedForms:
             for kv in itertools.product(range(1, 5), repeat=2):
                 if ku == kv:
                     continue
-                d = CosineDirectionPair(ku[0], ku[1], kv[0], kv[1])
-                u, v = cosine_pair(grid, d)
+                u, v = cosine_pair(grid, CosineDirectionPair(*ku, *kv))
                 s_num = unnormalized_curvature(u, v)
-                s_closed = closed_form_curvature(d)
+                s_closed = closed_form_curvature(*ku, *kv)
                 assert abs(s_num - s_closed) <= 1e-8 * (1 + abs(s_closed)), (ku, kv)
 
     def test_zero_first_family_is_i1_plus_i2(self):
-        d = CosineDirectionPair(1, 1, 1, 3, first_components_zero=True)
-        i1, i2, i3, i4 = closed_form_integrals(d)
+        i1, i2, i3, i4 = closed_form_integrals(0, 1, 0, 3)
         assert i3 == 0.0 and i4 == 0.0
-        assert closed_form_curvature(d) == pytest.approx(i1 + i2, rel=1e-14)
+        assert closed_form_curvature(0, 1, 0, 3) == pytest.approx(i1 + i2, rel=1e-14)
 
     def test_degenerate_pair_rejected(self):
         with pytest.raises(ValueError):
-            closed_form_curvature(CosineDirectionPair(1, 2, 1, 2))
+            closed_form_curvature(1, 2, 1, 2)
 
     @pytest.mark.parametrize("modes", [(1, 1, 1, 2), (3, 2, 3, 1), (2, 4, 2, 1)])
     def test_equal_velocity_modes_are_the_integrals(self, modes):
         # S(u1, u1) = 0, so only I1..I4 remain; the numeric S agrees
-        d = CosineDirectionPair(*modes)
-        s_closed = closed_form_curvature(d)
-        assert s_closed == 0.0 + sum(closed_form_integrals(d))
-        u, v = cosine_pair(scan_grid(4), d)
+        s_closed = closed_form_curvature(*modes)
+        assert s_closed == 0.0 + sum(closed_form_integrals(*modes))
+        u, v = cosine_pair(scan_grid(4), CosineDirectionPair(*modes))
         assert abs(unnormalized_curvature(u, v) - s_closed) <= 1e-8 * (1 + abs(s_closed))
+
+    def test_mode_arrays_match_scalar_reference(self):
+        # Every ordered pair of distinct slot tuples with modes <= 8, equal
+        # velocity modes and zero velocity slots included: bit-identical.
+        slots = list(itertools.product(range(1, 9), repeat=2)) + [(0, m) for m in range(1, 9)]
+        rows = [(*u, *v) for u, v in itertools.permutations(slots, 2)
+                if (u[0] == 0) == (v[0] == 0)]
+        got = closed_form_curvature(*np.array(rows).T)
+        assert got.shape == (len(rows),) == (64 * 63 + 8 * 7,)
+        assert got.tolist() == [object_form.closed_form_curvature(*r) for r in rows]
+
+    def test_scalars_broadcast_against_arrays(self):
+        m_l2 = np.arange(2, 7)
+        assert closed_form_curvature(0, 1, 0, m_l2).tolist() == [
+            closed_form_curvature(0, 1, 0, int(m)) for m in m_l2]
+        assert ch_cosine_curvature(1, m_l2).tolist() == [
+            ch_cosine_curvature(1, int(m)) for m in m_l2]
+        with pytest.raises(ValueError):
+            ch_cosine_curvature(3, m_l2)
+        with pytest.raises(ValueError, match="degenerate"):
+            closed_form_curvature(0, 2, 0, m_l2)
+
+
+class TestDirectionPair:
+    """Velocity modes m_k1 = m_l1 = 0 are the zero velocity slots."""
+
+    def test_zero_velocity_slots(self):
+        d = CosineDirectionPair(0, 2, 0, 5)
+        assert not d.degenerate and d.max_mode == 5
+        u, v = cosine_pair(scan_grid(5), d)
+        assert not u.u.values.any() and not v.u.values.any()
+        assert np.array_equal(v.rho.values, cosine_field(scan_grid(5), 5).values)
+        assert CosineDirectionPair(0, 3, 0, 3).degenerate
+        assert not CosineDirectionPair(1, 3, 2, 3).degenerate
+
+    @pytest.mark.parametrize("modes", [(0, 1, 1, 2), (1, 1, 0, 2), (0, 0, 0, 1),
+                                       (1, 1, 1, 0), (-1, 1, 2, 2)])
+    def test_invalid_modes_rejected(self, modes):
+        with pytest.raises(ValueError, match="modes"):
+            CosineDirectionPair(*modes)
 
 
 class TestScan:
     def test_counts_and_positivity(self):
-        rows = positivity_scan(3)
-        full = [r for r in rows if r.m_k1 > 0]
-        density = [r for r in rows if r.m_k1 == 0]
-        assert len(full) == 36  # unordered pairs of 9 mode tuples
-        assert len(density) == 3
-        assert all(r.s_numeric > 0 for r in full)
-        assert all(r.sec >= 0.125 - 1e-12 for r in density)
-        assert all(abs(r.gram - 0.25) <= 1e-12 for r in density)
+        table = positivity_scan(3)
+        full = table.m_k1 > 0
+        density = table.m_k1 == 0
+        assert np.count_nonzero(full) == 36  # unordered pairs of 9 mode tuples
+        assert np.count_nonzero(density) == 3
+        assert np.all(table.s_numeric[full] > 0)
+        assert np.all(table.sec[density] >= 0.125 - 1e-12)
+        assert np.all(np.abs(table.gram[density] - 0.25) <= 1e-12)
 
     def test_scan_rejects_tiny_max_mode(self):
         with pytest.raises(ValueError):
             positivity_scan(1)
 
+    def test_bound_violations_named(self, monkeypatch):
+        real = curvature._curvatures
+
+        def broken(grid, y, planes):
+            s, gram = real(grid, y, planes)
+            s[0] = -1.0  # the first full plane, (1, 1)+(1, 2)
+            gram[-1] = 0.3  # the last density plane, (0, 2)+(0, 3)
+            return s, gram
+
+        monkeypatch.setattr(curvature, "_curvatures", broken)
+        with pytest.raises(RuntimeError) as info:
+            positivity_scan(3)
+        message = str(info.value)
+        assert "S <= 0 at modes (1, 1)+(1, 2): numeric -1.000000e+00" in message
+        assert "Gram != 1/4 at density modes (2, 3): 0.300000000000000" in message
+        table = positivity_scan(3, enforce=False)
+        assert len(table) == 36 + 3
+        assert table.s_numeric[0] == -1.0 and table.gram[-1] == 0.3
+
     def test_scan_deterministic(self):
         a = positivity_scan(2)
         b = positivity_scan(2)
-        assert a == b
+        for f in fields(a):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
 
 
 class TestResolution:
@@ -225,8 +282,9 @@ class TestResolution:
 
     def test_smallest_grid_is_exact(self):
         # n = 20 keeps modes <= 6: C1 holds on every row of the mode-3 scan
-        for r in positivity_scan(3, grid=Grid(20)):
-            assert abs(r.s_numeric - r.s_closed) <= 1e-8 * (1 + abs(r.s_closed))
+        table = positivity_scan(3, grid=Grid(20))
+        assert np.all(np.abs(table.s_numeric - table.s_closed)
+                      <= 1e-8 * (1 + np.abs(table.s_closed)))
 
 
 def _object_plane(a, b):
@@ -259,16 +317,14 @@ class TestKernel:
 
     def test_scan_rows_match_object_form(self):
         grid = scan_grid(4)
-        rows = positivity_scan(4)
-        assert len(rows) == 120 + 6
-        for r in rows:
-            first_zero = r.m_k1 == 0
-            d = CosineDirectionPair(r.m_k1 or 1, r.m_k2, r.m_l1 or 1, r.m_l2,
-                                    first_components_zero=first_zero)
-            s, gram, _ = _object_plane(*cosine_pair(grid, d))
-            assert abs(r.s_numeric - s) <= 1e-12 * abs(s), r
-            assert abs(r.gram - gram) <= 1e-12 * abs(gram), r
-            assert r.s_closed == closed_form_curvature(d)
+        table = positivity_scan(4)
+        assert len(table) == 120 + 6
+        for r in zip(*(getattr(table, f.name).tolist() for f in fields(table))):
+            modes, (s_numeric, s_closed, _, gram_numeric) = r[:4], r[4:]
+            s, gram, _ = _object_plane(*cosine_pair(grid, CosineDirectionPair(*modes)))
+            assert abs(s_numeric - s) <= 1e-12 * abs(s), r
+            assert abs(gram_numeric - gram) <= 1e-12 * abs(gram), r
+            assert s_closed == object_form.closed_form_curvature(*modes), r
 
     def test_negative_search_matches_object_form(self):
         grid = scan_grid(8)

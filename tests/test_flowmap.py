@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import object_form
+from chdp import flowmap
 from chdp.connection import Model, VelocityPair, bracket, metric
 from chdp.evolution import EvolutionConfig, evolve
 from chdp.flowmap import (
@@ -23,6 +24,7 @@ from chdp.spectral import (
     compose,
     constant_field,
     cosine_field,
+    derivative,
     helmholtz,
     inner_l2,
     invert_diffeo,
@@ -177,6 +179,15 @@ class TestEvolveFlowmap:
         assert np.array_equal(res.jacobians(rows), res.jacobians()[rows])
 
     @pytest.mark.parametrize("model", list(Model))
+    def test_jacobians_are_one_plus_psi_x(self, model):
+        grid = Grid(64)
+        config = EvolutionConfig(model, dt=1e-3, t_end=0.02, grid_n=64)
+        rho = cosine_field(grid, 2, 0.1) if model.two_component else zero_field(grid)
+        res = evolve_flowmap(config, VelocityPair(cosine_field(grid, 1, 0.2), rho))
+        want = [1.0 + derivative(PeriodicField(grid, psi)).values for psi in res.psi]
+        assert np.array_equal(res.jacobians(), want)
+
+    @pytest.mark.parametrize("model", list(Model))
     def test_eulerian_block_matches_evolve(self, model):
         # One step loop: every row `evolve` keeps is the flow map's row at that step.
         grid = Grid(64)
@@ -318,6 +329,16 @@ class TestMomentumDrift:
         for values in drifts.values():
             assert values.shape == (len(res.times),)
             assert np.all(np.isfinite(values)) and values[0] == 0.0
+
+    def test_dp_tracks_nothing(self, monkeypatch):
+        grid = Grid(64)
+        config = EvolutionConfig(Model.DP, dt=1e-2, t_end=0.1, grid_n=64)
+        res = evolve_flowmap(config, VelocityPair(cosine_field(grid, 1, 0.3), zero_field(grid)))
+        calls = []
+        monkeypatch.setattr(flowmap, "series_matrix",
+                            lambda *args, **kwargs: calls.append(args))
+        assert momentum_drift(Model.DP, res) == {}
+        assert calls == []
 
     def test_zero_data(self):
         grid = Grid(64)
