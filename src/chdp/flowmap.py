@@ -12,9 +12,10 @@ right-invariance; that equivalence is a tested property, not an
 assumption.  It runs the step loop of `evolve` (`evolution._integrate`:
 RK4, dealiasing, blow-up monitor, kept-row history) on one (4, n) array
 (u, rho, psi, f) and keeps every step.  Rows 0-1 step through the
-Eulerian kernel, and each RK4 stage builds one series plan at
-phi = id + psi and applies it to the series weights of u and rho in one
-matrix product.  The monitor adds the phi_x floor before the thresholds.
+Eulerian kernel, and each RK4 stage evaluates the series of u and rho at
+phi = id + psi in one call of the off-grid evaluator
+(`spectral._offgrid`, a type-2 NUFFT).  The monitor adds the phi_x floor
+before the thresholds.
 Along exact two-component CH flows (rho o phi) phi_x and the full
 coadjoint-transported momentum pair are constant; along 2DP flows
 (rho o phi) phi_x^2 is constant.  These are the quantities reported by
@@ -26,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from chdp.connection import Model, VelocityPair
 from chdp.evolution import (EvolutionConfig, RunStatus, _advance, _initial_state,
@@ -35,6 +35,7 @@ from chdp.spectral import (
     Diffeo,
     Grid,
     PeriodicField,
+    _offgrid,
     apply_series_matrix,
     compose,
     derivative,
@@ -177,12 +178,7 @@ def _flow_rhs(kernel: _Kernel, grid: Grid, y: np.ndarray) -> np.ndarray:
     """d/dt of the stacked (u, rho, psi, f): the kernel, then (u, rho) o phi."""
     out = np.empty_like(y)
     out[:2] = kernel(y[:2])
-    kmax = grid.dealias_cutoff
-    plan = series_matrix(grid, grid.points + y[2], kmax=kmax)
-    # Series weights of u and rho, as in `apply_series_matrix`.
-    weights = np.fft.rfft(y[:2])[:, :kmax + 1] / grid.n
-    weights[:, 1:] *= 2.0
-    out[2:] = (plan @ weights.T).real.T
+    out[2:] = _offgrid(np.fft.rfft(y[:2]), grid.points + y[2], grid.dealias_cutoff)
     return out
 
 
@@ -222,15 +218,42 @@ def reconstruct_f(model: Model, rho0: PeriodicField, times: np.ndarray,
     f(t) = rho0 * integral_0^t ds / phi_x(s)^2 (DP family)
 
     pointwise in the Lagrangian label; composite Simpson over the saved
-    steps, matching the integrator's fourth-order accuracy.
+    steps (`_simpson`), matching the integrator's fourth-order accuracy.
     """
     if np.min(jacobians) <= 0.0:
         raise ValueError("jacobian history must stay positive")
     power = 1 if model in (Model.CH, Model.CH2) else 2
-    if len(times) < 2:
-        return zero_field(rho0.grid)
-    integral = simpson(jacobians**(-power), x=np.asarray(times), axis=0)
+    integral = _simpson(jacobians**(-power), np.asarray(times, dtype=float))
     return PeriodicField(rho0.grid, rho0.values * integral)
+
+
+def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Composite Simpson's rule over axis 0 of y at increasing abscissae x.
+
+    Matches `scipy.integrate.simpson(y, x=x, axis=0)`: an odd number of
+    samples uses the rule for unequal pairs of intervals; an even number
+    adds Cartwright's correction for the last interval; two samples use
+    the trapezoid rule and one gives 0.
+    """
+    count = len(x)
+    if count < 2:
+        return np.zeros(y.shape[1:])
+    h = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    if count == 2:
+        return 0.5 * h[0] * (y[0] + y[1])
+    stop = count - 2 if count % 2 else count - 3  # intervals covered by whole pairs
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum = h0 + h1
+    pairs = hsum / 6.0 * (y[0:stop:2] * (2.0 - h1 / h0)
+                          + y[1:stop + 1:2] * (hsum * hsum / (h0 * h1))
+                          + y[2:stop + 2:2] * (2.0 - h0 / h1))
+    result = pairs.sum(axis=0)
+    if count % 2 == 0:
+        a, b = h[-2], h[-1]
+        result += ((2.0 * b * b + 3.0 * a * b) / (6.0 * (a + b)) * y[-1]
+                   + (b * b + 3.0 * a * b) / (6.0 * a) * y[-2]
+                   - b**3 / (6.0 * a * (a + b)) * y[-3])
+    return result
 
 
 def momentum_drift(model: Model, result: FlowmapResult,
@@ -251,10 +274,16 @@ def momentum_drift(model: Model, result: FlowmapResult,
     if indices[-1] != len(result.times) - 1:
         indices.append(len(result.times) - 1)
     rho_power = 1 if model in (Model.CH, Model.CH2) else 2
+    # Rows 0-1 are dealiased every step, so rho needs the modes up to the
+    # cutoff only.  m = helmholtz(u) keeps every mode: helmholtz scales the
+    # round-off above the cutoff by up to 1 + (pi n)^2, which would show
+    # against `coadjoint_action` in the m0 drift, a small difference of
+    # O(1) values.
+    kmax = grid.n // 2 if model.has_metric else grid.dealias_cutoff
 
     deviations, first = [], None
     for i, jac in zip(indices, result.jacobians(indices)):
-        plan = series_matrix(grid, grid.points + result.psi[i])
+        plan = series_matrix(grid, grid.points + result.psi[i], kmax=kmax)
         q, rho_w = [], 0.0  # rho = 0 on one-component models
         if model.two_component:
             rho_w = apply_series_matrix(plan, PeriodicField(grid, result.rho[i]))

@@ -5,14 +5,22 @@ coefficients, spectral differentiation, the Helmholtz multiplier
 1 - d^2/dx^2 and its inverse, inner products, off-grid series evaluation
 (composition with circle maps), and Newton inversion of diffeomorphisms.
 
+Off-grid evaluation goes through one private type-2 NUFFT, `_offgrid`:
+O(n log n + n*w) time and O(n) memory for n points, shared by stacked
+fields.  `evaluate`, `compose`, `invert_diffeo` and the flow-map stage
+use it.  The dense O(n*K) `series_matrix` plan remains for
+`flowmap.momentum_drift` and `flowmap.coadjoint_action`.
+
 With period 1, integer mode m carries angular wavenumber 2*pi*m.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "Grid",
@@ -263,9 +271,10 @@ def inner_h1(f: PeriodicField, g: PeriodicField) -> float:
 def series_matrix(grid: Grid, y, kmax: int | None = None) -> np.ndarray:
     """Matrix E with E[j, k] = exp(2*pi*i*k*y_j) for k = 0..kmax.
 
-    Built by cumulative products of exp(2*pi*i*y), so one evaluation plan
-    can be reused on several fields (`apply_series_matrix`).  Passing a
-    smaller kmax is exact for fields whose modes above kmax vanish.
+    Built by cumulative products of exp(2*pi*i*y), so one dense O(M*K)
+    evaluation plan can be reused on several fields (`apply_series_matrix`).
+    Passing a smaller kmax is exact for fields whose modes above kmax
+    vanish.  `_offgrid` computes the same values in O(M) memory.
     """
     y = np.asarray(y, dtype=float)
     if kmax is None:
@@ -286,9 +295,103 @@ def apply_series_matrix(mat: np.ndarray, f: PeriodicField) -> np.ndarray:
     return (mat @ weights).real
 
 
+# Type-2 NUFFT with the "exponential of semicircle" kernel
+# exp(beta * (sqrt(1 - z^2) - 1)) on |z| <= 1 (Barnett, Magland & af
+# Klinteberg, SIAM J. Sci. Comput. 41, 2019): its width in fine-grid
+# points, the oversampling of the fine grid, and beta for that oversampling.
+_ES_WIDTH = 14
+_ES_OVERSAMPLING = 2
+_ES_BETA = 2.30 * _ES_WIDTH
+
+
+def _es_kernel(z: np.ndarray) -> np.ndarray:
+    """The ES kernel at z in [-1, 1], computed in place."""
+    np.multiply(z, z, out=z)
+    np.subtract(1.0, z, out=z)
+    np.maximum(z, 0.0, out=z)  # |z| may exceed 1 by one rounding
+    np.sqrt(z, out=z)
+    z -= 1.0
+    z *= _ES_BETA
+    return np.exp(z, out=z)
+
+
+def _fft_size(m: int) -> int:
+    """Smallest even 2-3-5-smooth integer >= m."""
+    m += m % 2
+    while True:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 2
+
+
+@lru_cache(maxsize=64)
+def _offgrid_plan(n: int, kmax: int) -> tuple[int, np.ndarray]:
+    """Fine-grid size and per-mode deconvolution factors for `_offgrid`.
+
+    factor[k] = 1 / (n * kernel_hat(k)), halved at the coarse Nyquist mode
+    n/2, so that only modes 1..n/2-1 carry the doubled weight of
+    `apply_series_matrix`.  kernel_hat is the kernel's Fourier transform,
+    by Gauss-Legendre quadrature of its (even) cosine integral.
+    """
+    nfine = _fft_size(max(_ES_OVERSAMPLING * (2 * kmax + 1), 2 * _ES_WIDTH))
+    nodes, weights = np.polynomial.legendre.leggauss(3 * _ES_WIDTH)
+    kernel = _es_kernel(nodes.copy())
+    phase = (np.pi * _ES_WIDTH / nfine) * np.outer(np.arange(kmax + 1), nodes)
+    kernel_hat = (_ES_WIDTH / (2.0 * nfine)) * (np.cos(phase) @ (weights * kernel))
+    factor = 1.0 / (n * kernel_hat)
+    if kmax == n // 2:
+        factor[-1] *= 0.5
+    factor.setflags(write=False)
+    return nfine, factor
+
+
+def _offgrid(hats: np.ndarray, y, kmax: int) -> np.ndarray:
+    """Truncated Fourier series of stacked fields at arbitrary points (type-2 NUFFT).
+
+    hats holds (F, n//2 + 1) rfft spectra of fields on an n-point grid, of
+    which modes 0..kmax enter.  Returns the (F, M) values at the M points y
+    in the convention of `apply_series_matrix`: modes 1..n/2-1 doubled, mode
+    0 and the coarse Nyquist mode n/2 not, real part taken.
+
+    The modes, divided by the kernel's transform, go onto an oversampled
+    fine grid in one batched irfft; each point then sums its `_ES_WIDTH`
+    nearest fine-grid values with kernel weights that all F fields share.
+    Points may lie in any period; non-finite points give NaN.
+    """
+    n = 2 * (hats.shape[-1] - 1)
+    nfine, factor = _offgrid_plan(n, kmax)
+    fine_hat = np.zeros((hats.shape[0], nfine // 2 + 1), dtype=complex)
+    fine_hat[:, :kmax + 1] = hats[:, :kmax + 1] * factor
+    fine = np.fft.irfft(fine_hat, n=nfine)
+    # Wrap the fine grid so that the window of fine points i-6..i+7 around
+    # every point in cell i is one row of `windows`.
+    half = _ES_WIDTH // 2
+    fine = np.concatenate([fine[:, nfine - half + 1:], fine, fine[:, :half + 1]], axis=1)
+    step = fine.strides[1]
+    windows = as_strided(fine, shape=(fine.shape[0], nfine + 1, _ES_WIDTH),
+                         strides=(fine.strides[0], step, step), writeable=False)
+
+    y = np.ravel(y).astype(float)
+    bad = ~np.isfinite(y)
+    if bad.any():
+        y[bad] = 0.0
+    x = (y - np.floor(y)) * nfine  # in [0, nfine]: the top end only by rounding
+    cell = np.floor(x)
+    z = (cell - x + (1 - half))[:, None] + np.arange(_ES_WIDTH)
+    z *= 2.0 / _ES_WIDTH
+    out = np.einsum("fmw,mw->fm", windows[:, cell.astype(np.intp)], _es_kernel(z))
+    if bad.any():
+        out[:, bad] = np.nan
+    return out
+
+
 def evaluate(f: PeriodicField, y) -> np.ndarray:
-    """Truncated Fourier series of f evaluated at arbitrary points y."""
-    return apply_series_matrix(series_matrix(f.grid, np.atleast_1d(y)), f)
+    """Truncated Fourier series of f (modes 0..n/2) at arbitrary points y, by `_offgrid`."""
+    return _offgrid(f.hat[None], y, f.grid.n // 2)[0]
 
 
 class Diffeo:
@@ -340,8 +443,9 @@ def invert_diffeo(phi: Diffeo, tol: float = 1e-12, max_iter: int = 50) -> Diffeo
 
     The initial guess interpolates the monotone sampled pairs
     (phi(x_k), x_k), extended by one period on both sides, so every target
-    is bracketed.  Raises InversionError if Newton stalls within max_iter
-    (a symptom of a near-degenerate Jacobian).
+    is bracketed.  Each iteration evaluates psi and psi_x at the iterate in
+    one `_offgrid` call, in O(n) memory.  Raises InversionError if Newton
+    stalls within max_iter (a symptom of a near-degenerate Jacobian).
     """
     grid = phi.grid
     x = grid.points
@@ -350,14 +454,16 @@ def invert_diffeo(phi: Diffeo, tol: float = 1e-12, max_iter: int = 50) -> Diffeo
     knots_y = np.concatenate([x - 1.0, x, x + 1.0])
     y = np.interp(x, knots_x, knots_y)
 
-    psi = phi.displacement
-    psi_x = derivative(psi)
+    psi_hat = phi.displacement.hat
+    slope_hat = psi_hat * (1j * grid.omega)
+    slope_hat[-1] = 0.0  # psi_x as `derivative` gives it
+    hats = np.stack([psi_hat, slope_hat])
     for _ in range(max_iter):
-        residual = y + evaluate(psi, y) - x
+        psi_y, slope = _offgrid(hats, y, grid.n // 2)
+        residual = y + psi_y - x
         if np.max(np.abs(residual)) < tol:
             break
-        slope = 1.0 + evaluate(psi_x, y)
-        y = y - residual / slope
+        y = y - residual / (1.0 + slope)
     else:
         raise InversionError(
             f"diffeomorphism inversion did not reach {tol:g} in {max_iter} steps")

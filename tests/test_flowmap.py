@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 import object_form
 from chdp import flowmap
 from chdp.connection import Model, VelocityPair, bracket, metric
-from chdp.evolution import EvolutionConfig, evolve
+from chdp.evolution import EvolutionConfig, _kernel, evolve
 from chdp.flowmap import (
     GroupElement,
     adjoint_action,
@@ -255,6 +258,36 @@ def test_evolve_and_flowmap_share_blowup_monitor(model, n, initial, thresholds, 
     assert (flow.kind, flow.reason, flow.t) == (eul.kind, eul.reason, eul.t)
     assert eul.kind == "blowup_detected"
     assert (eul.reason, eul.t) == (expected[0], pytest.approx(expected[1]))
+
+
+def test_flow_rhs_non_finite_psi():
+    # A non-finite phi point gives non-finite transport rows there and
+    # nowhere else, without floating-point warnings.
+    grid = Grid(64)
+    kernel = _kernel(Model.CH2, grid.n)
+    y = np.zeros((4, grid.n))
+    y[0] = cosine_field(grid, 1, 0.2).values
+    y[1] = cosine_field(grid, 2, 0.1).values
+    y[2, [5, 9, 11]] = [np.nan, np.inf, -np.inf]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = flowmap._flow_rhs(kernel, grid, y)
+    bad = np.zeros(grid.n, dtype=bool)
+    bad[[5, 9, 11]] = True
+    assert not np.any(np.isfinite(out[2:, bad]))
+    assert np.all(np.isfinite(out[:, ~bad])) and np.all(np.isfinite(out[:2]))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 7, 10])
+def test_simpson_matches_scipy(rng, count):
+    # odd counts: composite rule; even: Cartwright's last-interval correction;
+    # two: trapezoid; one: zero.  Unequal spacing exercises every weight.
+    times = np.cumsum(rng.uniform(0.01, 0.2, count))
+    values = rng.standard_normal((count, 5))
+    want = simpson(values, x=times, axis=0)
+    got = flowmap._simpson(values, times)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
 
 
 class TestReconstructF:

@@ -1,12 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
+from chdp import flowmap, spectral
+from chdp.connection import Model, VelocityPair
+from chdp.evolution import EvolutionConfig
 from chdp.spectral import (
     Diffeo,
     DegenerateJacobianError,
     Grid,
     PeriodicField,
+    apply_series_matrix,
     compose,
     constant_field,
     cosine_field,
@@ -20,6 +27,7 @@ from chdp.spectral import (
     inner_l2,
     invert_diffeo,
     random_band_limited,
+    series_matrix,
     sine_field,
     zero_field,
 )
@@ -237,3 +245,75 @@ def test_dealias_cutoff(grid128):
 
 def test_zero_field(grid64):
     assert np.all(zero_field(grid64).values == 0.0)
+
+
+def dense_series(values, y, kmax):
+    """The off-grid oracle: one dense `series_matrix` plan applied to each field."""
+    grid = Grid(values.shape[-1])
+    plan = series_matrix(grid, y, kmax=kmax)
+    return np.array([apply_series_matrix(plan, PeriodicField(grid, v)) for v in values])
+
+
+@given(seed=st.integers(0, 2**31 - 1), half_n=st.integers(8, 256),
+       full_band=st.booleans(), fields=st.integers(1, 3), points=st.integers(1, 600))
+@settings(max_examples=60, deadline=None)
+def test_offgrid_matches_dense_plan(seed, half_n, full_band, fields, points):
+    # White-noise fields (every mode to n/2) at points spread over several
+    # periods; 1e-12 relative to max|f| on the grid.
+    grid = Grid(2 * half_n)
+    kmax = grid.n // 2 if full_band else grid.dealias_cutoff
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((fields, grid.n))
+    y = rng.uniform(-3.0, 4.0, points)
+    got = spectral._offgrid(np.fft.rfft(values), y, kmax)
+    want = dense_series(values, y, kmax)
+    assert got.shape == (fields, points)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(values))
+
+
+@pytest.mark.parametrize("periods", [-7, -1, 1, 5])
+def test_offgrid_points_in_any_period(grid128, rng, periods):
+    # Points below 0, above 1 and several periods out, including the
+    # period's end points, where the fine-grid window wraps.
+    f = random_band_limited(grid128, rng, 40)
+    base = np.concatenate([rng.uniform(0.0, 1.0, 50), [0.0, 1.0 - 1e-17, 0.5 / grid128.n]])
+    y = base + periods
+    got = evaluate(f, y)
+    assert np.max(np.abs(got - evaluate(f, base))) <= 1e-12
+    assert np.max(np.abs(got - dense_series(f.values[None], y, grid128.n // 2)[0])) <= 1e-12
+
+
+def test_offgrid_non_finite_points(grid64, rng):
+    f = random_band_limited(grid64, rng, 10)
+    y = np.array([np.nan, np.inf, -np.inf, 0.3, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = spectral._offgrid(np.stack([f.hat, f.hat]), y, grid64.n // 2)
+    assert not np.any(np.isfinite(out[:, :3]))
+    assert np.all(np.isfinite(out[:, 3:]))
+    assert out[0, 3] == pytest.approx(dense_series(f.values[None], [0.3], 32)[0, 0], abs=1e-12)
+
+
+def test_off_grid_callers_build_no_dense_plan(monkeypatch, grid128, rng):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense series plan built")
+
+    monkeypatch.setattr(spectral, "series_matrix", refuse)
+    monkeypatch.setattr(flowmap, "series_matrix", refuse)
+    f = random_band_limited(grid128, rng, 20)
+    phi = Diffeo(random_band_limited(grid128, rng, 3, scale=0.02))
+    evaluate(f, rng.uniform(0.0, 1.0, 7))
+    back = compose(compose(f, phi), invert_diffeo(phi))
+    assert np.max(np.abs(back.values - f.values)) <= 1e-8
+    config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.01, grid_n=128)
+    res = flowmap.evolve_flowmap(config, VelocityPair(cosine_field(grid128, 1, 0.2),
+                                                      cosine_field(grid128, 2, 0.1)))
+    assert res.status.completed
+
+
+def test_invert_large_grid(rng):
+    grid = Grid(4096)
+    phi = Diffeo(random_band_limited(grid, rng, 6, scale=0.01))
+    inv = invert_diffeo(phi)
+    forward = inv.warped_points + evaluate(phi.displacement, inv.warped_points)
+    assert np.max(np.abs(forward - grid.points)) <= 1e-12

@@ -1,0 +1,187 @@
+"""Layer timings of off-grid evaluation and the flow map, for two source trees.
+
+    python3 tools/bench_flowmap.py --parent OLD/src --change NEW/src \\
+        [--repeats 9] [--out BENCH.json]
+
+Each repeat runs one fresh process per tree (alternating which goes
+first), and each process measures every layer once, at
+n in {64, 256, 1024, 4096}:
+
+- `dense_plan_ms`: the dense off-grid plan, `series_matrix` at the dealias
+  cutoff applied to the stacked (u, rho) weights, as the flow-map stage
+  used to do;
+- `offgrid_ms`: the same values from `spectral._offgrid` (trees without it
+  report null);
+- `flow_step_ms` and `advance_ms`: one flow-map RK4 step of (u, rho, psi, f)
+  and one Eulerian `_advance` step of (u, rho), 2DP;
+- `invert_diffeo_ms` and `invert_diffeo_peak_mb` (tracemalloc peak of one
+  call, untimed);
+- `import_s`: `import chdp` in the fresh process.
+
+A sample is the median over calls within one process (at least 5 calls
+and 0.1 s); the record holds every sample and each tree's median. BLAS
+runs on one thread.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SIZES = (64, 256, 1024, 4096)
+
+
+def _per_call(fn, min_calls=5, min_seconds=0.1):
+    fn()
+    times = []
+    start = time.perf_counter()
+    while len(times) < min_calls or time.perf_counter() - start < min_seconds:
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
+def measure() -> dict:
+    """One sample of every layer in this process's `chdp`."""
+    t0 = time.perf_counter()
+    import chdp  # noqa: F401
+    import_s = time.perf_counter() - t0
+
+    import tracemalloc
+
+    import numpy as np
+
+    from chdp import spectral
+    from chdp.connection import Model
+    from chdp.evolution import _advance, _kernel
+    from chdp.flowmap import _flow_rhs
+
+    out = {"import_s": import_s}
+    for n in SIZES:
+        grid = spectral.Grid(n)
+        kmax = grid.dealias_cutoff
+        rng = np.random.default_rng(n)
+        x = grid.points
+        state = np.zeros((4, n))
+        for row, scale in ((0, 0.3), (1, 0.1), (2, 0.01)):
+            field = spectral.random_band_limited(grid, rng, 6, scale=scale)
+            state[row] = field.values
+        kernel = _kernel(Model.DP2, n)
+        state[:2] = kernel.dealias(state[:2])
+        y = x + state[2]
+
+        def dense():
+            plan = spectral.series_matrix(grid, y, kmax=kmax)
+            weights = np.fft.rfft(state[:2])[:, :kmax + 1] / n
+            weights[:, 1:] *= 2.0
+            return (plan @ weights.T).real.T
+
+        out[f"dense_plan_ms/n={n}"] = 1e3 * _per_call(dense)
+        offgrid = getattr(spectral, "_offgrid", None)
+        out[f"offgrid_ms/n={n}"] = None if offgrid is None else 1e3 * _per_call(
+            lambda: offgrid(np.fft.rfft(state[:2]), y, kmax))
+
+        def flow_step():
+            _advance(lambda w: _flow_rhs(kernel, grid, w), kernel, state.copy(), 1e-4, 0.0)
+
+        def advance():
+            _advance(kernel, kernel, state[:2].copy(), 1e-4, 0.0)
+
+        out[f"flow_step_ms/n={n}"] = 1e3 * _per_call(flow_step)
+        out[f"advance_ms/n={n}"] = 1e3 * _per_call(advance)
+
+        phi = spectral.Diffeo(spectral.PeriodicField(grid, state[2]))
+        out[f"invert_diffeo_ms/n={n}"] = 1e3 * _per_call(lambda: spectral.invert_diffeo(phi))
+        tracemalloc.start()
+        spectral.invert_diffeo(phi)
+        out[f"invert_diffeo_peak_mb/n={n}"] = tracemalloc.get_traced_memory()[1] / 2**20
+        tracemalloc.stop()
+    return out
+
+
+def _sample(src: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, __file__, "--measure"], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _cpu_model() -> str | None:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return None
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--parent", type=Path)
+    parser.add_argument("--change", type=Path)
+    parser.add_argument("--repeats", type=int, default=9)
+    parser.add_argument("--out", type=Path)
+    args = parser.parse_args(argv)
+    if args.measure:
+        print(json.dumps(measure()))
+        return
+    if args.parent is None or args.change is None:
+        parser.error("--parent and --change are required")
+
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    samples = {side: [] for side in trees}
+    for rep in range(args.repeats):
+        order = ["parent", "change"] if rep % 2 == 0 else ["change", "parent"]
+        for side in order:
+            samples[side].append(_sample(trees[side]))
+            print(f"repeat {rep + 1}/{args.repeats} {side} done", file=sys.stderr)
+
+    record = {
+        "description": __doc__.split("\n\n")[0].strip(),
+        "command": f"python3 tools/bench_flowmap.py --parent PARENT/src --change CHANGE/src "
+                   f"--repeats {args.repeats}",
+        "machine": {"python": platform.python_version(), "nproc": os.cpu_count(),
+                    "platform": platform.platform(), "cpu": _cpu_model()},
+        "repeats": args.repeats,
+    }
+    for side, runs in samples.items():
+        metrics = {}
+        for key in runs[0]:
+            values = [run[key] for run in runs]
+            metrics[key] = {"median": None if None in values else statistics.median(values),
+                            "samples": values}
+        record[side] = {"metrics": metrics}
+    ratios = {}
+    for side in trees:
+        med = {key: value["median"] for key, value in record[side]["metrics"].items()}
+        ratios[side] = {f"flow_step_over_advance/n={n}":
+                        med[f"flow_step_ms/n={n}"] / med[f"advance_ms/n={n}"] for n in SIZES}
+        if med[f"offgrid_ms/n={SIZES[0]}"] is not None:
+            ratios[side].update({f"dense_plan_over_offgrid/n={n}":
+                                 med[f"dense_plan_ms/n={n}"] / med[f"offgrid_ms/n={n}"]
+                                 for n in SIZES})
+    ratios["parent_over_change"] = {
+        key: record["parent"]["metrics"][key]["median"] / record["change"]["metrics"][key]["median"]
+        for key in record["change"]["metrics"]
+        if record["parent"]["metrics"][key]["median"] and not key.startswith("offgrid")}
+    record["ratios"] = ratios
+    text = json.dumps(record, indent=1)
+    if args.out is None:
+        print(text)
+    else:
+        args.out.write_text(text + "\n")
+
+
+if __name__ == "__main__":
+    main()
