@@ -197,7 +197,10 @@ def parse_config(argv) -> RunConfig:
 
 def _manifest(config: RunConfig, status: RunStatus, final_diagnostics,
               wall_seconds: float) -> dict:
-    """The run.json payload; a blow-up adds its reason and time (`blowup_t`)."""
+    """The run.json payload; a blow-up adds its reason, time (`blowup_t`) and value.
+
+    `blowup_value` is the monitored quantity that tripped (null for non_finite).
+    """
     payload = {
         "config": asdict(config),
         "status": status.kind,
@@ -207,6 +210,7 @@ def _manifest(config: RunConfig, status: RunStatus, final_diagnostics,
     if status.reason is not None:
         payload["reason"] = status.reason
         payload["blowup_t"] = status.t
+        payload["blowup_value"] = status.value
     return payload
 
 
@@ -220,10 +224,11 @@ def _evolution_config(config: RunConfig) -> EvolutionConfig:
 
 
 def _outcome(status: RunStatus, t_last: float) -> str:
-    """'completed at t=...' or 'blowup_detected (reason) at t=<blow-up time>'."""
+    """'completed at t=...' or 'blowup_detected (reason) at t=<blow-up time> (value v)'."""
     if status.completed:
         return f"completed at t={t_last:.6g}"
-    return f"{status.kind} ({status.reason}) at t={status.t:.6g}"
+    value = "" if status.value is None else f" (value {status.value:.6g})"
+    return f"{status.kind} ({status.reason}) at t={status.t:.6g}{value}"
 
 
 def _snapshot_steps(n_records: int, snapshot_stride: int, stride: int) -> set[int]:

@@ -13,15 +13,20 @@ classical RK4 (`rk4`, shared by every integrator) with 2/3-rule
 dealiasing; blow-up is detected by non-finite values and by thresholds on
 min u_x and max |rho_x|, checked at t=0 and after every step.
 
-The integrator state is one stacked (2, n) array holding (u, rho), and the
-right-hand side is a private kernel per (model, grid) that makes four
-batched FFT calls along the last axis: rfft of (u, rho), irfft of
-(u_x, rho_x), rfft of the stacked quadratic terms, irfft of (u_t, rho_t).
-The dealias mask, d/dx and the inverse Helmholtz factor of each term are
-folded into one multiplier, so an RK4 step costs 18 FFT calls.  `rhs` is
-the `VelocityPair` view of the same kernel.
+The integrator state is the rfft spectra of (u, rho), one complex
+(2, n//2 + 1) array.  The right-hand side is a private kernel per
+(model, grid) that maps spectra to spectra with two batched FFT calls: one
+irfft of (u, rho, u_x, rho_x) and one rfft of the pairwise products the
+quadratic terms are built from.  Each product's dealias mask, d/dx and
+inverse Helmholtz factor are folded into one multiplier, so the stages
+are band-limited, dealiasing needs no FFT pair, and an RK4 step costs 8
+FFT calls.  `rhs` is the `VelocityPair` view of the same kernel.
 `evolve` and `evolve_flowmap` share one step loop, `_integrate`, with one
-step (`_advance`) and one monitor; `evolve` builds fields for kept rows only.
+step (`_advance`) and one monitor, whose single irfft per step gives the
+grid values and slopes of the state: the slopes feed the thresholds, and
+kept steps store the values (for `evolve` also the slopes its diagnostics
+read), so the history is real and `evolve` builds fields for kept rows
+only.
 """
 
 from __future__ import annotations
@@ -125,11 +130,16 @@ class DiagnosticsRecord:
 
 @dataclass(frozen=True)
 class RunStatus:
-    """Outcome of a run: 'completed' or 'blowup_detected' with time/reason."""
+    """Outcome of a run: 'completed' or 'blowup_detected' with time, reason and value.
+
+    `value` is the monitored quantity that crossed its threshold (min u_x,
+    max |rho_x| or min phi_x); a non-finite step carries none.
+    """
 
     kind: str
     t: float | None = None
     reason: str | None = None
+    value: float | None = None
 
     @property
     def completed(self) -> bool:
@@ -149,66 +159,81 @@ class EvolveResult:
 
 
 class _Kernel:
-    """Weak-form right-hand side of one model on one grid, on stacked arrays.
+    """Weak-form right-hand side of one model on one grid, on rfft spectra.
 
-    `kernel(y)` maps a (2, n) array holding (u, rho) to (u_t, rho_t) with
-    four batched FFT calls along the last axis: one rfft of (u, rho), one
-    irfft for (u_x, rho_x), one rfft of the stacked quadratic terms and one
-    irfft of the two combined spectra.  By linearity each term's dealias
-    mask, derivative and inverse Helmholtz factor fold into one multiplier;
-    the first `split` terms sum to u_t and the rest to rho_t.
+    `kernel(y)` maps the (2, n//2 + 1) spectra of (u, rho) to those of
+    (u_t, rho_t) with two batched FFT calls along the last axis: one irfft
+    of (u, rho, u_x, rho_x) (`points`) and one rfft of the pairwise
+    products the quadratic terms are built from (`products`).  By
+    linearity each product's coefficient, and its term's dealias mask,
+    derivative and inverse Helmholtz factor, fold into one multiplier per
+    output row (`combine`).  The output is 0 above the dealias cutoff, so
+    an RK4 sum of band-limited spectra stays band-limited.
+
+    `mult` holds the per-term multipliers, u_t's terms then rho_t's (the
+    comments list them with `|` between); the curvature kernel reads the
+    2CH ones.
     """
 
     def __init__(self, model: Model, grid: Grid):
-        self.model = model
         self.n = grid.n
-        self.cutoff = grid.dealias_cutoff
         self.ik = 1j * grid.omega
         self.ik[-1] = 0.0  # as `derivative`: the Nyquist mode is dropped
         keep = (grid.modes <= grid.dealias_cutoff).astype(float)
         lift = self.ik / (1.0 + grid.omega**2)  # Ainv d/dx
+        # Per term, (coefficient, left, right) of each product it sums, with
+        # left and right rows of (u, rho, u_x, rho_x).
         if model in (Model.CH, Model.CH2):
             # u u_x, q = u^2 + u_x^2/2 (+ rho^2/2) | u rho_x + rho u_x
             mult = [keep, keep * lift, keep]
-            self.split = 2
+            terms = [[(1.0, 0, 2)], [(1.0, 0, 0), (0.5, 2, 2), (0.5, 1, 1)],
+                     [(1.0, 0, 3), (1.0, 1, 2)]]
+            split = 2
         else:
             # u u_x, 3u^2/2 (- rho^2), rho u_x | u rho_x + 2 rho u_x
             mult = [keep, keep * lift, keep / (1.0 + grid.omega**2), keep]
-            self.split = 3 if model is Model.DP2 else 2
-        rows = self.split + (1 if model.two_component else 0)
+            terms = [[(1.0, 0, 2)], [(1.5, 0, 0), (-1.0, 1, 1)], [(1.0, 1, 2)],
+                     [(1.0, 0, 3), (2.0, 1, 2)]]
+            split = 3 if model is Model.DP2 else 2
+        rows = split + (1 if model.two_component else 0)
         self.mult = -np.array(mult[:rows])
-        for arr in (self.ik, self.mult):
+        weights = {}  # (left, right) -> its multipliers into (u_t, rho_t)
+        for term, products in enumerate(terms[:rows]):
+            for coef, left, right in products:
+                if model.two_component or left != 1:  # rho = 0 adds nothing
+                    w = weights.setdefault((left, right), np.zeros((2, len(keep)), complex))
+                    w[int(term >= split)] += coef * self.mult[term]
+        self.left, self.right = np.array(list(weights)).T
+        self.weights = np.stack(list(weights.values()), axis=1)  # (output, product, mode)
+        # Multiplies stacked spectra to (values, slopes): see `points`.
+        self.value_slope = np.stack((np.ones_like(self.ik), self.ik))[:, None]
+        for arr in (self.ik, self.mult, self.weights, self.value_slope):
             arr.setflags(write=False)
 
     def derivative(self, y: np.ndarray) -> np.ndarray:
-        """d/dx of every row, as `derivative` does for one field."""
+        """d/dx of every row of the grid values y, as `derivative` does for one field."""
         return np.fft.irfft(np.fft.rfft(y) * self.ik, self.n)
 
-    def dealias(self, y: np.ndarray) -> np.ndarray:
-        """Every row truncated by the 2/3 rule, as `dealias` does for one field."""
-        hat = np.fft.rfft(y)
-        hat[..., self.cutoff + 1:] = 0.0
-        return np.fft.irfft(hat, self.n)
+    def points(self, y: np.ndarray, extra: np.ndarray | None = None) -> np.ndarray:
+        """Grid values of every row of the spectra y, then their slopes, then the rows of extra.
 
-    def _terms(self, u, rho, ux, rhox):
-        if self.model is Model.CH:
-            return u * ux, u * u + 0.5 * (ux * ux)
-        if self.model is Model.CH2:
-            return (u * ux, u * u + 0.5 * (ux * ux) + 0.5 * (rho * rho),
-                    u * rhox + rho * ux)
-        if self.model is Model.DP:
-            return u * ux, 1.5 * (u * u)
-        return (u * ux, 1.5 * (u * u) - rho * rho, rho * ux,
-                u * rhox + 2.0 * (rho * ux))
+        One irfft: for y = (u, rho) it gives (u, rho, u_x, rho_x).
+        """
+        spectra = (y * self.value_slope).reshape(-1, y.shape[-1])
+        if extra is not None:
+            spectra = np.concatenate((spectra, extra))
+        return np.fft.irfft(spectra, self.n)
+
+    def products(self, z: np.ndarray) -> np.ndarray:
+        """The pairwise products of the rows of z = (u, rho, u_x, rho_x, ...)."""
+        return z.take(self.left, 0) * z.take(self.right, 0)
+
+    def combine(self, spectra: np.ndarray) -> np.ndarray:
+        """(u_t, rho_t) spectra from the spectra of `products`."""
+        return (self.weights * spectra).sum(axis=1)
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        u, rho = y
-        ux, rhox = self.derivative(y)
-        spectra = np.fft.rfft(np.stack(self._terms(u, rho, ux, rhox))) * self.mult
-        # One-component models sum no rho_t terms, so rho_t is exactly 0.
-        out = np.stack((spectra[:self.split].sum(axis=0),
-                        spectra[self.split:].sum(axis=0)))
-        return np.fft.irfft(out, self.n)
+        return self.combine(np.fft.rfft(self.products(self.points(y))))
 
 
 @lru_cache(maxsize=None)
@@ -227,7 +252,8 @@ def _pair(grid: Grid, y: np.ndarray) -> VelocityPair:
 
 def rhs(model: Model, state: VelocityPair) -> VelocityPair:
     """Time derivative (u_t, rho_t) of the weak Cauchy form."""
-    return _pair(state.grid, _kernel(model, state.grid.n)(_stack(state)))
+    kernel = _kernel(model, state.grid.n)
+    return _pair(state.grid, np.fft.irfft(kernel(np.fft.rfft(_stack(state))), kernel.n))
 
 
 def rhs_momentum_form(model: Model, state: VelocityPair) -> VelocityPair:
@@ -261,14 +287,18 @@ def step_rk4(model: Model, state: VelocityPair | np.ndarray, dt: float,
              t: float = 0.0) -> VelocityPair | np.ndarray:
     """One dealiased RK4 step from time t; raises BlowupError if non-finite.
 
-    `state` is a VelocityPair, or the stacked (2, n) array of (u, rho) that
-    `evolve` steps without building fields; the result takes the same form.
+    `state` is a VelocityPair, or the (2, n//2 + 1) rfft spectra of
+    (u, rho) that `evolve` steps without building fields; the result takes
+    the same form.  Band-limited spectra stay band-limited; a
+    VelocityPair's result is truncated by the 2/3 rule.  `evolve` steps
+    its spectra through this public function so that the benchmark's
+    tracer counts it as the stepping layer.
     """
-    pair = isinstance(state, VelocityPair)
-    y = _stack(state) if pair else state
-    kernel = _kernel(model, y.shape[-1])
-    y = _advance(kernel, kernel, y, dt, t)
-    return _pair(state.grid, y) if pair else y
+    if not isinstance(state, VelocityPair):
+        return _advance(_kernel(model, 2 * (state.shape[-1] - 1)), state, dt, t)
+    y = _advance(_kernel(model, state.grid.n), np.fft.rfft(_stack(state)), dt, t)
+    y[:, state.grid.dealias_cutoff + 1:] = 0.0
+    return _pair(state.grid, np.fft.irfft(y, state.grid.n))
 
 
 def conserved_energy(state: VelocityPair) -> float:
@@ -295,39 +325,45 @@ def _initial_state(config: EvolutionConfig, initial: VelocityPair) -> VelocityPa
     return VelocityPair(dealias(initial.u), dealias(initial.rho))
 
 
-def _advance(f, kernel: _Kernel, y: np.ndarray, dt: float, t: float) -> np.ndarray:
-    """One RK4 step of y' = f(y) from time t, with rows 0-1 (u, rho) dealiased.
+def _advance(f, y: np.ndarray, dt: float, t: float) -> np.ndarray:
+    """One RK4 step of the spectra y' = f(y) from time t.
 
-    Raises BlowupError if any value is non-finite: a non-finite stage
-    spreads through the RK4 sum and the dealias to every point.
+    Raises BlowupError if any coefficient is non-finite: a non-finite
+    value at one grid point spreads through the stage's rfft to every mode.
     """
     y = rk4(f, y, dt)
-    y[:2] = kernel.dealias(y[:2])
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise BlowupError(f"non-finite values at t={t + dt:.6g}")
     return y
 
 
-def _threshold_reason(config: EvolutionConfig, slopes: np.ndarray) -> str | None:
-    """The threshold crossed by slopes = (u_x, rho_x, ...), or None."""
-    if float(slopes[0].min()) < config.blowup_slope_threshold:
-        return "min_ux"
-    if float(np.max(np.abs(slopes[1]))) > config.blowup_rhox_threshold:
-        return "max_abs_rhox"
+def _threshold_reason(config: EvolutionConfig,
+                      slopes: np.ndarray) -> tuple[str, float] | None:
+    """(criterion, value) of the threshold crossed by slopes = (u_x, rho_x, ...), or None."""
+    min_ux = float(slopes[0].min())
+    if min_ux < config.blowup_slope_threshold:
+        return "min_ux", min_ux
+    max_rhox = float(np.max(np.abs(slopes[1])))
+    if max_rhox > config.blowup_rhox_threshold:
+        return "max_abs_rhox", max_rhox
     return None
 
 
 def _integrate(config: EvolutionConfig, kernel: _Kernel, y: np.ndarray, step, stride: int,
-               degenerate=lambda slopes: None):
-    """Step y, (u, rho) in rows 0-1, to t_end; return kept steps, their history, status.
+               degenerate=lambda slopes: None, keep_slopes: bool = False):
+    """Step the spectra y, (u, rho) in rows 0-1, to t_end; return kept steps, history, status.
 
     `step(y, t)` is `_advance` from t.  A non-finite step stops the run
-    unkept; else the monitor derives all rows of y in one call (also at
-    t=0) and stops at `degenerate(slopes)`, else at a threshold.  Kept
-    steps (every `stride`-th, the last, a blow-up) fill one history array.
+    unkept; else the monitor turns every row of y into grid values and
+    slopes in one irfft (also at t=0) and stops at `degenerate(slopes)`,
+    which returns (criterion, value) or None, else at a threshold.  Kept
+    steps (every `stride`-th, the last, a blow-up) fill one real history
+    array with the grid values of the rows of y, then, with keep_slopes,
+    their slopes.
     """
     n_steps = config.n_steps
-    history = np.empty((len(y), -(-n_steps // stride) + 1, y.shape[-1]))
+    rows = len(y) * (2 if keep_slopes else 1)
+    history = np.empty((rows, -(-n_steps // stride) + 1, kernel.n))
     kept = []
     status = RunStatus("completed")
     for i in range(n_steps + 1):
@@ -338,13 +374,14 @@ def _integrate(config: EvolutionConfig, kernel: _Kernel, y: np.ndarray, step, st
             except BlowupError:
                 status = RunStatus("blowup_detected", t=t, reason="non_finite")
                 break
-        slopes = kernel.derivative(y)
-        reason = degenerate(slopes) or _threshold_reason(config, slopes)
-        if i % stride == 0 or i == n_steps or reason is not None:
-            history[:, len(kept)] = y
+        z = kernel.points(y)
+        slopes = z[len(y):]
+        tripped = degenerate(slopes) or _threshold_reason(config, slopes)
+        if i % stride == 0 or i == n_steps or tripped is not None:
+            history[:, len(kept)] = z[:rows]
             kept.append(i)
-        if reason is not None:
-            status = RunStatus("blowup_detected", t=t, reason=reason)
+        if tripped is not None:
+            status = RunStatus("blowup_detected", t=t, reason=tripped[0], value=tripped[1])
             break
     return kept, history[:, :len(kept)], status
 
@@ -354,20 +391,22 @@ def evolve(config: EvolutionConfig, initial: VelocityPair) -> EvolveResult:
 
     Stops early with status blowup_detected when a threshold is crossed
     (checked at t=0 and after every step) or a step goes non-finite; the
-    status carries the first offending time and the criterion that fired.
+    status carries the first offending time, the criterion that fired and
+    the value that crossed its threshold.
     """
     start = _initial_state(config, initial)
     kernel = _kernel(config.model, config.grid_n)
     # Steps go through the public `step_rk4`, the span perfbench's tracer
     # counts as the stepping layer.
     kept, history, status = _integrate(
-        config, kernel, _stack(start),
-        lambda y, t: step_rk4(config.model, y, config.dt, t), config.diagnostics_stride)
+        config, kernel, np.stack((start.u.hat, start.rho.hat)),
+        lambda y, t: step_rk4(config.model, y, config.dt, t), config.diagnostics_stride,
+        keep_slopes=True)
     history.setflags(write=False)  # the snapshots view it without a copy
     times = [i * config.dt for i in kept]
     # Row 0 is `start`, whose fields keep the spectra `dealias` gave them.
-    snapshots = [start] + [_pair(start.grid, history[:, j]) for j in range(1, len(kept))]
+    snapshots = [start] + [_pair(start.grid, history[:2, j]) for j in range(1, len(kept))]
     diagnostics = [DiagnosticsRecord(t, conserved_energy(s), float(ux.min()),
                                      float(np.max(np.abs(rhox))), *mean_invariants(s))
-                   for t, s, ux, rhox in zip(times, snapshots, *kernel.derivative(history))]
+                   for t, s, ux, rhox in zip(times, snapshots, *history[2:])]
     return EvolveResult(times, snapshots, diagnostics, status)

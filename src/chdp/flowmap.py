@@ -10,12 +10,16 @@ The geodesic is advanced as the first-order system
 which is equivalent to the second-order geodesic equation by
 right-invariance; that equivalence is a tested property, not an
 assumption.  It runs the step loop of `evolve` (`evolution._integrate`:
-RK4, dealiasing, blow-up monitor, kept-row history) on one (4, n) array
-(u, rho, psi, f) and keeps every step.  Rows 0-1 step through the
-Eulerian kernel, and each RK4 stage evaluates the series of u and rho at
-phi = id + psi in one call of the off-grid evaluator
-(`spectral._offgrid`, a type-2 NUFFT).  The monitor adds the phi_x floor
-before the thresholds.
+RK4, blow-up monitor, kept-row history) on the rfft spectra of
+(u, rho, psi, f), one complex (4, n//2 + 1) array, and keeps the grid
+values of every step.  Each RK4 stage makes one irfft of
+(u, rho, u_x, rho_x, psi), evaluates the series of u and rho (their
+spectra, rows 0-1 of the state) at phi = id + psi in one call of the
+off-grid evaluator (`spectral._offgrid`, a type-2 NUFFT), and makes one
+rfft of the Eulerian kernel's products and (u o phi, rho o phi) together:
+13 FFT calls per step with the monitor's.  Rows 0-1 stay band-limited;
+psi and f are not truncated.  The monitor adds the phi_x floor before the
+thresholds.
 Along exact two-component CH flows (rho o phi) phi_x and the full
 coadjoint-transported momentum pair are constant; along 2DP flows
 (rho o phi) phi_x^2 is constant.  These are the quantities reported by
@@ -30,7 +34,7 @@ import numpy as np
 
 from chdp.connection import Model, VelocityPair
 from chdp.evolution import (EvolutionConfig, RunStatus, _advance, _initial_state,
-                            _integrate, _kernel, _Kernel, _stack)
+                            _integrate, _kernel, _Kernel)
 from chdp.spectral import (
     Diffeo,
     Grid,
@@ -175,33 +179,41 @@ class FlowmapResult:
 
 
 def _flow_rhs(kernel: _Kernel, grid: Grid, y: np.ndarray) -> np.ndarray:
-    """d/dt of the stacked (u, rho, psi, f): the kernel, then (u, rho) o phi."""
-    out = np.empty_like(y)
-    out[:2] = kernel(y[:2])
-    out[2:] = _offgrid(np.fft.rfft(y[:2]), grid.points + y[2], grid.dealias_cutoff)
-    return out
+    """d/dt of the stacked spectra of (u, rho, psi, f).
+
+    One irfft gives (u, rho, u_x, rho_x, psi); the series of u and rho
+    (the spectra y[:2]) are evaluated at phi = id + psi; the kernel's
+    products and (u o phi, rho o phi) share one rfft.
+    """
+    z = kernel.points(y[:2], y[2:3])
+    at_phi = _offgrid(y[:2], grid.points + z[4], grid.dealias_cutoff)
+    spectra = np.fft.rfft(np.concatenate((kernel.products(z), at_phi)))
+    return np.concatenate((kernel.combine(spectra[:-2]), spectra[-2:]))
 
 
 def evolve_flowmap(config: EvolutionConfig, initial: VelocityPair,
                    jacobian_floor: float = 1e-8) -> FlowmapResult:
     """Co-integrate (u, rho, psi, f) from (initial, identity) with RK4.
 
-    The state is one (4, n) array stepped by the step loop of `evolve`,
-    keeping every step in one (4, steps + 1, n) history, whose rows the
-    result's fields view.  Stops early on the blow-up monitor of `evolve`
-    (same status and time) or when min phi_x drops to `jacobian_floor`
-    (reason 'phix_degenerate', checked before the Eulerian thresholds).
+    The state is the (4, n//2 + 1) spectra stepped by the step loop of
+    `evolve`, keeping the grid values of every step in one
+    (4, steps + 1, n) history, whose rows the result's fields view.  Stops
+    early on the blow-up monitor of `evolve` (same status and time) or
+    when min phi_x drops to `jacobian_floor` (reason 'phix_degenerate',
+    with min phi_x as the value, checked before the Eulerian thresholds).
     """
     grid = initial.grid
     kernel = _kernel(config.model, grid.n)
-    y = np.zeros((4, grid.n))
-    y[:2] = _stack(_initial_state(config, initial))
+    start = _initial_state(config, initial)
+    y = np.zeros((4, grid.n // 2 + 1), dtype=complex)
+    y[:2] = start.u.hat, start.rho.hat
 
     def step(v, t):
-        return _advance(lambda w: _flow_rhs(kernel, grid, w), kernel, v, config.dt, t)
+        return _advance(lambda w: _flow_rhs(kernel, grid, w), v, config.dt, t)
 
     def degenerate(slopes):  # slopes[2] is psi_x, so phi_x = 1 + psi_x
-        return "phix_degenerate" if 1.0 + slopes[2].min() <= jacobian_floor else None
+        min_phix = 1.0 + float(slopes[2].min())
+        return ("phix_degenerate", min_phix) if min_phix <= jacobian_floor else None
 
     kept, history, status = _integrate(config, kernel, y, step, 1, degenerate)
     u, rho, psi, f = history

@@ -28,14 +28,10 @@ from chdp.connection import (
     metric,
 )
 from chdp.curvature import (
-    CosineDirectionPair,
+    _cosine_table,
     ch_cosine_curvature,
-    closed_form_curvature,
-    cosine_pair,
-    gram_determinant,
     positivity_scan,
     scan_grid,
-    sectional_curvature,
     unnormalized_curvature,
 )
 from chdp.evolution import (
@@ -119,18 +115,16 @@ def _random_state(grid, rng, model, max_mode=10, scale=0.3):
 # ---------------------------------------------------------------------------
 
 def check_curvature_oracle(seed: int) -> tuple[bool, str]:
-    """Numeric S agrees with the closed form on all mode tuples <= 4."""
-    grid = scan_grid(4)
-    assert grid.n == 128
-    worst = 0.0
-    count = 0
-    for ku, kv in itertools.combinations(
-            itertools.product(range(1, 5), repeat=2), 2):
-        u, v = cosine_pair(grid, CosineDirectionPair(*ku, *kv))
-        s_num = unnormalized_curvature(u, v)
-        s_closed = float(closed_form_curvature(*ku, *kv))
-        worst = max(worst, abs(s_num - s_closed) / (1.0 + abs(s_closed)))
-        count += 1
+    """Numeric S agrees with the closed form on all mode tuples <= 4.
+
+    The full-family rows of the max_mode 4 scan (n = 128) are the pairs
+    of distinct tuples (k1, k2), (l1, l2) with modes in 1..4.
+    """
+    table = positivity_scan(4, enforce=False)
+    full = table.m_k1 > 0
+    s_num, s_closed = table.s_numeric[full], table.s_closed[full]
+    worst = float(np.max(np.abs(s_num - s_closed) / (1.0 + np.abs(s_closed))))
+    count = int(np.count_nonzero(full))
     return worst <= 1e-8, f"max rel err {worst:.2e} over {count} tuples (tol 1e-8)"
 
 
@@ -145,14 +139,11 @@ def check_positivity(seed: int) -> tuple[bool, str]:
 
 def check_density_family_bounds(seed: int) -> tuple[bool, str]:
     """Gram = 1/4 and Sec >= 1/8 on zero-velocity cosine pairs, modes <= 6."""
-    grid = scan_grid(6)
-    worst_gram = 0.0
-    min_sec = np.inf
-    for mk2, ml2 in itertools.combinations(range(1, 7), 2):
-        d = CosineDirectionPair(0, mk2, 0, ml2)
-        u, v = cosine_pair(grid, d)
-        worst_gram = max(worst_gram, abs(gram_determinant(u, v) - 0.25))
-        min_sec = min(min_sec, sectional_curvature(u, v))
+    modes = np.arange(1, 7)
+    tuples = np.column_stack((np.zeros_like(modes), modes))
+    table = _cosine_table(scan_grid(6), tuples, np.column_stack(np.triu_indices(6, 1)))
+    worst_gram = float(np.max(np.abs(table.gram - 0.25)))
+    min_sec = float(table.sec.min())
     ok = worst_gram <= 1e-12 and min_sec >= 0.125 - 1e-12
     return ok, (f"|gram - 1/4| <= {worst_gram:.2e} (tol 1e-12), "
                 f"min Sec {min_sec:.6f} >= 1/8 - 1e-12")

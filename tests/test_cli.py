@@ -141,6 +141,20 @@ class TestEvolveCommand:
         assert 0.0 < manifest["blowup_t"] == last_t < 2.0
         assert f"(min_ux) at t={last_t:.6g}" in capsys.readouterr().out
 
+    def test_blowup_value_reported(self, tmp_path, capsys):
+        out = tmp_path / "rhox"
+        code = main(["evolve", "--model", "2ch", "--ic", "pair:1:0.1:1:0.1", "--n", "64",
+                     "--dt", "1e-3", "--t-end", "0.01", "--rhox-threshold", "0.5",
+                     "--out-dir", str(out)])
+        assert code == 2
+        manifest = read_manifest(out / "run.json")
+        assert (manifest["reason"], manifest["blowup_t"]) == ("max_abs_rhox", 0.0)
+        rhox = float(read_csv_column(out / "diagnostics.csv", "max_abs_rhox")[-1])
+        assert manifest["blowup_value"] == pytest.approx(rhox, rel=1e-15)
+        assert manifest["blowup_value"] == pytest.approx(0.2 * np.pi, rel=1e-13)
+        assert f"(max_abs_rhox) at t=0 (value {manifest['blowup_value']:.6g})" in \
+            capsys.readouterr().out
+
     def test_nonfinite_snapshot_rejected(self, tmp_path, capsys):
         grid = Grid(64)
         u = np.cos(2 * np.pi * grid.points)
@@ -208,6 +222,7 @@ def test_nonfinite_blowup_time(tmp_path, capsys, command):
     assert code == 2
     manifest = read_manifest(out / "run.json")
     assert (manifest["reason"], manifest["blowup_t"]) == ("non_finite", 1e-3)
+    assert manifest["blowup_value"] is None
     assert "(non_finite) at t=0.001 " in capsys.readouterr().out
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import object_form
-from chdp import curvature
+from chdp import curvature, verification
 from chdp.connection import VelocityPair, christoffel_ch
 from chdp.curvature import (
     CosineDirectionPair,
@@ -360,3 +360,27 @@ def test_negative_search_reports():
     assert len(results) >= 18
     assert results == sorted(results, key=lambda r: r[1])
     # reported, not asserted: negative planes may or may not appear
+
+
+def test_batched_oracles_report_the_one_plane_values():
+    # C1 reads the full-family rows of one scan table and C3 one batched
+    # table of its density planes; both report what the one-plane adapters
+    # give over the same tuples.
+    grid = scan_grid(4)
+    worst, count = 0.0, 0
+    for ku, kv in itertools.combinations(itertools.product(range(1, 5), repeat=2), 2):
+        s = unnormalized_curvature(*cosine_pair(grid, CosineDirectionPair(*ku, *kv)))
+        s_closed = float(closed_form_curvature(*ku, *kv))
+        worst = max(worst, abs(s - s_closed) / (1.0 + abs(s_closed)))
+        count += 1
+    assert verification.check_curvature_oracle(0) == (
+        True, f"max rel err {worst:.2e} over {count} tuples (tol 1e-8)")
+
+    grid = scan_grid(6)
+    worst_gram, min_sec = 0.0, np.inf
+    for mk2, ml2 in itertools.combinations(range(1, 7), 2):
+        u, v = cosine_pair(grid, CosineDirectionPair(0, mk2, 0, ml2))
+        worst_gram = max(worst_gram, abs(gram_determinant(u, v) - 0.25))
+        min_sec = min(min_sec, sectional_curvature(u, v))
+    assert verification.check_density_family_bounds(0) == (
+        True, f"|gram - 1/4| <= {worst_gram:.2e} (tol 1e-12), min Sec {min_sec:.6f} >= 1/8 - 1e-12")

@@ -19,6 +19,7 @@ from chdp.evolution import (
     step_count,
     step_rk4,
 )
+from chdp.flowmap import evolve_flowmap
 from chdp.spectral import (
     Grid,
     PeriodicField,
@@ -26,10 +27,12 @@ from chdp.spectral import (
     cosine_field,
     dealiased_product,
     derivative,
+    field_from_function,
     helmholtz,
     random_band_limited,
     zero_field,
 )
+from chdp.verification import _smooth_initial
 
 
 def random_state(grid, rng, model, max_mode=8, scale=0.2):
@@ -139,8 +142,9 @@ class TestEvolveCost:
 
     @pytest.mark.parametrize("stride", [100, 10])
     def test_fft_budget_of_a_run(self, grid256, monkeypatch, stride):
-        # 20 FFT calls per step (18 for the RK4 step, 2 for the monitor) plus
-        # about 4 per record; per-field stepping would cost about 60 per step.
+        # 9 FFT calls per step (8 for the RK4 step on spectra, 1 for the
+        # monitor) plus about 4 per record; per-field stepping would cost
+        # about 60 per step.
         config = EvolutionConfig(Model.CH2, dt=1e-4, t_end=0.01, grid_n=256,
                                  diagnostics_stride=stride)
         initial = VelocityPair(cosine_field(grid256, 1, 0.3), cosine_field(grid256, 2, 0.2))
@@ -148,7 +152,38 @@ class TestEvolveCost:
         result = evolve(config, initial)
         records = len(result.diagnostics)
         assert records == 100 // stride + 1
-        assert 20 * 100 < len(calls) <= 20 * 100 + 5 * records + 10
+        assert 9 * 100 < len(calls) <= 9 * 100 + 5 * records + 10
+
+    @pytest.mark.parametrize("model", [Model.CH2, Model.DP2])
+    def test_fft_calls_per_step(self, grid256, monkeypatch, model):
+        # The spectral state costs 2 FFT calls per RK4 stage and 1 for the
+        # monitor.  Runs of 2 and 12 steps keep the same two records, so
+        # their difference counts steps 3-12 alone.
+        initial = VelocityPair(cosine_field(grid256, 1, 0.3), cosine_field(grid256, 2, 0.2))
+        counts = []
+        for steps in (2, 12):
+            config = EvolutionConfig(model, dt=1e-4, t_end=steps * 1e-4, grid_n=256,
+                                     diagnostics_stride=100)
+            with monkeypatch.context() as patch:
+                calls = count_calls(patch, np.fft, ["rfft", "irfft"])
+                assert len(evolve(config, initial).diagnostics) == 2
+            counts.append(len(calls))
+        assert 0 < counts[1] - counts[0] <= 9 * 10
+
+    def test_flowmap_fft_calls_per_step(self, grid256, monkeypatch):
+        # 3 FFT calls per stage (the irfft of (u, rho, u_x, rho_x, psi), the
+        # off-grid evaluator's irfft and one rfft shared by the kernel's
+        # products and (u, rho) o phi) and 1 for the monitor: 13, where
+        # stepping grid values took 28.
+        initial = VelocityPair(cosine_field(grid256, 1, 0.3), cosine_field(grid256, 2, 0.2))
+        counts = []
+        for steps in (2, 12):
+            config = EvolutionConfig(Model.DP2, dt=1e-4, t_end=steps * 1e-4, grid_n=256)
+            with monkeypatch.context() as patch:
+                calls = count_calls(patch, np.fft, ["rfft", "irfft"])
+                assert evolve_flowmap(config, initial).status.completed
+            counts.append(len(calls))
+        assert 0 < counts[1] - counts[0] <= 13 * 10
 
     def test_fields_only_for_recorded_steps(self, grid64, monkeypatch):
         initial = VelocityPair(cosine_field(grid64, 1, 0.3), cosine_field(grid64, 2, 0.2))
@@ -327,10 +362,63 @@ class TestEvolve:
         assert result.status.kind == "blowup_detected"
         assert result.status.reason == "max_abs_rhox"
 
+    def test_blowup_value_min_ux(self):
+        # The value is the monitored min u_x that crossed the threshold, the
+        # same number the kept blow-up record reports.
+        grid = Grid(256)
+        config = EvolutionConfig(Model.CH2, dt=5e-4, t_end=2.0, grid_n=256,
+                                 blowup_slope_threshold=-50.0, diagnostics_stride=100)
+        result = evolve(config, VelocityPair.single(cosine_field(grid, 1, 2.0)))
+        assert result.status.reason == "min_ux"
+        assert result.status.value == result.diagnostics[-1].min_ux < -50.0
+        assert result.diagnostics[-1].t == result.status.t
+
+    def test_blowup_value_max_abs_rhox(self, grid64):
+        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=1.0, grid_n=64,
+                                 blowup_rhox_threshold=5.0)
+        initial = VelocityPair(zero_field(grid64), cosine_field(grid64, 1, 1.0))
+        result = evolve(config, initial)
+        assert result.status.reason == "max_abs_rhox"
+        # rho_x = -2 pi sin(2 pi x) at t=0: max |rho_x| = 2 pi on the grid
+        assert result.status.t == 0.0
+        assert result.status.value == result.diagnostics[-1].max_abs_rhox
+        assert result.status.value == pytest.approx(2.0 * np.pi, rel=1e-13)
+
+    def test_non_finite_carries_no_value(self, grid64):
+        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.01, grid_n=64)
+        result = evolve(config, VelocityPair(constant_field(grid64, np.nan), zero_field(grid64)))
+        assert (result.status.reason, result.status.value) == ("non_finite", None)
+
     def test_detector_quiet_on_smooth_run(self, grid64):
         config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.5, grid_n=64)
         result = evolve(config, VelocityPair.single(cosine_field(grid64, 1, 0.1)))
         assert result.status.completed
+
+
+def _pole_initial(grid):
+    """Analytic data with modes decaying like 2^-k: u = 0.1 / (5/4 - cos 2 pi x), rho = u / 2."""
+    u = field_from_function(grid, lambda x: 0.1 / (1.25 - np.cos(2.0 * np.pi * x)))
+    return VelocityPair(u, 0.5 * u)
+
+
+@pytest.mark.parametrize("initial", [lambda g: _smooth_initial(Model.CH2, g), _pole_initial],
+                         ids=["smooth", "pole"])
+def test_spatial_convergence(initial):
+    # 2CH to t = 0.1 at n = 32, 64, 128 against n = 256 on the shared grid
+    # points: each doubling cuts the max error by at least 10x until it
+    # reaches the 1e-12 floor.  Recorded run: smooth (the acceptance
+    # suite's data) 2.0e-13, 1.0e-16, 8.3e-17, at the floor from n = 32;
+    # pole 2.6e-3, 6.0e-5, 5.5e-8 (ratios 44 and 1092).
+    finals = {}
+    for n in (32, 64, 128, 256):
+        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.1, grid_n=n,
+                                 diagnostics_stride=100)
+        result = evolve(config, initial(Grid(n)))
+        assert result.status.completed
+        finals[n] = np.stack((result.final.u.values, result.final.rho.values))
+    errors = [max_gap(finals[n], finals[256][:, ::256 // n]) for n in (32, 64, 128)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert fine <= max(coarse / 10.0, 1e-12), errors
 
 
 class TestScalars:

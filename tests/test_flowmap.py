@@ -241,6 +241,19 @@ class TestEvolveFlowmap:
         assert res.status.kind == "blowup_detected"
         assert res.status.reason == "phix_degenerate"
 
+    def test_jacobian_degeneracy_value(self):
+        # The value is the monitored min phi_x at the stopping step: at or
+        # below the floor, which the step before stayed above.
+        grid = Grid(128)
+        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=1.0, grid_n=128)
+        res = evolve_flowmap(config, VelocityPair.single(cosine_field(grid, 1, 1.0)),
+                             jacobian_floor=0.5)
+        assert res.status.reason == "phix_degenerate"
+        assert res.status.t == res.times[-1]
+        jac = res.jacobians([len(res.times) - 2, len(res.times) - 1]).min(axis=1)
+        assert jac[0] > 0.5 >= res.status.value
+        assert res.status.value == pytest.approx(jac[1], abs=1e-12)
+
 
 @pytest.mark.parametrize("model, n, initial, thresholds, expected", [
     pytest.param(Model.CH2, 64, lambda g: VelocityPair(zero_field(g), cosine_field(g, 1, 1.0)),
@@ -261,21 +274,22 @@ def test_evolve_and_flowmap_share_blowup_monitor(model, n, initial, thresholds, 
 
 
 def test_flow_rhs_non_finite_psi():
-    # A non-finite phi point gives non-finite transport rows there and
-    # nowhere else, without floating-point warnings.
+    # The state is spectra, so a non-finite psi coefficient makes phi
+    # non-finite at every point: the transport rows go non-finite, the
+    # Eulerian rows stay finite, and no floating-point warning is raised.
+    # (`_offgrid` keeps a non-finite point's NaN to that point; see
+    # test_spectral.test_offgrid_non_finite_points.)
     grid = Grid(64)
     kernel = _kernel(Model.CH2, grid.n)
-    y = np.zeros((4, grid.n))
-    y[0] = cosine_field(grid, 1, 0.2).values
-    y[1] = cosine_field(grid, 2, 0.1).values
-    y[2, [5, 9, 11]] = [np.nan, np.inf, -np.inf]
+    y = np.zeros((4, grid.n // 2 + 1), dtype=complex)
+    y[0] = cosine_field(grid, 1, 0.2).hat
+    y[1] = cosine_field(grid, 2, 0.1).hat
+    y[2, 3] = np.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         out = flowmap._flow_rhs(kernel, grid, y)
-    bad = np.zeros(grid.n, dtype=bool)
-    bad[[5, 9, 11]] = True
-    assert not np.any(np.isfinite(out[2:, bad]))
-    assert np.all(np.isfinite(out[:, ~bad])) and np.all(np.isfinite(out[:2]))
+    assert not np.any(np.isfinite(out[2:]))
+    assert np.all(np.isfinite(out[:2]))
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 7, 10])

@@ -1,4 +1,4 @@
-"""Layer timings of off-grid evaluation and the flow map, for two source trees.
+"""Layer timings of the Eulerian step, off-grid evaluation and the flow map, for two source trees.
 
     python3 tools/bench_flowmap.py --parent OLD/src --change NEW/src \\
         [--repeats 9] [--out BENCH.json]
@@ -12,8 +12,10 @@ n in {64, 256, 1024, 4096}:
   used to do;
 - `offgrid_ms`: the same values from `spectral._offgrid` (trees without it
   report null);
-- `flow_step_ms` and `advance_ms`: one flow-map RK4 step of (u, rho, psi, f)
-  and one Eulerian `_advance` step of (u, rho), 2DP;
+- `flow_step_ms` and `euler_step_ms`: one RK4 step of `evolve_flowmap`
+  and of `evolve`, 2DP, monitor included, from two short runs (the
+  difference of a 30-step and a 10-step run over 20, so the per-run set-up
+  and diagnostics cancel);
 - `invert_diffeo_ms` and `invert_diffeo_peak_mb` (tracemalloc peak of one
   call, untimed);
 - `import_s`: `import chdp` in the fresh process.
@@ -60,9 +62,9 @@ def measure() -> dict:
     import numpy as np
 
     from chdp import spectral
-    from chdp.connection import Model
-    from chdp.evolution import _advance, _kernel
-    from chdp.flowmap import _flow_rhs
+    from chdp.connection import Model, VelocityPair
+    from chdp.evolution import EvolutionConfig, evolve
+    from chdp.flowmap import evolve_flowmap
 
     out = {"import_s": import_s}
     for n in SIZES:
@@ -74,8 +76,8 @@ def measure() -> dict:
         for row, scale in ((0, 0.3), (1, 0.1), (2, 0.01)):
             field = spectral.random_band_limited(grid, rng, 6, scale=scale)
             state[row] = field.values
-        kernel = _kernel(Model.DP2, n)
-        state[:2] = kernel.dealias(state[:2])
+        for row in (0, 1):
+            state[row] = spectral.dealias(spectral.PeriodicField(grid, state[row])).values
         y = x + state[2]
 
         def dense():
@@ -89,14 +91,18 @@ def measure() -> dict:
         out[f"offgrid_ms/n={n}"] = None if offgrid is None else 1e3 * _per_call(
             lambda: offgrid(np.fft.rfft(state[:2]), y, kmax))
 
-        def flow_step():
-            _advance(lambda w: _flow_rhs(kernel, grid, w), kernel, state.copy(), 1e-4, 0.0)
+        initial = VelocityPair(spectral.PeriodicField(grid, state[0]),
+                               spectral.PeriodicField(grid, state[1]))
 
-        def advance():
-            _advance(kernel, kernel, state[:2].copy(), 1e-4, 0.0)
+        def per_step(run):
+            def steps(count):
+                config = EvolutionConfig(Model.DP2, dt=1e-4, t_end=count * 1e-4, grid_n=n,
+                                         diagnostics_stride=count)
+                return _per_call(lambda: run(config, initial))
+            return (steps(30) - steps(10)) / 20
 
-        out[f"flow_step_ms/n={n}"] = 1e3 * _per_call(flow_step)
-        out[f"advance_ms/n={n}"] = 1e3 * _per_call(advance)
+        out[f"flow_step_ms/n={n}"] = 1e3 * per_step(evolve_flowmap)
+        out[f"euler_step_ms/n={n}"] = 1e3 * per_step(evolve)
 
         phi = spectral.Diffeo(spectral.PeriodicField(grid, state[2]))
         out[f"invert_diffeo_ms/n={n}"] = 1e3 * _per_call(lambda: spectral.invert_diffeo(phi))
@@ -165,8 +171,8 @@ def main(argv=None):
     ratios = {}
     for side in trees:
         med = {key: value["median"] for key, value in record[side]["metrics"].items()}
-        ratios[side] = {f"flow_step_over_advance/n={n}":
-                        med[f"flow_step_ms/n={n}"] / med[f"advance_ms/n={n}"] for n in SIZES}
+        ratios[side] = {f"flow_step_over_euler_step/n={n}":
+                        med[f"flow_step_ms/n={n}"] / med[f"euler_step_ms/n={n}"] for n in SIZES}
         if med[f"offgrid_ms/n={SIZES[0]}"] is not None:
             ratios[side].update({f"dense_plan_over_offgrid/n={n}":
                                  med[f"dense_plan_ms/n={n}"] / med[f"offgrid_ms/n={n}"]
