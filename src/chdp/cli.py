@@ -86,9 +86,10 @@ def _build_parser() -> _Parser:
         p.add_argument("--dt", type=float, default=default_dt)
         p.add_argument("--t-end", type=float, default=default_t_end)
         p.add_argument("--stride", type=int, default=10,
-                       help="diagnostics recorded every STRIDE steps")
+                       help="rows (diagnostics, snapshots, flow map) kept every STRIDE steps")
         p.add_argument("--snapshot-stride", type=int, default=0,
-                       help="snapshot CSV every STRIDE steps (0: first and last only)")
+                       help="snapshot CSV every STRIDE steps, a multiple of --stride "
+                            "(0: first and last only)")
         p.add_argument("--slope-threshold", type=float, default=-1e6,
                        help="blow-up when min u_x drops below this")
         p.add_argument("--rhox-threshold", type=float, default=1e6,
@@ -173,7 +174,7 @@ def parse_config(argv) -> RunConfig:
         raise CliError(str(exc)) from None
     if config.command in ("evolve", "flowmap") and config.snapshot_stride < 0:
         raise CliError("--snapshot-stride must be >= 0")
-    if config.command == "evolve" and config.snapshot_stride % config.stride:
+    if config.command in ("evolve", "flowmap") and config.snapshot_stride % config.stride:
         raise CliError("--snapshot-stride must be a multiple of --stride")
     if config.command == "curvature-scan" and config.max_mode < 2:
         raise CliError("--max-mode must be at least 2")
@@ -231,11 +232,16 @@ def _outcome(status: RunStatus, t_last: float) -> str:
     return f"{status.kind} ({status.reason}) at t={status.t:.6g}{value}"
 
 
-def _snapshot_steps(n_records: int, snapshot_stride: int, stride: int) -> set[int]:
-    """Record indices to write: every snapshot_stride // stride, plus the ends."""
-    if snapshot_stride == 0:
-        return {0, n_records - 1}
-    return set(range(0, n_records, snapshot_stride // stride)) | {n_records - 1}
+def _snapshots(times: np.ndarray, dt: float, snapshot_stride: int) -> list[tuple[int, int]]:
+    """(kept row, step) of each snapshot to write.
+
+    The first and last kept rows, and every kept row whose step is a
+    multiple of snapshot_stride (unless 0); files are named by the step.
+    """
+    steps = np.rint(times / dt).astype(int).tolist()
+    last = len(steps) - 1
+    return [(i, step) for i, step in enumerate(steps)
+            if i in (0, last) or (snapshot_stride and step % snapshot_stride == 0)]
 
 
 def _run_evolve(config: RunConfig, out: Path) -> int:
@@ -246,13 +252,11 @@ def _run_evolve(config: RunConfig, out: Path) -> int:
     wall = time.perf_counter() - start
 
     csvio.write_diagnostics(out / "diagnostics.csv", result.diagnostics)
-    keep = _snapshot_steps(len(result.snapshots), config.snapshot_stride, config.stride)
-    for i, (t, snap) in enumerate(zip(result.times, result.snapshots)):
-        if i in keep:
-            csvio.write_snapshot(out / f"snapshot_{i:06d}.csv", snap)
-    final = result.diagnostics[-1]
+    for i, step in _snapshots(result.times, config.dt, config.snapshot_stride):
+        csvio.write_snapshot(out / f"snapshot_{step:06d}.csv", result.snapshots[i])
     csvio.write_manifest(out / "run.json", _manifest(
-        config, result.status, asdict(final), wall))
+        config, result.status,
+        {name: float(column[-1]) for name, column in vars(result.diagnostics).items()}, wall))
     print(f"{config.command}: {_outcome(result.status, result.times[-1])} "
           f"({len(result.diagnostics)} diagnostic records) -> {out}")
     return 0 if result.status.completed else 2
@@ -267,10 +271,10 @@ def _run_flowmap(config: RunConfig, out: Path) -> int:
     wall = time.perf_counter() - start
 
     n_saved = len(result.times)
-    keep = sorted(_snapshot_steps(n_saved, config.snapshot_stride, 1))
-    jac = result.jacobians(keep)  # keep ends with the last row
-    for i, jac_i in zip(keep, jac):
-        csvio.write_flowmap_snapshot(out / f"flowmap_{i:06d}.csv", grid,
+    rows, steps = zip(*_snapshots(result.times, config.dt, config.snapshot_stride))
+    jac = result.jacobians(list(rows))  # rows end with the last row
+    for i, step, jac_i in zip(rows, steps, jac):
+        csvio.write_flowmap_snapshot(out / f"flowmap_{step:06d}.csv", grid,
                                      result.psi[i], jac_i, result.f[i])
     drifts = momentum_drift(evo_config.model, result, stride=max(1, n_saved // 20))
     final = {
@@ -281,7 +285,7 @@ def _run_flowmap(config: RunConfig, out: Path) -> int:
     csvio.write_manifest(out / "run.json", _manifest(
         config, result.status, final, wall))
     print(f"flowmap: {_outcome(result.status, result.times[-1])} "
-          f"({len(keep)} snapshots) -> {out}")
+          f"({len(rows)} snapshots) -> {out}")
     return 0 if result.status.completed else 2
 
 

@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import astuple, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from chdp.connection import VelocityPair
 from chdp.curvature import ScanTable
-from chdp.evolution import DiagnosticsRecord
+from chdp.evolution import DiagnosticsTable
 from chdp.spectral import Grid, PeriodicField
 
 __all__ = [
@@ -63,15 +63,18 @@ def read_snapshot(path) -> VelocityPair:
     data = np.asarray(rows)
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: snapshot holds non-finite values")
-    grid = Grid(data.shape[0])
+    try:
+        grid = Grid(data.shape[0])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {data.shape[0]} rows: {exc}") from None
     if np.max(np.abs(data[:, 0] - grid.points)) > 1e-12:
         raise ValueError(f"{path}: x column is not the uniform grid on [0, 1)")
     return VelocityPair(PeriodicField(grid, data[:, 1]), PeriodicField(grid, data[:, 2]))
 
 
-def write_diagnostics(path, records: list[DiagnosticsRecord]):
+def write_diagnostics(path, table: DiagnosticsTable):
     _write_columns(path, ["t", "energy", "min_ux", "max_abs_rhox", "mean_m", "mean_rho"],
-                   zip(*(astuple(r) for r in records)))
+                   (getattr(table, f.name) for f in fields(table)))
 
 
 def write_flowmap_snapshot(path, grid: Grid, psi_values, jacobian_values, f_values):

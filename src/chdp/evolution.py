@@ -22,11 +22,14 @@ inverse Helmholtz factor are folded into one multiplier, so the stages
 are band-limited, dealiasing needs no FFT pair, and an RK4 step costs 8
 FFT calls.  `rhs` is the `VelocityPair` view of the same kernel.
 `evolve` and `evolve_flowmap` share one step loop, `_integrate`, with one
-step (`_advance`) and one monitor, whose single irfft per step gives the
-grid values and slopes of the state: the slopes feed the thresholds, and
-kept steps store the values (for `evolve` also the slopes its diagnostics
-read), so the history is real and `evolve` builds fields for kept rows
-only.
+step (`_advance`), one monitor and one keep rule: the rows of every
+`diagnostics_stride`-th step, the last step and a blow-up step.  The
+monitor's single irfft per step gives the grid values and slopes of the
+state: the slopes feed the thresholds, and kept steps store the values
+(for `evolve` also the slopes) in one real history array that the
+results view.  `evolve` reads its diagnostics from that array in one
+pass, as the columns of a `DiagnosticsTable`; `conserved_energy` and
+`mean_invariants` are the one-state forms of two of them.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from chdp.spectral import (
 
 __all__ = [
     "EvolutionConfig",
-    "DiagnosticsRecord",
+    "DiagnosticsTable",
     "RunStatus",
     "EvolveResult",
     "BlowupError",
@@ -118,14 +121,24 @@ class EvolutionConfig:
         return step_count(self.dt, self.t_end)
 
 
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    t: float
-    energy: float
-    min_ux: float
-    max_abs_rhox: float
-    mean_m: float
-    mean_rho: float
+@dataclass(frozen=True, eq=False)
+class DiagnosticsTable:
+    """Diagnostics of the kept steps as 1-D columns, one entry per kept step.
+
+    energy is the metric energy <(u, rho), (u, rho)>, mean_m and mean_rho
+    the integrals of m = A u and rho (see `conserved_energy` and
+    `mean_invariants`).
+    """
+
+    t: np.ndarray
+    energy: np.ndarray
+    min_ux: np.ndarray
+    max_abs_rhox: np.ndarray
+    mean_m: np.ndarray
+    mean_rho: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 @dataclass(frozen=True)
@@ -148,10 +161,15 @@ class RunStatus:
 
 @dataclass
 class EvolveResult:
-    times: list[float]
+    """Snapshots and diagnostics of the kept steps, at times `diagnostics.t`."""
+
     snapshots: list[VelocityPair]
-    diagnostics: list[DiagnosticsRecord]
+    diagnostics: DiagnosticsTable
     status: RunStatus = field(default_factory=lambda: RunStatus("completed"))
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.diagnostics.t
 
     @property
     def final(self) -> VelocityPair:
@@ -349,19 +367,19 @@ def _threshold_reason(config: EvolutionConfig,
     return None
 
 
-def _integrate(config: EvolutionConfig, kernel: _Kernel, y: np.ndarray, step, stride: int,
+def _integrate(config: EvolutionConfig, kernel: _Kernel, y: np.ndarray, step,
                degenerate=lambda slopes: None, keep_slopes: bool = False):
-    """Step the spectra y, (u, rho) in rows 0-1, to t_end; return kept steps, history, status.
+    """Step the spectra y, (u, rho) in rows 0-1, to t_end; return kept times, history, status.
 
     `step(y, t)` is `_advance` from t.  A non-finite step stops the run
     unkept; else the monitor turns every row of y into grid values and
     slopes in one irfft (also at t=0) and stops at `degenerate(slopes)`,
     which returns (criterion, value) or None, else at a threshold.  Kept
-    steps (every `stride`-th, the last, a blow-up) fill one real history
-    array with the grid values of the rows of y, then, with keep_slopes,
-    their slopes.
+    steps (every `config.diagnostics_stride`-th, the last, a blow-up)
+    fill one real (rows, kept steps, n) history array with the grid
+    values of the rows of y, then, with keep_slopes, their slopes.
     """
-    n_steps = config.n_steps
+    n_steps, stride = config.n_steps, config.diagnostics_stride
     rows = len(y) * (2 if keep_slopes else 1)
     history = np.empty((rows, -(-n_steps // stride) + 1, kernel.n))
     kept = []
@@ -383,11 +401,11 @@ def _integrate(config: EvolutionConfig, kernel: _Kernel, y: np.ndarray, step, st
         if tripped is not None:
             status = RunStatus("blowup_detected", t=t, reason=tripped[0], value=tripped[1])
             break
-    return kept, history[:, :len(kept)], status
+    return np.array(kept) * config.dt, history[:, :len(kept)], status
 
 
 def evolve(config: EvolutionConfig, initial: VelocityPair) -> EvolveResult:
-    """Integrate to t_end, recording snapshots/diagnostics every stride.
+    """Integrate to t_end, keeping snapshots and diagnostics every stride.
 
     Stops early with status blowup_detected when a threshold is crossed
     (checked at t=0 and after every step) or a step goes non-finite; the
@@ -398,15 +416,15 @@ def evolve(config: EvolutionConfig, initial: VelocityPair) -> EvolveResult:
     kernel = _kernel(config.model, config.grid_n)
     # Steps go through the public `step_rk4`, the span perfbench's tracer
     # counts as the stepping layer.
-    kept, history, status = _integrate(
+    times, history, status = _integrate(
         config, kernel, np.stack((start.u.hat, start.rho.hat)),
-        lambda y, t: step_rk4(config.model, y, config.dt, t), config.diagnostics_stride,
-        keep_slopes=True)
+        lambda y, t: step_rk4(config.model, y, config.dt, t), keep_slopes=True)
     history.setflags(write=False)  # the snapshots view it without a copy
-    times = [i * config.dt for i in kept]
     # Row 0 is `start`, whose fields keep the spectra `dealias` gave them.
-    snapshots = [start] + [_pair(start.grid, history[:2, j]) for j in range(1, len(kept))]
-    diagnostics = [DiagnosticsRecord(t, conserved_energy(s), float(ux.min()),
-                                     float(np.max(np.abs(rhox))), *mean_invariants(s))
-                   for t, s, ux, rhox in zip(times, snapshots, *history[2:])]
-    return EvolveResult(times, snapshots, diagnostics, status)
+    snapshots = [start] + [_pair(start.grid, history[:2, j]) for j in range(1, len(times))]
+    # The integral of A u is the mean of u: A's multiplier at mode 0 is 1.
+    u, rho, ux, rhox = history
+    diagnostics = DiagnosticsTable(times, np.mean(u * u + ux * ux + rho * rho, axis=1),
+                                   ux.min(axis=1), np.abs(rhox).max(axis=1),
+                                   u.mean(axis=1), rho.mean(axis=1))
+    return EvolveResult(snapshots, diagnostics, status)

@@ -12,7 +12,8 @@ right-invariance; that equivalence is a tested property, not an
 assumption.  It runs the step loop of `evolve` (`evolution._integrate`:
 RK4, blow-up monitor, kept-row history) on the rfft spectra of
 (u, rho, psi, f), one complex (4, n//2 + 1) array, and keeps the grid
-values of every step.  Each RK4 stage makes one irfft of
+values of the steps `evolve` keeps: every `diagnostics_stride`-th step,
+the last step and a blow-up step.  Each RK4 stage makes one irfft of
 (u, rho, u_x, rho_x, psi), evaluates the series of u and rho (their
 spectra, rows 0-1 of the state) at phi = id + psi in one call of the
 off-grid evaluator (`spectral._offgrid`, a type-2 NUFFT), and makes one
@@ -150,10 +151,11 @@ def body_velocity(g: GroupElement, phi_t: PeriodicField,
 
 @dataclass
 class FlowmapResult:
-    """Stacked per-step history of the coupled run.
+    """Stacked history of the kept steps of the coupled run.
 
-    Rows of u/rho/psi/f are the fields at `times`; phi = id + psi.  The
-    four arrays are views of one history array.
+    Rows of u/rho/psi/f are the fields at `times`, the steps `evolve`
+    keeps for the same config; phi = id + psi.  The four arrays are views
+    of one history array.
     """
 
     grid: Grid
@@ -196,8 +198,9 @@ def evolve_flowmap(config: EvolutionConfig, initial: VelocityPair,
     """Co-integrate (u, rho, psi, f) from (initial, identity) with RK4.
 
     The state is the (4, n//2 + 1) spectra stepped by the step loop of
-    `evolve`, keeping the grid values of every step in one
-    (4, steps + 1, n) history, whose rows the result's fields view.  Stops
+    `evolve`, keeping the grid values of the steps it keeps (every
+    `config.diagnostics_stride`-th, the last, a blow-up) in one
+    (4, kept steps, n) history, whose rows the result's fields view.  Stops
     early on the blow-up monitor of `evolve` (same status and time) or
     when min phi_x drops to `jacobian_floor` (reason 'phix_degenerate',
     with min phi_x as the value, checked before the Eulerian thresholds).
@@ -215,10 +218,9 @@ def evolve_flowmap(config: EvolutionConfig, initial: VelocityPair,
         min_phix = 1.0 + float(slopes[2].min())
         return ("phix_degenerate", min_phix) if min_phix <= jacobian_floor else None
 
-    kept, history, status = _integrate(config, kernel, y, step, 1, degenerate)
+    times, history, status = _integrate(config, kernel, y, step, degenerate)
     u, rho, psi, f = history
-    return FlowmapResult(grid=grid, model=config.model,
-                         times=np.array(kept) * config.dt,
+    return FlowmapResult(grid=grid, model=config.model, times=times,
                          u=u, rho=rho, psi=psi, f=f, status=status)
 
 
@@ -229,8 +231,9 @@ def reconstruct_f(model: Model, rho0: PeriodicField, times: np.ndarray,
     f(t) = rho0 * integral_0^t ds / phi_x(s)   (CH family)
     f(t) = rho0 * integral_0^t ds / phi_x(s)^2 (DP family)
 
-    pointwise in the Lagrangian label; composite Simpson over the saved
-    steps (`_simpson`), matching the integrator's fourth-order accuracy.
+    pointwise in the Lagrangian label; composite Simpson over the kept
+    steps (`_simpson`), fourth order in their spacing, so with every step
+    kept (`diagnostics_stride=1`) it matches the integrator's accuracy.
     """
     if np.min(jacobians) <= 0.0:
         raise ValueError("jacobian history must stay positive")

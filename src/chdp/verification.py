@@ -12,7 +12,6 @@ amplitude-0.1 mode-1 data) are shared between checks via caches.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,10 +28,10 @@ from chdp.connection import (
 )
 from chdp.curvature import (
     _cosine_table,
+    _curvatures,
     ch_cosine_curvature,
     positivity_scan,
     scan_grid,
-    unnormalized_curvature,
 )
 from chdp.evolution import (
     EvolutionConfig,
@@ -96,11 +95,18 @@ def _smooth_eulerian_run(model_value: str):
 
 @lru_cache(maxsize=None)
 def _smooth_flowmap_run(model_value: str):
+    """Keeps every 50th step: the steps C7 samples, and the final step C8 reads."""
     model = Model(model_value)
     grid = Grid(SMOOTH_N)
     config = EvolutionConfig(model, dt=SMOOTH_DT, t_end=SMOOTH_T_END,
-                             grid_n=SMOOTH_N, diagnostics_stride=100)
+                             grid_n=SMOOTH_N, diagnostics_stride=50)
     return evolve_flowmap(config, _smooth_initial(model, grid))
+
+
+@lru_cache(maxsize=None)
+def _mode4_scan():
+    """The max_mode 4 cosine scan (n = 128) that C1 and C2 read."""
+    return positivity_scan(4, enforce=False)
 
 
 def _random_state(grid, rng, model, max_mode=10, scale=0.3):
@@ -120,7 +126,7 @@ def check_curvature_oracle(seed: int) -> tuple[bool, str]:
     The full-family rows of the max_mode 4 scan (n = 128) are the pairs
     of distinct tuples (k1, k2), (l1, l2) with modes in 1..4.
     """
-    table = positivity_scan(4, enforce=False)
+    table = _mode4_scan()
     full = table.m_k1 > 0
     s_num, s_closed = table.s_numeric[full], table.s_closed[full]
     worst = float(np.max(np.abs(s_num - s_closed) / (1.0 + np.abs(s_closed))))
@@ -130,7 +136,7 @@ def check_curvature_oracle(seed: int) -> tuple[bool, str]:
 
 def check_positivity(seed: int) -> tuple[bool, str]:
     """S > 0 on every scanned cosine tuple with modes <= 4."""
-    table = positivity_scan(4, enforce=False)
+    table = _mode4_scan()
     full = table.m_k1 > 0
     min_s = table.s_numeric[full].min()
     ok = bool(np.all(table.s_numeric[full] > 0) and np.all(table.s_closed[full] > 0))
@@ -150,14 +156,17 @@ def check_density_family_bounds(seed: int) -> tuple[bool, str]:
 
 
 def check_ch_reduction(seed: int) -> tuple[bool, str]:
-    """S on zero-density pairs equals the single-component closed form."""
+    """S on zero-density pairs equals the single-component closed form.
+
+    The planes are the pairs of distinct directions (cos 2 pi m x, 0), m in 1..6.
+    """
     grid = scan_grid(6)
-    worst = 0.0
-    for mk, ml in itertools.combinations(range(1, 7), 2):
-        u = VelocityPair.single(cosine_field(grid, mk))
-        v = VelocityPair.single(cosine_field(grid, ml))
-        s_num = unnormalized_curvature(u, v)
-        worst = max(worst, abs(s_num - ch_cosine_curvature(mk, ml)))
+    modes = np.arange(1, 7)
+    y = np.zeros((len(modes), 2, grid.n))
+    y[:, 0] = np.cos(2.0 * np.pi * modes[:, None] * grid.points)
+    planes = np.column_stack(np.triu_indices(len(modes), 1))
+    s_num, _ = _curvatures(grid, y, planes)
+    worst = float(np.max(np.abs(s_num - ch_cosine_curvature(*modes[planes].T))))
     return worst <= 1e-9 * (1 + worst), f"max abs err {worst:.2e} (tol 1e-9)"
 
 
@@ -188,16 +197,14 @@ def check_rhs_equivalence(seed: int) -> tuple[bool, str]:
 
 def check_energy_conservation(seed: int) -> tuple[bool, str]:
     """Metric energy conserved along the smooth 2CH run; DP family recorded."""
-    run = _smooth_eulerian_run(Model.CH2.value)
-    e0 = run.diagnostics[0].energy
-    drift_2ch = max(abs(d.energy - e0) for d in run.diagnostics) / e0
+    def drift(model):
+        energy = _smooth_eulerian_run(model.value).diagnostics.energy
+        return float(np.max(np.abs(energy - energy[0]))) / energy[0]
 
+    drift_2ch = drift(Model.CH2)
     recorded = []
     for model in (Model.DP, Model.DP2):
-        res = _smooth_eulerian_run(model.value)
-        e0_m = res.diagnostics[0].energy
-        drift = max(abs(d.energy - e0_m) for d in res.diagnostics) / e0_m
-        recorded.append(f"{model.value} drift {drift:.2e} (recorded)")
+        recorded.append(f"{model.value} drift {drift(model):.2e} (recorded)")
     ok = drift_2ch <= 1e-7
     return ok, f"2ch relative drift {drift_2ch:.2e} (tol 1e-7); " + ", ".join(recorded)
 
@@ -208,7 +215,7 @@ def check_momentum_conservation(seed: int) -> tuple[bool, str]:
     ok = True
     for model in (Model.CH2, Model.DP2):
         res = _smooth_flowmap_run(model.value)
-        drifts = momentum_drift(model, res, stride=50)
+        drifts = momentum_drift(model, res)
         rho_scale = np.max(np.abs(res.rho[0]))
         rel_rho = np.max(drifts["rho0"]) / rho_scale
         ok = ok and rel_rho <= 1e-6
@@ -244,7 +251,8 @@ def check_lagrangian_consistency(seed: int) -> tuple[bool, str]:
     initial = VelocityPair(cosine_field(grid, 1, 0.3), cosine_field(grid, 1, 0.3))
     for model in (Model.CH2, Model.DP2):
         def gap(dt):
-            config = EvolutionConfig(model, dt=dt, t_end=0.2, grid_n=128)
+            config = EvolutionConfig(model, dt=dt, t_end=0.2, grid_n=128,
+                                     diagnostics_stride=1)
             res = evolve_flowmap(config, initial)
             quad = reconstruct_f(model, initial.rho, res.times, res.jacobians())
             return np.max(np.abs(res.f[-1] - quad.values))

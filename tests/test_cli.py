@@ -94,8 +94,10 @@ class TestParse:
         with pytest.raises(CliError, match="--snapshot-stride must be a multiple of --stride"):
             parse_config(EVOLVE_ARGS + ["--snapshot-stride", "12"])
         assert parse_config(EVOLVE_ARGS + ["--snapshot-stride", "15"]).snapshot_stride == 15
-        # the flow map stores every step, so it takes any snapshot stride
-        assert parse_config(FLOWMAP_ARGS + ["--stride", "3"]).snapshot_stride == 10
+        # the flow map keeps the rows evolve keeps, so the same rule holds
+        with pytest.raises(CliError, match="--snapshot-stride must be a multiple of --stride"):
+            parse_config(FLOWMAP_ARGS + ["--stride", "3"])
+        assert parse_config(FLOWMAP_ARGS + ["--stride", "5"]).snapshot_stride == 10
 
 
 class TestEvolveCommand:
@@ -113,6 +115,15 @@ class TestEvolveCommand:
         snap = read_snapshot(out / "snapshot_000000.csv")
         assert snap.grid.n == 64
         assert np.max(np.abs(snap.u.values - 0.1 * np.cos(2 * np.pi * snap.grid.points))) <= 1e-12
+
+    def test_snapshot_names_carry_the_step(self, tmp_path):
+        # --stride 5 keeps steps 0, 5, ..., 50; every 10th step is written.
+        out = tmp_path / "run"
+        assert run_cli(EVOLVE_ARGS + ["--snapshot-stride", "10"], out) == 0
+        names = sorted(p.name for p in out.glob("snapshot_*.csv"))
+        assert names == [f"snapshot_{step:06d}.csv" for step in range(0, 51, 10)]
+        t = read_csv_column(out / "diagnostics.csv", "t")
+        assert len(t) == 11 and float(t[-1]) == pytest.approx(0.05)
 
     def test_manifest_roundtrip(self, tmp_path):
         out1 = tmp_path / "a"
@@ -173,7 +184,9 @@ class TestEvolveCommand:
         ("x,u,rho\n", "expected data rows of 3 values"),
         ("x,u,rho\n0.0,1.0,0.0\n0.5,1.0\n", "expected data rows of 3 values"),
         ("x,u,rho\n0.0,a,0.0\n", "could not convert string to float"),
-    ], ids=["empty", "header_only", "ragged", "non_numeric"])
+        ("x,u,rho\n" + "0.0,1.0,0.0\n" * 2, "2 rows: grid size must be at least 16"),
+        ("x,u,rho\n" + "0.0,1.0,0.0\n" * 15, "15 rows: grid size must be even"),
+    ], ids=["empty", "header_only", "ragged", "non_numeric", "two_rows", "fifteen_rows"])
     def test_malformed_snapshot_rejected(self, tmp_path, capsys, text, message):
         snap = tmp_path / "bad_snapshot.csv"
         snap.write_text(text)
@@ -240,7 +253,8 @@ class TestFlowmapCommand:
         assert manifest["final_diagnostics"]["momentum_drift"]["rho0"] <= 1e-8
 
     def test_jacobians_only_for_used_rows(self, tmp_path, monkeypatch):
-        # 51 rows: snapshots 0, 10, ..., 50, then drift samples 0, 2, ..., 50
+        # 6 kept rows (steps 0, 10, ..., 50): all are snapshots and all are
+        # drift samples
         seen = []
         original = FlowmapResult.jacobians
 
@@ -250,7 +264,9 @@ class TestFlowmapCommand:
 
         monkeypatch.setattr(FlowmapResult, "jacobians", spy)
         assert run_cli(FLOWMAP_ARGS, tmp_path) == 0
-        assert seen == [list(range(0, 51, 10)), list(range(0, 51, 2))]
+        assert seen == [list(range(6)), list(range(6))]
+        assert sorted(p.name for p in tmp_path.glob("flowmap_*.csv")) == [
+            f"flowmap_{step:06d}.csv" for step in range(0, 51, 10)]
 
 
 class TestCurvatureCommands:

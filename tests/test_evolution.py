@@ -143,16 +143,14 @@ class TestEvolveCost:
     @pytest.mark.parametrize("stride", [100, 10])
     def test_fft_budget_of_a_run(self, grid256, monkeypatch, stride):
         # 9 FFT calls per step (8 for the RK4 step on spectra, 1 for the
-        # monitor) plus about 4 per record; per-field stepping would cost
-        # about 60 per step.
+        # monitor) and none per record, whose diagnostics read the kept
+        # values and slopes; per-field stepping would cost about 60 per step.
         config = EvolutionConfig(Model.CH2, dt=1e-4, t_end=0.01, grid_n=256,
                                  diagnostics_stride=stride)
         initial = VelocityPair(cosine_field(grid256, 1, 0.3), cosine_field(grid256, 2, 0.2))
         calls = count_calls(monkeypatch, np.fft, ["rfft", "irfft"])
-        result = evolve(config, initial)
-        records = len(result.diagnostics)
-        assert records == 100 // stride + 1
-        assert 9 * 100 < len(calls) <= 9 * 100 + 5 * records + 10
+        assert len(evolve(config, initial).diagnostics) == 100 // stride + 1
+        assert 9 * 100 < len(calls) <= 9 * 100 + 10
 
     @pytest.mark.parametrize("model", [Model.CH2, Model.DP2])
     def test_fft_calls_per_step(self, grid256, monkeypatch, model):
@@ -329,9 +327,8 @@ class TestEvolve:
         initial = VelocityPair(cosine_field(grid64, 1, 0.1), cosine_field(grid64, 1, 0.1))
         result = evolve(config, initial)
         assert result.status.completed
-        e0 = result.diagnostics[0].energy
-        drift = max(abs(d.energy - e0) for d in result.diagnostics) / e0
-        assert drift <= 1e-8
+        energy = result.diagnostics.energy
+        assert np.max(np.abs(energy - energy[0])) / energy[0] <= 1e-8
 
     def test_2ch_mean_invariants_conserved(self, grid64):
         config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.5, grid_n=64,
@@ -339,9 +336,8 @@ class TestEvolve:
         initial = VelocityPair(cosine_field(grid64, 1, 0.2) + 0.1,
                                cosine_field(grid64, 2, 0.2) + 0.3)
         result = evolve(config, initial)
-        m0, r0 = result.diagnostics[0].mean_m, result.diagnostics[0].mean_rho
-        assert max(abs(d.mean_m - m0) for d in result.diagnostics) <= 1e-10
-        assert max(abs(d.mean_rho - r0) for d in result.diagnostics) <= 1e-10
+        for column in (result.diagnostics.mean_m, result.diagnostics.mean_rho):
+            assert np.max(np.abs(column - column[0])) <= 1e-10
 
     def test_blowup_detector_fires_min_ux(self):
         grid = Grid(256)
@@ -352,7 +348,7 @@ class TestEvolve:
         assert result.status.kind == "blowup_detected"
         assert result.status.reason == "min_ux"
         assert result.status.t is not None and result.status.t < 2.0
-        assert result.diagnostics[-1].min_ux < -50.0
+        assert result.diagnostics.min_ux[-1] < -50.0
 
     def test_blowup_detector_fires_rhox(self, grid64):
         config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=1.0, grid_n=64,
@@ -370,8 +366,8 @@ class TestEvolve:
                                  blowup_slope_threshold=-50.0, diagnostics_stride=100)
         result = evolve(config, VelocityPair.single(cosine_field(grid, 1, 2.0)))
         assert result.status.reason == "min_ux"
-        assert result.status.value == result.diagnostics[-1].min_ux < -50.0
-        assert result.diagnostics[-1].t == result.status.t
+        assert result.status.value == result.diagnostics.min_ux[-1] < -50.0
+        assert result.diagnostics.t[-1] == result.status.t
 
     def test_blowup_value_max_abs_rhox(self, grid64):
         config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=1.0, grid_n=64,
@@ -381,7 +377,7 @@ class TestEvolve:
         assert result.status.reason == "max_abs_rhox"
         # rho_x = -2 pi sin(2 pi x) at t=0: max |rho_x| = 2 pi on the grid
         assert result.status.t == 0.0
-        assert result.status.value == result.diagnostics[-1].max_abs_rhox
+        assert result.status.value == result.diagnostics.max_abs_rhox[-1]
         assert result.status.value == pytest.approx(2.0 * np.pi, rel=1e-13)
 
     def test_non_finite_carries_no_value(self, grid64):
@@ -393,6 +389,22 @@ class TestEvolve:
         config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.5, grid_n=64)
         result = evolve(config, VelocityPair.single(cosine_field(grid64, 1, 0.1)))
         assert result.status.completed
+
+    @pytest.mark.parametrize("model", [Model.CH2, Model.DP2])
+    def test_diagnostics_columns_match_one_state_oracle(self, model, grid64):
+        # The columns come from the kept values and slopes in one pass; the
+        # one-state forms build fields and transform them.
+        config = EvolutionConfig(model, dt=1e-3, t_end=0.2, grid_n=64, diagnostics_stride=20)
+        initial = VelocityPair(cosine_field(grid64, 1, 0.2) + 0.1,
+                               cosine_field(grid64, 2, 0.2) + 0.3)
+        result = evolve(config, initial)
+        table = result.diagnostics
+        assert len(table) == len(result.snapshots) == 11
+        for i, state in enumerate(result.snapshots):
+            mean_m, mean_rho = mean_invariants(state)
+            assert table.energy[i] == pytest.approx(conserved_energy(state), rel=1e-12)
+            assert table.mean_m[i] == pytest.approx(mean_m, rel=1e-12)
+            assert table.mean_rho[i] == pytest.approx(mean_rho, rel=1e-12)
 
 
 def _pole_initial(grid):

@@ -175,7 +175,8 @@ class TestEvolveFlowmap:
 
     def test_jacobian_rows_match_full_history(self):
         grid = Grid(64)
-        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.05, grid_n=64)
+        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.05, grid_n=64,
+                                 diagnostics_stride=1)
         initial = VelocityPair(cosine_field(grid, 1, 0.2), cosine_field(grid, 2, 0.1))
         res = evolve_flowmap(config, initial)
         rows = [0, 7, 50]
@@ -192,24 +193,22 @@ class TestEvolveFlowmap:
 
     @pytest.mark.parametrize("model", list(Model))
     def test_eulerian_block_matches_evolve(self, model):
-        # One step loop: every row `evolve` keeps is the flow map's row at that step.
+        # One step loop and one keep rule: the flow map's (u, rho) rows are
+        # the rows `evolve` keeps for the same config.
         grid = Grid(64)
         config = EvolutionConfig(model, dt=1e-3, t_end=0.1, grid_n=64, diagnostics_stride=7)
         rho = cosine_field(grid, 1, 0.1) if model.two_component else zero_field(grid)
         initial = VelocityPair(cosine_field(grid, 1, 0.2), rho)
         res = evolve_flowmap(config, initial)
         eul = evolve(config, initial)
-        steps = [round(t / config.dt) for t in eul.times]
-        assert steps == [*range(0, 101, 7), 100]
-        for t, step, snap in zip(eul.times, steps, eul.snapshots):
-            assert t == res.times[step]
-            assert np.array_equal(snap.u.values, res.u[step])
-            assert np.array_equal(snap.rho.values, res.rho[step])
+        assert np.array_equal(res.times, eul.times)
+        assert np.array_equal(res.u, [snap.u.values for snap in eul.snapshots])
+        assert np.array_equal(res.rho, [snap.rho.values for snap in eul.snapshots])
 
     @pytest.mark.parametrize("model", [Model.CH2, Model.DP2])
     def test_matches_object_form_trajectory(self, model):
         grid = Grid(64)
-        config = EvolutionConfig(model, dt=1e-3, t_end=0.05, grid_n=64)
+        config = EvolutionConfig(model, dt=1e-3, t_end=0.05, grid_n=64, diagnostics_stride=1)
         initial = VelocityPair(cosine_field(grid, 1, 0.2), cosine_field(grid, 2, 0.1))
         res = evolve_flowmap(config, initial)
         ref = object_form.flowmap_trajectory(model, initial, 1e-3, 50)
@@ -245,7 +244,8 @@ class TestEvolveFlowmap:
         # The value is the monitored min phi_x at the stopping step: at or
         # below the floor, which the step before stayed above.
         grid = Grid(128)
-        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=1.0, grid_n=128)
+        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=1.0, grid_n=128,
+                                 diagnostics_stride=1)
         res = evolve_flowmap(config, VelocityPair.single(cosine_field(grid, 1, 1.0)),
                              jacobian_floor=0.5)
         assert res.status.reason == "phix_degenerate"
@@ -271,6 +271,24 @@ def test_evolve_and_flowmap_share_blowup_monitor(model, n, initial, thresholds, 
     assert (flow.kind, flow.reason, flow.t) == (eul.kind, eul.reason, eul.t)
     assert eul.kind == "blowup_detected"
     assert (eul.reason, eul.t) == (expected[0], pytest.approx(expected[1]))
+
+
+@pytest.mark.parametrize("stride, amplitude, thresholds, last", [
+    (1, 0.2, {}, 100), (7, 0.2, {}, 100), (200, 0.2, {}, 100),
+    (10, 2.0, {"blowup_slope_threshold": -20.0}, 44),
+], ids=["stride_1", "stride_7", "stride_above_steps", "blowup_row"])
+def test_evolve_and_flowmap_keep_the_same_rows(stride, amplitude, thresholds, last):
+    # Every stride-th step and the last one: ceil(100 / stride) + 1 rows
+    # for a completed run; a blow-up at step 44 adds its own row.
+    config = EvolutionConfig(Model.CH, dt=1e-3, t_end=0.1, grid_n=128,
+                             diagnostics_stride=stride, **thresholds)
+    initial = VelocityPair.single(cosine_field(Grid(128), 1, amplitude))
+    steps = [*range(0, last, stride), last]
+    if last == 100:
+        assert len(steps) == -(-100 // stride) + 1
+    for result in (evolve(config, initial), evolve_flowmap(config, initial)):
+        assert result.status.completed == (last == 100)
+        assert np.rint(result.times / config.dt).astype(int).tolist() == steps
 
 
 def test_flow_rhs_non_finite_psi():
@@ -333,7 +351,7 @@ class TestReconstructF:
         initial = VelocityPair(cosine_field(grid, 1, 0.3), cosine_field(grid, 1, 0.3))
 
         def gap(dt):
-            config = EvolutionConfig(model, dt=dt, t_end=0.2, grid_n=128)
+            config = EvolutionConfig(model, dt=dt, t_end=0.2, grid_n=128, diagnostics_stride=1)
             res = evolve_flowmap(config, initial)
             quad = reconstruct_f(model, initial.rho, res.times, res.jacobians())
             return np.max(np.abs(res.f[-1] - quad.values))
@@ -397,19 +415,21 @@ class TestMomentumDrift:
 
     def test_2ch_conservation_short_run(self):
         grid = Grid(128)
-        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.3, grid_n=128)
+        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.3, grid_n=128,
+                                 diagnostics_stride=50)
         initial = VelocityPair(cosine_field(grid, 1, 0.1), cosine_field(grid, 1, 0.1))
         res = evolve_flowmap(config, initial)
-        drifts = momentum_drift(Model.CH2, res, stride=50)
+        drifts = momentum_drift(Model.CH2, res)
         assert np.max(drifts["rho0"]) <= 1e-7
         assert np.max(drifts["m0"]) <= 1e-6
 
     def test_2dp_conservation_short_run(self):
         grid = Grid(128)
-        config = EvolutionConfig(Model.DP2, dt=1e-3, t_end=0.3, grid_n=128)
+        config = EvolutionConfig(Model.DP2, dt=1e-3, t_end=0.3, grid_n=128,
+                                 diagnostics_stride=50)
         initial = VelocityPair(cosine_field(grid, 1, 0.1), cosine_field(grid, 1, 0.1))
         res = evolve_flowmap(config, initial)
-        drifts = momentum_drift(Model.DP2, res, stride=50)
+        drifts = momentum_drift(Model.DP2, res)
         assert np.max(drifts["rho0"]) <= 1e-7
         assert "m0" not in drifts
 
