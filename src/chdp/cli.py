@@ -31,7 +31,7 @@ from chdp.curvature import (
 from chdp.evolution import EvolutionConfig, RunStatus, evolve, step_count
 from chdp.flowmap import evolve_flowmap, momentum_drift
 from chdp.presets import PRESET_HELP, initial_condition
-from chdp.rigidbody import RigidBodyState, coadjoint_drift, evolve_rigidbody
+from chdp.rigidbody import RigidBodyState, conservation_drifts, evolve_rigidbody
 from chdp.spectral import Grid
 from chdp import verification
 
@@ -349,17 +349,12 @@ def _run_rigidbody(config: RunConfig, out: Path) -> int:
     traj = evolve_rigidbody(state, dt=config.dt, t_end=config.t_end)
     wall = time.perf_counter() - start
     csvio.write_rigidbody(out / "rigidbody.csv", traj)
-    pi_drift = float(np.max(np.linalg.norm(
-        traj.spatial_momentum - traj.spatial_momentum[0], axis=1)))
-    final = {
-        "t": float(traj.times[-1]),
-        "pi_drift": pi_drift,
-        "energy_drift": float(np.max(np.abs(traj.energy - traj.energy[0]))),
-        "coadjoint_drift": coadjoint_drift(traj),
-    }
+    drifts = conservation_drifts(traj)
+    final = {"t": float(traj.times[-1]),
+             **{key: drifts[key] for key in ("pi_drift", "energy_drift", "coadjoint_drift")}}
     csvio.write_manifest(out / "run.json", _manifest(
         config, RunStatus("completed"), final, wall))
-    print(f"rigidbody: pi drift {pi_drift:.3e} over t={config.t_end:g} -> {out}")
+    print(f"rigidbody: pi drift {drifts['pi_drift']:.3e} over t={config.t_end:g} -> {out}")
     return 0
 
 

@@ -3,7 +3,9 @@
 Each operation here builds `PeriodicField` objects and calls the
 single-field spectral operators, one FFT at a time.  `chdp.evolution`,
 `chdp.flowmap` and `chdp.curvature` compute the same quantities on stacked
-arrays with batched FFTs; the tests compare the two to round-off.
+arrays with batched FFTs; the tests compare the two to round-off.  The
+rigid-body stepper here takes `np.cross` and the SVD polar factor, where
+`chdp.rigidbody` takes one stacked product per stage and Newton-Schulz.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from chdp.connection import Model, VelocityPair, christoffel_2ch, metric
-from chdp.evolution import rk4
+from chdp.evolution import rk4, step_count
+from chdp.rigidbody import RigidBodyState, RigidBodyTrajectory
 from chdp.spectral import (
     PeriodicField,
     apply_series_matrix,
@@ -165,3 +168,48 @@ def closed_form_curvature(m_k1: int, m_k2: int, m_l1: int, m_l2: int) -> float:
         ch_term = ((1 + 0.5 * k * l) ** 2 / (1 + (k - l) ** 2) * (k - l) ** 2
                    + (1 - 0.5 * k * l) ** 2 / (1 + (k + l) ** 2) * (k + l) ** 2) / 8.0
     return ch_term + sum((i1, i2, i3, i4))
+
+
+def svd_polar_factor(mat: np.ndarray) -> np.ndarray:
+    """Nearest rotation matrix (polar factor via SVD, last column flipped for det < 0)."""
+    u, _, vt = np.linalg.svd(mat)
+    rot = u @ vt
+    if np.linalg.det(rot) < 0:
+        u[:, -1] = -u[:, -1]
+        rot = u @ vt
+    return rot
+
+
+def rigidbody_trajectory(state0: RigidBodyState, dt: float,
+                         t_end: float) -> RigidBodyTrajectory:
+    """RK4 of Euler's equation by `np.cross` and dR/dt = R hat(Omega), R re-projected by SVD."""
+    inertia = state0.inertia
+    n_steps = step_count(dt, t_end)
+
+    def rhs(y):
+        omega, attitude = y[0], y[1:]
+        hat = np.array([[0.0, -omega[2], omega[1]],
+                        [omega[2], 0.0, -omega[0]],
+                        [-omega[1], omega[0], 0.0]])
+        dy = np.empty((4, 3))
+        dy[0] = np.cross(inertia * omega, omega) / inertia
+        dy[1:] = attitude @ hat
+        return dy
+
+    y = np.vstack([state0.omega, state0.attitude])
+    times = np.empty(n_steps + 1)
+    omegas = np.empty((n_steps + 1, 3))
+    attitudes = np.empty((n_steps + 1, 3, 3))
+    for step in range(n_steps + 1):
+        times[step] = step * dt
+        omegas[step], attitudes[step] = y[0], y[1:]
+        if step == n_steps:
+            break
+        y = rk4(rhs, y, dt)
+        y[1:] = svd_polar_factor(y[1:])
+
+    body_momentum = omegas * inertia
+    spatial_momentum = np.einsum("tij,tj->ti", attitudes, body_momentum)
+    energy = np.einsum("ti,ti->t", omegas, body_momentum)
+    return RigidBodyTrajectory(times, omegas, attitudes, body_momentum,
+                               spatial_momentum, energy)

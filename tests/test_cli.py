@@ -370,6 +370,15 @@ class TestRigidbodyCommand:
         assert header == ["t", "w1", "w2", "w3", "pi1", "pi2", "pi3", "energy"]
         manifest = read_manifest(out / "run.json")
         assert manifest["final_diagnostics"]["pi_drift"] <= 1e-7
+        assert set(manifest["final_diagnostics"]) == {
+            "t", "pi_drift", "energy_drift", "coadjoint_drift"}
+
+    def test_dt_past_stability_exits_1(self, tmp_path, capsys):
+        code = main([*RIGIDBODY_ARGS, "--dt", "2", "--t-end", "8", "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: rigid-body step 1 with dt=2.0: attitude is 13 from")
+        assert not (tmp_path / "rigidbody.csv").exists()
 
 
 class TestVerifyCommand:

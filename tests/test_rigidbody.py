@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import object_form
 from chdp.rigidbody import (
     RigidBodyState,
+    _reorthonormalize,
     coadjoint_drift,
+    conservation_drifts,
     euler_rhs,
     evolve_rigidbody,
     hat,
@@ -23,6 +26,14 @@ class TestHat:
         for _ in range(10):
             x, y = rng.standard_normal(3), rng.standard_normal(3)
             assert np.max(np.abs(hat(x) @ y - np.cross(x, y))) <= 1e-14
+
+    def test_entries_are_the_components(self, rng):
+        for _ in range(10):
+            x = rng.standard_normal(3)
+            x[rng.integers(3)] = 0.0
+            assert np.array_equal(hat(x), [[0.0, -x[2], x[1]],
+                                           [x[2], 0.0, -x[0]],
+                                           [-x[1], x[0], 0.0]])
 
 
 class TestEulerRhs:
@@ -62,6 +73,40 @@ def reference_run():
     return evolve_rigidbody(state, dt=1e-3, t_end=10.0)
 
 
+def _random_rotation(rng):
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+class TestReorthonormalize:
+    def test_matches_svd_polar_factor(self, rng):
+        worst_polar = worst_defect = 0.0
+        for scale in np.geomspace(1e-16, 0.1, 31):
+            for _ in range(20):
+                mat = _random_rotation(rng) + scale * rng.standard_normal((3, 3))
+                rot = _reorthonormalize(mat)
+                worst_polar = max(worst_polar, np.max(np.abs(
+                    rot - object_form.svd_polar_factor(mat))))
+                worst_defect = max(worst_defect, np.max(np.abs(rot.T @ rot - np.eye(3))))
+        assert worst_polar <= 1e-14
+        assert worst_defect <= 1e-15
+
+    def test_rotation_returned_unchanged(self):
+        assert np.array_equal(_reorthonormalize(np.eye(3)), np.eye(3))
+
+    @pytest.mark.parametrize("mat, message", [
+        (1.5 * np.eye(3), "from orthonormal"),
+        (np.diag([1.0, 1.0, -1.0]), "determinant"),
+        (np.full((3, 3), np.nan), "from orthonormal"),
+    ], ids=["far", "reflection", "nan"])
+    def test_rejects_what_it_cannot_project(self, mat, message):
+        with pytest.raises(ValueError, match=message):
+            _reorthonormalize(mat)
+
+
 class TestEvolve:
     def test_principal_axis_rotation(self):
         state = RigidBodyState.from_rest_attitude([2.0, 0.0, 0.0], [1.0, 2.0, 3.0])
@@ -86,6 +131,36 @@ class TestEvolve:
         sample = reference_run.attitude[::500]
         defects = [np.max(np.abs(r.T @ r - np.eye(3))) for r in sample]
         assert max(defects) <= 1e-9
+
+    def test_matches_cross_product_svd_oracle(self, reference_run):
+        state = RigidBodyState.from_rest_attitude([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+        oracle = object_form.rigidbody_trajectory(state, dt=1e-3, t_end=10.0)
+        assert np.array_equal(reference_run.times, oracle.times)
+        for name in ("omega", "attitude", "spatial_momentum", "energy"):
+            assert np.max(np.abs(getattr(reference_run, name) - getattr(oracle, name))) <= 1e-12
+
+    def test_times_are_step_multiples(self):
+        state = RigidBodyState.from_rest_attitude([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+        traj = evolve_rigidbody(state, dt=0.1, t_end=3.0)
+        assert traj.times.tolist() == [step * 0.1 for step in range(31)]
+
+    def test_conservation_drifts(self, reference_run):
+        drifts = conservation_drifts(reference_run)
+        assert set(drifts) == {"pi_drift", "energy_drift", "casimir_drift", "coadjoint_drift"}
+        assert max(drifts.values()) <= 1e-8
+        assert drifts["coadjoint_drift"] == coadjoint_drift(reference_run)
+
+    def test_large_dt_orthonormal(self):
+        state = RigidBodyState.from_rest_attitude([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+        traj = evolve_rigidbody(state, dt=0.5, t_end=8.0)
+        gram = np.einsum("tki,tkj->tij", traj.attitude, traj.attitude)
+        assert np.max(np.abs(gram - np.eye(3))) <= 1e-15
+
+    def test_dt_past_stability_rejected(self):
+        state = RigidBodyState.from_rest_attitude([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError,
+                           match=r"step 1 with dt=2\.0: attitude is 13 from orthonormal"):
+            evolve_rigidbody(state, dt=2.0, t_end=8.0)
 
     def test_coadjoint_drift_small(self, reference_run):
         assert coadjoint_drift(reference_run) <= 1e-8

@@ -1,11 +1,11 @@
-"""Layer timings of the Eulerian step, off-grid evaluation and the flow map, for two source trees.
+"""Layer timings of the Eulerian step, off-grid evaluation, the flow map and the rigid body.
 
     python3 tools/bench_flowmap.py --parent OLD/src --change NEW/src \\
         [--repeats 9] [--out BENCH.json]
 
 Each repeat runs one fresh process per tree (alternating which goes
-first), and each process measures every layer once, at
-n in {64, 256, 1024, 4096}:
+first), and each process measures every layer once, those down to
+`invert_diffeo` at each n in {64, 256, 1024, 4096}:
 
 - `dense_plan_ms`: the dense off-grid plan, `series_matrix` at the dealias
   cutoff applied to the stacked (u, rho) weights, as the flow-map stage
@@ -18,6 +18,12 @@ n in {64, 256, 1024, 4096}:
   and diagnostics cancel);
 - `invert_diffeo_ms` and `invert_diffeo_peak_mb` (tracemalloc peak of one
   call, untimed);
+- `body_step_us`: one RK4 step of `evolve_rigidbody` on the reference spin
+  (inertia 1,2,3, omega 1,1,1, dt 1e-3), the difference of a 300-step and
+  a 100-step run over 200;
+- `reorthonormalize_us`: one `rigidbody._reorthonormalize` call on that
+  spin's attitude at t=0.3 plus seeded noise of size 1e-14, which takes one
+  polar iteration;
 - `import_s`: `import chdp` in the fresh process.
 
 A sample is the median over calls within one process (at least 5 calls
@@ -110,6 +116,18 @@ def measure() -> dict:
         spectral.invert_diffeo(phi)
         out[f"invert_diffeo_peak_mb/n={n}"] = tracemalloc.get_traced_memory()[1] / 2**20
         tracemalloc.stop()
+
+    from chdp import rigidbody
+
+    body = rigidbody.RigidBodyState.from_rest_attitude([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+    def body_run(count):
+        return _per_call(lambda: rigidbody.evolve_rigidbody(body, dt=1e-3, t_end=count * 1e-3))
+
+    out["body_step_us"] = 1e6 * (body_run(300) - body_run(100)) / 200
+    attitude = rigidbody.evolve_rigidbody(body, dt=1e-3, t_end=0.3).attitude[-1]
+    near = attitude + 1e-14 * np.random.default_rng(10).standard_normal((3, 3))
+    out["reorthonormalize_us"] = 1e6 * _per_call(lambda: rigidbody._reorthonormalize(near))
     return out
 
 
