@@ -1,11 +1,21 @@
 """Command-line driver.
 
 Subcommands: evolve, flowmap, curvature, curvature-scan, rigidbody,
-verify.  Runs write CSV artifacts plus a run.json manifest (config echo,
-status, final diagnostics, wall time) into --out-dir.
+verify.  Each command is one row of `_COMMANDS`: its options, each
+declared once (an option that feeds `EvolutionConfig` takes its default
+from there), and a builder that validates them by building the objects
+the command runs.  `run` is the one runner: it makes --out-dir, times
+the command's work, CSVs included, as `wall_seconds`, writes run.json
+and prints the command's lines.
+
+run.json holds `config`, the command's own options keyed by flag name
+without the dashes (`--NAME=VALUE` for each key replays the run, with
+vectors comma-joined, a true switch given bare, and null or false keys
+left out), `status`, `final_diagnostics` and `wall_seconds`; a blow-up
+adds `reason`, `blowup_t` and `blowup_value`.
 
 Exit codes: 0 completed, 2 blow-up detected (an expected physical outcome,
-not a crash), 1 error.
+not a crash), 1 an error or, for `verify`, a failed criterion.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +45,7 @@ from chdp.rigidbody import RigidBodyState, conservation_drifts, evolve_rigidbody
 from chdp.spectral import Grid
 from chdp import verification
 
-__all__ = ["RunConfig", "parse_config", "run", "main"]
+__all__ = ["parse_config", "run", "main"]
 
 
 class CliError(Exception):
@@ -47,181 +57,41 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-@dataclass
-class RunConfig:
-    """Fully validated options for one CLI invocation."""
-
-    command: str
-    out_dir: str = "chdp-out"
-    seed: int = 0
-    model: str | None = None
-    ic: str | None = None
-    n: int | None = None
-    dt: float | None = None
-    t_end: float | None = None
-    stride: int = 10
-    snapshot_stride: int = 0
-    slope_threshold: float = -1e6
-    rhox_threshold: float = 1e6
-    max_mode: int | None = None
-    negative_trials: int = 0
-    k1: int | None = None
-    k2: int | None = None
-    l1: int | None = None
-    l2: int | None = None
-    first_zero: bool = False
-    inertia: list[float] = field(default_factory=lambda: [1.0, 2.0, 3.0])
-    omega0: list[float] = field(default_factory=lambda: [1.0, 1.0, 1.0])
+def _evolution_default(name: str):
+    """The default of an EvolutionConfig field, which the option feeding it shares."""
+    return next(f.default for f in fields(EvolutionConfig) if f.name == name)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="chdp", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+def _vector(flag: str):
+    """The argparse type of a 3-vector option given as comma-separated numbers."""
 
-    def add_run_options(p, default_n, default_dt, default_t_end):
-        p.add_argument("--model", required=True,
-                       choices=[m.value for m in Model])
-        p.add_argument("--ic", required=True, help=f"initial condition: {PRESET_HELP}")
-        p.add_argument("--n", type=int, default=default_n, help="grid size (even)")
-        p.add_argument("--dt", type=float, default=default_dt)
-        p.add_argument("--t-end", type=float, default=default_t_end)
-        p.add_argument("--stride", type=int, default=10,
-                       help="rows (diagnostics, snapshots, flow map) kept every STRIDE steps")
-        p.add_argument("--snapshot-stride", type=int, default=0,
-                       help="snapshot CSV every STRIDE steps, a multiple of --stride "
-                            "(0: first and last only)")
-        p.add_argument("--slope-threshold", type=float, default=-1e6,
-                       help="blow-up when min u_x drops below this")
-        p.add_argument("--rhox-threshold", type=float, default=1e6,
-                       help="blow-up when max |rho_x| exceeds this")
-        p.add_argument("--out-dir", default="chdp-out")
-        p.add_argument("--seed", type=int, default=0)
-
-    p_evolve = sub.add_parser("evolve", help="Eulerian integration")
-    add_run_options(p_evolve, 256, 1e-4, 1.0)
-
-    p_flow = sub.add_parser("flowmap", help="coupled Eulerian + flow-map integration")
-    add_run_options(p_flow, 256, 1e-4, 1.0)
-
-    p_curv = sub.add_parser("curvature", help="curvature of one cosine direction pair")
-    p_curv.add_argument("--k1", type=int, default=1)
-    p_curv.add_argument("--k2", type=int, default=1)
-    p_curv.add_argument("--l1", type=int, default=1)
-    p_curv.add_argument("--l2", type=int, default=2)
-    p_curv.add_argument("--first-zero", action="store_true",
-                        help="zero velocity slots (density-only directions)")
-    p_curv.add_argument("--n", type=int, default=None,
-                        help="grid size (default: resolves the given modes)")
-    p_curv.add_argument("--out-dir", default="chdp-out")
-    p_curv.add_argument("--seed", type=int, default=0)
-
-    p_scan = sub.add_parser("curvature-scan",
-                            help="enumerate cosine direction pairs and check bounds")
-    p_scan.add_argument("--max-mode", type=int, required=True)
-    p_scan.add_argument("--n", type=int, default=None)
-    p_scan.add_argument("--negative-search", type=int, default=0, metavar="TRIALS",
-                        help="also sample random directions hunting negative curvature")
-    p_scan.add_argument("--out-dir", default="chdp-out")
-    p_scan.add_argument("--seed", type=int, default=0)
-
-    p_body = sub.add_parser("rigidbody", help="free rigid body reference integration")
-    p_body.add_argument("--inertia", default="1,2,3",
-                        help="principal moments, comma separated")
-    p_body.add_argument("--omega0", default="1,1,1",
-                        help="initial body angular velocity, comma separated")
-    p_body.add_argument("--dt", type=float, default=1e-3)
-    p_body.add_argument("--t-end", type=float, default=10.0)
-    p_body.add_argument("--out-dir", default="chdp-out")
-    p_body.add_argument("--seed", type=int, default=0)
-
-    p_verify = sub.add_parser("verify", help="run the acceptance suite")
-    p_verify.add_argument("--out-dir", default="chdp-out")
-    p_verify.add_argument("--seed", type=int, default=0)
-
-    return parser
-
-
-def _parse_vector(text: str, flag: str) -> list[float]:
-    try:
-        values = [float(v) for v in text.split(",")]
-    except ValueError:
-        raise CliError(f"{flag}: expected comma-separated numbers, got {text!r}")
-    if len(values) != 3:
-        raise CliError(f"{flag}: expected exactly 3 components")
-    return values
-
-
-def parse_config(argv) -> RunConfig:
-    """Parse and validate argv into a RunConfig; raises CliError."""
-    ns = _build_parser().parse_args(argv)
-    config = RunConfig(command=ns.command)
-    for key, value in vars(ns).items():
-        key = key.replace("-", "_")
-        if key in ("inertia", "omega0"):
-            value = _parse_vector(value, f"--{key}")
-        if key == "negative_search":
-            key = "negative_trials"
-        setattr(config, key, value)
-
-    try:
-        if config.n is not None:
-            Grid(config.n)
-        if config.command in ("evolve", "flowmap"):
-            _evolution_config(config)
-        if config.command == "rigidbody":
-            step_count(config.dt, config.t_end)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    if config.command in ("evolve", "flowmap") and config.snapshot_stride < 0:
-        raise CliError("--snapshot-stride must be >= 0")
-    if config.command in ("evolve", "flowmap") and config.snapshot_stride % config.stride:
-        raise CliError("--snapshot-stride must be a multiple of --stride")
-    if config.command == "curvature-scan" and config.max_mode < 2:
-        raise CliError("--max-mode must be at least 2")
-    if config.command == "curvature-scan" and config.negative_trials < 0:
-        raise CliError("--negative-search must be >= 0")
-    if config.command == "curvature":
-        for flag in ("k1", "k2", "l1", "l2"):
-            if getattr(config, flag) < 1:
-                raise CliError(f"--{flag}: modes must be positive integers")
-    if config.command in ("curvature", "curvature-scan") and config.n is not None:
-        max_mode = (config.max_mode if config.command == "curvature-scan"
-                    else _direction(config).max_mode)
+    def parse(text: str) -> list[float]:
         try:
-            check_resolution(Grid(config.n), max_mode)
-        except ValueError as exc:
-            raise CliError(f"--n: {exc}") from None
-    if config.command == "rigidbody" and any(v <= 0 for v in config.inertia):
-        raise CliError("--inertia: moments must be positive")
-    return config
+            values = [float(v) for v in text.split(",")]
+        except ValueError:
+            raise CliError(f"{flag}: expected comma-separated numbers, got {text!r}") from None
+        if len(values) != 3:
+            raise CliError(f"{flag}: expected exactly 3 components")
+        return values
+
+    return parse
 
 
-def _manifest(config: RunConfig, status: RunStatus, final_diagnostics,
-              wall_seconds: float) -> dict:
-    """The run.json payload; a blow-up adds its reason, time (`blowup_t`) and value.
-
-    `blowup_value` is the monitored quantity that tripped (null for non_finite).
-    """
-    payload = {
-        "config": asdict(config),
-        "status": status.kind,
-        "final_diagnostics": final_diagnostics,
-        "wall_seconds": wall_seconds,
-    }
-    if status.reason is not None:
-        payload["reason"] = status.reason
-        payload["blowup_t"] = status.t
-        payload["blowup_value"] = status.value
-    return payload
+def _build(flags: str, make, *args, **kwargs):
+    """make(*args, **kwargs); its ValueError becomes a CliError naming the flags it was built from."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise CliError(f"{flags}: {exc}") from None
 
 
-def _evolution_config(config: RunConfig) -> EvolutionConfig:
-    """The EvolutionConfig of an evolve/flowmap run; raises ValueError."""
-    return EvolutionConfig(Model(config.model), dt=config.dt, t_end=config.t_end,
-                           grid_n=config.n,
-                           blowup_slope_threshold=config.slope_threshold,
-                           blowup_rhox_threshold=config.rhox_threshold,
-                           diagnostics_stride=config.stride)
+def _resolving_grid(n: int | None, max_mode: int) -> Grid:
+    """The grid of --n, checked to resolve max_mode; without --n, scan_grid(max_mode)."""
+    if n is None:
+        return scan_grid(max_mode)
+    grid = _build("--n", Grid, n)
+    _build("--n", check_resolution, grid, max_mode)
+    return grid
 
 
 def _outcome(status: RunStatus, t_last: float) -> str:
@@ -244,155 +114,253 @@ def _snapshots(times: np.ndarray, dt: float, snapshot_stride: int) -> list[tuple
             if i in (0, last) or (snapshot_stride and step % snapshot_stride == 0)]
 
 
-def _run_evolve(config: RunConfig, out: Path) -> int:
-    evo_config = _evolution_config(config)
-    initial = initial_condition(config.ic, Grid(config.n))
-    start = time.perf_counter()
-    result = evolve(evo_config, initial)
-    wall = time.perf_counter() - start
+# Each builder validates a command's options by building the objects it
+# runs and returns its work: work(out) -> (status, final diagnostics,
+# printed lines).
 
-    csvio.write_diagnostics(out / "diagnostics.csv", result.diagnostics)
-    for i, step in _snapshots(result.times, config.dt, config.snapshot_stride):
-        csvio.write_snapshot(out / f"snapshot_{step:06d}.csv", result.snapshots[i])
-    csvio.write_manifest(out / "run.json", _manifest(
-        config, result.status,
-        {name: float(column[-1]) for name, column in vars(result.diagnostics).items()}, wall))
-    print(f"{config.command}: {_outcome(result.status, result.times[-1])} "
-          f"({len(result.diagnostics)} diagnostic records) -> {out}")
-    return 0 if result.status.completed else 2
-
-
-def _run_flowmap(config: RunConfig, out: Path) -> int:
-    evo_config = _evolution_config(config)
-    grid = Grid(config.n)
-    initial = initial_condition(config.ic, grid)
-    start = time.perf_counter()
-    result = evolve_flowmap(evo_config, initial)
-    wall = time.perf_counter() - start
-
-    n_saved = len(result.times)
-    rows, steps = zip(*_snapshots(result.times, config.dt, config.snapshot_stride))
-    jac = result.jacobians(list(rows))  # rows end with the last row
-    for i, step, jac_i in zip(rows, steps, jac):
-        csvio.write_flowmap_snapshot(out / f"flowmap_{step:06d}.csv", grid,
-                                     result.psi[i], jac_i, result.f[i])
-    drifts = momentum_drift(evo_config.model, result, stride=max(1, n_saved // 20))
-    final = {
-        "t": float(result.times[-1]),
-        "min_phix": float(jac[-1].min()),
-        "momentum_drift": {key: float(np.max(vals)) for key, vals in drifts.items()},
-    }
-    csvio.write_manifest(out / "run.json", _manifest(
-        config, result.status, final, wall))
-    print(f"flowmap: {_outcome(result.status, result.times[-1])} "
-          f"({len(rows)} snapshots) -> {out}")
-    return 0 if result.status.completed else 2
+def _evolution(options):
+    """The EvolutionConfig and initial state of an evolve or flowmap run."""
+    grid = _build("--n", Grid, options.n)
+    _build("--dt/--t-end", step_count, options.dt, options.t_end)
+    config = _build("--stride/--slope-threshold/--rhox-threshold", EvolutionConfig,
+                    Model(options.model), dt=options.dt, t_end=options.t_end,
+                    grid_n=options.n, blowup_slope_threshold=options.slope_threshold,
+                    blowup_rhox_threshold=options.rhox_threshold,
+                    diagnostics_stride=options.stride)
+    if options.snapshot_stride < 0:
+        raise CliError("--snapshot-stride must be >= 0")
+    if options.snapshot_stride % options.stride:
+        raise CliError("--snapshot-stride must be a multiple of --stride")
+    return config, _build("--ic", initial_condition, options.ic, grid)
 
 
-def _direction(config: RunConfig) -> CosineDirectionPair:
-    """The direction pair of a curvature run; --first-zero zeroes the velocity modes."""
-    if config.first_zero:
-        return CosineDirectionPair(0, config.k2, 0, config.l2)
-    return CosineDirectionPair(config.k1, config.k2, config.l1, config.l2)
+def _evolve(options):
+    config, initial = _evolution(options)
+
+    def work(out: Path):
+        result = evolve(config, initial)
+        csvio.write_diagnostics(out / "diagnostics.csv", result.diagnostics)
+        for i, step in _snapshots(result.times, config.dt, options.snapshot_stride):
+            csvio.write_snapshot(out / f"snapshot_{step:06d}.csv", result.snapshots[i])
+        final = {name: float(column[-1]) for name, column in vars(result.diagnostics).items()}
+        return result.status, final, [
+            f"evolve: {_outcome(result.status, result.times[-1])} "
+            f"({len(result.diagnostics)} diagnostic records) -> {out}"]
+
+    return work
 
 
-def _run_curvature(config: RunConfig, out: Path) -> int:
-    direction = _direction(config)
-    grid = Grid(config.n) if config.n else scan_grid(direction.max_mode)
-    start = time.perf_counter()
-    table = scan_direction(grid, direction)
-    wall = time.perf_counter() - start
-    csvio.write_scan(out / "curvature.csv", table)
-    result = {"S_numeric": float(table.s_numeric[0]), "S_closed": float(table.s_closed[0]),
-              "Sec": float(table.sec[0]), "gram": float(table.gram[0])}
-    csvio.write_manifest(out / "run.json", _manifest(
-        config, RunStatus("completed"), result, wall))
-    print(" ".join(f"{name}={value!r}" for name, value in result.items()))
-    return 0
+def _flowmap(options):
+    config, initial = _evolution(options)
 
-
-def _run_scan(config: RunConfig, out: Path) -> int:
-    grid = Grid(config.n) if config.n else None
-    start = time.perf_counter()
-    table = positivity_scan(config.max_mode, grid=grid)
-    csvio.write_scan(out / "scan.csv", table)
-    summary = {
-        "tuples": len(table),
-        "min_S_numeric": float(table.s_numeric.min()),
-        "min_sec_density_family": float(table.sec[table.m_k1 == 0].min()),
-    }
-    if config.negative_trials > 0:
-        search_grid = grid or scan_grid(config.max_mode)
-        rng = np.random.default_rng(config.seed)
-        found = negative_search(search_grid, rng, config.negative_trials,
-                                config.max_mode)
-        negatives = [(t, s) for t, s in found if s < 0]
-        summary["negative_search"] = {
-            "trials": config.negative_trials,
-            "negative_planes": len(negatives),
-            "most_negative": found[0][1] if found else None,
+    def work(out: Path):
+        result = evolve_flowmap(config, initial)
+        rows, steps = zip(*_snapshots(result.times, config.dt, options.snapshot_stride))
+        jac = result.jacobians(list(rows))  # rows end with the last row
+        for i, step, jac_i in zip(rows, steps, jac):
+            csvio.write_flowmap_snapshot(out / f"flowmap_{step:06d}.csv", initial.grid,
+                                         result.psi[i], jac_i, result.f[i])
+        drifts = momentum_drift(config.model, result, stride=max(1, len(result.times) // 20))
+        final = {
+            "t": float(result.times[-1]),
+            "min_phix": float(jac[-1].min()),
+            "momentum_drift": {key: float(np.max(vals)) for key, vals in drifts.items()},
         }
-        print(f"negative-curvature search: {len(negatives)} negative planes "
-              f"in {config.negative_trials} trials"
-              + (f", most negative Sec {found[0][1]:.4f}" if found else ""))
-    wall = time.perf_counter() - start
-    csvio.write_manifest(out / "run.json", _manifest(
-        config, RunStatus("completed"), summary, wall))
-    print(f"curvature-scan: {len(table)} tuples, min S "
-          f"{summary['min_S_numeric']:.6f} > 0 -> {out}")
-    return 0
+        return result.status, final, [
+            f"flowmap: {_outcome(result.status, result.times[-1])} "
+            f"({len(rows)} snapshots) -> {out}"]
+
+    return work
 
 
-def _run_rigidbody(config: RunConfig, out: Path) -> int:
-    state = RigidBodyState.from_rest_attitude(config.omega0, config.inertia)
-    start = time.perf_counter()
-    traj = evolve_rigidbody(state, dt=config.dt, t_end=config.t_end)
-    wall = time.perf_counter() - start
-    csvio.write_rigidbody(out / "rigidbody.csv", traj)
-    drifts = conservation_drifts(traj)
-    final = {"t": float(traj.times[-1]),
-             **{key: drifts[key] for key in ("pi_drift", "energy_drift", "coadjoint_drift")}}
-    csvio.write_manifest(out / "run.json", _manifest(
-        config, RunStatus("completed"), final, wall))
-    print(f"rigidbody: pi drift {drifts['pi_drift']:.3e} over t={config.t_end:g} -> {out}")
-    return 0
+def _curvature(options):
+    # --first-zero zeroes the velocity slots, so --k1 and --l1 go unused.
+    used = ("k2", "l2") if options.first_zero else ("k1", "k2", "l1", "l2")
+    for name in used:
+        if getattr(options, name) < 1:
+            raise CliError(f"--{name}: modes must be positive integers")
+    k1, l1 = (0, 0) if options.first_zero else (options.k1, options.l1)
+    direction = CosineDirectionPair(k1, options.k2, l1, options.l2)
+    grid = _resolving_grid(options.n, direction.max_mode)
+
+    def work(out: Path):
+        table = scan_direction(grid, direction)
+        csvio.write_scan(out / "curvature.csv", table)
+        final = {"S_numeric": float(table.s_numeric[0]), "S_closed": float(table.s_closed[0]),
+                 "Sec": float(table.sec[0]), "gram": float(table.gram[0])}
+        return RunStatus("completed"), final, [
+            " ".join(f"{name}={value!r}" for name, value in final.items())]
+
+    return work
 
 
-def _run_verify(config: RunConfig, out: Path) -> int:
-    start = time.perf_counter()
-    results = verification.run_all(seed=config.seed)
-    wall = time.perf_counter() - start
-    print(verification.format_table(results))
-    all_passed = all(r.passed for r in results)
-    csvio.write_manifest(out / "run.json", _manifest(
-        config, RunStatus("completed" if all_passed else "failed"),
-        {r.criterion: {"passed": r.passed, "detail": r.detail} for r in results},
-        wall))
-    return 0 if all_passed else 1
+def _scan(options):
+    if options.max_mode < 2:
+        raise CliError("--max-mode must be at least 2")
+    if options.negative_search < 0:
+        raise CliError("--negative-search must be >= 0")
+    grid = _resolving_grid(options.n, options.max_mode)
+
+    def work(out: Path):
+        table = positivity_scan(options.max_mode, grid=grid)
+        csvio.write_scan(out / "scan.csv", table)
+        summary = {
+            "tuples": len(table),
+            "min_S_numeric": float(table.s_numeric.min()),
+            "min_sec_density_family": float(table.sec[table.m_k1 == 0].min()),
+        }
+        lines = []
+        trials = options.negative_search
+        if trials > 0:
+            found = negative_search(grid, np.random.default_rng(options.seed), trials,
+                                    options.max_mode)
+            negatives = [(t, s) for t, s in found if s < 0]
+            summary["negative_search"] = {
+                "trials": trials,
+                "negative_planes": len(negatives),
+                "most_negative": found[0][1] if found else None,
+            }
+            lines.append(f"negative-curvature search: {len(negatives)} negative planes "
+                         f"in {trials} trials"
+                         + (f", most negative Sec {found[0][1]:.4f}" if found else ""))
+        lines.append(f"curvature-scan: {len(table)} tuples, min S "
+                     f"{summary['min_S_numeric']:.6f} > 0 -> {out}")
+        return RunStatus("completed"), summary, lines
+
+    return work
 
 
-def run(config: RunConfig) -> int:
+def _rigidbody(options):
+    _build("--dt/--t-end", step_count, options.dt, options.t_end)
+    # RigidBodyState checks this too, in words that name no flag.
+    if any(v <= 0 for v in options.inertia):
+        raise CliError("--inertia: moments must be positive")
+    state = RigidBodyState.from_rest_attitude(options.omega0, options.inertia)
+
+    def work(out: Path):
+        traj = evolve_rigidbody(state, dt=options.dt, t_end=options.t_end)
+        csvio.write_rigidbody(out / "rigidbody.csv", traj)
+        drifts = conservation_drifts(traj)
+        final = {"t": float(traj.times[-1]),
+                 **{key: drifts[key] for key in ("pi_drift", "energy_drift", "coadjoint_drift")}}
+        return RunStatus("completed"), final, [
+            f"rigidbody: pi drift {drifts['pi_drift']:.3e} over t={options.t_end:g} -> {out}"]
+
+    return work
+
+
+def _verify(options):
+    def work(out: Path):
+        results = verification.run_all(seed=options.seed)
+        passed = all(r.passed for r in results)
+        return (RunStatus("completed" if passed else "failed"),
+                {r.criterion: {"passed": r.passed, "detail": r.detail} for r in results},
+                [verification.format_table(results)])
+
+    return work
+
+
+_COMMON_OPTIONS = (
+    ("--out-dir", dict(default="chdp-out")),
+    ("--seed", dict(type=int, default=0)),
+)
+# The options of evolve and flowmap.
+_RUN_OPTIONS = (
+    ("--model", dict(required=True, choices=[m.value for m in Model])),
+    ("--ic", dict(required=True, help=f"initial condition: {PRESET_HELP}")),
+    ("--n", dict(type=int, default=256, help="grid size (even)")),
+    ("--dt", dict(type=float, default=1e-4)),
+    ("--t-end", dict(type=float, default=1.0)),
+    ("--stride", dict(type=int, default=_evolution_default("diagnostics_stride"),
+                      help="rows (diagnostics, snapshots, flow map) kept every STRIDE steps")),
+    ("--snapshot-stride", dict(type=int, default=0,
+                               help="snapshot CSV every STRIDE steps, a multiple of --stride "
+                                    "(0: first and last only)")),
+    ("--slope-threshold", dict(type=float, default=_evolution_default("blowup_slope_threshold"),
+                               help="blow-up when min u_x drops below this")),
+    ("--rhox-threshold", dict(type=float, default=_evolution_default("blowup_rhox_threshold"),
+                              help="blow-up when max |rho_x| exceeds this")),
+)
+
+# command -> (help, its options, its builder); every command also takes
+# _COMMON_OPTIONS.
+_COMMANDS = {
+    "evolve": ("Eulerian integration", _RUN_OPTIONS, _evolve),
+    "flowmap": ("coupled Eulerian + flow-map integration", _RUN_OPTIONS, _flowmap),
+    "curvature": ("curvature of one cosine direction pair", (
+        ("--k1", dict(type=int, default=1)),
+        ("--k2", dict(type=int, default=1)),
+        ("--l1", dict(type=int, default=1)),
+        ("--l2", dict(type=int, default=2)),
+        ("--first-zero", dict(action="store_true",
+                              help="zero velocity slots (density-only directions)")),
+        ("--n", dict(type=int, default=None,
+                     help="grid size (default: resolves the given modes)")),
+    ), _curvature),
+    "curvature-scan": ("enumerate cosine direction pairs and check bounds", (
+        ("--max-mode", dict(type=int, required=True)),
+        ("--n", dict(type=int, default=None)),
+        ("--negative-search", dict(type=int, default=0, metavar="TRIALS",
+                                   help="also sample random directions hunting "
+                                        "negative curvature")),
+    ), _scan),
+    "rigidbody": ("free rigid body reference integration", (
+        ("--inertia", dict(type=_vector("--inertia"), default="1,2,3",
+                           help="principal moments, comma separated")),
+        ("--omega0", dict(type=_vector("--omega0"), default="1,1,1",
+                          help="initial body angular velocity, comma separated")),
+        ("--dt", dict(type=float, default=1e-3)),
+        ("--t-end", dict(type=float, default=10.0)),
+    ), _rigidbody),
+    "verify": ("run the acceptance suite", (), _verify),
+}
+_EXIT_CODES = {"completed": 0, "failed": 1, "blowup_detected": 2}
+
+
+def _parser() -> _Parser:
+    parser = _Parser(prog="chdp", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, options, _) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options + _COMMON_OPTIONS:
+            command.add_argument(flag, **kwargs)
+    return parser
+
+
+def parse_config(argv) -> argparse.Namespace:
+    """Parse and validate argv; raises CliError naming the offending option.
+
+    The namespace holds `command`, the command's options by argparse dest,
+    and `work`, the command's work on the objects built to validate them.
+    """
+    config = _parser().parse_args(argv)
+    config.work = _COMMANDS[config.command][2](config)
+    return config
+
+
+def run(config: argparse.Namespace) -> int:
+    """Run a parsed command into --out-dir; return its exit code."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dispatch = {
-        "evolve": _run_evolve,
-        "flowmap": _run_flowmap,
-        "curvature": _run_curvature,
-        "curvature-scan": _run_scan,
-        "rigidbody": _run_rigidbody,
-        "verify": _run_verify,
-    }
-    return dispatch[config.command](config, out)
+    start = time.perf_counter()
+    status, final_diagnostics, lines = config.work(out)
+    wall_seconds = time.perf_counter() - start
+    options = {dest.replace("_", "-"): value for dest, value in vars(config).items()
+               if dest not in ("command", "work")}
+    payload = {"config": options, "status": status.kind,
+               "final_diagnostics": final_diagnostics, "wall_seconds": wall_seconds}
+    if status.reason is not None:  # blowup_value is null for non_finite
+        payload.update(reason=status.reason, blowup_t=status.t, blowup_value=status.value)
+    csvio.write_manifest(out / "run.json", payload)
+    for line in lines:
+        print(line)
+    return _EXIT_CODES[status.kind]
 
 
 def main(argv=None) -> int:
     try:
-        config = parse_config(argv if argv is not None else sys.argv[1:])
-        code = run(config)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = 1
-    except (ValueError, OSError) as exc:
+        code = run(parse_config(argv if argv is not None else sys.argv[1:]))
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 1
     if argv is None:

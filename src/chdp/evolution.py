@@ -195,10 +195,9 @@ class _Kernel:
 
     def __init__(self, model: Model, grid: Grid):
         self.n = grid.n
-        self.ik = 1j * grid.omega
-        self.ik[-1] = 0.0  # as `derivative`: the Nyquist mode is dropped
-        keep = (grid.modes <= grid.dealias_cutoff).astype(float)
-        lift = self.ik / (1.0 + grid.omega**2)  # Ainv d/dx
+        self.ik = grid.ik
+        keep = grid.dealias_mask
+        lift = self.ik / grid.helmholtz_symbol  # Ainv d/dx
         # Per term, (coefficient, left, right) of each product it sums, with
         # left and right rows of (u, rho, u_x, rho_x).
         if model in (Model.CH, Model.CH2):
@@ -209,7 +208,7 @@ class _Kernel:
             split = 2
         else:
             # u u_x, 3u^2/2 (- rho^2), rho u_x | u rho_x + 2 rho u_x
-            mult = [keep, keep * lift, keep / (1.0 + grid.omega**2), keep]
+            mult = [keep, keep * lift, keep / grid.helmholtz_symbol, keep]
             terms = [[(1.0, 0, 2)], [(1.5, 0, 0), (-1.0, 1, 1)], [(1.0, 1, 2)],
                      [(1.0, 0, 3), (2.0, 1, 2)]]
             split = 3 if model is Model.DP2 else 2
@@ -225,7 +224,7 @@ class _Kernel:
         self.weights = np.stack(list(weights.values()), axis=1)  # (output, product, mode)
         # Multiplies stacked spectra to (values, slopes): see `points`.
         self.value_slope = np.stack((np.ones_like(self.ik), self.ik))[:, None]
-        for arr in (self.ik, self.mult, self.weights, self.value_slope):
+        for arr in (self.mult, self.weights, self.value_slope):
             arr.setflags(write=False)
 
     def derivative(self, y: np.ndarray) -> np.ndarray:
@@ -315,7 +314,7 @@ def step_rk4(model: Model, state: VelocityPair | np.ndarray, dt: float,
     if not isinstance(state, VelocityPair):
         return _advance(_kernel(model, 2 * (state.shape[-1] - 1)), state, dt, t)
     y = _advance(_kernel(model, state.grid.n), np.fft.rfft(_stack(state)), dt, t)
-    y[:, state.grid.dealias_cutoff + 1:] = 0.0
+    y = np.where(state.grid.dealias_mask, y, 0.0)
     return _pair(state.grid, np.fft.irfft(y, state.grid.n))
 
 

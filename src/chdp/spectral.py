@@ -64,6 +64,11 @@ class Grid:
     n must be even and at least 16.  `dealias_cutoff` is the largest mode
     kept by the 2/3 rule, chosen so quadratic products of kept modes are
     alias-free after truncation (3*cutoff < n).
+
+    The read-only spectral symbols, one entry per rfft mode: `omega`, the
+    angular wavenumbers 2*pi*k; `ik`, the d/dx multiplier i*omega with the
+    Nyquist mode dropped; `helmholtz_symbol`, 1 + omega**2, the multiplier
+    of 1 - d^2/dx^2; and `dealias_mask`, True on the modes the 2/3 rule keeps.
     """
 
     n: int
@@ -76,14 +81,16 @@ class Grid:
         points = np.arange(self.n) / self.n
         modes = np.arange(self.n // 2 + 1)
         omega = 2.0 * np.pi * modes.astype(float)
+        ik = 1j * omega
+        ik[-1] = 0.0
         cutoff = self.n // 3
         if 3 * cutoff >= self.n:
             cutoff -= 1
-        for arr in (points, modes, omega):
+        arrays = {"points": points, "modes": modes, "omega": omega, "ik": ik,
+                  "helmholtz_symbol": 1.0 + omega**2, "dealias_mask": modes <= cutoff}
+        for name, arr in arrays.items():
             arr.setflags(write=False)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "omega", omega)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "dealias_cutoff", cutoff)
 
     @property
@@ -213,26 +220,22 @@ def random_band_limited(grid: Grid, rng: np.random.Generator, max_mode: int,
 
 def derivative(f: PeriodicField) -> PeriodicField:
     """d/dx via the multiplier i*2*pi*k; the Nyquist mode is dropped."""
-    hat = f.hat * (1j * f.grid.omega)
-    hat[-1] = 0.0
-    return PeriodicField.from_hat(f.grid, hat)
+    return PeriodicField.from_hat(f.grid, f.hat * f.grid.ik)
 
 
 def helmholtz(f: PeriodicField) -> PeriodicField:
     """(1 - d^2/dx^2) f via the multiplier 1 + (2*pi*k)^2."""
-    return PeriodicField.from_hat(f.grid, f.hat * (1.0 + f.grid.omega**2))
+    return PeriodicField.from_hat(f.grid, f.hat * f.grid.helmholtz_symbol)
 
 
 def helmholtz_inverse(f: PeriodicField) -> PeriodicField:
     """(1 - d^2/dx^2)^{-1} f via the multiplier 1/(1 + (2*pi*k)^2)."""
-    return PeriodicField.from_hat(f.grid, f.hat / (1.0 + f.grid.omega**2))
+    return PeriodicField.from_hat(f.grid, f.hat / f.grid.helmholtz_symbol)
 
 
 def dealias(f: PeriodicField) -> PeriodicField:
     """Zero all modes above the grid's 2/3-rule cutoff."""
-    hat = f.hat.copy()
-    hat[f.grid.dealias_cutoff + 1:] = 0.0
-    return PeriodicField.from_hat(f.grid, hat)
+    return PeriodicField.from_hat(f.grid, np.where(f.grid.dealias_mask, f.hat, 0.0))
 
 
 def dealiased_product(f: PeriodicField, g: PeriodicField) -> PeriodicField:
@@ -455,9 +458,7 @@ def invert_diffeo(phi: Diffeo, tol: float = 1e-12, max_iter: int = 50) -> Diffeo
     y = np.interp(x, knots_x, knots_y)
 
     psi_hat = phi.displacement.hat
-    slope_hat = psi_hat * (1j * grid.omega)
-    slope_hat[-1] = 0.0  # psi_x as `derivative` gives it
-    hats = np.stack([psi_hat, slope_hat])
+    hats = np.stack([psi_hat, psi_hat * grid.ik])  # psi_x as `derivative` gives it
     for _ in range(max_iter):
         psi_y, slope = _offgrid(hats, y, grid.n // 2)
         residual = y + psi_y - x

@@ -1,9 +1,11 @@
 import csv
 import filecmp
+import time
+
 import numpy as np
 import pytest
 
-from chdp import curvature, verification
+from chdp import csvio, curvature, verification
 from chdp.cli import CliError, main, parse_config
 from chdp.connection import VelocityPair
 from chdp.csvio import read_manifest, read_snapshot, write_snapshot
@@ -19,6 +21,19 @@ FLOWMAP_ARGS = ["flowmap", "--model", "2ch", "--ic", "pair:1:0.1:1:0.1",
 RIGIDBODY_ARGS = ["rigidbody", "--inertia", "1,2,3", "--omega0", "1,1,1",
                   "--dt", "1e-2", "--t-end", "1.0"]
 SCAN_ARGS = ["curvature-scan", "--max-mode", "4", "--negative-search", "16", "--seed", "3"]
+CURVATURE_ARGS = ["curvature", "--k1", "2", "--k2", "5", "--l1", "4", "--l2", "1"]
+FIRST_ZERO_ARGS = ["curvature", "--first-zero", "--k2", "2", "--l2", "5"]
+CSV_COMMANDS = {"evolve": EVOLVE_ARGS, "flowmap": FLOWMAP_ARGS, "curvature": CURVATURE_ARGS,
+                "curvature-first-zero": FIRST_ZERO_ARGS, "curvature-scan": SCAN_ARGS,
+                "rigidbody": RIGIDBODY_ARGS}
+RUN_OPTIONS = {"model", "ic", "n", "dt", "t-end", "stride", "snapshot-stride",
+               "slope-threshold", "rhox-threshold"}
+# Each command's own options by flag name; every command also takes --out-dir and --seed.
+OPTIONS = {"evolve": RUN_OPTIONS, "flowmap": RUN_OPTIONS,
+           "curvature": {"k1", "k2", "l1", "l2", "first-zero", "n"},
+           "curvature-scan": {"max-mode", "n", "negative-search"},
+           "rigidbody": {"inertia", "omega0", "dt", "t-end"},
+           "verify": set()}
 
 
 def read_csv_column(path, name):
@@ -28,6 +43,22 @@ def read_csv_column(path, name):
 
 def run_cli(args, out_dir):
     return main(args + ["--out-dir", str(out_dir)])
+
+
+def replay_argv(command, config):
+    """The argv of a run from its run.json config.
+
+    --NAME=VALUE per key, vectors comma-joined, a true switch bare, null
+    and false keys left out.
+    """
+    argv = [command]
+    for name, value in config.items():
+        if value is True:
+            argv.append(f"--{name}")
+        elif value is not None and value is not False:
+            text = ",".join(map(repr, value)) if isinstance(value, list) else str(value)
+            argv.append(f"--{name}={text}")
+    return argv
 
 
 class TestParse:
@@ -90,6 +121,27 @@ class TestParse:
         assert name in capsys.readouterr().err
         assert not (tmp_path / "run.json").exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["evolve", "--model", "2ch", "--ic", "zero", "--n", "255"],
+         "--n: grid size must be even"),
+        (EVOLVE_ARGS + ["--stride", "0"],
+         "--stride/--slope-threshold/--rhox-threshold: diagnostics stride must be >= 1"),
+        (EVOLVE_ARGS + ["--slope-threshold", "1"],
+         "--stride/--slope-threshold/--rhox-threshold: slope threshold must be"),
+        (FLOWMAP_ARGS + ["--dt", "0.03"], "--dt/--t-end: t_end=0.05 is not a whole number"),
+        (["evolve", "--model", "ch", "--ic", "cosmode:40:0.1", "--n", "64"],
+         "--ic: preset 'cosmode:40:0.1': modes must be integers in 1..21"),
+        (["curvature", "--n", "15"], "--n: grid size must be even"),
+        (["curvature-scan", "--max-mode", "4", "--n", "20"], "--n: n=20 keeps modes up to 6"),
+        (["rigidbody", "--inertia", "1,-2,3"], "--inertia: moments must be positive"),
+        (["rigidbody", "--omega0", "1,x,1"], "--omega0: expected comma-separated numbers"),
+    ], ids=["grid", "stride", "slope_threshold", "steps", "initial_condition",
+            "curvature_grid", "scan_resolution", "inertia", "omega0"])
+    def test_object_errors_name_the_flag(self, args, message):
+        with pytest.raises(CliError) as raised:
+            parse_config(args)
+        assert str(raised.value).startswith(message)
+
     def test_uneven_snapshot_stride_rejected(self):
         with pytest.raises(CliError, match="--snapshot-stride must be a multiple of --stride"):
             parse_config(EVOLVE_ARGS + ["--snapshot-stride", "12"])
@@ -124,19 +176,6 @@ class TestEvolveCommand:
         assert names == [f"snapshot_{step:06d}.csv" for step in range(0, 51, 10)]
         t = read_csv_column(out / "diagnostics.csv", "t")
         assert len(t) == 11 and float(t[-1]) == pytest.approx(0.05)
-
-    def test_manifest_roundtrip(self, tmp_path):
-        out1 = tmp_path / "a"
-        assert run_cli(EVOLVE_ARGS, out1) == 0
-        config = read_manifest(out1 / "run.json")["config"]
-        argv = ["evolve", "--model", config["model"], "--ic", config["ic"],
-                "--n", str(config["n"]), "--dt", repr(config["dt"]),
-                "--t-end", repr(config["t_end"]), "--stride", str(config["stride"]),
-                "--seed", str(config["seed"])]
-        out2 = tmp_path / "b"
-        assert run_cli(argv, out2) == 0
-        assert filecmp.cmp(out1 / "diagnostics.csv", out2 / "diagnostics.csv",
-                           shallow=False)
 
     def test_blowup_exit_code(self, tmp_path, capsys):
         out = tmp_path / "steep"
@@ -219,6 +258,49 @@ def test_deterministic_outputs(tmp_path, args):
     assert names and names == sorted(p.name for p in out2.glob("*.csv"))
     for name in names:
         assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
+
+
+@pytest.mark.parametrize("args", CSV_COMMANDS.values(), ids=CSV_COMMANDS.keys())
+def test_manifest_roundtrip(tmp_path, args):
+    # The config echo alone replays the run, into the same --out-dir.
+    out = tmp_path / "run"
+    assert run_cli(args, out) == 0
+    first = out.rename(tmp_path / "first")
+    assert main(replay_argv(args[0], read_manifest(first / "run.json")["config"])) == 0
+    names = sorted(p.name for p in first.glob("*.csv"))
+    assert names and names == sorted(p.name for p in out.glob("*.csv"))
+    for name in names:
+        assert filecmp.cmp(first / name, out / name, shallow=False), name
+
+
+@pytest.mark.parametrize("args, code", [
+    *((args, 0) for args in CSV_COMMANDS.values()),
+    (["verify"], 0),
+    (EVOLVE_ARGS + ["--rhox-threshold", "0.5"], 2),
+    (FLOWMAP_ARGS + ["--rhox-threshold", "0.5"], 2),
+], ids=[*CSV_COMMANDS, "verify", "evolve-blowup", "flowmap-blowup"])
+def test_one_run_json_shape(tmp_path, monkeypatch, args, code):
+    fast = [entry for entry in verification.CRITERIA if entry[0] == "C1"]
+    monkeypatch.setattr(verification, "CRITERIA", fast)
+    assert run_cli(args, tmp_path) == code
+    manifest = read_manifest(tmp_path / "run.json")
+    blowup = {"reason", "blowup_t", "blowup_value"} if code == 2 else set()
+    assert set(manifest) == {"config", "status", "final_diagnostics", "wall_seconds", *blowup}
+    assert set(manifest["config"]) == OPTIONS[args[0]] | {"out-dir", "seed"}
+    assert manifest["config"]["out-dir"] == str(tmp_path)
+    assert manifest["wall_seconds"] > 0
+
+
+def test_wall_seconds_includes_the_csvs(tmp_path, monkeypatch):
+    real = csvio.write_rigidbody
+
+    def slow(path, trajectory):
+        time.sleep(0.2)
+        real(path, trajectory)
+
+    monkeypatch.setattr(csvio, "write_rigidbody", slow)
+    assert run_cli(RIGIDBODY_ARGS, tmp_path) == 0
+    assert read_manifest(tmp_path / "run.json")["wall_seconds"] >= 0.2
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -338,6 +420,17 @@ class TestCurvatureCommands:
                 header, row = csv.reader(handle)
             assert header == scan_rows[tuple(header[:4])]
             assert row == scan_rows[tuple(row[:4])]
+
+    def test_first_zero_checks_only_used_modes(self, tmp_path, capsys):
+        # --first-zero does not use --k1/--l1, so it does not check them
+        assert main(["curvature", "--first-zero", "--k1", "0", "--k2", "1", "--l2", "2",
+                     "--l1", "-3", "--out-dir", str(tmp_path / "zero")]) == 0
+        assert main(["curvature", "--k1", "0", "--k2", "1", "--l2", "2",
+                     "--out-dir", str(tmp_path / "plain")]) == 1
+        assert "error: --k1: modes must be positive integers" in capsys.readouterr().err
+        for flag in ("--k2", "--l2"):
+            with pytest.raises(CliError, match=f"{flag}: modes must be positive integers"):
+                parse_config(["curvature", "--first-zero", flag, "0"])
 
     def test_first_zero_grid_from_used_modes(self, tmp_path, monkeypatch):
         # --k1/--l1 are not used by --first-zero, so they do not size the grid
