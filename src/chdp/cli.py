@@ -9,10 +9,10 @@ the command's work, CSVs included, as `wall_seconds`, writes run.json
 and prints the command's lines.
 
 run.json holds `config`, the command's own options keyed by flag name
-without the dashes (`--NAME=VALUE` for each key replays the run, with
-vectors comma-joined, a true switch given bare, and null or false keys
-left out), `status`, `final_diagnostics` and `wall_seconds`; a blow-up
-adds `reason`, `blowup_t` and `blowup_value`.
+without the dashes (`--NAME=VALUE` for each key replays the run, with a
+true switch given bare and null or false keys left out), `status`,
+`final_diagnostics` and `wall_seconds`; a blow-up adds `reason`,
+`blowup_t` and `blowup_value`.
 
 Exit codes: 0 completed, 2 blow-up detected (an expected physical outcome,
 not a crash), 1 an error or, for `verify`, a failed criterion.
@@ -62,19 +62,15 @@ def _evolution_default(name: str):
     return next(f.default for f in fields(EvolutionConfig) if f.name == name)
 
 
-def _vector(flag: str):
-    """The argparse type of a 3-vector option given as comma-separated numbers."""
-
-    def parse(text: str) -> list[float]:
-        try:
-            values = [float(v) for v in text.split(",")]
-        except ValueError:
-            raise CliError(f"{flag}: expected comma-separated numbers, got {text!r}") from None
-        if len(values) != 3:
-            raise CliError(f"{flag}: expected exactly 3 components")
-        return values
-
-    return parse
+def _vector(flag: str, text: str) -> list[float]:
+    """The 3-vector an option gives as comma-separated numbers."""
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise CliError(f"{flag}: expected comma-separated numbers, got {text!r}") from None
+    if len(values) != 3:
+        raise CliError(f"{flag}: expected exactly 3 components")
+    return values
 
 
 def _build(flags: str, make, *args, **kwargs):
@@ -231,11 +227,13 @@ def _scan(options):
 
 
 def _rigidbody(options):
+    inertia = _vector("--inertia", options.inertia)
+    omega0 = _vector("--omega0", options.omega0)
     _build("--dt/--t-end", step_count, options.dt, options.t_end)
     # RigidBodyState checks this too, in words that name no flag.
-    if any(v <= 0 for v in options.inertia):
+    if any(v <= 0 for v in inertia):
         raise CliError("--inertia: moments must be positive")
-    state = RigidBodyState.from_rest_attitude(options.omega0, options.inertia)
+    state = RigidBodyState.from_rest_attitude(omega0, inertia)
 
     def work(out: Path):
         traj = evolve_rigidbody(state, dt=options.dt, t_end=options.t_end)
@@ -305,9 +303,8 @@ _COMMANDS = {
                                         "negative curvature")),
     ), _scan),
     "rigidbody": ("free rigid body reference integration", (
-        ("--inertia", dict(type=_vector("--inertia"), default="1,2,3",
-                           help="principal moments, comma separated")),
-        ("--omega0", dict(type=_vector("--omega0"), default="1,1,1",
+        ("--inertia", dict(default="1,2,3", help="principal moments, comma separated")),
+        ("--omega0", dict(default="1,1,1",
                           help="initial body angular velocity, comma separated")),
         ("--dt", dict(type=float, default=1e-3)),
         ("--t-end", dict(type=float, default=10.0)),

@@ -48,16 +48,14 @@ def run_cli(args, out_dir):
 def replay_argv(command, config):
     """The argv of a run from its run.json config.
 
-    --NAME=VALUE per key, vectors comma-joined, a true switch bare, null
-    and false keys left out.
+    --NAME=VALUE per key, a true switch bare, null and false keys left out.
     """
     argv = [command]
     for name, value in config.items():
         if value is True:
             argv.append(f"--{name}")
         elif value is not None and value is not False:
-            text = ",".join(map(repr, value)) if isinstance(value, list) else str(value)
-            argv.append(f"--{name}={text}")
+            argv.append(f"--{name}={value}")
     return argv
 
 
