@@ -38,7 +38,7 @@ from chdp.curvature import (
     scan_direction,
     scan_grid,
 )
-from chdp.evolution import EvolutionConfig, RunStatus, evolve, step_count
+from chdp.evolution import EvolutionConfig, RunStatus, _initial_state, evolve, step_count
 from chdp.flowmap import evolve_flowmap, momentum_drift
 from chdp.presets import PRESET_HELP, initial_condition
 from chdp.rigidbody import RigidBodyState, conservation_drifts, evolve_rigidbody
@@ -70,6 +70,8 @@ def _vector(flag: str, text: str) -> list[float]:
         raise CliError(f"{flag}: expected comma-separated numbers, got {text!r}") from None
     if len(values) != 3:
         raise CliError(f"{flag}: expected exactly 3 components")
+    if not np.all(np.isfinite(values)):
+        raise CliError(f"{flag}: components must be finite, got {text!r}")
     return values
 
 
@@ -120,14 +122,16 @@ def _evolution(options):
     _build("--dt/--t-end", step_count, options.dt, options.t_end)
     config = _build("--stride/--slope-threshold/--rhox-threshold", EvolutionConfig,
                     Model(options.model), dt=options.dt, t_end=options.t_end,
-                    grid_n=options.n, blowup_slope_threshold=options.slope_threshold,
+                    blowup_slope_threshold=options.slope_threshold,
                     blowup_rhox_threshold=options.rhox_threshold,
                     diagnostics_stride=options.stride)
     if options.snapshot_stride < 0:
         raise CliError("--snapshot-stride must be >= 0")
     if options.snapshot_stride % options.stride:
         raise CliError("--snapshot-stride must be a multiple of --stride")
-    return config, _build("--ic", initial_condition, options.ic, grid)
+    initial = _build("--ic", initial_condition, options.ic, grid)
+    _build("--model/--ic", _initial_state, config, initial)
+    return config, initial
 
 
 def _evolve(options):
@@ -137,7 +141,7 @@ def _evolve(options):
         result = evolve(config, initial)
         csvio.write_diagnostics(out / "diagnostics.csv", result.diagnostics)
         for i, step in _snapshots(result.times, config.dt, options.snapshot_stride):
-            csvio.write_snapshot(out / f"snapshot_{step:06d}.csv", result.snapshots[i])
+            csvio.write_snapshot(out / f"snapshot_{step:06d}.csv", result.state(i))
         final = {name: float(column[-1]) for name, column in vars(result.diagnostics).items()}
         return result.status, final, [
             f"evolve: {_outcome(result.status, result.times[-1])} "
@@ -151,6 +155,7 @@ def _flowmap(options):
 
     def work(out: Path):
         result = evolve_flowmap(config, initial)
+        csvio.write_diagnostics(out / "diagnostics.csv", result.diagnostics)
         rows, steps = zip(*_snapshots(result.times, config.dt, options.snapshot_stride))
         jac = result.jacobians(list(rows))  # rows end with the last row
         for i, step, jac_i in zip(rows, steps, jac):

@@ -24,17 +24,18 @@ FFT calls.  `rhs` is the `VelocityPair` view of the same kernel.
 `evolve` and `evolve_flowmap` share one step loop, `_integrate`, with one
 step (`_advance`), one monitor and one keep rule: the rows of every
 `diagnostics_stride`-th step, the last step and a blow-up step.  The
-monitor's single irfft per step gives the grid values and slopes of the
-state: the slopes feed the thresholds, and kept steps store the values
-(for `evolve` also the slopes) in one real history array that the
-results view.  `evolve` reads its diagnostics from that array in one
-pass, as the columns of a `DiagnosticsTable`; `conserved_energy` and
-`mean_invariants` are the one-state forms of two of them.
+monitor's single irfft per step gives the grid values and slopes of every
+state row: the slopes feed the thresholds, and kept steps store all of
+them in one real history array.  Both integrators return a result that
+views that array (`EvolveResult`, extended by the flow map's
+`FlowmapResult`) with its diagnostics, read in one pass as the columns of
+a `DiagnosticsTable`; `conserved_energy` and `mean_invariants` are the
+one-state forms of two of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -101,7 +102,6 @@ class EvolutionConfig:
     model: Model
     dt: float
     t_end: float
-    grid_n: int
     blowup_slope_threshold: float = -1e6
     blowup_rhox_threshold: float = 1e6
     diagnostics_stride: int = 10
@@ -114,7 +114,6 @@ class EvolutionConfig:
             raise ValueError("rho_x threshold must be finite and positive")
         if self.diagnostics_stride < 1:
             raise ValueError("diagnostics stride must be >= 1")
-        Grid(self.grid_n)  # validates evenness / minimum size
 
     @property
     def n_steps(self) -> int:
@@ -159,21 +158,27 @@ class RunStatus:
         return self.kind == "completed"
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class EvolveResult:
-    """Snapshots and diagnostics of the kept steps, at times `diagnostics.t`."""
+    """The kept steps of a run, at `times`: read-only views of one history array.
 
-    snapshots: list[VelocityPair]
+    Row i of u, rho, u_x and rho_x holds the grid values at times[i];
+    `diagnostics` has one entry per kept step.
+    """
+
+    grid: Grid
+    model: Model
+    times: np.ndarray
+    u: np.ndarray
+    rho: np.ndarray
+    u_x: np.ndarray
+    rho_x: np.ndarray
     diagnostics: DiagnosticsTable
-    status: RunStatus = field(default_factory=lambda: RunStatus("completed"))
+    status: RunStatus
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.diagnostics.t
-
-    @property
-    def final(self) -> VelocityPair:
-        return self.snapshots[-1]
+    def state(self, i: int) -> VelocityPair:
+        """(u, rho) of kept step i as fields."""
+        return _pair(self.grid, (self.u[i], self.rho[i]))
 
 
 class _Kernel:
@@ -226,10 +231,6 @@ class _Kernel:
         self.value_slope = np.stack((np.ones_like(self.ik), self.ik))[:, None]
         for arr in (self.mult, self.weights, self.value_slope):
             arr.setflags(write=False)
-
-    def derivative(self, y: np.ndarray) -> np.ndarray:
-        """d/dx of every row of the grid values y, as `derivative` does for one field."""
-        return np.fft.irfft(np.fft.rfft(y) * self.ik, self.n)
 
     def points(self, y: np.ndarray, extra: np.ndarray | None = None) -> np.ndarray:
         """Grid values of every row of the spectra y, then their slopes, then the rows of extra.
@@ -334,9 +335,7 @@ def mean_invariants(state: VelocityPair) -> tuple[float, float]:
 
 
 def _initial_state(config: EvolutionConfig, initial: VelocityPair) -> VelocityPair:
-    """Validate initial data against the config; return it dealiased."""
-    if initial.grid.n != config.grid_n:
-        raise ValueError(f"initial data on n={initial.grid.n}, config wants {config.grid_n}")
+    """Validate initial data against the model; return it dealiased."""
     if not config.model.two_component and np.max(np.abs(initial.rho.values)) != 0.0:
         raise ValueError(f"model {config.model.value} requires rho = 0 initial data")
     return VelocityPair(dealias(initial.u), dealias(initial.rho))
@@ -366,21 +365,23 @@ def _threshold_reason(config: EvolutionConfig,
     return None
 
 
-def _integrate(config: EvolutionConfig, kernel: _Kernel, y: np.ndarray, step,
-               degenerate=lambda slopes: None, keep_slopes: bool = False):
-    """Step the spectra y, (u, rho) in rows 0-1, to t_end; return kept times, history, status.
+def _integrate(result_type, config: EvolutionConfig, grid: Grid, y: np.ndarray, step,
+               degenerate=lambda slopes: None):
+    """Step the spectra y, (u, rho) in rows 0-1, to t_end; a `result_type` views the kept steps.
 
     `step(y, t)` is `_advance` from t.  A non-finite step stops the run
     unkept; else the monitor turns every row of y into grid values and
     slopes in one irfft (also at t=0) and stops at `degenerate(slopes)`,
     which returns (criterion, value) or None, else at a threshold.  Kept
     steps (every `config.diagnostics_stride`-th, the last, a blow-up)
-    fill one real (rows, kept steps, n) history array with the grid
-    values of the rows of y, then, with keep_slopes, their slopes.
+    fill one real (2 len(y), kept steps, n) history array with that
+    irfft: the grid values of the rows of y, then their slopes.
+    `result_type` is `EvolveResult` or a subclass whose fields after
+    `status` view the further rows of y, their values then their slopes.
     """
+    kernel = _kernel(config.model, grid.n)
     n_steps, stride = config.n_steps, config.diagnostics_stride
-    rows = len(y) * (2 if keep_slopes else 1)
-    history = np.empty((rows, -(-n_steps // stride) + 1, kernel.n))
+    history = np.empty((2 * len(y), -(-n_steps // stride) + 1, grid.n))
     kept = []
     status = RunStatus("completed")
     for i in range(n_steps + 1):
@@ -395,16 +396,26 @@ def _integrate(config: EvolutionConfig, kernel: _Kernel, y: np.ndarray, step,
         slopes = z[len(y):]
         tripped = degenerate(slopes) or _threshold_reason(config, slopes)
         if i % stride == 0 or i == n_steps or tripped is not None:
-            history[:, len(kept)] = z[:rows]
+            history[:, len(kept)] = z
             kept.append(i)
         if tripped is not None:
             status = RunStatus("blowup_detected", t=t, reason=tripped[0], value=tripped[1])
             break
-    return np.array(kept) * config.dt, history[:, :len(kept)], status
+    times = np.array(kept) * config.dt
+    history = history[:, :len(kept)]
+    for arr in (times, history):
+        arr.setflags(write=False)
+    (u, rho, *more), (ux, rhox, *more_x) = np.split(history, 2)
+    # The integral of A u is the mean of u: A's multiplier at mode 0 is 1.
+    diagnostics = DiagnosticsTable(times, np.mean(u * u + ux * ux + rho * rho, axis=1),
+                                   ux.min(axis=1), np.abs(rhox).max(axis=1),
+                                   u.mean(axis=1), rho.mean(axis=1))
+    return result_type(grid, config.model, times, u, rho, ux, rhox, diagnostics, status,
+                       *more, *more_x)
 
 
 def evolve(config: EvolutionConfig, initial: VelocityPair) -> EvolveResult:
-    """Integrate to t_end, keeping snapshots and diagnostics every stride.
+    """Integrate to t_end, keeping the grid values and slopes of every stride-th step.
 
     Stops early with status blowup_detected when a threshold is crossed
     (checked at t=0 and after every step) or a step goes non-finite; the
@@ -412,18 +423,7 @@ def evolve(config: EvolutionConfig, initial: VelocityPair) -> EvolveResult:
     the value that crossed its threshold.
     """
     start = _initial_state(config, initial)
-    kernel = _kernel(config.model, config.grid_n)
     # Steps go through the public `step_rk4`, the span perfbench's tracer
     # counts as the stepping layer.
-    times, history, status = _integrate(
-        config, kernel, np.stack((start.u.hat, start.rho.hat)),
-        lambda y, t: step_rk4(config.model, y, config.dt, t), keep_slopes=True)
-    history.setflags(write=False)  # the snapshots view it without a copy
-    # Row 0 is `start`, whose fields keep the spectra `dealias` gave them.
-    snapshots = [start] + [_pair(start.grid, history[:2, j]) for j in range(1, len(times))]
-    # The integral of A u is the mean of u: A's multiplier at mode 0 is 1.
-    u, rho, ux, rhox = history
-    diagnostics = DiagnosticsTable(times, np.mean(u * u + ux * ux + rho * rho, axis=1),
-                                   ux.min(axis=1), np.abs(rhox).max(axis=1),
-                                   u.mean(axis=1), rho.mean(axis=1))
-    return EvolveResult(snapshots, diagnostics, status)
+    return _integrate(EvolveResult, config, start.grid, np.stack((start.u.hat, start.rho.hat)),
+                      lambda y, t: step_rk4(config.model, y, config.dt, t))

@@ -11,16 +11,19 @@ which is equivalent to the second-order geodesic equation by
 right-invariance; that equivalence is a tested property, not an
 assumption.  It runs the step loop of `evolve` (`evolution._integrate`:
 RK4, blow-up monitor, kept-row history) on the rfft spectra of
-(u, rho, psi, f), one complex (4, n//2 + 1) array, and keeps the grid
-values of the steps `evolve` keeps: every `diagnostics_stride`-th step,
-the last step and a blow-up step.  Each RK4 stage makes one irfft of
+(u, rho, psi, f), one complex (4, n//2 + 1) array, and keeps the steps
+`evolve` keeps: every `diagnostics_stride`-th step, the last step and a
+blow-up step.  Each RK4 stage makes one irfft of
 (u, rho, u_x, rho_x, psi), evaluates the series of u and rho (their
 spectra, rows 0-1 of the state) at phi = id + psi in one call of the
 off-grid evaluator (`spectral._offgrid`, a type-2 NUFFT), and makes one
 rfft of the Eulerian kernel's products and (u o phi, rho o phi) together:
 13 FFT calls per step with the monitor's.  Rows 0-1 stay band-limited;
-psi and f are not truncated.  The monitor adds the phi_x floor before the
-thresholds.
+psi and f are not truncated.  The monitor's irfft gives the grid values
+and slopes of all four rows, and `FlowmapResult` views them as kept:
+its (u, rho) part is the `EvolveResult` of `evolve` for the same config,
+and phi_x = 1 + psi_x is the value the monitor's phi_x floor checks,
+before the thresholds.
 Along exact two-component CH flows (rho o phi) phi_x and the full
 coadjoint-transported momentum pair are constant; along 2DP flows
 (rho o phi) phi_x^2 is constant.  These are the quantities reported by
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from chdp.connection import Model, VelocityPair
-from chdp.evolution import (EvolutionConfig, RunStatus, _advance, _initial_state,
+from chdp.evolution import (EvolutionConfig, EvolveResult, _advance, _initial_state,
                             _integrate, _kernel, _Kernel)
 from chdp.spectral import (
     Diffeo,
@@ -149,35 +152,30 @@ def body_velocity(g: GroupElement, phi_t: PeriodicField,
 # Coupled Eulerian + flow-map integration
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FlowmapResult:
-    """Stacked history of the kept steps of the coupled run.
+@dataclass(frozen=True, eq=False)
+class FlowmapResult(EvolveResult):
+    """The kept steps of the coupled run: `EvolveResult` plus the flow map.
 
-    Rows of u/rho/psi/f are the fields at `times`, the steps `evolve`
-    keeps for the same config; phi = id + psi.  The four arrays are views
-    of one history array.
+    Row i of psi, f, psi_x and f_x holds the grid values at times[i], the
+    steps `evolve` keeps for the same config; phi = id + psi.  Every array
+    is a read-only view of one history array.
     """
 
-    grid: Grid
-    model: Model
-    times: np.ndarray
-    u: np.ndarray
-    rho: np.ndarray
     psi: np.ndarray
     f: np.ndarray
-    status: RunStatus
+    psi_x: np.ndarray
+    f_x: np.ndarray
 
     def group_element(self, i: int) -> GroupElement:
         return GroupElement(Diffeo(PeriodicField(self.grid, self.psi[i])),
                             PeriodicField(self.grid, self.f[i]))
 
     def jacobians(self, rows=None) -> np.ndarray:
-        """phi_x at the given history rows (default all), via the kernel's batched derivative.
+        """phi_x = 1 + psi_x at the given history rows (default all), shape (len(rows), n).
 
-        The shape is (len(rows), n); every row equals the same row of the full history.
+        The same values the monitor's phi_x floor checks.
         """
-        psi = self.psi if rows is None else self.psi[rows]
-        return 1.0 + _kernel(self.model, self.grid.n).derivative(psi)
+        return 1.0 + (self.psi_x if rows is None else self.psi_x[rows])
 
 
 def _flow_rhs(kernel: _Kernel, grid: Grid, y: np.ndarray) -> np.ndarray:
@@ -198,11 +196,11 @@ def evolve_flowmap(config: EvolutionConfig, initial: VelocityPair,
     """Co-integrate (u, rho, psi, f) from (initial, identity) with RK4.
 
     The state is the (4, n//2 + 1) spectra stepped by the step loop of
-    `evolve`, keeping the grid values of the steps it keeps (every
-    `config.diagnostics_stride`-th, the last, a blow-up) in one
-    (4, kept steps, n) history, whose rows the result's fields view.  Stops
-    early on the blow-up monitor of `evolve` (same status and time) or
-    when min phi_x drops to `jacobian_floor` (reason 'phix_degenerate',
+    `evolve`, keeping the grid values and slopes of the steps it keeps
+    (every `config.diagnostics_stride`-th, the last, a blow-up) in one
+    (8, kept steps, n) history, whose rows the result's fields view.
+    Stops early on the blow-up monitor of `evolve` (same status and time)
+    or when min phi_x drops to `jacobian_floor` (reason 'phix_degenerate',
     with min phi_x as the value, checked before the Eulerian thresholds).
     """
     grid = initial.grid
@@ -218,10 +216,7 @@ def evolve_flowmap(config: EvolutionConfig, initial: VelocityPair,
         min_phix = 1.0 + float(slopes[2].min())
         return ("phix_degenerate", min_phix) if min_phix <= jacobian_floor else None
 
-    times, history, status = _integrate(config, kernel, y, step, degenerate)
-    u, rho, psi, f = history
-    return FlowmapResult(grid=grid, model=config.model, times=times,
-                         u=u, rho=rho, psi=psi, f=f, status=status)
+    return _integrate(FlowmapResult, config, grid, y, step, degenerate)
 
 
 def reconstruct_f(model: Model, rho0: PeriodicField, times: np.ndarray,
@@ -305,8 +300,7 @@ def momentum_drift(model: Model, result: FlowmapResult,
             q.append(rho_w * jac**rho_power)
         if model.has_metric:
             m_w = apply_series_matrix(plan, helmholtz(PeriodicField(grid, result.u[i])))
-            fx = derivative(PeriodicField(grid, result.f[i])).values
-            q.append(_coadjoint_m0(m_w, rho_w, jac, fx))
+            q.append(_coadjoint_m0(m_w, rho_w, jac, result.f_x[i]))
         first = q if first is None else first
         deviations.append([np.max(np.abs(a - b)) for a, b in zip(q, first)])
 

@@ -62,6 +62,8 @@ class RigidBodyState:
         inertia = np.asarray(self.inertia, dtype=float)
         if attitude.shape != (3, 3) or omega.shape != (3,) or inertia.shape != (3,):
             raise ValueError("attitude must be 3x3; omega and inertia 3-vectors")
+        if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(inertia))):
+            raise ValueError("omega and inertia must be finite")
         if np.max(np.abs(attitude.T @ attitude - np.eye(3))) > 1e-9:
             raise ValueError("attitude is not orthogonal to 1e-9")
         if np.linalg.det(attitude) <= 0:

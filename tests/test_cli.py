@@ -133,12 +133,22 @@ class TestParse:
         (["curvature-scan", "--max-mode", "4", "--n", "20"], "--n: n=20 keeps modes up to 6"),
         (["rigidbody", "--inertia", "1,-2,3"], "--inertia: moments must be positive"),
         (["rigidbody", "--omega0", "1,x,1"], "--omega0: expected comma-separated numbers"),
+        (["rigidbody", "--omega0", "nan,1,1"], "--omega0: components must be finite"),
+        (["rigidbody", "--inertia", "1,inf,3"], "--inertia: components must be finite"),
+        (["evolve", "--model", "ch", "--ic", "pair:1:0.1:1:0.1", "--n", "64", "--dt", "0.01",
+          "--t-end", "0.1"], "--model/--ic: model ch requires rho = 0 initial data"),
     ], ids=["grid", "stride", "slope_threshold", "steps", "initial_condition",
-            "curvature_grid", "scan_resolution", "inertia", "omega0"])
-    def test_object_errors_name_the_flag(self, args, message):
+            "curvature_grid", "scan_resolution", "inertia", "omega0", "omega0_nan",
+            "inertia_inf", "one_component_rho"])
+    def test_object_errors_name_the_flag(self, tmp_path, capsys, args, message):
+        # Every object is built before --out-dir is made.
         with pytest.raises(CliError) as raised:
             parse_config(args)
         assert str(raised.value).startswith(message)
+        out = tmp_path / "out"
+        assert run_cli(args, out) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
 
     def test_uneven_snapshot_stride_rejected(self):
         with pytest.raises(CliError, match="--snapshot-stride must be a multiple of --stride"):
@@ -329,6 +339,9 @@ class TestFlowmapCommand:
         with open(out / "flowmap_000000.csv", newline="") as handle:
             header = next(csv.reader(handle))
         assert header == ["x", "phi", "phix", "f"]
+        with open(out / "diagnostics.csv", newline="") as handle:
+            header = next(csv.reader(handle))
+        assert header == ["t", "energy", "min_ux", "max_abs_rhox", "mean_m", "mean_rho"]
         manifest = read_manifest(out / "run.json")
         assert manifest["final_diagnostics"]["momentum_drift"]["rho0"] <= 1e-8
 

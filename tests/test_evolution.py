@@ -25,6 +25,7 @@ from chdp.spectral import (
     PeriodicField,
     constant_field,
     cosine_field,
+    dealias,
     dealiased_product,
     derivative,
     field_from_function,
@@ -145,8 +146,7 @@ class TestEvolveCost:
         # 9 FFT calls per step (8 for the RK4 step on spectra, 1 for the
         # monitor) and none per record, whose diagnostics read the kept
         # values and slopes; per-field stepping would cost about 60 per step.
-        config = EvolutionConfig(Model.CH2, dt=1e-4, t_end=0.01, grid_n=256,
-                                 diagnostics_stride=stride)
+        config = EvolutionConfig(Model.CH2, dt=1e-4, t_end=0.01, diagnostics_stride=stride)
         initial = VelocityPair(cosine_field(grid256, 1, 0.3), cosine_field(grid256, 2, 0.2))
         calls = count_calls(monkeypatch, np.fft, ["rfft", "irfft"])
         assert len(evolve(config, initial).diagnostics) == 100 // stride + 1
@@ -160,8 +160,7 @@ class TestEvolveCost:
         initial = VelocityPair(cosine_field(grid256, 1, 0.3), cosine_field(grid256, 2, 0.2))
         counts = []
         for steps in (2, 12):
-            config = EvolutionConfig(model, dt=1e-4, t_end=steps * 1e-4, grid_n=256,
-                                     diagnostics_stride=100)
+            config = EvolutionConfig(model, dt=1e-4, t_end=steps * 1e-4, diagnostics_stride=100)
             with monkeypatch.context() as patch:
                 calls = count_calls(patch, np.fft, ["rfft", "irfft"])
                 assert len(evolve(config, initial).diagnostics) == 2
@@ -176,7 +175,7 @@ class TestEvolveCost:
         initial = VelocityPair(cosine_field(grid256, 1, 0.3), cosine_field(grid256, 2, 0.2))
         counts = []
         for steps in (2, 12):
-            config = EvolutionConfig(Model.DP2, dt=1e-4, t_end=steps * 1e-4, grid_n=256)
+            config = EvolutionConfig(Model.DP2, dt=1e-4, t_end=steps * 1e-4)
             with monkeypatch.context() as patch:
                 calls = count_calls(patch, np.fft, ["rfft", "irfft"])
                 assert evolve_flowmap(config, initial).status.completed
@@ -187,12 +186,12 @@ class TestEvolveCost:
         initial = VelocityPair(cosine_field(grid64, 1, 0.3), cosine_field(grid64, 2, 0.2))
         built = []
         for steps in (50, 200):
-            config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=steps * 1e-3, grid_n=64,
+            config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=steps * 1e-3,
                                      diagnostics_stride=steps)
             with monkeypatch.context() as patch:
                 calls = count_calls(patch, PeriodicField, ["__init__"])
                 result = evolve(config, initial)
-            assert len(result.snapshots) == 2
+            assert len(result.times) == 2
             built.append(len(calls))
         assert built[0] == built[1]
 
@@ -296,34 +295,44 @@ class TestStepRk4:
 
 class TestEvolve:
     def test_zero_initial(self, grid64):
-        config = EvolutionConfig(Model.CH2, dt=1e-2, t_end=0.1, grid_n=64)
+        config = EvolutionConfig(Model.CH2, dt=1e-2, t_end=0.1)
         result = evolve(config, VelocityPair(zero_field(grid64), zero_field(grid64)))
         assert result.status.completed
-        assert all(np.max(np.abs(s.u.values)) == 0.0 for s in result.snapshots)
+        assert np.max(np.abs(result.u)) == 0.0
 
-    def test_rejects_wrong_grid(self, grid64):
-        config = EvolutionConfig(Model.CH2, dt=1e-2, t_end=0.1, grid_n=128)
-        with pytest.raises(ValueError, match="n=64"):
-            evolve(config, VelocityPair.single(cosine_field(grid64, 1)))
+    def test_result_views_one_read_only_history(self, grid64):
+        # Row 0 is the dealiased start bit for bit; every array views one
+        # history that no caller can write.
+        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.05, diagnostics_stride=10)
+        initial = VelocityPair(cosine_field(grid64, 1, 0.2) + cosine_field(grid64, 30, 0.1),
+                               cosine_field(grid64, 2, 0.1))
+        result = evolve(config, initial)
+        start = (dealias(initial.u).values, dealias(initial.rho).values)
+        assert np.array_equal(result.u[0], start[0]) and np.array_equal(result.rho[0], start[1])
+        state = result.state(3)
+        assert np.array_equal(state.u.values, result.u[3])
+        assert np.array_equal(state.rho.values, result.rho[3])
+        arrays = (result.u, result.rho, result.u_x, result.rho_x)
+        assert all(a.base is result.u.base and not a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            result.u_x[0, 0] = 1.0
 
     def test_single_component_rejects_rho(self, grid64):
-        config = EvolutionConfig(Model.CH, dt=1e-2, t_end=0.1, grid_n=64)
+        config = EvolutionConfig(Model.CH, dt=1e-2, t_end=0.1)
         with pytest.raises(ValueError, match="rho"):
             evolve(config, VelocityPair(cosine_field(grid64, 1), cosine_field(grid64, 1)))
 
     def test_2ch_reduction_matches_ch(self, grid64):
         u0 = cosine_field(grid64, 1, 0.2)
-        cfg2 = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.2, grid_n=64)
-        cfg1 = EvolutionConfig(Model.CH, dt=1e-3, t_end=0.2, grid_n=64)
+        cfg2 = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.2)
+        cfg1 = EvolutionConfig(Model.CH, dt=1e-3, t_end=0.2)
         two = evolve(cfg2, VelocityPair.single(u0))
         one = evolve(cfg1, VelocityPair.single(u0))
-        du = two.final.u.values - one.final.u.values
-        assert np.max(np.abs(du)) <= 1e-10
-        assert np.max(np.abs(two.final.rho.values)) == 0.0
+        assert np.max(np.abs(two.u[-1] - one.u[-1])) <= 1e-10
+        assert np.max(np.abs(two.rho[-1])) == 0.0
 
     def test_2ch_energy_conservation(self, grid64):
-        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=1.0, grid_n=64,
-                                 diagnostics_stride=100)
+        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=1.0, diagnostics_stride=100)
         initial = VelocityPair(cosine_field(grid64, 1, 0.1), cosine_field(grid64, 1, 0.1))
         result = evolve(config, initial)
         assert result.status.completed
@@ -331,8 +340,7 @@ class TestEvolve:
         assert np.max(np.abs(energy - energy[0])) / energy[0] <= 1e-8
 
     def test_2ch_mean_invariants_conserved(self, grid64):
-        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.5, grid_n=64,
-                                 diagnostics_stride=50)
+        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.5, diagnostics_stride=50)
         initial = VelocityPair(cosine_field(grid64, 1, 0.2) + 0.1,
                                cosine_field(grid64, 2, 0.2) + 0.3)
         result = evolve(config, initial)
@@ -341,7 +349,7 @@ class TestEvolve:
 
     def test_blowup_detector_fires_min_ux(self):
         grid = Grid(256)
-        config = EvolutionConfig(Model.CH2, dt=5e-4, t_end=2.0, grid_n=256,
+        config = EvolutionConfig(Model.CH2, dt=5e-4, t_end=2.0,
                                  blowup_slope_threshold=-50.0,
                                  diagnostics_stride=100)
         result = evolve(config, VelocityPair.single(cosine_field(grid, 1, 2.0)))
@@ -351,8 +359,7 @@ class TestEvolve:
         assert result.diagnostics.min_ux[-1] < -50.0
 
     def test_blowup_detector_fires_rhox(self, grid64):
-        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=1.0, grid_n=64,
-                                 blowup_rhox_threshold=5.0)
+        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=1.0, blowup_rhox_threshold=5.0)
         initial = VelocityPair(zero_field(grid64), cosine_field(grid64, 1, 1.0))
         result = evolve(config, initial)
         assert result.status.kind == "blowup_detected"
@@ -362,7 +369,7 @@ class TestEvolve:
         # The value is the monitored min u_x that crossed the threshold, the
         # same number the kept blow-up record reports.
         grid = Grid(256)
-        config = EvolutionConfig(Model.CH2, dt=5e-4, t_end=2.0, grid_n=256,
+        config = EvolutionConfig(Model.CH2, dt=5e-4, t_end=2.0,
                                  blowup_slope_threshold=-50.0, diagnostics_stride=100)
         result = evolve(config, VelocityPair.single(cosine_field(grid, 1, 2.0)))
         assert result.status.reason == "min_ux"
@@ -370,8 +377,7 @@ class TestEvolve:
         assert result.diagnostics.t[-1] == result.status.t
 
     def test_blowup_value_max_abs_rhox(self, grid64):
-        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=1.0, grid_n=64,
-                                 blowup_rhox_threshold=5.0)
+        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=1.0, blowup_rhox_threshold=5.0)
         initial = VelocityPair(zero_field(grid64), cosine_field(grid64, 1, 1.0))
         result = evolve(config, initial)
         assert result.status.reason == "max_abs_rhox"
@@ -381,12 +387,12 @@ class TestEvolve:
         assert result.status.value == pytest.approx(2.0 * np.pi, rel=1e-13)
 
     def test_non_finite_carries_no_value(self, grid64):
-        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.01, grid_n=64)
+        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.01)
         result = evolve(config, VelocityPair(constant_field(grid64, np.nan), zero_field(grid64)))
         assert (result.status.reason, result.status.value) == ("non_finite", None)
 
     def test_detector_quiet_on_smooth_run(self, grid64):
-        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.5, grid_n=64)
+        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.5)
         result = evolve(config, VelocityPair.single(cosine_field(grid64, 1, 0.1)))
         assert result.status.completed
 
@@ -394,13 +400,14 @@ class TestEvolve:
     def test_diagnostics_columns_match_one_state_oracle(self, model, grid64):
         # The columns come from the kept values and slopes in one pass; the
         # one-state forms build fields and transform them.
-        config = EvolutionConfig(model, dt=1e-3, t_end=0.2, grid_n=64, diagnostics_stride=20)
+        config = EvolutionConfig(model, dt=1e-3, t_end=0.2, diagnostics_stride=20)
         initial = VelocityPair(cosine_field(grid64, 1, 0.2) + 0.1,
                                cosine_field(grid64, 2, 0.2) + 0.3)
         result = evolve(config, initial)
         table = result.diagnostics
-        assert len(table) == len(result.snapshots) == 11
-        for i, state in enumerate(result.snapshots):
+        assert len(table) == len(result.times) == 11
+        for i in range(len(table)):
+            state = result.state(i)
             mean_m, mean_rho = mean_invariants(state)
             assert table.energy[i] == pytest.approx(conserved_energy(state), rel=1e-12)
             assert table.mean_m[i] == pytest.approx(mean_m, rel=1e-12)
@@ -423,11 +430,10 @@ def test_spatial_convergence(initial):
     # pole 2.6e-3, 6.0e-5, 5.5e-8 (ratios 44 and 1092).
     finals = {}
     for n in (32, 64, 128, 256):
-        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.1, grid_n=n,
-                                 diagnostics_stride=100)
+        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.1, diagnostics_stride=100)
         result = evolve(config, initial(Grid(n)))
         assert result.status.completed
-        finals[n] = np.stack((result.final.u.values, result.final.rho.values))
+        finals[n] = np.stack((result.u[-1], result.rho[-1]))
     errors = [max_gap(finals[n], finals[256][:, ::256 // n]) for n in (32, 64, 128)]
     for coarse, fine in zip(errors, errors[1:]):
         assert fine <= max(coarse / 10.0, 1e-12), errors
@@ -446,11 +452,10 @@ class TestScalars:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            EvolutionConfig(Model.CH2, dt=0.2, t_end=0.1, grid_n=64)
+            EvolutionConfig(Model.CH2, dt=0.2, t_end=0.1)
+        with pytest.raises(ValueError, match="stride"):
+            EvolutionConfig(Model.CH2, dt=1e-3, t_end=1.0, diagnostics_stride=0)
         with pytest.raises(ValueError):
-            EvolutionConfig(Model.CH2, dt=1e-3, t_end=1.0, grid_n=63)
-        with pytest.raises(ValueError):
-            EvolutionConfig(Model.CH2, dt=1e-3, t_end=1.0, grid_n=64,
-                            blowup_slope_threshold=1.0)
+            EvolutionConfig(Model.CH2, dt=1e-3, t_end=1.0, blowup_slope_threshold=1.0)
         with pytest.raises(ValueError, match="whole number of steps"):
-            EvolutionConfig(Model.CH2, dt=0.3, t_end=1.0, grid_n=64)
+            EvolutionConfig(Model.CH2, dt=0.3, t_end=1.0)

@@ -66,6 +66,15 @@ class TestStateValidation:
         with pytest.raises(ValueError, match="inertia"):
             RigidBodyState.from_rest_attitude(np.ones(3), [1.0, -2.0, 3.0])
 
+    @pytest.mark.parametrize("omega, inertia", [
+        ([np.nan, 1.0, 1.0], [1.0, 2.0, 3.0]),
+        ([1.0, 1.0, 1.0], [1.0, np.inf, 3.0]),
+        ([1.0, 1.0, 1.0], [np.nan, 2.0, 3.0]),
+    ], ids=["omega_nan", "inertia_inf", "inertia_nan"])
+    def test_rejects_non_finite(self, omega, inertia):
+        with pytest.raises(ValueError, match="finite"):
+            RigidBodyState.from_rest_attitude(omega, inertia)
+
 
 @pytest.fixture(scope="module")
 def reference_run():

@@ -305,7 +305,7 @@ def test_off_grid_callers_build_no_dense_plan(monkeypatch, grid128, rng):
     evaluate(f, rng.uniform(0.0, 1.0, 7))
     back = compose(compose(f, phi), invert_diffeo(phi))
     assert np.max(np.abs(back.values - f.values)) <= 1e-8
-    config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.01, grid_n=128)
+    config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.01)
     res = flowmap.evolve_flowmap(config, VelocityPair(cosine_field(grid128, 1, 0.2),
                                                       cosine_field(grid128, 2, 0.1)))
     assert res.status.completed

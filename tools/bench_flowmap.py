@@ -99,11 +99,13 @@ def measure() -> dict:
 
         initial = VelocityPair(spectral.PeriodicField(grid, state[0]),
                                spectral.PeriodicField(grid, state[1]))
+        # Older trees' EvolutionConfig also takes the grid size.
+        grid_n = {"grid_n": n} if "grid_n" in EvolutionConfig.__dataclass_fields__ else {}
 
         def per_step(run):
             def steps(count):
-                config = EvolutionConfig(Model.DP2, dt=1e-4, t_end=count * 1e-4, grid_n=n,
-                                         diagnostics_stride=count)
+                config = EvolutionConfig(Model.DP2, dt=1e-4, t_end=count * 1e-4,
+                                         diagnostics_stride=count, **grid_n)
                 return _per_call(lambda: run(config, initial))
             return (steps(30) - steps(10)) / 20
 
