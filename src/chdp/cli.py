@@ -1,12 +1,14 @@
 """Command-line driver.
 
 Subcommands: evolve, flowmap, curvature, curvature-scan, rigidbody,
-verify.  Each command is one row of `_COMMANDS`: its options, each
-declared once (an option that feeds `EvolutionConfig` takes its default
-from there), and a builder that validates them by building the objects
-the command runs.  `run` is the one runner: it makes --out-dir, times
-the command's work, CSVs included, as `wall_seconds`, writes run.json
-and prints the command's lines.
+verify.  Each command is one row of `_COMMANDS`: the options its work
+reads, each declared once (an option that feeds `EvolutionConfig` takes
+its default from there), and a builder that turns them into the objects
+the command runs.  Those objects hold the rules on their inputs; `_build`
+prefixes an object's error with the flags it was built from, so every
+error names its flags and fires before --out-dir exists.  `run` is the
+one runner: it makes --out-dir, times the command's work, CSVs included,
+as `wall_seconds`, writes run.json and prints the command's lines.
 
 run.json holds `config`, the command's own options keyed by flag name
 without the dashes (`--NAME=VALUE` for each key replays the run, with a
@@ -70,8 +72,6 @@ def _vector(flag: str, text: str) -> list[float]:
         raise CliError(f"{flag}: expected comma-separated numbers, got {text!r}") from None
     if len(values) != 3:
         raise CliError(f"{flag}: expected exactly 3 components")
-    if not np.all(np.isfinite(values)):
-        raise CliError(f"{flag}: components must be finite, got {text!r}")
     return values
 
 
@@ -161,7 +161,7 @@ def _flowmap(options):
         for i, step, jac_i in zip(rows, steps, jac):
             csvio.write_flowmap_snapshot(out / f"flowmap_{step:06d}.csv", initial.grid,
                                          result.psi[i], jac_i, result.f[i])
-        drifts = momentum_drift(config.model, result, stride=max(1, len(result.times) // 20))
+        drifts = momentum_drift(result, stride=max(1, len(result.times) // 20))
         final = {
             "t": float(result.times[-1]),
             "min_phix": float(jac[-1].min()),
@@ -175,13 +175,10 @@ def _flowmap(options):
 
 
 def _curvature(options):
-    # --first-zero zeroes the velocity slots, so --k1 and --l1 go unused.
-    used = ("k2", "l2") if options.first_zero else ("k1", "k2", "l1", "l2")
-    for name in used:
-        if getattr(options, name) < 1:
-            raise CliError(f"--{name}: modes must be positive integers")
-    k1, l1 = (0, 0) if options.first_zero else (options.k1, options.l1)
-    direction = CosineDirectionPair(k1, options.k2, l1, options.l2)
+    flags = "--k1/--k2/--l1/--l2"
+    direction = _build(flags, CosineDirectionPair, options.k1, options.k2, options.l1, options.l2)
+    if direction.degenerate:
+        raise CliError(f"{flags}: direction pair is degenerate (u = v)")
     grid = _resolving_grid(options.n, direction.max_mode)
 
     def work(out: Path):
@@ -200,6 +197,7 @@ def _scan(options):
         raise CliError("--max-mode must be at least 2")
     if options.negative_search < 0:
         raise CliError("--negative-search must be >= 0")
+    rng = _build("--seed", np.random.default_rng, options.seed)
     grid = _resolving_grid(options.n, options.max_mode)
 
     def work(out: Path):
@@ -213,8 +211,7 @@ def _scan(options):
         lines = []
         trials = options.negative_search
         if trials > 0:
-            found = negative_search(grid, np.random.default_rng(options.seed), trials,
-                                    options.max_mode)
+            found = negative_search(grid, rng, trials, options.max_mode)
             negatives = [(t, s) for t, s in found if s < 0]
             summary["negative_search"] = {
                 "trials": trials,
@@ -235,10 +232,7 @@ def _rigidbody(options):
     inertia = _vector("--inertia", options.inertia)
     omega0 = _vector("--omega0", options.omega0)
     _build("--dt/--t-end", step_count, options.dt, options.t_end)
-    # RigidBodyState checks this too, in words that name no flag.
-    if any(v <= 0 for v in inertia):
-        raise CliError("--inertia: moments must be positive")
-    state = RigidBodyState.from_rest_attitude(omega0, inertia)
+    state = _build("--inertia/--omega0", RigidBodyState.from_rest_attitude, omega0, inertia)
 
     def work(out: Path):
         traj = evolve_rigidbody(state, dt=options.dt, t_end=options.t_end)
@@ -253,6 +247,9 @@ def _rigidbody(options):
 
 
 def _verify(options):
+    # The criteria seed their own generators from --seed; this one checks it.
+    _build("--seed", np.random.default_rng, options.seed)
+
     def work(out: Path):
         results = verification.run_all(seed=options.seed)
         passed = all(r.passed for r in results)
@@ -263,10 +260,7 @@ def _verify(options):
     return work
 
 
-_COMMON_OPTIONS = (
-    ("--out-dir", dict(default="chdp-out")),
-    ("--seed", dict(type=int, default=0)),
-)
+_SEED = ("--seed", dict(type=int, default=0))
 # The options of evolve and flowmap.
 _RUN_OPTIONS = (
     ("--model", dict(required=True, choices=[m.value for m in Model])),
@@ -286,17 +280,15 @@ _RUN_OPTIONS = (
 )
 
 # command -> (help, its options, its builder); every command also takes
-# _COMMON_OPTIONS.
+# --out-dir.
 _COMMANDS = {
     "evolve": ("Eulerian integration", _RUN_OPTIONS, _evolve),
     "flowmap": ("coupled Eulerian + flow-map integration", _RUN_OPTIONS, _flowmap),
     "curvature": ("curvature of one cosine direction pair", (
-        ("--k1", dict(type=int, default=1)),
+        ("--k1", dict(type=int, default=1, help="--k1 0 --l1 0: the density-only family")),
         ("--k2", dict(type=int, default=1)),
         ("--l1", dict(type=int, default=1)),
         ("--l2", dict(type=int, default=2)),
-        ("--first-zero", dict(action="store_true",
-                              help="zero velocity slots (density-only directions)")),
         ("--n", dict(type=int, default=None,
                      help="grid size (default: resolves the given modes)")),
     ), _curvature),
@@ -306,6 +298,7 @@ _COMMANDS = {
         ("--negative-search", dict(type=int, default=0, metavar="TRIALS",
                                    help="also sample random directions hunting "
                                         "negative curvature")),
+        _SEED,
     ), _scan),
     "rigidbody": ("free rigid body reference integration", (
         ("--inertia", dict(default="1,2,3", help="principal moments, comma separated")),
@@ -314,7 +307,7 @@ _COMMANDS = {
         ("--dt", dict(type=float, default=1e-3)),
         ("--t-end", dict(type=float, default=10.0)),
     ), _rigidbody),
-    "verify": ("run the acceptance suite", (), _verify),
+    "verify": ("run the acceptance suite", (_SEED,), _verify),
 }
 _EXIT_CODES = {"completed": 0, "failed": 1, "blowup_detected": 2}
 
@@ -324,8 +317,9 @@ def _parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, options, _) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
-        for flag, kwargs in options + _COMMON_OPTIONS:
+        for flag, kwargs in options:
             command.add_argument(flag, **kwargs)
+        command.add_argument("--out-dir", default="chdp-out")
     return parser
 
 

@@ -266,9 +266,8 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return result
 
 
-def momentum_drift(model: Model, result: FlowmapResult,
-                   stride: int = 1) -> dict[str, np.ndarray]:
-    """Max-norm deviation of each conserved momentum from its t=0 value.
+def momentum_drift(result: FlowmapResult, stride: int = 1) -> dict[str, np.ndarray]:
+    """Max-norm deviation of each conserved momentum of result.model from its t=0 value.
 
     Keys: 'rho0' for the density momentum ((rho o phi) phi_x for the CH
     family, (rho o phi) phi_x^2 for DP) on two-component models, 'm0' for
@@ -276,6 +275,7 @@ def momentum_drift(model: Model, result: FlowmapResult,
     metric models (CH, 2CH).  Values are arrays over the sampled steps.
     DP tracks neither and returns {} without sampling any step.
     """
+    model = result.model
     keys = [key for key, on in (("rho0", model.two_component), ("m0", model.has_metric)) if on]
     if not keys:
         return {}

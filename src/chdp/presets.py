@@ -39,7 +39,10 @@ def initial_condition(spec: str, grid: Grid) -> VelocityPair:
     if name == "file":
         if not rest:
             raise ValueError("file preset needs a path: file:PATH")
-        state = read_snapshot(rest)
+        try:
+            state = read_snapshot(rest)
+        except OSError as exc:
+            raise ValueError(f"cannot read snapshot {rest}: {exc.strerror}") from None
         if state.grid.n != grid.n:
             raise ValueError(
                 f"snapshot {rest} has n={state.grid.n}, run requested n={grid.n}")

@@ -211,7 +211,7 @@ def check_momentum_conservation(seed: int) -> tuple[bool, str]:
     ok = True
     for model in (Model.CH2, Model.DP2):
         res = _smooth_flowmap_run(model.value)
-        drifts = momentum_drift(model, res)
+        drifts = momentum_drift(res)
         rho_scale = np.max(np.abs(res.rho[0]))
         rel_rho = np.max(drifts["rho0"]) / rho_scale
         ok = ok and rel_rho <= 1e-6

@@ -1,9 +1,12 @@
 import csv
 import filecmp
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chdp import csvio, curvature, verification
 from chdp.cli import CliError, main, parse_config
@@ -22,18 +25,18 @@ RIGIDBODY_ARGS = ["rigidbody", "--inertia", "1,2,3", "--omega0", "1,1,1",
                   "--dt", "1e-2", "--t-end", "1.0"]
 SCAN_ARGS = ["curvature-scan", "--max-mode", "4", "--negative-search", "16", "--seed", "3"]
 CURVATURE_ARGS = ["curvature", "--k1", "2", "--k2", "5", "--l1", "4", "--l2", "1"]
-FIRST_ZERO_ARGS = ["curvature", "--first-zero", "--k2", "2", "--l2", "5"]
+DENSITY_ARGS = ["curvature", "--k1", "0", "--k2", "2", "--l1", "0", "--l2", "5"]
 CSV_COMMANDS = {"evolve": EVOLVE_ARGS, "flowmap": FLOWMAP_ARGS, "curvature": CURVATURE_ARGS,
-                "curvature-first-zero": FIRST_ZERO_ARGS, "curvature-scan": SCAN_ARGS,
+                "curvature-density": DENSITY_ARGS, "curvature-scan": SCAN_ARGS,
                 "rigidbody": RIGIDBODY_ARGS}
 RUN_OPTIONS = {"model", "ic", "n", "dt", "t-end", "stride", "snapshot-stride",
                "slope-threshold", "rhox-threshold"}
-# Each command's own options by flag name; every command also takes --out-dir and --seed.
+# Each command's own options by flag name; every command also takes --out-dir.
 OPTIONS = {"evolve": RUN_OPTIONS, "flowmap": RUN_OPTIONS,
-           "curvature": {"k1", "k2", "l1", "l2", "first-zero", "n"},
-           "curvature-scan": {"max-mode", "n", "negative-search"},
+           "curvature": {"k1", "k2", "l1", "l2", "n"},
+           "curvature-scan": {"max-mode", "n", "negative-search", "seed"},
            "rigidbody": {"inertia", "omega0", "dt", "t-end"},
-           "verify": set()}
+           "verify": {"seed"}}
 
 
 def read_csv_column(path, name):
@@ -131,15 +134,31 @@ class TestParse:
          "--ic: preset 'cosmode:40:0.1': modes must be integers in 1..21"),
         (["curvature", "--n", "15"], "--n: grid size must be even"),
         (["curvature-scan", "--max-mode", "4", "--n", "20"], "--n: n=20 keeps modes up to 6"),
-        (["rigidbody", "--inertia", "1,-2,3"], "--inertia: moments must be positive"),
+        (["rigidbody", "--inertia", "1,-2,3"],
+         "--inertia/--omega0: inertia moments must be positive"),
         (["rigidbody", "--omega0", "1,x,1"], "--omega0: expected comma-separated numbers"),
-        (["rigidbody", "--omega0", "nan,1,1"], "--omega0: components must be finite"),
-        (["rigidbody", "--inertia", "1,inf,3"], "--inertia: components must be finite"),
+        (["rigidbody", "--omega0", "nan,1,1"], "--inertia/--omega0: omega must be finite"),
+        (["rigidbody", "--inertia", "1,inf,3"], "--inertia/--omega0: inertia must be finite"),
         (["evolve", "--model", "ch", "--ic", "pair:1:0.1:1:0.1", "--n", "64", "--dt", "0.01",
           "--t-end", "0.1"], "--model/--ic: model ch requires rho = 0 initial data"),
+        (["curvature", "--k1", "1", "--k2", "1", "--l1", "1", "--l2", "1"],
+         "--k1/--k2/--l1/--l2: direction pair is degenerate (u = v)"),
+        (["curvature", "--k1", "0", "--k2", "3", "--l1", "0", "--l2", "3"],
+         "--k1/--k2/--l1/--l2: direction pair is degenerate (u = v)"),
+        (["curvature", "--k1", "0", "--k2", "3", "--l1", "1", "--l2", "2"],
+         "--k1/--k2/--l1/--l2: modes must be positive integers; velocity modes may both be 0"),
+        (["curvature", "--k1", "0", "--k2", "0", "--l1", "0", "--l2", "2"],
+         "--k1/--k2/--l1/--l2: modes must be positive integers; velocity modes may both be 0"),
+        (["curvature-scan", "--max-mode", "2", "--negative-search", "4", "--seed", "-1"],
+         "--seed: expected non-negative integer"),
+        (["verify", "--seed", "-20"], "--seed: expected non-negative integer"),
+        (["evolve", "--model", "2ch", "--ic", "file:no-such-dir/snapshot.csv", "--n", "64",
+          "--dt", "0.01", "--t-end", "0.1"],
+         "--ic: cannot read snapshot no-such-dir/snapshot.csv: No such file or directory"),
     ], ids=["grid", "stride", "slope_threshold", "steps", "initial_condition",
             "curvature_grid", "scan_resolution", "inertia", "omega0", "omega0_nan",
-            "inertia_inf", "one_component_rho"])
+            "inertia_inf", "one_component_rho", "degenerate_pair", "degenerate_density_pair",
+            "one_velocity_mode_zero", "density_mode_zero", "scan_seed", "verify_seed", "missing_snapshot"])
     def test_object_errors_name_the_flag(self, tmp_path, capsys, args, message):
         # Every object is built before --out-dir is made.
         with pytest.raises(CliError) as raised:
@@ -268,17 +287,56 @@ def test_deterministic_outputs(tmp_path, args):
         assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
 
 
-@pytest.mark.parametrize("args", CSV_COMMANDS.values(), ids=CSV_COMMANDS.keys())
-def test_manifest_roundtrip(tmp_path, args):
-    # The config echo alone replays the run, into the same --out-dir.
+def assert_replays(args, tmp_path):
+    """The config echo alone replays the run, into the same --out-dir: same CSVs, same config."""
     out = tmp_path / "run"
     assert run_cli(args, out) == 0
     first = out.rename(tmp_path / "first")
-    assert main(replay_argv(args[0], read_manifest(first / "run.json")["config"])) == 0
+    config = read_manifest(first / "run.json")["config"]
+    assert main(replay_argv(args[0], config)) == 0
+    assert read_manifest(out / "run.json")["config"] == config
     names = sorted(p.name for p in first.glob("*.csv"))
     assert names and names == sorted(p.name for p in out.glob("*.csv"))
     for name in names:
         assert filecmp.cmp(first / name, out / name, shallow=False), name
+
+
+@pytest.mark.parametrize("args", CSV_COMMANDS.values(), ids=CSV_COMMANDS.keys())
+def test_manifest_roundtrip(tmp_path, args):
+    assert_replays(args, tmp_path)
+
+
+@st.composite
+def curvature_argv(draw):
+    """A valid `curvature` argv: a full or density-only pair, u != v, with or without --n."""
+    mode = st.integers(1, 6)
+    k1, l1 = draw(st.sampled_from([(0, 0), (draw(mode), draw(mode))]))
+    k2, l2 = draw(mode), draw(mode)
+    if (k1, k2) == (l1, l2):
+        l2 = l2 % 6 + 1
+    argv = ["curvature", f"--k1={k1}", f"--k2={k2}", f"--l1={l1}", f"--l2={l2}"]
+    n = draw(st.sampled_from([None, 38, 64, 200]))  # 38 = 6 * 6 + 2 resolves every mode
+    return argv if n is None else argv + [f"--n={n}"]
+
+
+@st.composite
+def rigidbody_argv(draw):
+    """A valid `rigidbody` argv of 2..40 steps, well inside RK4's stability limit."""
+    inertia = draw(st.lists(st.floats(0.5, 4.0), min_size=3, max_size=3))
+    omega0 = draw(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+    dt = draw(st.sampled_from([5e-3, 1e-2, 2e-2]))
+    steps = draw(st.integers(2, 40))
+    return ["rigidbody", "--inertia=" + ",".join(map(repr, inertia)),
+            "--omega0=" + ",".join(map(repr, omega0)), f"--dt={dt!r}", f"--t-end={steps * dt!r}"]
+
+
+@pytest.mark.parametrize("argv", [curvature_argv(), rigidbody_argv()],
+                         ids=["curvature", "rigidbody"])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_random_options_replay(argv, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_replays(data.draw(argv), Path(tmp))
 
 
 @pytest.mark.parametrize("args, code", [
@@ -294,7 +352,7 @@ def test_one_run_json_shape(tmp_path, monkeypatch, args, code):
     manifest = read_manifest(tmp_path / "run.json")
     blowup = {"reason", "blowup_t", "blowup_value"} if code == 2 else set()
     assert set(manifest) == {"config", "status", "final_diagnostics", "wall_seconds", *blowup}
-    assert set(manifest["config"]) == OPTIONS[args[0]] | {"out-dir", "seed"}
+    assert set(manifest["config"]) == OPTIONS[args[0]] | {"out-dir"}
     assert manifest["config"]["out-dir"] == str(tmp_path)
     assert manifest["wall_seconds"] > 0
 
@@ -424,7 +482,7 @@ class TestCurvatureCommands:
         with open(tmp_path / "scan" / "scan.csv", newline="") as handle:
             scan_rows = {tuple(row[:4]): row for row in csv.reader(handle)}
         for args in (["--k1", "2", "--k2", "5", "--l1", "4", "--l2", "1"],
-                     ["--first-zero", "--k2", "2", "--l2", "5"]):
+                     ["--k1", "0", "--k2", "2", "--l1", "0", "--l2", "5"]):
             out = tmp_path / "-".join(args)
             assert main(["curvature", *args, "--out-dir", str(out)]) == 0
             with open(out / "curvature.csv", newline="") as handle:
@@ -432,19 +490,8 @@ class TestCurvatureCommands:
             assert header == scan_rows[tuple(header[:4])]
             assert row == scan_rows[tuple(row[:4])]
 
-    def test_first_zero_checks_only_used_modes(self, tmp_path, capsys):
-        # --first-zero does not use --k1/--l1, so it does not check them
-        assert main(["curvature", "--first-zero", "--k1", "0", "--k2", "1", "--l2", "2",
-                     "--l1", "-3", "--out-dir", str(tmp_path / "zero")]) == 0
-        assert main(["curvature", "--k1", "0", "--k2", "1", "--l2", "2",
-                     "--out-dir", str(tmp_path / "plain")]) == 1
-        assert "error: --k1: modes must be positive integers" in capsys.readouterr().err
-        for flag in ("--k2", "--l2"):
-            with pytest.raises(CliError, match=f"{flag}: modes must be positive integers"):
-                parse_config(["curvature", "--first-zero", flag, "0"])
-
-    def test_first_zero_grid_from_used_modes(self, tmp_path, monkeypatch):
-        # --k1/--l1 are not used by --first-zero, so they do not size the grid
+    def test_density_family_grid_from_its_modes(self, tmp_path, monkeypatch):
+        # the zero velocity modes do not size the grid; the density modes do
         grids = []
         real = curvature._curvatures
 
@@ -453,14 +500,11 @@ class TestCurvatureCommands:
             return real(grid, y, planes)
 
         monkeypatch.setattr(curvature, "_curvatures", spy)
-        args = ["curvature", "--first-zero", "--k2", "1", "--l2", "2"]
-        assert main([*args, "--out-dir", str(tmp_path / "plain")]) == 0
-        assert main([*args, "--k1", "30", "--l1", "20", "--out-dir", str(tmp_path / "big")]) == 0
-        assert grids == [128, 128]
-        assert filecmp.cmp(tmp_path / "plain" / "curvature.csv",
-                           tmp_path / "big" / "curvature.csv", shallow=False)
-        assert main([*args, "--k1", "9", "--n", "16", "--out-dir", str(tmp_path / "n16")]) == 0
-        assert grids[-1] == 16
+        args = ["curvature", "--k1", "0", "--l1", "0", "--k2", "1"]
+        assert main([*args, "--l2", "2", "--out-dir", str(tmp_path / "plain")]) == 0
+        assert main([*args, "--l2", "9", "--out-dir", str(tmp_path / "big")]) == 0
+        assert main([*args, "--l2", "2", "--n", "16", "--out-dir", str(tmp_path / "n16")]) == 0
+        assert grids == [128, 144, 16]
 
 
 class TestRigidbodyCommand:

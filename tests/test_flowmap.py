@@ -377,7 +377,7 @@ class TestMomentumDrift:
                                     PeriodicField(grid, res.rho[i]))
 
         start, end = transported(0), transported(last)
-        drifts = momentum_drift(Model.CH2, res, stride=last)
+        drifts = momentum_drift(res, stride=last)
         want_m0 = np.max(np.abs(end.m0.values - start.m0.values))
         want_rho0 = np.max(np.abs(end.rho0.values - start.rho0.values))
         # The drift reads phi_x and f_x from the monitor's slopes, the oracle
@@ -399,7 +399,7 @@ class TestMomentumDrift:
         psi_x[-1] = derivative(cosine_field(grid, 1, 0.5)).values  # phi_x = 1 - pi sin(2 pi x)
         res = dataclasses.replace(res, psi=psi, psi_x=psi_x)
         assert res.jacobians([len(res.times) - 1]).min() < 0.0
-        drifts = momentum_drift(model, res)
+        drifts = momentum_drift(res)
         assert set(drifts) == ({"rho0"} if model.two_component else set()) | (
             {"m0"} if model.has_metric else set())
         for values in drifts.values():
@@ -413,14 +413,14 @@ class TestMomentumDrift:
         calls = []
         monkeypatch.setattr(flowmap, "series_matrix",
                             lambda *args, **kwargs: calls.append(args))
-        assert momentum_drift(Model.DP, res) == {}
+        assert momentum_drift(res) == {}
         assert calls == []
 
     def test_zero_data(self):
         grid = Grid(64)
         config = EvolutionConfig(Model.CH2, dt=1e-2, t_end=0.1)
         res = evolve_flowmap(config, VelocityPair(zero_field(grid), zero_field(grid)))
-        drifts = momentum_drift(Model.CH2, res)
+        drifts = momentum_drift(res)
         assert np.max(drifts["rho0"]) == 0.0
         assert np.max(drifts["m0"]) == 0.0
 
@@ -429,7 +429,7 @@ class TestMomentumDrift:
         config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.3, diagnostics_stride=50)
         initial = VelocityPair(cosine_field(grid, 1, 0.1), cosine_field(grid, 1, 0.1))
         res = evolve_flowmap(config, initial)
-        drifts = momentum_drift(Model.CH2, res)
+        drifts = momentum_drift(res)
         assert np.max(drifts["rho0"]) <= 1e-7
         assert np.max(drifts["m0"]) <= 1e-6
 
@@ -438,7 +438,7 @@ class TestMomentumDrift:
         config = EvolutionConfig(Model.DP2, dt=1e-3, t_end=0.3, diagnostics_stride=50)
         initial = VelocityPair(cosine_field(grid, 1, 0.1), cosine_field(grid, 1, 0.1))
         res = evolve_flowmap(config, initial)
-        drifts = momentum_drift(Model.DP2, res)
+        drifts = momentum_drift(res)
         assert np.max(drifts["rho0"]) <= 1e-7
         assert "m0" not in drifts
 
