@@ -192,6 +192,23 @@ def _curvature(options):
     return work
 
 
+# The Sec quantiles a negative search reports: its minimum, its lowest
+# percentile and its median.
+_SEC_QUANTILES = (0, 0.01, 0.5)
+
+
+def _quantile(ascending: list[float], q: float) -> float:
+    """The q-quantile of sorted values, interpolated linearly like `np.quantile`.
+
+    Computed here because `np.quantile` imports `numpy.ma`, about 1 MB of
+    resident memory for three numbers.
+    """
+    h = (len(ascending) - 1) * q
+    lo = int(h)
+    hi = min(lo + 1, len(ascending) - 1)
+    return ascending[lo] + (h - lo) * (ascending[hi] - ascending[lo])
+
+
 def _scan(options):
     if options.max_mode < 2:
         raise CliError("--max-mode must be at least 2")
@@ -207,20 +224,25 @@ def _scan(options):
             "tuples": len(table),
             "min_S_numeric": float(table.s_numeric.min()),
             "min_sec_density_family": float(table.sec[table.m_k1 == 0].min()),
+            "max_closed_form_rel_err": float(table.closed_form_error().max()),
         }
         lines = []
         trials = options.negative_search
         if trials > 0:
-            found = negative_search(grid, rng, trials, options.max_mode)
-            negatives = [(t, s) for t, s in found if s < 0]
+            sec = [s for _, s in negative_search(grid, rng, trials, options.max_mode)]
+            negatives = sum(s < 0 for s in sec)
             summary["negative_search"] = {
                 "trials": trials,
-                "negative_planes": len(negatives),
-                "most_negative": found[0][1] if found else None,
+                "negative_planes": negatives,
+                "most_negative": sec[0] if sec else None,
+                # Over the kept planes (Gram > 1e-9); null when none is kept.
+                "negative_fraction": negatives / len(sec) if sec else None,
+                "sec_quantiles": {str(q): _quantile(sec, q) if sec else None
+                                  for q in _SEC_QUANTILES},
             }
-            lines.append(f"negative-curvature search: {len(negatives)} negative planes "
+            lines.append(f"negative-curvature search: {negatives} negative planes "
                          f"in {trials} trials"
-                         + (f", most negative Sec {found[0][1]:.4f}" if found else ""))
+                         + (f", most negative Sec {sec[0]:.4f}" if sec else ""))
         lines.append(f"curvature-scan: {len(table)} tuples, min S "
                      f"{summary['min_S_numeric']:.6f} > 0 -> {out}")
         return RunStatus("completed"), summary, lines
@@ -337,7 +359,10 @@ def parse_config(argv) -> argparse.Namespace:
 def run(config: argparse.Namespace) -> int:
     """Run a parsed command into --out-dir; return its exit code."""
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"--out-dir: {exc}") from None
     start = time.perf_counter()
     status, final_diagnostics, lines = config.work(out)
     wall_seconds = time.perf_counter() - start

@@ -1,7 +1,10 @@
 """CSV and manifest emission.
 
 Floats are written with repr (shortest round-trip form), so identical runs
-produce byte-identical files.
+produce byte-identical files.  A CSV is written in chunks of rows, every
+line one "%r" format of a row handed to the file's buffer: the bytes
+`csv.writer` writes for numeric cells, without a whole-table string or a
+whole column of Python floats.
 """
 
 from __future__ import annotations
@@ -30,14 +33,29 @@ __all__ = [
 ]
 
 
+# Rows per chunk: bounds the values and lines held at once.
+_CHUNK_ROWS = 1024
+
+
 def _write_columns(path, header, columns):
-    """Write equal-length columns under header: ints with str, floats with repr."""
+    """Write equal-length numeric columns under header: ints with str, floats with repr.
+
+    Lines end in "\r\n", as `csv.writer` ends them; numeric cells never
+    need its quoting.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    columns = [np.asarray(c) for c in columns]
+    rows = len(columns[0])
+    # One "%r" format per row, handed line by line to the file's buffer:
+    # joining a chunk into one string (about 80 KB for a 1024-point flow-map
+    # snapshot) raised the flow-map benchmark's peak RSS by about 0.4 MB.
+    line = ",".join(["%r"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
+        handle.write(",".join(header) + "\r\n")
+        for start in range(0, rows, _CHUNK_ROWS):
+            values = zip(*(c[start:start + _CHUNK_ROWS].tolist() for c in columns))
+            handle.writelines(map(line.__mod__, values))
 
 
 def write_snapshot(path, state: VelocityPair):

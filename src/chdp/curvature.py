@@ -39,7 +39,9 @@ Resolution: Gamma and the metric pair products of two directions, whose
 modes reach twice the largest mode M.  A grid resolves them exactly when
 its dealias cutoff is at least 2M (even n >= 6M + 2); `cosine_pair`,
 `scan_direction`, `positivity_scan` and `negative_search` reject coarser
-grids.
+grids.  `scan_grid(M)`, the default grid of a scan, is the smallest even
+2-3-5-smooth n >= max(16, 6M + 2), so its FFTs stay fast; every scan row
+is checked against the closed form at C1's tolerance.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import numpy as np
 
 from chdp.connection import Model, VelocityPair
 from chdp.evolution import _kernel
-from chdp.spectral import Grid, cosine_field, zero_field
+from chdp.spectral import Grid, _fft_size, cosine_field, zero_field
 
 __all__ = [
     "CosineDirectionPair",
@@ -128,6 +130,10 @@ class ScanTable:
 
     def __len__(self) -> int:
         return len(self.m_k1)
+
+    def closed_form_error(self) -> np.ndarray:
+        """|S_numeric - S_closed| / (1 + |S_closed|) of every row, C1's measure."""
+        return np.abs(self.s_numeric - self.s_closed) / (1.0 + np.abs(self.s_closed))
 
 
 class _CurvatureKernel:
@@ -292,9 +298,12 @@ def cosine_pair(grid: Grid, direction: CosineDirectionPair) -> tuple[VelocityPai
 
 
 def scan_grid(max_mode: int) -> Grid:
-    """Grid resolving all quadratic products of modes <= max_mode exactly."""
-    n = max(128, 16 * max_mode)
-    return Grid(n + n % 2)
+    """The smallest grid resolving curvature of modes <= max_mode whose size is 2-3-5-smooth.
+
+    The resolution rule alone gives n = max(16, 6 max_mode + 2); rounding
+    up to an even 2-3-5-smooth size keeps the FFTs on their fast path.
+    """
+    return Grid(_fft_size(max(16, 6 * max_mode + 2)))
 
 
 def closed_form_curvature(m_k1, m_k2, m_l1, m_l2):
@@ -338,8 +347,10 @@ def positivity_scan(max_mode: int, grid: Grid | None = None,
 
     Scans the full family (asserting S > 0) and the zero-first-component
     family (asserting Sec >= 1/8 - 1e-12 and Gram = 1/4), skipping the
-    degenerate u = v tuples.  With enforce, a violated bound raises
-    RuntimeError naming the offending tuples.
+    degenerate u = v tuples.  Every row must also agree with the closed
+    form at C1's tolerance, |S_numeric - S_closed| <= 1e-8 (1 + |S_closed|).
+    With enforce, a violated bound raises RuntimeError naming the
+    offending tuples.
     """
     if max_mode < 2:
         raise ValueError("max_mode must be at least 2")
@@ -361,9 +372,11 @@ def positivity_scan(max_mode: int, grid: Grid | None = None,
 
     density = table.m_k1 == 0
     s_low = ~density & ((table.s_numeric <= 0.0) | (table.s_closed <= 0.0))
+    error = table.closed_form_error()
+    disagree = error > 1e-8
     sec_low = density & (table.sec < 0.125 - 1e-12)
     gram_off = density & (np.abs(table.gram - 0.25) > 1e-12)
-    bad = np.flatnonzero(s_low | sec_low | gram_off)
+    bad = np.flatnonzero(s_low | disagree | sec_low | gram_off)
     if enforce and len(bad):
         t, violations = table, []
         for r in bad:
@@ -371,6 +384,10 @@ def positivity_scan(max_mode: int, grid: Grid | None = None,
             if s_low[r]:
                 violations.append(f"S <= 0 at modes ({k1}, {k2})+({l1}, {l2}): "
                                   f"numeric {t.s_numeric[r]:.6e}, closed {t.s_closed[r]:.6e}")
+            if disagree[r]:
+                violations.append(f"S off the closed form at modes ({k1}, {k2})+({l1}, {l2}): "
+                                  f"numeric {t.s_numeric[r]:.12e}, closed {t.s_closed[r]:.12e}, "
+                                  f"rel err {error[r]:.2e} > 1e-8")
             if sec_low[r]:
                 violations.append(f"Sec < 1/8 at density modes ({k2}, {l2}): {t.sec[r]:.12f}")
             if gram_off[r]:

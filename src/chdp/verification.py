@@ -101,7 +101,7 @@ def _smooth_flowmap_run(model_value: str):
 
 @lru_cache(maxsize=None)
 def _mode4_scan():
-    """The max_mode 4 cosine scan (n = 128) that C1 and C2 read."""
+    """The max_mode 4 cosine scan on its default grid (n = 30) that C1 and C2 read."""
     return positivity_scan(4, enforce=False)
 
 
@@ -119,13 +119,12 @@ def _random_state(grid, rng, model, max_mode=10, scale=0.3):
 def check_curvature_oracle(seed: int) -> tuple[bool, str]:
     """Numeric S agrees with the closed form on all mode tuples <= 4.
 
-    The full-family rows of the max_mode 4 scan (n = 128) are the pairs
-    of distinct tuples (k1, k2), (l1, l2) with modes in 1..4.
+    The full-family rows of the max_mode 4 scan (on `scan_grid(4)`, n = 30)
+    are the pairs of distinct tuples (k1, k2), (l1, l2) with modes in 1..4.
     """
     table = _mode4_scan()
     full = table.m_k1 > 0
-    s_num, s_closed = table.s_numeric[full], table.s_closed[full]
-    worst = float(np.max(np.abs(s_num - s_closed) / (1.0 + np.abs(s_closed))))
+    worst = float(np.max(table.closed_form_error()[full]))
     count = int(np.count_nonzero(full))
     return worst <= 1e-8, f"max rel err {worst:.2e} over {count} tuples (tol 1e-8)"
 

@@ -6,10 +6,12 @@ single-field spectral operators, one FFT at a time.  `chdp.evolution`,
 arrays with batched FFTs; the tests compare the two to round-off.  The
 rigid-body stepper here takes `np.cross` and the SVD polar factor, where
 `chdp.rigidbody` takes one stacked product per stage and Newton-Schulz.
+`write_columns` is the `csv.writer` form of `chdp.csvio`'s joined writer.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,3 +215,11 @@ def rigidbody_trajectory(state0: RigidBodyState, dt: float,
     energy = np.einsum("ti,ti->t", omegas, body_momentum)
     return RigidBodyTrajectory(times, omegas, attitudes, body_momentum,
                                spatial_momentum, energy)
+
+
+def write_columns(path, header, columns):
+    """Write columns under header with `csv.writer`, one Python value per cell."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(zip(*(np.asarray(c).tolist() for c in columns)))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chdp import csvio, curvature, verification
+from chdp import cli, csvio, curvature, verification
 from chdp.cli import CliError, main, parse_config
 from chdp.connection import VelocityPair
 from chdp.csvio import read_manifest, read_snapshot, write_snapshot
@@ -168,6 +168,16 @@ class TestParse:
         assert run_cli(args, out) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["regular_file", "under_regular_file"])
+    def test_out_dir_blocked_by_a_file(self, tmp_path, capsys, under):
+        blocker = tmp_path / "F"
+        blocker.write_text("kept")
+        out = blocker / "out" if under else blocker
+        assert run_cli(CURVATURE_ARGS, out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out-dir: [Errno ") and f"'{out}'" in err
+        assert blocker.read_text() == "kept"
 
     def test_uneven_snapshot_stride_rejected(self):
         with pytest.raises(CliError, match="--snapshot-stride must be a multiple of --stride"):
@@ -475,8 +485,39 @@ class TestCurvatureCommands:
         assert header == ["m_k1", "m_k2", "m_l1", "m_l2",
                           "S_numeric", "S_closed", "Sec", "gram"]
 
+    def test_negative_search_summary(self, tmp_path):
+        # The seeded search the scan runs, summarised over its kept planes.
+        out = tmp_path / "scan"
+        assert main([*SCAN_ARGS, "--out-dir", str(out)]) == 0
+        summary = read_manifest(out / "run.json")["final_diagnostics"]
+        found = curvature.negative_search(curvature.scan_grid(4), np.random.default_rng(3), 16, 4)
+        sec = np.array([s for _, s in found])
+        quantiles = summary["negative_search"].pop("sec_quantiles")
+        assert summary["negative_search"] == {
+            "trials": 16, "negative_planes": int(np.sum(sec < 0)),
+            "most_negative": sec[0], "negative_fraction": float(np.mean(sec < 0))}
+        assert quantiles == {"0": sec[0], "0.01": pytest.approx(np.quantile(sec, 0.01), rel=1e-15),
+                             "0.5": pytest.approx(np.quantile(sec, 0.5), rel=1e-15)}
+        table = curvature.positivity_scan(4)
+        assert summary["max_closed_form_rel_err"] == float(table.closed_form_error().max())
+        assert 0 < summary["max_closed_form_rel_err"] <= 1e-8
+
+    @pytest.mark.parametrize("found, fraction, quantiles", [
+        ([(2, -0.5), (0, -0.1), (3, 0.2), (1, 0.3)], 0.5, [-0.5, -0.488, 0.05]),
+        ([], None, [None, None, None]),
+    ], ids=["half_negative", "none_kept"])
+    def test_negative_search_summary_values(self, tmp_path, monkeypatch, found, fraction,
+                                            quantiles):
+        monkeypatch.setattr(cli, "negative_search", lambda *args: found)
+        out = tmp_path / "scan"
+        assert main([*SCAN_ARGS, "--out-dir", str(out)]) == 0
+        summary = read_manifest(out / "run.json")["final_diagnostics"]["negative_search"]
+        assert summary["negative_fraction"] == fraction
+        assert list(summary["sec_quantiles"]) == ["0", "0.01", "0.5"]
+        assert list(summary["sec_quantiles"].values()) == pytest.approx(quantiles, abs=1e-15)
+
     def test_single_plane_row_is_the_scan_row(self, tmp_path):
-        # max-mode 5 and the one-plane commands below all pick n = 128
+        # max-mode 5 and the one-plane commands below all pick n = 32
         assert main(["curvature-scan", "--max-mode", "5",
                      "--out-dir", str(tmp_path / "scan")]) == 0
         with open(tmp_path / "scan" / "scan.csv", newline="") as handle:
@@ -504,7 +545,7 @@ class TestCurvatureCommands:
         assert main([*args, "--l2", "2", "--out-dir", str(tmp_path / "plain")]) == 0
         assert main([*args, "--l2", "9", "--out-dir", str(tmp_path / "big")]) == 0
         assert main([*args, "--l2", "2", "--n", "16", "--out-dir", str(tmp_path / "n16")]) == 0
-        assert grids == [128, 144, 16]
+        assert grids == [16, 60, 16]
 
 
 class TestRigidbodyCommand:

@@ -1,7 +1,14 @@
-import numpy as np
+import tempfile
+from pathlib import Path
 
-from chdp.csvio import write_scan
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+import object_form
+from chdp.csvio import _write_columns, write_scan
 from chdp.curvature import ScanTable
+
+SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e300, 0.1]
 
 
 def test_columns_written_with_str_and_repr(tmp_path):
@@ -15,3 +22,35 @@ def test_columns_written_with_str_and_repr(tmp_path):
     header = "m_k1,m_k2,m_l1,m_l2,S_numeric,S_closed,Sec,gram"
     lines = [",".join([str(i)] * 4 + [repr(x)] * 4) for i, x in zip(ints, floats)]
     assert path.read_bytes() == "".join(f"{line}\r\n" for line in [header, *lines]).encode()
+
+
+@st.composite
+def numeric_columns(draw):
+    """Int and float columns of one length; the lengths straddle the writer's chunks."""
+    rows = draw(st.sampled_from([0, 1, 1023, 1024, 1025, 2049]))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        seed = draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        if draw(st.booleans()):
+            columns.append(rng.integers(-2**62, 2**62, rows))
+        else:
+            values = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+            specials = draw(st.lists(st.sampled_from(SPECIAL_FLOATS), max_size=8))
+            values[rng.integers(0, max(rows, 1), len(specials))[:rows]] = specials[:rows]
+            columns.append(values)
+    return columns
+
+
+@given(columns=numeric_columns())
+# Every named float on both sides of the 1024-row chunk edge.
+@example(columns=[np.arange(2049) - 1024, np.resize(np.array(SPECIAL_FLOATS), 2049)])
+@settings(max_examples=40, deadline=None)
+def test_chunked_writer_matches_csv_writer(columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        _write_columns(got, header, columns)
+        object_form.write_columns(want, header, columns)
+        assert got.read_bytes() == want.read_bytes()
+

@@ -249,6 +249,26 @@ class TestScan:
         assert len(table) == 36 + 3
         assert table.s_numeric[0] == -1.0 and table.gram[-1] == 0.3
 
+    def test_closed_form_disagreement_named(self, monkeypatch):
+        # S off by 1e-6 relative keeps every sign bound, so only the
+        # per-row agreement check can name the plane.
+        real = curvature._curvatures
+
+        def perturbed(grid, y, planes):
+            s, gram = real(grid, y, planes)
+            s[5] *= 1.0 + 1e-6  # the sixth full plane, (1, 1)+(3, 1)
+            return s, gram
+
+        monkeypatch.setattr(curvature, "_curvatures", perturbed)
+        with pytest.raises(RuntimeError) as info:
+            positivity_scan(3)
+        lines = str(info.value).splitlines()[1:]
+        assert len(lines) == 1
+        assert lines[0].startswith("S off the closed form at modes (1, 1)+(3, 1): ")
+        assert "> 1e-8" in lines[0]
+        table = positivity_scan(3, enforce=False)
+        assert 1e-8 < table.closed_form_error()[5] < 2e-6
+
     def test_scan_deterministic(self):
         a = positivity_scan(2)
         b = positivity_scan(2)
@@ -279,6 +299,31 @@ class TestResolution:
     def test_negative_search_rejects_coarse_grid(self):
         with pytest.raises(ValueError, match="dealiasing"):
             negative_search(Grid(32), np.random.default_rng(0), 4, max_mode=6)
+
+    def test_scan_grid_is_smallest_smooth_resolving_size(self):
+        def smooth(n):
+            for p in (2, 3, 5):
+                while n % p == 0:
+                    n //= p
+            return n == 1
+
+        for max_mode in range(2, 49):
+            floor = max(16, 6 * max_mode + 2)
+            n = next(n for n in range(floor, 4 * floor) if n % 2 == 0 and smooth(n))
+            assert scan_grid(max_mode).n == n, max_mode
+            check_resolution(scan_grid(max_mode), max_mode)
+        assert [scan_grid(m).n for m in (8, 24, 32, 48)] == [50, 150, 200, 300]
+
+    @pytest.mark.parametrize("max_mode", [2, 4, 8])
+    def test_scan_matches_the_former_default_grid(self, max_mode):
+        # The former default grid, max(128, 16 M) points, against scan_grid.
+        got = positivity_scan(max_mode)
+        want = positivity_scan(max_mode, grid=Grid(max(128, 16 * max_mode)))
+        for name in ("m_k1", "m_k2", "m_l1", "m_l2", "s_closed"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        for name in ("s_numeric", "gram", "sec"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.all(np.abs(a - b) <= 1e-12 * np.abs(b)), name
 
     def test_smallest_grid_is_exact(self):
         # n = 20 keeps modes <= 6: C1 holds on every row of the mode-3 scan

@@ -1,4 +1,4 @@
-"""Layer timings of the Eulerian step, off-grid evaluation, the flow map and the rigid body.
+"""Layer timings: Eulerian and flow-map steps, off-grid evaluation, rigid body, curvature scan, CSVs.
 
     python3 tools/bench_flowmap.py --parent OLD/src --change NEW/src \\
         [--repeats 9] [--out BENCH.json]
@@ -24,6 +24,12 @@ first), and each process measures every layer once, those down to
 - `reorthonormalize_us`: one `rigidbody._reorthonormalize` call on that
   spin's attitude at t=0.3 plus seeded noise of size 1e-14, which takes one
   polar iteration;
+- `scan_ms/M=8` and `scan_ms/M=16`: `curvature.positivity_scan(M)` on
+  its default grid;
+- `scan_csv_ms/M=16`: `csvio.write_scan` of that mode-16 table (32760
+  rows) into a temporary directory;
+- `rigidbody_csv_ms`: `csvio.write_rigidbody` of the reference spin's
+  5001-row trajectory (dt 1e-3, t = 5);
 - `import_s`: `import chdp` in the fresh process.
 
 A sample is the median over calls within one process (at least 5 calls
@@ -40,6 +46,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -130,6 +137,19 @@ def measure() -> dict:
     attitude = rigidbody.evolve_rigidbody(body, dt=1e-3, t_end=0.3).attitude[-1]
     near = attitude + 1e-14 * np.random.default_rng(10).standard_normal((3, 3))
     out["reorthonormalize_us"] = 1e6 * _per_call(lambda: rigidbody._reorthonormalize(near))
+
+    from chdp import csvio, curvature
+
+    for max_mode in (8, 16):
+        out[f"scan_ms/M={max_mode}"] = 1e3 * _per_call(
+            lambda: curvature.positivity_scan(max_mode))
+    table = curvature.positivity_scan(16)
+    trajectory = rigidbody.evolve_rigidbody(body, dt=1e-3, t_end=5.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        out["scan_csv_ms/M=16"] = 1e3 * _per_call(
+            lambda: csvio.write_scan(Path(tmp) / "scan.csv", table))
+        out["rigidbody_csv_ms"] = 1e3 * _per_call(
+            lambda: csvio.write_rigidbody(Path(tmp) / "rigidbody.csv", trajectory))
     return out
 
 
