@@ -27,9 +27,10 @@ mask folded in (the multipliers of the 2CH evolution kernel).  The metric
 (H^1 on u, L^2 on rho) and the Gram determinant pair rfft spectra by
 Parseval, so no inverse transform follows.  `positivity_scan` computes
 the spectra, u_x and Gamma(a, a) once per distinct slot tuple, Gamma(a, b)
-per plane in chunks of a fixed size and the closed forms in one call on
-the mode columns, checks its bounds with masks and returns a `ScanTable`
-of 1-D columns; `scan_direction` is the one-row table of the same path.
+per plane in chunks of a fixed size and the closed forms on the mode
+columns in larger chunks, checks its bounds with masks and returns a
+`ScanTable` of 1-D columns; `scan_direction` is the one-row table of the
+same path.
 `unnormalized_curvature`, `gram_determinant` and
 `sectional_curvature` are the one-plane `VelocityPair` views of the
 kernel, and `chdp.connection.christoffel_2ch` with `metric` is the
@@ -81,6 +82,9 @@ TWO_PI = 2.0 * np.pi
 # Planes per batched Gamma(a, b) pass: bounds the working arrays at
 # (_CHUNK, 2, n) however many planes a scan holds.
 _CHUNK = 128
+# Planes per closed-form pass: bounds its temporaries (about 15 float
+# columns) while every scan up to max mode 16 (32,760 planes) is one pass.
+_CLOSED_FORM_CHUNK = 1 << 16
 
 
 class DegeneratePlaneError(ValueError):
@@ -322,10 +326,14 @@ def _cosine_table(grid: Grid, tuples: np.ndarray, planes: np.ndarray) -> ScanTab
     """The scan table of the planes (tuples[i], tuples[j]) for the rows (i, j) of planes.
 
     A tuple holds the (velocity, density) modes of one cosine direction.
-    The closed forms come first, so a degenerate plane raises before the kernel runs.
+    The closed forms come first, _CLOSED_FORM_CHUNK planes per pass, so a
+    degenerate plane raises before the kernel runs.
     """
     (k1, k2), (l1, l2) = tuples[planes[:, 0]].T, tuples[planes[:, 1]].T
-    s_closed = closed_form_curvature(k1, k2, l1, l2)
+    s_closed = np.empty(len(planes))
+    for start in range(0, len(planes), _CLOSED_FORM_CHUNK):
+        part = slice(start, start + _CLOSED_FORM_CHUNK)
+        s_closed[part] = closed_form_curvature(k1[part], k2[part], l1[part], l2[part])
     # Row m is cos(2 pi m x), row 0 the zero slot.
     cosines = np.cos(TWO_PI * np.arange(tuples.max() + 1)[:, None] * grid.points)
     cosines[0] = 0.0

@@ -269,6 +269,26 @@ class TestScan:
         table = positivity_scan(3, enforce=False)
         assert 1e-8 < table.closed_form_error()[5] < 2e-6
 
+    def test_closed_forms_in_chunks(self, monkeypatch):
+        # Every scan up to mode 16 (32,760 planes) is one pass.
+        assert 16 * 16 * (16 * 16 - 1) // 2 + 16 * 15 // 2 <= curvature._CLOSED_FORM_CHUNK
+        # A chunk of 7 planes splits the mode-4 scan's 126 rows at uneven
+        # edges; the table is the one-pass table, value for value.
+        whole = positivity_scan(4)
+        calls = []
+        real = curvature.closed_form_curvature
+
+        def counted(*modes):
+            calls.append(len(modes[0]))
+            return real(*modes)
+
+        monkeypatch.setattr(curvature, "closed_form_curvature", counted)
+        monkeypatch.setattr(curvature, "_CLOSED_FORM_CHUNK", 7)
+        chunked = positivity_scan(4)
+        assert calls == [7] * 18
+        for f in fields(whole):
+            assert np.array_equal(getattr(chunked, f.name), getattr(whole, f.name)), f.name
+
     def test_scan_deterministic(self):
         a = positivity_scan(2)
         b = positivity_scan(2)

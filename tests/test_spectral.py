@@ -235,6 +235,57 @@ def test_compose_roundtrip_full_band(grid128, rng):
     assert np.max(np.abs(back.values - f.values)) <= 1e-8
 
 
+def upper_half_amplitude(f):
+    """Sum of the mode amplitudes of f from n/4 up.
+
+    Evaluating a sampled function off the grid errs by at most twice the
+    sum of its amplitudes above n/2; on a geometrically decaying spectrum
+    the modes from n/4 up bound that sum.
+    """
+    n = f.grid.n
+    return float(np.sum(np.abs(f.hat[n // 4:])) * 2.0 / n)
+
+
+@st.composite
+def circle_maps(draw):
+    """A Diffeo with modes 1..M, M <= 6, scaled to min phi_x in [0.2, 0.95].
+
+    The grid holds at least 16 points per period of mode M (n >= 16 M, even,
+    at most 512): on coarser grids the inverse of a map with min phi_x near
+    0.2 is not resolved (n = 16 with M = 6 gives an inverse whose spectral
+    Jacobian is negative).
+    """
+    max_mode = draw(st.integers(1, 6))
+    grid = Grid(2 * draw(st.integers(8 * max_mode, 256)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = random_band_limited(grid, rng, max_mode)
+    min_jacobian = draw(st.floats(0.2, 0.95))
+    return Diffeo(psi * ((1.0 - min_jacobian) / -np.min(derivative(psi).values)))
+
+
+@given(phi=circle_maps(), seed=st.integers(0, 2**32 - 1), f_modes=st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_roundtrips_through_inverse(phi, seed, f_modes):
+    # Bound: twice the upper-half amplitude of the field evaluated off the
+    # grid (the inverse's displacement for inv o phi, f o phi for the
+    # composition), plus 1e-11 and 1e-10 max|f| for Newton's 1e-12
+    # residual and round-off.
+    grid = phi.grid
+    assert np.min(phi.jacobian.values) >= 0.2 - 1e-12
+    inv = invert_diffeo(phi)
+    y = phi.warped_points
+    identity = y + evaluate(inv.displacement, y)
+    assert np.max(np.abs(identity - grid.points)) <= (
+        1e-11 + 2.0 * upper_half_amplitude(inv.displacement))
+
+    f = random_band_limited(grid, np.random.default_rng(seed), f_modes)
+    f_phi = compose(f, phi)
+    scale = np.max(np.abs(f.values))
+    back = compose(f_phi, inv)
+    assert np.max(np.abs(back.values - f.values)) <= (
+        1e-10 * scale + 2.0 * upper_half_amplitude(f_phi))
+
+
 def test_dealias_cutoff(grid128):
     assert 3 * grid128.dealias_cutoff < grid128.n
     high = cosine_field(grid128, grid128.dealias_cutoff + 1)
@@ -281,6 +332,32 @@ def test_offgrid_points_in_any_period(grid128, rng, periods):
     got = evaluate(f, y)
     assert np.max(np.abs(got - evaluate(f, base))) <= 1e-12
     assert np.max(np.abs(got - dense_series(f.values[None], y, grid128.n // 2)[0])) <= 1e-12
+
+
+def test_fitted_weights_match_kernel(rng):
+    # Every slot's polynomial against the kernel it was fitted to, on a
+    # uniform sweep of offsets (t = -1 and t = 1 included) and random ones.
+    t = np.concatenate([np.linspace(-1.0, 1.0, 10001), rng.uniform(-1.0, 1.0, 10000)])
+    got = spectral._es_weights(t)
+    want = spectral._es_kernel(spectral._slot_arguments(t)).T
+    assert got.shape == (t.size, spectral._ES_WIDTH)
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("n, full_band", [(16, True), (64, False), (128, True), (1024, False)])
+def test_offgrid_on_fine_grid_nodes(rng, n, full_band):
+    # Points exactly on the fine grid's nodes j / nfine, where t = -1 and
+    # the window starts one node later than for the point just below; and
+    # y = -1e-17 or -1e-300, which reduce to 1 - 1e-17 and 1 - 1e-300, both
+    # rounding to 1, so x = nfine and the point lands in window row nfine.
+    kmax = n // 2 if full_band else Grid(n).dealias_cutoff
+    nfine = spectral._offgrid_plan(n, kmax)[0]
+    values = rng.standard_normal((2, n))
+    period_end = np.array([-1e-17, -1e-300])
+    assert np.all((period_end - np.floor(period_end)) * nfine == nfine)
+    y = np.concatenate([np.arange(nfine) / nfine, [1.0, -1.0, 2.0 - 1.0 / nfine], period_end])
+    got = spectral._offgrid(np.fft.rfft(values), y, kmax)
+    assert np.max(np.abs(got - dense_series(values, y, kmax))) <= 1e-12 * np.max(np.abs(values))
 
 
 def test_offgrid_non_finite_points(grid64, rng):

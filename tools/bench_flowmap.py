@@ -220,7 +220,7 @@ def main(argv=None):
     ratios["parent_over_change"] = {
         key: record["parent"]["metrics"][key]["median"] / record["change"]["metrics"][key]["median"]
         for key in record["change"]["metrics"]
-        if record["parent"]["metrics"][key]["median"] and not key.startswith("offgrid")}
+        if record["parent"]["metrics"][key]["median"]}
     record["ratios"] = ratios
     text = json.dumps(record, indent=1)
     if args.out is None:
