@@ -17,8 +17,10 @@ blow-up step.  Each RK4 stage makes one irfft of
 (u, rho, u_x, rho_x, psi), evaluates the series of u and rho (their
 spectra, rows 0-1 of the state) at phi = id + psi in one call of the
 off-grid evaluator (`spectral._offgrid`, a type-2 NUFFT), and makes one
-rfft of the Eulerian kernel's products and (u o phi, rho o phi) together:
-13 FFT calls per step with the monitor's.  Rows 0-1 stay band-limited;
+rfft of the Eulerian kernel's terms and (u o phi, rho o phi) together.
+Stage 1 reads its irfft from the monitor's, whose rows 0, 1, 4, 5 and 2
+hold (u, rho, u_x, rho_x, psi): 12 FFT calls per step with the
+monitor's.  Rows 0-1 stay band-limited;
 psi and f are not truncated.  The monitor's irfft gives the grid values
 and slopes of all four rows, and `FlowmapResult` views them as kept:
 its (u, rho) part is the `EvolveResult` of `evolve` for the same config,
@@ -178,16 +180,19 @@ class FlowmapResult(EvolveResult):
         return 1.0 + (self.psi_x if rows is None else self.psi_x[rows])
 
 
-def _flow_rhs(kernel: _Kernel, grid: Grid, y: np.ndarray) -> np.ndarray:
+def _flow_rhs(kernel: _Kernel, grid: Grid, y: np.ndarray,
+              monitor: np.ndarray | None = None) -> np.ndarray:
     """d/dt of the stacked spectra of (u, rho, psi, f).
 
-    One irfft gives (u, rho, u_x, rho_x, psi); the series of u and rho
-    (the spectra y[:2]) are evaluated at phi = id + psi; the kernel's
-    products and (u o phi, rho o phi) share one rfft.
+    One irfft gives (u, rho, u_x, rho_x, psi), unless `monitor`, the
+    monitor's irfft of y (u, rho, psi, f, then their slopes), holds them
+    as rows 0, 1, 4, 5 and 2; the series of u and rho (the spectra y[:2])
+    are evaluated at phi = id + psi; the kernel's terms and
+    (u o phi, rho o phi) share one rfft.
     """
-    z = kernel.points(y[:2], y[2:3])
+    z = kernel.points(y[:2], y[2:3]) if monitor is None else monitor[[0, 1, 4, 5, 2]]
     at_phi = _offgrid(y[:2], grid.points + z[4], grid.dealias_cutoff)
-    spectra = np.fft.rfft(np.concatenate((kernel.products(z), at_phi)))
+    spectra = np.fft.rfft(np.concatenate((kernel.terms(z), at_phi)))
     return np.concatenate((kernel.combine(spectra[:-2]), spectra[-2:]))
 
 
@@ -209,8 +214,9 @@ def evolve_flowmap(config: EvolutionConfig, initial: VelocityPair,
     y = np.zeros((4, grid.n // 2 + 1), dtype=complex)
     y[:2] = start.u.hat, start.rho.hat
 
-    def step(v, t):
-        return _advance(lambda w: _flow_rhs(kernel, grid, w), v, config.dt, t)
+    def step(v, t, z):
+        return _advance(lambda w: _flow_rhs(kernel, grid, w), v, config.dt, t,
+                        _flow_rhs(kernel, grid, v, z))
 
     def degenerate(slopes):  # slopes[2] is psi_x, so phi_x = 1 + psi_x
         min_phix = 1.0 + float(slopes[2].min())

@@ -380,6 +380,16 @@ class TestKernel:
             sec = s / gram
             assert abs(sectional_curvature(a, b) - sec) <= 1e-12 * max(abs(sec), size / gram)
 
+    @pytest.mark.parametrize("n", [16, 50, 256])
+    def test_multipliers_from_the_grid(self, n):
+        # Gamma = (-keep Ainv d/dx Q1, -keep Q2 / 2), the 2CH evolution
+        # kernel's multipliers, here built from the grid alone.
+        grid = Grid(n)
+        keep = grid.dealias_mask
+        want = np.stack((np.where(keep, -grid.ik / grid.helmholtz_symbol, 0.0),
+                         np.where(keep, -0.5, 0.0)))
+        assert np.array_equal(curvature._curvature_kernel(grid).mult, want)
+
     def test_scan_rows_match_object_form(self):
         grid = scan_grid(4)
         table = positivity_scan(4)

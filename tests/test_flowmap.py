@@ -8,7 +8,7 @@ from scipy.integrate import simpson
 import object_form
 from chdp import flowmap
 from chdp.connection import Model, VelocityPair, bracket, metric
-from chdp.evolution import EvolutionConfig, _kernel, evolve
+from chdp.evolution import EvolutionConfig, _advance, _kernel, evolve
 from chdp.flowmap import (
     GroupElement,
     adjoint_action,
@@ -312,6 +312,24 @@ def test_flow_rhs_non_finite_psi():
         out = flowmap._flow_rhs(kernel, grid, y)
     assert not np.any(np.isfinite(out[2:]))
     assert np.all(np.isfinite(out[:2]))
+
+
+def test_flow_step_from_monitor_points_is_exact(rng):
+    # The monitor's irfft of (u, rho, psi, f) holds the stage-1 irfft of
+    # the next step as rows 0, 1, 4, 5 and 2: a step from it is bit for
+    # bit the step that makes its own.
+    grid = Grid(256)
+    kernel = _kernel(Model.DP2, grid.n)
+    y = np.stack([random_band_limited(grid, rng, top, scale).hat
+                  for top, scale in ((grid.dealias_cutoff, 0.3), (grid.dealias_cutoff, 0.2),
+                                     (grid.n // 2 - 1, 0.02), (grid.n // 2 - 1, 0.1))])
+
+    def f(w):
+        return flowmap._flow_rhs(kernel, grid, w)
+
+    k1 = flowmap._flow_rhs(kernel, grid, y, kernel.points(y))
+    assert np.array_equal(k1, f(y))
+    assert np.array_equal(_advance(f, y, 1e-3, 0.0, k1), _advance(f, y, 1e-3, 0.0))
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 7, 10])

@@ -1,4 +1,4 @@
-"""Layer timings: Eulerian and flow-map steps, off-grid evaluation, rigid body, curvature scan, CSVs.
+"""Layer timings: Eulerian kernel and steps, flow-map steps, off-grid evaluation, rigid body, curvature scan, CSVs.
 
     python3 tools/bench_flowmap.py --parent OLD/src --change NEW/src \\
         [--repeats 9] [--out BENCH.json]
@@ -12,6 +12,9 @@ first), and each process measures every layer once, those down to
   used to do;
 - `offgrid_ms`: the same values from `spectral._offgrid` (trees without it
   report null);
+- `kernel_us/2ch` and `kernel_us/2dp`: one call of the Eulerian
+  right-hand side on the rfft spectra of (u, rho), `evolution._kernel`'s
+  spectra-to-spectra map, for 2CH and 2DP (trees without it report null);
 - `flow_step_ms` and `euler_step_ms`: one RK4 step of `evolve_flowmap`
   and of `evolve`, 2DP, monitor included, from two short runs (the
   difference of a 30-step and a 10-step run over 20, so the per-run set-up
@@ -40,6 +43,7 @@ runs on one thread.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -74,7 +78,7 @@ def measure() -> dict:
 
     import numpy as np
 
-    from chdp import spectral
+    from chdp import evolution, spectral
     from chdp.connection import Model, VelocityPair
     from chdp.evolution import EvolutionConfig, evolve
     from chdp.flowmap import evolve_flowmap
@@ -103,6 +107,11 @@ def measure() -> dict:
         offgrid = getattr(spectral, "_offgrid", None)
         out[f"offgrid_ms/n={n}"] = None if offgrid is None else 1e3 * _per_call(
             lambda: offgrid(np.fft.rfft(state[:2]), y, kmax))
+        kernel_of = getattr(evolution, "_kernel", None)
+        spectra = np.fft.rfft(state[:2])
+        for model in (Model.CH2, Model.DP2):
+            out[f"kernel_us/{model.value}/n={n}"] = None if kernel_of is None else 1e6 * _per_call(
+                functools.partial(kernel_of(model, n), spectra))
 
         initial = VelocityPair(spectral.PeriodicField(grid, state[0]),
                                spectral.PeriodicField(grid, state[1]))
