@@ -38,11 +38,12 @@ field-by-field form they agree with to round-off.
 
 Resolution: Gamma and the metric pair products of two directions, whose
 modes reach twice the largest mode M.  A grid resolves them exactly when
-its dealias cutoff is at least 2M (even n >= 6M + 2); `cosine_pair`,
-`scan_direction`, `positivity_scan` and `negative_search` reject coarser
-grids.  `scan_grid(M)`, the default grid of a scan, is the smallest even
-2-3-5-smooth n >= max(16, 6M + 2), so its FFTs stay fast; every scan row
-is checked against the closed form at C1's tolerance.
+its dealias cutoff is at least 2M (even n >= 6M + 2); `scan_direction`,
+`positivity_scan` and `negative_search` reject coarser grids
+(`check_resolution`).  `scan_grid(M)`, the default grid of a scan, is
+the smallest even 2-3-5-smooth n >= max(16, 6M + 2), so its FFTs stay
+fast; every scan row is checked against the closed form at C1's
+tolerance.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import numpy as np
 
 from chdp.connection import Model, VelocityPair
 from chdp.evolution import _kernel
-from chdp.spectral import Grid, _fft_size, cosine_field, zero_field
+from chdp.spectral import Grid, _fft_size
 
 __all__ = [
     "CosineDirectionPair",
@@ -67,7 +68,6 @@ __all__ = [
     "ch_cosine_curvature",
     "closed_form_integrals",
     "closed_form_curvature",
-    "cosine_pair",
     "check_resolution",
     "scan_grid",
     "scan_direction",
@@ -290,15 +290,6 @@ def check_resolution(grid: Grid, max_mode: int):
             f"n={grid.n} keeps modes up to {grid.dealias_cutoff} after dealiasing, "
             f"but curvature of modes up to {max_mode} needs {2 * max_mode} "
             f"(n >= {max(16, 6 * max_mode + 2)})")
-
-
-def cosine_pair(grid: Grid, direction: CosineDirectionPair) -> tuple[VelocityPair, VelocityPair]:
-    """Sample the direction pair on a grid that resolves it."""
-    check_resolution(grid, direction.max_mode)
-    d = direction
-    slots = [cosine_field(grid, m) if m else zero_field(grid)
-             for m in (d.m_k1, d.m_k2, d.m_l1, d.m_l2)]
-    return VelocityPair(*slots[:2]), VelocityPair(*slots[2:])
 
 
 def scan_grid(max_mode: int) -> Grid:

@@ -32,8 +32,8 @@ since that irfft is stage 1's own.  An Eulerian step thus costs 8 FFT
 calls, monitor included.  Both integrators return a result that
 views that array (`EvolveResult`, extended by the flow map's
 `FlowmapResult`) with its diagnostics, read in one pass as the columns of
-a `DiagnosticsTable`; `conserved_energy` and `mean_invariants` are the
-one-state forms of two of them.
+a `DiagnosticsTable`.  `step_rk4` is `_advance` on the Eulerian spectra;
+`evolve` steps through it.
 """
 
 from __future__ import annotations
@@ -43,16 +43,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from chdp.connection import Model, VelocityPair, metric
+from chdp.connection import Model, VelocityPair
 from chdp.spectral import (
     Grid,
     PeriodicField,
-    constant_field,
     dealias,
     dealiased_product,
     derivative,
     helmholtz,
-    inner_l2,
     zero_field,
 )
 
@@ -68,8 +66,6 @@ __all__ = [
     "rhs_momentum_form",
     "step_rk4",
     "evolve",
-    "conserved_energy",
-    "mean_invariants",
 ]
 
 
@@ -130,9 +126,9 @@ class EvolutionConfig:
 class DiagnosticsTable:
     """Diagnostics of the kept steps as 1-D columns, one entry per kept step.
 
-    energy is the metric energy <(u, rho), (u, rho)>, mean_m and mean_rho
-    the integrals of m = A u and rho (see `conserved_energy` and
-    `mean_invariants`).
+    energy is the metric energy <(u, rho), (u, rho)>, the integral of
+    u^2 + u_x^2 + rho^2; mean_m and mean_rho are the integrals of m = A u
+    and rho, both conserved by 2CH.
     """
 
     t: np.ndarray
@@ -281,10 +277,6 @@ def _kernel(model: Model, n: int) -> _Kernel:
     return _Kernel(model, Grid(n))
 
 
-def _stack(state: VelocityPair) -> np.ndarray:
-    return np.stack((state.u.values, state.rho.values))
-
-
 def _pair(grid: Grid, y: np.ndarray) -> VelocityPair:
     return VelocityPair(PeriodicField(grid, y[0]), PeriodicField(grid, y[1]))
 
@@ -292,7 +284,8 @@ def _pair(grid: Grid, y: np.ndarray) -> VelocityPair:
 def rhs(model: Model, state: VelocityPair) -> VelocityPair:
     """Time derivative (u_t, rho_t) of the weak Cauchy form."""
     kernel = _kernel(model, state.grid.n)
-    return _pair(state.grid, np.fft.irfft(kernel(np.fft.rfft(_stack(state))), kernel.n))
+    y = np.fft.rfft(np.stack((state.u.values, state.rho.values)))
+    return _pair(state.grid, np.fft.irfft(kernel(y), kernel.n))
 
 
 def rhs_momentum_form(model: Model, state: VelocityPair) -> VelocityPair:
@@ -322,42 +315,21 @@ def rhs_momentum_form(model: Model, state: VelocityPair) -> VelocityPair:
     return VelocityPair(m_t, rho_t)
 
 
-def step_rk4(model: Model, state: VelocityPair | np.ndarray, dt: float,
-             t: float = 0.0, points: np.ndarray | None = None) -> VelocityPair | np.ndarray:
-    """One dealiased RK4 step from time t; raises BlowupError if non-finite.
+def step_rk4(model: Model, y: np.ndarray, dt: float, t: float = 0.0,
+             points: np.ndarray | None = None) -> np.ndarray:
+    """One RK4 step of the (2, n//2 + 1) rfft spectra y of (u, rho) from time t.
 
-    `state` is a VelocityPair, or the (2, n//2 + 1) rfft spectra of
-    (u, rho) that `evolve` steps without building fields; the result takes
-    the same form.  Band-limited spectra stay band-limited; a
-    VelocityPair's result is truncated by the 2/3 rule.  With spectra,
-    `points` may pass their grid values and slopes (u, rho, u_x, rho_x),
-    the irfft the monitor made, and stage 1 starts from them: a step
-    then makes 7 FFT calls, not 8, and gives the same bits.  `evolve`
-    steps its spectra through this public function so that the
-    benchmark's tracer counts it, stage 1 included, as the stepping layer.
+    Raises BlowupError if a coefficient goes non-finite.  Band-limited
+    spectra stay band-limited.  `points` may pass the grid values and
+    slopes (u, rho, u_x, rho_x) of y, the irfft the monitor made, and
+    stage 1 starts from them: the step then makes 7 FFT calls, not 8, and
+    gives the same bits.  `evolve` steps its spectra through this public
+    function so that the benchmark's tracer counts it, stage 1 included,
+    as the stepping layer.
     """
-    if not isinstance(state, VelocityPair):
-        kernel = _kernel(model, 2 * (state.shape[-1] - 1))
-        k1 = None if points is None else kernel.from_points(points)
-        return _advance(kernel, state, dt, t, k1)
-    y = _advance(_kernel(model, state.grid.n), np.fft.rfft(_stack(state)), dt, t)
-    y = np.where(state.grid.dealias_mask, y, 0.0)
-    return _pair(state.grid, np.fft.irfft(y, state.grid.n))
-
-
-def conserved_energy(state: VelocityPair) -> float:
-    """Metric energy <(u, rho), (u, rho)>; constant along 2CH/CH solutions."""
-    return metric(state, state)
-
-
-def mean_invariants(state: VelocityPair) -> tuple[float, float]:
-    """Integrals of m = A u and rho over the circle.
-
-    Both are conserved by 2CH: rho_t is a perfect x-derivative, and
-    m_t = -d/dx(u m + u^2/2 - u_x^2/2 + rho^2/2).
-    """
-    one = constant_field(state.grid, 1.0)
-    return inner_l2(helmholtz(state.u), one), inner_l2(state.rho, one)
+    kernel = _kernel(model, 2 * (y.shape[-1] - 1))
+    k1 = None if points is None else kernel.from_points(points)
+    return _advance(kernel, y, dt, t, k1)
 
 
 def _initial_state(config: EvolutionConfig, initial: VelocityPair) -> VelocityPair:

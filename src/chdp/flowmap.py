@@ -47,28 +47,21 @@ from chdp.spectral import (
     PeriodicField,
     _offgrid,
     apply_series_matrix,
-    compose,
-    derivative,
     helmholtz,
-    invert_diffeo,
     series_matrix,
-    zero_field,
 )
 
 __all__ = [
     "GroupElement",
-    "BodyMomentum",
     "FlowmapResult",
-    "identity_element",
-    "group_product",
-    "group_inverse",
-    "adjoint_action",
-    "coadjoint_action",
-    "body_velocity",
     "evolve_flowmap",
     "reconstruct_f",
     "momentum_drift",
 ]
+
+# `evolve_flowmap` stops with reason 'phix_degenerate' once min phi_x is at
+# or below this.
+_JACOBIAN_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -85,69 +78,6 @@ class GroupElement:
     @property
     def grid(self) -> Grid:
         return self.phi.grid
-
-
-@dataclass(frozen=True)
-class BodyMomentum:
-    """Coadjoint-transported momentum pair; constant along exact 2CH flows."""
-
-    m0: PeriodicField
-    rho0: PeriodicField
-
-
-def identity_element(grid: Grid) -> GroupElement:
-    return GroupElement(Diffeo.identity(grid), zero_field(grid))
-
-
-def group_product(a: GroupElement, b: GroupElement) -> GroupElement:
-    """(phi_a o phi_b, f_b + f_a o phi_b)."""
-    psi_b = b.phi.displacement
-    comp = psi_b + compose(a.phi.displacement, b.phi)
-    return GroupElement(Diffeo(comp), b.f + compose(a.f, b.phi))
-
-
-def group_inverse(a: GroupElement) -> GroupElement:
-    """(phi^{-1}, -f o phi^{-1})."""
-    inv = invert_diffeo(a.phi)
-    return GroupElement(inv, -compose(a.f, inv))
-
-
-def adjoint_action(g: GroupElement, v: VelocityPair) -> VelocityPair:
-    """Ad_(phi,f)(v, tau) = ((phi_x v) o phi^{-1}, (f_x v + tau) o phi^{-1})."""
-    inv = invert_diffeo(g.phi)
-    first = compose(g.phi.jacobian * v.u, inv)
-    second = compose(derivative(g.f) * v.u + v.rho, inv)
-    return VelocityPair(first, second)
-
-
-def _coadjoint_m0(m_w, rho_w, jac, fx):
-    """(m o phi) phi_x^2 + (rho o phi) f_x phi_x, the velocity part of Ad*_(phi,f)(m, rho).
-
-    Takes arrays, so it also serves a stored flow-map row with phi_x <= 0.
-    """
-    return m_w * jac**2 + rho_w * fx * jac
-
-
-def coadjoint_action(g: GroupElement, m: PeriodicField,
-                     rho: PeriodicField) -> BodyMomentum:
-    """Ad*_(phi,f)(m, rho) = ((m o phi) phi_x^2 + (rho o phi) f_x phi_x, (rho o phi) phi_x)."""
-    plan = series_matrix(g.grid, g.phi.warped_points)
-    rho_w = apply_series_matrix(plan, rho)
-    jac = g.phi.jacobian.values
-    m0 = _coadjoint_m0(apply_series_matrix(plan, m), rho_w, jac, derivative(g.f).values)
-    return BodyMomentum(PeriodicField(g.grid, m0), PeriodicField(g.grid, rho_w * jac))
-
-
-def body_velocity(g: GroupElement, phi_t: PeriodicField,
-                  f_t: PeriodicField) -> VelocityPair:
-    """Left translation of the material velocity to the algebra.
-
-    U1 = phi_t / phi_x,  U2 = f_t - (f_x / phi_x) phi_t.
-    """
-    jac = g.phi.jacobian.values
-    u1 = phi_t.values / jac
-    u2 = f_t.values - derivative(g.f).values / jac * phi_t.values
-    return VelocityPair(PeriodicField(g.grid, u1), PeriodicField(g.grid, u2))
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +126,7 @@ def _flow_rhs(kernel: _Kernel, grid: Grid, y: np.ndarray,
     return np.concatenate((kernel.combine(spectra[:-2]), spectra[-2:]))
 
 
-def evolve_flowmap(config: EvolutionConfig, initial: VelocityPair,
-                   jacobian_floor: float = 1e-8) -> FlowmapResult:
+def evolve_flowmap(config: EvolutionConfig, initial: VelocityPair) -> FlowmapResult:
     """Co-integrate (u, rho, psi, f) from (initial, identity) with RK4.
 
     The state is the (4, n//2 + 1) spectra stepped by the step loop of
@@ -205,7 +134,7 @@ def evolve_flowmap(config: EvolutionConfig, initial: VelocityPair,
     (every `config.diagnostics_stride`-th, the last, a blow-up) in one
     (8, kept steps, n) history, whose rows the result's fields view.
     Stops early on the blow-up monitor of `evolve` (same status and time)
-    or when min phi_x drops to `jacobian_floor` (reason 'phix_degenerate',
+    or when min phi_x drops to `_JACOBIAN_FLOOR` (reason 'phix_degenerate',
     with min phi_x as the value, checked before the Eulerian thresholds).
     """
     grid = initial.grid
@@ -220,7 +149,7 @@ def evolve_flowmap(config: EvolutionConfig, initial: VelocityPair,
 
     def degenerate(slopes):  # slopes[2] is psi_x, so phi_x = 1 + psi_x
         min_phix = 1.0 + float(slopes[2].min())
-        return ("phix_degenerate", min_phix) if min_phix <= jacobian_floor else None
+        return ("phix_degenerate", min_phix) if min_phix <= _JACOBIAN_FLOOR else None
 
     return _integrate(FlowmapResult, config, grid, y, step, degenerate)
 
@@ -233,7 +162,7 @@ def reconstruct_f(model: Model, rho0: PeriodicField, times: np.ndarray,
     f(t) = rho0 * integral_0^t ds / phi_x(s)^2 (DP family)
 
     pointwise in the Lagrangian label; composite Simpson over the kept
-    steps (`_simpson`), fourth order in their spacing, so with every step
+    steps (`_simpson`), fourth order in their time step, so with every step
     kept (`diagnostics_stride=1`) it matches the integrator's accuracy.
     """
     if np.min(jacobians) <= 0.0:
@@ -291,10 +220,10 @@ def momentum_drift(result: FlowmapResult, stride: int = 1) -> dict[str, np.ndarr
         indices.append(len(result.times) - 1)
     rho_power = 1 if model in (Model.CH, Model.CH2) else 2
     # Rows 0-1 are dealiased every step, so rho needs the modes up to the
-    # cutoff only.  m = helmholtz(u) keeps every mode: helmholtz scales the
-    # round-off above the cutoff by up to 1 + (pi n)^2, which would show
-    # against `coadjoint_action` in the m0 drift, a small difference of
-    # O(1) values.
+    # cutoff only.  m = helmholtz(u) keeps every mode, as the coadjoint
+    # action it tracks does: helmholtz scales the round-off above the cutoff
+    # by up to 1 + (pi n)^2, and truncating it would show in the m0 drift,
+    # a small difference of O(1) values.
     kmax = grid.n // 2 if model.has_metric else grid.dealias_cutoff
 
     deviations, first = [], None
@@ -306,7 +235,9 @@ def momentum_drift(result: FlowmapResult, stride: int = 1) -> dict[str, np.ndarr
             q.append(rho_w * jac**rho_power)
         if model.has_metric:
             m_w = apply_series_matrix(plan, helmholtz(PeriodicField(grid, result.u[i])))
-            q.append(_coadjoint_m0(m_w, rho_w, jac, result.f_x[i]))
+            # (m o phi) phi_x^2 + (rho o phi) f_x phi_x, the velocity part
+            # of Ad*_(phi,f)(m, rho); arrays, so a row with phi_x <= 0 serves.
+            q.append(m_w * jac**2 + rho_w * result.f_x[i] * jac)
         first = q if first is None else first
         deviations.append([np.max(np.abs(a - b)) for a, b in zip(q, first)])
 

@@ -11,8 +11,7 @@ fields.  Its window weights come from one polynomial per window slot in
 the point's offset within its fine cell, fitted to the kernel once per
 process, so no sqrt or exp is taken per point.  `evaluate`, `compose`,
 `invert_diffeo` and the flow-map stage use it.  The dense O(n*K)
-`series_matrix` plan remains for `flowmap.momentum_drift` and
-`flowmap.coadjoint_action`.
+`series_matrix` plan remains for `flowmap.momentum_drift`.
 
 With period 1, integer mode m carries angular wavenumber 2*pi*m.
 """
@@ -31,10 +30,7 @@ __all__ = [
     "DegenerateJacobianError",
     "InversionError",
     "zero_field",
-    "constant_field",
     "cosine_field",
-    "sine_field",
-    "field_from_function",
     "random_band_limited",
     "derivative",
     "helmholtz",
@@ -94,10 +90,6 @@ class Grid:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "dealias_cutoff", cutoff)
-
-    @property
-    def spacing(self) -> float:
-        return 1.0 / self.n
 
 
 def _check_same_grid(a, b):
@@ -187,20 +179,8 @@ def zero_field(grid: Grid) -> PeriodicField:
     return PeriodicField(grid, np.zeros(grid.n))
 
 
-def constant_field(grid: Grid, c: float) -> PeriodicField:
-    return PeriodicField(grid, np.full(grid.n, float(c)))
-
-
 def cosine_field(grid: Grid, mode: int, amplitude: float = 1.0) -> PeriodicField:
     return PeriodicField(grid, amplitude * np.cos(2.0 * np.pi * mode * grid.points))
-
-
-def sine_field(grid: Grid, mode: int, amplitude: float = 1.0) -> PeriodicField:
-    return PeriodicField(grid, amplitude * np.sin(2.0 * np.pi * mode * grid.points))
-
-
-def field_from_function(grid: Grid, fn) -> PeriodicField:
-    return PeriodicField(grid, fn(grid.points))
 
 
 def random_band_limited(grid: Grid, rng: np.random.Generator, max_mode: int,
@@ -465,12 +445,15 @@ class Diffeo:
     psi is periodic, so phi(x + 1) = phi(x) + 1 by construction.  The
     Jacobian phi_x = 1 + psi_x is computed spectrally and cached; building
     a Diffeo whose Jacobian is not strictly positive raises
-    DegenerateJacobianError.
+    DegenerateJacobianError, and one whose displacement is not finite
+    raises ValueError.
     """
 
     __slots__ = ("grid", "displacement", "jacobian")
 
     def __init__(self, displacement: PeriodicField):
+        if not np.isfinite(displacement.values).all():
+            raise ValueError("displacement must be finite")
         jac = 1.0 + derivative(displacement)
         if jac.values.min() <= 0.0:
             raise DegenerateJacobianError(
@@ -478,14 +461,6 @@ class Diffeo:
         self.grid = displacement.grid
         self.displacement = displacement
         self.jacobian = jac
-
-    @classmethod
-    def identity(cls, grid: Grid) -> "Diffeo":
-        return cls(zero_field(grid))
-
-    @classmethod
-    def shift(cls, grid: Grid, c: float) -> "Diffeo":
-        return cls(constant_field(grid, c))
 
     @property
     def warped_points(self) -> np.ndarray:
@@ -503,14 +478,20 @@ def compose(f: PeriodicField, phi: Diffeo) -> PeriodicField:
     return PeriodicField(f.grid, evaluate(f, phi.warped_points))
 
 
-def invert_diffeo(phi: Diffeo, tol: float = 1e-12, max_iter: int = 50) -> Diffeo:
+# Newton in `invert_diffeo` stops once max |phi(y) - x| < _INVERSION_TOL, and
+# raises InversionError if that takes more than _INVERSION_MAX_ITER steps.
+_INVERSION_TOL = 1e-12
+_INVERSION_MAX_ITER = 50
+
+
+def invert_diffeo(phi: Diffeo) -> Diffeo:
     """Inverse circle map, found by Newton iteration per grid point.
 
     The initial guess interpolates the monotone sampled pairs
     (phi(x_k), x_k), extended by one period on both sides, so every target
     is bracketed.  Each iteration evaluates psi and psi_x at the iterate in
     one `_offgrid` call, in O(n) memory.  Raises InversionError if Newton
-    stalls within max_iter (a symptom of a near-degenerate Jacobian).
+    stalls (a symptom of a near-degenerate Jacobian).
     """
     grid = phi.grid
     x = grid.points
@@ -521,13 +502,14 @@ def invert_diffeo(phi: Diffeo, tol: float = 1e-12, max_iter: int = 50) -> Diffeo
 
     psi_hat = phi.displacement.hat
     hats = np.stack([psi_hat, psi_hat * grid.ik])  # psi_x as `derivative` gives it
-    for _ in range(max_iter):
+    for _ in range(_INVERSION_MAX_ITER):
         psi_y, slope = _offgrid(hats, y, grid.n // 2)
         residual = y + psi_y - x
-        if np.max(np.abs(residual)) < tol:
+        if np.max(np.abs(residual)) < _INVERSION_TOL:
             break
         y = y - residual / (1.0 + slope)
     else:
         raise InversionError(
-            f"diffeomorphism inversion did not reach {tol:g} in {max_iter} steps")
+            f"diffeomorphism inversion did not reach {_INVERSION_TOL:g} "
+            f"in {_INVERSION_MAX_ITER} Newton steps")
     return Diffeo(PeriodicField(grid, y - x))

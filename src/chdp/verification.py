@@ -39,7 +39,6 @@ from chdp.evolution import (
     rhs,
     rhs_momentum_form,
     step_count,
-    step_rk4,
 )
 from chdp.flowmap import evolve_flowmap, momentum_drift, reconstruct_f
 from chdp.rigidbody import RigidBodyState, conservation_drifts, evolve_rigidbody
@@ -288,14 +287,12 @@ def check_rk4_order(seed: int) -> tuple[bool, str]:
     grid = Grid(64)
     s0 = VelocityPair(cosine_field(grid, 1, 0.3), cosine_field(grid, 2, 0.2))
     for model in (Model.CH2, Model.DP2):
-        def integrate(dt, t_end=0.5):
-            s = s0
-            for _ in range(step_count(dt, t_end)):
-                s = step_rk4(model, s, dt)
-            return s
-        ref = integrate(5e-4).u.values
-        e1 = np.max(np.abs(integrate(4e-3).u.values - ref))
-        e2 = np.max(np.abs(integrate(2e-3).u.values - ref))
+        def final_u(dt, t_end=0.5):
+            config = EvolutionConfig(model, dt, t_end, diagnostics_stride=step_count(dt, t_end))
+            return evolve(config, s0).u[-1]
+        ref = final_u(5e-4)
+        e1 = np.max(np.abs(final_u(4e-3) - ref))
+        e2 = np.max(np.abs(final_u(2e-3) - ref))
         ratios[model.value] = e1 / e2
 
     body = RigidBodyState.from_rest_attitude([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])

@@ -7,6 +7,14 @@ arrays with batched FFTs; the tests compare the two to round-off.  The
 rigid-body stepper here takes `np.cross` and the SVD polar factor, where
 `chdp.rigidbody` takes one stacked product per stage and Newton-Schulz.
 `write_columns` is the `csv.writer` form of `chdp.csvio`'s joined writer.
+
+The group operations of the semidirect product Diff(S^1) x C^inf(S^1)
+(product, inverse, adjoint and coadjoint actions, body velocity) live
+here too, on `GroupElement`s: the tests check the group identities on
+them, and `chdp.flowmap.momentum_drift` against the coadjoint action.
+`conserved_energy` and `mean_invariants` are the one-state forms of the
+`DiagnosticsTable` columns, and `cosine_pair` samples a
+`CosineDirectionPair` as two `VelocityPair`s.
 """
 
 from __future__ import annotations
@@ -17,15 +25,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from chdp.connection import Model, VelocityPair, christoffel_2ch, metric
+from chdp.curvature import CosineDirectionPair, check_resolution
 from chdp.evolution import rk4, step_count
+from chdp.flowmap import GroupElement
 from chdp.rigidbody import RigidBodyState, RigidBodyTrajectory
 from chdp.spectral import (
+    Diffeo,
+    Grid,
     PeriodicField,
     apply_series_matrix,
+    compose,
+    cosine_field,
     dealias,
     dealiased_product,
     derivative,
+    helmholtz,
     helmholtz_inverse,
+    inner_l2,
+    invert_diffeo,
     random_band_limited,
     series_matrix,
     zero_field,
@@ -107,6 +124,90 @@ def flowmap_trajectory(model: Model, initial: VelocityPair, dt: float,
         rows.append([state.pair.u.values, state.pair.rho.values,
                      state.psi.values, state.f.values])
     return np.transpose(np.asarray(rows), (1, 0, 2))
+
+
+def conserved_energy(state: VelocityPair) -> float:
+    """Metric energy <(u, rho), (u, rho)>; constant along 2CH/CH solutions."""
+    return metric(state, state)
+
+
+def mean_invariants(state: VelocityPair) -> tuple[float, float]:
+    """Integrals of m = A u and rho over the circle.
+
+    Both are conserved by 2CH: rho_t is a perfect x-derivative, and
+    m_t = -d/dx(u m + u^2/2 - u_x^2/2 + rho^2/2).
+    """
+    one = PeriodicField(state.grid, np.ones(state.grid.n))
+    return inner_l2(helmholtz(state.u), one), inner_l2(state.rho, one)
+
+
+@dataclass(frozen=True)
+class BodyMomentum:
+    """Coadjoint-transported momentum pair; constant along exact 2CH flows."""
+
+    m0: PeriodicField
+    rho0: PeriodicField
+
+
+def identity_element(grid: Grid) -> GroupElement:
+    return GroupElement(Diffeo(zero_field(grid)), zero_field(grid))
+
+
+def group_product(a: GroupElement, b: GroupElement) -> GroupElement:
+    """(phi_a o phi_b, f_b + f_a o phi_b)."""
+    psi_b = b.phi.displacement
+    comp = psi_b + compose(a.phi.displacement, b.phi)
+    return GroupElement(Diffeo(comp), b.f + compose(a.f, b.phi))
+
+
+def group_inverse(a: GroupElement) -> GroupElement:
+    """(phi^{-1}, -f o phi^{-1})."""
+    inv = invert_diffeo(a.phi)
+    return GroupElement(inv, -compose(a.f, inv))
+
+
+def adjoint_action(g: GroupElement, v: VelocityPair) -> VelocityPair:
+    """Ad_(phi,f)(v, tau) = ((phi_x v) o phi^{-1}, (f_x v + tau) o phi^{-1})."""
+    inv = invert_diffeo(g.phi)
+    first = compose(g.phi.jacobian * v.u, inv)
+    second = compose(derivative(g.f) * v.u + v.rho, inv)
+    return VelocityPair(first, second)
+
+
+def coadjoint_action(g: GroupElement, m: PeriodicField,
+                     rho: PeriodicField) -> BodyMomentum:
+    """Ad*_(phi,f)(m, rho) = ((m o phi) phi_x^2 + (rho o phi) f_x phi_x, (rho o phi) phi_x).
+
+    By the dense plan with every mode, in the operation order of
+    `chdp.flowmap.momentum_drift`.
+    """
+    plan = series_matrix(g.grid, g.phi.warped_points)
+    rho_w = apply_series_matrix(plan, rho)
+    jac = g.phi.jacobian.values
+    m_w = apply_series_matrix(plan, m)
+    m0 = m_w * jac**2 + rho_w * derivative(g.f).values * jac
+    return BodyMomentum(PeriodicField(g.grid, m0), PeriodicField(g.grid, rho_w * jac))
+
+
+def body_velocity(g: GroupElement, phi_t: PeriodicField,
+                  f_t: PeriodicField) -> VelocityPair:
+    """Left translation of the material velocity to the algebra.
+
+    U1 = phi_t / phi_x,  U2 = f_t - (f_x / phi_x) phi_t.
+    """
+    jac = g.phi.jacobian.values
+    u1 = phi_t.values / jac
+    u2 = f_t.values - derivative(g.f).values / jac * phi_t.values
+    return VelocityPair(PeriodicField(g.grid, u1), PeriodicField(g.grid, u2))
+
+
+def cosine_pair(grid: Grid, direction: CosineDirectionPair) -> tuple[VelocityPair, VelocityPair]:
+    """Sample the direction pair on a grid that resolves it."""
+    check_resolution(grid, direction.max_mode)
+    d = direction
+    slots = [cosine_field(grid, m) if m else zero_field(grid)
+             for m in (d.m_k1, d.m_k2, d.m_l1, d.m_l2)]
+    return VelocityPair(*slots[:2]), VelocityPair(*slots[2:])
 
 
 def curvature_terms(a: VelocityPair, b: VelocityPair) -> tuple[float, float]:

@@ -16,7 +16,6 @@ from chdp.connection import (
 )
 from chdp.spectral import (
     Grid,
-    constant_field,
     cosine_field,
     derivative,
     random_band_limited,
@@ -52,7 +51,7 @@ class TestChristoffelCH:
         assert np.max(np.abs(out.values)) <= 1e-15
 
     def test_constants(self, grid64):
-        c = constant_field(grid64, 0.8)
+        c = zero_field(grid64) + 0.8
         assert np.max(np.abs(christoffel_ch(c, c).values)) <= 1e-15
 
     @pytest.mark.parametrize("k,l", [(1, 1), (1, 2), (2, 3), (1, 4)])
@@ -72,7 +71,7 @@ class TestChristoffelDP:
         assert np.max(np.abs(christoffel_dp(zero_field(grid64), v).values)) == 0.0
 
     def test_constants(self, grid64):
-        c = constant_field(grid64, 1.2)
+        c = zero_field(grid64) + 1.2
         assert np.max(np.abs(christoffel_dp(c, c).values)) <= 1e-15
 
     def test_cosine_value(self, grid64):
@@ -196,8 +195,8 @@ class TestBracketAndAdTranspose:
         assert np.max(np.abs(ab.rho.values)) <= 1e-14
 
     def test_bracket_constant_first_components(self, grid64, rng):
-        a = VelocityPair(constant_field(grid64, 0.4), random_band_limited(grid64, rng, 6))
-        b = VelocityPair(constant_field(grid64, -1.1), random_band_limited(grid64, rng, 6))
+        a = VelocityPair(zero_field(grid64) + 0.4, random_band_limited(grid64, rng, 6))
+        b = VelocityPair(zero_field(grid64) - 1.1, random_band_limited(grid64, rng, 6))
         assert np.max(np.abs(bracket(a, b).u.values)) <= 1e-14
 
     def test_jacobi_identity(self, grid128, rng):

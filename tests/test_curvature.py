@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import object_form
+from object_form import cosine_pair
 from chdp import curvature, verification
 from chdp.connection import VelocityPair, christoffel_ch
 from chdp.curvature import (
@@ -16,7 +17,6 @@ from chdp.curvature import (
     check_resolution,
     closed_form_curvature,
     closed_form_integrals,
-    cosine_pair,
     gram_determinant,
     negative_search,
     positivity_scan,

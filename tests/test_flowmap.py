@@ -6,27 +6,23 @@ import pytest
 from scipy.integrate import simpson
 
 import object_form
-from chdp import flowmap
-from chdp.connection import Model, VelocityPair, bracket, metric
-from chdp.evolution import EvolutionConfig, _advance, _kernel, evolve
-from chdp.flowmap import (
-    GroupElement,
+from object_form import (
     adjoint_action,
     body_velocity,
     coadjoint_action,
-    evolve_flowmap,
     group_inverse,
     group_product,
     identity_element,
-    momentum_drift,
-    reconstruct_f,
 )
+from chdp import flowmap
+from chdp.connection import Model, VelocityPair, bracket
+from chdp.evolution import EvolutionConfig, _advance, _kernel, evolve
+from chdp.flowmap import GroupElement, evolve_flowmap, momentum_drift, reconstruct_f
 from chdp.spectral import (
     Diffeo,
     Grid,
     PeriodicField,
     compose,
-    constant_field,
     cosine_field,
     derivative,
     helmholtz,
@@ -159,7 +155,7 @@ class TestEvolveFlowmap:
     def test_constant_transport(self):
         grid = Grid(64)
         config = EvolutionConfig(Model.CH2, dt=1e-2, t_end=0.3)
-        initial = VelocityPair(constant_field(grid, 0.5), zero_field(grid))
+        initial = VelocityPair(zero_field(grid) + 0.5, zero_field(grid))
         res = evolve_flowmap(config, initial)
         assert res.status.completed
         assert np.max(np.abs(res.psi[-1] - 0.5 * 0.3)) <= 1e-12
@@ -168,7 +164,7 @@ class TestEvolveFlowmap:
     def test_constant_pair(self):
         grid = Grid(64)
         config = EvolutionConfig(Model.CH2, dt=1e-2, t_end=0.3)
-        initial = VelocityPair(constant_field(grid, 0.5), constant_field(grid, 0.7))
+        initial = VelocityPair(zero_field(grid) + 0.5, zero_field(grid) + 0.7)
         res = evolve_flowmap(config, initial)
         jac = res.jacobians()
         assert np.max(np.abs(jac - 1.0)) <= 1e-12
@@ -238,21 +234,21 @@ class TestEvolveFlowmap:
         recon = compose(phi_t, invert_diffeo(g.phi))
         assert np.max(np.abs(recon.values - res.u[i])) <= 1e-7
 
-    def test_jacobian_degeneracy_reason(self):
+    def test_jacobian_degeneracy_reason(self, monkeypatch):
+        monkeypatch.setattr(flowmap, "_JACOBIAN_FLOOR", 0.5)
         grid = Grid(256)
         config = EvolutionConfig(Model.CH2, dt=5e-4, t_end=3.0)
-        res = evolve_flowmap(config, VelocityPair.single(cosine_field(grid, 1, 2.0)),
-                             jacobian_floor=0.5)
+        res = evolve_flowmap(config, VelocityPair.single(cosine_field(grid, 1, 2.0)))
         assert res.status.kind == "blowup_detected"
         assert res.status.reason == "phix_degenerate"
 
-    def test_jacobian_degeneracy_value(self):
+    def test_jacobian_degeneracy_value(self, monkeypatch):
         # The value is the monitored min phi_x at the stopping step: at or
         # below the floor, which the step before stayed above.
+        monkeypatch.setattr(flowmap, "_JACOBIAN_FLOOR", 0.5)
         grid = Grid(128)
         config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=1.0, diagnostics_stride=1)
-        res = evolve_flowmap(config, VelocityPair.single(cosine_field(grid, 1, 1.0)),
-                             jacobian_floor=0.5)
+        res = evolve_flowmap(config, VelocityPair.single(cosine_field(grid, 1, 1.0)))
         assert res.status.reason == "phix_degenerate"
         assert res.status.t == res.times[-1]
         jac = res.jacobians([len(res.times) - 2, len(res.times) - 1]).min(axis=1)
@@ -265,7 +261,7 @@ class TestEvolveFlowmap:
                  {"blowup_rhox_threshold": 5.0}, ("max_abs_rhox", 0.0), id="initial_rhox"),
     pytest.param(Model.CH, 128, lambda g: VelocityPair.single(cosine_field(g, 1, 2.0)),
                  {"blowup_slope_threshold": -20.0}, ("min_ux", 0.044), id="steep_min_ux"),
-    pytest.param(Model.CH2, 64, lambda g: VelocityPair(constant_field(g, np.nan), zero_field(g)),
+    pytest.param(Model.CH2, 64, lambda g: VelocityPair(zero_field(g) + np.nan, zero_field(g)),
                  {}, ("non_finite", 0.001), id="nan_initial"),
 ])
 def test_evolve_and_flowmap_share_blowup_monitor(model, n, initial, thresholds, expected):
@@ -356,7 +352,7 @@ class TestReconstructF:
         grid = Grid(64)
         times = np.linspace(0.0, 0.4, 9)
         jac = np.ones((9, 64))
-        out = reconstruct_f(Model.CH2, constant_field(grid, 0.7), times, jac)
+        out = reconstruct_f(Model.CH2, zero_field(grid) + 0.7, times, jac)
         assert np.max(np.abs(out.values - 0.7 * 0.4)) <= 1e-14
 
     def test_rejects_degenerate_jacobian(self):
@@ -365,7 +361,7 @@ class TestReconstructF:
         jac = np.ones((5, 64))
         jac[3, 7] = -0.1
         with pytest.raises(ValueError):
-            reconstruct_f(Model.CH2, constant_field(grid, 1.0), times, jac)
+            reconstruct_f(Model.CH2, zero_field(grid) + 1.0, times, jac)
 
     @pytest.mark.parametrize("model", [Model.CH2, Model.DP2])
     def test_matches_ode_to_fourth_order(self, model):

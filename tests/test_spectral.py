@@ -12,15 +12,14 @@ from chdp.spectral import (
     Diffeo,
     DegenerateJacobianError,
     Grid,
+    InversionError,
     PeriodicField,
     apply_series_matrix,
     compose,
-    constant_field,
     cosine_field,
     dealias,
     derivative,
     evaluate,
-    field_from_function,
     helmholtz,
     helmholtz_inverse,
     inner_h1,
@@ -28,7 +27,6 @@ from chdp.spectral import (
     invert_diffeo,
     random_band_limited,
     series_matrix,
-    sine_field,
     zero_field,
 )
 
@@ -65,7 +63,7 @@ def test_derivative_cosine(grid64):
 
 
 def test_derivative_constant(grid64):
-    assert np.max(np.abs(derivative(constant_field(grid64, 1.0)).values)) == 0.0
+    assert np.max(np.abs(derivative(zero_field(grid64) + 1.0).values)) == 0.0
 
 
 def test_derivative_finite_difference_oracle(grid128):
@@ -73,7 +71,7 @@ def test_derivative_finite_difference_oracle(grid128):
     h = 1e-6
     x = grid128.points
     fd = (np.sin(4 * np.pi * (x + h)) - np.sin(4 * np.pi * (x - h))) / (2 * h)
-    f = sine_field(grid128, 2)
+    f = PeriodicField(grid128, np.sin(2 * TWO_PI * grid128.points))
     assert np.max(np.abs(derivative(f).values - fd)) <= 1e-6
 
 
@@ -88,13 +86,13 @@ def test_helmholtz_eigenfunction(grid64):
 
 
 def test_helmholtz_constant(grid64):
-    f = constant_field(grid64, 2.5)
+    f = zero_field(grid64) + 2.5
     assert np.allclose(helmholtz(f).values, f.values, rtol=1e-14)
 
 
 def test_helmholtz_mode_by_mode(grid64):
     # cos(2 pi x) + sin(6 pi x): each mode scales by its own multiplier
-    f = cosine_field(grid64, 1) + sine_field(grid64, 3)
+    f = cosine_field(grid64, 1) + np.sin(3 * TWO_PI * grid64.points)
     x = grid64.points
     expected = ((1 + (TWO_PI) ** 2) * np.cos(TWO_PI * x)
                 + (1 + (6 * np.pi) ** 2) * np.sin(6 * np.pi * x))
@@ -108,7 +106,7 @@ def test_helmholtz_inverse_cosine(grid64):
 
 
 def test_helmholtz_inverse_constant(grid64):
-    f = constant_field(grid64, 1.0)
+    f = zero_field(grid64) + 1.0
     assert np.allclose(helmholtz_inverse(f).values, f.values, rtol=1e-14)
 
 
@@ -133,7 +131,7 @@ def test_operators_commute(grid128, rng):
 def test_inner_l2_orthogonality(grid64):
     c1 = cosine_field(grid64, 1)
     c2 = cosine_field(grid64, 2)
-    one = constant_field(grid64, 1.0)
+    one = zero_field(grid64) + 1.0
     assert inner_l2(c1, c1) == pytest.approx(0.5, abs=1e-14)
     assert inner_l2(c1, c2) == pytest.approx(0.0, abs=1e-14)
     assert inner_l2(one, one) == pytest.approx(1.0, abs=1e-14)
@@ -146,8 +144,8 @@ def test_inner_l2_grid_mismatch(grid64, grid128):
 
 def test_inner_h1_values(grid64):
     c1 = cosine_field(grid64, 1)
-    one = constant_field(grid64, 1.0)
-    s1 = sine_field(grid64, 1)
+    one = zero_field(grid64) + 1.0
+    s1 = PeriodicField(grid64, np.sin(TWO_PI * grid64.points))
     assert inner_h1(c1, c1) == pytest.approx((1 + 4 * np.pi**2) / 2, rel=1e-13)
     assert inner_h1(one, one) == pytest.approx(1.0, abs=1e-14)
     assert inner_h1(c1, s1) == pytest.approx(0.0, abs=1e-13)
@@ -161,13 +159,13 @@ def test_inner_h1_is_l2_against_helmholtz(grid128, rng):
 
 def test_compose_identity(grid64, rng):
     f = random_band_limited(grid64, rng, 15)
-    out = compose(f, Diffeo.identity(grid64))
+    out = compose(f, Diffeo(zero_field(grid64)))
     assert np.max(np.abs(out.values - f.values)) <= 1e-12
 
 
 def test_compose_shift(grid64):
     f = cosine_field(grid64, 1)
-    shifted = compose(f, Diffeo.shift(grid64, 0.25))
+    shifted = compose(f, Diffeo(zero_field(grid64) + 0.25))
     expected = -np.sin(TWO_PI * grid64.points)
     assert np.max(np.abs(shifted.values - expected)) <= 1e-12
 
@@ -194,15 +192,25 @@ def test_compose_against_oversampled_spline(grid64, rng):
 
 def test_diffeo_rejects_degenerate():
     grid = Grid(64)
-    steep = field_from_function(grid, lambda x: 0.3 * np.sin(TWO_PI * x))
+    steep = PeriodicField(grid, 0.3 * np.sin(TWO_PI * grid.points))
     with pytest.raises(DegenerateJacobianError):
         Diffeo(steep * 2.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_diffeo_rejects_non_finite(bad):
+    # NaN would pass the Jacobian check (min() <= 0 is False for NaN) and
+    # leave invert_diffeo to fail on convergence; inf would warn first.
+    values = np.zeros(16)
+    values[3] = bad
+    with pytest.raises(ValueError, match="displacement must be finite"):
+        Diffeo(PeriodicField(Grid(16), values))
+
+
 def test_invert_identity_and_shift(grid64):
-    ident = invert_diffeo(Diffeo.identity(grid64))
+    ident = invert_diffeo(Diffeo(zero_field(grid64)))
     assert np.max(np.abs(ident.displacement.values)) <= 1e-12
-    inv = invert_diffeo(Diffeo.shift(grid64, 0.25))
+    inv = invert_diffeo(Diffeo(zero_field(grid64) + 0.25))
     assert np.allclose(inv.displacement.values, -0.25, atol=1e-12)
 
 
@@ -213,6 +221,14 @@ def test_invert_roundtrip(grid128, rng):
     # phi(inv(x)) = x
     forward = inv.warped_points + evaluate(phi.displacement, inv.warped_points)
     assert np.max(np.abs(forward - grid128.points)) <= 1e-9
+
+
+def test_invert_reports_a_stalled_newton(grid128, rng, monkeypatch):
+    # One step only tests the interpolated guess, which a warped map misses.
+    monkeypatch.setattr(spectral, "_INVERSION_MAX_ITER", 1)
+    phi = Diffeo(random_band_limited(grid128, rng, 5, scale=0.03))
+    with pytest.raises(InversionError, match=r"did not reach 1e-12 in 1 Newton steps"):
+        invert_diffeo(phi)
 
 
 def test_compose_roundtrip(grid128, rng):
