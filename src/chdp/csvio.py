@@ -29,7 +29,6 @@ __all__ = [
     "write_scan",
     "write_rigidbody",
     "write_manifest",
-    "read_manifest",
 ]
 
 
@@ -130,8 +129,3 @@ def write_manifest(path, payload: dict):
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True, default=_json_default)
         handle.write("\n")
-
-
-def read_manifest(path) -> dict:
-    with open(path) as handle:
-        return json.load(handle)

@@ -31,10 +31,9 @@ per plane in chunks of a fixed size and the closed forms on the mode
 columns in larger chunks, checks its bounds with masks and returns a
 `ScanTable` of 1-D columns; `scan_direction` is the one-row table of the
 same path.
-`unnormalized_curvature`, `gram_determinant` and
-`sectional_curvature` are the one-plane `VelocityPair` views of the
-kernel, and `chdp.connection.christoffel_2ch` with `metric` is the
-field-by-field form they agree with to round-off.
+`unnormalized_curvature` and `sectional_curvature` are the one-plane
+`VelocityPair` views of the kernel, and `chdp.connection.christoffel_2ch`
+with `metric` is the field-by-field form they agree with to round-off.
 
 Resolution: Gamma and the metric pair products of two directions, whose
 modes reach twice the largest mode M.  A grid resolves them exactly when
@@ -63,7 +62,6 @@ __all__ = [
     "DegeneratePlaneError",
     "ScanTable",
     "unnormalized_curvature",
-    "gram_determinant",
     "sectional_curvature",
     "ch_cosine_curvature",
     "closed_form_integrals",
@@ -222,10 +220,6 @@ def _plane(a: VelocityPair, b: VelocityPair) -> tuple[float, float]:
 def unnormalized_curvature(a: VelocityPair, b: VelocityPair) -> float:
     """S(a, b) from the two-component CH Christoffel map."""
     return _plane(a, b)[0]
-
-
-def gram_determinant(a: VelocityPair, b: VelocityPair) -> float:
-    return _plane(a, b)[1]
 
 
 def sectional_curvature(a: VelocityPair, b: VelocityPair) -> float:

@@ -24,7 +24,6 @@ __all__ = [
     "RigidBodyState",
     "RigidBodyTrajectory",
     "hat",
-    "euler_rhs",
     "evolve_rigidbody",
     "coadjoint_drift",
     "conservation_drifts",
@@ -90,11 +89,6 @@ def _stacked(state: RigidBodyState) -> tuple[np.ndarray, np.ndarray]:
 def _rates(y: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """dy/dt of the stacked state: row 0 Euler's equation, rows 1-3 R hat(Omega)."""
     return ((y * scale) @ hat(y[0])) / scale
-
-
-def euler_rhs(state: RigidBodyState) -> np.ndarray:
-    """dOmega/dt = I^{-1} ((I Omega) x Omega): row 0 of the stepper's product."""
-    return _rates(*_stacked(state))[0]
 
 
 @dataclass

@@ -10,8 +10,9 @@ O(n log n + n*w) time and O(n) memory for n points, shared by stacked
 fields.  Its window weights come from one polynomial per window slot in
 the point's offset within its fine cell, fitted to the kernel once per
 process, so no sqrt or exp is taken per point.  `evaluate`, `compose`,
-`invert_diffeo` and the flow-map stage use it.  The dense O(n*K)
-`series_matrix` plan remains for `flowmap.momentum_drift`.
+`invert_diffeo` and the flow-map stage use it.  `flowmap.momentum_drift`
+still evaluates through `series_matrix`, a plan built by doubling, over
+blocks of points whose plans have a bounded size: O(n + block) memory.
 
 With period 1, integer mode m carries angular wavenumber 2*pi*m.
 """
@@ -254,21 +255,30 @@ def inner_h1(f: PeriodicField, g: PeriodicField) -> float:
 # ---------------------------------------------------------------------------
 
 def series_matrix(grid: Grid, y, kmax: int | None = None) -> np.ndarray:
-    """Matrix E with E[j, k] = exp(2*pi*i*k*y_j) for k = 0..kmax.
+    """Matrix E with E[j, k] = exp(2*pi*i*k*y_j) for k = 0..kmax; y is flattened.
 
-    Built by cumulative products of exp(2*pi*i*y), so one dense O(M*K)
-    evaluation plan can be reused on several fields (`apply_series_matrix`).
+    Built by doubling: with rows 0..b-1 of the (kmax + 1, M) transpose
+    holding z**k, z = exp(2*pi*i*y), rows b..2b-1 are those rows times
+    z**b, so about log2(kmax) whole-block products fill it; E is the
+    transposed view.  Its round-off grows like k, as that of sequential
+    products does.  One plan can be reused on several fields
+    (`apply_series_matrix`); it costs O(M*K) memory, so callers bound M.
     Passing a smaller kmax is exact for fields whose modes above kmax
     vanish.  `_offgrid` computes the same values in O(M) memory.
     """
-    y = np.asarray(y, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
     if kmax is None:
         kmax = grid.n // 2
-    z = np.exp(2j * np.pi * y)
-    mat = np.empty((y.size, kmax + 1), dtype=complex)
-    mat[:, 0] = 1.0
-    np.cumprod(np.broadcast_to(z[:, None], (y.size, kmax)), axis=1, out=mat[:, 1:])
-    return mat
+    plan = np.empty((kmax + 1, y.size), dtype=complex)
+    plan[0] = 1.0
+    plan[1:2] = np.exp(2j * np.pi * y)  # no row to fill when kmax = 0
+    filled = 2  # rows 0..filled-1 hold z**k; filled stays a power of 2
+    while filled <= kmax:
+        count = min(filled, kmax + 1 - filled)
+        np.multiply(plan[:count], np.square(plan[filled // 2]),
+                    out=plan[filled:filled + count])
+        filled += count
+    return plan.T
 
 
 def apply_series_matrix(mat: np.ndarray, f: PeriodicField) -> np.ndarray:

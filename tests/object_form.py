@@ -15,20 +15,26 @@ them, and `chdp.flowmap.momentum_drift` against the coadjoint action.
 `conserved_energy` and `mean_invariants` are the one-state forms of the
 `DiagnosticsTable` columns, and `cosine_pair` samples a
 `CosineDirectionPair` as two `VelocityPair`s.
+
+Three views the tests read and no command runs live here as well:
+`kernel_gram_determinant` (the curvature kernel's Gram determinant of one
+plane), `euler_rhs` (row 0 of the rigid-body stepper's product) and
+`read_manifest` (a `run.json` as a dict).
 """
 
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from chdp.connection import Model, VelocityPair, christoffel_2ch, metric
-from chdp.curvature import CosineDirectionPair, check_resolution
+from chdp.curvature import CosineDirectionPair, _plane, check_resolution
 from chdp.evolution import rk4, step_count
 from chdp.flowmap import GroupElement
-from chdp.rigidbody import RigidBodyState, RigidBodyTrajectory
+from chdp.rigidbody import RigidBodyState, RigidBodyTrajectory, _rates, _stacked
 from chdp.spectral import (
     Diffeo,
     Grid,
@@ -220,6 +226,11 @@ def gram_determinant(a: VelocityPair, b: VelocityPair) -> float:
     return metric(a, a) * metric(b, b) - metric(a, b) ** 2
 
 
+def kernel_gram_determinant(a: VelocityPair, b: VelocityPair) -> float:
+    """The Gram determinant of the plane of a and b from `chdp.curvature`'s kernel."""
+    return _plane(a, b)[1]
+
+
 def negative_search(grid, rng, trials: int, max_mode: int) -> list[tuple[int, float]]:
     """(trial, Sec) of random band-limited planes, one trial and field at a time."""
     results = []
@@ -283,6 +294,11 @@ def svd_polar_factor(mat: np.ndarray) -> np.ndarray:
     return rot
 
 
+def euler_rhs(state: RigidBodyState) -> np.ndarray:
+    """dOmega/dt = I^{-1} ((I Omega) x Omega): row 0 of `chdp.rigidbody`'s stepper product."""
+    return _rates(*_stacked(state))[0]
+
+
 def rigidbody_trajectory(state0: RigidBodyState, dt: float,
                          t_end: float) -> RigidBodyTrajectory:
     """RK4 of Euler's equation by `np.cross` and dR/dt = R hat(Omega), R re-projected by SVD."""
@@ -324,3 +340,9 @@ def write_columns(path, header, columns):
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
+
+
+def read_manifest(path) -> dict:
+    """A `run.json` written by `chdp.csvio.write_manifest`."""
+    with open(path) as handle:
+        return json.load(handle)

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from object_form import read_manifest
 from chdp import cli, csvio, curvature, verification
 from chdp.cli import CliError, main, parse_config
 from chdp.connection import VelocityPair
-from chdp.csvio import read_manifest, read_snapshot, write_snapshot
+from chdp.csvio import read_snapshot, write_snapshot
 from chdp.flowmap import FlowmapResult
 from chdp.presets import initial_condition
 from chdp.spectral import Grid, PeriodicField

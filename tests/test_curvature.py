@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import object_form
-from object_form import cosine_pair
+from object_form import cosine_pair, kernel_gram_determinant
 from chdp import curvature, verification
 from chdp.connection import VelocityPair, christoffel_ch
 from chdp.curvature import (
@@ -17,7 +17,6 @@ from chdp.curvature import (
     check_resolution,
     closed_form_curvature,
     closed_form_integrals,
-    gram_determinant,
     negative_search,
     positivity_scan,
     scan_grid,
@@ -105,7 +104,7 @@ class TestSectional:
     def test_density_family_gram_and_bound(self, grid128):
         u = VelocityPair(zero_field(grid128), cosine_field(grid128, 1))
         v = VelocityPair(zero_field(grid128), cosine_field(grid128, 2))
-        assert gram_determinant(u, v) == pytest.approx(0.25, abs=1e-12)
+        assert kernel_gram_determinant(u, v) == pytest.approx(0.25, abs=1e-12)
         assert sectional_curvature(u, v) >= 0.125 - 1e-12
 
 
@@ -375,7 +374,7 @@ class TestKernel:
         s, gram, size = _object_plane(a, b)
         assert abs(unnormalized_curvature(a, b) - s) <= 1e-12 * size
         norms = object_form.metric(a, a) * object_form.metric(b, b)
-        assert abs(gram_determinant(a, b) - gram) <= 1e-12 * norms
+        assert abs(kernel_gram_determinant(a, b) - gram) <= 1e-12 * norms
         if gram > 1e-6 * norms:
             sec = s / gram
             assert abs(sectional_curvature(a, b) - sec) <= 1e-12 * max(abs(sec), size / gram)
@@ -455,7 +454,7 @@ def test_batched_oracles_report_the_one_plane_values():
     worst_gram, min_sec = 0.0, np.inf
     for mk2, ml2 in itertools.combinations(range(1, 7), 2):
         u, v = cosine_pair(grid, CosineDirectionPair(0, mk2, 0, ml2))
-        worst_gram = max(worst_gram, abs(gram_determinant(u, v) - 0.25))
+        worst_gram = max(worst_gram, abs(kernel_gram_determinant(u, v) - 0.25))
         min_sec = min(min_sec, sectional_curvature(u, v))
     assert verification.check_density_family_bounds(0) == (
         True, f"|gram - 1/4| <= {worst_gram:.2e} (tol 1e-12), min Sec {min_sec:.6f} >= 1/8 - 1e-12")

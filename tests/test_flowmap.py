@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -419,6 +420,60 @@ class TestMomentumDrift:
         for values in drifts.values():
             assert values.shape == (len(res.times),)
             assert np.all(np.isfinite(values)) and values[0] == 0.0
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_rejects_stride_below_one(self, stride):
+        grid = Grid(64)
+        config = EvolutionConfig(Model.CH2, dt=1e-2, t_end=0.02)
+        res = evolve_flowmap(config, VelocityPair(cosine_field(grid, 1, 0.3),
+                                                  cosine_field(grid, 1, 0.2)))
+        with pytest.raises(ValueError, match=f"stride must be at least 1, got {stride}"):
+            momentum_drift(res, stride)
+
+    @pytest.mark.parametrize("model", [Model.CH, Model.CH2, Model.DP2])
+    def test_blocks_match_one_plan(self, monkeypatch, model):
+        # Blocks of 7 points, the last one ragged, against one plan per row,
+        # to 1e-14 of the momenta at t = 0 (rho0, and m = helmholtz(u0)).
+        grid = Grid(128)
+        rho = cosine_field(grid, 2, 0.2) if model.two_component else zero_field(grid)
+        config = EvolutionConfig(model, dt=1e-3, t_end=0.05, diagnostics_stride=10)
+        res = evolve_flowmap(config, VelocityPair(cosine_field(grid, 1, 0.3) + 0.1, rho))
+        kmax = grid.n // 2 if model.has_metric else grid.dealias_cutoff
+        monkeypatch.setattr(flowmap, "_PLAN_BYTES", 16 * (kmax + 1) * grid.n)
+        whole = momentum_drift(res)
+
+        plan_of, sizes = flowmap.series_matrix, []
+
+        def recording(grid, y, kmax):
+            sizes.append(np.size(y))
+            return plan_of(grid, y, kmax)
+
+        monkeypatch.setattr(flowmap, "series_matrix", recording)
+        monkeypatch.setattr(flowmap, "_PLAN_BYTES", 16 * (kmax + 1) * 7)
+        blocks = momentum_drift(res)
+        assert sizes == len(res.times) * ([7] * (grid.n // 7) + [grid.n % 7])
+        scales = {"rho0": np.max(np.abs(res.rho[0])),
+                  "m0": np.max(np.abs(helmholtz(PeriodicField(grid, res.u[0])).values))}
+        assert set(blocks) == set(whole) and whole
+        for key, values in blocks.items():
+            assert np.max(values) > 0.0
+            assert np.max(np.abs(values - whole[key])) <= 1e-14 * scales[key]
+
+    def test_peak_memory_at_n4096(self):
+        # Each block's plan holds at most 1 MiB; one whole-row plan at
+        # kmax = n/2 would take 134 MB.
+        grid = Grid(4096)
+        config = EvolutionConfig(Model.CH2, dt=1e-4, t_end=4e-4, diagnostics_stride=2)
+        res = evolve_flowmap(config, VelocityPair(cosine_field(grid, 1, 0.3),
+                                                  cosine_field(grid, 2, 0.2)))
+        tracemalloc.start()
+        try:
+            drifts = momentum_drift(res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+        assert [len(values) for values in drifts.values()] == [len(res.times)] * 2
 
     def test_dp_tracks_nothing(self, monkeypatch):
         grid = Grid(64)

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 import object_form
+from object_form import euler_rhs
 from chdp.rigidbody import (
     RigidBodyState,
     _reorthonormalize,
     coadjoint_drift,
     conservation_drifts,
-    euler_rhs,
     evolve_rigidbody,
     hat,
 )

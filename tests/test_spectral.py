@@ -314,6 +314,22 @@ def test_zero_field(grid64):
     assert np.all(zero_field(grid64).values == 0.0)
 
 
+@pytest.mark.parametrize("kmax", [0, 1, 2, 3, 4, 5, 7, 8, 9, 341, 2048])
+def test_series_matrix_by_doubling(rng, kmax):
+    # Every boundary of the doubling loop (kmax + 1 a power of 2, and one
+    # row above and below it) and the flow-map sizes.  The points are dyadic,
+    # j / 2**20 in [-3, 4), so k y is exact and exp(2 pi i frac(k y)) is the
+    # exact entry to one rounding; the plan's round-off grows like k.  A 2-D
+    # y is flattened.
+    y = rng.integers(-3 * 2**20, 4 * 2**20, size=(4, 25)) / 2**20
+    plan = series_matrix(Grid(64), y, kmax=kmax)
+    assert plan.shape == (y.size, kmax + 1)
+    k = np.arange(kmax + 1)
+    ky = np.outer(y.ravel(), k)
+    want = np.exp(2j * np.pi * (ky - np.floor(ky)))
+    assert np.all(np.abs(plan - want) <= 5e-15 * np.maximum(k, 1))
+
+
 def dense_series(values, y, kmax):
     """The off-grid oracle: one dense `series_matrix` plan applied to each field."""
     grid = Grid(values.shape[-1])

@@ -1,11 +1,11 @@
-"""Layer timings: Eulerian kernel and steps, flow-map steps, off-grid evaluation, rigid body, curvature scan, CSVs.
+"""Layer timings: Eulerian kernel and steps, flow-map steps, off-grid evaluation, momentum drift, rigid body, curvature scan, CSVs.
 
     python3 tools/bench_flowmap.py --parent OLD/src --change NEW/src \\
         [--repeats 9] [--out BENCH.json]
 
 Each repeat runs one fresh process per tree (alternating which goes
 first), and each process measures every layer once, those down to
-`invert_diffeo` at each n in {64, 256, 1024, 4096}:
+`momentum_drift` at each n in {64, 256, 1024, 4096}:
 
 - `dense_plan_ms`: the dense off-grid plan, `series_matrix` at the dealias
   cutoff applied to the stacked (u, rho) weights, as the flow-map stage
@@ -21,6 +21,9 @@ first), and each process measures every layer once, those down to
   and diagnostics cancel);
 - `invert_diffeo_ms` and `invert_diffeo_peak_mb` (tracemalloc peak of one
   call, untimed);
+- `drift_ms` and `drift_peak_mb` (tracemalloc peak of one call, untimed):
+  `flowmap.momentum_drift` of one fixed 2CH flow-map run of 4 steps
+  (dt 1e-4, every step kept, so 5 rows, kmax = n/2);
 - `body_step_us`: one RK4 step of `evolve_rigidbody` on the reference spin
   (inertia 1,2,3, omega 1,1,1, dt 1e-3), the difference of a 300-step and
   a 100-step run over 200;
@@ -81,7 +84,7 @@ def measure() -> dict:
     from chdp import evolution, spectral
     from chdp.connection import Model, VelocityPair
     from chdp.evolution import EvolutionConfig, evolve
-    from chdp.flowmap import evolve_flowmap
+    from chdp.flowmap import evolve_flowmap, momentum_drift
 
     out = {"import_s": import_s}
     for n in SIZES:
@@ -133,6 +136,14 @@ def measure() -> dict:
         tracemalloc.start()
         spectral.invert_diffeo(phi)
         out[f"invert_diffeo_peak_mb/n={n}"] = tracemalloc.get_traced_memory()[1] / 2**20
+        tracemalloc.stop()
+
+        drift_run = evolve_flowmap(EvolutionConfig(Model.CH2, dt=1e-4, t_end=4e-4,
+                                                   diagnostics_stride=1, **grid_n), initial)
+        out[f"drift_ms/n={n}"] = 1e3 * _per_call(lambda: momentum_drift(drift_run))
+        tracemalloc.start()
+        momentum_drift(drift_run)
+        out[f"drift_peak_mb/n={n}"] = tracemalloc.get_traced_memory()[1] / 2**20
         tracemalloc.stop()
 
     from chdp import rigidbody
