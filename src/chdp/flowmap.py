@@ -47,7 +47,6 @@ from chdp.spectral import (
     PeriodicField,
     _offgrid,
     apply_series_matrix,
-    helmholtz,
     series_matrix,
 )
 
@@ -139,9 +138,8 @@ def evolve_flowmap(config: EvolutionConfig, initial: VelocityPair) -> FlowmapRes
     """
     grid = initial.grid
     kernel = _kernel(config.model, grid.n)
-    start = _initial_state(config, initial)
     y = np.zeros((4, grid.n // 2 + 1), dtype=complex)
-    y[:2] = start.u.hat, start.rho.hat
+    y[:2] = _initial_state(config, initial)
 
     def step(v, t, z):
         return _advance(lambda w: _flow_rhs(kernel, grid, w), v, config.dt, t,
@@ -213,13 +211,16 @@ def momentum_drift(result: FlowmapResult, stride: int = 1) -> dict[str, np.ndarr
     family, (rho o phi) phi_x^2 for DP) on two-component models, 'm0' for
     the velocity component of the coadjoint-transported pair on the
     metric models (CH, 2CH).  Values are arrays over the sampled steps:
-    every `stride`-th kept row and the last (stride must be at least 1).
+    every `stride`-th kept row and the last (stride: an integer >= 1).
     DP tracks neither and returns {} without sampling any step.
 
-    The series of rho and m are evaluated at phi = id + psi one block of
-    points at a time, both through the block's `series_matrix` plan, which
-    holds at most `_PLAN_BYTES`: O(n + block) memory per row.
+    Per sampled row, one rfft gives the spectra of rho and m = helmholtz(u),
+    phi_x is 1 + the row's psi_x, and both series are evaluated at
+    phi = id + psi one block of points at a time, by one `apply_series_matrix`
+    call on the block's plan, of at most `_PLAN_BYTES`: O(n + block) memory.
     """
+    if not isinstance(stride, (int, np.integer)):
+        raise ValueError(f"stride must be an integer, got {stride!r}")
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
     model = result.model
@@ -227,9 +228,7 @@ def momentum_drift(result: FlowmapResult, stride: int = 1) -> dict[str, np.ndarr
     if not keys:
         return {}
     grid = result.grid
-    indices = list(range(0, len(result.times), stride))
-    if indices[-1] != len(result.times) - 1:
-        indices.append(len(result.times) - 1)
+    indices = sorted({*range(0, len(result.times), stride), len(result.times) - 1})
     rho_power = 1 if model in (Model.CH, Model.CH2) else 2
     # Rows 0-1 are dealiased every step, so rho needs the modes up to the
     # cutoff only.  m = helmholtz(u) keeps every mode, as the coadjoint
@@ -238,18 +237,17 @@ def momentum_drift(result: FlowmapResult, stride: int = 1) -> dict[str, np.ndarr
     # a small difference of O(1) values.
     kmax = grid.n // 2 if model.has_metric else grid.dealias_cutoff
     block = max(1, _PLAN_BYTES // (16 * (kmax + 1)))
+    # The rows of (rho, m) that `keys` name, and the multipliers from (rho, u) to them.
+    tracked = slice(0 if model.two_component else 1, 2 if model.has_metric else 1)
+    to_momenta = np.stack((np.ones_like(grid.helmholtz_symbol), grid.helmholtz_symbol))[tracked]
 
     deviations, first = [], None
-    for i, jac in zip(indices, result.jacobians(indices)):
-        fields = [PeriodicField(grid, result.rho[i])] if model.two_component else []
-        if model.has_metric:
-            fields.append(helmholtz(PeriodicField(grid, result.u[i])))
+    for i in indices:
+        hats = np.fft.rfft(np.stack((result.rho[i], result.u[i]))[tracked]) * to_momenta
         phi = grid.points + result.psi[i]
-        at_phi = np.empty((len(fields), grid.n))
-        for start in range(0, grid.n, block):
-            plan = series_matrix(grid, phi[start:start + block], kmax=kmax)
-            for row, field in zip(at_phi, fields):
-                row[start:start + block] = apply_series_matrix(plan, field)
+        jac = 1.0 + result.psi_x[i]
+        at_phi = np.hstack([apply_series_matrix(series_matrix(grid, phi[j:j + block], kmax), hats)
+                            for j in range(0, grid.n, block)])
         q, rho_w = [], 0.0  # rho = 0 on one-component models
         if model.two_component:
             rho_w = at_phi[0]

@@ -13,6 +13,7 @@ process, so no sqrt or exp is taken per point.  `evaluate`, `compose`,
 `invert_diffeo` and the flow-map stage use it.  `flowmap.momentum_drift`
 still evaluates through `series_matrix`, a plan built by doubling, over
 blocks of points whose plans have a bounded size: O(n + block) memory.
+Both evaluators take stacked (F, n//2 + 1) spectra, giving (F, M) values.
 
 With period 1, integer mode m carries angular wavenumber 2*pi*m.
 """
@@ -64,10 +65,10 @@ class Grid:
     kept by the 2/3 rule, chosen so quadratic products of kept modes are
     alias-free after truncation (3*cutoff < n).
 
-    The read-only spectral symbols, one entry per rfft mode: `omega`, the
-    angular wavenumbers 2*pi*k; `ik`, the d/dx multiplier i*omega with the
-    Nyquist mode dropped; `helmholtz_symbol`, 1 + omega**2, the multiplier
-    of 1 - d^2/dx^2; and `dealias_mask`, True on the modes the 2/3 rule keeps.
+    The read-only spectral symbols, one entry per rfft mode k: `ik`, the
+    d/dx multiplier 2*pi*i*k with the Nyquist mode dropped;
+    `helmholtz_symbol`, 1 + (2*pi*k)**2, the multiplier of 1 - d^2/dx^2;
+    and `dealias_mask`, True on the modes the 2/3 rule keeps.
     """
 
     n: int
@@ -82,11 +83,9 @@ class Grid:
         omega = 2.0 * np.pi * modes.astype(float)
         ik = 1j * omega
         ik[-1] = 0.0
-        cutoff = self.n // 3
-        if 3 * cutoff >= self.n:
-            cutoff -= 1
-        arrays = {"points": points, "modes": modes, "omega": omega, "ik": ik,
-                  "helmholtz_symbol": 1.0 + omega**2, "dealias_mask": modes <= cutoff}
+        cutoff = (self.n - 1) // 3  # the largest with 3 * cutoff < n
+        arrays = {"points": points, "ik": ik, "helmholtz_symbol": 1.0 + omega**2,
+                  "dealias_mask": modes <= cutoff}
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -281,13 +280,16 @@ def series_matrix(grid: Grid, y, kmax: int | None = None) -> np.ndarray:
     return plan.T
 
 
-def apply_series_matrix(mat: np.ndarray, f: PeriodicField) -> np.ndarray:
-    """Evaluate the truncated Fourier series of f at the points baked into mat."""
-    n = f.grid.n
-    weights = f.hat[: mat.shape[1]] / n
-    weights = weights.copy()
-    weights[1: n // 2] *= 2.0
-    return (mat @ weights).real
+def apply_series_matrix(mat: np.ndarray, hats: np.ndarray) -> np.ndarray:
+    """(F, M) series values of stacked (F, n//2 + 1) rfft spectra at mat's M points.
+
+    In the convention of `_offgrid`.  One product with mat per field, so a
+    field's values do not depend on what is stacked with it.
+    """
+    n = 2 * (hats.shape[-1] - 1)
+    weights = hats[:, :mat.shape[1]] / n
+    weights[:, 1:n // 2] *= 2.0
+    return np.array([(mat @ w).real for w in weights])
 
 
 # Type-2 NUFFT with the "exponential of semicircle" kernel
@@ -403,8 +405,8 @@ def _offgrid(hats: np.ndarray, y, kmax: int) -> np.ndarray:
 
     hats holds (F, n//2 + 1) rfft spectra of fields on an n-point grid, of
     which modes 0..kmax enter.  Returns the (F, M) values at the M points y
-    in the convention of `apply_series_matrix`: modes 1..n/2-1 doubled, mode
-    0 and the coarse Nyquist mode n/2 not, real part taken.
+    in the convention of `apply_series_matrix`, which takes the same hats:
+    modes 1..n/2-1 doubled, mode 0 and the Nyquist mode n/2 not, real part.
 
     The modes, divided by the kernel's transform, go onto an oversampled
     fine grid in one batched irfft, written into a buffer padded by the

@@ -109,8 +109,7 @@ class FlowState:
 def _flow_rhs(model: Model, state: FlowState) -> FlowState:
     grid = state.psi.grid
     plan = series_matrix(grid, grid.points + state.psi.values, kmax=grid.dealias_cutoff)
-    psi_dot = apply_series_matrix(plan, state.pair.u)
-    f_dot = apply_series_matrix(plan, state.pair.rho)
+    psi_dot, f_dot = apply_series_matrix(plan, np.stack((state.pair.u.hat, state.pair.rho.hat)))
     return FlowState(rhs(model, state.pair), PeriodicField(grid, psi_dot),
                      PeriodicField(grid, f_dot))
 
@@ -188,9 +187,8 @@ def coadjoint_action(g: GroupElement, m: PeriodicField,
     `chdp.flowmap.momentum_drift`.
     """
     plan = series_matrix(g.grid, g.phi.warped_points)
-    rho_w = apply_series_matrix(plan, rho)
+    rho_w, m_w = apply_series_matrix(plan, np.stack((rho.hat, m.hat)))
     jac = g.phi.jacobian.values
-    m_w = apply_series_matrix(plan, m)
     m0 = m_w * jac**2 + rho_w * derivative(g.f).values * jac
     return BodyMomentum(PeriodicField(g.grid, m0), PeriodicField(g.grid, rho_w * jac))
 

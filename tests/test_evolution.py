@@ -258,7 +258,8 @@ class TestRk4:
 
 class TestStepCount:
     @pytest.mark.parametrize("dt, t_end, steps", [(1e-4, 1.0, 10000), (1e-3, 0.05, 50),
-                                                  (5e-4, 2.0, 4000), (0.3, 0.9, 3)])
+                                                  (5e-4, 2.0, 4000), (0.3, 0.9, 3),
+                                                  (0.1, 0.1, 1)])
     def test_whole_steps(self, dt, t_end, steps):
         assert step_count(dt, t_end) == steps
 
@@ -473,6 +474,12 @@ class TestScalars:
             EvolutionConfig(Model.CH2, dt=0.2, t_end=0.1)
         with pytest.raises(ValueError, match="stride"):
             EvolutionConfig(Model.CH2, dt=1e-3, t_end=1.0, diagnostics_stride=0)
+        for stride in (2.0, 2.5):
+            message = f"stride must be >= 1 and an integer, got {stride}"
+            with pytest.raises(ValueError, match=message):
+                EvolutionConfig(Model.CH2, dt=1e-3, t_end=1.0, diagnostics_stride=stride)
+        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=1.0, diagnostics_stride=np.int64(2))
+        assert config.diagnostics_stride == 2
         with pytest.raises(ValueError):
             EvolutionConfig(Model.CH2, dt=1e-3, t_end=1.0, blowup_slope_threshold=1.0)
         with pytest.raises(ValueError, match="whole number of steps"):

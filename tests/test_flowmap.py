@@ -292,6 +292,25 @@ def test_evolve_and_flowmap_keep_the_same_rows(stride, amplitude, thresholds, la
         assert np.rint(result.times / config.dt).astype(int).tolist() == steps
 
 
+@pytest.mark.parametrize("model", list(Model))
+def test_runs_build_no_field(monkeypatch, model):
+    # From the initial fields to the drift, the PDE path stays on arrays.
+    grid = Grid(64)
+    rho = cosine_field(grid, 2, 0.2) if model.two_component else zero_field(grid)
+    initial = VelocityPair(cosine_field(grid, 1, 0.3), rho)
+    config = EvolutionConfig(model, dt=1e-2, t_end=0.1, diagnostics_stride=2)
+    built, init = [], PeriodicField.__init__
+
+    def counting(self, *args):
+        built.append(None)
+        init(self, *args)
+
+    monkeypatch.setattr(PeriodicField, "__init__", counting)
+    evolve(config, initial)
+    momentum_drift(evolve_flowmap(config, initial))
+    assert built == []
+
+
 def test_flow_rhs_non_finite_psi():
     # The state is spectra, so a non-finite psi coefficient makes phi
     # non-finite at every point: the transport rows go non-finite, the
@@ -430,6 +449,18 @@ class TestMomentumDrift:
         with pytest.raises(ValueError, match=f"stride must be at least 1, got {stride}"):
             momentum_drift(res, stride)
 
+    def test_rejects_non_integer_stride(self):
+        grid = Grid(64)
+        config = EvolutionConfig(Model.CH2, dt=1e-2, t_end=0.1, diagnostics_stride=1)
+        res = evolve_flowmap(config, VelocityPair(cosine_field(grid, 1, 0.3),
+                                                  cosine_field(grid, 1, 0.2)))
+        for stride in (2.0, 2.5):
+            with pytest.raises(ValueError, match=f"stride must be an integer, got {stride}"):
+                momentum_drift(res, stride)
+        drifts, want = momentum_drift(res, np.int64(3)), momentum_drift(res, 3)
+        for key, values in want.items():
+            assert np.array_equal(drifts[key], values) and len(values) == 5
+
     @pytest.mark.parametrize("model", [Model.CH, Model.CH2, Model.DP2])
     def test_blocks_match_one_plan(self, monkeypatch, model):
         # Blocks of 7 points, the last one ragged, against one plan per row,
@@ -474,6 +505,23 @@ class TestMomentumDrift:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
         assert [len(values) for values in drifts.values()] == [len(res.times)] * 2
+
+    def test_peak_memory_does_not_grow_with_rows(self):
+        # 401 kept rows at n = 1024: phi_x is read row by row, never copied
+        # for every sampled row at once (3.3 MB here).
+        grid = Grid(1024)
+        config = EvolutionConfig(Model.CH2, dt=1e-4, t_end=0.04, diagnostics_stride=1)
+        res = evolve_flowmap(config, VelocityPair(cosine_field(grid, 1, 0.3),
+                                                  cosine_field(grid, 2, 0.2)))
+        assert len(res.times) == 401
+        tracemalloc.start()
+        try:
+            drifts = momentum_drift(res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
+        assert [len(values) for values in drifts.values()] == [401] * 2
 
     def test_dp_tracks_nothing(self, monkeypatch):
         grid = Grid(64)

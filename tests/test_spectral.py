@@ -330,11 +330,10 @@ def test_series_matrix_by_doubling(rng, kmax):
     assert np.all(np.abs(plan - want) <= 5e-15 * np.maximum(k, 1))
 
 
-def dense_series(values, y, kmax):
-    """The off-grid oracle: one dense `series_matrix` plan applied to each field."""
-    grid = Grid(values.shape[-1])
-    plan = series_matrix(grid, y, kmax=kmax)
-    return np.array([apply_series_matrix(plan, PeriodicField(grid, v)) for v in values])
+def dense_series(hats, y, kmax):
+    """The off-grid oracle: one dense `series_matrix` plan applied to the stacked spectra."""
+    grid = Grid(2 * (hats.shape[-1] - 1))
+    return apply_series_matrix(series_matrix(grid, y, kmax=kmax), hats)
 
 
 @given(seed=st.integers(0, 2**31 - 1), half_n=st.integers(8, 256),
@@ -348,9 +347,11 @@ def test_offgrid_matches_dense_plan(seed, half_n, full_band, fields, points):
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((fields, grid.n))
     y = rng.uniform(-3.0, 4.0, points)
-    got = spectral._offgrid(np.fft.rfft(values), y, kmax)
-    want = dense_series(values, y, kmax)
-    assert got.shape == (fields, points)
+    # Both evaluators take the same (F, n//2 + 1) spectra and give (F, M).
+    hats = np.fft.rfft(values)
+    got = spectral._offgrid(hats, y, kmax)
+    want = apply_series_matrix(series_matrix(grid, y, kmax), hats)
+    assert got.shape == want.shape == (fields, points)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(values))
 
 
@@ -363,7 +364,7 @@ def test_offgrid_points_in_any_period(grid128, rng, periods):
     y = base + periods
     got = evaluate(f, y)
     assert np.max(np.abs(got - evaluate(f, base))) <= 1e-12
-    assert np.max(np.abs(got - dense_series(f.values[None], y, grid128.n // 2)[0])) <= 1e-12
+    assert np.max(np.abs(got - dense_series(f.hat[None], y, grid128.n // 2)[0])) <= 1e-12
 
 
 def test_fitted_weights_match_kernel(rng):
@@ -388,8 +389,9 @@ def test_offgrid_on_fine_grid_nodes(rng, n, full_band):
     period_end = np.array([-1e-17, -1e-300])
     assert np.all((period_end - np.floor(period_end)) * nfine == nfine)
     y = np.concatenate([np.arange(nfine) / nfine, [1.0, -1.0, 2.0 - 1.0 / nfine], period_end])
-    got = spectral._offgrid(np.fft.rfft(values), y, kmax)
-    assert np.max(np.abs(got - dense_series(values, y, kmax))) <= 1e-12 * np.max(np.abs(values))
+    hats = np.fft.rfft(values)
+    got = spectral._offgrid(hats, y, kmax)
+    assert np.max(np.abs(got - dense_series(hats, y, kmax))) <= 1e-12 * np.max(np.abs(values))
 
 
 def test_offgrid_non_finite_points(grid64, rng):
@@ -400,7 +402,7 @@ def test_offgrid_non_finite_points(grid64, rng):
         out = spectral._offgrid(np.stack([f.hat, f.hat]), y, grid64.n // 2)
     assert not np.any(np.isfinite(out[:, :3]))
     assert np.all(np.isfinite(out[:, 3:]))
-    assert out[0, 3] == pytest.approx(dense_series(f.values[None], [0.3], 32)[0, 0], abs=1e-12)
+    assert out[0, 3] == pytest.approx(dense_series(f.hat[None], [0.3], 32)[0, 0], abs=1e-12)
 
 
 def test_off_grid_callers_build_no_dense_plan(monkeypatch, grid128, rng):
