@@ -34,11 +34,9 @@ from chdp import csvio
 from chdp.connection import Model
 from chdp.curvature import (
     CosineDirectionPair,
-    check_resolution,
     negative_search,
     positivity_scan,
     scan_direction,
-    scan_grid,
 )
 from chdp.evolution import EvolutionConfig, RunStatus, _initial_state, evolve, step_count
 from chdp.flowmap import evolve_flowmap, momentum_drift
@@ -81,15 +79,6 @@ def _build(flags: str, make, *args, **kwargs):
         return make(*args, **kwargs)
     except ValueError as exc:
         raise CliError(f"{flags}: {exc}") from None
-
-
-def _resolving_grid(n: int | None, max_mode: int) -> Grid:
-    """The grid of --n, checked to resolve max_mode; without --n, scan_grid(max_mode)."""
-    if n is None:
-        return scan_grid(max_mode)
-    grid = _build("--n", Grid, n)
-    _build("--n", check_resolution, grid, max_mode)
-    return grid
 
 
 def _outcome(status: RunStatus, t_last: float) -> str:
@@ -175,14 +164,11 @@ def _flowmap(options):
 
 
 def _curvature(options):
-    flags = "--k1/--k2/--l1/--l2"
-    direction = _build(flags, CosineDirectionPair, options.k1, options.k2, options.l1, options.l2)
-    if direction.degenerate:
-        raise CliError(f"{flags}: direction pair is degenerate (u = v)")
-    grid = _resolving_grid(options.n, direction.max_mode)
+    direction = _build("--k1/--k2/--l1/--l2", CosineDirectionPair,
+                       options.k1, options.k2, options.l1, options.l2)
 
     def work(out: Path):
-        table = scan_direction(grid, direction)
+        table = scan_direction(direction)
         csvio.write_scan(out / "curvature.csv", table)
         final = {"S_numeric": float(table.s_numeric[0]), "S_closed": float(table.s_closed[0]),
                  "Sec": float(table.sec[0]), "gram": float(table.gram[0])}
@@ -215,10 +201,9 @@ def _scan(options):
     if options.negative_search < 0:
         raise CliError("--negative-search must be >= 0")
     rng = _build("--seed", np.random.default_rng, options.seed)
-    grid = _resolving_grid(options.n, options.max_mode)
 
     def work(out: Path):
-        table = positivity_scan(options.max_mode, grid=grid)
+        table = positivity_scan(options.max_mode)
         csvio.write_scan(out / "scan.csv", table)
         summary = {
             "tuples": len(table),
@@ -229,7 +214,7 @@ def _scan(options):
         lines = []
         trials = options.negative_search
         if trials > 0:
-            sec = [s for _, s in negative_search(grid, rng, trials, options.max_mode)]
+            sec = [s for _, s in negative_search(rng, trials, options.max_mode)]
             negatives = sum(s < 0 for s in sec)
             summary["negative_search"] = {
                 "trials": trials,
@@ -311,12 +296,9 @@ _COMMANDS = {
         ("--k2", dict(type=int, default=1)),
         ("--l1", dict(type=int, default=1)),
         ("--l2", dict(type=int, default=2)),
-        ("--n", dict(type=int, default=None,
-                     help="grid size (default: resolves the given modes)")),
     ), _curvature),
     "curvature-scan": ("enumerate cosine direction pairs and check bounds", (
         ("--max-mode", dict(type=int, required=True)),
-        ("--n", dict(type=int, default=None)),
         ("--negative-search", dict(type=int, default=0, metavar="TRIALS",
                                    help="also sample random directions hunting "
                                         "negative curvature")),
@@ -338,7 +320,8 @@ def _parser() -> _Parser:
     parser = _Parser(prog="chdp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, options, _) in _COMMANDS.items():
-        command = sub.add_parser(name, help=help_text)
+        # No abbreviations: `curvature-scan --n 16` must not mean --negative-search.
+        command = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for flag, kwargs in options:
             command.add_argument(flag, **kwargs)
         command.add_argument("--out-dir", default="chdp-out")

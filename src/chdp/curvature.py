@@ -27,28 +27,24 @@ mask folded in (the multipliers of the 2CH evolution kernel).  The metric
 (H^1 on u, L^2 on rho) and the Gram determinant pair rfft spectra by
 Parseval, so no inverse transform follows.  `positivity_scan` computes
 the spectra, u_x and Gamma(a, a) once per distinct slot tuple, Gamma(a, b)
-per plane in chunks of a fixed size and the closed forms on the mode
-columns in larger chunks, checks its bounds with masks and returns a
-`ScanTable` of 1-D columns; `scan_direction` is the one-row table of the
-same path.
+per plane in chunks and the closed forms on the mode columns, checks its
+bounds with masks and returns a `ScanTable` of 1-D columns;
+`scan_direction` is the one-row table of the same path.
 `unnormalized_curvature` and `sectional_curvature` are the one-plane
 `VelocityPair` views of the kernel, and `chdp.connection.christoffel_2ch`
 with `metric` is the field-by-field form they agree with to round-off.
 
-Resolution: Gamma and the metric pair products of two directions, whose
-modes reach twice the largest mode M.  A grid resolves them exactly when
-its dealias cutoff is at least 2M (even n >= 6M + 2); `scan_direction`,
-`positivity_scan` and `negative_search` reject coarser grids
-(`check_resolution`).  `scan_grid(M)`, the default grid of a scan, is
-the smallest even 2-3-5-smooth n >= max(16, 6M + 2), so its FFTs stay
-fast; every scan row is checked against the closed form at C1's
-tolerance.
+Resolution: products of two directions reach twice their largest mode M,
+so the scans take modes, not a grid: `scan_direction`, `positivity_scan`
+and `negative_search` run on `scan_grid(M)`, the smallest resolving grid
+of FFT-friendly size; every scan row must match the closed form to C1's tolerance.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import numbers
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -66,7 +62,6 @@ __all__ = [
     "ch_cosine_curvature",
     "closed_form_integrals",
     "closed_form_curvature",
-    "check_resolution",
     "scan_grid",
     "scan_direction",
     "positivity_scan",
@@ -95,7 +90,7 @@ class CosineDirectionPair:
 
     Modes are integers carrying wavenumber 2*pi*m.  Density modes are
     positive; velocity modes m_k1 = m_l1 = 0 mean zero velocity slots (the
-    density-only family), otherwise both are positive.
+    density-only family), otherwise both are positive; u = v is rejected.
     """
 
     m_k1: int
@@ -104,17 +99,16 @@ class CosineDirectionPair:
     m_l2: int
 
     def __post_init__(self):
-        if (min(self.m_k2, self.m_l2) < 1 or min(self.m_k1, self.m_l1) < 0
+        if (not all(isinstance(m, numbers.Integral) for m in astuple(self))
+                or min(self.m_k2, self.m_l2) < 1 or min(self.m_k1, self.m_l1) < 0
                 or (self.m_k1 == 0) != (self.m_l1 == 0)):
             raise ValueError("modes must be positive integers; velocity modes may both be 0")
-
-    @property
-    def degenerate(self) -> bool:
-        return (self.m_k1, self.m_k2) == (self.m_l1, self.m_l2)
+        if (self.m_k1, self.m_k2) == (self.m_l1, self.m_l2):
+            raise ValueError("direction pair is degenerate (u = v)")
 
     @property
     def max_mode(self) -> int:
-        return max(self.m_k1, self.m_k2, self.m_l1, self.m_l2)
+        return max(astuple(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +181,7 @@ def _curvature_kernel(grid: Grid) -> _CurvatureKernel:
 
 
 def _curvatures(grid: Grid, y: np.ndarray, planes: np.ndarray):
-    """(S, Gram) of each plane (y[i], y[j]) for the rows (i, j) of planes.
+    """(S, Gram) of each plane (y[i], y[j]) for the rows (i, j) of planes, and <y, y>.
 
     Spectra, slopes, Gamma(a, a) and <a, a> are computed once per
     direction; Gamma(a, b) once per plane, _CHUNK planes per rfft.
@@ -205,16 +199,16 @@ def _curvatures(grid: Grid, y: np.ndarray, planes: np.ndarray):
         s[start:start + _CHUNK] = (kernel.metric(gamma, gamma)
                                    - kernel.metric(gamma_self[i], gamma_self[j]))
         gram[start:start + _CHUNK] = norm[i] * norm[j] - kernel.metric(hat[i], hat[j]) ** 2
-    return s, gram
+    return s, gram, norm
 
 
-def _plane(a: VelocityPair, b: VelocityPair) -> tuple[float, float]:
-    """(S, Gram) of the plane of a and b."""
+def _plane(a: VelocityPair, b: VelocityPair) -> tuple[float, float, float]:
+    """(S, Gram, <a, a> <b, b>) of the plane of a and b."""
     if a.grid.n != b.grid.n:
         raise ValueError(f"grid mismatch: n={a.grid.n} vs n={b.grid.n}")
     y = np.array([(a.u.values, a.rho.values), (b.u.values, b.rho.values)])
-    s, gram = _curvatures(a.grid, y, np.array([[0, 1]]))
-    return float(s[0]), float(gram[0])
+    s, gram, norm = _curvatures(a.grid, y, np.array([[0, 1]]))
+    return float(s[0]), float(gram[0]), float(norm[0] * norm[1])
 
 
 def unnormalized_curvature(a: VelocityPair, b: VelocityPair) -> float:
@@ -223,10 +217,10 @@ def unnormalized_curvature(a: VelocityPair, b: VelocityPair) -> float:
 
 
 def sectional_curvature(a: VelocityPair, b: VelocityPair) -> float:
-    """S(a, b) normalized by the Gram determinant of the plane."""
-    s, gram = _plane(a, b)
-    if gram <= 1e-12:
-        raise DegeneratePlaneError(f"gram determinant {gram:.3e} too small")
+    """S(a, b) / Gram; degenerate when Gram <= 1e-12 <a, a> <b, b>, as Sec is scale-free."""
+    s, gram, norms = _plane(a, b)
+    if gram <= 1e-12 * norms:
+        raise DegeneratePlaneError(f"gram determinant {gram:.3e} too small for norms {norms:.3e}")
     return s / gram
 
 
@@ -273,23 +267,11 @@ def closed_form_integrals(m_k1, m_k2, m_l1, m_l2):
     return i1, i2, i3, i4
 
 
-def check_resolution(grid: Grid, max_mode: int):
-    """Raise ValueError unless grid resolves S of directions up to max_mode.
-
-    Products of two directions reach mode 2 * max_mode, which the 2/3 rule
-    keeps only when it is at most the dealias cutoff.
-    """
-    if grid.dealias_cutoff < 2 * max_mode:
-        raise ValueError(
-            f"n={grid.n} keeps modes up to {grid.dealias_cutoff} after dealiasing, "
-            f"but curvature of modes up to {max_mode} needs {2 * max_mode} "
-            f"(n >= {max(16, 6 * max_mode + 2)})")
-
-
 def scan_grid(max_mode: int) -> Grid:
     """The smallest grid resolving curvature of modes <= max_mode whose size is 2-3-5-smooth.
 
-    The resolution rule alone gives n = max(16, 6 max_mode + 2); rounding
+    The one resolution rule: products of two directions reach mode 2 max_mode,
+    which the 2/3 rule keeps when n >= 6 max_mode + 2 (and n >= 16); rounding
     up to an even 2-3-5-smooth size keeps the FFTs on their fast path.
     """
     return Grid(_fft_size(max(16, 6 * max_mode + 2)))
@@ -322,21 +304,18 @@ def _cosine_table(grid: Grid, tuples: np.ndarray, planes: np.ndarray) -> ScanTab
     # Row m is cos(2 pi m x), row 0 the zero slot.
     cosines = np.cos(TWO_PI * np.arange(tuples.max() + 1)[:, None] * grid.points)
     cosines[0] = 0.0
-    s, gram = _curvatures(grid, cosines[tuples], planes)
+    s, gram, _ = _curvatures(grid, cosines[tuples], planes)
     return ScanTable(k1, k2, l1, l2, s, s_closed, s / gram, gram)
 
 
-def scan_direction(grid: Grid, direction: CosineDirectionPair) -> ScanTable:
-    """The one-row scan table of a direction pair, on a grid that resolves it."""
-    check_resolution(grid, direction.max_mode)
-    d = direction
-    return _cosine_table(grid, np.array([[d.m_k1, d.m_k2], [d.m_l1, d.m_l2]]),
-                         np.array([[0, 1]]))
+def scan_direction(direction: CosineDirectionPair) -> ScanTable:
+    """The one-row scan table of a direction pair, on `scan_grid` of its largest mode."""
+    tuples = np.reshape(astuple(direction), (2, 2))
+    return _cosine_table(scan_grid(direction.max_mode), tuples, np.array([[0, 1]]))
 
 
-def positivity_scan(max_mode: int, grid: Grid | None = None,
-                    enforce: bool = True) -> ScanTable:
-    """Enumerate cosine direction pairs with modes <= max_mode.
+def positivity_scan(max_mode: int, enforce: bool = True) -> ScanTable:
+    """Enumerate cosine direction pairs with modes <= max_mode, on scan_grid(max_mode).
 
     Scans the full family (asserting S > 0) and the zero-first-component
     family (asserting Sec >= 1/8 - 1e-12 and Gram = 1/4), skipping the
@@ -347,9 +326,7 @@ def positivity_scan(max_mode: int, grid: Grid | None = None,
     """
     if max_mode < 2:
         raise ValueError("max_mode must be at least 2")
-    if grid is None:
-        grid = scan_grid(max_mode)
-    check_resolution(grid, max_mode)
+    grid = scan_grid(max_mode)
 
     # The distinct slot tuples: (k1, k2) of the full family, then (0, k2)
     # of the density family.
@@ -389,9 +366,9 @@ def positivity_scan(max_mode: int, grid: Grid | None = None,
     return table
 
 
-def negative_search(grid: Grid, rng: np.random.Generator, trials: int,
-                    max_mode: int = 6) -> list[tuple[int, float]]:
-    """Hunt for negatively curved planes among random trig directions.
+def negative_search(rng: np.random.Generator, trials: int,
+                    max_mode: int) -> list[tuple[int, float]]:
+    """Hunt for negatively curved planes among random trig directions, on scan_grid(max_mode).
 
     Each trial draws a = (u, rho) and b = (v, tau) like
     `random_band_limited`: per slot and mode m, a cosine and a sine
@@ -401,7 +378,7 @@ def negative_search(grid: Grid, rng: np.random.Generator, trials: int,
     first.  Reported, never asserted: the bounds above hold only on the
     cosine families.
     """
-    check_resolution(grid, max_mode)
+    grid = scan_grid(max_mode)
     modes = np.arange(1, max_mode + 1)
     coef = rng.standard_normal((trials, 4, max_mode, 2)) * (1.0 / modes)[:, None]
     phase = TWO_PI * modes[:, None] * grid.points
@@ -410,8 +387,8 @@ def negative_search(grid: Grid, rng: np.random.Generator, trials: int,
     y = np.zeros((trials, 4, grid.n))
     for m in range(max_mode):
         y += coef[..., m, 0, None] * cos[m] + coef[..., m, 1, None] * sin[m]
-    s, gram = _curvatures(grid, y.reshape(2 * trials, 2, grid.n),
-                          np.arange(2 * trials).reshape(trials, 2))
+    s, gram, _ = _curvatures(grid, y.reshape(2 * trials, 2, grid.n),
+                             np.arange(2 * trials).reshape(trials, 2))
     kept = np.flatnonzero(gram > 1e-9)
     results = list(zip(kept.tolist(), (s[kept] / gram[kept]).tolist()))
     results.sort(key=lambda item: item[1])

@@ -159,7 +159,7 @@ def check_ch_reduction(seed: int) -> tuple[bool, str]:
     y = np.zeros((len(modes), 2, grid.n))
     y[:, 0] = np.cos(2.0 * np.pi * modes[:, None] * grid.points)
     planes = np.column_stack(np.triu_indices(len(modes), 1))
-    s_num, _ = _curvatures(grid, y, planes)
+    s_num = _curvatures(grid, y, planes)[0]
     worst = float(np.max(np.abs(s_num - ch_cosine_curvature(*modes[planes].T))))
     return worst <= 1e-9 * (1 + worst), f"max abs err {worst:.2e} (tol 1e-9)"
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from chdp.connection import Model, VelocityPair, christoffel_2ch, metric
-from chdp.curvature import CosineDirectionPair, _plane, check_resolution
+from chdp.curvature import CosineDirectionPair, _plane
 from chdp.evolution import rk4, step_count
 from chdp.flowmap import GroupElement
 from chdp.rigidbody import RigidBodyState, RigidBodyTrajectory, _rates, _stacked
@@ -206,9 +206,15 @@ def body_velocity(g: GroupElement, phi_t: PeriodicField,
 
 
 def cosine_pair(grid: Grid, direction: CosineDirectionPair) -> tuple[VelocityPair, VelocityPair]:
-    """Sample the direction pair on a grid that resolves it."""
-    check_resolution(grid, direction.max_mode)
+    """Sample the direction pair on a grid that resolves it.
+
+    Products of two directions reach mode 2 max_mode, which the dealias
+    cutoff must keep for the oracle's S to be exact.
+    """
     d = direction
+    if grid.dealias_cutoff < 2 * d.max_mode:
+        raise ValueError(f"n={grid.n} does not resolve curvature of modes up to {d.max_mode} "
+                         f"(n >= {max(16, 6 * d.max_mode + 2)})")
     slots = [cosine_field(grid, m) if m else zero_field(grid)
              for m in (d.m_k1, d.m_k2, d.m_l1, d.m_l2)]
     return VelocityPair(*slots[:2]), VelocityPair(*slots[2:])

@@ -34,8 +34,8 @@ RUN_OPTIONS = {"model", "ic", "n", "dt", "t-end", "stride", "snapshot-stride",
                "slope-threshold", "rhox-threshold"}
 # Each command's own options by flag name; every command also takes --out-dir.
 OPTIONS = {"evolve": RUN_OPTIONS, "flowmap": RUN_OPTIONS,
-           "curvature": {"k1", "k2", "l1", "l2", "n"},
-           "curvature-scan": {"max-mode", "n", "negative-search", "seed"},
+           "curvature": {"k1", "k2", "l1", "l2"},
+           "curvature-scan": {"max-mode", "negative-search", "seed"},
            "rigidbody": {"inertia", "omega0", "dt", "t-end"},
            "verify": {"seed"}}
 
@@ -133,8 +133,6 @@ class TestParse:
         (FLOWMAP_ARGS + ["--dt", "0.03"], "--dt/--t-end: t_end=0.05 is not a whole number"),
         (["evolve", "--model", "ch", "--ic", "cosmode:40:0.1", "--n", "64"],
          "--ic: preset 'cosmode:40:0.1': modes must be integers in 1..21"),
-        (["curvature", "--n", "15"], "--n: grid size must be even"),
-        (["curvature-scan", "--max-mode", "4", "--n", "20"], "--n: n=20 keeps modes up to 6"),
         (["rigidbody", "--inertia", "1,-2,3"],
          "--inertia/--omega0: inertia moments must be positive"),
         (["rigidbody", "--omega0", "1,x,1"], "--omega0: expected comma-separated numbers"),
@@ -157,7 +155,7 @@ class TestParse:
           "--dt", "0.01", "--t-end", "0.1"],
          "--ic: cannot read snapshot no-such-dir/snapshot.csv: No such file or directory"),
     ], ids=["grid", "stride", "slope_threshold", "steps", "initial_condition",
-            "curvature_grid", "scan_resolution", "inertia", "omega0", "omega0_nan",
+            "inertia", "omega0", "omega0_nan",
             "inertia_inf", "one_component_rho", "degenerate_pair", "degenerate_density_pair",
             "one_velocity_mode_zero", "density_mode_zero", "scan_seed", "verify_seed", "missing_snapshot"])
     def test_object_errors_name_the_flag(self, tmp_path, capsys, args, message):
@@ -319,15 +317,13 @@ def test_manifest_roundtrip(tmp_path, args):
 
 @st.composite
 def curvature_argv(draw):
-    """A valid `curvature` argv: a full or density-only pair, u != v, with or without --n."""
+    """A valid `curvature` argv: a full or density-only pair, u != v."""
     mode = st.integers(1, 6)
     k1, l1 = draw(st.sampled_from([(0, 0), (draw(mode), draw(mode))]))
     k2, l2 = draw(mode), draw(mode)
     if (k1, k2) == (l1, l2):
         l2 = l2 % 6 + 1
-    argv = ["curvature", f"--k1={k1}", f"--k2={k2}", f"--l1={l1}", f"--l2={l2}"]
-    n = draw(st.sampled_from([None, 38, 64, 200]))  # 38 = 6 * 6 + 2 resolves every mode
-    return argv if n is None else argv + [f"--n={n}"]
+    return ["curvature", f"--k1={k1}", f"--k2={k2}", f"--l1={l1}", f"--l2={l2}"]
 
 
 @st.composite
@@ -460,20 +456,18 @@ class TestCurvatureCommands:
                      "--l2", "1", "--out-dir", str(tmp_path)])
         assert code == 1
 
-    @pytest.mark.parametrize("args", [
-        ["curvature-scan", "--max-mode", "8", "--n", "32"],
-        ["curvature-scan", "--max-mode", "40", "--n", "64"],
-        ["curvature", "--k1", "9", "--k2", "1", "--l1", "1", "--l2", "2", "--n", "16"],
-    ], ids=["scan_m8_n32", "scan_m40_n64", "single_m9_n16"])
-    def test_under_resolved_n_exits_1(self, tmp_path, capsys, args):
-        code = main([*args, "--out-dir", str(tmp_path)])
-        assert code == 1
-        assert "error: --n: " in capsys.readouterr().err
-        assert not (tmp_path / "run.json").exists()
+    @pytest.mark.parametrize("args", [CURVATURE_ARGS, SCAN_ARGS], ids=["curvature", "scan"])
+    def test_grid_size_is_not_an_option(self, tmp_path, capsys, args):
+        # The curvature commands derive their grid from the modes.
+        out = tmp_path / "out"
+        assert main([*args, "--n", "16", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --n 16\n"
+        assert not out.exists()
 
-    def test_smallest_resolving_n_accepted(self, tmp_path):
+    def test_high_mode_runs_on_its_own_grid(self, tmp_path):
+        # Mode 9 needs n >= 56; the command picks scan_grid(9), n = 60.
         code = main(["curvature", "--k1", "9", "--k2", "1", "--l1", "1", "--l2", "2",
-                     "--n", "56", "--out-dir", str(tmp_path)])
+                     "--out-dir", str(tmp_path)])
         assert code == 0
         result = read_manifest(tmp_path / "run.json")["final_diagnostics"]
         assert abs(result["S_numeric"] - result["S_closed"]) <= 1e-8 * (1 + abs(result["S_closed"]))
@@ -504,7 +498,7 @@ class TestCurvatureCommands:
         out = tmp_path / "scan"
         assert main([*SCAN_ARGS, "--out-dir", str(out)]) == 0
         summary = read_manifest(out / "run.json")["final_diagnostics"]
-        found = curvature.negative_search(curvature.scan_grid(4), np.random.default_rng(3), 16, 4)
+        found = curvature.negative_search(np.random.default_rng(3), 16, 4)
         sec = np.array([s for _, s in found])
         quantiles = summary["negative_search"].pop("sec_quantiles")
         assert summary["negative_search"] == {
@@ -558,8 +552,7 @@ class TestCurvatureCommands:
         args = ["curvature", "--k1", "0", "--l1", "0", "--k2", "1"]
         assert main([*args, "--l2", "2", "--out-dir", str(tmp_path / "plain")]) == 0
         assert main([*args, "--l2", "9", "--out-dir", str(tmp_path / "big")]) == 0
-        assert main([*args, "--l2", "2", "--n", "16", "--out-dir", str(tmp_path / "n16")]) == 0
-        assert grids == [16, 60, 16]
+        assert grids == [16, 60]
 
 
 class TestRigidbodyCommand:

@@ -14,7 +14,6 @@ from chdp.curvature import (
     CosineDirectionPair,
     DegeneratePlaneError,
     ch_cosine_curvature,
-    check_resolution,
     closed_form_curvature,
     closed_form_integrals,
     negative_search,
@@ -98,6 +97,18 @@ class TestUnnormalized:
 class TestSectional:
     def test_degenerate_plane_rejected(self, grid128):
         u = VelocityPair.single(cosine_field(grid128, 1))
+        with pytest.raises(DegeneratePlaneError):
+            sectional_curvature(u, u)
+
+    @pytest.mark.parametrize("amplitude", [1.0, 1e-3])
+    def test_small_amplitude_plane_is_not_degenerate(self, amplitude):
+        # Sec is scale-invariant: the density plane keeps its value when
+        # Gram (amplitude^4 / 4) falls below any absolute floor.
+        grid = Grid(64)
+        u = VelocityPair(zero_field(grid), amplitude * cosine_field(grid, 1))
+        v = VelocityPair(zero_field(grid), amplitude * cosine_field(grid, 2))
+        assert kernel_gram_determinant(u, v) == pytest.approx(0.25 * amplitude**4, rel=1e-12)
+        assert sectional_curvature(u, v) == pytest.approx(0.24656, abs=5e-6)
         with pytest.raises(DegeneratePlaneError):
             sectional_curvature(u, u)
 
@@ -200,18 +211,26 @@ class TestDirectionPair:
 
     def test_zero_velocity_slots(self):
         d = CosineDirectionPair(0, 2, 0, 5)
-        assert not d.degenerate and d.max_mode == 5
+        assert d.max_mode == 5
         u, v = cosine_pair(scan_grid(5), d)
         assert not u.u.values.any() and not v.u.values.any()
         assert np.array_equal(v.rho.values, cosine_field(scan_grid(5), 5).values)
-        assert CosineDirectionPair(0, 3, 0, 3).degenerate
-        assert not CosineDirectionPair(1, 3, 2, 3).degenerate
+        assert CosineDirectionPair(1, 3, 2, 3).max_mode == 3
 
     @pytest.mark.parametrize("modes", [(0, 1, 1, 2), (1, 1, 0, 2), (0, 0, 0, 1),
-                                       (1, 1, 1, 0), (-1, 1, 2, 2)])
+                                       (1, 1, 1, 0), (-1, 1, 2, 2), (1.5, 1, 1, 2),
+                                       (1, 2.0, 1, 3), (1, 1, 2, "2")])
     def test_invalid_modes_rejected(self, modes):
-        with pytest.raises(ValueError, match="modes"):
+        with pytest.raises(ValueError, match="modes must be positive integers"):
             CosineDirectionPair(*modes)
+
+    @pytest.mark.parametrize("modes", [(1, 2, 1, 2), (0, 3, 0, 3)])
+    def test_equal_directions_rejected(self, modes):
+        with pytest.raises(ValueError, match=r"degenerate \(u = v\)"):
+            CosineDirectionPair(*modes)
+
+    def test_numpy_integer_modes_accepted(self):
+        assert CosineDirectionPair(*np.array([1, 2, 3, 4])).max_mode == 4
 
 
 class TestScan:
@@ -233,10 +252,10 @@ class TestScan:
         real = curvature._curvatures
 
         def broken(grid, y, planes):
-            s, gram = real(grid, y, planes)
+            s, gram, norm = real(grid, y, planes)
             s[0] = -1.0  # the first full plane, (1, 1)+(1, 2)
             gram[-1] = 0.3  # the last density plane, (0, 2)+(0, 3)
-            return s, gram
+            return s, gram, norm
 
         monkeypatch.setattr(curvature, "_curvatures", broken)
         with pytest.raises(RuntimeError) as info:
@@ -254,9 +273,9 @@ class TestScan:
         real = curvature._curvatures
 
         def perturbed(grid, y, planes):
-            s, gram = real(grid, y, planes)
+            s, gram, norm = real(grid, y, planes)
             s[5] *= 1.0 + 1e-6  # the sixth full plane, (1, 1)+(3, 1)
-            return s, gram
+            return s, gram, norm
 
         monkeypatch.setattr(curvature, "_curvatures", perturbed)
         with pytest.raises(RuntimeError) as info:
@@ -298,26 +317,9 @@ class TestScan:
 class TestResolution:
     """Gamma pairs products reaching mode 2M: the dealias cutoff must keep them."""
 
-    @pytest.mark.parametrize("max_mode", [2, 3, 4, 8])
-    def test_smallest_resolving_grid(self, max_mode):
-        n = max(16, 6 * max_mode + 2)
-        check_resolution(Grid(n), max_mode)
-        if n > 16:
-            with pytest.raises(ValueError, match=f"n >= {n}"):
-                check_resolution(Grid(n - 2), max_mode)
-
     def test_cosine_pair_rejects_coarse_grid(self):
         with pytest.raises(ValueError, match="n >= 56"):
             cosine_pair(Grid(16), CosineDirectionPair(9, 1, 1, 2))
-
-    @pytest.mark.parametrize("max_mode, n", [(8, 32), (40, 64)])
-    def test_scan_rejects_coarse_grid(self, max_mode, n):
-        with pytest.raises(ValueError, match="dealiasing"):
-            positivity_scan(max_mode, grid=Grid(n))
-
-    def test_negative_search_rejects_coarse_grid(self):
-        with pytest.raises(ValueError, match="dealiasing"):
-            negative_search(Grid(32), np.random.default_rng(0), 4, max_mode=6)
 
     def test_scan_grid_is_smallest_smooth_resolving_size(self):
         def smooth(n):
@@ -330,14 +332,17 @@ class TestResolution:
             floor = max(16, 6 * max_mode + 2)
             n = next(n for n in range(floor, 4 * floor) if n % 2 == 0 and smooth(n))
             assert scan_grid(max_mode).n == n, max_mode
-            check_resolution(scan_grid(max_mode), max_mode)
+            assert scan_grid(max_mode).dealias_cutoff >= 2 * max_mode, max_mode
         assert [scan_grid(m).n for m in (8, 24, 32, 48)] == [50, 150, 200, 300]
 
     @pytest.mark.parametrize("max_mode", [2, 4, 8])
     def test_scan_matches_the_former_default_grid(self, max_mode):
-        # The former default grid, max(128, 16 M) points, against scan_grid.
+        # The scan's planes on the former default grid, max(128, 16 M)
+        # points, against the scan on scan_grid.
         got = positivity_scan(max_mode)
-        want = positivity_scan(max_mode, grid=Grid(max(128, 16 * max_mode)))
+        tuples = np.column_stack((got.m_k1, got.m_k2, got.m_l1, got.m_l2)).reshape(-1, 2)
+        planes = np.arange(len(tuples)).reshape(-1, 2)
+        want = curvature._cosine_table(Grid(max(128, 16 * max_mode)), tuples, planes)
         for name in ("m_k1", "m_k2", "m_l1", "m_l2", "s_closed"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         for name in ("s_numeric", "gram", "sec"):
@@ -346,7 +351,8 @@ class TestResolution:
 
     def test_smallest_grid_is_exact(self):
         # n = 20 keeps modes <= 6: C1 holds on every row of the mode-3 scan
-        table = positivity_scan(3, grid=Grid(20))
+        assert scan_grid(3).n == 20
+        table = positivity_scan(3)
         assert np.all(np.abs(table.s_numeric - table.s_closed)
                       <= 1e-8 * (1 + np.abs(table.s_closed)))
 
@@ -402,7 +408,7 @@ class TestKernel:
 
     def test_negative_search_matches_object_form(self):
         grid = scan_grid(8)
-        got = negative_search(grid, np.random.default_rng(11), 64, 8)
+        got = negative_search(np.random.default_rng(11), 64, 8)
         want = object_form.negative_search(grid, np.random.default_rng(11), 64, 8)
         assert [t for t, _ in got] == [t for t, _ in want]
         for (_, sec), (_, ref) in zip(got, want):
@@ -422,15 +428,14 @@ class TestKernel:
         monkeypatch.setattr(np.fft, "rfft", counting(np.fft.rfft))
         monkeypatch.setattr(np.fft, "irfft", counting(np.fft.irfft))
         rows = positivity_scan(8)
-        found = negative_search(scan_grid(8), np.random.default_rng(0), 64, 8)
+        found = negative_search(np.random.default_rng(0), 64, 8)
         assert len(rows) == 2044 and len(found) == 64
         assert 0 < len(calls) <= 200
 
 
 def test_negative_search_reports():
-    grid = Grid(64)
     rng = np.random.default_rng(7)
-    results = negative_search(grid, rng, trials=20, max_mode=4)
+    results = negative_search(rng, trials=20, max_mode=4)
     assert len(results) >= 18
     assert results == sorted(results, key=lambda r: r[1])
     # reported, not asserted: negative planes may or may not appear

@@ -10,11 +10,10 @@ first), and each process measures every layer once, those down to
 - `dense_plan_ms`: the dense off-grid plan, `series_matrix` at the dealias
   cutoff applied to the stacked (u, rho) weights, as the flow-map stage
   used to do;
-- `offgrid_ms`: the same values from `spectral._offgrid` (trees without it
-  report null);
+- `offgrid_ms`: the same values from `spectral._offgrid`;
 - `kernel_us/2ch` and `kernel_us/2dp`: one call of the Eulerian
   right-hand side on the rfft spectra of (u, rho), `evolution._kernel`'s
-  spectra-to-spectra map, for 2CH and 2DP (trees without it report null);
+  spectra-to-spectra map, for 2CH and 2DP;
 - `flow_step_ms` and `euler_step_ms`: one RK4 step of `evolve_flowmap`
   and of `evolve`, 2DP, monitor included, from two short runs (the
   difference of a 30-step and a 10-step run over 20, so the per-run set-up
@@ -107,24 +106,19 @@ def measure() -> dict:
             return (plan @ weights.T).real.T
 
         out[f"dense_plan_ms/n={n}"] = 1e3 * _per_call(dense)
-        offgrid = getattr(spectral, "_offgrid", None)
-        out[f"offgrid_ms/n={n}"] = None if offgrid is None else 1e3 * _per_call(
-            lambda: offgrid(np.fft.rfft(state[:2]), y, kmax))
-        kernel_of = getattr(evolution, "_kernel", None)
         spectra = np.fft.rfft(state[:2])
+        out[f"offgrid_ms/n={n}"] = 1e3 * _per_call(lambda: spectral._offgrid(spectra, y, kmax))
         for model in (Model.CH2, Model.DP2):
-            out[f"kernel_us/{model.value}/n={n}"] = None if kernel_of is None else 1e6 * _per_call(
-                functools.partial(kernel_of(model, n), spectra))
+            out[f"kernel_us/{model.value}/n={n}"] = 1e6 * _per_call(
+                functools.partial(evolution._kernel(model, n), spectra))
 
         initial = VelocityPair(spectral.PeriodicField(grid, state[0]),
                                spectral.PeriodicField(grid, state[1]))
-        # Older trees' EvolutionConfig also takes the grid size.
-        grid_n = {"grid_n": n} if "grid_n" in EvolutionConfig.__dataclass_fields__ else {}
 
         def per_step(run):
             def steps(count):
                 config = EvolutionConfig(Model.DP2, dt=1e-4, t_end=count * 1e-4,
-                                         diagnostics_stride=count, **grid_n)
+                                         diagnostics_stride=count)
                 return _per_call(lambda: run(config, initial))
             return (steps(30) - steps(10)) / 20
 
@@ -139,7 +133,7 @@ def measure() -> dict:
         tracemalloc.stop()
 
         drift_run = evolve_flowmap(EvolutionConfig(Model.CH2, dt=1e-4, t_end=4e-4,
-                                                   diagnostics_stride=1, **grid_n), initial)
+                                                   diagnostics_stride=1), initial)
         out[f"drift_ms/n={n}"] = 1e3 * _per_call(lambda: momentum_drift(drift_run))
         tracemalloc.start()
         momentum_drift(drift_run)
@@ -225,18 +219,16 @@ def main(argv=None):
         metrics = {}
         for key in runs[0]:
             values = [run[key] for run in runs]
-            metrics[key] = {"median": None if None in values else statistics.median(values),
-                            "samples": values}
+            metrics[key] = {"median": statistics.median(values), "samples": values}
         record[side] = {"metrics": metrics}
     ratios = {}
     for side in trees:
         med = {key: value["median"] for key, value in record[side]["metrics"].items()}
         ratios[side] = {f"flow_step_over_euler_step/n={n}":
                         med[f"flow_step_ms/n={n}"] / med[f"euler_step_ms/n={n}"] for n in SIZES}
-        if med[f"offgrid_ms/n={SIZES[0]}"] is not None:
-            ratios[side].update({f"dense_plan_over_offgrid/n={n}":
-                                 med[f"dense_plan_ms/n={n}"] / med[f"offgrid_ms/n={n}"]
-                                 for n in SIZES})
+        ratios[side].update({f"dense_plan_over_offgrid/n={n}":
+                             med[f"dense_plan_ms/n={n}"] / med[f"offgrid_ms/n={n}"]
+                             for n in SIZES})
     ratios["parent_over_change"] = {
         key: record["parent"]["metrics"][key]["median"] / record["change"]["metrics"][key]["median"]
         for key in record["change"]["metrics"]
