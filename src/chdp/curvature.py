@@ -373,23 +373,27 @@ def negative_search(rng: np.random.Generator, trials: int,
     Each trial draws a = (u, rho) and b = (v, tau) like
     `random_band_limited`: per slot and mode m, a cosine and a sine
     coefficient, standard normal times 1/m, in that order (one draw of
-    shape (trials, 4, max_mode, 2) gives the same stream).  Planes with
-    Gram <= 1e-9 are dropped.  Returns (trial, Sec) sorted most-negative
-    first.  Reported, never asserted: the bounds above hold only on the
-    cosine families.
+    shape (trials, 4, max_mode, 2) gives the same stream, which is drawn
+    _CHUNK trials at a time, so memory does not grow with trials).  Planes
+    with Gram <= 1e-9 are dropped.  Returns (trial, Sec) sorted
+    most-negative first.  Reported, never asserted: the bounds above hold
+    only on the cosine families.
     """
     grid = scan_grid(max_mode)
     modes = np.arange(1, max_mode + 1)
-    coef = rng.standard_normal((trials, 4, max_mode, 2)) * (1.0 / modes)[:, None]
     phase = TWO_PI * modes[:, None] * grid.points
     cos, sin = np.cos(phase), np.sin(phase)
-    # Summed mode by mode, as `random_band_limited` sums each field.
-    y = np.zeros((trials, 4, grid.n))
-    for m in range(max_mode):
-        y += coef[..., m, 0, None] * cos[m] + coef[..., m, 1, None] * sin[m]
-    s, gram, _ = _curvatures(grid, y.reshape(2 * trials, 2, grid.n),
-                             np.arange(2 * trials).reshape(trials, 2))
-    kept = np.flatnonzero(gram > 1e-9)
-    results = list(zip(kept.tolist(), (s[kept] / gram[kept]).tolist()))
+    planes = np.arange(2 * _CHUNK).reshape(_CHUNK, 2)
+    results = []
+    for start in range(0, trials, _CHUNK):
+        count = min(_CHUNK, trials - start)
+        coef = rng.standard_normal((count, 4, max_mode, 2)) * (1.0 / modes)[:, None]
+        # Summed mode by mode, as `random_band_limited` sums each field.
+        y = np.zeros((count, 4, grid.n))
+        for m in range(max_mode):
+            y += coef[..., m, 0, None] * cos[m] + coef[..., m, 1, None] * sin[m]
+        s, gram, _ = _curvatures(grid, y.reshape(2 * count, 2, grid.n), planes[:count])
+        kept = np.flatnonzero(gram > 1e-9)
+        results.extend(zip((start + kept).tolist(), (s[kept] / gram[kept]).tolist()))
     results.sort(key=lambda item: item[1])
     return results

@@ -30,10 +30,11 @@ monitor's single irfft per step gives the grid values and slopes of every
 state row: the slopes feed the thresholds, kept steps store all of them
 in one real history array, and the next step's stage 1 starts from them,
 since that irfft is stage 1's own.  An Eulerian step thus costs 8 FFT
-calls, monitor included.  Both integrators return a result that
-views that array (`EvolveResult`, extended by the flow map's
-`FlowmapResult`) with its diagnostics, read in one pass as the columns of
-a `DiagnosticsTable`.  `step_rk4` is `_advance` on the Eulerian spectra;
+calls, monitor included, and so does a flow-map step, whose stages
+transport the labels map on the grid (`chdp.flowmap`).  Both integrators
+return a result that views that array (`EvolveResult`, extended by the
+flow map's `FlowmapResult`) with its diagnostics, read in one pass as the
+columns of a `DiagnosticsTable`.  `step_rk4` is `_advance` on the Eulerian spectra;
 `evolve` steps through it.
 """
 
@@ -230,7 +231,12 @@ class _Kernel:
             for _, left, right in products:
                 if model.two_component or left != 1:  # rho = 0 adds nothing
                     columns.setdefault((left, right), len(columns))
-        self.left, self.right = np.array(list(columns)).T
+        left, right = np.array(list(columns)).T
+        # `terms` reads (u, rho, u_x, rho_x) from rows 0-3 of z, which may
+        # carry further rows after them (the flow map's stages), or from rows
+        # 0, 1, 4 and 5 of the 8 rows of `points` of four state rows.
+        shifted = tuple(np.where(i >= 2, i + 2, i) for i in (left, right))
+        self.gather = {4: (left, right), 6: (left, right), 8: shifted}
         self.sums = np.zeros((rows, len(columns)))  # (term, product) coefficients
         for term, products in enumerate(terms[:rows]):
             for coef, left, right in products:
@@ -244,21 +250,23 @@ class _Kernel:
         for arr in (self.mult, self.sums, self.weights, self.value_slope):
             arr.setflags(write=False)
 
-    def points(self, y: np.ndarray, extra: np.ndarray | None = None) -> np.ndarray:
-        """Grid values of every row of the spectra y, then their slopes, then the rows of extra.
+    def points(self, y: np.ndarray) -> np.ndarray:
+        """Grid values of every row of the spectra y, then their slopes.
 
         One irfft: for y = (u, rho) it gives (u, rho, u_x, rho_x).
         """
-        spectra = (y * self.value_slope).reshape(-1, y.shape[-1])
-        if extra is not None:
-            spectra = np.concatenate((spectra, extra))
-        return np.fft.irfft(spectra, self.n)
+        return np.fft.irfft((y * self.value_slope).reshape(-1, y.shape[-1]), self.n)
 
-    def terms(self, z: np.ndarray) -> np.ndarray:
-        """Grid values of the quadratic terms, from the rows z = (u, rho, u_x, rho_x, ...)."""
-        products = z.take(self.left, 0)
-        products *= z.take(self.right, 0)
-        return self.sums @ products
+    def terms(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Grid values of the quadratic terms, from the rows z of `gather`.
+
+        z is (u, rho, u_x, rho_x, ...) or `points` of four state rows.
+        Written into `out`, if given, of shape (len(self.sums), n).
+        """
+        left, right = self.gather[len(z)]
+        products = z.take(left, 0)
+        products *= z.take(right, 0)
+        return np.matmul(self.sums, products, out=out)
 
     def combine(self, spectra: np.ndarray) -> np.ndarray:
         """(u_t, rho_t) spectra from the spectra of `terms`."""
@@ -365,19 +373,21 @@ def _threshold_reason(config: EvolutionConfig,
 
 
 def _integrate(result_type, config: EvolutionConfig, grid: Grid, y: np.ndarray, step,
-               degenerate=lambda slopes: None):
+               check=lambda y, slopes: None, finish=lambda history: None):
     """Step the spectra y, (u, rho) in rows 0-1, to t_end; a `result_type` views the kept steps.
 
     `step(y, t, z)` is `_advance` from t, where z is the monitor's irfft
     of y, from which it computes stage 1.  A non-finite step stops the run
     unkept; else the monitor turns every row of y into grid values and
-    slopes in one irfft (also at t=0) and stops at `degenerate(slopes)`,
+    slopes in one irfft (also at t=0) and stops at `check(y, slopes)`,
     which returns (criterion, value) or None, else at a threshold.  Kept
     steps (every `config.diagnostics_stride`-th, the last, a blow-up)
     fill one real (2 len(y), kept steps, n) history array with that
     irfft: the grid values of the rows of y, then their slopes.
-    `result_type` is `EvolveResult` or a subclass whose fields after
-    `status` view the further rows of y, their values then their slopes.
+    `finish(history)` may then rewrite the further rows in place before
+    they are frozen.  `result_type` is `EvolveResult` or a subclass whose
+    fields after `status` view the further rows, their values then their
+    slopes.
     """
     kernel = _kernel(config.model, grid.n)
     n_steps, stride = config.n_steps, config.diagnostics_stride
@@ -394,7 +404,7 @@ def _integrate(result_type, config: EvolutionConfig, grid: Grid, y: np.ndarray, 
                 break
         z = kernel.points(y)
         slopes = z[len(y):]
-        tripped = degenerate(slopes) or _threshold_reason(config, slopes)
+        tripped = check(y, slopes) or _threshold_reason(config, slopes)
         if i % stride == 0 or i == n_steps or tripped is not None:
             history[:, len(kept)] = z
             kept.append(i)
@@ -403,6 +413,7 @@ def _integrate(result_type, config: EvolutionConfig, grid: Grid, y: np.ndarray, 
             break
     times = np.array(kept) * config.dt
     history = history[:, :len(kept)]
+    finish(history)
     for arr in (times, history):
         arr.setflags(write=False)
     (u, rho, *more), (ux, rhox, *more_x) = np.split(history, 2)

@@ -2,30 +2,51 @@
 
 A group element is a pair (phi, f): an orientation-preserving circle map
 and a function, multiplying as (phi, f)(psi, g) = (phi o psi, g + f o psi).
-The geodesic is advanced as the first-order system
+The geodesic (phi, f) solves phi_t = u o phi, f_t = rho o phi alongside
+the Eulerian right-hand side (the Lagrangian form, kept as the oracle
+`tests/object_form.py::flowmap_trajectory`); that this is the
+second-order geodesic equation, by right-invariance, is a tested
+property, not an assumption.
 
-    u_t, rho_t  from the Eulerian right-hand side,
-    phi_t = u o phi,      f_t = rho o phi,
+`evolve_flowmap` steps the back-to-labels map instead (Holm, Marsden &
+Ratiu, Adv. Math. 137, 1998): chi = phi^-1 = id + xi and g = f o chi,
+which live on the Eulerian grid,
 
-which is equivalent to the second-order geodesic equation by
-right-invariance; that equivalence is a tested property, not an
-assumption.  It runs the step loop of `evolve` (`evolution._integrate`:
-RK4, blow-up monitor, kept-row history) on the rfft spectra of
-(u, rho, psi, f), one complex (4, n//2 + 1) array, and keeps the steps
-`evolve` keeps: every `diagnostics_stride`-th step, the last step and a
-blow-up step.  Each RK4 stage makes one irfft of
-(u, rho, u_x, rho_x, psi), evaluates the series of u and rho (their
-spectra, rows 0-1 of the state) at phi = id + psi in one call of the
-off-grid evaluator (`spectral._offgrid`, a type-2 NUFFT), and makes one
-rfft of the Eulerian kernel's terms and (u o phi, rho o phi) together.
-Stage 1 reads its irfft from the monitor's, whose rows 0, 1, 4, 5 and 2
-hold (u, rho, u_x, rho_x, psi): 12 FFT calls per step with the
-monitor's.  Rows 0-1 stay band-limited;
-psi and f are not truncated.  The monitor's irfft gives the grid values
-and slopes of all four rows, and `FlowmapResult` views them as kept:
-its (u, rho) part is the `EvolveResult` of `evolve` for the same config,
-and phi_x = 1 + psi_x is the value the monitor's phi_x floor checks,
-before the thresholds.
+    xi_t = -u (1 + xi_x),      g_t = rho - u g_x,
+
+so a stage needs no off-grid evaluation.  It runs the step loop of
+`evolve` (`evolution._integrate`: RK4, blow-up monitor, kept-row history)
+on the rfft spectra of (u, rho, xi, g), one complex (4, n//2 + 1) array,
+and keeps the steps `evolve` keeps: every `diagnostics_stride`-th step,
+the last step and a blow-up step.  Each RK4 stage (`_labels_rhs`) makes
+one irfft of (u, rho, u_x, rho_x, xi_x, g_x) and one rfft of the Eulerian
+kernel's terms and the products u xi_x, u g_x.  Stage 1 reads its irfft
+from the monitor's: 8 FFT calls per step with the monitor's, as for
+`evolve`.  The transport rows are not truncated: dealiasing them put the
+2DP f of C7's run 3.7e-12 off the Lagrangian form, against 6e-15.
+
+The monitor reads min phi_x as 1 / max chi_x from the slopes it holds.
+Before the Eulerian thresholds it stops the run with
+- 'labels_folded' (value min chi_x) when chi_x <= 0 somewhere: chi is no
+  longer invertible;
+- 'phix_degenerate' (value min phi_x) at or below `_JACOBIAN_FLOOR`;
+- 'labels_unresolved' (value: the tail) when the spectral tail of xi or
+  g exceeds `_LABELS_TAIL_LIMIT`.  A row's tail is its largest rfft
+  coefficient above 2/3 of the dealias cutoff over its largest at modes
+  1..cutoff, read from the state spectra with no FFT.  chi steepens where
+  phi compresses (chi_x = 1 / (phi_x o chi)); past the limit the labels
+  no longer resolve the map, and phi would be wrong.  Restarting the
+  labels from the identity and composing the sub-maps (remapping) is not
+  done.
+Only the kept rows are turned back into (psi, f, psi_x, f_x) of
+phi = id + psi (`_group_rows`): Newton inverts chi
+(`spectral._inverse_points`, shared with `invert_diffeo`), evaluating
+(xi, xi_x, g) in one `_offgrid` call per iteration, so the last one also
+gives f = g o phi.  psi_x and f_x are the spectral derivatives of the
+kept psi and f, as `derivative` and the object form take them.  A folded
+row has no inverse and holds NaN there.
+`FlowmapResult` views the result: its (u, rho) part is the `EvolveResult`
+of `evolve` for the same config.
 Along exact two-component CH flows (rho o phi) phi_x and the full
 coadjoint-transported momentum pair are constant; along 2DP flows
 (rho o phi) phi_x^2 is constant.  These are the quantities reported by
@@ -45,7 +66,7 @@ from chdp.spectral import (
     Diffeo,
     Grid,
     PeriodicField,
-    _offgrid,
+    _inverse_points,
     apply_series_matrix,
     series_matrix,
 )
@@ -59,8 +80,16 @@ __all__ = [
 ]
 
 # `evolve_flowmap` stops with reason 'phix_degenerate' once min phi_x is at
-# or below this.
+# or below the floor, and with 'labels_unresolved' once the spectral tail
+# of xi or g exceeds the limit.  On 2CH with amplitude 0.3 in both slots,
+# n = 256, dt = 1e-3, the tail of g is 6e-6 at t = 0.5, where psi agrees
+# with the Lagrangian form to 3e-13 and f to 1e-11, and 1e-2 at t = 0.7,
+# where psi agrees to 2e-5 only.
 _JACOBIAN_FLOOR = 1e-8
+_LABELS_TAIL_LIMIT = 1e-4
+# The kept-row Newton inversion of chi stops once max |chi(phi) - x| is at
+# or below this (at 1e-12, psi of C7's 2CH run is off by 9e-13).
+_LABELS_INVERSION_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -104,52 +133,100 @@ class FlowmapResult(EvolveResult):
     def jacobians(self, rows=None) -> np.ndarray:
         """phi_x = 1 + psi_x at the given history rows (default all), shape (len(rows), n).
 
-        The same values the monitor's phi_x floor checks.
+        psi_x is the spectral derivative of the kept psi (`_group_rows`).
         """
         return 1.0 + (self.psi_x if rows is None else self.psi_x[rows])
 
 
-def _flow_rhs(kernel: _Kernel, grid: Grid, y: np.ndarray,
-              monitor: np.ndarray | None = None) -> np.ndarray:
-    """d/dt of the stacked spectra of (u, rho, psi, f).
+def _labels_rhs(kernel: _Kernel, y: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
+    """d/dt of the stacked spectra of (u, rho, xi, g).
 
-    One irfft gives (u, rho, u_x, rho_x, psi), unless `monitor`, the
-    monitor's irfft of y (u, rho, psi, f, then their slopes), holds them
-    as rows 0, 1, 4, 5 and 2; the series of u and rho (the spectra y[:2])
-    are evaluated at phi = id + psi; the kernel's terms and
-    (u o phi, rho o phi) share one rfft.
+    One irfft gives (u, rho, u_x, rho_x, xi_x, g_x), the rows a stage
+    reads, unless z, the monitor's irfft of y (the values, then the slopes,
+    of all four rows), holds them.  The kernel's terms and the products
+    (u xi_x, u g_x) share one rfft.  xi_t = -u - u xi_x and
+    g_t = rho - u g_x take -u and rho from the spectra y[:2].
     """
-    z = kernel.points(y[:2], y[2:3]) if monitor is None else monitor[[0, 1, 4, 5, 2]]
-    at_phi = _offgrid(y[:2], grid.points + z[4], grid.dealias_cutoff)
-    spectra = np.fft.rfft(np.concatenate((kernel.terms(z), at_phi)))
-    return np.concatenate((kernel.combine(spectra[:-2]), spectra[-2:]))
+    if z is None:
+        spectra = np.empty((6, y.shape[-1]), complex)
+        spectra[:2] = y[:2]
+        np.multiply(y, kernel.ik, out=spectra[2:])
+        z = np.fft.irfft(spectra, kernel.n)
+    products = np.empty((len(kernel.sums) + 2, kernel.n))
+    kernel.terms(z, out=products[:-2])
+    np.multiply(z[0], z[-2:], out=products[-2:])
+    spectra = np.fft.rfft(products)
+    out = np.empty_like(y)
+    out[:2] = kernel.combine(spectra[:-2])
+    np.negative(y[0], out=out[2])
+    np.subtract(out[2], spectra[-2], out=out[2])
+    np.subtract(y[1], spectra[-1], out=out[3])
+    return out
+
+
+def _group_rows(grid: Grid, history: np.ndarray) -> None:
+    """Turn the kept (xi, g, xi_x, g_x) rows 2, 3, 6, 7 of history into (psi, f, psi_x, f_x).
+
+    In place.  Row by row, Newton inverts chi = id + xi to phi = id + psi,
+    and the last iteration's `_offgrid` call gives f = g o phi.  psi_x and
+    f_x are the spectral derivatives of the kept psi and f, the slopes
+    `derivative` gives and the object form reads.  A folded row (min
+    chi_x <= 0) has no inverse and gets NaN.
+    """
+    for i in range(history.shape[1]):
+        if 1.0 + history[6, i].min() <= 0.0:
+            history[[2, 3, 6, 7], i] = np.nan
+            continue
+        xi_hat, g_hat = np.fft.rfft(history[2:4, i])
+        y, (_, _, g) = _inverse_points(grid, history[2, i],
+                                       np.stack((xi_hat, xi_hat * grid.ik, g_hat)),
+                                       grid.n // 2, _LABELS_INVERSION_TOL)
+        history[2, i] = y - grid.points
+        history[3, i] = g
+        history[6:8, i] = np.fft.irfft(np.fft.rfft(history[2:4, i]) * grid.ik, grid.n)
 
 
 def evolve_flowmap(config: EvolutionConfig, initial: VelocityPair) -> FlowmapResult:
-    """Co-integrate (u, rho, psi, f) from (initial, identity) with RK4.
+    """Co-integrate (u, rho, xi, g) from (initial, identity) with RK4; return phi = chi^-1.
 
     The state is the (4, n//2 + 1) spectra stepped by the step loop of
     `evolve`, keeping the grid values and slopes of the steps it keeps
     (every `config.diagnostics_stride`-th, the last, a blow-up) in one
-    (8, kept steps, n) history, whose rows the result's fields view.
-    Stops early on the blow-up monitor of `evolve` (same status and time)
-    or when min phi_x drops to `_JACOBIAN_FLOOR` (reason 'phix_degenerate',
-    with min phi_x as the value, checked before the Eulerian thresholds).
+    (8, kept steps, n) history, whose labels rows `_group_rows` turns into
+    (psi, f, psi_x, f_x) and the result's fields view.  Stops early on the
+    blow-up monitor of `evolve` (same status and time), checked after the
+    labels: 'labels_folded' (min chi_x <= 0), 'phix_degenerate' (min
+    phi_x = 1 / max chi_x at or below `_JACOBIAN_FLOOR`) and
+    'labels_unresolved' (the spectral tail of xi or g above
+    `_LABELS_TAIL_LIMIT`), each with its value.
     """
     grid = initial.grid
     kernel = _kernel(config.model, grid.n)
     y = np.zeros((4, grid.n // 2 + 1), dtype=complex)
     y[:2] = _initial_state(config, initial)
+    cutoff = grid.dealias_cutoff
+    top = 2 * cutoff // 3 + 1  # the first mode above 2/3 of the cutoff
 
     def step(v, t, z):
-        return _advance(lambda w: _flow_rhs(kernel, grid, w), v, config.dt, t,
-                        _flow_rhs(kernel, grid, v, z))
+        return _advance(lambda w: _labels_rhs(kernel, w), v, config.dt, t,
+                        _labels_rhs(kernel, v, z))
 
-    def degenerate(slopes):  # slopes[2] is psi_x, so phi_x = 1 + psi_x
-        min_phix = 1.0 + float(slopes[2].min())
-        return ("phix_degenerate", min_phix) if min_phix <= _JACOBIAN_FLOOR else None
+    def check(v, slopes):  # slopes[2] is xi_x, so chi_x = 1 + xi_x
+        xi_x = slopes[2]
+        min_chix = 1.0 + float(xi_x.min())
+        if min_chix <= 0.0:
+            return "labels_folded", min_chix
+        min_phix = 1.0 / (1.0 + float(xi_x.max()))
+        if min_phix <= _JACOBIAN_FLOOR:
+            return "phix_degenerate", min_phix
+        size = np.abs(v[2:, 1:])  # modes 1..n/2 of xi and g
+        tails = [a / b if b > 0.0 else (np.inf if a > 0.0 else 0.0)
+                 for a, b in zip(size[:, top - 1:].max(axis=1).tolist(),
+                                 size[:, :cutoff].max(axis=1).tolist())]
+        return ("labels_unresolved", max(tails)) if max(tails) > _LABELS_TAIL_LIMIT else None
 
-    return _integrate(FlowmapResult, config, grid, y, step, degenerate)
+    return _integrate(FlowmapResult, config, grid, y, step, check,
+                      lambda history: _group_rows(grid, history))
 
 
 def reconstruct_f(model: Model, rho0: PeriodicField, times: np.ndarray,

@@ -9,8 +9,9 @@ Off-grid evaluation goes through one private type-2 NUFFT, `_offgrid`:
 O(n log n + n*w) time and O(n) memory for n points, shared by stacked
 fields.  Its window weights come from one polynomial per window slot in
 the point's offset within its fine cell, fitted to the kernel once per
-process, so no sqrt or exp is taken per point.  `evaluate`, `compose`,
-`invert_diffeo` and the flow-map stage use it.  `flowmap.momentum_drift`
+process, so no sqrt or exp is taken per point.  `evaluate`, `compose`
+and the Newton inversion shared by `invert_diffeo` and the flow map's
+kept rows (`_inverse_points`) use it.  `flowmap.momentum_drift`
 still evaluates through `series_matrix`, a plan built by doubling, over
 blocks of points whose plans have a bounded size: O(n + block) memory.
 Both evaluators take stacked (F, n//2 + 1) spectra, giving (F, M) values.
@@ -490,38 +491,50 @@ def compose(f: PeriodicField, phi: Diffeo) -> PeriodicField:
     return PeriodicField(f.grid, evaluate(f, phi.warped_points))
 
 
-# Newton in `invert_diffeo` stops once max |phi(y) - x| < _INVERSION_TOL, and
-# raises InversionError if that takes more than _INVERSION_MAX_ITER steps.
+# Newton in `invert_diffeo` stops once max |phi(y) - x| <= _INVERSION_TOL, and
+# `_inverse_points` raises InversionError if that takes more than
+# _INVERSION_MAX_ITER steps.
 _INVERSION_TOL = 1e-12
 _INVERSION_MAX_ITER = 50
 
 
-def invert_diffeo(phi: Diffeo) -> Diffeo:
-    """Inverse circle map, found by Newton iteration per grid point.
+def _inverse_points(grid: Grid, values: np.ndarray, hats: np.ndarray, kmax: int,
+                    tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Points y with y + d(y) = x at the grid points x, and the series of hats at y.
 
-    The initial guess interpolates the monotone sampled pairs
-    (phi(x_k), x_k), extended by one period on both sides, so every target
-    is bracketed.  Each iteration evaluates psi and psi_x at the iterate in
-    one `_offgrid` call, in O(n) memory.  Raises InversionError if Newton
-    stalls (a symptom of a near-degenerate Jacobian).
+    d is a displacement with grid values `values`, series hats[0] and slope
+    series hats[1]; further rows of hats ride along.  Newton per grid
+    point from a guess that interpolates the monotone sampled pairs
+    (x_k + d(x_k), x_k), extended by one period on both sides, so every
+    target is bracketed.  Each iteration evaluates every row of hats at
+    the iterate in one `_offgrid` call (modes 0..kmax), in O(n) memory; it
+    stops once max |y + d(y) - x| <= tol and returns y with that call's
+    (F, n) values.  Raises InversionError if Newton stalls (a symptom of a
+    near-degenerate Jacobian).
     """
-    grid = phi.grid
     x = grid.points
-    fx = phi.warped_points
+    fx = x + values
     knots_x = np.concatenate([fx - 1.0, fx, fx + 1.0])
     knots_y = np.concatenate([x - 1.0, x, x + 1.0])
     y = np.interp(x, knots_x, knots_y)
-
-    psi_hat = phi.displacement.hat
-    hats = np.stack([psi_hat, psi_hat * grid.ik])  # psi_x as `derivative` gives it
     for _ in range(_INVERSION_MAX_ITER):
-        psi_y, slope = _offgrid(hats, y, grid.n // 2)
-        residual = y + psi_y - x
-        if np.max(np.abs(residual)) < _INVERSION_TOL:
-            break
-        y = y - residual / (1.0 + slope)
-    else:
-        raise InversionError(
-            f"diffeomorphism inversion did not reach {_INVERSION_TOL:g} "
-            f"in {_INVERSION_MAX_ITER} Newton steps")
-    return Diffeo(PeriodicField(grid, y - x))
+        at_y = _offgrid(hats, y, kmax)
+        residual = y + at_y[0] - x
+        if np.max(np.abs(residual)) <= tol:
+            return y, at_y
+        y = y - residual / (1.0 + at_y[1])
+    raise InversionError(
+        f"diffeomorphism inversion did not reach {tol:g} "
+        f"in {_INVERSION_MAX_ITER} Newton steps")
+
+
+def invert_diffeo(phi: Diffeo) -> Diffeo:
+    """Inverse circle map, by `_inverse_points` to a residual of _INVERSION_TOL.
+
+    Raises InversionError if Newton stalls.
+    """
+    grid = phi.grid
+    psi = phi.displacement
+    hats = np.stack([psi.hat, psi.hat * grid.ik])  # psi_x as `derivative` gives it
+    y = _inverse_points(grid, psi.values, hats, grid.n // 2, _INVERSION_TOL)[0]
+    return Diffeo(PeriodicField(grid, y - grid.points))

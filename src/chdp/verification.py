@@ -204,11 +204,14 @@ def check_energy_conservation(seed: int) -> tuple[bool, str]:
 
 
 def check_momentum_conservation(seed: int) -> tuple[bool, str]:
-    """Transported momenta constant along the smooth flow-map runs."""
+    """Transported momenta constant along the smooth flow-map runs, which run to the end."""
     details = []
     ok = True
     for model in (Model.CH2, Model.DP2):
         res = _smooth_flowmap_run(model.value)
+        if not res.status.completed:
+            ok = False
+            details.append(f"{model.value} stopped ({res.status.reason}) at t={res.status.t:.6g}")
         drifts = momentum_drift(res)
         rho_scale = np.max(np.abs(res.rho[0]))
         rel_rho = np.max(drifts["rho0"]) / rho_scale

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from object_form import read_manifest
-from chdp import cli, csvio, curvature, verification
+from chdp import cli, csvio, curvature, flowmap, verification
 from chdp.cli import CliError, main, parse_config
 from chdp.connection import VelocityPair
 from chdp.csvio import read_snapshot, write_snapshot
@@ -422,6 +422,22 @@ class TestFlowmapCommand:
         assert header == ["t", "energy", "min_ux", "max_abs_rhox", "mean_m", "mean_rho"]
         manifest = read_manifest(out / "run.json")
         assert manifest["final_diagnostics"]["momentum_drift"]["rho0"] <= 1e-8
+
+    def test_compression_exits_2_on_unresolved_labels(self, tmp_path, capsys):
+        # The labels map steepens where phi compresses; the run stops with
+        # the tail that tripped, before the labels stop resolving phi.
+        out = tmp_path / "steep"
+        code = main(["flowmap", "--model", "2ch", "--ic", "pair:1:0.3:1:0.3", "--n", "64",
+                     "--dt", "1e-3", "--t-end", "1", "--out-dir", str(out)])
+        assert code == 2
+        manifest = read_manifest(out / "run.json")
+        assert (manifest["status"], manifest["reason"]) == ("blowup_detected",
+                                                            "labels_unresolved")
+        assert manifest["blowup_value"] > flowmap._LABELS_TAIL_LIMIT
+        last_t = float(read_csv_column(out / "diagnostics.csv", "t")[-1])
+        assert 0.0 < manifest["blowup_t"] == last_t < 1.0
+        assert manifest["final_diagnostics"]["min_phix"] > 0.0
+        assert f"(labels_unresolved) at t={last_t:.6g}" in capsys.readouterr().out
 
     def test_jacobians_only_for_used_rows(self, tmp_path, monkeypatch):
         # 6 kept rows (steps 0, 10, ..., 50): all are snapshots, read in one

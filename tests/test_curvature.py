@@ -1,5 +1,6 @@
 import functools
 import itertools
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -431,6 +432,28 @@ class TestKernel:
         found = negative_search(np.random.default_rng(0), 64, 8)
         assert len(rows) == 2044 and len(found) == 64
         assert 0 < len(calls) <= 200
+
+
+def test_negative_search_chunks_keep_the_stream(monkeypatch):
+    # Trials are drawn and evaluated _CHUNK at a time: chunks of 7 (the
+    # last one ragged) give the same trials, values and order as one pass.
+    whole = negative_search(np.random.default_rng(5), 40, 4)
+    monkeypatch.setattr(curvature, "_CHUNK", 7)
+    assert negative_search(np.random.default_rng(5), 40, 4) == whole
+    assert sorted(t for t, _ in whole) == list(range(40))
+
+
+def test_negative_search_memory_does_not_grow_with_trials():
+    # 2000 trials at max mode 8 held every direction at once: 18 MB.
+    negative_search(np.random.default_rng(0), 1, 8)  # plans and grids, cached
+    tracemalloc.start()
+    try:
+        found = negative_search(np.random.default_rng(0), 2000, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 2000
+    assert peak <= 3 * 2**20
 
 
 def test_negative_search_reports():

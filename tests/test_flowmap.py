@@ -1,6 +1,5 @@
 import dataclasses
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -207,11 +206,14 @@ class TestEvolveFlowmap:
         for name, column in vars(eul.diagnostics).items():
             assert np.array_equal(getattr(res.diagnostics, name), column), name
 
-    @pytest.mark.parametrize("model", [Model.CH2, Model.DP2])
+    @pytest.mark.parametrize("model", list(Model))
     def test_matches_object_form_trajectory(self, model):
+        # The labels form against the Lagrangian oracle phi_t = u o phi,
+        # f_t = rho o phi.
         grid = Grid(64)
         config = EvolutionConfig(model, dt=1e-3, t_end=0.05, diagnostics_stride=1)
-        initial = VelocityPair(cosine_field(grid, 1, 0.2), cosine_field(grid, 2, 0.1))
+        rho = cosine_field(grid, 2, 0.1) if model.two_component else zero_field(grid)
+        initial = VelocityPair(cosine_field(grid, 1, 0.2), rho)
         res = evolve_flowmap(config, initial)
         ref = object_form.flowmap_trajectory(model, initial, 1e-3, 50)
         got = np.stack((res.u, res.rho, res.psi, res.f))
@@ -244,17 +246,52 @@ class TestEvolveFlowmap:
         assert res.status.reason == "phix_degenerate"
 
     def test_jacobian_degeneracy_value(self, monkeypatch):
-        # The value is the monitored min phi_x at the stopping step: at or
-        # below the floor, which the step before stayed above.
+        # The value is the monitored min phi_x = 1 / max chi_x at the
+        # stopping step: at or below the floor, which the step before stayed
+        # above.  chi is rebuilt here by inverting the kept phi.
         monkeypatch.setattr(flowmap, "_JACOBIAN_FLOOR", 0.5)
         grid = Grid(128)
         config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=1.0, diagnostics_stride=1)
         res = evolve_flowmap(config, VelocityPair.single(cosine_field(grid, 1, 1.0)))
         assert res.status.reason == "phix_degenerate"
         assert res.status.t == res.times[-1]
-        jac = res.jacobians([len(res.times) - 2, len(res.times) - 1]).min(axis=1)
-        assert jac[0] > 0.5 >= res.status.value
-        assert res.status.value == res.jacobians([-1]).min()
+
+        def monitored(i):
+            return 1.0 / invert_diffeo(res.group_element(i).phi).jacobian.values.max()
+
+        before, last = monitored(len(res.times) - 2), monitored(len(res.times) - 1)
+        assert before > 0.5 >= res.status.value
+        assert res.status.value == pytest.approx(last, rel=1e-10)
+
+    def test_compression_stops_on_unresolved_labels(self):
+        # chi steepens where phi compresses.  The spectral tail of the labels
+        # stops the run before t = 0.7, where phi would be off by 2e-5, and
+        # every kept row up to the stop matches the Lagrangian oracle.
+        grid = Grid(256)
+        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=1.0, diagnostics_stride=50)
+        initial = VelocityPair(cosine_field(grid, 1, 0.3), cosine_field(grid, 1, 0.3))
+        res = evolve_flowmap(config, initial)
+        assert res.status.kind == "blowup_detected"
+        assert res.status.reason == "labels_unresolved"
+        assert res.status.value > flowmap._LABELS_TAIL_LIMIT
+        assert res.status.t == res.times[-1] < 0.7
+        steps = np.rint(res.times / config.dt).astype(int)
+        ref = object_form.flowmap_trajectory(Model.CH2, initial, config.dt, steps[-1])[:, steps]
+        got = np.stack((res.u, res.rho, res.psi, res.f))
+        assert np.max(np.abs(got - ref)[:, :-1]) <= 1e-8
+
+    def test_folded_labels_are_flagged(self, monkeypatch):
+        # With the tail check off, the same run goes on until chi folds: the
+        # run stops there, and the folded row, which has no inverse, is NaN.
+        monkeypatch.setattr(flowmap, "_LABELS_TAIL_LIMIT", np.inf)
+        grid = Grid(256)
+        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=1.0, diagnostics_stride=100)
+        res = evolve_flowmap(config, VelocityPair(cosine_field(grid, 1, 0.3),
+                                                  cosine_field(grid, 1, 0.3)))
+        assert res.status.reason == "labels_folded"
+        assert res.status.value <= 0.0 and res.status.t == res.times[-1] < 1.0
+        flow = np.stack((res.psi, res.f, res.psi_x, res.f_x))
+        assert np.all(np.isnan(flow[:, -1])) and np.all(np.isfinite(flow[:, :-1]))
 
 
 @pytest.mark.parametrize("model, n, initial, thresholds, expected", [
@@ -311,29 +348,39 @@ def test_runs_build_no_field(monkeypatch, model):
     assert built == []
 
 
-def test_flow_rhs_non_finite_psi():
-    # The state is spectra, so a non-finite psi coefficient makes phi
-    # non-finite at every point: the transport rows go non-finite, the
-    # Eulerian rows stay finite, and no floating-point warning is raised.
-    # (`_offgrid` keeps a non-finite point's NaN to that point; see
-    # test_spectral.test_offgrid_non_finite_points.)
+def test_non_finite_xi_stops_the_run(monkeypatch):
+    # The state is spectra, so a non-finite xi coefficient makes xi_x
+    # non-finite at every point: the stage's xi row goes non-finite, the
+    # Eulerian rows stay finite, no floating-point warning is raised, and
+    # the step loop stops the run with 'non_finite', keeping no such row.
     grid = Grid(64)
-    kernel = _kernel(Model.CH2, grid.n)
-    y = np.zeros((4, grid.n // 2 + 1), dtype=complex)
-    y[0] = cosine_field(grid, 1, 0.2).hat
-    y[1] = cosine_field(grid, 2, 0.1).hat
-    y[2, 3] = np.nan
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        out = flowmap._flow_rhs(kernel, grid, y)
-    assert not np.any(np.isfinite(out[2:]))
-    assert np.all(np.isfinite(out[:2]))
+    stage, calls, outputs = flowmap._labels_rhs, [], []
+
+    def poisoned(kernel, y, z=None):
+        calls.append(None)
+        if len(calls) == 9:  # stage 1 of step 3
+            y, z = y.copy(), None
+            y[2, 3] = np.nan
+        out = stage(kernel, y, z)
+        outputs.append(out)
+        return out
+
+    monkeypatch.setattr(flowmap, "_labels_rhs", poisoned)
+    config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.01, diagnostics_stride=1)
+    res = evolve_flowmap(config, VelocityPair(cosine_field(grid, 1, 0.2),
+                                              cosine_field(grid, 2, 0.1)))
+    assert not np.any(np.isfinite(outputs[8][2]))
+    assert np.all(np.isfinite(outputs[8][:2]))
+    assert (res.status.kind, res.status.reason, res.status.value) == (
+        "blowup_detected", "non_finite", None)
+    assert res.status.t == pytest.approx(0.003)
+    assert res.times.tolist() == pytest.approx([0.0, 0.001, 0.002])
+    assert np.all(np.isfinite(np.stack((res.psi, res.f, res.psi_x, res.f_x))))
 
 
-def test_flow_step_from_monitor_points_is_exact(rng):
-    # The monitor's irfft of (u, rho, psi, f) holds the stage-1 irfft of
-    # the next step as rows 0, 1, 4, 5 and 2: a step from it is bit for
-    # bit the step that makes its own.
+def test_labels_step_from_monitor_points_is_exact(rng):
+    # The monitor's irfft of (u, rho, xi, g) is the stage-1 irfft of the
+    # next step: a step from it is bit for bit the step that makes its own.
     grid = Grid(256)
     kernel = _kernel(Model.DP2, grid.n)
     y = np.stack([random_band_limited(grid, rng, top, scale).hat
@@ -341,9 +388,9 @@ def test_flow_step_from_monitor_points_is_exact(rng):
                                      (grid.n // 2 - 1, 0.02), (grid.n // 2 - 1, 0.1))])
 
     def f(w):
-        return flowmap._flow_rhs(kernel, grid, w)
+        return flowmap._labels_rhs(kernel, w)
 
-    k1 = flowmap._flow_rhs(kernel, grid, y, kernel.points(y))
+    k1 = flowmap._labels_rhs(kernel, y, kernel.points(y))
     assert np.array_equal(k1, f(y))
     assert np.array_equal(_advance(f, y, 1e-3, 0.0, k1), _advance(f, y, 1e-3, 0.0))
 

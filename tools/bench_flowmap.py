@@ -1,4 +1,4 @@
-"""Layer timings: Eulerian kernel and steps, flow-map steps, off-grid evaluation, momentum drift, rigid body, curvature scan, CSVs.
+"""Layer timings: Eulerian kernel and steps, flow-map steps, off-grid evaluation, momentum drift, rigid body, curvature scan, CSVs, C6-C8.
 
     python3 tools/bench_flowmap.py --parent OLD/src --change NEW/src \\
         [--repeats 9] [--out BENCH.json]
@@ -35,11 +35,15 @@ first), and each process measures every layer once, those down to
   rows) into a temporary directory;
 - `rigidbody_csv_ms`: `csvio.write_rigidbody` of the reference spin's
   5001-row trajectory (dt 1e-3, t = 5);
-- `import_s`: `import chdp` in the fresh process.
+- `import_s`: `import chdp` in the fresh process;
+- `criterion_s/C6`, `criterion_s/C7` and `criterion_s/C8`: one
+  `verification.run_criterion` call each, in that order, as the suite
+  runs them (C8 reads the smooth runs C6 and C7 made), once per process.
 
 A sample is the median over calls within one process (at least 5 calls
-and 0.1 s); the record holds every sample and each tree's median. BLAS
-runs on one thread.
+and 0.1 s), or the one call of a criterion; the record holds every sample
+and each tree's median, and `targets` says for each tree whether each
+target below is met by its medians. BLAS runs on one thread.
 """
 
 from __future__ import annotations
@@ -57,6 +61,9 @@ import time
 from pathlib import Path
 
 SIZES = (64, 256, 1024, 4096)
+# (metric or ratio, largest value that meets the target).
+TARGETS = ([(f"flow_step_over_euler_step/n={n}", 1.6) for n in SIZES]
+           + [("criterion_s/C7", 9.0)])
 
 
 def _per_call(fn, min_calls=5, min_seconds=0.1):
@@ -164,6 +171,14 @@ def measure() -> dict:
             lambda: csvio.write_scan(Path(tmp) / "scan.csv", table))
         out["rigidbody_csv_ms"] = 1e3 * _per_call(
             lambda: csvio.write_rigidbody(Path(tmp) / "rigidbody.csv", trajectory))
+
+    from chdp import verification
+
+    for cid in ("C6", "C7", "C8"):
+        result = verification.run_criterion(cid)
+        if not result.passed:
+            raise SystemExit(f"{cid} failed: {result.detail}")
+        out[f"criterion_s/{cid}"] = result.seconds
     return out
 
 
@@ -234,6 +249,13 @@ def main(argv=None):
         for key in record["change"]["metrics"]
         if record["parent"]["metrics"][key]["median"]}
     record["ratios"] = ratios
+    record["targets"] = {}
+    for side in trees:
+        known = {key: value["median"] for key, value in record[side]["metrics"].items()}
+        known.update(ratios[side])
+        for key, limit in TARGETS:
+            record["targets"].setdefault(f"{key} <= {limit:g}", {})[side] = {
+                "value": known[key], "met": known[key] <= limit}
     text = json.dumps(record, indent=1)
     if args.out is None:
         print(text)
