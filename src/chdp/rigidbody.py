@@ -1,15 +1,15 @@
 """Free rigid body: the finite-dimensional calibration instance.
 
 The same geodesic structure as the PDE models, on the rotation group: the
-body angular velocity solves I dOmega/dt = (I Omega) x Omega, the attitude
-solves dR/dt = R hat(Omega), and the spatial angular momentum pi = R I Omega
-is constant.  Body and spatial momenta are exchanged by the (co)adjoint
-action, here plain rotation of 3-vectors, so Pi(t) = R(t)^T pi(0) along
-exact solutions; `coadjoint_drift` measures the numerical violation.
+body momentum Pi = I Omega solves Euler's equation dPi/dt = Pi x Omega, the
+attitude solves dR/dt = R hat(Omega), and the spatial angular momentum
+pi = R Pi is constant.  Body and spatial momenta are exchanged by the
+(co)adjoint action, here plain rotation of 3-vectors, so Pi(t) = R(t)^T pi(0)
+along exact solutions; `coadjoint_drift` measures the numerical violation.
 
 For a row vector r, r @ hat(Omega) = r x Omega, so both equations are one
-product on the stacked (4, 3) state y = [Omega; R]:
-dy/dt = ((y * s) @ hat(Omega)) / s with s = [I; 1; 1; 1].
+product on the stacked (4, 3) state z = [Pi; R]:
+dz/dt = z hat(Omega) with Omega = Pi / I.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ _POLAR_MAX_ITERATIONS = 60
 
 def hat(x) -> np.ndarray:
     """Antisymmetric matrix of a 3-vector: hat(x) @ y = x cross y."""
-    return _HAT @ np.asarray(x, dtype=float)
+    return _HAT.dot(x)
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,10 @@ class RigidBodyState:
         inertia = np.asarray(self.inertia, dtype=float)
         if attitude.shape != (3, 3) or omega.shape != (3,) or inertia.shape != (3,):
             raise ValueError("attitude must be 3x3; omega and inertia 3-vectors")
-        for name, vector in (("omega", omega), ("inertia", inertia)):
-            if not np.all(np.isfinite(vector)):
+        for name, value in (("attitude", attitude), ("omega", omega), ("inertia", inertia)):
+            if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite")
-        if np.max(np.abs(attitude.T @ attitude - np.eye(3))) > 1e-9:
+        if not np.max(np.abs(attitude.T @ attitude - np.eye(3))) <= 1e-9:
             raise ValueError("attitude is not orthogonal to 1e-9")
         if np.linalg.det(attitude) <= 0:
             raise ValueError("attitude must have determinant +1")
@@ -79,16 +79,14 @@ class RigidBodyState:
         return cls(np.eye(3), omega, inertia)
 
 
-def _stacked(state: RigidBodyState) -> tuple[np.ndarray, np.ndarray]:
-    """The stepper's state y = [Omega; R] and row scale s = [I; 1; 1; 1]."""
-    scale = np.ones((4, 3))
-    scale[0] = state.inertia
-    return np.vstack([state.omega, state.attitude]), scale
+def _stacked(state: RigidBodyState) -> np.ndarray:
+    """The stepper's state z = [Pi; R], Pi = I Omega the body momentum."""
+    return np.vstack([state.inertia * state.omega, state.attitude])
 
 
-def _rates(y: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """dy/dt of the stacked state: row 0 Euler's equation, rows 1-3 R hat(Omega)."""
-    return ((y * scale) @ hat(y[0])) / scale
+def _rates(z: np.ndarray, inertia: np.ndarray) -> np.ndarray:
+    """dz/dt of the stacked state: row 0 Pi x Omega, rows 1-3 R hat(Omega)."""
+    return z.dot(hat(z[0] / inertia))
 
 
 @dataclass
@@ -101,6 +99,20 @@ class RigidBodyTrajectory:
     energy: np.ndarray            # (T,)   Omega . I Omega
 
 
+def _defect(gram: np.ndarray) -> float:
+    """max |G - I| over the entries of a 3x3 Gram matrix, in Python floats.
+
+    NaN if any entry is NaN: Python's `max` drops a NaN that is not its
+    first argument, so the sum of the deviations, NaN exactly when one of
+    them is (they are >= 0), decides that case.
+    """
+    (a, b, c), (d, e, f), (g, h, i) = gram.tolist()
+    deviations = (abs(a - 1.0), abs(e - 1.0), abs(i - 1.0),
+                  abs(b), abs(c), abs(d), abs(f), abs(g), abs(h))
+    total = sum(deviations)
+    return total if total != total else max(deviations)
+
+
 def _reorthonormalize(mat: np.ndarray) -> np.ndarray:
     """Nearest rotation matrix: the polar factor by Newton-Schulz iteration.
 
@@ -111,8 +123,8 @@ def _reorthonormalize(mat: np.ndarray) -> np.ndarray:
     within 0.5 of orthonormal (then every s^2 <= 2.5) with positive
     determinant; otherwise it raises ValueError.
     """
-    gram = mat.T @ mat
-    defect = np.abs(gram - _EYE).max()
+    gram = mat.T.dot(mat)
+    defect = _defect(gram)
     if not defect <= _MAX_DEFECT:
         raise ValueError(f"attitude is {defect:.3g} from orthonormal "
                          f"(max |R^T R - I| > {_MAX_DEFECT})")
@@ -123,38 +135,39 @@ def _reorthonormalize(mat: np.ndarray) -> np.ndarray:
         if defect <= _POLAR_TOL:
             return mat
         mat = 0.5 * (mat @ (3.0 * _EYE - gram))
-        gram = mat.T @ mat
-        defect = np.abs(gram - _EYE).max()
+        gram = mat.T.dot(mat)
+        defect = _defect(gram)
     raise ValueError(f"polar iteration left the attitude {defect:.3g} from orthonormal "
                      f"after {_POLAR_MAX_ITERATIONS} iterations")
 
 
 def evolve_rigidbody(state0: RigidBodyState, dt: float, t_end: float) -> RigidBodyTrajectory:
-    """RK4 co-integration of (Omega, R), re-orthonormalizing R each step.
+    """RK4 co-integration of (Pi, R), re-orthonormalizing R each step.
 
     `rk4` steps the stacked (4, 3) state, one `hat` per stage.  A step that
     leaves R too far from a rotation for the polar iteration (dt past RK4's
     stability limit) raises ValueError naming the step.
     """
     n_steps = step_count(dt, t_end)
-    y, scale = _stacked(state0)
+    inertia = state0.inertia
+    z = _stacked(state0)
 
     def rhs(z):
-        return _rates(z, scale)
+        return _rates(z, inertia)
 
     history = np.empty((n_steps + 1, 4, 3))
-    history[0] = y
+    history[0] = z
     for step in range(1, n_steps + 1):
-        y = rk4(rhs, y, dt)
+        z = rk4(rhs, z, dt)
         try:
-            y[1:] = _reorthonormalize(y[1:])
+            z[1:] = _reorthonormalize(z[1:])
         except ValueError as exc:
             raise ValueError(f"rigid-body step {step} with dt={dt!r}: {exc}; "
                              f"reduce dt") from None
-        history[step] = y
+        history[step] = z
 
-    omegas, attitudes = history[:, 0], history[:, 1:]
-    body_momentum = omegas * state0.inertia
+    body_momentum, attitudes = history[:, 0], history[:, 1:]
+    omegas = body_momentum / inertia
     spatial_momentum = np.einsum("tij,tj->ti", attitudes, body_momentum)
     energy = np.einsum("ti,ti->t", omegas, body_momentum)
     return RigidBodyTrajectory(np.arange(n_steps + 1) * dt, omegas, attitudes,

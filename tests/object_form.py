@@ -18,8 +18,9 @@ them, and `chdp.flowmap.momentum_drift` against the coadjoint action.
 
 Three views the tests read and no command runs live here as well:
 `kernel_gram_determinant` (the curvature kernel's Gram determinant of one
-plane), `euler_rhs` (row 0 of the rigid-body stepper's product) and
-`read_manifest` (a `run.json` as a dict).
+plane), `euler_rhs` (Euler's equation by `np.cross`, the oracle of row 0 of
+the rigid-body stepper's product) and `read_manifest` (a `run.json` as a
+dict).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from chdp.connection import Model, VelocityPair, christoffel_2ch, metric
 from chdp.curvature import CosineDirectionPair, _plane
 from chdp.evolution import rk4, step_count
 from chdp.flowmap import GroupElement
-from chdp.rigidbody import RigidBodyState, RigidBodyTrajectory, _rates, _stacked
+from chdp.rigidbody import RigidBodyState, RigidBodyTrajectory
 from chdp.spectral import (
     Diffeo,
     Grid,
@@ -299,8 +300,9 @@ def svd_polar_factor(mat: np.ndarray) -> np.ndarray:
 
 
 def euler_rhs(state: RigidBodyState) -> np.ndarray:
-    """dOmega/dt = I^{-1} ((I Omega) x Omega): row 0 of `chdp.rigidbody`'s stepper product."""
-    return _rates(*_stacked(state))[0]
+    """dOmega/dt = I^{-1} ((I Omega) x Omega), by `np.cross`."""
+    inertia, omega = state.inertia, state.omega
+    return np.cross(inertia * omega, omega) / inertia
 
 
 def rigidbody_trajectory(state0: RigidBodyState, dt: float,

@@ -5,7 +5,9 @@ import object_form
 from object_form import euler_rhs
 from chdp.rigidbody import (
     RigidBodyState,
+    _rates,
     _reorthonormalize,
+    _stacked,
     coadjoint_drift,
     conservation_drifts,
     evolve_rigidbody,
@@ -49,6 +51,16 @@ class TestEulerRhs:
         state = RigidBodyState.from_rest_attitude([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
         assert np.allclose(euler_rhs(state), [-1.0, 1.0, -1.0 / 3.0], atol=1e-15)
 
+    def test_stepper_rates_match(self, rng):
+        # |Omega| <= 1 and I in [0.5, 2] keep every rate below 2, so 1e-15 is
+        # a few ulps.
+        for _ in range(200):
+            attitude = _random_rotation(rng)
+            state = RigidBodyState(attitude, rng.uniform(-0.5, 0.5, 3), rng.uniform(0.5, 2.0, 3))
+            rates = _rates(_stacked(state), state.inertia)
+            assert np.max(np.abs(rates[0] / state.inertia - euler_rhs(state))) <= 1e-15
+            assert np.max(np.abs(rates[1:] - attitude @ hat(state.omega))) <= 1e-15
+
 
 class TestStateValidation:
     def test_rejects_non_orthogonal(self):
@@ -66,14 +78,16 @@ class TestStateValidation:
         with pytest.raises(ValueError, match="inertia"):
             RigidBodyState.from_rest_attitude(np.ones(3), [1.0, -2.0, 3.0])
 
-    @pytest.mark.parametrize("omega, inertia", [
-        ([np.nan, 1.0, 1.0], [1.0, 2.0, 3.0]),
-        ([1.0, 1.0, 1.0], [1.0, np.inf, 3.0]),
-        ([1.0, 1.0, 1.0], [np.nan, 2.0, 3.0]),
-    ], ids=["omega_nan", "inertia_inf", "inertia_nan"])
-    def test_rejects_non_finite(self, omega, inertia):
-        with pytest.raises(ValueError, match="finite"):
-            RigidBodyState.from_rest_attitude(omega, inertia)
+    @pytest.mark.parametrize("attitude, omega, inertia, name", [
+        (np.eye(3), [np.nan, 1.0, 1.0], [1.0, 2.0, 3.0], "omega"),
+        (np.eye(3), [1.0, 1.0, 1.0], [1.0, np.inf, 3.0], "inertia"),
+        (np.eye(3), [1.0, 1.0, 1.0], [np.nan, 2.0, 3.0], "inertia"),
+        (np.full((3, 3), np.nan), [1.0, 1.0, 1.0], [1.0, 2.0, 3.0], "attitude"),
+        (np.diag([1.0, 1.0, np.inf]), [1.0, 1.0, 1.0], [1.0, 2.0, 3.0], "attitude"),
+    ], ids=["omega_nan", "inertia_inf", "inertia_nan", "attitude_nan", "attitude_inf"])
+    def test_rejects_non_finite(self, attitude, omega, inertia, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            RigidBodyState(attitude, omega, inertia)
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +102,12 @@ def _random_rotation(rng):
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def _with_entry(mat, index, value):
+    mat = mat.copy()
+    mat[index] = value
+    return mat
 
 
 class TestReorthonormalize:
@@ -106,11 +126,16 @@ class TestReorthonormalize:
     def test_rotation_returned_unchanged(self):
         assert np.array_equal(_reorthonormalize(np.eye(3)), np.eye(3))
 
+    # one_nan: a single NaN off the first Gram entry.  one_inf: Gram entries
+    # of both infinite signs, from an entry with no zero to multiply it by
+    # (inf * 0 would warn in the Gram product).
     @pytest.mark.parametrize("mat, message", [
         (1.5 * np.eye(3), "from orthonormal"),
         (np.diag([1.0, 1.0, -1.0]), "determinant"),
         (np.full((3, 3), np.nan), "from orthonormal"),
-    ], ids=["far", "reflection", "nan"])
+        (_with_entry(np.eye(3), (2, 1), np.nan), "is nan from orthonormal"),
+        (_with_entry(np.ones((3, 3)), (2, 1), -np.inf), "is inf from orthonormal"),
+    ], ids=["far", "reflection", "nan", "one_nan", "one_inf"])
     def test_rejects_what_it_cannot_project(self, mat, message):
         with pytest.raises(ValueError, match=message):
             _reorthonormalize(mat)
