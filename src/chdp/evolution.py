@@ -15,23 +15,25 @@ min u_x and max |rho_x|, checked at t=0 and after every step.
 
 The integrator state is the rfft spectra of (u, rho), one complex
 (2, n//2 + 1) array (`_initial_state`): no field is built until the
-result.  The right-hand side is a private kernel per (model, grid) that
-maps spectra to spectra with two batched FFT calls: one irfft of
-(u, rho, u_x, rho_x) and one rfft of the quadratic terms, each summed
+result.  The right-hand side is a private kernel per (model, grid, state
+rows) that maps spectra to spectra with two batched FFT calls: one irfft
+of (u, rho, u_x, rho_x) and one rfft of the quadratic terms, each summed
 from its pairwise products in grid space by one small real matrix
 product (3 rows on 2CH, 4 on 2DP).  Each term's dealias mask, d/dx and
 inverse Helmholtz factor are folded into one multiplier, so the stages
-are band-limited and dealiasing needs no FFT pair.  `rhs` is the
-`VelocityPair` view of the same kernel.
+are band-limited and dealiasing needs no FFT pair.  With four state rows
+the same kernel also transports the flow map's labels (`chdp.flowmap`).
+`rhs` is the `VelocityPair` view of the two-row kernel.
 `evolve` and `evolve_flowmap` share one step loop, `_integrate`, with one
 step (`_advance`), one monitor and one keep rule: the rows of every
 `diagnostics_stride`-th step, the last step and a blow-up step.  The
-monitor's single irfft per step gives the grid values and slopes of every
-state row: the slopes feed the thresholds, kept steps store all of them
-in one real history array, and the next step's stage 1 starts from them,
-since that irfft is stage 1's own.  An Eulerian step thus costs 8 FFT
-calls, monitor included, and so does a flow-map step, whose stages
-transport the labels map on the grid (`chdp.flowmap`).  Both integrators
+monitor's single irfft per step (`points`) gives the grid values and
+slopes of every state row: the slopes feed the thresholds, kept steps
+store all of them in one real history array, and the next step's stage 1
+starts from them, since the kernel reads a stage's rows from it.  An
+Eulerian step thus costs 8 FFT calls, monitor included, and so does a
+flow-map step, whose stages transport the labels map on the grid
+(`chdp.flowmap`).  Both integrators
 return a result that views that array (`EvolveResult`, extended by the
 flow map's `FlowmapResult`) with its diagnostics, read in one pass as the
 columns of a `DiagnosticsTable`.  `step_rk4` is `_advance` on the Eulerian spectra;
@@ -188,25 +190,31 @@ class EvolveResult:
 class _Kernel:
     """Weak-form right-hand side of one model on one grid, on rfft spectra.
 
-    `kernel(y)` maps the (2, n//2 + 1) spectra of (u, rho) to those of
-    (u_t, rho_t) with two batched FFT calls along the last axis: one irfft
-    of (u, rho, u_x, rho_x) (`points`) and one rfft of the grid values of
-    the quadratic terms (`terms`), each the sum of its pairwise products
-    formed by one small real (terms, products) matrix product.  By
-    linearity each term's dealias mask, derivative and inverse Helmholtz
-    factor fold into one multiplier (`mult`), and `combine` sums the
-    multiplied term spectra into their output rows.  The output is 0 above
-    the dealias cutoff, so an RK4 sum of band-limited spectra stays
-    band-limited.  `from_points` starts from the irfft instead, which the
-    step loop's monitor has already made for stage 1.
+    `kernel(y)` maps the (rows, n//2 + 1) spectra y of (u, rho), or of
+    (u, rho, xi, g) with rows=4, to their time derivative with two batched
+    FFT calls along the last axis: one irfft, `points(y, 2)`, and one rfft
+    of the grid values of the quadratic terms, each the sum of its
+    pairwise products formed by one small real (terms, products) matrix
+    product.  With rows=4 the labels products u xi_x and u g_x share that
+    rfft but not the sums, where 0 * NaN would carry a non-finite xi into
+    u_t and rho_t.  By linearity each term's dealias mask, derivative and
+    inverse Helmholtz factor fold into one multiplier (`mult`), and
+    `weights` sums the multiplied term spectra into u_t and rho_t, which
+    are 0 above the dealias cutoff, so an RK4 sum of band-limited spectra
+    stays band-limited.  The labels rows are not truncated.
+
+    `kernel(y, z)` starts from z, the monitor's `points(y)` or any irfft in
+    the layout of `points`: the values of u and rho are z[0] and z[1], and
+    the slope of state row r is z[r - rows], counted from the back.
 
     `mult` holds the per-term multipliers, u_t's terms then rho_t's (the
     comments list them with `|` between); the curvature kernel reads the
     2CH ones.
     """
 
-    def __init__(self, model: Model, grid: Grid):
+    def __init__(self, model: Model, grid: Grid, rows: int):
         self.n = grid.n
+        self.rows = rows
         self.ik = grid.ik
         keep = grid.dealias_mask
         lift = self.ik / grid.helmholtz_symbol  # Ainv d/dx
@@ -224,66 +232,59 @@ class _Kernel:
             terms = [[(1.0, 0, 2)], [(1.5, 0, 0), (-1.0, 1, 1)], [(1.0, 1, 2)],
                      [(1.0, 0, 3), (2.0, 1, 2)]]
             split = 3 if model is Model.DP2 else 2
-        rows = split + (1 if model.two_component else 0)
-        self.mult = -np.array(mult[:rows])
+        count = split + (1 if model.two_component else 0)
+        self.mult = -np.array(mult[:count])
         columns = {}  # (left, right) -> its column of `sums`
-        for products in terms[:rows]:
+        for products in terms[:count]:
             for _, left, right in products:
                 if model.two_component or left != 1:  # rho = 0 adds nothing
                     columns.setdefault((left, right), len(columns))
-        left, right = np.array(list(columns)).T
-        # `terms` reads (u, rho, u_x, rho_x) from rows 0-3 of z, which may
-        # carry further rows after them (the flow map's stages), or from rows
-        # 0, 1, 4 and 5 of the 8 rows of `points` of four state rows.
-        shifted = tuple(np.where(i >= 2, i + 2, i) for i in (left, right))
-        self.gather = {4: (left, right), 6: (left, right), 8: shifted}
-        self.sums = np.zeros((rows, len(columns)))  # (term, product) coefficients
-        for term, products in enumerate(terms[:rows]):
+        # Rows of z: u_x and rho_x, the slopes of state rows 0 and 1, from the back.
+        self.left, self.right = (np.where(i >= 2, i - 2 - rows, i)
+                                 for i in np.array(list(columns)).T)
+        self.sums = np.zeros((count, len(columns)))  # (term, product) coefficients
+        for term, products in enumerate(terms[:count]):
             for coef, left, right in products:
                 if (left, right) in columns:
                     self.sums[term, columns[left, right]] = coef
-        self.weights = np.zeros((2, rows, len(keep)), complex)  # (output, term, mode)
+        self.weights = np.zeros((2, count, len(keep)), complex)  # (output, term, mode)
         self.weights[0, :split] = self.mult[:split]
         self.weights[1, split:] = self.mult[split:]
-        # Multiplies stacked spectra to (values, slopes): see `points`.
-        self.value_slope = np.stack((np.ones_like(self.ik), self.ik))[:, None]
-        for arr in (self.mult, self.sums, self.weights, self.value_slope):
+        for arr in (self.mult, self.left, self.right, self.sums, self.weights):
             arr.setflags(write=False)
 
-    def points(self, y: np.ndarray) -> np.ndarray:
-        """Grid values of every row of the spectra y, then their slopes.
+    def points(self, y: np.ndarray, values: int | None = None) -> np.ndarray:
+        """Grid values of the first `values` rows of the spectra y (default all), then all slopes.
 
-        One irfft: for y = (u, rho) it gives (u, rho, u_x, rho_x).
+        One irfft: for y = (u, rho) it gives (u, rho, u_x, rho_x), and
+        `points(y, 2)` of (u, rho, xi, g) gives (u, rho, u_x, rho_x, xi_x,
+        g_x), the rows a stage reads.
         """
-        return np.fft.irfft((y * self.value_slope).reshape(-1, y.shape[-1]), self.n)
+        return np.fft.irfft(np.concatenate((y[:values], y * self.ik)), self.n)
 
-    def terms(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Grid values of the quadratic terms, from the rows z of `gather`.
-
-        z is (u, rho, u_x, rho_x, ...) or `points` of four state rows.
-        Written into `out`, if given, of shape (len(self.sums), n).
-        """
-        left, right = self.gather[len(z)]
-        products = z.take(left, 0)
-        products *= z.take(right, 0)
-        return np.matmul(self.sums, products, out=out)
-
-    def combine(self, spectra: np.ndarray) -> np.ndarray:
-        """(u_t, rho_t) spectra from the spectra of `terms`."""
-        return (self.weights * spectra).sum(axis=1)
-
-    def from_points(self, z: np.ndarray) -> np.ndarray:
-        """(u_t, rho_t) spectra from z = `points` of (u, rho): one rfft."""
-        return self.combine(np.fft.rfft(self.terms(z)))
-
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        return self.from_points(self.points(y))
+    def __call__(self, y: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
+        z = self.points(y, 2) if z is None else z
+        products = z.take(self.left, 0)
+        products *= z.take(self.right, 0)
+        if self.rows == 2:
+            return (self.weights * np.fft.rfft(np.matmul(self.sums, products))).sum(axis=1)
+        terms = np.empty((len(self.sums) + 2, self.n))
+        np.matmul(self.sums, products, out=terms[:-2])
+        np.multiply(z[0], z[-2:], out=terms[-2:])
+        spectra = np.fft.rfft(terms)
+        out = np.empty_like(y)
+        out[:2] = (self.weights * spectra[:-2]).sum(axis=1)
+        # xi_t = -u - u xi_x and g_t = rho - u g_x, with -u and rho from y.
+        np.negative(y[0], out=out[2])
+        np.subtract(out[2], spectra[-2], out=out[2])
+        np.subtract(y[1], spectra[-1], out=out[3])
+        return out
 
 
 @lru_cache(maxsize=None)
-def _kernel(model: Model, n: int) -> _Kernel:
-    """The kernel of (model, n-point grid), built on first use and then shared."""
-    return _Kernel(model, Grid(n))
+def _kernel(model: Model, n: int, rows: int = 2) -> _Kernel:
+    """The kernel of (model, n-point grid, state rows), built on first use and then shared."""
+    return _Kernel(model, Grid(n), rows)
 
 
 def _pair(grid: Grid, y: np.ndarray) -> VelocityPair:
@@ -337,8 +338,7 @@ def step_rk4(model: Model, y: np.ndarray, dt: float, t: float = 0.0,
     as the stepping layer.
     """
     kernel = _kernel(model, 2 * (y.shape[-1] - 1))
-    k1 = None if points is None else kernel.from_points(points)
-    return _advance(kernel, y, dt, t, k1)
+    return _advance(kernel, y, dt, t, None if points is None else kernel(y, points))
 
 
 def _initial_state(config: EvolutionConfig, initial: VelocityPair) -> np.ndarray:

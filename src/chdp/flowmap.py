@@ -18,12 +18,13 @@ so a stage needs no off-grid evaluation.  It runs the step loop of
 `evolve` (`evolution._integrate`: RK4, blow-up monitor, kept-row history)
 on the rfft spectra of (u, rho, xi, g), one complex (4, n//2 + 1) array,
 and keeps the steps `evolve` keeps: every `diagnostics_stride`-th step,
-the last step and a blow-up step.  Each RK4 stage (`_labels_rhs`) makes
-one irfft of (u, rho, u_x, rho_x, xi_x, g_x) and one rfft of the Eulerian
-kernel's terms and the products u xi_x, u g_x.  Stage 1 reads its irfft
-from the monitor's: 8 FFT calls per step with the monitor's, as for
-`evolve`.  The transport rows are not truncated: dealiasing them put the
-2DP f of C7's run 3.7e-12 off the Lagrangian form, against 6e-15.
+the last step and a blow-up step.  Its stages are the Eulerian kernel on
+four state rows (`evolution._kernel(model, n, 4)`): one irfft of
+(u, rho, u_x, rho_x, xi_x, g_x) and one rfft of the Eulerian terms and
+the products u xi_x, u g_x.  Stage 1 reads its irfft from the monitor's:
+8 FFT calls per step with the monitor's, as for `evolve`.  The transport
+rows are not truncated: dealiasing them put the 2DP f of C7's run 3.7e-12
+off the Lagrangian form, against 6e-15.
 
 The monitor reads min phi_x as 1 / max chi_x from the slopes it holds.
 Before the Eulerian thresholds it stops the run with
@@ -61,7 +62,7 @@ import numpy as np
 
 from chdp.connection import Model, VelocityPair
 from chdp.evolution import (EvolutionConfig, EvolveResult, _advance, _initial_state,
-                            _integrate, _kernel, _Kernel)
+                            _integrate, _kernel)
 from chdp.spectral import (
     Diffeo,
     Grid,
@@ -138,32 +139,6 @@ class FlowmapResult(EvolveResult):
         return 1.0 + (self.psi_x if rows is None else self.psi_x[rows])
 
 
-def _labels_rhs(kernel: _Kernel, y: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
-    """d/dt of the stacked spectra of (u, rho, xi, g).
-
-    One irfft gives (u, rho, u_x, rho_x, xi_x, g_x), the rows a stage
-    reads, unless z, the monitor's irfft of y (the values, then the slopes,
-    of all four rows), holds them.  The kernel's terms and the products
-    (u xi_x, u g_x) share one rfft.  xi_t = -u - u xi_x and
-    g_t = rho - u g_x take -u and rho from the spectra y[:2].
-    """
-    if z is None:
-        spectra = np.empty((6, y.shape[-1]), complex)
-        spectra[:2] = y[:2]
-        np.multiply(y, kernel.ik, out=spectra[2:])
-        z = np.fft.irfft(spectra, kernel.n)
-    products = np.empty((len(kernel.sums) + 2, kernel.n))
-    kernel.terms(z, out=products[:-2])
-    np.multiply(z[0], z[-2:], out=products[-2:])
-    spectra = np.fft.rfft(products)
-    out = np.empty_like(y)
-    out[:2] = kernel.combine(spectra[:-2])
-    np.negative(y[0], out=out[2])
-    np.subtract(out[2], spectra[-2], out=out[2])
-    np.subtract(y[1], spectra[-1], out=out[3])
-    return out
-
-
 def _group_rows(grid: Grid, history: np.ndarray) -> None:
     """Turn the kept (xi, g, xi_x, g_x) rows 2, 3, 6, 7 of history into (psi, f, psi_x, f_x).
 
@@ -201,15 +176,11 @@ def evolve_flowmap(config: EvolutionConfig, initial: VelocityPair) -> FlowmapRes
     `_LABELS_TAIL_LIMIT`), each with its value.
     """
     grid = initial.grid
-    kernel = _kernel(config.model, grid.n)
+    kernel = _kernel(config.model, grid.n, 4)
     y = np.zeros((4, grid.n // 2 + 1), dtype=complex)
     y[:2] = _initial_state(config, initial)
     cutoff = grid.dealias_cutoff
     top = 2 * cutoff // 3 + 1  # the first mode above 2/3 of the cutoff
-
-    def step(v, t, z):
-        return _advance(lambda w: _labels_rhs(kernel, w), v, config.dt, t,
-                        _labels_rhs(kernel, v, z))
 
     def check(v, slopes):  # slopes[2] is xi_x, so chi_x = 1 + xi_x
         xi_x = slopes[2]
@@ -225,7 +196,8 @@ def evolve_flowmap(config: EvolutionConfig, initial: VelocityPair) -> FlowmapRes
                                  size[:, :cutoff].max(axis=1).tolist())]
         return ("labels_unresolved", max(tails)) if max(tails) > _LABELS_TAIL_LIMIT else None
 
-    return _integrate(FlowmapResult, config, grid, y, step, check,
+    return _integrate(FlowmapResult, config, grid, y,
+                      lambda v, t, z: _advance(kernel, v, config.dt, t, kernel(v, z)), check,
                       lambda history: _group_rows(grid, history))
 
 

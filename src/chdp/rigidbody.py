@@ -14,6 +14,7 @@ dz/dt = z hat(Omega) with Omega = Pi / I.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,13 +124,20 @@ def _reorthonormalize(mat: np.ndarray) -> np.ndarray:
     within 0.5 of orthonormal (then every s^2 <= 2.5) with positive
     determinant; otherwise it raises ValueError.
     """
-    gram = mat.T.dot(mat)
-    defect = _defect(gram)
+    (a, b, c), (d, e, f), (g, h, i) = mat.tolist()
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    # Every entry is a factor in det, which is finite unless an entry is not
+    # (or it overflows).  A non-finite entry is rejected before the Gram
+    # product, where inf * 0 would warn, as NaN if one is NaN, else inf.
+    if math.isfinite(det):
+        gram = mat.T.dot(mat)
+        defect = _defect(gram)
+    else:
+        defect = abs(a) + abs(b) + abs(c) + abs(d) + abs(e) + abs(f) + abs(g) + abs(h) + abs(i)
     if not defect <= _MAX_DEFECT:
         raise ValueError(f"attitude is {defect:.3g} from orthonormal "
                          f"(max |R^T R - I| > {_MAX_DEFECT})")
-    (a, b, c), (d, e, f), (g, h, i) = mat.tolist()
-    if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) <= 0.0:
+    if det <= 0.0:
         raise ValueError("attitude has non-positive determinant")
     for _ in range(_POLAR_MAX_ITERATIONS):
         if defect <= _POLAR_TOL:

@@ -16,7 +16,7 @@ from object_form import (
 )
 from chdp import flowmap
 from chdp.connection import Model, VelocityPair, bracket
-from chdp.evolution import EvolutionConfig, _advance, _kernel, evolve
+from chdp.evolution import EvolutionConfig, _advance, _kernel, _Kernel, evolve
 from chdp.flowmap import GroupElement, evolve_flowmap, momentum_drift, reconstruct_f
 from chdp.spectral import (
     Diffeo,
@@ -354,7 +354,7 @@ def test_non_finite_xi_stops_the_run(monkeypatch):
     # Eulerian rows stay finite, no floating-point warning is raised, and
     # the step loop stops the run with 'non_finite', keeping no such row.
     grid = Grid(64)
-    stage, calls, outputs = flowmap._labels_rhs, [], []
+    stage, calls, outputs = _Kernel.__call__, [], []
 
     def poisoned(kernel, y, z=None):
         calls.append(None)
@@ -365,7 +365,7 @@ def test_non_finite_xi_stops_the_run(monkeypatch):
         outputs.append(out)
         return out
 
-    monkeypatch.setattr(flowmap, "_labels_rhs", poisoned)
+    monkeypatch.setattr(_Kernel, "__call__", poisoned)
     config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.01, diagnostics_stride=1)
     res = evolve_flowmap(config, VelocityPair(cosine_field(grid, 1, 0.2),
                                               cosine_field(grid, 2, 0.1)))
@@ -378,21 +378,22 @@ def test_non_finite_xi_stops_the_run(monkeypatch):
     assert np.all(np.isfinite(np.stack((res.psi, res.f, res.psi_x, res.f_x))))
 
 
-def test_labels_step_from_monitor_points_is_exact(rng):
+@pytest.mark.parametrize("model", list(Model))
+def test_labels_step_from_monitor_points_is_exact(model, rng):
     # The monitor's irfft of (u, rho, xi, g) is the stage-1 irfft of the
     # next step: a step from it is bit for bit the step that makes its own.
+    # The (u, rho) rows are the Eulerian kernel's, bit for bit.
     grid = Grid(256)
-    kernel = _kernel(Model.DP2, grid.n)
+    kernel = _kernel(model, grid.n, 4)
     y = np.stack([random_band_limited(grid, rng, top, scale).hat
                   for top, scale in ((grid.dealias_cutoff, 0.3), (grid.dealias_cutoff, 0.2),
                                      (grid.n // 2 - 1, 0.02), (grid.n // 2 - 1, 0.1))])
-
-    def f(w):
-        return flowmap._labels_rhs(kernel, w)
-
-    k1 = flowmap._labels_rhs(kernel, y, kernel.points(y))
-    assert np.array_equal(k1, f(y))
-    assert np.array_equal(_advance(f, y, 1e-3, 0.0, k1), _advance(f, y, 1e-3, 0.0))
+    if not model.two_component:
+        y[1] = 0.0
+    k1 = kernel(y, kernel.points(y))
+    assert np.array_equal(k1, kernel(y))
+    assert np.array_equal(k1[:2], _kernel(model, grid.n)(y[:2]))
+    assert np.array_equal(_advance(kernel, y, 1e-3, 0.0, k1), _advance(kernel, y, 1e-3, 0.0))
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 7, 10])
