@@ -131,7 +131,9 @@ def _evolve(options):
         csvio.write_diagnostics(out / "diagnostics.csv", result.diagnostics)
         for i, step in _snapshots(result.times, config.dt, options.snapshot_stride):
             csvio.write_snapshot(out / f"snapshot_{step:06d}.csv", result.state(i))
-        final = {name: float(column[-1]) for name, column in vars(result.diagnostics).items()}
+        # A diagnostic that overflowed (the energy of huge data) is null.
+        final = {name: float(column[-1]) if np.isfinite(column[-1]) else None
+                 for name, column in vars(result.diagnostics).items()}
         return result.status, final, [
             f"evolve: {_outcome(result.status, result.times[-1])} "
             f"({len(result.diagnostics)} diagnostic records) -> {out}"]
@@ -151,10 +153,14 @@ def _flowmap(options):
             csvio.write_flowmap_snapshot(out / f"flowmap_{step:06d}.csv", initial.grid,
                                          result.psi[i], jac_i, result.f[i])
         drifts = momentum_drift(result, stride=max(1, len(result.times) // 20))
+        # A labels_folded run's last row has no phi (NaN): min phi_x is
+        # null, and the drifts are the maxima over the rows before it.
+        folded = bool(np.isnan(jac[-1]).any())
         final = {
             "t": float(result.times[-1]),
-            "min_phix": float(jac[-1].min()),
-            "momentum_drift": {key: float(np.max(vals)) for key, vals in drifts.items()},
+            "min_phix": None if folded else float(jac[-1].min()),
+            "momentum_drift": {key: float(np.max(vals[:-1] if folded else vals))
+                               for key, vals in drifts.items()},
         }
         return result.status, final, [
             f"flowmap: {_outcome(result.status, result.times[-1])} "

@@ -126,6 +126,6 @@ def _json_default(obj):
 def write_manifest(path, payload: dict):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True, default=_json_default)
-        handle.write("\n")
+    # Strict JSON: a NaN or infinity raises before the file is opened.
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=_json_default)
+    path.write_text(text + "\n")

@@ -20,7 +20,7 @@ Three views the tests read and no command runs live here as well:
 `kernel_gram_determinant` (the curvature kernel's Gram determinant of one
 plane), `euler_rhs` (Euler's equation by `np.cross`, the oracle of row 0 of
 the rigid-body stepper's product) and `read_manifest` (a `run.json` as a
-dict).
+dict; NaN and infinities are rejected, as strict JSON parsers do).
 """
 
 from __future__ import annotations
@@ -348,7 +348,11 @@ def write_columns(path, header, columns):
         writer.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def read_manifest(path) -> dict:
-    """A `run.json` written by `chdp.csvio.write_manifest`."""
+    """A `run.json` written by `chdp.csvio.write_manifest`, parsed as strict JSON."""
     with open(path) as handle:
-        return json.load(handle)
+        return json.load(handle, parse_constant=_reject_constant)

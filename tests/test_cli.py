@@ -404,6 +404,8 @@ def test_nonfinite_blowup_time(tmp_path, capsys, command):
     manifest = read_manifest(out / "run.json")
     assert (manifest["reason"], manifest["blowup_t"]) == ("non_finite", 1e-3)
     assert manifest["blowup_value"] is None
+    if command == "evolve":  # the energy of the kept t=0 row overflows too
+        assert manifest["final_diagnostics"]["energy"] is None
     assert "(non_finite) at t=0.001 " in capsys.readouterr().out
 
 
@@ -438,6 +440,21 @@ class TestFlowmapCommand:
         assert 0.0 < manifest["blowup_t"] == last_t < 1.0
         assert manifest["final_diagnostics"]["min_phix"] > 0.0
         assert f"(labels_unresolved) at t={last_t:.6g}" in capsys.readouterr().out
+
+    def test_folded_labels_write_strict_json(self, tmp_path):
+        # The step to t=0.05 folds the labels, so the last row has no phi:
+        # min phi_x is null and each drift is the maximum over row 0 alone.
+        out = tmp_path / "folded"
+        code = main(["flowmap", "--model", "2ch", "--ic", "pair:1:5:1:5", "--n", "32",
+                     "--dt", "0.05", "--t-end", "1", "--out-dir", str(out)])
+        assert code == 2
+        manifest = read_manifest(out / "run.json")
+        assert (manifest["reason"], manifest["blowup_t"]) == ("labels_folded", 0.05)
+        assert manifest["blowup_value"] < 0.0
+        assert manifest["final_diagnostics"] == {
+            "t": 0.05, "min_phix": None, "momentum_drift": {"m0": 0.0, "rho0": 0.0}}
+        assert sorted(p.name for p in out.glob("flowmap_*.csv")) == [
+            "flowmap_000000.csv", "flowmap_000001.csv"]
 
     def test_jacobians_only_for_used_rows(self, tmp_path, monkeypatch):
         # 6 kept rows (steps 0, 10, ..., 50): all are snapshots, read in one

@@ -2,11 +2,13 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import object_form
 from chdp.connection import VelocityPair
-from chdp.csvio import _write_columns, read_snapshot, write_scan, write_snapshot
+from chdp.csvio import (_write_columns, read_snapshot, write_manifest, write_scan,
+                        write_snapshot)
 from chdp.curvature import ScanTable
 from chdp.spectral import Grid, PeriodicField
 
@@ -75,3 +77,12 @@ def test_snapshot_roundtrip_is_exact(half_n, seed, specials):
     assert back.grid.n == grid.n
     for got, want in ((back.u, state.u), (back.rho, state.rho)):
         assert got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_manifest_rejects_non_finite_floats(tmp_path, value):
+    # run.json is strict JSON: a non-finite float raises and no file is written.
+    path = tmp_path / "run.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_manifest(path, {"final_diagnostics": {"min_phix": value}})
+    assert not path.exists()
