@@ -23,6 +23,8 @@ not a crash), 1 an error or, for `verify`, a failed criterion.
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
 import time
 from dataclasses import fields
@@ -38,7 +40,8 @@ from chdp.curvature import (
     positivity_scan,
     scan_direction,
 )
-from chdp.evolution import EvolutionConfig, RunStatus, _initial_state, evolve, step_count
+from chdp.evolution import (EvolutionConfig, RunStatus, _history_shape, _initial_state, evolve,
+                            step_count)
 from chdp.flowmap import evolve_flowmap, momentum_drift
 from chdp.presets import PRESET_HELP, initial_condition
 from chdp.rigidbody import RigidBodyState, conservation_drifts, evolve_rigidbody
@@ -105,8 +108,17 @@ def _snapshots(times: np.ndarray, dt: float, snapshot_stride: int) -> list[tuple
 # runs and returns its work: work(out) -> (status, final diagnostics,
 # printed lines).
 
-def _evolution(options):
-    """The EvolutionConfig and initial state of an evolve or flowmap run."""
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where `os.sysconf` cannot tell."""
+    names = getattr(os, "sysconf_names", {})
+    if "SC_PAGE_SIZE" not in names or "SC_PHYS_PAGES" not in names:
+        return None
+    size = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    return size if size > 0 else None
+
+
+def _evolution(options, rows: int):
+    """The EvolutionConfig and initial state of an evolve or flowmap run of `rows` state rows."""
     grid = _build("--n", Grid, options.n)
     _build("--dt/--t-end", step_count, options.dt, options.t_end)
     config = _build("--stride/--slope-threshold/--rhox-threshold", EvolutionConfig,
@@ -114,6 +126,13 @@ def _evolution(options):
                     blowup_slope_threshold=options.slope_threshold,
                     blowup_rhox_threshold=options.rhox_threshold,
                     diagnostics_stride=options.stride)
+    shape = _history_shape(config, rows, grid.n)
+    needed, memory = 8 * math.prod(shape), _physical_memory()
+    if memory is not None and needed > memory:
+        raise CliError(f"--stride/--t-end: the kept history ({shape[1]} steps of {shape[0]} "
+                       f"rows of {shape[2]} points) needs {needed / 2**30:.3g} GiB, more than "
+                       f"the {memory / 2**30:.3g} GiB of physical memory; "
+                       f"raise --stride or lower --t-end")
     if options.snapshot_stride < 0:
         raise CliError("--snapshot-stride must be >= 0")
     if options.snapshot_stride % options.stride:
@@ -124,7 +143,7 @@ def _evolution(options):
 
 
 def _evolve(options):
-    config, initial = _evolution(options)
+    config, initial = _evolution(options, 2)
 
     def work(out: Path):
         result = evolve(config, initial)
@@ -142,7 +161,7 @@ def _evolve(options):
 
 
 def _flowmap(options):
-    config, initial = _evolution(options)
+    config, initial = _evolution(options, 4)
 
     def work(out: Path):
         result = evolve_flowmap(config, initial)

@@ -24,6 +24,13 @@ inverse Helmholtz factor are folded into one multiplier, so the stages
 are band-limited and dealiasing needs no FFT pair.  With four state rows
 the same kernel also transports the flow map's labels (`chdp.flowmap`).
 `rhs` is the `VelocityPair` view of the two-row kernel.
+A step allocates no grid-sized temporary besides its stage derivatives
+and its result: each cached kernel writes a stage's spectra, grid
+values, products, terms and term spectra into buffers it makes on its
+first stage call, and `rk4` sums the stages in place, in the order of
+the textbook sum, so the bits are those of fresh arrays.  What a stage
+and a step return is a new array.  A kernel serves one call at a time
+(chdp runs in one thread).
 `evolve` and `evolve_flowmap` share one step loop, `_integrate`, with one
 step (`_advance`), one monitor and one keep rule: the rows of every
 `diagnostics_stride`-th step, the last step and a blow-up step.  The
@@ -76,16 +83,33 @@ class BlowupError(RuntimeError):
     """Non-finite values appeared during a time step."""
 
 
-def rk4(f, y, dt: float, k1=None):
-    """One classical RK4 step of y' = f(y), for any y with + and scalar *.
+def rk4(f, y: np.ndarray, dt: float, k1: np.ndarray | None = None) -> np.ndarray:
+    """One classical RK4 step of y' = f(y) for an array y: a new array.
 
-    k1, if given, is f(y), computed by the caller.
+    k1, if given, is f(y), computed by the caller.  The stages and the sum
+    go into two arrays made here, in place: each stage is c k + y, and the
+    step is ((2 k2 + k1 + 2 k3 + k4) dt/6) + y, the operations of
+    y + (dt/6) (k1 + 2 k2 + 2 k3 + k4) in the same order, so the bits are
+    the same.  Neither y nor any k is written, and f may keep none of the
+    stages it is given: the next stage is written over it.
     """
     k1 = f(y) if k1 is None else k1
-    k2 = f(y + (0.5 * dt) * k1)
-    k3 = f(y + (0.5 * dt) * k2)
-    k4 = f(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    stage = np.multiply(0.5 * dt, k1)
+    stage += y
+    k2 = f(stage)
+    np.multiply(0.5 * dt, k2, stage)
+    stage += y
+    k3 = f(stage)
+    np.multiply(dt, k3, stage)
+    stage += y
+    k4 = f(stage)
+    total = np.multiply(2.0, k2)
+    total += k1
+    total += np.multiply(2.0, k3, stage)
+    total += k4
+    total *= dt / 6.0
+    total += y
+    return total
 
 
 def step_count(dt: float, t_end: float) -> int:
@@ -210,6 +234,13 @@ class _Kernel:
     `mult` holds the per-term multipliers, u_t's terms then rho_t's (the
     comments list them with `|` between); the curvature kernel reads the
     2CH ones.
+
+    The first stage call makes the kernel's workspaces (`_workspaces`),
+    and every stage call writes into them: a kernel used only for `mult`
+    or `points` makes none.  A stage's result is a new array all the same,
+    since `rk4` holds k1..k4 at once, and the operations are those on
+    fresh arrays, so the bits are too.  The workspaces make a kernel serve
+    one call at a time.
     """
 
     def __init__(self, model: Model, grid: Grid, rows: int):
@@ -252,28 +283,53 @@ class _Kernel:
         self.weights[1, split:] = self.mult[split:]
         for arr in (self.mult, self.left, self.right, self.sums, self.weights):
             arr.setflags(write=False)
+        self._work = None  # `_workspaces`, made by the first stage call
 
     def points(self, y: np.ndarray, values: int | None = None) -> np.ndarray:
         """Grid values of the first `values` rows of the spectra y (default all), then all slopes.
 
-        One irfft: for y = (u, rho) it gives (u, rho, u_x, rho_x), and
-        `points(y, 2)` of (u, rho, xi, g) gives (u, rho, u_x, rho_x, xi_x,
-        g_x), the rows a stage reads.
+        One irfft into a new array: for y = (u, rho) it gives (u, rho, u_x,
+        rho_x), and `points(y, 2)` of (u, rho, xi, g) gives (u, rho, u_x,
+        rho_x, xi_x, g_x), the rows a stage reads.
         """
         return np.fft.irfft(np.concatenate((y[:values], y * self.ik)), self.n)
 
+    def _workspaces(self) -> tuple[np.ndarray, ...]:
+        """The stage buffers, made on the first stage call and kept with the kernel.
+
+        The spectra (y[:2], ik y) and their irfft, the two gathered rows of
+        each product, the grid values of the terms (then of u xi_x, u g_x
+        on four rows) and their rfft, and the weighted term spectra.
+        """
+        modes, count = len(self.ik), len(self.sums)
+        terms = np.empty((count + (2 if self.rows == 4 else 0), self.n))
+        spectra = np.empty((len(terms), modes), complex)
+        return (np.empty((2 + self.rows, modes), complex), np.empty((2 + self.rows, self.n)),
+                np.empty((len(self.left), self.n)), np.empty((len(self.right), self.n)),
+                terms, terms[:count], spectra, spectra[:count],
+                np.empty(self.weights.shape, complex))
+
     def __call__(self, y: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
-        z = self.points(y, 2) if z is None else z
-        products = z.take(self.left, 0)
-        products *= z.take(self.right, 0)
+        if self._work is None:
+            self._work = self._workspaces()
+        spec, points, left, right, terms, eulerian, spectra, eulerian_spectra, weighted = self._work
+        if z is None:  # points(y, 2), into the workspace
+            spec[:2] = y[:2]
+            np.multiply(y, self.ik, spec[2:])
+            z = np.fft.irfft(spec, self.n, out=points)
+        # mode="wrap" takes the negative rows as the default does and,
+        # unlike it, writes into `out` with no buffer.
+        z.take(self.left, 0, left, "wrap")
+        left *= z.take(self.right, 0, right, "wrap")
+        np.matmul(self.sums, left, eulerian)
+        if self.rows == 4:
+            np.multiply(z[0], z[-2:], terms[-2:])
+        np.fft.rfft(terms, out=spectra)
+        np.multiply(self.weights, eulerian_spectra, weighted)
         if self.rows == 2:
-            return (self.weights * np.fft.rfft(np.matmul(self.sums, products))).sum(axis=1)
-        terms = np.empty((len(self.sums) + 2, self.n))
-        np.matmul(self.sums, products, out=terms[:-2])
-        np.multiply(z[0], z[-2:], out=terms[-2:])
-        spectra = np.fft.rfft(terms)
+            return np.add.reduce(weighted, 1)
         out = np.empty_like(y)
-        out[:2] = (self.weights * spectra[:-2]).sum(axis=1)
+        np.add.reduce(weighted, 1, out=out[:2])
         # xi_t = -u - u xi_x and g_t = rho - u g_x, with -u and rho from y.
         np.negative(y[0], out=out[2])
         np.subtract(out[2], spectra[-2], out=out[2])
@@ -372,6 +428,15 @@ def _threshold_reason(config: EvolutionConfig,
     return None
 
 
+def _history_shape(config: EvolutionConfig, rows: int, n: int) -> tuple[int, int, int]:
+    """Shape of `_integrate`'s history for `rows` state rows on an n-point grid.
+
+    The values and slopes of every row, at the most steps a run keeps:
+    every `diagnostics_stride`-th step from 0 and the last.
+    """
+    return 2 * rows, -(-config.n_steps // config.diagnostics_stride) + 1, n
+
+
 def _integrate(result_type, config: EvolutionConfig, grid: Grid, y: np.ndarray, step,
                check=lambda y, slopes: None, finish=lambda history: None):
     """Step the spectra y, (u, rho) in rows 0-1, to t_end; a `result_type` views the kept steps.
@@ -391,7 +456,7 @@ def _integrate(result_type, config: EvolutionConfig, grid: Grid, y: np.ndarray, 
     """
     kernel = _kernel(config.model, grid.n)
     n_steps, stride = config.n_steps, config.diagnostics_stride
-    history = np.empty((2 * len(y), -(-n_steps // stride) + 1, grid.n))
+    history = np.empty(_history_shape(config, len(y), grid.n))
     kept = []
     status = RunStatus("completed")
     for i in range(n_steps + 1):

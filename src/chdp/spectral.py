@@ -401,6 +401,16 @@ def _offgrid_plan(n: int, kmax: int) -> tuple[int, np.ndarray]:
     return nfine, factor
 
 
+# Most points per gather in `_offgrid`: its (F, points, _ES_WIDTH) gather and
+# the weights stay small enough for the heap to reuse them.  At n = 4096 one
+# gather of every point was unmapped and faulted back on each call (about
+# 520 minor faults per `invert_diffeo`); up to 1024 points take one pass.
+# More points split into blocks whose sizes differ by at most one, so none
+# holds fewer than 512: `_es_weights` of a single point takes BLAS's
+# matrix-vector product, whose bits differ from the matrix product's.
+_OFFGRID_BLOCK = 1024
+
+
 def _offgrid(hats: np.ndarray, y, kmax: int) -> np.ndarray:
     """Truncated Fourier series of stacked fields at arbitrary points (type-2 NUFFT).
 
@@ -414,6 +424,8 @@ def _offgrid(hats: np.ndarray, y, kmax: int) -> np.ndarray:
     wrapped ends of the grid.  Each point then sums its `_ES_WIDTH`
     nearest fine-grid values, one gather for all F fields, with weights
     from the fitted polynomials of `_es_weights`, shared by the fields.
+    The points go through in blocks of at most `_OFFGRID_BLOCK`, which
+    bounds the temporaries and gives the bits of one pass.
     Points may lie in any period; non-finite points give NaN.
     """
     n = 2 * (hats.shape[-1] - 1)
@@ -441,7 +453,12 @@ def _offgrid(hats: np.ndarray, y, kmax: int) -> np.ndarray:
     x -= cell
     x *= 2.0
     x -= 1.0  # the offset t in [-1, 1]
-    out = np.einsum("fmw,mw->fm", windows[:, cell], _es_weights(x))
+    out = np.empty((fields, x.size))
+    blocks = max(1, -(-x.size // _OFFGRID_BLOCK))
+    edges = [i * x.size // blocks for i in range(blocks + 1)]
+    for block in map(slice, edges[:-1], edges[1:]):
+        np.einsum("fmw,mw->fm", windows[:, cell[block]], _es_weights(x[block]),
+                  out=out[:, block])
     if bad.any():
         out[:, bad] = np.nan
     return out

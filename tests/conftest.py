@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import chdp
 from chdp.spectral import Grid
 
 
@@ -22,3 +26,12 @@ def grid256():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
+
+
+@pytest.fixture
+def child_env():
+    """The environment of a fresh Python process that imports this checkout's chdp."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(chdp.__file__).parents[1]),
+                                                      env.get("PYTHONPATH")]))
+    return env

@@ -6,7 +6,8 @@ single-field spectral operators, one FFT at a time.  `chdp.evolution`,
 arrays with batched FFTs; the tests compare the two to round-off.  The
 rigid-body stepper here takes `np.cross` and the SVD polar factor, where
 `chdp.rigidbody` takes one stacked product per stage and Newton-Schulz.
-`write_columns` is the `csv.writer` form of `chdp.csvio`'s joined writer.
+`write_columns` is the `csv.writer` form of `chdp.csvio`'s joined writer,
+and `rk4` the textbook sum that `chdp.evolution.rk4` computes in place.
 
 The group operations of the semidirect product Diff(S^1) x C^inf(S^1)
 (product, inverse, adjoint and coadjoint actions, body velocity) live
@@ -33,7 +34,7 @@ import numpy as np
 
 from chdp.connection import Model, VelocityPair, christoffel_2ch, metric
 from chdp.curvature import CosineDirectionPair, _plane
-from chdp.evolution import rk4, step_count
+from chdp.evolution import step_count
 from chdp.flowmap import GroupElement
 from chdp.rigidbody import RigidBodyState, RigidBodyTrajectory
 from chdp.spectral import (
@@ -54,6 +55,19 @@ from chdp.spectral import (
     series_matrix,
     zero_field,
 )
+
+
+def rk4(f, y, dt: float, k1=None):
+    """One classical RK4 step of y' = f(y), the textbook sum, for any y with + and scalar *.
+
+    The oracle of `chdp.evolution.rk4`, which sums in place in the same
+    order and so gives the same bits on arrays.
+    """
+    k1 = f(y) if k1 is None else k1
+    k2 = f(y + (0.5 * dt) * k1)
+    k3 = f(y + (0.5 * dt) * k2)
+    k4 = f(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def rhs(model: Model, state: VelocityPair) -> VelocityPair:

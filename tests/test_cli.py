@@ -1,5 +1,7 @@
 import csv
 import filecmp
+import os
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from object_form import read_manifest
-from chdp import cli, csvio, curvature, flowmap, verification
+from chdp import cli, csvio, curvature, evolution, flowmap, verification
 from chdp.cli import CliError, main, parse_config
 from chdp.connection import VelocityPair
 from chdp.csvio import read_snapshot, write_snapshot
@@ -407,6 +409,55 @@ def test_nonfinite_blowup_time(tmp_path, capsys, command):
     if command == "evolve":  # the energy of the kept t=0 row overflows too
         assert manifest["final_diagnostics"]["energy"] is None
     assert "(non_finite) at t=0.001 " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["evolve", "flowmap"])
+def test_unallocatable_history_fails_before_out_dir(tmp_path, capsys, command):
+    # 10^10 kept steps of (u, rho) at n = 256 would need 74.5 TiB.
+    out = tmp_path / "X"
+    code = main([command, "--model", "2ch", "--ic", "pair:1:0.1:1:0.1", "--n", "256",
+                 "--dt", "1e-4", "--t-end", "1e6", "--stride", "1", "--out-dir", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --stride/--t-end: the kept history") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [EVOLVE_ARGS, FLOWMAP_ARGS], ids=["evolve", "flowmap"])
+def test_history_check_reads_the_run_shape(tmp_path, monkeypatch, args):
+    # The command checks the shape of the history that its run allocates.
+    shape, shapes = evolution._history_shape, []
+
+    def recording(*args):
+        shapes.append(shape(*args))
+        return shapes[-1]
+
+    monkeypatch.setattr(cli, "_history_shape", recording)
+    monkeypatch.setattr(evolution, "_history_shape", recording)
+    assert run_cli(args, tmp_path) == 0
+    assert len(shapes) == 2 and shapes[0] == shapes[1]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="minor-fault counts from os.wait4 are read on Linux")
+def test_large_grid_steps_do_not_refault(tmp_path, child_env):
+    # A fresh CLI process at n = 4096: each RK4 step writes into buffers
+    # made once per run, so 400 more steps add at most 10 minor faults
+    # per step (about 275-320 when every stage allocated its temporaries).
+
+    def faults(steps):
+        pid = os.posix_spawn(
+            sys.executable,
+            [sys.executable, "-m", "chdp.cli", "evolve", "--model", "2ch",
+             "--ic", "pair:1:0.1:1:0.1", "--n", "4096", "--dt", "1e-5",
+             "--t-end", repr(steps * 1e-5), "--stride", "1000",
+             "--out-dir", str(tmp_path / str(steps))],
+            child_env, file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+        _, status, usage = os.wait4(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        return usage.ru_minflt
+
+    assert (faults(500) - faults(100)) / 400 <= 10
 
 
 class TestFlowmapCommand:

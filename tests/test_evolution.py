@@ -6,6 +6,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import object_form
+from chdp import evolution
 from chdp.connection import Model, VelocityPair, christoffel
 from chdp.evolution import (
     BlowupError,
@@ -254,6 +255,97 @@ class TestRk4:
         poly = np.eye(4) + ha + ha2 / 2 + ha2 @ ha / 6 + ha2 @ ha2 / 24
         out = rk4(lambda v: a @ v, y, 0.1)
         assert np.max(np.abs(out - poly @ y)) <= 1e-14
+
+    @pytest.mark.parametrize("shape, dtype", [((2, 129), complex), ((4, 513), complex),
+                                              ((4, 3), float)])
+    @pytest.mark.parametrize("given_k1", [False, True])
+    def test_in_place_sum_is_the_textbook_sum(self, rng, shape, dtype, given_k1):
+        # The same operations in the same order: the same bits, with
+        # neither y nor a given k1 written.
+        y = rng.standard_normal(shape).astype(dtype)
+        if dtype is complex:
+            y += 1j * rng.standard_normal(shape)
+
+        def f(v):
+            return v * v[::-1] - 0.3 * np.roll(v, 1, axis=-1)
+
+        k1 = f(y) if given_k1 else None
+        y_before, k1_before = y.copy(), None if k1 is None else k1.copy()
+        out = rk4(f, y, 0.037, k1)
+        assert np.array_equal(out, object_form.rk4(f, y, 0.037, k1))
+        assert np.array_equal(y, y_before)
+        if given_k1:
+            assert np.array_equal(k1, k1_before)
+        assert not np.shares_memory(out, y)
+
+    @pytest.mark.parametrize("model, rows", [(Model.CH2, 2), (Model.DP, 2), (Model.DP2, 4)])
+    def test_kernel_steps_are_the_textbook_sum(self, model, rows, grid256, rng):
+        # The kernel reuses its buffers across the four stages of one step.
+        kernel = _kernel(model, grid256.n, rows)
+        y = np.stack([random_band_limited(grid256, rng, grid256.dealias_cutoff, 0.2).hat
+                      for _ in range(rows)])
+        assert np.array_equal(rk4(kernel, y, 1e-3), object_form.rk4(kernel, y, 1e-3))
+
+
+class TestKernelWorkspaces:
+    """A stage writes into buffers its kernel owns and returns a new array."""
+
+    @pytest.mark.parametrize("model, rows", [(Model.CH2, 2), (Model.DP, 2), (Model.DP2, 4)])
+    def test_outputs_are_new_arrays(self, model, rows, grid256, rng):
+        kernel = _kernel(model, grid256.n, rows)
+        states = [np.stack([random_band_limited(grid256, rng, 8, 0.3).hat for _ in range(rows)])
+                  for _ in range(3)]
+        outputs = [kernel(states[0]), kernel(states[1], kernel.points(states[1]))]
+        kept = [out.copy() for out in outputs]
+        outputs.append(kernel(states[2]))
+        for out in outputs:
+            assert not any(np.shares_memory(out, buffer) for buffer in kernel._work)
+            assert not any(np.shares_memory(out, y) for y in states)
+        assert not np.shares_memory(outputs[0], outputs[1])
+        for out, before in zip(outputs, kept):
+            assert np.array_equal(out, before)
+
+    def test_only_stage_calls_make_workspaces(self):
+        # The curvature kernel reads `mult`, the flow map's monitor `points`.
+        kernel = evolution._Kernel(Model.CH2, Grid(64), 2)
+        kernel.mult
+        kernel.points(np.zeros((2, 33), complex))
+        assert kernel._work is None
+
+    def test_interleaved_runs_give_the_rows_of_each_run_alone(self, grid256):
+        # evolve 2CH, evolve DP and flowmap 2DP stepped in turn, each stage
+        # of one run followed by a stage of the next run's kernel.
+        wave = cosine_field(grid256, 1, 0.3) + 0.1
+        runs = [(Model.CH2, 2, VelocityPair(wave, cosine_field(grid256, 2, 0.2))),
+                (Model.DP, 2, VelocityPair.single(wave)),
+                (Model.DP2, 4, VelocityPair(wave, cosine_field(grid256, 3, 0.1)))]
+        configs = [EvolutionConfig(model, dt=1e-3, t_end=0.02, diagnostics_stride=1)
+                   for model, _, _ in runs]
+        alone = [evolve(configs[0], runs[0][2]), evolve(configs[1], runs[1][2]),
+                 evolve_flowmap(configs[2], runs[2][2])]
+        kernels = [_kernel(model, grid256.n, rows) for model, rows, _ in runs]
+        monitors = [_kernel(model, grid256.n) for model, _, _ in runs]
+        states = []
+        for config, (_, rows, initial) in zip(configs, runs):
+            y = np.zeros((rows, grid256.n // 2 + 1), complex)
+            y[:2] = evolution._initial_state(config, initial)
+            states.append(y)
+        rows_seen = [[monitor.points(y)] for monitor, y in zip(monitors, states)]
+        for step in range(configs[0].n_steps):
+            for i, (kernel, z) in enumerate(zip(kernels, (seen[-1] for seen in rows_seen))):
+                j = (i + 1) % len(runs)
+
+                def stage(s, kernel=kernel, j=j):
+                    kernels[j](states[j])
+                    return kernel(s)
+
+                t = step * 1e-3
+                states[i] = evolution._advance(stage, states[i], 1e-3, t, kernel(states[i], z))
+                rows_seen[i].append(monitors[i].points(states[i]))
+        for (_, rows, _), seen, result in zip(runs, rows_seen, alone):
+            z = np.stack(seen, axis=1)
+            assert np.array_equal(z[:2], np.stack((result.u, result.rho)))
+            assert np.array_equal(z[rows:rows + 2], np.stack((result.u_x, result.rho_x)))
 
 
 class TestStepCount:

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -367,6 +369,22 @@ def test_offgrid_points_in_any_period(grid128, rng, periods):
     assert np.max(np.abs(got - dense_series(f.hat[None], y, grid128.n // 2)[0])) <= 1e-12
 
 
+@pytest.mark.parametrize("fields, points", [(1, 1025), (3, 2500), (2, 4096), (1, 3073)])
+def test_offgrid_blocks_give_one_pass_bits(monkeypatch, rng, fields, points):
+    # Past `_OFFGRID_BLOCK` points the evaluation goes block by block, with
+    # the bits of one pass over every point, and matches the dense plan.
+    grid = Grid(256)
+    values = rng.standard_normal((fields, grid.n))
+    y = np.concatenate([[np.nan], rng.uniform(-2.0, 3.0, points - 1)])
+    hats = np.fft.rfft(values)
+    got = spectral._offgrid(hats, y, grid.n // 2)
+    monkeypatch.setattr(spectral, "_OFFGRID_BLOCK", points)
+    assert np.array_equal(got, spectral._offgrid(hats, y, grid.n // 2), equal_nan=True)
+    want = dense_series(hats, y[1:], grid.n // 2)
+    assert np.isnan(got[:, 0]).all()
+    assert np.max(np.abs(got[:, 1:] - want)) <= 1e-12 * np.max(np.abs(values))
+
+
 def test_fitted_weights_match_kernel(rng):
     # Every slot's polynomial against the kernel it was fitted to, on a
     # uniform sweep of offsets (t = -1 and t = 1 included) and random ones.
@@ -428,3 +446,28 @@ def test_invert_large_grid(rng):
     inv = invert_diffeo(phi)
     forward = inv.warped_points + evaluate(phi.displacement, inv.warped_points)
     assert np.max(np.abs(forward - grid.points)) <= 1e-12
+
+
+# In a fresh process: 20 calls after a first one, minor faults per call.
+_INVERT_FAULTS = """
+import resource
+import numpy as np
+from chdp.spectral import Diffeo, Grid, PeriodicField, invert_diffeo
+grid = Grid(4096)
+phi = Diffeo(PeriodicField(grid, 0.05 * np.sin(2 * np.pi * grid.points)))
+invert_diffeo(phi)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    invert_diffeo(phi)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="minor-fault counts from getrusage are read on Linux")
+def test_invert_large_grid_does_not_refault(child_env):
+    # `_offgrid` gathers at most `_OFFGRID_BLOCK` points at a time, so the
+    # heap reuses its temporaries (about 400-520 faults per call in one pass).
+    run = subprocess.run([sys.executable, "-c", _INVERT_FAULTS], env=child_env, check=True,
+                         capture_output=True, text=True)
+    assert float(run.stdout) <= 10
