@@ -30,7 +30,8 @@ values, products, terms and term spectra into buffers it makes on its
 first stage call, and `rk4` sums the stages in place, in the order of
 the textbook sum, so the bits are those of fresh arrays.  What a stage
 and a step return is a new array.  A kernel serves one call at a time
-(chdp runs in one thread).
+(chdp runs in one thread).  The step loop's monitor writes its irfft
+into two arrays made once per run.
 `evolve` and `evolve_flowmap` share one step loop, `_integrate`, with one
 step (`_advance`), one monitor and one keep rule: the rows of every
 `diagnostics_stride`-th step, the last step and a blow-up step.  The
@@ -285,14 +286,21 @@ class _Kernel:
             arr.setflags(write=False)
         self._work = None  # `_workspaces`, made by the first stage call
 
-    def points(self, y: np.ndarray, values: int | None = None) -> np.ndarray:
+    def points(self, y: np.ndarray, values: int | None = None,
+               out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
         """Grid values of the first `values` rows of the spectra y (default all), then all slopes.
 
-        One irfft into a new array: for y = (u, rho) it gives (u, rho, u_x,
-        rho_x), and `points(y, 2)` of (u, rho, xi, g) gives (u, rho, u_x,
-        rho_x, xi_x, g_x), the rows a stage reads.
+        One irfft: for y = (u, rho) it gives (u, rho, u_x, rho_x), and
+        `points(y, 2)` of (u, rho, xi, g) gives (u, rho, u_x, rho_x, xi_x,
+        g_x), the rows a stage reads.  `out`, if given, is (spectra, grid
+        values) to write the stacked spectra and the result into; else both
+        are new arrays.  The bits are the same either way.
         """
-        return np.fft.irfft(np.concatenate((y[:values], y * self.ik)), self.n)
+        rows = len(y[:values])
+        spec, grid = (np.empty((rows + len(y), len(self.ik)), complex), None) if out is None else out
+        spec[:rows] = y[:values]
+        np.multiply(y, self.ik, spec[rows:])
+        return np.fft.irfft(spec, self.n, out=grid)
 
     def _workspaces(self) -> tuple[np.ndarray, ...]:
         """The stage buffers, made on the first stage call and kept with the kernel.
@@ -313,10 +321,8 @@ class _Kernel:
         if self._work is None:
             self._work = self._workspaces()
         spec, points, left, right, terms, eulerian, spectra, eulerian_spectra, weighted = self._work
-        if z is None:  # points(y, 2), into the workspace
-            spec[:2] = y[:2]
-            np.multiply(y, self.ik, spec[2:])
-            z = np.fft.irfft(spec, self.n, out=points)
+        if z is None:
+            z = self.points(y, 2, (spec, points))
         # mode="wrap" takes the negative rows as the default does and,
         # unlike it, writes into `out` with no buffer.
         z.take(self.left, 0, left, "wrap")
@@ -448,7 +454,9 @@ def _integrate(result_type, config: EvolutionConfig, grid: Grid, y: np.ndarray, 
     which returns (criterion, value) or None, else at a threshold.  Kept
     steps (every `config.diagnostics_stride`-th, the last, a blow-up)
     fill one real (2 len(y), kept steps, n) history array with that
-    irfft: the grid values of the rows of y, then their slopes.
+    irfft: the grid values of the rows of y, then their slopes.  The
+    irfft and its stacked spectra go into two arrays made once per run,
+    so z is written over by the next step's monitor.
     `finish(history)` may then rewrite the further rows in place before
     they are frozen.  `result_type` is `EvolveResult` or a subclass whose
     fields after `status` view the further rows, their values then their
@@ -457,6 +465,8 @@ def _integrate(result_type, config: EvolutionConfig, grid: Grid, y: np.ndarray, 
     kernel = _kernel(config.model, grid.n)
     n_steps, stride = config.n_steps, config.diagnostics_stride
     history = np.empty(_history_shape(config, len(y), grid.n))
+    # The monitor's stacked spectra and irfft, written over every step.
+    monitor = np.empty((2 * len(y), y.shape[-1]), complex), np.empty((2 * len(y), grid.n))
     kept = []
     status = RunStatus("completed")
     for i in range(n_steps + 1):
@@ -467,7 +477,7 @@ def _integrate(result_type, config: EvolutionConfig, grid: Grid, y: np.ndarray, 
             except BlowupError:
                 status = RunStatus("blowup_detected", t=t, reason="non_finite")
                 break
-        z = kernel.points(y)
+        z = kernel.points(y, out=monitor)
         slopes = z[len(y):]
         tripped = check(y, slopes) or _threshold_reason(config, slopes)
         if i % stride == 0 or i == n_steps or tripped is not None:

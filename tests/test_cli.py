@@ -441,9 +441,10 @@ def test_history_check_reads_the_run_shape(tmp_path, monkeypatch, args):
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="minor-fault counts from os.wait4 are read on Linux")
 def test_large_grid_steps_do_not_refault(tmp_path, child_env):
-    # A fresh CLI process at n = 4096: each RK4 step writes into buffers
-    # made once per run, so 400 more steps add at most 10 minor faults
-    # per step (about 275-320 when every stage allocated its temporaries).
+    # A fresh CLI process at n = 4096: each RK4 step and the monitor write
+    # into buffers made once per run, so 400 more steps add at most 10
+    # minor faults per step (about 275-320 when every stage allocated its
+    # temporaries, and about 12 in some heap layouts when the monitor did).
 
     def faults(steps):
         pid = os.posix_spawn(

@@ -312,6 +312,17 @@ class TestKernelWorkspaces:
         kernel.points(np.zeros((2, 33), complex))
         assert kernel._work is None
 
+    @pytest.mark.parametrize("rows, values", [(2, None), (4, None), (4, 2)])
+    def test_points_into_buffers_give_the_same_bits(self, rows, values, grid256, rng):
+        # The step loop's monitor writes every step into the same two arrays.
+        kernel = _kernel(Model.CH2, grid256.n)
+        y = np.stack([random_band_limited(grid256, rng, 8, 0.3).hat for _ in range(rows)])
+        count = len(y[:values]) + rows
+        out = np.empty((count, y.shape[-1]), complex), np.empty((count, grid256.n))
+        z = kernel.points(y, values, out)
+        assert z is out[1]
+        assert np.array_equal(z, kernel.points(y, values))
+
     def test_interleaved_runs_give_the_rows_of_each_run_alone(self, grid256):
         # evolve 2CH, evolve DP and flowmap 2DP stepped in turn, each stage
         # of one run followed by a stage of the next run's kernel.
