@@ -36,6 +36,7 @@ from chdp import csvio
 from chdp.connection import Model
 from chdp.curvature import (
     CosineDirectionPair,
+    _scan_bytes,
     negative_search,
     positivity_scan,
     scan_direction,
@@ -223,6 +224,10 @@ def _quantile(ascending: list[float], q: float) -> float:
 def _scan(options):
     if options.max_mode < 2:
         raise CliError("--max-mode must be at least 2")
+    needed, memory = _scan_bytes(options.max_mode), _physical_memory()
+    if memory is not None and needed > memory:
+        raise CliError(f"--max-mode: the scan needs {needed / 2**30:.3g} GiB, more than the "
+                       f"{memory / 2**30:.3g} GiB of physical memory; lower --max-mode")
     if options.negative_search < 0:
         raise CliError("--negative-search must be >= 0")
     rng = _build("--seed", np.random.default_rng, options.seed)

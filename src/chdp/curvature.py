@@ -25,14 +25,23 @@ stacked quadratic terms (u v + u_x v_x/2 + rho tau/2, u_x tau + v_x rho),
 whose spectra are multiplied by -Ainv d/dx and -1/2 with the 2/3-rule
 mask folded in (the multipliers of the 2CH evolution kernel).  The metric
 (H^1 on u, L^2 on rho) and the Gram determinant pair rfft spectra by
-Parseval, so no inverse transform follows.  `positivity_scan` computes
-the spectra, u_x and Gamma(a, a) once per distinct slot tuple, Gamma(a, b)
-per plane in chunks and the closed forms on the mode columns, checks its
-bounds with masks and returns a `ScanTable` of 1-D columns;
-`scan_direction` is the one-row table of the same path.
-`unnormalized_curvature` and `sectional_curvature` are the one-plane
-`VelocityPair` views of the kernel, and `chdp.connection.christoffel_2ch`
-with `metric` is the field-by-field form they agree with to round-off.
+Parseval, so no inverse transform follows.
+
+Cosine planes take the Gamma-pair path.  The grid's basis is the zero
+direction and the velocity and density cos(2 pi m x) of every mode it
+resolves; Gamma of each unordered pair of basis rows is computed once, and
+their Gram matrix G = <Gamma_pq, Gamma_rs> and the basis Gram H are one
+matrix product each.  A cosine direction is the sum of two basis rows, so
+by bilinearity S and the Gram determinant of every plane are sums of
+entries of G and H.  `positivity_scan` reads its planes from them in
+chunks, with the closed forms on the mode columns, checks its bounds with
+masks and returns a `ScanTable` of 1-D columns; `scan_direction` is the
+one-row table on the same grid, so it reads the same entries.  Arbitrary
+fields have no small basis, so `_curvatures` pairs them plane by plane:
+`negative_search` and the one-plane `VelocityPair` views
+`unnormalized_curvature` and `sectional_curvature` use it, and
+`chdp.connection.christoffel_2ch` with `metric` is the field-by-field
+form both paths agree with to round-off.
 
 Resolution: products of two directions reach twice their largest mode M,
 so the scans take modes, not a grid: `scan_direction`, `positivity_scan`
@@ -72,9 +81,13 @@ log = logging.getLogger(__name__)
 
 TWO_PI = 2.0 * np.pi
 
-# Planes per batched Gamma(a, b) pass: bounds the working arrays at
-# (_CHUNK, 2, n) however many planes a scan holds.
+# Planes, or basis pairs, per batched Gamma(a, b) pass: bounds the working
+# arrays at (_CHUNK, 2, n) however many a scan holds.
 _CHUNK = 128
+# Planes per pass of the Gamma-pair sums: bounds their index and value
+# arrays (about 50 numbers per plane, 0.4 MB a pass) however many planes
+# a scan holds.
+_PLANE_CHUNK = 1 << 10
 # Planes per closed-form pass: bounds its temporaries (about 15 float
 # columns) while every scan up to max mode 16 (32,760 planes) is one pass.
 _CLOSED_FORM_CHUNK = 1 << 16
@@ -154,7 +167,8 @@ class _CurvatureKernel:
         c = np.full(grid.n // 2 + 1, 2.0 / grid.n**2)
         c[[0, -1]] /= 2.0
         self.weight = np.stack((c * (1.0 + self.ik.imag**2), c))
-        for arr in (self.mult, self.weight):
+        self.root_weight = np.sqrt(self.weight)
+        for arr in (self.mult, self.weight, self.root_weight):
             arr.setflags(write=False)
 
     def slopes(self, hat: np.ndarray) -> np.ndarray:
@@ -172,6 +186,15 @@ class _CurvatureKernel:
     def metric(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         """<f, g> of stacked spectra: H^1 on u, L^2 on rho."""
         return ((f.real * g.real + f.imag * g.imag) * self.weight).sum(axis=(-2, -1))
+
+    def gram(self, f: np.ndarray) -> np.ndarray:
+        """The matrix <f[p], f[q]> of a (count, 2, n // 2 + 1) stack of spectra.
+
+        One matrix product of the real and imaginary parts scaled by the
+        square root of the metric's weights.
+        """
+        scaled = (f * self.root_weight).view(np.float64).reshape(len(f), -1)
+        return scaled @ scaled.T
 
 
 @lru_cache(maxsize=None)
@@ -277,6 +300,11 @@ def scan_grid(max_mode: int) -> Grid:
     return Grid(_fft_size(max(16, 6 * max_mode + 2)))
 
 
+def _top_mode(grid: Grid) -> int:
+    """The largest mode whose curvature grid resolves: the inverse of `scan_grid`'s rule."""
+    return (grid.n - 2) // 6
+
+
 def closed_form_curvature(m_k1, m_k2, m_l1, m_l2):
     """S on cosine direction pairs (integer modes or mode arrays) from the closed forms.
 
@@ -287,6 +315,77 @@ def closed_form_curvature(m_k1, m_k2, m_l1, m_l2):
     i1, i2, i3, i4 = closed_form_integrals(m_k1, m_k2, m_l1, m_l2)
     ch_term = np.where(m_k1 == m_l1, 0.0, _ch_term(m_k1, m_l1))
     return ch_term + (i1 + i2 + i3 + i4)
+
+
+def _scan_bytes(max_mode: int) -> int:
+    """Bytes positivity_scan(max_mode) holds: 80 per plane (its eight columns
+    and its index pair) and G over the pairs of its grid's basis rows."""
+    full = max_mode * max_mode
+    planes = full * (full - 1) // 2 + max_mode * (max_mode - 1) // 2
+    rows = 2 * _top_mode(scan_grid(max_mode)) + 1
+    pairs = rows * (rows + 1) // 2
+    return 80 * planes + 8 * pairs * pairs
+
+
+def _basis_grams(grid: Grid):
+    """(G, H, pair) of the cosine basis of grid.
+
+    The basis rows are the zero direction, then velocity and then density
+    cos(2 pi m x) for m = 1..`_top_mode(grid)`.  Gamma of each unordered
+    pair (p, q) of rows, index pair[p, q] = pair[q, p], costs one batched
+    rfft per _CHUNK pairs; G = <Gamma_pq, Gamma_rs> over those pairs and
+    H = <e_p, e_q> over the rows are one matrix product each.
+    """
+    top = _top_mode(grid)
+    kernel = _curvature_kernel(grid)
+    cosines = np.cos(TWO_PI * np.arange(1, top + 1)[:, None] * grid.points)
+    basis = np.zeros((2 * top + 1, 2, grid.n))
+    basis[1:top + 1, 0] = cosines
+    basis[top + 1:, 1] = cosines
+    hat = np.fft.rfft(basis)
+    slopes = kernel.slopes(hat)
+    p, q = np.triu_indices(len(basis))
+    gamma = np.empty((len(p), *hat.shape[1:]), dtype=complex)
+    for start in range(0, len(p), _CHUNK):
+        i, j = p[start:start + _CHUNK], q[start:start + _CHUNK]
+        gamma[start:start + _CHUNK] = kernel.christoffel(basis[i], slopes[i], basis[j], slopes[j])
+    pair = np.empty((len(basis), len(basis)), dtype=np.intp)
+    pair[p, q] = pair[q, p] = np.arange(len(p))
+    return kernel.gram(gamma), kernel.gram(hat), pair
+
+
+def _cosine_curvatures(grid: Grid, tuples: np.ndarray, planes: np.ndarray):
+    """(S, Gram) of each cosine plane (tuples[i], tuples[j]) for the rows (i, j) of planes.
+
+    A tuple is the sum e_i + e_k of its velocity and density rows of the
+    grid's basis (`_basis_grams`; mode 0 is the zero row), so by
+    bilinearity the plane of a = e_i + e_k and b = e_j + e_l has
+
+        S = sum over i, k in a and j, l in b of G[(ij), (kl)] - G[(ik), (jl)]
+
+    and Gram = <a, a> <b, b> - <a, b>^2 from H, _PLANE_CHUNK planes per pass.
+    """
+    top = _top_mode(grid)
+    if tuples.max() > top:
+        raise ValueError(f"mode {tuples.max()} is above {top}, the largest n={grid.n} resolves")
+    g, h, pair = _basis_grams(grid)
+    # Basis rows of each tuple, and flat indices of row pairs into h and pair.
+    rows = np.where(tuples > 0, tuples + [0, top], 0)
+    size = len(pair)
+    self_rows = rows[:, :, None] * size + rows[:, None, :]
+    self_pairs = pair.take(self_rows).reshape(len(rows), 4)
+    norm = h.take(self_rows).sum(axis=(1, 2))
+    s = np.empty(len(planes))
+    gram = np.empty(len(planes))
+    for start in range(0, len(planes), _PLANE_CHUNK):
+        part = slice(start, start + _PLANE_CHUNK)
+        i, j = planes[part].T
+        cross_rows = rows[i][:, :, None] * size + rows[j][:, None, :]
+        cross = pair.take(cross_rows).reshape(len(i), 4)
+        s[part] = (g[cross[:, :, None], cross[:, None, :]]
+                   - g[self_pairs[i][:, :, None], self_pairs[j][:, None, :]]).sum(axis=(1, 2))
+        gram[part] = norm[i] * norm[j] - h.take(cross_rows).sum(axis=(1, 2)) ** 2
+    return s, gram
 
 
 def _cosine_table(grid: Grid, tuples: np.ndarray, planes: np.ndarray) -> ScanTable:
@@ -301,10 +400,7 @@ def _cosine_table(grid: Grid, tuples: np.ndarray, planes: np.ndarray) -> ScanTab
     for start in range(0, len(planes), _CLOSED_FORM_CHUNK):
         part = slice(start, start + _CLOSED_FORM_CHUNK)
         s_closed[part] = closed_form_curvature(k1[part], k2[part], l1[part], l2[part])
-    # Row m is cos(2 pi m x), row 0 the zero slot.
-    cosines = np.cos(TWO_PI * np.arange(tuples.max() + 1)[:, None] * grid.points)
-    cosines[0] = 0.0
-    s, gram, _ = _curvatures(grid, cosines[tuples], planes)
+    s, gram = _cosine_curvatures(grid, tuples, planes)
     return ScanTable(k1, k2, l1, l2, s, s_closed, s / gram, gram)
 
 

@@ -423,6 +423,16 @@ def test_unallocatable_history_fails_before_out_dir(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_unallocatable_scan_fails_before_out_dir(tmp_path, capsys):
+    # Max mode 1000 is 5 * 10^11 planes and a 2 * 10^6-square Gram: 68 TiB.
+    out = tmp_path / "X"
+    code = main(["curvature-scan", "--max-mode", "1000", "--out-dir", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --max-mode: the scan needs") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [EVOLVE_ARGS, FLOWMAP_ARGS], ids=["evolve", "flowmap"])
 def test_history_check_reads_the_run_shape(tmp_path, monkeypatch, args):
     # The command checks the shape of the history that its run allocates.
@@ -627,13 +637,13 @@ class TestCurvatureCommands:
     def test_density_family_grid_from_its_modes(self, tmp_path, monkeypatch):
         # the zero velocity modes do not size the grid; the density modes do
         grids = []
-        real = curvature._curvatures
+        real = curvature._cosine_curvatures
 
-        def spy(grid, y, planes):
+        def spy(grid, tuples, planes):
             grids.append(grid.n)
-            return real(grid, y, planes)
+            return real(grid, tuples, planes)
 
-        monkeypatch.setattr(curvature, "_curvatures", spy)
+        monkeypatch.setattr(curvature, "_cosine_curvatures", spy)
         args = ["curvature", "--k1", "0", "--l1", "0", "--k2", "1"]
         assert main([*args, "--l2", "2", "--out-dir", str(tmp_path / "plain")]) == 0
         assert main([*args, "--l2", "9", "--out-dir", str(tmp_path / "big")]) == 0

@@ -250,15 +250,15 @@ class TestScan:
             positivity_scan(1)
 
     def test_bound_violations_named(self, monkeypatch):
-        real = curvature._curvatures
+        real = curvature._cosine_curvatures
 
-        def broken(grid, y, planes):
-            s, gram, norm = real(grid, y, planes)
+        def broken(grid, tuples, planes):
+            s, gram = real(grid, tuples, planes)
             s[0] = -1.0  # the first full plane, (1, 1)+(1, 2)
             gram[-1] = 0.3  # the last density plane, (0, 2)+(0, 3)
-            return s, gram, norm
+            return s, gram
 
-        monkeypatch.setattr(curvature, "_curvatures", broken)
+        monkeypatch.setattr(curvature, "_cosine_curvatures", broken)
         with pytest.raises(RuntimeError) as info:
             positivity_scan(3)
         message = str(info.value)
@@ -271,14 +271,14 @@ class TestScan:
     def test_closed_form_disagreement_named(self, monkeypatch):
         # S off by 1e-6 relative keeps every sign bound, so only the
         # per-row agreement check can name the plane.
-        real = curvature._curvatures
+        real = curvature._cosine_curvatures
 
-        def perturbed(grid, y, planes):
-            s, gram, norm = real(grid, y, planes)
+        def perturbed(grid, tuples, planes):
+            s, gram = real(grid, tuples, planes)
             s[5] *= 1.0 + 1e-6  # the sixth full plane, (1, 1)+(3, 1)
-            return s, gram, norm
+            return s, gram
 
-        monkeypatch.setattr(curvature, "_curvatures", perturbed)
+        monkeypatch.setattr(curvature, "_cosine_curvatures", perturbed)
         with pytest.raises(RuntimeError) as info:
             positivity_scan(3)
         lines = str(info.value).splitlines()[1:]
@@ -356,6 +356,85 @@ class TestResolution:
         table = positivity_scan(3)
         assert np.all(np.abs(table.s_numeric - table.s_closed)
                       <= 1e-8 * (1 + np.abs(table.s_closed)))
+
+
+class TestCosinePath:
+    """Cosine planes from the Gram of basis Christoffel symbols, against the field path."""
+
+    @staticmethod
+    def scan_planes(max_mode):
+        """The slot tuples and planes of positivity_scan(max_mode), one tuple pair per plane."""
+        table = positivity_scan(max_mode)
+        tuples = np.column_stack((table.m_k1, table.m_k2, table.m_l1, table.m_l2)).reshape(-1, 2)
+        return tuples, np.arange(len(tuples)).reshape(-1, 2)
+
+    @pytest.mark.parametrize("max_mode", [4, 8])
+    def test_matches_the_field_path(self, max_mode):
+        grid = scan_grid(max_mode)
+        tuples, planes = self.scan_planes(max_mode)
+        # Row m is cos(2 pi m x), row 0 the zero slot.
+        cosines = np.cos(TWO_PI * np.arange(max_mode + 1)[:, None] * grid.points)
+        cosines[0] = 0.0
+        s, gram, _ = curvature._curvatures(grid, cosines[tuples], planes)
+        table = curvature._cosine_table(grid, tuples, planes)
+        for name, want in (("s_numeric", s), ("gram", gram), ("sec", s / gram)):
+            got = getattr(table, name)
+            assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), name
+
+    def test_one_row_tables_are_the_scan_rows(self):
+        # The basis is the grid's, so a one-row table reads the scan's G
+        # entries and gives its row bit for bit.
+        grid = scan_grid(3)
+        tuples, planes = self.scan_planes(3)
+        whole = curvature._cosine_table(grid, tuples, planes)
+        for r, plane in enumerate(planes):
+            row = curvature._cosine_table(grid, tuples[plane], np.array([[0, 1]]))
+            for f in fields(whole):
+                assert getattr(row, f.name)[0] == getattr(whole, f.name)[r], (r, f.name)
+
+    def test_mode_above_the_grid_rejected(self):
+        grid = scan_grid(4)
+        assert (grid.n, curvature._top_mode(grid)) == (30, 4)
+        with pytest.raises(ValueError, match="mode 5 is above 4, the largest n=30 resolves"):
+            curvature._cosine_table(grid, np.array([[1, 5], [1, 1]]), np.array([[0, 1]]))
+
+    def test_scan_bytes(self):
+        # 2044 planes of 80 bytes, and G over the 153 pairs of the 17 basis
+        # rows of n = 50 (zero row, 8 velocity and 8 density cosines).
+        assert curvature._top_mode(scan_grid(8)) == 8
+        assert curvature._scan_bytes(8) == 80 * 2044 + 8 * (17 * 18 // 2) ** 2
+
+
+@given(seed=st.integers(0, 2**31 - 1), max_mode=st.integers(1, 8))
+@settings(max_examples=40, deadline=None)
+def test_density_planes_are_nonnegative(seed, max_mode):
+    """S >= 0 on planes with zero velocity slots, a = (0, rho) and b = (0, tau).
+
+    There S = 1/4 sum_m [(rho^2)^_m conj((tau^2)^_m) - |(rho tau)^_m|^2] / (1 + (2 pi m)^2)
+    over all integers m, with f^_m the integral of f e^{-2 pi i m x} over
+    [0, 1].  That is S = 1/8 of the double integral of
+    G(x - y) (rho(x) tau(y) - rho(y) tau(x))^2 over [0, 1]^2, where G > 0 is
+    the Green's function of 1 - d^2/dx^2, so S >= 0.  rho and tau hold
+    modes 0..M, the mean included, on a grid resolving their products.
+    """
+    grid = scan_grid(max_mode)
+    rng = np.random.default_rng(seed)
+    phase = TWO_PI * np.arange(max_mode + 1)[:, None] * grid.points
+    y = np.zeros((2, 2, grid.n))
+    for slot in y:
+        slot[1] = rng.standard_normal(max_mode + 1) @ np.cos(phase)
+        slot[1] += rng.standard_normal(max_mode + 1) @ np.sin(phase)
+    s = curvature._curvatures(grid, y, np.array([[0, 1]]))[0][0]
+
+    rho, tau = y[:, 1]
+    # Modes m >= 0 from the rfft; -m adds the conjugate of the m term.
+    weight = 2.0 / (1.0 + (TWO_PI * np.arange(grid.n // 2 + 1)) ** 2)
+    weight[0] = 1.0
+    hat = np.fft.rfft([rho * rho, tau * tau, rho * tau]) / grid.n
+    first = 0.25 * np.sum(weight * (hat[0] * np.conj(hat[1])).real)
+    second = 0.25 * np.sum(weight * np.abs(hat[2]) ** 2)
+    assert abs(s - (first - second)) <= 1e-12 * (first + second)
+    assert s >= 0.0
 
 
 def _object_plane(a, b):
@@ -464,14 +543,19 @@ def test_negative_search_reports():
     # reported, not asserted: negative planes may or may not appear
 
 
+def _one_row(grid, ku, kv):
+    """The one-row cosine table of the plane of slot tuples ku, kv on grid."""
+    return curvature._cosine_table(grid, np.array([ku, kv]), np.array([[0, 1]]))
+
+
 def test_batched_oracles_report_the_one_plane_values():
     # C1 reads the full-family rows of one scan table and C3 one batched
-    # table of its density planes; both report what the one-plane adapters
-    # give over the same tuples.
+    # table of its density planes; both report what one-row tables give
+    # over the same tuples on the same grid.
     grid = scan_grid(4)
     worst, count = 0.0, 0
     for ku, kv in itertools.combinations(itertools.product(range(1, 5), repeat=2), 2):
-        s = unnormalized_curvature(*cosine_pair(grid, CosineDirectionPair(*ku, *kv)))
+        s = float(_one_row(grid, ku, kv).s_numeric[0])
         s_closed = float(closed_form_curvature(*ku, *kv))
         worst = max(worst, abs(s - s_closed) / (1.0 + abs(s_closed)))
         count += 1
@@ -481,8 +565,8 @@ def test_batched_oracles_report_the_one_plane_values():
     grid = scan_grid(6)
     worst_gram, min_sec = 0.0, np.inf
     for mk2, ml2 in itertools.combinations(range(1, 7), 2):
-        u, v = cosine_pair(grid, CosineDirectionPair(0, mk2, 0, ml2))
-        worst_gram = max(worst_gram, abs(kernel_gram_determinant(u, v) - 0.25))
-        min_sec = min(min_sec, sectional_curvature(u, v))
+        row = _one_row(grid, (0, mk2), (0, ml2))
+        worst_gram = max(worst_gram, abs(float(row.gram[0]) - 0.25))
+        min_sec = min(min_sec, float(row.sec[0]))
     assert verification.check_density_family_bounds(0) == (
         True, f"|gram - 1/4| <= {worst_gram:.2e} (tol 1e-12), min Sec {min_sec:.6f} >= 1/8 - 1e-12")
