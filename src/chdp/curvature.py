@@ -29,14 +29,16 @@ Parseval, so no inverse transform follows.
 
 Cosine planes take the Gamma-pair path.  The grid's basis is the zero
 direction and the velocity and density cos(2 pi m x) of every mode it
-resolves; Gamma of each unordered pair of basis rows is computed once, and
-their Gram matrix G = <Gamma_pq, Gamma_rs> and the basis Gram H are one
-matrix product each.  A cosine direction is the sum of two basis rows, so
-by bilinearity S and the Gram determinant of every plane are sums of
-entries of G and H.  `positivity_scan` reads its planes from them in
-chunks, with the closed forms on the mode columns, checks its bounds with
-masks and returns a `ScanTable` of 1-D columns; `scan_direction` is the
-one-row table on the same grid, so it reads the same entries.  Arbitrary
+resolves; of the basis rows a table's directions use, Gamma of each
+unordered pair is computed once, and their Gram matrix
+G = <Gamma_pq, Gamma_rs> and the basis Gram H are one matrix product each.
+A cosine direction is the sum of two basis rows, so by bilinearity S and
+the Gram determinant of every plane are sums of entries of G and H.
+`positivity_scan` reads its planes from them in chunks, with the closed
+forms on the mode columns, checks its bounds with masks and returns a
+`ScanTable` of 1-D columns; `scan_direction` is the one-row table on the
+same grid, so it reads the same entries from a G over at most four rows,
+which stays small however large its modes.  Arbitrary
 fields have no small basis, so `_curvatures` pairs them plane by plane:
 `negative_search` and the one-plane `VelocityPair` views
 `unnormalized_curvature` and `sectional_curvature` use it, and
@@ -319,29 +321,37 @@ def closed_form_curvature(m_k1, m_k2, m_l1, m_l2):
 
 def _scan_bytes(max_mode: int) -> int:
     """Bytes positivity_scan(max_mode) holds: 80 per plane (its eight columns
-    and its index pair) and G over the pairs of its grid's basis rows."""
+    and its index pair) and G over the pairs of the 2 max_mode + 1 basis
+    rows its tuples use."""
     full = max_mode * max_mode
     planes = full * (full - 1) // 2 + max_mode * (max_mode - 1) // 2
-    rows = 2 * _top_mode(scan_grid(max_mode)) + 1
+    rows = 2 * max_mode + 1
     pairs = rows * (rows + 1) // 2
     return 80 * planes + 8 * pairs * pairs
 
 
-def _basis_grams(grid: Grid):
-    """(G, H, pair) of the cosine basis of grid.
+def _basis_grams(grid: Grid, rows: np.ndarray):
+    """(G, H, pair) over the given rows of the cosine basis of grid.
 
-    The basis rows are the zero direction, then velocity and then density
-    cos(2 pi m x) for m = 1..`_top_mode(grid)`.  Gamma of each unordered
-    pair (p, q) of rows, index pair[p, q] = pair[q, p], costs one batched
-    rfft per _CHUNK pairs; G = <Gamma_pq, Gamma_rs> over those pairs and
-    H = <e_p, e_q> over the rows are one matrix product each.
+    Basis row 0 is the zero direction, row m the velocity and row top + m
+    the density cos(2 pi m x), for m = 1..top = `_top_mode(grid)`.  Only
+    the given rows are built: a scan uses every row up to its largest
+    mode, a one-plane table at most four.  Gamma of each unordered pair
+    (p, q) of them, index pair[p, q] = pair[q, p] with p, q positions in
+    rows, costs one batched rfft per _CHUNK pairs; G = <Gamma_pq, Gamma_rs>
+    over those pairs and H = <e_p, e_q> over the rows are one matrix
+    product each.  OpenBLAS gives an entry of such a product the same bits
+    whatever the product's shape (seen with its Haswell, SkylakeX,
+    Sandybridge and Nehalem kernels), so a one-plane table reads the bits
+    of the scan's G entries.
     """
     top = _top_mode(grid)
     kernel = _curvature_kernel(grid)
-    cosines = np.cos(TWO_PI * np.arange(1, top + 1)[:, None] * grid.points)
-    basis = np.zeros((2 * top + 1, 2, grid.n))
-    basis[1:top + 1, 0] = cosines
-    basis[top + 1:, 1] = cosines
+    velocity = (rows >= 1) & (rows <= top)
+    density = rows > top
+    basis = np.zeros((len(rows), 2, grid.n))
+    basis[velocity, 0] = np.cos(TWO_PI * rows[velocity, None] * grid.points)
+    basis[density, 1] = np.cos(TWO_PI * (rows[density, None] - top) * grid.points)
     hat = np.fft.rfft(basis)
     slopes = kernel.slopes(hat)
     p, q = np.triu_indices(len(basis))
@@ -364,27 +374,30 @@ def _cosine_curvatures(grid: Grid, tuples: np.ndarray, planes: np.ndarray):
         S = sum over i, k in a and j, l in b of G[(ij), (kl)] - G[(ik), (jl)]
 
     and Gram = <a, a> <b, b> - <a, b>^2 from H, _PLANE_CHUNK planes per pass.
+    G and H cover only the basis rows the tuples use.
     """
     top = _top_mode(grid)
     if tuples.max() > top:
         raise ValueError(f"mode {tuples.max()} is above {top}, the largest n={grid.n} resolves")
-    g, h, pair = _basis_grams(grid)
-    # Basis rows of each tuple, and flat indices of row pairs into h and pair.
-    rows = np.where(tuples > 0, tuples + [0, top], 0)
-    size = len(pair)
-    self_rows = rows[:, :, None] * size + rows[:, None, :]
-    self_pairs = pair.take(self_rows).reshape(len(rows), 4)
-    norm = h.take(self_rows).sum(axis=(1, 2))
+    # The basis rows of each tuple, numbered by their place among the rows
+    # used (a mask: np.unique's first sort adds about 0.5 MB of resident memory).
+    basis_rows = np.where(tuples > 0, tuples + [0, top], 0)
+    used = np.zeros(2 * top + 1, dtype=bool)
+    used[basis_rows] = True
+    rows = (np.cumsum(used) - 1)[basis_rows]
+    g, h, pair = _basis_grams(grid, np.flatnonzero(used))
+    self_pairs = pair[rows[:, :, None], rows[:, None, :]].reshape(len(rows), 4)
+    norm = h[rows[:, :, None], rows[:, None, :]].sum(axis=(1, 2))
     s = np.empty(len(planes))
     gram = np.empty(len(planes))
     for start in range(0, len(planes), _PLANE_CHUNK):
         part = slice(start, start + _PLANE_CHUNK)
         i, j = planes[part].T
-        cross_rows = rows[i][:, :, None] * size + rows[j][:, None, :]
-        cross = pair.take(cross_rows).reshape(len(i), 4)
+        a, b = rows[i][:, :, None], rows[j][:, None, :]
+        cross = pair[a, b].reshape(len(i), 4)
         s[part] = (g[cross[:, :, None], cross[:, None, :]]
                    - g[self_pairs[i][:, :, None], self_pairs[j][:, None, :]]).sum(axis=(1, 2))
-        gram[part] = norm[i] * norm[j] - h.take(cross_rows).sum(axis=(1, 2)) ** 2
+        gram[part] = norm[i] * norm[j] - h[a, b].sum(axis=(1, 2)) ** 2
     return s, gram
 
 

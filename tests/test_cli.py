@@ -567,6 +567,24 @@ class TestCurvatureCommands:
         result = read_manifest(tmp_path / "run.json")["final_diagnostics"]
         assert abs(result["S_numeric"] - result["S_closed"]) <= 1e-8 * (1 + abs(result["S_closed"]))
 
+    def test_large_mode_plane_builds_only_its_rows(self, tmp_path, monkeypatch):
+        # Mode 300 runs on n = 1920, whose basis has 639 rows; the plane
+        # pairs only its own four, not the 204,480 pairs of all of them.
+        built = []
+        real = curvature._basis_grams
+
+        def spy(grid, rows):
+            built.append((grid.n, rows.tolist()))
+            return real(grid, rows)
+
+        monkeypatch.setattr(curvature, "_basis_grams", spy)
+        code = main(["curvature", "--k1", "1", "--k2", "2", "--l1", "3", "--l2", "300",
+                     "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert built == [(1920, [1, 3, 319 + 2, 319 + 300])]
+        result = read_manifest(tmp_path / "run.json")["final_diagnostics"]
+        assert abs(result["S_numeric"] - result["S_closed"]) <= 1e-8 * (1 + abs(result["S_closed"]))
+
     def test_negative_trial_count_rejected(self, tmp_path, capsys):
         code = main(["curvature-scan", "--max-mode", "2", "--negative-search", "-3",
                      "--out-dir", str(tmp_path)])
