@@ -45,7 +45,8 @@ from chdp.evolution import (EvolutionConfig, RunStatus, _history_shape, _initial
                             step_count)
 from chdp.flowmap import evolve_flowmap, momentum_drift
 from chdp.presets import PRESET_HELP, initial_condition
-from chdp.rigidbody import RigidBodyState, conservation_drifts, evolve_rigidbody
+from chdp.rigidbody import (RigidBodyState, _trajectory_bytes, conservation_drifts,
+                            evolve_rigidbody)
 from chdp.spectral import Grid
 from chdp import verification
 
@@ -118,6 +119,14 @@ def _physical_memory() -> int | None:
     return size if size > 0 else None
 
 
+def _require_memory(flags: str, what: str, needed: int, remedy: str):
+    """Raise a CliError naming flags when `what` needs more bytes than physical memory."""
+    memory = _physical_memory()
+    if memory is not None and needed > memory:
+        raise CliError(f"{flags}: {what} needs {needed / 2**30:.3g} GiB, more than the "
+                       f"{memory / 2**30:.3g} GiB of physical memory; {remedy}")
+
+
 def _evolution(options, rows: int):
     """The EvolutionConfig and initial state of an evolve or flowmap run of `rows` state rows."""
     grid = _build("--n", Grid, options.n)
@@ -128,12 +137,9 @@ def _evolution(options, rows: int):
                     blowup_rhox_threshold=options.rhox_threshold,
                     diagnostics_stride=options.stride)
     shape = _history_shape(config, rows, grid.n)
-    needed, memory = 8 * math.prod(shape), _physical_memory()
-    if memory is not None and needed > memory:
-        raise CliError(f"--stride/--t-end: the kept history ({shape[1]} steps of {shape[0]} "
-                       f"rows of {shape[2]} points) needs {needed / 2**30:.3g} GiB, more than "
-                       f"the {memory / 2**30:.3g} GiB of physical memory; "
-                       f"raise --stride or lower --t-end")
+    _require_memory("--stride/--t-end", f"the kept history ({shape[1]} steps of {shape[0]} "
+                    f"rows of {shape[2]} points)", 8 * math.prod(shape),
+                    "raise --stride or lower --t-end")
     if options.snapshot_stride < 0:
         raise CliError("--snapshot-stride must be >= 0")
     if options.snapshot_stride % options.stride:
@@ -224,10 +230,7 @@ def _quantile(ascending: list[float], q: float) -> float:
 def _scan(options):
     if options.max_mode < 2:
         raise CliError("--max-mode must be at least 2")
-    needed, memory = _scan_bytes(options.max_mode), _physical_memory()
-    if memory is not None and needed > memory:
-        raise CliError(f"--max-mode: the scan needs {needed / 2**30:.3g} GiB, more than the "
-                       f"{memory / 2**30:.3g} GiB of physical memory; lower --max-mode")
+    _require_memory("--max-mode", "the scan", _scan_bytes(options.max_mode), "lower --max-mode")
     if options.negative_search < 0:
         raise CliError("--negative-search must be >= 0")
     rng = _build("--seed", np.random.default_rng, options.seed)
@@ -268,7 +271,9 @@ def _scan(options):
 def _rigidbody(options):
     inertia = _vector("--inertia", options.inertia)
     omega0 = _vector("--omega0", options.omega0)
-    _build("--dt/--t-end", step_count, options.dt, options.t_end)
+    n_steps = _build("--dt/--t-end", step_count, options.dt, options.t_end)
+    _require_memory("--dt/--t-end", f"the trajectory ({n_steps + 1} steps)",
+                    _trajectory_bytes(n_steps), "raise --dt or lower --t-end")
     state = _build("--inertia/--omega0", RigidBodyState.from_rest_attitude, omega0, inertia)
 
     def work(out: Path):

@@ -149,6 +149,16 @@ def _reorthonormalize(mat: np.ndarray) -> np.ndarray:
                      f"after {_POLAR_MAX_ITERATIONS} iterations")
 
 
+def _trajectory_bytes(n_steps: int) -> int:
+    """Bytes of the arrays `evolve_rigidbody` holds for a run of n_steps.
+
+    Per kept step: the (4, 3) stacked state of the history, whose rows are
+    the body momentum and attitude, then omega and the spatial momentum
+    (3 each), the energy and the time.
+    """
+    return 8 * (n_steps + 1) * (4 * 3 + 3 + 3 + 1 + 1)
+
+
 def evolve_rigidbody(state0: RigidBodyState, dt: float, t_end: float) -> RigidBodyTrajectory:
     """RK4 co-integration of (Pi, R), re-orthonormalizing R each step.
 

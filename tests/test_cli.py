@@ -275,6 +275,19 @@ class TestEvolveCommand:
         assert err.startswith("error: ") and f"{snap}: {message}" in err
         assert not (tmp_path / "out" / "run.json").exists()
 
+    @pytest.mark.parametrize("prefix", [b"x,u,rho\n", b"x,u,rho\n" + b"0.0,1.0,0.0\n" * 1000],
+                             ids=["first_row", "past_first_read"])
+    def test_non_utf8_snapshot_rejected(self, tmp_path, capsys, prefix):
+        snap = tmp_path / "bad_snapshot.csv"
+        snap.write_bytes(prefix + b"\xff,1.0,0.0\n")
+        code = main(["evolve", "--model", "2ch", "--ic", f"file:{snap}",
+                     "--n", "64", "--dt", "1e-3", "--t-end", "0.05",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --ic: {snap}: ") and "can't decode byte 0xff" in err
+        assert not (tmp_path / "out" / "run.json").exists()
+
     def test_file_preset_roundtrip(self, tmp_path):
         out1 = tmp_path / "a"
         assert run_cli(EVOLVE_ARGS, out1) == 0
@@ -430,6 +443,16 @@ def test_unallocatable_scan_fails_before_out_dir(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: --max-mode: the scan needs") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_unallocatable_rigidbody_fails_before_out_dir(tmp_path, capsys):
+    # 10^11 steps of the (4, 3) state and its per-step outputs: 14.6 TiB.
+    out = tmp_path / "X"
+    code = main(["rigidbody", "--dt", "1e-3", "--t-end", "1e8", "--out-dir", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --dt/--t-end: the trajectory") and "Traceback" not in err
     assert not out.exists()
 
 

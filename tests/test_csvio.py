@@ -13,6 +13,15 @@ from chdp.curvature import ScanTable
 from chdp.spectral import Grid, PeriodicField
 
 SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e300, 0.1]
+# Few values, so a column drawn from them repeats in every chunk: the signed
+# zeros, the infinities, the least subnormal, 17-digit floats, large
+# integers and NaNs of other sign and payload bits.
+POOL_FLOATS = np.concatenate([
+    [0.0, -0.0, np.inf, -np.inf, 5e-324, 0.1 + 0.2, 2 ** 0.5, 1 / 3 + 1e-16, 2.0 ** 63, 1e22],
+    np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001],
+             dtype=np.uint64).view(np.float64),
+])
+POOL_INTS = np.array([0, 1, -1, 2**53 + 1, 2**62, -2**63, 2**63 - 1])
 
 
 def test_columns_written_with_str_and_repr(tmp_path):
@@ -30,14 +39,22 @@ def test_columns_written_with_str_and_repr(tmp_path):
 
 @st.composite
 def numeric_columns(draw):
-    """Int and float columns of one length; the lengths straddle the writer's chunks."""
+    """Int and float columns of one length; the lengths straddle the writer's chunks.
+
+    A pool column draws its cells from a few values, so every chunk repeats them.
+    """
     rows = draw(st.sampled_from([0, 1, 1023, 1024, 1025, 2049]))
     columns = []
     for _ in range(draw(st.integers(1, 5))):
         seed = draw(st.integers(0, 2**32 - 1))
         rng = np.random.default_rng(seed)
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["int", "float", "pool"]))
+        if kind == "int":
             columns.append(rng.integers(-2**62, 2**62, rows))
+        elif kind == "pool":
+            pool = draw(st.sampled_from([POOL_FLOATS, POOL_INTS]))
+            values = rng.choice(pool, draw(st.integers(1, len(pool))), replace=False)
+            columns.append(values[rng.integers(0, len(values), rows)])
         else:
             values = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
             specials = draw(st.lists(st.sampled_from(SPECIAL_FLOATS), max_size=8))

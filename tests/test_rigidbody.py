@@ -8,6 +8,7 @@ from chdp.rigidbody import (
     _rates,
     _reorthonormalize,
     _stacked,
+    _trajectory_bytes,
     coadjoint_drift,
     conservation_drifts,
     evolve_rigidbody,
@@ -180,6 +181,14 @@ class TestEvolve:
         state = RigidBodyState.from_rest_attitude([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
         traj = evolve_rigidbody(state, dt=0.1, t_end=3.0)
         assert traj.times.tolist() == [step * 0.1 for step in range(31)]
+
+    def test_trajectory_bytes_are_the_run_arrays(self):
+        # The arrays a run holds, views counted once through their base.
+        state = RigidBodyState.from_rest_attitude([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+        traj = evolve_rigidbody(state, dt=0.1, t_end=3.0)
+        owners = {id(a): a for a in (v if v.base is None else v.base
+                                     for v in vars(traj).values())}
+        assert sum(a.nbytes for a in owners.values()) == _trajectory_bytes(30)
 
     def test_conservation_drifts(self, reference_run):
         drifts = conservation_drifts(reference_run)
