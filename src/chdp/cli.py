@@ -129,17 +129,20 @@ def _require_memory(flags: str, what: str, needed: int, remedy: str):
 
 def _evolution(options, rows: int):
     """The EvolutionConfig and initial state of an evolve or flowmap run of `rows` state rows."""
-    grid = _build("--n", Grid, options.n)
     _build("--dt/--t-end", step_count, options.dt, options.t_end)
     config = _build("--stride/--slope-threshold/--rhox-threshold", EvolutionConfig,
                     Model(options.model), dt=options.dt, t_end=options.t_end,
                     blowup_slope_threshold=options.slope_threshold,
                     blowup_rhox_threshold=options.rhox_threshold,
                     diagnostics_stride=options.stride)
-    shape = _history_shape(config, rows, grid.n)
+    # Before the grid is built: every run keeps its first and last steps.
+    shape = _history_shape(config, rows, options.n)
+    _require_memory("--n", f"the smallest history (first and last steps of {shape[0]} rows "
+                    f"of {shape[2]} points)", 8 * 2 * shape[0] * shape[2], "lower --n")
     _require_memory("--stride/--t-end", f"the kept history ({shape[1]} steps of {shape[0]} "
                     f"rows of {shape[2]} points)", 8 * math.prod(shape),
                     "raise --stride or lower --t-end")
+    grid = _build("--n", Grid, options.n)
     if options.snapshot_stride < 0:
         raise CliError("--snapshot-stride must be >= 0")
     if options.snapshot_stride % options.stride:
@@ -198,6 +201,10 @@ def _flowmap(options):
 def _curvature(options):
     direction = _build("--k1/--k2/--l1/--l2", CosineDirectionPair,
                        options.k1, options.k2, options.l1, options.l2)
+    # 1.5 KiB a point of n = 6 max_mode + 2, `scan_grid`'s rule without its size
+    # search; tracemalloc: about 1.4 kB a point at its peak, modes 10^3 to 10^5.
+    _require_memory("--k1/--k2/--l1/--l2", f"the plane's grid (mode {direction.max_mode})",
+                    1536 * (6 * direction.max_mode + 2), "lower the modes")
 
     def work(out: Path):
         table = scan_direction(direction)

@@ -19,31 +19,23 @@ comparison.  On the cosine family S is strictly positive, and on the
 density-only family the normalized curvature is bounded below by 1/8
 with Gram determinant exactly 1/4.
 
-S is evaluated by a private kernel per grid on stacked (planes, 2, n)
-arrays of directions (u, rho).  Gamma(a, b) costs one rfft of the two
-stacked quadratic terms (u v + u_x v_x/2 + rho tau/2, u_x tau + v_x rho),
-whose spectra are multiplied by -Ainv d/dx and -1/2 with the 2/3-rule
-mask folded in (the multipliers of the 2CH evolution kernel).  The metric
-(H^1 on u, L^2 on rho) and the Gram determinant pair rfft spectra by
-Parseval, so no inverse transform follows.
-
-Cosine planes take the Gamma-pair path.  The grid's basis is the zero
-direction and the velocity and density cos(2 pi m x) of every mode it
-resolves; of the basis rows a table's directions use, Gamma of each
-unordered pair is computed once, and their Gram matrix
-G = <Gamma_pq, Gamma_rs> and the basis Gram H are one matrix product each.
-A cosine direction is the sum of two basis rows, so by bilinearity S and
-the Gram determinant of every plane are sums of entries of G and H.
-`positivity_scan` reads its planes from them in chunks, with the closed
-forms on the mode columns, checks its bounds with masks and returns a
-`ScanTable` of 1-D columns; `scan_direction` is the one-row table on the
-same grid, so it reads the same entries from a G over at most four rows,
-which stays small however large its modes.  Arbitrary
-fields have no small basis, so `_curvatures` pairs them plane by plane:
-`negative_search` and the one-plane `VelocityPair` views
-`unnormalized_curvature` and `sectional_curvature` use it, and
-`chdp.connection.christoffel_2ch` with `metric` is the field-by-field
-form both paths agree with to round-off.
+S has one evaluator, `_pair_grams`, on stacked bases of directions
+(u, rho).  Gamma(a, b) costs one rfft of the two stacked quadratic terms
+(u v + u_x v_x/2 + rho tau/2, u_x tau + v_x rho), whose spectra are
+multiplied by -Ainv d/dx and -1/2 with the 2/3-rule mask folded in (the
+multipliers of the 2CH evolution kernel).  Gamma of each unordered pair
+of a basis's rows is computed once; their Gram matrix G and the basis
+Gram H (H^1 on u, L^2 on rho, by Parseval) are one matrix product each,
+and by bilinearity S and the Gram determinant of a plane of sums of
+basis rows are sums of their entries.  A cosine direction sums two rows
+of the grid's basis, the zero direction and the velocity and density
+cos(2 pi m x) of every mode the grid resolves: `positivity_scan` reads
+its planes from one G in chunks, with the closed forms on the mode
+columns, and returns a `ScanTable` of 1-D columns; `scan_direction` is
+its one-row table on the same grid, from a G over at most four rows.
+Any other plane is its own two-row basis, stacked one per trial by
+`negative_search`.  `chdp.connection.christoffel_2ch` with `metric` is
+the field-by-field form they agree with to round-off.
 
 Resolution: products of two directions reach twice their largest mode M,
 so the scans take modes, not a grid: `scan_direction`, `positivity_scan`
@@ -83,8 +75,8 @@ log = logging.getLogger(__name__)
 
 TWO_PI = 2.0 * np.pi
 
-# Planes, or basis pairs, per batched Gamma(a, b) pass: bounds the working
-# arrays at (_CHUNK, 2, n) however many a scan holds.
+# Basis pairs per batched Gamma(a, b) pass, and trials per negative-search
+# draw: bounds the working arrays at (_CHUNK, 2, n) however many a scan holds.
 _CHUNK = 128
 # Planes per pass of the Gamma-pair sums: bounds their index and value
 # arrays (about 50 numbers per plane, 0.4 MB a pass) however many planes
@@ -152,8 +144,8 @@ class _CurvatureKernel:
 
     A direction is a (2, n) array (u, rho); batches stack directions on
     leading axes.  `slopes` is one irfft giving u_x from the rfft spectra,
-    `christoffel` one rfft giving the spectrum of Gamma(a, b), and
-    `metric` pairs spectra by Parseval.
+    `christoffel` one rfft giving the spectrum of Gamma(a, b), and `gram`
+    pairs spectra by Parseval in one matrix product.
     """
 
     def __init__(self, grid: Grid):
@@ -168,35 +160,29 @@ class _CurvatureKernel:
         # Nyquist mode `derivative` drops (ik is 0 there).
         c = np.full(grid.n // 2 + 1, 2.0 / grid.n**2)
         c[[0, -1]] /= 2.0
-        self.weight = np.stack((c * (1.0 + self.ik.imag**2), c))
-        self.root_weight = np.sqrt(self.weight)
-        for arr in (self.mult, self.weight, self.root_weight):
+        self.root_weight = np.sqrt(np.stack((c * (1.0 + self.ik.imag**2), c)))
+        for arr in (self.mult, self.root_weight):
             arr.setflags(write=False)
 
     def slopes(self, hat: np.ndarray) -> np.ndarray:
         """u_x of every direction, from its spectrum."""
         return np.fft.irfft(hat[..., 0, :] * self.ik, self.n)
 
-    def christoffel(self, a, ax, b, bx) -> np.ndarray:
-        """Spectrum of Gamma(a, b) for directions a, b with slopes ax, bx."""
+    def christoffel(self, a, ax, b, bx, out: np.ndarray):
+        """Write the spectrum of Gamma(a, b) for directions a, b with slopes ax, bx to out."""
         u, rho = a[..., 0, :], a[..., 1, :]
         v, tau = b[..., 0, :], b[..., 1, :]
         q = np.stack((u * v + 0.5 * (ax * bx) + 0.5 * (rho * tau),
                       ax * tau + bx * rho), axis=-2)
-        return np.fft.rfft(q) * self.mult
+        np.multiply(np.fft.rfft(q, out=out), self.mult, out=out)
 
-    def metric(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """<f, g> of stacked spectra: H^1 on u, L^2 on rho."""
-        return ((f.real * g.real + f.imag * g.imag) * self.weight).sum(axis=(-2, -1))
+    def gram(self, f: np.ndarray, out=None) -> np.ndarray:
+        """The matrices <f[..., p, :, :], f[..., q, :, :]> of (..., count, 2, n // 2 + 1) spectra.
 
-    def gram(self, f: np.ndarray) -> np.ndarray:
-        """The matrix <f[p], f[q]> of a (count, 2, n // 2 + 1) stack of spectra.
-
-        One matrix product of the real and imaginary parts scaled by the
-        square root of the metric's weights.
+        One matrix product per stack, of the parts scaled by the square root of the weights.
         """
-        scaled = (f * self.root_weight).view(np.float64).reshape(len(f), -1)
-        return scaled @ scaled.T
+        scaled = (f * self.root_weight).view(np.float64).reshape(*f.shape[:-2], -1)
+        return np.matmul(scaled, scaled.swapaxes(-1, -2), out=out)
 
 
 @lru_cache(maxsize=None)
@@ -205,35 +191,55 @@ def _curvature_kernel(grid: Grid) -> _CurvatureKernel:
     return _CurvatureKernel(grid)
 
 
-def _curvatures(grid: Grid, y: np.ndarray, planes: np.ndarray):
-    """(S, Gram) of each plane (y[i], y[j]) for the rows (i, j) of planes, and <y, y>.
+def _pair_grams(grid: Grid, bases: np.ndarray):
+    """(G, H, pair) of stacked (..., rows, 2, n) bases on grid, leading axes a batch.
 
-    Spectra, slopes, Gamma(a, a) and <a, a> are computed once per
-    direction; Gamma(a, b) once per plane, _CHUNK planes per rfft.
+    G = <Gamma_pq, Gamma_rs> over the unordered pairs (p, q) of a basis's
+    rows, numbered pair[p, q] = pair[q, p], and H = <e_p, e_q> over its
+    rows.  All rows take one rfft and one irfft, Gamma one rfft per pass
+    of at most _CHUNK pairs; a basis's entries do not depend on its batch.
     """
     kernel = _curvature_kernel(grid)
-    hat = np.fft.rfft(y)
-    yx = kernel.slopes(hat)
-    gamma_self = kernel.christoffel(y, yx, y, yx)
-    norm = kernel.metric(hat, hat)
-    s = np.empty(len(planes))
-    gram = np.empty(len(planes))
-    for start in range(0, len(planes), _CHUNK):
-        i, j = planes[start:start + _CHUNK].T
-        gamma = kernel.christoffel(y[i], yx[i], y[j], yx[j])
-        s[start:start + _CHUNK] = (kernel.metric(gamma, gamma)
-                                   - kernel.metric(gamma_self[i], gamma_self[j]))
-        gram[start:start + _CHUNK] = norm[i] * norm[j] - kernel.metric(hat[i], hat[j]) ** 2
-    return s, gram, norm
+    *batch, rows, _, n = bases.shape
+    flat = bases.reshape(-1, 2, n)
+    count = len(flat) // rows
+    hat = np.fft.rfft(flat)
+    slopes = kernel.slopes(hat)
+    h = kernel.gram(hat.reshape(count, rows, 2, -1))
+    del hat  # freed before the passes allocate theirs
+    p, q = np.triu_indices(rows)
+    pair = np.empty((rows, rows), dtype=np.intp)
+    pair[p, q] = pair[q, p] = np.arange(len(p))
+    g = np.empty((count, len(p), len(p)))
+    # Passes of whole bases, split evenly, at most _CHUNK pairs each unless one basis has more.
+    for part in np.array_split(np.arange(count), -(-count // max(1, _CHUNK // len(p)))):
+        i, j = (rows * part[:, None] + p).ravel(), (rows * part[:, None] + q).ravel()
+        gamma = np.empty((len(i), 2, n // 2 + 1), dtype=complex)
+        for start in range(0, len(i), _CHUNK):
+            a, b = i[start:start + _CHUNK], j[start:start + _CHUNK]
+            kernel.christoffel(flat.take(a, axis=0), slopes.take(a, axis=0),
+                               flat.take(b, axis=0), slopes.take(b, axis=0),
+                               gamma[start:start + _CHUNK])
+        kernel.gram(gamma.reshape(len(part), len(p), 2, -1), out=g[part[0]:part[-1] + 1])
+    return g.reshape(*batch, len(p), len(p)), h.reshape(*batch, rows, rows), pair
+
+
+def _two_row_planes(grid: Grid, bases: np.ndarray):
+    """(S, Gram, <a, a> <b, b>) of stacked (..., 2, 2, n) bases (a, b), each a plane.
+
+    With pairs (aa, ab, bb) numbered 0, 1, 2, S = G[1, 1] - G[0, 2].
+    """
+    g, h, _ = _pair_grams(grid, bases)
+    norms = h[..., 0, 0] * h[..., 1, 1]
+    return g[..., 1, 1] - g[..., 0, 2], norms - h[..., 0, 1] ** 2, norms
 
 
 def _plane(a: VelocityPair, b: VelocityPair) -> tuple[float, float, float]:
     """(S, Gram, <a, a> <b, b>) of the plane of a and b."""
     if a.grid.n != b.grid.n:
         raise ValueError(f"grid mismatch: n={a.grid.n} vs n={b.grid.n}")
-    y = np.array([(a.u.values, a.rho.values), (b.u.values, b.rho.values)])
-    s, gram, norm = _curvatures(a.grid, y, np.array([[0, 1]]))
-    return float(s[0]), float(gram[0]), float(norm[0] * norm[1])
+    bases = np.array([(a.u.values, a.rho.values), (b.u.values, b.rho.values)])
+    return tuple(map(float, _two_row_planes(a.grid, bases)))
 
 
 def unnormalized_curvature(a: VelocityPair, b: VelocityPair) -> float:
@@ -336,32 +342,18 @@ def _basis_grams(grid: Grid, rows: np.ndarray):
     Basis row 0 is the zero direction, row m the velocity and row top + m
     the density cos(2 pi m x), for m = 1..top = `_top_mode(grid)`.  Only
     the given rows are built: a scan uses every row up to its largest
-    mode, a one-plane table at most four.  Gamma of each unordered pair
-    (p, q) of them, index pair[p, q] = pair[q, p] with p, q positions in
-    rows, costs one batched rfft per _CHUNK pairs; G = <Gamma_pq, Gamma_rs>
-    over those pairs and H = <e_p, e_q> over the rows are one matrix
-    product each.  OpenBLAS gives an entry of such a product the same bits
-    whatever the product's shape (seen with its Haswell, SkylakeX,
-    Sandybridge and Nehalem kernels), so a one-plane table reads the bits
-    of the scan's G entries.
+    mode, a one-plane table at most four; p, q in pair[p, q] are positions
+    in rows.  OpenBLAS gives a matrix product's entry the same bits whatever
+    its shape (Haswell, SkylakeX, Sandybridge and Nehalem kernels), so a
+    one-plane table reads the bits of the scan's G entries.
     """
     top = _top_mode(grid)
-    kernel = _curvature_kernel(grid)
     velocity = (rows >= 1) & (rows <= top)
     density = rows > top
     basis = np.zeros((len(rows), 2, grid.n))
     basis[velocity, 0] = np.cos(TWO_PI * rows[velocity, None] * grid.points)
     basis[density, 1] = np.cos(TWO_PI * (rows[density, None] - top) * grid.points)
-    hat = np.fft.rfft(basis)
-    slopes = kernel.slopes(hat)
-    p, q = np.triu_indices(len(basis))
-    gamma = np.empty((len(p), *hat.shape[1:]), dtype=complex)
-    for start in range(0, len(p), _CHUNK):
-        i, j = p[start:start + _CHUNK], q[start:start + _CHUNK]
-        gamma[start:start + _CHUNK] = kernel.christoffel(basis[i], slopes[i], basis[j], slopes[j])
-    pair = np.empty((len(basis), len(basis)), dtype=np.intp)
-    pair[p, q] = pair[q, p] = np.arange(len(p))
-    return kernel.gram(gamma), kernel.gram(hat), pair
+    return _pair_grams(grid, basis)
 
 
 def _cosine_curvatures(grid: Grid, tuples: np.ndarray, planes: np.ndarray):
@@ -492,7 +484,6 @@ def negative_search(rng: np.random.Generator, trials: int,
     modes = np.arange(1, max_mode + 1)
     phase = TWO_PI * modes[:, None] * grid.points
     cos, sin = np.cos(phase), np.sin(phase)
-    planes = np.arange(2 * _CHUNK).reshape(_CHUNK, 2)
     results = []
     for start in range(0, trials, _CHUNK):
         count = min(_CHUNK, trials - start)
@@ -501,7 +492,7 @@ def negative_search(rng: np.random.Generator, trials: int,
         y = np.zeros((count, 4, grid.n))
         for m in range(max_mode):
             y += coef[..., m, 0, None] * cos[m] + coef[..., m, 1, None] * sin[m]
-        s, gram, _ = _curvatures(grid, y.reshape(2 * count, 2, grid.n), planes[:count])
+        s, gram, _ = _two_row_planes(grid, y.reshape(count, 2, 2, grid.n))
         kept = np.flatnonzero(gram > 1e-9)
         results.extend(zip((start + kept).tolist(), (s[kept] / gram[kept]).tolist()))
     results.sort(key=lambda item: item[1])

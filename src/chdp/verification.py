@@ -30,8 +30,8 @@ from chdp.connection import (
     metric,
 )
 from chdp.curvature import (
+    _cosine_curvatures,
     _cosine_table,
-    _curvatures,
     ch_cosine_curvature,
     positivity_scan,
     scan_grid,
@@ -150,12 +150,10 @@ def check_ch_reduction(seed: int) -> tuple[bool, str]:
 
     The planes are the pairs of distinct directions (cos 2 pi m x, 0), m in 1..6.
     """
-    grid = scan_grid(6)
     modes = np.arange(1, 7)
-    y = np.zeros((len(modes), 2, grid.n))
-    y[:, 0] = np.cos(2.0 * np.pi * modes[:, None] * grid.points)
+    tuples = np.column_stack((modes, np.zeros_like(modes)))
     planes = np.column_stack(np.triu_indices(len(modes), 1))
-    s_num = _curvatures(grid, y, planes)[0]
+    s_num = _cosine_curvatures(scan_grid(6), tuples, planes)[0]
     worst = float(np.max(np.abs(s_num - ch_cosine_curvature(*modes[planes].T))))
     return worst <= 1e-9 * (1 + worst), f"max abs err {worst:.2e} (tol 1e-9)"
 

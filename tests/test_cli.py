@@ -436,6 +436,31 @@ def test_unallocatable_history_fails_before_out_dir(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["evolve", "flowmap"])
+def test_unallocatable_grid_fails_before_out_dir(tmp_path, capsys, command):
+    # Even the first and last steps at n = 10^11 need 5.8 TiB (evolve) or 11.6 TiB.
+    out = tmp_path / "X"
+    code = main([command, "--model", "2ch", "--ic", "pair:1:0.1:1:0.1",
+                 "--n", "100000000000", "--out-dir", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --n: the smallest history") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_unallocatable_plane_fails_before_out_dir(tmp_path, capsys):
+    # Mode 10^10 needs a grid of 6 * 10^10 points; the check runs no grid-size search.
+    out = tmp_path / "X"
+    start = time.perf_counter()
+    code = main(["curvature", "--k1", "1", "--k2", "1", "--l1", "1", "--l2", "10000000000",
+                 "--out-dir", str(out)])
+    assert time.perf_counter() - start < 5.0
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --k1/--k2/--l1/--l2: the plane's grid") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_unallocatable_scan_fails_before_out_dir(tmp_path, capsys):
     # Max mode 1000 is 5 * 10^11 planes and a 2 * 10^6-square Gram: 68 TiB.
     out = tmp_path / "X"

@@ -25,6 +25,7 @@ from chdp.curvature import (
 )
 from chdp.spectral import (
     Grid,
+    PeriodicField,
     cosine_field,
     derivative,
     helmholtz_inverse,
@@ -375,7 +376,8 @@ class TestCosinePath:
         # Row m is cos(2 pi m x), row 0 the zero slot.
         cosines = np.cos(TWO_PI * np.arange(max_mode + 1)[:, None] * grid.points)
         cosines[0] = 0.0
-        s, gram, _ = curvature._curvatures(grid, cosines[tuples], planes)
+        # Each plane is its own two-row basis of its summed fields.
+        s, gram, _ = curvature._two_row_planes(grid, cosines[tuples][planes])
         table = curvature._cosine_table(grid, tuples, planes)
         for name, want in (("s_numeric", s), ("gram", gram), ("sec", s / gram)):
             got = getattr(table, name)
@@ -424,7 +426,7 @@ def test_density_planes_are_nonnegative(seed, max_mode):
     for slot in y:
         slot[1] = rng.standard_normal(max_mode + 1) @ np.cos(phase)
         slot[1] += rng.standard_normal(max_mode + 1) @ np.sin(phase)
-    s = curvature._curvatures(grid, y, np.array([[0, 1]]))[0][0]
+    s = curvature._two_row_planes(grid, y)[0]
 
     rho, tau = y[:, 1]
     # Modes m >= 0 from the rfft; -m adds the conjugate of the m term.
@@ -520,6 +522,26 @@ def test_negative_search_chunks_keep_the_stream(monkeypatch):
     monkeypatch.setattr(curvature, "_CHUNK", 7)
     assert negative_search(np.random.default_rng(5), 40, 4) == whole
     assert sorted(t for t, _ in whole) == list(range(40))
+
+
+def test_negative_search_trials_are_one_plane_values():
+    # Each trial's Sec is sectional_curvature of that trial's fields bit for
+    # bit: a plane's value does not depend on what else is in its batch.
+    max_mode, trials = 8, 64
+    grid = scan_grid(max_mode)
+    found = dict(negative_search(np.random.default_rng(7), trials, max_mode))
+    modes = np.arange(1, max_mode + 1)
+    phase = TWO_PI * modes[:, None] * grid.points
+    cos, sin = np.cos(phase), np.sin(phase)
+    coef = (np.random.default_rng(7).standard_normal((trials, 4, max_mode, 2))
+            * (1.0 / modes)[:, None])
+    y = np.zeros((trials, 4, grid.n))
+    for m in range(max_mode):
+        y += coef[..., m, 0, None] * cos[m] + coef[..., m, 1, None] * sin[m]
+    assert sorted(found) == list(range(trials))
+    for trial, sec in found.items():
+        u, rho, v, tau = (PeriodicField(grid, f) for f in y[trial])
+        assert sectional_curvature(VelocityPair(u, rho), VelocityPair(v, tau)) == sec, trial
 
 
 def test_negative_search_memory_does_not_grow_with_trials():
