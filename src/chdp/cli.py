@@ -36,6 +36,7 @@ from chdp import csvio
 from chdp.connection import Model
 from chdp.curvature import (
     CosineDirectionPair,
+    _plane_bytes,
     _scan_bytes,
     negative_search,
     positivity_scan,
@@ -201,10 +202,8 @@ def _flowmap(options):
 def _curvature(options):
     direction = _build("--k1/--k2/--l1/--l2", CosineDirectionPair,
                        options.k1, options.k2, options.l1, options.l2)
-    # 1.5 KiB a point of n = 6 max_mode + 2, `scan_grid`'s rule without its size
-    # search; tracemalloc: about 1.4 kB a point at its peak, modes 10^3 to 10^5.
     _require_memory("--k1/--k2/--l1/--l2", f"the plane's grid (mode {direction.max_mode})",
-                    1536 * (6 * direction.max_mode + 2), "lower the modes")
+                    _plane_bytes(direction.max_mode), "lower the modes")
 
     def work(out: Path):
         table = scan_direction(direction)

@@ -22,8 +22,8 @@ with Gram determinant exactly 1/4.
 S has one evaluator, `_pair_grams`, on stacked bases of directions
 (u, rho).  Gamma(a, b) costs one rfft of the two stacked quadratic terms
 (u v + u_x v_x/2 + rho tau/2, u_x tau + v_x rho), whose spectra are
-multiplied by -Ainv d/dx and -1/2 with the 2/3-rule mask folded in (the
-multipliers of the 2CH evolution kernel).  Gamma of each unordered pair
+multiplied by -Ainv d/dx and -1/2 with the 2/3-rule mask folded in,
+multipliers built from the grid alone.  Gamma of each unordered pair
 of a basis's rows is computed once; their Gram matrix G and the basis
 Gram H (H^1 on u, L^2 on rho, by Parseval) are one matrix product each,
 and by bilinearity S and the Gram determinant of a plane of sums of
@@ -39,8 +39,10 @@ the field-by-field form they agree with to round-off.
 
 Resolution: products of two directions reach twice their largest mode M,
 so the scans take modes, not a grid: `scan_direction`, `positivity_scan`
-and `negative_search` run on `scan_grid(M)`, the smallest resolving grid
-of FFT-friendly size; every scan row must match the closed form to C1's tolerance.
+and `negative_search` run on `scan_grid(M)`, the smallest grid of
+FFT-friendly size with at least `_grid_floor(M)` points, the one
+resolution rule, which `_plane_bytes` sizes a plane from; every scan row
+must match the closed form to C1's tolerance.
 """
 
 from __future__ import annotations
@@ -48,12 +50,10 @@ from __future__ import annotations
 import logging
 import numbers
 from dataclasses import astuple, dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from chdp.connection import Model, VelocityPair
-from chdp.evolution import _kernel
+from chdp.connection import VelocityPair
 from chdp.spectral import Grid, _fft_size
 
 __all__ = [
@@ -139,56 +139,13 @@ class ScanTable:
         return np.abs(self.s_numeric - self.s_closed) / (1.0 + np.abs(self.s_closed))
 
 
-class _CurvatureKernel:
-    """2CH Christoffel map and metric of one grid, on stacked arrays.
+def _gram(f: np.ndarray, root_weight: np.ndarray, out=None) -> np.ndarray:
+    """The matrices <f[..., p, :, :], f[..., q, :, :]> of (..., count, 2, n // 2 + 1) spectra.
 
-    A direction is a (2, n) array (u, rho); batches stack directions on
-    leading axes.  `slopes` is one irfft giving u_x from the rfft spectra,
-    `christoffel` one rfft giving the spectrum of Gamma(a, b), and `gram`
-    pairs spectra by Parseval in one matrix product.
+    One matrix product per stack, of the parts scaled by the square root of the weights.
     """
-
-    def __init__(self, grid: Grid):
-        ch2 = _kernel(Model.CH2, grid.n)
-        self.n = grid.n
-        self.ik = ch2.ik
-        # Gamma = (-keep Ainv d/dx Q1, -keep Q2 / 2); ch2.mult holds -keep,
-        # -keep Ainv d/dx and -keep.
-        self.mult = np.stack((ch2.mult[1], 0.5 * ch2.mult[2]))
-        # (1/n) sum_j f_j g_j = sum_k c_k Re(f^_k conj(g^_k)) / n^2, with
-        # c_k = 2 but 1 at k = 0 and Nyquist; u adds the u_x term, whose
-        # Nyquist mode `derivative` drops (ik is 0 there).
-        c = np.full(grid.n // 2 + 1, 2.0 / grid.n**2)
-        c[[0, -1]] /= 2.0
-        self.root_weight = np.sqrt(np.stack((c * (1.0 + self.ik.imag**2), c)))
-        for arr in (self.mult, self.root_weight):
-            arr.setflags(write=False)
-
-    def slopes(self, hat: np.ndarray) -> np.ndarray:
-        """u_x of every direction, from its spectrum."""
-        return np.fft.irfft(hat[..., 0, :] * self.ik, self.n)
-
-    def christoffel(self, a, ax, b, bx, out: np.ndarray):
-        """Write the spectrum of Gamma(a, b) for directions a, b with slopes ax, bx to out."""
-        u, rho = a[..., 0, :], a[..., 1, :]
-        v, tau = b[..., 0, :], b[..., 1, :]
-        q = np.stack((u * v + 0.5 * (ax * bx) + 0.5 * (rho * tau),
-                      ax * tau + bx * rho), axis=-2)
-        np.multiply(np.fft.rfft(q, out=out), self.mult, out=out)
-
-    def gram(self, f: np.ndarray, out=None) -> np.ndarray:
-        """The matrices <f[..., p, :, :], f[..., q, :, :]> of (..., count, 2, n // 2 + 1) spectra.
-
-        One matrix product per stack, of the parts scaled by the square root of the weights.
-        """
-        scaled = (f * self.root_weight).view(np.float64).reshape(*f.shape[:-2], -1)
-        return np.matmul(scaled, scaled.swapaxes(-1, -2), out=out)
-
-
-@lru_cache(maxsize=None)
-def _curvature_kernel(grid: Grid) -> _CurvatureKernel:
-    """The curvature kernel of grid, built on first use and then shared."""
-    return _CurvatureKernel(grid)
+    scaled = (f * root_weight).view(np.float64).reshape(*f.shape[:-2], -1)
+    return np.matmul(scaled, scaled.swapaxes(-1, -2), out=out)
 
 
 def _pair_grams(grid: Grid, bases: np.ndarray):
@@ -196,16 +153,27 @@ def _pair_grams(grid: Grid, bases: np.ndarray):
 
     G = <Gamma_pq, Gamma_rs> over the unordered pairs (p, q) of a basis's
     rows, numbered pair[p, q] = pair[q, p], and H = <e_p, e_q> over its
-    rows.  All rows take one rfft and one irfft, Gamma one rfft per pass
-    of at most _CHUNK pairs; a basis's entries do not depend on its batch.
+    rows.  All rows take one rfft and one irfft (for u_x), Gamma one rfft
+    per pass of at most _CHUNK pairs; a basis's entries do not depend on
+    its batch.
     """
-    kernel = _curvature_kernel(grid)
+    ik = grid.ik
+    keep = grid.dealias_mask
+    # Gamma = (-keep Ainv d/dx Q1, -keep Q2 / 2), keep the 2/3-rule mask.
+    mult = -np.array([keep * (ik / grid.helmholtz_symbol), keep])
+    mult[1] *= 0.5
+    # (1/n) sum_j f_j g_j = sum_k c_k Re(f^_k conj(g^_k)) / n^2, with
+    # c_k = 2 but 1 at k = 0 and Nyquist; u adds the u_x term, whose
+    # Nyquist mode `derivative` drops (ik is 0 there).
+    c = np.full(len(ik), 2.0 / grid.n**2)
+    c[[0, -1]] /= 2.0
+    root_weight = np.sqrt(np.stack((c * (1.0 + ik.imag**2), c)))
     *batch, rows, _, n = bases.shape
     flat = bases.reshape(-1, 2, n)
     count = len(flat) // rows
     hat = np.fft.rfft(flat)
-    slopes = kernel.slopes(hat)
-    h = kernel.gram(hat.reshape(count, rows, 2, -1))
+    slopes = np.fft.irfft(hat[:, 0] * ik, n)
+    h = _gram(hat.reshape(count, rows, 2, -1), root_weight)
     del hat  # freed before the passes allocate theirs
     p, q = np.triu_indices(rows)
     pair = np.empty((rows, rows), dtype=np.intp)
@@ -217,10 +185,14 @@ def _pair_grams(grid: Grid, bases: np.ndarray):
         gamma = np.empty((len(i), 2, n // 2 + 1), dtype=complex)
         for start in range(0, len(i), _CHUNK):
             a, b = i[start:start + _CHUNK], j[start:start + _CHUNK]
-            kernel.christoffel(flat.take(a, axis=0), slopes.take(a, axis=0),
-                               flat.take(b, axis=0), slopes.take(b, axis=0),
-                               gamma[start:start + _CHUNK])
-        kernel.gram(gamma.reshape(len(part), len(p), 2, -1), out=g[part[0]:part[-1] + 1])
+            (u, rho), ax = flat.take(a, axis=0).swapaxes(0, 1), slopes.take(a, axis=0)
+            (v, tau), bx = flat.take(b, axis=0).swapaxes(0, 1), slopes.take(b, axis=0)
+            # Gamma(a, b): the quadratic terms Q, one rfft, times mult.
+            terms = np.stack((u * v + 0.5 * (ax * bx) + 0.5 * (rho * tau),
+                              ax * tau + bx * rho), axis=-2)
+            out = gamma[start:start + _CHUNK]
+            np.multiply(np.fft.rfft(terms, out=out), mult, out=out)
+        _gram(gamma.reshape(len(part), len(p), 2, -1), root_weight, out=g[part[0]:part[-1] + 1])
     return g.reshape(*batch, len(p), len(p)), h.reshape(*batch, rows, rows), pair
 
 
@@ -298,19 +270,26 @@ def closed_form_integrals(m_k1, m_k2, m_l1, m_l2):
     return i1, i2, i3, i4
 
 
-def scan_grid(max_mode: int) -> Grid:
-    """The smallest grid resolving curvature of modes <= max_mode whose size is 2-3-5-smooth.
+def _grid_floor(max_mode: int) -> int:
+    """The fewest points that resolve curvature of modes <= max_mode: the one resolution rule.
 
-    The one resolution rule: products of two directions reach mode 2 max_mode,
-    which the 2/3 rule keeps when n >= 6 max_mode + 2 (and n >= 16); rounding
-    up to an even 2-3-5-smooth size keeps the FFTs on their fast path.
+    Products of two directions reach mode 2 max_mode, which the 2/3 rule
+    keeps when n >= 6 max_mode + 2 (and a grid has n >= 16).
     """
-    return Grid(_fft_size(max(16, 6 * max_mode + 2)))
+    return max(16, 6 * max_mode + 2)
+
+
+def scan_grid(max_mode: int) -> Grid:
+    """The smallest grid of `_grid_floor(max_mode)` points or more whose size is 2-3-5-smooth.
+
+    Rounding up to an even 2-3-5-smooth size keeps the FFTs on their fast path.
+    """
+    return Grid(_fft_size(_grid_floor(max_mode)))
 
 
 def _top_mode(grid: Grid) -> int:
-    """The largest mode whose curvature grid resolves: the inverse of `scan_grid`'s rule."""
-    return (grid.n - 2) // 6
+    """The largest mode whose curvature grid resolves: products reach twice it."""
+    return grid.dealias_cutoff // 2
 
 
 def closed_form_curvature(m_k1, m_k2, m_l1, m_l2):
@@ -334,6 +313,15 @@ def _scan_bytes(max_mode: int) -> int:
     rows = 2 * max_mode + 1
     pairs = rows * (rows + 1) // 2
     return 80 * planes + 8 * pairs * pairs
+
+
+def _plane_bytes(max_mode: int) -> int:
+    """Bytes scan_direction holds on a plane of largest mode max_mode.
+
+    1.5 KiB a point of `_grid_floor(max_mode)`, without `scan_grid`'s size
+    search (tracemalloc: about 1.4 kB a point at its peak, modes 10^3 to 10^5).
+    """
+    return 1536 * _grid_floor(max_mode)
 
 
 def _basis_grams(grid: Grid, rows: np.ndarray):
@@ -398,7 +386,7 @@ def _cosine_table(grid: Grid, tuples: np.ndarray, planes: np.ndarray) -> ScanTab
 
     A tuple holds the (velocity, density) modes of one cosine direction.
     The closed forms come first, _CLOSED_FORM_CHUNK planes per pass, so a
-    degenerate plane raises before the kernel runs.
+    degenerate plane raises before `_pair_grams` runs.
     """
     (k1, k2), (l1, l2) = tuples[planes[:, 0]].T, tuples[planes[:, 1]].T
     s_closed = np.empty(len(planes))

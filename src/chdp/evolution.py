@@ -223,8 +223,8 @@ class _Kernel:
     product.  With rows=4 the labels products u xi_x and u g_x share that
     rfft but not the sums, where 0 * NaN would carry a non-finite xi into
     u_t and rho_t.  By linearity each term's dealias mask, derivative and
-    inverse Helmholtz factor fold into one multiplier (`mult`), and
-    `weights` sums the multiplied term spectra into u_t and rho_t, which
+    inverse Helmholtz factor fold into one multiplier, and `weights` sums
+    the multiplied term spectra into u_t and rho_t, which
     are 0 above the dealias cutoff, so an RK4 sum of band-limited spectra
     stays band-limited.  The labels rows are not truncated.
 
@@ -232,13 +232,9 @@ class _Kernel:
     the layout of `points`: the values of u and rho are z[0] and z[1], and
     the slope of state row r is z[r - rows], counted from the back.
 
-    `mult` holds the per-term multipliers, u_t's terms then rho_t's (the
-    comments list them with `|` between); the curvature kernel reads the
-    2CH ones.
-
     The first stage call makes the kernel's workspaces (`_workspaces`),
-    and every stage call writes into them: a kernel used only for `mult`
-    or `points` makes none.  A stage's result is a new array all the same,
+    and every stage call writes into them: a kernel used only for
+    `points` makes none.  A stage's result is a new array all the same,
     since `rk4` holds k1..k4 at once, and the operations are those on
     fresh arrays, so the bits are too.  The workspaces make a kernel serve
     one call at a time.
@@ -250,8 +246,9 @@ class _Kernel:
         self.ik = grid.ik
         keep = grid.dealias_mask
         lift = self.ik / grid.helmholtz_symbol  # Ainv d/dx
-        # Per term, (coefficient, left, right) of each product it sums, with
-        # left and right rows of (u, rho, u_x, rho_x).
+        # Per term, its multiplier and the (coefficient, left, right) of each
+        # product it sums, with left and right rows of (u, rho, u_x, rho_x);
+        # u_t's terms, then rho_t's (`|` between them below).
         if model in (Model.CH, Model.CH2):
             # u u_x, q = u^2 + u_x^2/2 (+ rho^2/2) | u rho_x + rho u_x
             mult = [keep, keep * lift, keep]
@@ -265,7 +262,7 @@ class _Kernel:
                      [(1.0, 0, 3), (2.0, 1, 2)]]
             split = 3 if model is Model.DP2 else 2
         count = split + (1 if model.two_component else 0)
-        self.mult = -np.array(mult[:count])
+        mult = -np.array(mult[:count])
         columns = {}  # (left, right) -> its column of `sums`
         for products in terms[:count]:
             for _, left, right in products:
@@ -280,9 +277,9 @@ class _Kernel:
                 if (left, right) in columns:
                     self.sums[term, columns[left, right]] = coef
         self.weights = np.zeros((2, count, len(keep)), complex)  # (output, term, mode)
-        self.weights[0, :split] = self.mult[:split]
-        self.weights[1, split:] = self.mult[split:]
-        for arr in (self.mult, self.left, self.right, self.sums, self.weights):
+        self.weights[0, :split] = mult[:split]
+        self.weights[1, split:] = mult[split:]
+        for arr in (self.left, self.right, self.sums, self.weights):
             arr.setflags(write=False)
         self._work = None  # `_workspaces`, made by the first stage call
 

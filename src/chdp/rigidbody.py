@@ -164,7 +164,9 @@ def evolve_rigidbody(state0: RigidBodyState, dt: float, t_end: float) -> RigidBo
 
     `rk4` steps the stacked (4, 3) state, one `hat` per stage.  A step that
     leaves R too far from a rotation for the polar iteration (dt past RK4's
-    stability limit) raises ValueError naming the step.
+    stability limit) raises ValueError naming the step, also when its
+    stages overflowed: the loop runs under one `np.errstate` that silences
+    overflow and invalid warnings, so the error is what the caller sees.
     """
     n_steps = step_count(dt, t_end)
     inertia = state0.inertia
@@ -175,14 +177,15 @@ def evolve_rigidbody(state0: RigidBodyState, dt: float, t_end: float) -> RigidBo
 
     history = np.empty((n_steps + 1, 4, 3))
     history[0] = z
-    for step in range(1, n_steps + 1):
-        z = rk4(rhs, z, dt)
-        try:
-            z[1:] = _reorthonormalize(z[1:])
-        except ValueError as exc:
-            raise ValueError(f"rigid-body step {step} with dt={dt!r}: {exc}; "
-                             f"reduce dt") from None
-        history[step] = z
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n_steps + 1):
+            z = rk4(rhs, z, dt)
+            try:
+                z[1:] = _reorthonormalize(z[1:])
+            except ValueError as exc:
+                raise ValueError(f"rigid-body step {step} with dt={dt!r}: {exc}; "
+                                 f"reduce dt") from None
+            history[step] = z
 
     body_momentum, attitudes = history[:, 0], history[:, 1:]
     omegas = body_momentum / inertia

@@ -18,7 +18,7 @@ them, and `chdp.flowmap.momentum_drift` against the coadjoint action.
 `CosineDirectionPair` as two `VelocityPair`s.
 
 Three views the tests read and no command runs live here as well:
-`kernel_gram_determinant` (the curvature kernel's Gram determinant of one
+`kernel_gram_determinant` (`chdp.curvature`'s Gram determinant of one
 plane), `euler_rhs` (Euler's equation by `np.cross`, the oracle of row 0 of
 the rigid-body stepper's product) and `read_manifest` (a `run.json` as a
 dict; NaN and infinities are rejected, as strict JSON parsers do).
@@ -246,7 +246,7 @@ def gram_determinant(a: VelocityPair, b: VelocityPair) -> float:
 
 
 def kernel_gram_determinant(a: VelocityPair, b: VelocityPair) -> float:
-    """The Gram determinant of the plane of a and b from `chdp.curvature`'s kernel."""
+    """The Gram determinant of the plane of a and b from `chdp.curvature`'s evaluator."""
     return _plane(a, b)[1]
 
 

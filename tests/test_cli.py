@@ -4,6 +4,7 @@ import os
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -736,6 +737,17 @@ class TestRigidbodyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: rigid-body step 1 with dt=2.0: attitude is 13 from")
         assert not (tmp_path / "rigidbody.csv").exists()
+
+    @pytest.mark.parametrize("omega0", ["1e100,1,1", "1e200,0,0"])
+    def test_huge_data_exits_1_under_warnings_as_errors(self, tmp_path, capsys, omega0):
+        # The stages overflow; the user sees the "reduce dt" error, not the warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["rigidbody", "--inertia", "1,2,3", "--omega0", omega0, "--dt", "1e-3",
+                         "--t-end", "1e-2", "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: rigid-body step 1 with dt=0.001: ") and "reduce dt" in err
 
 
 class TestVerifyCommand:

@@ -306,9 +306,8 @@ class TestKernelWorkspaces:
             assert np.array_equal(out, before)
 
     def test_only_stage_calls_make_workspaces(self):
-        # The curvature kernel reads `mult`, the flow map's monitor `points`.
+        # The flow map's monitor reads `points` alone.
         kernel = evolution._Kernel(Model.CH2, Grid(64), 2)
-        kernel.mult
         kernel.points(np.zeros((2, 33), complex))
         assert kernel._work is None
 
