@@ -6,7 +6,10 @@ reads, each declared once (an option that feeds `EvolutionConfig` takes
 its default from there), and a builder that turns them into the objects
 the command runs.  Those objects hold the rules on their inputs; `_build`
 prefixes an object's error with the flags it was built from, so every
-error names its flags and fires before --out-dir exists.  `run` is the
+error names its flags and fires before --out-dir exists.  A builder
+imports its own command's module, so a run loads only what its work runs,
+and the parser needs only `evolution` (the defaults of the options that
+feed `EvolutionConfig`) and `presets` (the --ic help).  `run` is the
 one runner: it makes --out-dir, times the command's work, CSVs included,
 as `wall_seconds`, writes run.json and prints the command's lines.
 
@@ -34,22 +37,10 @@ import numpy as np
 
 from chdp import csvio
 from chdp.connection import Model
-from chdp.curvature import (
-    CosineDirectionPair,
-    _plane_bytes,
-    _scan_bytes,
-    negative_search,
-    positivity_scan,
-    scan_direction,
-)
 from chdp.evolution import (EvolutionConfig, RunStatus, _history_shape, _initial_state, evolve,
                             step_count)
-from chdp.flowmap import evolve_flowmap, momentum_drift
 from chdp.presets import PRESET_HELP, initial_condition
-from chdp.rigidbody import (RigidBodyState, _trajectory_bytes, conservation_drifts,
-                            evolve_rigidbody)
 from chdp.spectral import Grid
-from chdp import verification
 
 __all__ = ["parse_config", "run", "main"]
 
@@ -107,9 +98,9 @@ def _snapshots(times: np.ndarray, dt: float, snapshot_stride: int) -> list[tuple
             if i in (0, last) or (snapshot_stride and step % snapshot_stride == 0)]
 
 
-# Each builder validates a command's options by building the objects it
-# runs and returns its work: work(out) -> (status, final diagnostics,
-# printed lines).
+# Each builder imports its command's module, validates the command's
+# options by building the objects it runs and returns its work:
+# work(out) -> (status, final diagnostics, printed lines).
 
 def _physical_memory() -> int | None:
     """Bytes of physical memory, or None where `os.sysconf` cannot tell."""
@@ -172,6 +163,8 @@ def _evolve(options):
 
 
 def _flowmap(options):
+    from chdp.flowmap import evolve_flowmap, momentum_drift
+
     config, initial = _evolution(options, 4)
 
     def work(out: Path):
@@ -200,6 +193,8 @@ def _flowmap(options):
 
 
 def _curvature(options):
+    from chdp.curvature import CosineDirectionPair, _plane_bytes, scan_direction
+
     direction = _build("--k1/--k2/--l1/--l2", CosineDirectionPair,
                        options.k1, options.k2, options.l1, options.l2)
     _require_memory("--k1/--k2/--l1/--l2", f"the plane's grid (mode {direction.max_mode})",
@@ -234,6 +229,8 @@ def _quantile(ascending: list[float], q: float) -> float:
 
 
 def _scan(options):
+    from chdp.curvature import _scan_bytes, negative_search, positivity_scan
+
     if options.max_mode < 2:
         raise CliError("--max-mode must be at least 2")
     _require_memory("--max-mode", "the scan", _scan_bytes(options.max_mode), "lower --max-mode")
@@ -275,6 +272,9 @@ def _scan(options):
 
 
 def _rigidbody(options):
+    from chdp.rigidbody import (RigidBodyState, _trajectory_bytes, conservation_drifts,
+                                evolve_rigidbody)
+
     inertia = _vector("--inertia", options.inertia)
     omega0 = _vector("--omega0", options.omega0)
     n_steps = _build("--dt/--t-end", step_count, options.dt, options.t_end)
@@ -295,6 +295,8 @@ def _rigidbody(options):
 
 
 def _verify(options):
+    from chdp import verification
+
     # The criteria seed their own generators from --seed; this one checks it.
     _build("--seed", np.random.default_rng, options.seed)
 

@@ -16,13 +16,16 @@ import csv
 import json
 from dataclasses import fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from chdp.connection import VelocityPair
-from chdp.curvature import ScanTable
-from chdp.evolution import DiagnosticsTable
 from chdp.spectral import Grid, PeriodicField
+
+if TYPE_CHECKING:  # the writers read the tables' fields from the instance
+    from chdp.curvature import ScanTable
+    from chdp.evolution import DiagnosticsTable
 
 __all__ = [
     "write_snapshot",

@@ -128,12 +128,13 @@ def _reorthonormalize(mat: np.ndarray) -> np.ndarray:
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     # Every entry is a factor in det, which is finite unless an entry is not
     # (or it overflows).  A non-finite entry is rejected before the Gram
-    # product, where inf * 0 would warn, as NaN if one is NaN, else inf.
-    if math.isfinite(det):
-        gram = mat.T.dot(mat)
-        defect = _defect(gram)
-    else:
-        defect = abs(a) + abs(b) + abs(c) + abs(d) + abs(e) + abs(f) + abs(g) + abs(h) + abs(i)
+    # product, where inf * 0 would warn, and named non-finite: its distance
+    # from orthonormal would print as inf or nan.
+    if not math.isfinite(det):
+        raise ValueError(f"attitude is non-finite, far from orthonormal "
+                         f"(max |R^T R - I| > {_MAX_DEFECT})")
+    gram = mat.T.dot(mat)
+    defect = _defect(gram)
     if not defect <= _MAX_DEFECT:
         raise ValueError(f"attitude is {defect:.3g} from orthonormal "
                          f"(max |R^T R - I| > {_MAX_DEFECT})")

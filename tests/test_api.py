@@ -1,5 +1,7 @@
 import importlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -15,3 +17,46 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_top_level_names_are_their_modules_own():
+    # chdp.evolve is chdp.evolution.evolve: no copy, no wrapper.
+    for attr in chdp.__all__:
+        if attr == "__version__":
+            continue
+        value = getattr(chdp, attr)
+        assert value.__module__.startswith("chdp.")
+        assert getattr(sys.modules[value.__module__], attr) is value, attr
+
+
+def _loaded(child_env, code: str) -> set[str]:
+    """The chdp modules a fresh interpreter holds after running code."""
+    script = (code + "\nimport sys\n"
+              "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'chdp'))")
+    done = subprocess.run([sys.executable, "-c", script], env=child_env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    return set(done.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("code, modules", [
+    ("import chdp", {"chdp"}),
+    ("import chdp.csvio", {"chdp", "chdp.csvio", "chdp.connection", "chdp.spectral"}),
+], ids=["chdp", "csvio"])
+def test_import_loads_only_what_it_uses(child_env, code, modules):
+    assert _loaded(child_env, code) == modules
+
+
+# Each command loads its own module and none of the other commands'.
+COMMAND_MODULES = {"chdp.curvature", "chdp.flowmap", "chdp.rigidbody", "chdp.verification"}
+
+
+@pytest.mark.parametrize("argv, own", [
+    (["rigidbody", "--t-end", "0.01"], {"chdp.rigidbody"}),
+    (["evolve", "--model", "2ch", "--ic", "pair:1:0.1:1:0.1", "--n", "32", "--dt", "1e-3",
+      "--t-end", "1e-3"], set()),
+    (["curvature-scan", "--max-mode", "2"], {"chdp.curvature"}),
+], ids=["rigidbody", "evolve", "curvature-scan"])
+def test_command_loads_only_its_module(child_env, tmp_path, argv, own):
+    argv = argv + ["--out-dir", str(tmp_path)]
+    loaded = _loaded(child_env, f"from chdp import cli\nassert cli.main({argv!r}) == 0")
+    assert loaded & COMMAND_MODULES == own

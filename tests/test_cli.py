@@ -678,7 +678,7 @@ class TestCurvatureCommands:
     ], ids=["half_negative", "none_kept"])
     def test_negative_search_summary_values(self, tmp_path, monkeypatch, found, fraction,
                                             quantiles):
-        monkeypatch.setattr(cli, "negative_search", lambda *args: found)
+        monkeypatch.setattr(curvature, "negative_search", lambda *args: found)
         out = tmp_path / "scan"
         assert main([*SCAN_ARGS, "--out-dir", str(out)]) == 0
         summary = read_manifest(out / "run.json")["final_diagnostics"]["negative_search"]
@@ -748,6 +748,14 @@ class TestRigidbodyCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: rigid-body step 1 with dt=0.001: ") and "reduce dt" in err
+
+    def test_overflowed_attitude_is_named_non_finite(self, tmp_path, capsys):
+        # Its distance from orthonormal is no number: the error says so, not "nan".
+        code = main(["rigidbody", "--inertia", "1,2,3", "--omega0", "1e100,1,1", "--dt", "1e-3",
+                     "--t-end", "1e-2", "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "reduce dt" in err and "nan" not in err
 
 
 class TestVerifyCommand:

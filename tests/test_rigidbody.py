@@ -127,18 +127,18 @@ class TestReorthonormalize:
     def test_rotation_returned_unchanged(self):
         assert np.array_equal(_reorthonormalize(np.eye(3)), np.eye(3))
 
-    # one_nan: a single NaN off the first Gram entry.  one_inf: Gram entries
-    # of both infinite signs, from an entry with no zero to multiply it by.
-    # eye_inf and eye_neg_inf: an inf beside zeros, whose inf * 0 in a Gram
-    # product would warn.
+    # A non-finite entry makes det R non-finite and is rejected before any
+    # Gram product.  one_nan: a single NaN.  one_inf: an inf with no zero to
+    # multiply it by.  eye_inf and eye_neg_inf: an inf beside zeros, whose
+    # inf * 0 in a Gram product would warn.
     @pytest.mark.parametrize("mat, message", [
         (1.5 * np.eye(3), "from orthonormal"),
         (np.diag([1.0, 1.0, -1.0]), "determinant"),
-        (np.full((3, 3), np.nan), "from orthonormal"),
-        (_with_entry(np.eye(3), (2, 1), np.nan), "is nan from orthonormal"),
-        (_with_entry(np.ones((3, 3)), (2, 1), -np.inf), "is inf from orthonormal"),
-        (_with_entry(np.eye(3), (2, 1), np.inf), "is inf from orthonormal"),
-        (_with_entry(np.eye(3), (0, 2), -np.inf), "is inf from orthonormal"),
+        (np.full((3, 3), np.nan), "is non-finite, far from orthonormal"),
+        (_with_entry(np.eye(3), (2, 1), np.nan), "is non-finite, far from orthonormal"),
+        (_with_entry(np.ones((3, 3)), (2, 1), -np.inf), "is non-finite, far from orthonormal"),
+        (_with_entry(np.eye(3), (2, 1), np.inf), "is non-finite, far from orthonormal"),
+        (_with_entry(np.eye(3), (0, 2), -np.inf), "is non-finite, far from orthonormal"),
     ], ids=["far", "reflection", "nan", "one_nan", "one_inf", "eye_inf", "eye_neg_inf"])
     def test_rejects_what_it_cannot_project(self, mat, message):
         with pytest.raises(ValueError, match=message):
