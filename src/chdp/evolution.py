@@ -8,24 +8,38 @@ operator:
     2DP:  u_t = -u u_x - Ainv ((3 u^2/2 - rho^2)_x + rho u_x)
           rho_t = -u rho_x - 2 rho u_x
 
-CH and DP are the rho = 0 reductions.  Time stepping is fixed-step
-classical RK4 (`rk4`, shared by every integrator) with 2/3-rule
-dealiasing; blow-up is detected by non-finite values and by thresholds on
-min u_x and max |rho_x|, checked at t=0 and after every step.
+CH and DP are the rho = 0 reductions.  The kernel writes rho's equation
+in conservative form, u rho_x + rho u_x = (u rho)_x:
 
-The integrator state is the rfft spectra of (u, rho), one complex
-(2, n//2 + 1) array (`_initial_state`): no field is built until the
-result.  The right-hand side is a private kernel per (model, grid, state
-rows) that maps spectra to spectra with two batched FFT calls: one irfft
-of (u, rho, u_x, rho_x) and one rfft of the quadratic terms, each summed
-from its pairwise products in grid space by one small real matrix
-product (3 rows on 2CH, 4 on 2DP).  Each term's dealias mask, d/dx and
-inverse Helmholtz factor are folded into one multiplier, so the stages
-are band-limited and dealiasing needs no FFT pair.  With four state rows
-the same kernel also transports the flow map's labels (`chdp.flowmap`).
+    2CH:  rho_t = -(u rho)_x
+    2DP:  rho_t = -(u rho)_x - rho u_x
+
+so no stage reads rho_x.  u u_x stays a product.  As (u^2)_x / 2 it
+would carry the round-off of the top modes of (u^2)^ times ik, which the
+cross-check against `rhs_momentum_form` (C5, A u_t against m_t)
+multiplies by A's 1 + (2 pi k)^2: its error went from 2.9e-10 to 1.5e-9,
+past C5's 1e-9.  Time stepping is fixed-step classical RK4 (`rk4`, shared by every
+integrator) with 2/3-rule dealiasing; blow-up is detected by non-finite
+values and by thresholds on min u_x and max |rho_x|, checked after every
+step (the thresholds also at t=0).
+
+The integrator state is the Fourier coefficients of (u, rho), the rfft
+over n, one complex (2, n//2 + 1) array (`_initial_state`): no field is
+built until the result.  Every synthesis is `np.fft.irfft(...,
+norm="forward")`, which scales nothing, and the 1/n of every analysis
+lives in the kernel's multipliers, exact for power-of-two n.  The
+right-hand side is a private kernel per (model, grid, state rows) that
+maps coefficients to coefficients with two batched FFT calls: one irfft
+of (u, rho, u_x) and one rfft of the quadratic terms, each summed from
+its pairwise products in grid space by one small real matrix product (3
+rows and 5 products on 2CH, 4 and 5 on 2DP, 2 and 3 on CH, 2 and 2 on
+DP).  Each term's dealias mask, d/dx, inverse Helmholtz factor and 1/n
+are folded into one multiplier per equation, so the stages are
+band-limited and dealiasing needs no FFT pair.  With four state rows the
+same kernel also transports the flow map's labels (`chdp.flowmap`).
 `rhs` is the `VelocityPair` view of the two-row kernel.
 A step allocates no grid-sized temporary besides its stage derivatives
-and its result: each cached kernel writes a stage's spectra, grid
+and its result: each cached kernel writes a stage's coefficients, grid
 values, products, terms and term spectra into buffers it makes on its
 first stage call, and `rk4` sums the stages in place, in the order of
 the textbook sum, so the bits are those of fresh arrays.  What a stage
@@ -33,23 +47,25 @@ and a step return is a new array.  A kernel serves one call at a time
 (chdp runs in one thread).  The step loop's monitor writes its irfft
 into two arrays made once per run.
 `evolve` and `evolve_flowmap` share one step loop, `_integrate`, with one
-step (`_advance`), one monitor and one keep rule: the rows of every
-`diagnostics_stride`-th step, the last step and a blow-up step.  The
-monitor's single irfft per step (`points`) gives the grid values and
-slopes of every state row: the slopes feed the thresholds, kept steps
-store all of them in one real history array, and the next step's stage 1
-starts from them, since the kernel reads a stage's rows from it.  An
-Eulerian step thus costs 8 FFT calls, monitor included, and so does a
-flow-map step, whose stages transport the labels map on the grid
-(`chdp.flowmap`).  Both integrators
-return a result that views that array (`EvolveResult`, extended by the
-flow map's `FlowmapResult`) with its diagnostics, read in one pass as the
-columns of a `DiagnosticsTable`.  `step_rk4` is `_advance` on the Eulerian spectra;
-`evolve` steps through it.
+monitor and one keep rule: the rows of every `diagnostics_stride`-th
+step, the last step and a blow-up step.  The monitor's single irfft per
+step (`points`) gives the grid values and slopes of every state row, and
+one minimum and one maximum over the slope rows decide the step: a NaN
+minimum marks a non-finite step (ik times an infinite or NaN coefficient
+is NaN), then the thresholds read them.  Kept steps store the irfft in
+one real history array, and the next step's stage 1 starts from it,
+since the kernel reads a stage's rows from it.  An Eulerian step thus
+costs 8 FFT calls, monitor included, and so does a flow-map step, whose
+stages transport the labels map on the grid (`chdp.flowmap`).  Both
+integrators return a result that views that array (`EvolveResult`,
+extended by the flow map's `FlowmapResult`) with its diagnostics, read in
+one pass as the columns of a `DiagnosticsTable`.  `step_rk4` is one RK4
+step of the Eulerian coefficients; `evolve` steps through it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -70,7 +86,6 @@ __all__ = [
     "DiagnosticsTable",
     "RunStatus",
     "EvolveResult",
-    "BlowupError",
     "rk4",
     "step_count",
     "rhs",
@@ -78,10 +93,6 @@ __all__ = [
     "step_rk4",
     "evolve",
 ]
-
-
-class BlowupError(RuntimeError):
-    """Non-finite values appeared during a time step."""
 
 
 def rk4(f, y: np.ndarray, dt: float, k1: np.ndarray | None = None) -> np.ndarray:
@@ -213,24 +224,27 @@ class EvolveResult:
 
 
 class _Kernel:
-    """Weak-form right-hand side of one model on one grid, on rfft spectra.
+    """Weak-form right-hand side of one model on one grid, on Fourier coefficients.
 
-    `kernel(y)` maps the (rows, n//2 + 1) spectra y of (u, rho), or of
-    (u, rho, xi, g) with rows=4, to their time derivative with two batched
-    FFT calls along the last axis: one irfft, `points(y, 2)`, and one rfft
-    of the grid values of the quadratic terms, each the sum of its
-    pairwise products formed by one small real (terms, products) matrix
-    product.  With rows=4 the labels products u xi_x and u g_x share that
-    rfft but not the sums, where 0 * NaN would carry a non-finite xi into
-    u_t and rho_t.  By linearity each term's dealias mask, derivative and
-    inverse Helmholtz factor fold into one multiplier, and `weights` sums
-    the multiplied term spectra into u_t and rho_t, which
-    are 0 above the dealias cutoff, so an RK4 sum of band-limited spectra
-    stays band-limited.  The labels rows are not truncated.
+    `kernel(y)` maps the (rows, n//2 + 1) Fourier coefficients y (rfft / n)
+    of (u, rho), or of (u, rho, xi, g) with rows=4, to their time
+    derivative with two batched FFT calls along the last axis: one irfft
+    with no scaling, of (u, rho, u_x) or, on four rows, of (u, rho, u_x,
+    xi_x, g_x), and one rfft of the grid values of the quadratic terms,
+    each the sum of its pairwise products formed by one small real (terms,
+    products) matrix product.  rho's equation is in conservative form,
+    (u rho)_x, so no term reads rho_x.  With rows=4 the labels products
+    u xi_x and u g_x share that rfft but not the sums, where 0 * NaN would
+    carry a non-finite xi into u_t and rho_t.  By linearity each term's
+    dealias mask, derivative, inverse Helmholtz factor and the rfft's 1/n
+    fold into one multiplier per equation (2DP's rho u_x enters both), and
+    `weights` sums the multiplied term spectra into u_t and rho_t, which
+    are 0 above the dealias cutoff, so an RK4 sum of band-limited
+    coefficients stays band-limited.  The labels rows are not truncated.
 
-    `kernel(y, z)` starts from z, the monitor's `points(y)` or any irfft in
-    the layout of `points`: the values of u and rho are z[0] and z[1], and
-    the slope of state row r is z[r - rows], counted from the back.
+    `kernel(y, z)` starts from z, the monitor's `points(y)`: u and rho are
+    z[0] and z[1], u_x is z[rows], and on four rows xi_x and g_x are z[-2]
+    and z[-1], as in the stage's own irfft.
 
     The first stage call makes the kernel's workspaces (`_workspaces`),
     and every stage call writes into them: a kernel used only for
@@ -243,87 +257,99 @@ class _Kernel:
     def __init__(self, model: Model, grid: Grid, rows: int):
         self.n = grid.n
         self.rows = rows
-        self.ik = grid.ik
-        keep = grid.dealias_mask
-        lift = self.ik / grid.helmholtz_symbol  # Ainv d/dx
-        # Per term, its multiplier and the (coefficient, left, right) of each
-        # product it sums, with left and right rows of (u, rho, u_x, rho_x);
-        # u_t's terms, then rho_t's (`|` between them below).
+        self.ik = ik = grid.ik
+        lift = ik / grid.helmholtz_symbol  # Ainv d/dx
+        u, rho, ux = 0, 1, 2  # rows of (u, rho, u_x)
+        # Per term, the (coefficient, left, right) of each product it sums
+        # and its multipliers in u_t and rho_t, before the mask and the 1/n.
         if model in (Model.CH, Model.CH2):
-            # u u_x, q = u^2 + u_x^2/2 (+ rho^2/2) | u rho_x + rho u_x
-            mult = [keep, keep * lift, keep]
-            terms = [[(1.0, 0, 2)], [(1.0, 0, 0), (0.5, 2, 2), (0.5, 1, 1)],
-                     [(1.0, 0, 3), (1.0, 1, 2)]]
-            split = 2
+            # u_t = -u u_x - lift (u^2 + u_x^2/2 + rho^2/2),  rho_t = -(u rho)_x
+            terms = [([(1.0, u, ux)], -1.0, 0.0),
+                     ([(1.0, u, u), (0.5, ux, ux), (0.5, rho, rho)], -lift, 0.0),
+                     ([(1.0, u, rho)], 0.0, -ik)]
         else:
-            # u u_x, 3u^2/2 (- rho^2), rho u_x | u rho_x + 2 rho u_x
-            mult = [keep, keep * lift, keep / grid.helmholtz_symbol, keep]
-            terms = [[(1.0, 0, 2)], [(1.5, 0, 0), (-1.0, 1, 1)], [(1.0, 1, 2)],
-                     [(1.0, 0, 3), (2.0, 1, 2)]]
-            split = 3 if model is Model.DP2 else 2
-        count = split + (1 if model.two_component else 0)
-        mult = -np.array(mult[:count])
+            # u_t = -u u_x - lift (3u^2/2 - rho^2) - Ainv (rho u_x),
+            # rho_t = -(u rho)_x - rho u_x
+            terms = [([(1.0, u, ux)], -1.0, 0.0),
+                     ([(1.5, u, u), (-1.0, rho, rho)], -lift, 0.0),
+                     ([(1.0, rho, ux)], -1.0 / grid.helmholtz_symbol, -1.0),
+                     ([(1.0, u, rho)], 0.0, -ik)]
+        if not model.two_component:  # rho = 0: drop its products, then the empty terms
+            terms = [([(coef, left, right) for coef, left, right in products
+                       if rho not in (left, right)], *mult) for products, *mult in terms]
+            terms = [term for term in terms if term[0]]
+        keep = grid.dealias_mask / grid.n
+        self.weights = np.array([[keep * mult[output] for _, *mult in terms]
+                                 for output in (0, 1)], complex)  # (output, term, mode)
         columns = {}  # (left, right) -> its column of `sums`
-        for products in terms[:count]:
+        for products, *_ in terms:
             for _, left, right in products:
-                if model.two_component or left != 1:  # rho = 0 adds nothing
-                    columns.setdefault((left, right), len(columns))
-        # Rows of z: u_x and rho_x, the slopes of state rows 0 and 1, from the back.
-        self.left, self.right = (np.where(i >= 2, i - 2 - rows, i)
-                                 for i in np.array(list(columns)).T)
-        self.sums = np.zeros((count, len(columns)))  # (term, product) coefficients
-        for term, products in enumerate(terms[:count]):
+                columns.setdefault((left, right), len(columns))
+        self.sums = np.zeros((len(terms), len(columns)))  # (term, product) coefficients
+        for term, (products, *_) in enumerate(terms):
             for coef, left, right in products:
-                if (left, right) in columns:
-                    self.sums[term, columns[left, right]] = coef
-        self.weights = np.zeros((2, count, len(keep)), complex)  # (output, term, mode)
-        self.weights[0, :split] = mult[:split]
-        self.weights[1, split:] = mult[split:]
-        for arr in (self.left, self.right, self.sums, self.weights):
+                self.sums[term, columns[left, right]] = coef
+        # The rows of each product's left and right factors, by the length
+        # of the irfft read: a stage's own, (u, rho, u_x) and on four rows
+        # xi_x and g_x, has u_x in row 2; the monitor's has it in row `rows`.
+        self._gathers = {}
+        for length, ux_row in ((rows + 1, 2), (2 * rows, rows)):
+            where = np.array([0, 1, ux_row])
+            self._gathers[length] = tuple(where[side] for side in np.array(list(columns)).T)
+        for arr in (self.sums, self.weights, *self._gathers[rows + 1], *self._gathers[2 * rows]):
             arr.setflags(write=False)
         self._work = None  # `_workspaces`, made by the first stage call
 
-    def points(self, y: np.ndarray, values: int | None = None,
+    def points(self, y: np.ndarray,
                out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-        """Grid values of the first `values` rows of the spectra y (default all), then all slopes.
+        """Grid values of every row of the Fourier coefficients y, then their slopes.
 
-        One irfft: for y = (u, rho) it gives (u, rho, u_x, rho_x), and
-        `points(y, 2)` of (u, rho, xi, g) gives (u, rho, u_x, rho_x, xi_x,
-        g_x), the rows a stage reads.  `out`, if given, is (spectra, grid
-        values) to write the stacked spectra and the result into; else both
-        are new arrays.  The bits are the same either way.
+        One irfft with no 1/n scaling (norm="forward"): for y = (u, rho) it
+        gives (u, rho, u_x, rho_x), and for (u, rho, xi, g) it gives
+        (u, rho, xi, g, u_x, rho_x, xi_x, g_x).  `out`, if given, is
+        (coefficients, grid values) to write the stacked coefficients and
+        the result into; else both are new arrays.  The bits are the same
+        either way.
         """
-        rows = len(y[:values])
-        spec, grid = (np.empty((rows + len(y), len(self.ik)), complex), None) if out is None else out
-        spec[:rows] = y[:values]
-        np.multiply(y, self.ik, spec[rows:])
-        return np.fft.irfft(spec, self.n, out=grid)
+        spec, grid = (np.empty((2 * len(y), len(self.ik)), complex), None) if out is None else out
+        spec[:len(y)] = y
+        np.multiply(y, self.ik, spec[len(y):])
+        return np.fft.irfft(spec, self.n, out=grid, norm="forward")
 
     def _workspaces(self) -> tuple[np.ndarray, ...]:
         """The stage buffers, made on the first stage call and kept with the kernel.
 
-        The spectra (y[:2], ik y) and their irfft, the two gathered rows of
-        each product, the grid values of the terms (then of u xi_x, u g_x
-        on four rows) and their rfft, and the weighted term spectra.
+        The coefficients of the stage's irfft, whole and as its values and
+        its slopes rows, and its grid values; the two gathered rows of each
+        product; the grid values of the terms (then of u xi_x, u g_x on
+        four rows) and their rfft; and the weighted term spectra.
         """
         modes, count = len(self.ik), len(self.sums)
+        products = len(self._gathers[2 * self.rows][0])
         terms = np.empty((count + (2 if self.rows == 4 else 0), self.n))
         spectra = np.empty((len(terms), modes), complex)
-        return (np.empty((2 + self.rows, modes), complex), np.empty((2 + self.rows, self.n)),
-                np.empty((len(self.left), self.n)), np.empty((len(self.right), self.n)),
+        spec = np.empty((self.rows + 1, modes), complex)
+        return (spec, spec[:2], spec[2:], np.empty((self.rows + 1, self.n)),
+                np.empty((products, self.n)), np.empty((products, self.n)),
                 terms, terms[:count], spectra, spectra[:count],
                 np.empty(self.weights.shape, complex))
 
     def __call__(self, y: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
         if self._work is None:
             self._work = self._workspaces()
-        spec, points, left, right, terms, eulerian, spectra, eulerian_spectra, weighted = self._work
-        if z is None:
-            z = self.points(y, 2, (spec, points))
-        # mode="wrap" takes the negative rows as the default does and,
-        # unlike it, writes into `out` with no buffer.
-        z.take(self.left, 0, left, "wrap")
-        left *= z.take(self.right, 0, right, "wrap")
+        (spec, values, slopes, points, left, right, terms, eulerian, spectra, eulerian_spectra,
+         weighted) = self._work
+        if z is None:  # one irfft of the values of u and rho and the slopes the terms read
+            values[...] = y[:2]
+            np.multiply(y[0], self.ik, slopes[0])
+            if self.rows == 4:
+                np.multiply(y[2:], self.ik, slopes[1:])
+            z = np.fft.irfft(spec, self.n, out=points, norm="forward")
+        left_rows, right_rows = self._gathers[len(z)]
+        # mode="wrap" (the rows are in range) writes into `out` with no
+        # buffer, where the default mode makes one.
+        z.take(left_rows, 0, left, "wrap")
+        left *= z.take(right_rows, 0, right, "wrap")
         np.matmul(self.sums, left, eulerian)
         if self.rows == 4:
             np.multiply(z[0], z[-2:], terms[-2:])
@@ -333,10 +359,10 @@ class _Kernel:
             return np.add.reduce(weighted, 1)
         out = np.empty_like(y)
         np.add.reduce(weighted, 1, out=out[:2])
-        # xi_t = -u - u xi_x and g_t = rho - u g_x, with -u and rho from y.
-        np.negative(y[0], out=out[2])
-        np.subtract(out[2], spectra[-2], out=out[2])
-        np.subtract(y[1], spectra[-1], out=out[3])
+        # xi_t = -u - u xi_x and g_t = rho - u g_x, with u and rho from y.
+        np.multiply(spectra[-2:], -1.0 / self.n, out[2:])
+        out[2] -= y[0]
+        out[3] += y[1]
         return out
 
 
@@ -353,8 +379,8 @@ def _pair(grid: Grid, y: np.ndarray) -> VelocityPair:
 def rhs(model: Model, state: VelocityPair) -> VelocityPair:
     """Time derivative (u_t, rho_t) of the weak Cauchy form."""
     kernel = _kernel(model, state.grid.n)
-    y = np.fft.rfft(np.stack((state.u.values, state.rho.values)))
-    return _pair(state.grid, np.fft.irfft(kernel(y), kernel.n))
+    y = np.fft.rfft(np.stack((state.u.values, state.rho.values)), norm="forward")
+    return _pair(state.grid, np.fft.irfft(kernel(y), kernel.n, norm="forward"))
 
 
 def rhs_momentum_form(model: Model, state: VelocityPair) -> VelocityPair:
@@ -384,48 +410,50 @@ def rhs_momentum_form(model: Model, state: VelocityPair) -> VelocityPair:
     return VelocityPair(m_t, rho_t)
 
 
-def step_rk4(model: Model, y: np.ndarray, dt: float, t: float = 0.0,
+def step_rk4(model: Model, y: np.ndarray, dt: float,
              points: np.ndarray | None = None) -> np.ndarray:
-    """One RK4 step of the (2, n//2 + 1) rfft spectra y of (u, rho) from time t.
+    """One RK4 step of the (2, n//2 + 1) Fourier coefficients y of (u, rho): a new array.
 
-    Raises BlowupError if a coefficient goes non-finite.  Band-limited
-    spectra stay band-limited.  `points` may pass the grid values and
-    slopes (u, rho, u_x, rho_x) of y, the irfft the monitor made, and
-    stage 1 starts from them: the step then makes 7 FFT calls, not 8, and
-    gives the same bits.  `evolve` steps its spectra through this public
-    function so that the benchmark's tracer counts it, stage 1 included,
-    as the stepping layer.
+    The coefficients are the rfft over n, so `np.fft.irfft(y, n,
+    norm="forward")` gives the grid values.  Band-limited coefficients
+    stay band-limited.  A non-finite coefficient is not an error here: it
+    makes the result non-finite, and `evolve`'s monitor stops the run on
+    it.  `points` may pass the grid values and slopes (u, rho, u_x, rho_x)
+    of y, the irfft the monitor made, and stage 1 starts from them: the
+    step then makes 7 FFT calls, not 8, and gives the same bits.  `evolve`
+    steps its coefficients through this public function so that the
+    benchmark's tracer counts it, stage 1 included, as the stepping layer.
     """
     kernel = _kernel(model, 2 * (y.shape[-1] - 1))
-    return _advance(kernel, y, dt, t, None if points is None else kernel(y, points))
+    return rk4(kernel, y, dt, None if points is None else kernel(y, points))
 
 
 def _initial_state(config: EvolutionConfig, initial: VelocityPair) -> np.ndarray:
-    """Validate initial data against the model; return its (2, n//2 + 1) spectra, dealiased."""
+    """Validate initial data against the model; return its (2, n//2 + 1) coefficients, dealiased."""
     if not config.model.two_component and np.max(np.abs(initial.rho.values)) != 0.0:
         raise ValueError(f"model {config.model.value} requires rho = 0 initial data")
-    return np.where(initial.grid.dealias_mask, np.stack((initial.u.hat, initial.rho.hat)), 0.0)
+    hats = np.stack((initial.u.hat, initial.rho.hat))
+    return np.where(initial.grid.dealias_mask, hats, 0.0) / initial.grid.n
 
 
-def _advance(f, y: np.ndarray, dt: float, t: float, k1: np.ndarray | None = None) -> np.ndarray:
-    """One RK4 step of the spectra y' = f(y) from time t; k1, if given, is f(y).
+def _max_abs(low: float, high: float) -> float:
+    """max |x| of a row from its minimum and maximum, with no |x| temporary.
 
-    Raises BlowupError if any coefficient is non-finite: a non-finite
-    value at one grid point spreads through the stage's rfft to every mode.
+    On a finite row it has the bits of np.max(np.abs(row)): the abs turns
+    the -0.0 that max(-0.0, 0.0) may give into 0.0.
     """
-    y = rk4(f, y, dt, k1)
-    if not np.isfinite(y).all():
-        raise BlowupError(f"non-finite values at t={t + dt:.6g}")
-    return y
+    return abs(max(high, -low))
 
 
-def _threshold_reason(config: EvolutionConfig,
-                      slopes: np.ndarray) -> tuple[str, float] | None:
-    """(criterion, value) of the threshold crossed by slopes = (u_x, rho_x, ...), or None."""
-    min_ux = float(slopes[0].min())
-    if min_ux < config.blowup_slope_threshold:
-        return "min_ux", min_ux
-    max_rhox = float(np.max(np.abs(slopes[1])))
+def _threshold_reason(config: EvolutionConfig, lows: list[float],
+                      highs: list[float]) -> tuple[str, float] | None:
+    """(criterion, value) of the threshold crossed, or None.
+
+    lows and highs are the minima and maxima of the slopes (u_x, rho_x, ...).
+    """
+    if lows[0] < config.blowup_slope_threshold:
+        return "min_ux", lows[0]
+    max_rhox = _max_abs(lows[1], highs[1])
     if max_rhox > config.blowup_rhox_threshold:
         return "max_abs_rhox", max_rhox
     return None
@@ -441,19 +469,25 @@ def _history_shape(config: EvolutionConfig, rows: int, n: int) -> tuple[int, int
 
 
 def _integrate(result_type, config: EvolutionConfig, grid: Grid, y: np.ndarray, step,
-               check=lambda y, slopes: None, finish=lambda history: None):
-    """Step the spectra y, (u, rho) in rows 0-1, to t_end; a `result_type` views the kept steps.
+               check=lambda y, lows, highs: None, finish=lambda history: None):
+    """Step the coefficients y, (u, rho) in rows 0-1, to t_end; a `result_type` views the kept steps.
 
-    `step(y, t, z)` is `_advance` from t, where z is the monitor's irfft
-    of y, from which it computes stage 1.  A non-finite step stops the run
-    unkept; else the monitor turns every row of y into grid values and
-    slopes in one irfft (also at t=0) and stops at `check(y, slopes)`,
+    `step(y, z)` is one RK4 step of y, where z is the monitor's irfft of y,
+    from which it computes stage 1.  After every step, and at t=0, the
+    monitor turns every row of y into grid values and slopes in one irfft
+    and reads the minimum and maximum of each slope row, `lows` and
+    `highs`, in one pass each.  A NaN minimum marks a non-finite step
+    (ik times an infinite or NaN coefficient is NaN, also at modes 0 and
+    n/2, and a NaN slope coefficient leaves its irfft row with a NaN): it
+    stops the run unkept, before any other test.  The start is tested
+    against the thresholds only, so non-finite initial data stop the run
+    at the first step.  Then the run stops at `check(y, lows, highs)`,
     which returns (criterion, value) or None, else at a threshold.  Kept
     steps (every `config.diagnostics_stride`-th, the last, a blow-up)
     fill one real (2 len(y), kept steps, n) history array with that
     irfft: the grid values of the rows of y, then their slopes.  The
-    irfft and its stacked spectra go into two arrays made once per run,
-    so z is written over by the next step's monitor.
+    irfft and its stacked coefficients go into two arrays made once per
+    run, so z is written over by the next step's monitor.
     `finish(history)` may then rewrite the further rows in place before
     they are frozen.  `result_type` is `EvolveResult` or a subclass whose
     fields after `status` view the further rows, their values then their
@@ -462,27 +496,29 @@ def _integrate(result_type, config: EvolutionConfig, grid: Grid, y: np.ndarray, 
     kernel = _kernel(config.model, grid.n)
     n_steps, stride = config.n_steps, config.diagnostics_stride
     history = np.empty(_history_shape(config, len(y), grid.n))
-    # The monitor's stacked spectra and irfft, written over every step.
+    # The monitor's stacked coefficients and irfft, written over every step.
     monitor = np.empty((2 * len(y), y.shape[-1]), complex), np.empty((2 * len(y), grid.n))
     kept = []
     status = RunStatus("completed")
-    for i in range(n_steps + 1):
-        t = i * config.dt
-        if i > 0:
-            try:
-                y = step(y, t - config.dt, z)
-            except BlowupError:
+    # ik times an infinite coefficient is the NaN the monitor looks for.
+    with np.errstate(invalid="ignore"):
+        for i in range(n_steps + 1):
+            t = i * config.dt
+            if i > 0:
+                y = step(y, z)
+            z = kernel.points(y, out=monitor)
+            slopes = z[len(y):]
+            lows, highs = slopes.min(1).tolist(), slopes.max(1).tolist()
+            if i > 0 and any(map(math.isnan, lows)):
                 status = RunStatus("blowup_detected", t=t, reason="non_finite")
                 break
-        z = kernel.points(y, out=monitor)
-        slopes = z[len(y):]
-        tripped = check(y, slopes) or _threshold_reason(config, slopes)
-        if i % stride == 0 or i == n_steps or tripped is not None:
-            history[:, len(kept)] = z
-            kept.append(i)
-        if tripped is not None:
-            status = RunStatus("blowup_detected", t=t, reason=tripped[0], value=tripped[1])
-            break
+            tripped = check(y, lows, highs) or _threshold_reason(config, lows, highs)
+            if i % stride == 0 or i == n_steps or tripped is not None:
+                history[:, len(kept)] = z
+                kept.append(i)
+            if tripped is not None:
+                status = RunStatus("blowup_detected", t=t, reason=tripped[0], value=tripped[1])
+                break
     times = np.array(kept) * config.dt
     history = history[:, :len(kept)]
     finish(history)
@@ -508,4 +544,4 @@ def evolve(config: EvolutionConfig, initial: VelocityPair) -> EvolveResult:
     # Steps go through the public `step_rk4`, the span perfbench's tracer
     # counts as the stepping layer.
     return _integrate(EvolveResult, config, initial.grid, _initial_state(config, initial),
-                      lambda y, t, z: step_rk4(config.model, y, config.dt, t, z))
+                      lambda y, z: step_rk4(config.model, y, config.dt, z))

@@ -16,18 +16,21 @@ which live on the Eulerian grid,
 
 so a stage needs no off-grid evaluation.  It runs the step loop of
 `evolve` (`evolution._integrate`: RK4, blow-up monitor, kept-row history)
-on the rfft spectra of (u, rho, xi, g), one complex (4, n//2 + 1) array,
-and keeps the steps `evolve` keeps: every `diagnostics_stride`-th step,
-the last step and a blow-up step.  Its stages are the Eulerian kernel on
-four state rows (`evolution._kernel(model, n, 4)`): one irfft of
-(u, rho, u_x, rho_x, xi_x, g_x) and one rfft of the Eulerian terms and
-the products u xi_x, u g_x.  Stage 1 reads its irfft from the monitor's:
-8 FFT calls per step with the monitor's, as for `evolve`.  The transport
-rows are not truncated: dealiasing them put the 2DP f of C7's run 3.7e-12
-off the Lagrangian form, against 6e-15.
+on the Fourier coefficients (rfft / n) of (u, rho, xi, g), one complex
+(4, n//2 + 1) array, and keeps the steps `evolve` keeps: every
+`diagnostics_stride`-th step, the last step and a blow-up step.  Its
+stages are the Eulerian kernel on four state rows
+(`evolution._kernel(model, n, 4)`): one irfft of (u, rho, u_x, xi_x, g_x)
+and one rfft of the Eulerian terms and the products u xi_x, u g_x.
+Stage 1 reads its irfft from the monitor's: 8 FFT calls per step with
+the monitor's, as for `evolve`.  The transport rows are not truncated:
+dealiasing them put the 2DP f of C7's run 3.7e-12 off the Lagrangian
+form, against 6e-15.
 
-The monitor reads min phi_x as 1 / max chi_x from the slopes it holds.
-Before the Eulerian thresholds it stops the run with
+The monitor's minimum and maximum of each slope row decide the step.  A
+NaN minimum of any row, the labels' included, stops the run as
+non-finite, unkept, as on `evolve`; min phi_x is 1 / max chi_x.  Then,
+before the Eulerian thresholds, it stops the run with
 - 'labels_folded' (value min chi_x) when chi_x <= 0 somewhere: chi is no
   longer invertible;
 - 'phix_degenerate' (value min phi_x) at or below `_JACOBIAN_FLOOR`;
@@ -61,8 +64,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from chdp.connection import Model, VelocityPair
-from chdp.evolution import (EvolutionConfig, EvolveResult, _advance, _initial_state,
-                            _integrate, _kernel)
+from chdp.evolution import (EvolutionConfig, EvolveResult, _initial_state, _integrate, _kernel,
+                            rk4)
 from chdp.spectral import (
     Diffeo,
     Grid,
@@ -164,13 +167,14 @@ def _group_rows(grid: Grid, history: np.ndarray) -> None:
 def evolve_flowmap(config: EvolutionConfig, initial: VelocityPair) -> FlowmapResult:
     """Co-integrate (u, rho, xi, g) from (initial, identity) with RK4; return phi = chi^-1.
 
-    The state is the (4, n//2 + 1) spectra stepped by the step loop of
-    `evolve`, keeping the grid values and slopes of the steps it keeps
-    (every `config.diagnostics_stride`-th, the last, a blow-up) in one
-    (8, kept steps, n) history, whose labels rows `_group_rows` turns into
+    The state is the (4, n//2 + 1) Fourier coefficients stepped by the
+    step loop of `evolve`, keeping the grid values and slopes of the steps
+    it keeps (every `config.diagnostics_stride`-th, the last, a blow-up) in
+    one (8, kept steps, n) history, whose labels rows `_group_rows` turns into
     (psi, f, psi_x, f_x) and the result's fields view.  Stops early on the
-    blow-up monitor of `evolve` (same status and time), checked after the
-    labels: 'labels_folded' (min chi_x <= 0), 'phix_degenerate' (min
+    blow-up monitor of `evolve` (same status and time): a non-finite step
+    of any row first, then the labels, then the thresholds.  The labels
+    stop it at 'labels_folded' (min chi_x <= 0), 'phix_degenerate' (min
     phi_x = 1 / max chi_x at or below `_JACOBIAN_FLOOR`) and
     'labels_unresolved' (the spectral tail of xi or g above
     `_LABELS_TAIL_LIMIT`), each with its value.
@@ -182,12 +186,11 @@ def evolve_flowmap(config: EvolutionConfig, initial: VelocityPair) -> FlowmapRes
     cutoff = grid.dealias_cutoff
     top = 2 * cutoff // 3 + 1  # the first mode above 2/3 of the cutoff
 
-    def check(v, slopes):  # slopes[2] is xi_x, so chi_x = 1 + xi_x
-        xi_x = slopes[2]
-        min_chix = 1.0 + float(xi_x.min())
+    def check(v, lows, highs):  # lows[2], highs[2]: min and max xi_x; chi_x = 1 + xi_x
+        min_chix = 1.0 + lows[2]
         if min_chix <= 0.0:
             return "labels_folded", min_chix
-        min_phix = 1.0 / (1.0 + float(xi_x.max()))
+        min_phix = 1.0 / (1.0 + highs[2])
         if min_phix <= _JACOBIAN_FLOOR:
             return "phix_degenerate", min_phix
         size = np.abs(v[2:, 1:])  # modes 1..n/2 of xi and g
@@ -197,7 +200,7 @@ def evolve_flowmap(config: EvolutionConfig, initial: VelocityPair) -> FlowmapRes
         return ("labels_unresolved", max(tails)) if max(tails) > _LABELS_TAIL_LIMIT else None
 
     return _integrate(FlowmapResult, config, grid, y,
-                      lambda v, t, z: _advance(kernel, v, config.dt, t, kernel(v, z)), check,
+                      lambda v, z: rk4(kernel, v, config.dt, kernel(v, z)), check,
                       lambda history: _group_rows(grid, history))
 
 

@@ -48,9 +48,16 @@ def numeric_columns(draw):
     for _ in range(draw(st.integers(1, 5))):
         seed = draw(st.integers(0, 2**32 - 1))
         rng = np.random.default_rng(seed)
-        kind = draw(st.sampled_from(["int", "float", "pool"]))
+        kind = draw(st.sampled_from(["int", "float", "pool", "increasing"]))
         if kind == "int":
             columns.append(rng.integers(-2**62, 2**62, rows))
+        elif kind == "increasing":
+            # Sorted, so most chunks are strictly increasing and skip the
+            # writer's sort; a repeat or a special value sends one back to it.
+            values = np.sort(rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300))
+            specials = draw(st.lists(st.sampled_from(SPECIAL_FLOATS), max_size=2))
+            values[rng.integers(0, max(rows, 1), len(specials))[:rows]] = specials[:rows]
+            columns.append(values)
         elif kind == "pool":
             pool = draw(st.sampled_from([POOL_FLOATS, POOL_INTS]))
             values = rng.choice(pool, draw(st.integers(1, len(pool))), replace=False)
@@ -66,6 +73,9 @@ def numeric_columns(draw):
 @given(columns=numeric_columns())
 # Every named float on both sides of the 1024-row chunk edge.
 @example(columns=[np.arange(2049) - 1024, np.resize(np.array(SPECIAL_FLOATS), 2049)])
+# Increasing times and grid points, and one that steps back to -0.0 after 0.0.
+@example(columns=[np.arange(2049) * 1e-4, np.arange(2049) / 2049,
+                  np.concatenate([np.arange(-3, 1) * 0.5, [-0.0], np.arange(1, 2045) * 0.5])])
 @settings(max_examples=40, deadline=None)
 def test_chunked_writer_matches_csv_writer(columns):
     header = [f"c{i}" for i in range(len(columns))]
@@ -74,6 +84,22 @@ def test_chunked_writer_matches_csv_writer(columns):
         _write_columns(got, header, columns)
         object_form.write_columns(want, header, columns)
         assert got.read_bytes() == want.read_bytes()
+
+
+def test_increasing_chunks_are_not_sorted(tmp_path, monkeypatch):
+    # t, x and phi columns: every chunk strictly increasing, so no argsort.
+    calls = []
+    argsort = np.argsort
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting)
+    _write_columns(tmp_path / "t.csv", ["t", "x"], [np.arange(2049) * 1e-4, np.arange(2049)])
+    assert calls == []
+    _write_columns(tmp_path / "u.csv", ["u"], [np.zeros(3)])
+    assert len(calls) == 1
 
 
 @given(half_n=st.integers(8, 300), seed=st.integers(0, 2**32 - 1),

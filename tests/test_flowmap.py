@@ -16,7 +16,7 @@ from object_form import (
 )
 from chdp import flowmap
 from chdp.connection import Model, VelocityPair, bracket
-from chdp.evolution import EvolutionConfig, _advance, _kernel, _Kernel, evolve
+from chdp.evolution import EvolutionConfig, _kernel, _Kernel, evolve, rk4
 from chdp.flowmap import GroupElement, evolve_flowmap, momentum_drift, reconstruct_f
 from chdp.spectral import (
     Diffeo,
@@ -378,6 +378,40 @@ def test_non_finite_xi_stops_the_run(monkeypatch):
     assert np.all(np.isfinite(np.stack((res.psi, res.f, res.psi_x, res.f_x))))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("mode", [0, 5, 32], ids=["mode0", "interior", "nyquist"])
+@pytest.mark.parametrize("run, row", [(evolve, 0), (evolve, 1), (evolve_flowmap, 0),
+                                      (evolve_flowmap, 1), (evolve_flowmap, 2), (evolve_flowmap, 3)],
+                         ids=["evolve-u", "evolve-rho", "flowmap-u", "flowmap-rho", "flowmap-xi",
+                              "flowmap-g"])
+def test_non_finite_coefficient_stops_the_run(monkeypatch, run, row, mode, bad):
+    # k4 of step 3 gets one non-finite coefficient, so step 3's result has
+    # it at (row, mode) alone.  The monitor finds it from the slope minima
+    # (ik times it is NaN, also at modes 0 and n/2), before the labels and
+    # threshold checks: the run stops at t = 0.003 with 'non_finite' and
+    # no value, keeps no such row and raises no floating-point warning
+    # (the suite turns warnings into errors).
+    grid = Grid(64)
+    stage, calls = _Kernel.__call__, []
+
+    def poisoned(kernel, y, z=None):
+        out = stage(kernel, y, z)
+        calls.append(None)
+        if len(calls) == 12:  # stage 4 of step 3
+            out[row, mode] = bad
+        return out
+
+    monkeypatch.setattr(_Kernel, "__call__", poisoned)
+    config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.01, diagnostics_stride=1)
+    res = run(config, VelocityPair(cosine_field(grid, 1, 0.2), cosine_field(grid, 2, 0.1)))
+    assert (res.status.kind, res.status.reason, res.status.value) == (
+        "blowup_detected", "non_finite", None)
+    assert res.status.t == pytest.approx(0.003)
+    assert res.times.tolist() == pytest.approx([0.0, 0.001, 0.002])
+    flow = (res.psi, res.f, res.psi_x, res.f_x) if run is evolve_flowmap else ()
+    assert np.all(np.isfinite(np.stack((res.u, res.rho, res.u_x, res.rho_x, *flow))))
+
+
 @pytest.mark.parametrize("model", list(Model))
 def test_labels_step_from_monitor_points_is_exact(model, rng):
     # The monitor's irfft of (u, rho, xi, g) is the stage-1 irfft of the
@@ -393,7 +427,7 @@ def test_labels_step_from_monitor_points_is_exact(model, rng):
     k1 = kernel(y, kernel.points(y))
     assert np.array_equal(k1, kernel(y))
     assert np.array_equal(k1[:2], _kernel(model, grid.n)(y[:2]))
-    assert np.array_equal(_advance(kernel, y, 1e-3, 0.0, k1), _advance(kernel, y, 1e-3, 0.0))
+    assert np.array_equal(rk4(kernel, y, 1e-3, k1), rk4(kernel, y, 1e-3))
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 7, 10])

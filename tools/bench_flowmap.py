@@ -12,8 +12,8 @@ first), and each process measures every layer once, those down to
   used to do;
 - `offgrid_ms`: the same values from `spectral._offgrid`;
 - `kernel_us/2ch` and `kernel_us/2dp`: one call of the Eulerian
-  right-hand side on the rfft spectra of (u, rho), `evolution._kernel`'s
-  spectra-to-spectra map, for 2CH and 2DP;
+  right-hand side on the Fourier coefficients (rfft / n) of (u, rho),
+  `evolution._kernel`'s map of coefficients, for 2CH and 2DP;
 - `flow_step_ms` and `euler_step_ms`: one RK4 step of `evolve_flowmap`
   and of `evolve`, 2DP, monitor included, from two short runs (the
   difference of a 30-step and a 10-step run over 20, so the per-run set-up
@@ -120,7 +120,7 @@ def measure() -> dict:
         out[f"offgrid_ms/n={n}"] = 1e3 * _per_call(lambda: spectral._offgrid(spectra, y, kmax))
         for model in (Model.CH2, Model.DP2):
             out[f"kernel_us/{model.value}/n={n}"] = 1e6 * _per_call(
-                functools.partial(evolution._kernel(model, n), spectra))
+                functools.partial(evolution._kernel(model, n), spectra / n))
 
         initial = VelocityPair(spectral.PeriodicField(grid, state[0]),
                                spectral.PeriodicField(grid, state[1]))
