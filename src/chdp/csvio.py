@@ -151,21 +151,9 @@ def write_rigidbody(path, trajectory):
                     *trajectory.spatial_momentum.T, trajectory.energy))
 
 
-def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def write_manifest(path, payload: dict):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # Strict JSON: a NaN or infinity raises before the file is opened.
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=_json_default)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     path.write_text(text + "\n")

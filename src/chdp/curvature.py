@@ -27,15 +27,18 @@ multipliers built from the grid alone.  Gamma of each unordered pair
 of a basis's rows is computed once; their Gram matrix G and the basis
 Gram H (H^1 on u, L^2 on rho, by Parseval) are one matrix product each,
 and by bilinearity S and the Gram determinant of a plane of sums of
-basis rows are sums of their entries.  A cosine direction sums two rows
-of the grid's basis, the zero direction and the velocity and density
-cos(2 pi m x) of every mode the grid resolves: `positivity_scan` reads
-its planes from one G in chunks, with the closed forms on the mode
-columns, and returns a `ScanTable` of 1-D columns; `scan_direction` is
-its one-row table on the same grid, from a G over at most four rows.
-Any other plane is its own two-row basis, stacked one per trial by
-`negative_search`.  `chdp.connection.christoffel_2ch` with `metric` is
-the field-by-field form they agree with to round-off.
+basis rows are sums of their entries.  A plane takes one of two paths.
+Cosine directions go through `_cosine_table` alone: each sums two rows
+of the grid's basis (the zero direction and the velocity and density
+cos(2 pi m x) of every mode the grid resolves), and the table pairs the
+rows its tuples use once, then reads each plane's S, Gram and closed
+form in chunks into a `ScanTable` of 1-D columns.  `positivity_scan` is
+the table of every cosine plane up to a mode, `scan_direction` its
+one-row table on the same grid.  Any other plane is its own two-row
+basis (`_two_row_planes`): `unnormalized_curvature` and
+`sectional_curvature` one plane, `negative_search` one per trial,
+stacked.  `chdp.connection.christoffel_2ch` with `metric` is the
+field-by-field form they agree with to round-off.
 
 Resolution: products of two directions reach twice their largest mode M,
 so the scans take modes, not a grid: `scan_direction`, `positivity_scan`
@@ -78,13 +81,10 @@ TWO_PI = 2.0 * np.pi
 # Basis pairs per batched Gamma(a, b) pass, and trials per negative-search
 # draw: bounds the working arrays at (_CHUNK, 2, n) however many a scan holds.
 _CHUNK = 128
-# Planes per pass of the Gamma-pair sums: bounds their index and value
-# arrays (about 50 numbers per plane, 0.4 MB a pass) however many planes
-# a scan holds.
+# Planes per pass of a cosine table: bounds the index and value arrays of
+# its Gamma-pair sums (about 50 numbers per plane, 0.4 MB a pass) and the
+# temporaries of its closed forms (about 15) however many planes it holds.
 _PLANE_CHUNK = 1 << 10
-# Planes per closed-form pass: bounds its temporaries (about 15 float
-# columns) while every scan up to max mode 16 (32,760 planes) is one pass.
-_CLOSED_FORM_CHUNK = 1 << 16
 
 
 class DegeneratePlaneError(ValueError):
@@ -324,37 +324,25 @@ def _plane_bytes(max_mode: int) -> int:
     return 1536 * _grid_floor(max_mode)
 
 
-def _basis_grams(grid: Grid, rows: np.ndarray):
-    """(G, H, pair) over the given rows of the cosine basis of grid.
+def _cosine_table(grid: Grid, tuples: np.ndarray, planes: np.ndarray) -> ScanTable:
+    """The scan table of the planes (tuples[i], tuples[j]) for the rows (i, j) of planes.
 
-    Basis row 0 is the zero direction, row m the velocity and row top + m
-    the density cos(2 pi m x), for m = 1..top = `_top_mode(grid)`.  Only
-    the given rows are built: a scan uses every row up to its largest
-    mode, a one-plane table at most four; p, q in pair[p, q] are positions
-    in rows.  OpenBLAS gives a matrix product's entry the same bits whatever
-    its shape (Haswell, SkylakeX, Sandybridge and Nehalem kernels), so a
-    one-plane table reads the bits of the scan's G entries.
-    """
-    top = _top_mode(grid)
-    velocity = (rows >= 1) & (rows <= top)
-    density = rows > top
-    basis = np.zeros((len(rows), 2, grid.n))
-    basis[velocity, 0] = np.cos(TWO_PI * rows[velocity, None] * grid.points)
-    basis[density, 1] = np.cos(TWO_PI * (rows[density, None] - top) * grid.points)
-    return _pair_grams(grid, basis)
-
-
-def _cosine_curvatures(grid: Grid, tuples: np.ndarray, planes: np.ndarray):
-    """(S, Gram) of each cosine plane (tuples[i], tuples[j]) for the rows (i, j) of planes.
-
-    A tuple is the sum e_i + e_k of its velocity and density rows of the
-    grid's basis (`_basis_grams`; mode 0 is the zero row), so by
-    bilinearity the plane of a = e_i + e_k and b = e_j + e_l has
+    A tuple holds the (velocity, density) modes of one cosine direction,
+    the sum e_i + e_k of its velocity and density rows of the grid's
+    cosine basis: row 0 is the zero direction, row m the velocity and row
+    top + m the density cos(2 pi m x), for m = 1..top = `_top_mode(grid)`.
+    Only the rows the tuples use are built and paired, by one
+    `_pair_grams` call: a scan uses every row up to its largest mode, a
+    one-plane table at most four.  By bilinearity the plane of
+    a = e_i + e_k and b = e_j + e_l has
 
         S = sum over i, k in a and j, l in b of G[(ij), (kl)] - G[(ik), (jl)]
 
-    and Gram = <a, a> <b, b> - <a, b>^2 from H, _PLANE_CHUNK planes per pass.
-    G and H cover only the basis rows the tuples use.
+    and Gram = <a, a> <b, b> - <a, b>^2 from H.  Each pass of _PLANE_CHUNK
+    planes takes their closed forms, S and Gram.  OpenBLAS gives a matrix
+    product's entry the same bits whatever its shape (Haswell, SkylakeX,
+    Sandybridge and Nehalem kernels), so a one-plane table reads the bits
+    of the scan's G entries.
     """
     top = _top_mode(grid)
     if tuples.max() > top:
@@ -364,36 +352,26 @@ def _cosine_curvatures(grid: Grid, tuples: np.ndarray, planes: np.ndarray):
     basis_rows = np.where(tuples > 0, tuples + [0, top], 0)
     used = np.zeros(2 * top + 1, dtype=bool)
     used[basis_rows] = True
+    built = np.flatnonzero(used)
+    velocity, density = (built >= 1) & (built <= top), built > top
+    basis = np.zeros((len(built), 2, grid.n))
+    basis[velocity, 0] = np.cos(TWO_PI * built[velocity, None] * grid.points)
+    basis[density, 1] = np.cos(TWO_PI * (built[density, None] - top) * grid.points)
+    g, h, pair = _pair_grams(grid, basis)
     rows = (np.cumsum(used) - 1)[basis_rows]
-    g, h, pair = _basis_grams(grid, np.flatnonzero(used))
     self_pairs = pair[rows[:, :, None], rows[:, None, :]].reshape(len(rows), 4)
     norm = h[rows[:, :, None], rows[:, None, :]].sum(axis=(1, 2))
-    s = np.empty(len(planes))
-    gram = np.empty(len(planes))
+    (k1, k2), (l1, l2) = tuples[planes[:, 0]].T, tuples[planes[:, 1]].T
+    s_closed, s, gram = np.empty((3, len(planes)))
     for start in range(0, len(planes), _PLANE_CHUNK):
         part = slice(start, start + _PLANE_CHUNK)
+        s_closed[part] = closed_form_curvature(k1[part], k2[part], l1[part], l2[part])
         i, j = planes[part].T
         a, b = rows[i][:, :, None], rows[j][:, None, :]
         cross = pair[a, b].reshape(len(i), 4)
         s[part] = (g[cross[:, :, None], cross[:, None, :]]
                    - g[self_pairs[i][:, :, None], self_pairs[j][:, None, :]]).sum(axis=(1, 2))
         gram[part] = norm[i] * norm[j] - h[a, b].sum(axis=(1, 2)) ** 2
-    return s, gram
-
-
-def _cosine_table(grid: Grid, tuples: np.ndarray, planes: np.ndarray) -> ScanTable:
-    """The scan table of the planes (tuples[i], tuples[j]) for the rows (i, j) of planes.
-
-    A tuple holds the (velocity, density) modes of one cosine direction.
-    The closed forms come first, _CLOSED_FORM_CHUNK planes per pass, so a
-    degenerate plane raises before `_pair_grams` runs.
-    """
-    (k1, k2), (l1, l2) = tuples[planes[:, 0]].T, tuples[planes[:, 1]].T
-    s_closed = np.empty(len(planes))
-    for start in range(0, len(planes), _CLOSED_FORM_CHUNK):
-        part = slice(start, start + _CLOSED_FORM_CHUNK)
-        s_closed[part] = closed_form_curvature(k1[part], k2[part], l1[part], l2[part])
-    s, gram = _cosine_curvatures(grid, tuples, planes)
     return ScanTable(k1, k2, l1, l2, s, s_closed, s / gram, gram)
 
 

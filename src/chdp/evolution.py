@@ -21,7 +21,8 @@ multiplies by A's 1 + (2 pi k)^2: its error went from 2.9e-10 to 1.5e-9,
 past C5's 1e-9.  Time stepping is fixed-step classical RK4 (`rk4`, shared by every
 integrator) with 2/3-rule dealiasing; blow-up is detected by non-finite
 values and by thresholds on min u_x and max |rho_x|, checked after every
-step (the thresholds also at t=0).
+step (the thresholds also at t=0, where non-finite initial data are a
+ValueError).
 
 The integrator state is the Fourier coefficients of (u, rho), the rfft
 over n, one complex (2, n//2 + 1) array (`_initial_state`): no field is
@@ -429,11 +430,23 @@ def step_rk4(model: Model, y: np.ndarray, dt: float,
 
 
 def _initial_state(config: EvolutionConfig, initial: VelocityPair) -> np.ndarray:
-    """Validate initial data against the model; return its (2, n//2 + 1) coefficients, dealiased."""
+    """Validate initial data against the model; return its (2, n//2 + 1) coefficients, dealiased.
+
+    Raises ValueError unless the grid values and slopes the monitor reads
+    at t=0 are finite, which they are not when a coefficient is (see
+    `_integrate`): NaN or infinite data, or data so large that their rfft
+    or their slopes overflow.
+    """
     if not config.model.two_component and np.max(np.abs(initial.rho.values)) != 0.0:
         raise ValueError(f"model {config.model.value} requires rho = 0 initial data")
-    hats = np.stack((initial.u.hat, initial.rho.hat))
-    return np.where(initial.grid.dealias_mask, hats, 0.0) / initial.grid.n
+    grid = initial.grid
+    with np.errstate(over="ignore", invalid="ignore"):
+        hats = np.stack((initial.u.hat, initial.rho.hat))
+        y = np.where(grid.dealias_mask, hats, 0.0) / grid.n
+        finite = np.isfinite(_kernel(config.model, grid.n).points(y)).all()
+    if not finite:
+        raise ValueError("initial data must have finite grid values, coefficients and slopes")
+    return y
 
 
 def _max_abs(low: float, high: float) -> float:
@@ -479,11 +492,11 @@ def _integrate(result_type, config: EvolutionConfig, grid: Grid, y: np.ndarray, 
     `highs`, in one pass each.  A NaN minimum marks a non-finite step
     (ik times an infinite or NaN coefficient is NaN, also at modes 0 and
     n/2, and a NaN slope coefficient leaves its irfft row with a NaN): it
-    stops the run unkept, before any other test.  The start is tested
-    against the thresholds only, so non-finite initial data stop the run
-    at the first step.  Then the run stops at `check(y, lows, highs)`,
-    which returns (criterion, value) or None, else at a threshold.  Kept
-    steps (every `config.diagnostics_stride`-th, the last, a blow-up)
+    stops the run unkept, before any other test.  The start is finite,
+    as `_initial_state` checks, so only a step can be non-finite.  Then
+    the run stops at `check(y, lows, highs)`, which returns (criterion,
+    value) or None, else at a threshold.  Kept steps (every
+    `config.diagnostics_stride`-th, the last, a blow-up)
     fill one real (2 len(y), kept steps, n) history array with that
     irfft: the grid values of the rows of y, then their slopes.  The
     irfft and its stacked coefficients go into two arrays made once per
@@ -509,7 +522,7 @@ def _integrate(result_type, config: EvolutionConfig, grid: Grid, y: np.ndarray, 
             z = kernel.points(y, out=monitor)
             slopes = z[len(y):]
             lows, highs = slopes.min(1).tolist(), slopes.max(1).tolist()
-            if i > 0 and any(map(math.isnan, lows)):
+            if any(map(math.isnan, lows)):
                 status = RunStatus("blowup_detected", t=t, reason="non_finite")
                 break
             tripped = check(y, lows, highs) or _threshold_reason(config, lows, highs)
@@ -539,7 +552,8 @@ def evolve(config: EvolutionConfig, initial: VelocityPair) -> EvolveResult:
     Stops early with status blowup_detected when a threshold is crossed
     (checked at t=0 and after every step) or a step goes non-finite; the
     status carries the first offending time, the criterion that fired and
-    the value that crossed its threshold.
+    the value that crossed its threshold.  Initial data whose grid values,
+    coefficients or slopes are not finite raise ValueError.
     """
     # Steps go through the public `step_rk4`, the span perfbench's tracer
     # counts as the stepping layer.

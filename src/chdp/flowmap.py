@@ -158,7 +158,7 @@ def _group_rows(grid: Grid, history: np.ndarray) -> None:
         xi_hat, g_hat = np.fft.rfft(history[2:4, i])
         y, (_, _, g) = _inverse_points(grid, history[2, i],
                                        np.stack((xi_hat, xi_hat * grid.ik, g_hat)),
-                                       grid.n // 2, _LABELS_INVERSION_TOL)
+                                       _LABELS_INVERSION_TOL)
         history[2, i] = y - grid.points
         history[3, i] = g
         history[6:8, i] = np.fft.irfft(np.fft.rfft(history[2:4, i]) * grid.ik, grid.n)
@@ -172,7 +172,8 @@ def evolve_flowmap(config: EvolutionConfig, initial: VelocityPair) -> FlowmapRes
     it keeps (every `config.diagnostics_stride`-th, the last, a blow-up) in
     one (8, kept steps, n) history, whose labels rows `_group_rows` turns into
     (psi, f, psi_x, f_x) and the result's fields view.  Stops early on the
-    blow-up monitor of `evolve` (same status and time): a non-finite step
+    blow-up monitor of `evolve` (same status and time, and the same
+    ValueError on non-finite initial data): a non-finite step
     of any row first, then the labels, then the thresholds.  The labels
     stop it at 'labels_folded' (min chi_x <= 0), 'phix_degenerate' (min
     phi_x = 1 / max chi_x at or below `_JACOBIAN_FLOOR`) and

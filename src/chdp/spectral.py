@@ -515,7 +515,7 @@ _INVERSION_TOL = 1e-12
 _INVERSION_MAX_ITER = 50
 
 
-def _inverse_points(grid: Grid, values: np.ndarray, hats: np.ndarray, kmax: int,
+def _inverse_points(grid: Grid, values: np.ndarray, hats: np.ndarray,
                     tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Points y with y + d(y) = x at the grid points x, and the series of hats at y.
 
@@ -524,7 +524,7 @@ def _inverse_points(grid: Grid, values: np.ndarray, hats: np.ndarray, kmax: int,
     point from a guess that interpolates the monotone sampled pairs
     (x_k + d(x_k), x_k), extended by one period on both sides, so every
     target is bracketed.  Each iteration evaluates every row of hats at
-    the iterate in one `_offgrid` call (modes 0..kmax), in O(n) memory; it
+    the iterate in one `_offgrid` call (modes 0..n/2), in O(n) memory; it
     stops once max |y + d(y) - x| <= tol and returns y with that call's
     (F, n) values.  Raises InversionError if Newton stalls (a symptom of a
     near-degenerate Jacobian).
@@ -535,7 +535,7 @@ def _inverse_points(grid: Grid, values: np.ndarray, hats: np.ndarray, kmax: int,
     knots_y = np.concatenate([x - 1.0, x, x + 1.0])
     y = np.interp(x, knots_x, knots_y)
     for _ in range(_INVERSION_MAX_ITER):
-        at_y = _offgrid(hats, y, kmax)
+        at_y = _offgrid(hats, y, grid.n // 2)
         residual = y + at_y[0] - x
         if np.max(np.abs(residual)) <= tol:
             return y, at_y
@@ -553,5 +553,5 @@ def invert_diffeo(phi: Diffeo) -> Diffeo:
     grid = phi.grid
     psi = phi.displacement
     hats = np.stack([psi.hat, psi.hat * grid.ik])  # psi_x as `derivative` gives it
-    y = _inverse_points(grid, psi.values, hats, grid.n // 2, _INVERSION_TOL)[0]
+    y = _inverse_points(grid, psi.values, hats, _INVERSION_TOL)[0]
     return Diffeo(PeriodicField(grid, y - grid.points))

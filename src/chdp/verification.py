@@ -30,11 +30,11 @@ from chdp.connection import (
     metric,
 )
 from chdp.curvature import (
-    _cosine_curvatures,
     _cosine_table,
     ch_cosine_curvature,
     positivity_scan,
     scan_grid,
+    unnormalized_curvature,
 )
 from chdp.evolution import (
     EvolutionConfig,
@@ -148,13 +148,15 @@ def check_density_family_bounds(seed: int) -> tuple[bool, str]:
 def check_ch_reduction(seed: int) -> tuple[bool, str]:
     """S on zero-density pairs equals the single-component closed form.
 
-    The planes are the pairs of distinct directions (cos 2 pi m x, 0), m in 1..6.
+    The planes are the pairs of distinct directions (cos 2 pi m x, 0), m in
+    1..6, each through the one-plane `unnormalized_curvature` on `scan_grid(6)`.
     """
+    grid = scan_grid(6)
     modes = np.arange(1, 7)
-    tuples = np.column_stack((modes, np.zeros_like(modes)))
-    planes = np.column_stack(np.triu_indices(len(modes), 1))
-    s_num = _cosine_curvatures(scan_grid(6), tuples, planes)[0]
-    worst = float(np.max(np.abs(s_num - ch_cosine_curvature(*modes[planes].T))))
+    directions = [VelocityPair.single(cosine_field(grid, m)) for m in modes]
+    k, l = np.triu_indices(len(modes), 1)
+    s_num = [unnormalized_curvature(directions[i], directions[j]) for i, j in zip(k, l)]
+    worst = float(np.max(np.abs(np.subtract(s_num, ch_cosine_curvature(modes[k], modes[l])))))
     return worst <= 1e-9 * (1 + worst), f"max abs err {worst:.2e} (tol 1e-9)"
 
 

@@ -143,6 +143,10 @@ class TestParse:
         (["rigidbody", "--inertia", "1,inf,3"], "--inertia/--omega0: inertia must be finite"),
         (["evolve", "--model", "ch", "--ic", "pair:1:0.1:1:0.1", "--n", "64", "--dt", "0.01",
           "--t-end", "0.1"], "--model/--ic: model ch requires rho = 0 initial data"),
+        (["evolve", "--model", "ch", "--ic", "cosmode:1:1e308", "--n", "64", "--dt", "1e-3",
+          "--t-end", "0.01"], "--model/--ic: initial data must have finite grid values"),
+        (["flowmap", "--model", "ch", "--ic", "cosmode:1:1e308", "--n", "64", "--dt", "1e-3",
+          "--t-end", "0.01"], "--model/--ic: initial data must have finite grid values"),
         (["curvature", "--k1", "1", "--k2", "1", "--l1", "1", "--l2", "1"],
          "--k1/--k2/--l1/--l2: direction pair is degenerate (u = v)"),
         (["curvature", "--k1", "0", "--k2", "3", "--l1", "0", "--l2", "3"],
@@ -159,7 +163,8 @@ class TestParse:
          "--ic: cannot read snapshot no-such-dir/snapshot.csv: No such file or directory"),
     ], ids=["grid", "stride", "slope_threshold", "steps", "initial_condition",
             "inertia", "omega0", "omega0_nan",
-            "inertia_inf", "one_component_rho", "degenerate_pair", "degenerate_density_pair",
+            "inertia_inf", "one_component_rho", "overflowing_start_evolve",
+            "overflowing_start_flowmap", "degenerate_pair", "degenerate_density_pair",
             "one_velocity_mode_zero", "density_mode_zero", "scan_seed", "verify_seed", "missing_snapshot"])
     def test_object_errors_name_the_flag(self, tmp_path, capsys, args, message):
         # Every object is built before --out-dir is made.
@@ -620,17 +625,17 @@ class TestCurvatureCommands:
         # Mode 300 runs on n = 1920, whose basis has 639 rows; the plane
         # pairs only its own four, not the 204,480 pairs of all of them.
         built = []
-        real = curvature._basis_grams
+        real = curvature._pair_grams
 
-        def spy(grid, rows):
-            built.append((grid.n, rows.tolist()))
-            return real(grid, rows)
+        def spy(grid, bases):
+            built.append(bases.shape)
+            return real(grid, bases)
 
-        monkeypatch.setattr(curvature, "_basis_grams", spy)
+        monkeypatch.setattr(curvature, "_pair_grams", spy)
         code = main(["curvature", "--k1", "1", "--k2", "2", "--l1", "3", "--l2", "300",
                      "--out-dir", str(tmp_path)])
         assert code == 0
-        assert built == [(1920, [1, 3, 319 + 2, 319 + 300])]
+        assert built == [(4, 2, 1920)]
         result = read_manifest(tmp_path / "run.json")["final_diagnostics"]
         assert abs(result["S_numeric"] - result["S_closed"]) <= 1e-8 * (1 + abs(result["S_closed"]))
 
@@ -704,13 +709,13 @@ class TestCurvatureCommands:
     def test_density_family_grid_from_its_modes(self, tmp_path, monkeypatch):
         # the zero velocity modes do not size the grid; the density modes do
         grids = []
-        real = curvature._cosine_curvatures
+        real = curvature._cosine_table
 
         def spy(grid, tuples, planes):
             grids.append(grid.n)
             return real(grid, tuples, planes)
 
-        monkeypatch.setattr(curvature, "_cosine_curvatures", spy)
+        monkeypatch.setattr(curvature, "_cosine_table", spy)
         args = ["curvature", "--k1", "0", "--l1", "0", "--k2", "1"]
         assert main([*args, "--l2", "2", "--out-dir", str(tmp_path / "plain")]) == 0
         assert main([*args, "--l2", "9", "--out-dir", str(tmp_path / "big")]) == 0

@@ -251,15 +251,15 @@ class TestScan:
             positivity_scan(1)
 
     def test_bound_violations_named(self, monkeypatch):
-        real = curvature._cosine_curvatures
+        real = curvature._cosine_table
 
         def broken(grid, tuples, planes):
-            s, gram = real(grid, tuples, planes)
-            s[0] = -1.0  # the first full plane, (1, 1)+(1, 2)
-            gram[-1] = 0.3  # the last density plane, (0, 2)+(0, 3)
-            return s, gram
+            table = real(grid, tuples, planes)
+            table.s_numeric[0] = -1.0  # the first full plane, (1, 1)+(1, 2)
+            table.gram[-1] = 0.3  # the last density plane, (0, 2)+(0, 3)
+            return table
 
-        monkeypatch.setattr(curvature, "_cosine_curvatures", broken)
+        monkeypatch.setattr(curvature, "_cosine_table", broken)
         with pytest.raises(RuntimeError) as info:
             positivity_scan(3)
         message = str(info.value)
@@ -272,14 +272,14 @@ class TestScan:
     def test_closed_form_disagreement_named(self, monkeypatch):
         # S off by 1e-6 relative keeps every sign bound, so only the
         # per-row agreement check can name the plane.
-        real = curvature._cosine_curvatures
+        real = curvature._cosine_table
 
         def perturbed(grid, tuples, planes):
-            s, gram = real(grid, tuples, planes)
-            s[5] *= 1.0 + 1e-6  # the sixth full plane, (1, 1)+(3, 1)
-            return s, gram
+            table = real(grid, tuples, planes)
+            table.s_numeric[5] *= 1.0 + 1e-6  # the sixth full plane, (1, 1)+(3, 1)
+            return table
 
-        monkeypatch.setattr(curvature, "_cosine_curvatures", perturbed)
+        monkeypatch.setattr(curvature, "_cosine_table", perturbed)
         with pytest.raises(RuntimeError) as info:
             positivity_scan(3)
         lines = str(info.value).splitlines()[1:]
@@ -290,11 +290,11 @@ class TestScan:
         assert 1e-8 < table.closed_form_error()[5] < 2e-6
 
     def test_closed_forms_in_chunks(self, monkeypatch):
-        # Every scan up to mode 16 (32,760 planes) is one pass.
-        assert 16 * 16 * (16 * 16 - 1) // 2 + 16 * 15 // 2 <= curvature._CLOSED_FORM_CHUNK
         # A chunk of 7 planes splits the mode-4 scan's 126 rows at uneven
-        # edges; the table is the one-pass table, value for value.
+        # edges, one closed-form call each; the table is the one-pass
+        # table, bit for bit.
         whole = positivity_scan(4)
+        assert len(whole) == 126 <= curvature._PLANE_CHUNK
         calls = []
         real = curvature.closed_form_curvature
 
@@ -303,11 +303,11 @@ class TestScan:
             return real(*modes)
 
         monkeypatch.setattr(curvature, "closed_form_curvature", counted)
-        monkeypatch.setattr(curvature, "_CLOSED_FORM_CHUNK", 7)
+        monkeypatch.setattr(curvature, "_PLANE_CHUNK", 7)
         chunked = positivity_scan(4)
         assert calls == [7] * 18
         for f in fields(whole):
-            assert np.array_equal(getattr(chunked, f.name), getattr(whole, f.name)), f.name
+            assert getattr(chunked, f.name).tobytes() == getattr(whole, f.name).tobytes(), f.name
 
     def test_scan_deterministic(self):
         a = positivity_scan(2)
@@ -588,3 +588,17 @@ def test_batched_oracles_report_the_one_plane_values():
         min_sec = min(min_sec, float(row.sec[0]))
     assert verification.check_density_family_bounds(0) == (
         True, f"|gram - 1/4| <= {worst_gram:.2e} (tol 1e-12), min Sec {min_sec:.6f} >= 1/8 - 1e-12")
+
+
+def test_ch_reduction_reads_the_one_plane_api():
+    # C4 takes its 15 zero-density planes through `unnormalized_curvature`;
+    # the cosine table of the same velocity-only tuples gives the same S.
+    grid = scan_grid(6)
+    modes = np.arange(1, 7)
+    directions = [VelocityPair.single(cosine_field(grid, m)) for m in modes]
+    planes = np.column_stack(np.triu_indices(6, 1))
+    s = np.array([unnormalized_curvature(directions[i], directions[j]) for i, j in planes])
+    table = curvature._cosine_table(grid, np.column_stack((modes, 0 * modes)), planes)
+    assert np.all(np.abs(s - table.s_numeric) <= 1e-12 * np.abs(table.s_numeric))
+    worst = np.max(np.abs(s - ch_cosine_curvature(*modes[planes].T)))
+    assert verification.check_ch_reduction(0) == (True, f"max abs err {worst:.2e} (tol 1e-9)")

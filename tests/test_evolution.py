@@ -566,10 +566,16 @@ class TestEvolve:
         assert result.status.value == result.diagnostics.max_abs_rhox[-1]
         assert result.status.value == pytest.approx(2.0 * np.pi, rel=1e-13)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
     def test_non_finite_carries_no_value(self, grid64):
-        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.01)
-        result = evolve(config, VelocityPair(zero_field(grid64) + np.nan, zero_field(grid64)))
+        # Finite data whose first step overflows (non-finite data are an
+        # input error, not a blow-up).
+        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.01, blowup_slope_threshold=-1e300,
+                                 blowup_rhox_threshold=1e300)
+        result = evolve(config, VelocityPair(cosine_field(grid64, 1, 1e200), zero_field(grid64)))
         assert (result.status.reason, result.status.value) == ("non_finite", None)
+        assert result.status.t == config.dt
 
     def test_detector_quiet_on_smooth_run(self, grid64):
         config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.5)

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -299,8 +300,11 @@ class TestEvolveFlowmap:
                  {"blowup_rhox_threshold": 5.0}, ("max_abs_rhox", 0.0), id="initial_rhox"),
     pytest.param(Model.CH, 128, lambda g: VelocityPair.single(cosine_field(g, 1, 2.0)),
                  {"blowup_slope_threshold": -20.0}, ("min_ux", 0.044), id="steep_min_ux"),
-    pytest.param(Model.CH2, 64, lambda g: VelocityPair(zero_field(g) + np.nan, zero_field(g)),
-                 {}, ("non_finite", 0.001), id="nan_initial"),
+    pytest.param(Model.CH, 64, lambda g: VelocityPair.single(cosine_field(g, 1, 1e200)),
+                 {"blowup_slope_threshold": -1e300, "blowup_rhox_threshold": 1e300},
+                 ("non_finite", 0.001), id="overflow_step",
+                 marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                                  "ignore:invalid value:RuntimeWarning")),
 ])
 def test_evolve_and_flowmap_share_blowup_monitor(model, n, initial, thresholds, expected):
     config = EvolutionConfig(model, dt=1e-3, t_end=0.1, **thresholds)
@@ -310,6 +314,25 @@ def test_evolve_and_flowmap_share_blowup_monitor(model, n, initial, thresholds, 
     assert (flow.kind, flow.reason, flow.t) == (eul.kind, eul.reason, eul.t)
     assert eul.kind == "blowup_detected"
     assert (eul.reason, eul.t) == (expected[0], pytest.approx(expected[1]))
+
+
+@pytest.mark.parametrize("model, n, initial", [
+    (Model.CH2, 64, lambda g: VelocityPair(zero_field(g) + np.nan, zero_field(g))),
+    (Model.CH2, 64, lambda g: VelocityPair(zero_field(g), zero_field(g) - np.inf)),
+    (Model.DP, 64, lambda g: VelocityPair.single(zero_field(g) + np.inf)),
+    (Model.CH, 64, lambda g: VelocityPair.single(cosine_field(g, 1, 1e308))),
+    (Model.DP2, 256, lambda g: VelocityPair(cosine_field(g, 60, 1e306), zero_field(g))),
+], ids=["nan", "minus_inf_rho", "inf", "coefficients_overflow", "slopes_overflow"])
+def test_evolve_and_flowmap_reject_nonfinite_starts(model, n, initial):
+    # NaN or infinite data, and data whose rfft (1e308 cos 2 pi x) or
+    # slopes (1e306 cos 120 pi x, slope 3.8e308) overflow, are an input
+    # error before any step, with no warning on the way.
+    config = EvolutionConfig(model, dt=1e-3, t_end=0.1)
+    for run in (evolve, evolve_flowmap):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="initial data must have finite grid values"):
+                run(config, initial(Grid(n)))
 
 
 @pytest.mark.parametrize("stride, amplitude, thresholds, last", [
