@@ -178,7 +178,7 @@ def _flowmap(options):
         drifts = momentum_drift(result, stride=max(1, len(result.times) // 20))
         # A labels_folded run's last row has no phi (NaN): min phi_x is
         # null, and the drifts are the maxima over the rows before it.
-        folded = bool(np.isnan(jac[-1]).any())
+        folded = result.status.reason == "labels_folded"
         final = {
             "t": float(result.times[-1]),
             "min_phix": None if folded else float(jac[-1].min()),

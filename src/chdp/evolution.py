@@ -53,15 +53,17 @@ step, the last step and a blow-up step.  The monitor's single irfft per
 step (`points`) gives the grid values and slopes of every state row, and
 one minimum and one maximum over the slope rows decide the step: a NaN
 minimum marks a non-finite step (ik times an infinite or NaN coefficient
-is NaN), then the thresholds read them.  Kept steps store the irfft in
-one real history array, and the next step's stage 1 starts from it,
-since the kernel reads a stage's rows from it.  An Eulerian step thus
-costs 8 FFT calls, monitor included, and so does a flow-map step, whose
-stages transport the labels map on the grid (`chdp.flowmap`).  Both
-integrators return a result that views that array (`EvolveResult`,
-extended by the flow map's `FlowmapResult`) with its diagnostics, read in
-one pass as the columns of a `DiagnosticsTable`.  `step_rk4` is one RK4
-step of the Eulerian coefficients; `evolve` steps through it.
+is NaN), then the thresholds read them.  The next step's stage 1 starts
+from that irfft, since the kernel reads a stage's rows from it.  An
+Eulerian step thus costs 8 FFT calls, monitor included, and so does a
+flow-map step, whose stages transport the labels map on the grid
+(`chdp.flowmap`).  A kept step stores the grid values of the state rows
+alone in one real history array, and its diagnostics, five scalars from
+the monitor's irfft and its slope minima and maxima, in one column array.
+Both integrators return a result that views the history (`EvolveResult`,
+extended by the flow map's `FlowmapResult`) with the columns as a
+`DiagnosticsTable`.  `step_rk4` is one RK4 step of the Eulerian
+coefficients; `evolve` steps through it.
 """
 
 from __future__ import annotations
@@ -205,8 +207,8 @@ class RunStatus:
 class EvolveResult:
     """The kept steps of a run, at `times`: read-only views of one history array.
 
-    Row i of u, rho, u_x and rho_x holds the grid values at times[i];
-    `diagnostics` has one entry per kept step.
+    Row i of u and rho holds the grid values at times[i]; `diagnostics`
+    has one entry per kept step.
     """
 
     grid: Grid
@@ -214,8 +216,6 @@ class EvolveResult:
     times: np.ndarray
     u: np.ndarray
     rho: np.ndarray
-    u_x: np.ndarray
-    rho_x: np.ndarray
     diagnostics: DiagnosticsTable
     status: RunStatus
 
@@ -475,14 +475,14 @@ def _threshold_reason(config: EvolutionConfig, lows: list[float],
 def _history_shape(config: EvolutionConfig, rows: int, n: int) -> tuple[int, int, int]:
     """Shape of `_integrate`'s history for `rows` state rows on an n-point grid.
 
-    The values and slopes of every row, at the most steps a run keeps:
-    every `diagnostics_stride`-th step from 0 and the last.
+    The grid values of every row, at the most steps a run keeps: every
+    `diagnostics_stride`-th step from 0 and the last.
     """
-    return 2 * rows, -(-config.n_steps // config.diagnostics_stride) + 1, n
+    return rows, -(-config.n_steps // config.diagnostics_stride) + 1, n
 
 
 def _integrate(result_type, config: EvolutionConfig, grid: Grid, y: np.ndarray, step,
-               check=lambda y, lows, highs: None, finish=lambda history: None):
+               check=lambda y, lows, highs: None, finish=lambda history, status: None):
     """Step the coefficients y, (u, rho) in rows 0-1, to t_end; a `result_type` views the kept steps.
 
     `step(y, z)` is one RK4 step of y, where z is the monitor's irfft of y,
@@ -496,25 +496,30 @@ def _integrate(result_type, config: EvolutionConfig, grid: Grid, y: np.ndarray, 
     as `_initial_state` checks, so only a step can be non-finite.  Then
     the run stops at `check(y, lows, highs)`, which returns (criterion,
     value) or None, else at a threshold.  Kept steps (every
-    `config.diagnostics_stride`-th, the last, a blow-up)
-    fill one real (2 len(y), kept steps, n) history array with that
-    irfft: the grid values of the rows of y, then their slopes.  The
-    irfft and its stacked coefficients go into two arrays made once per
-    run, so z is written over by the next step's monitor.
-    `finish(history)` may then rewrite the further rows in place before
-    they are frozen.  `result_type` is `EvolveResult` or a subclass whose
-    fields after `status` view the further rows, their values then their
-    slopes.
+    `config.diagnostics_stride`-th, the last, a blow-up) fill one real
+    (len(y), kept steps, n) history array with the grid values of the rows
+    of y, and one (5, kept steps) array with their diagnostics from the
+    same irfft and reductions: the energy, min u_x, max |rho_x|, and the
+    means of u and rho.  The irfft and its stacked coefficients go into
+    two arrays made once per run, so z is written over by the next step's
+    monitor.  Overflow and invalid operations raise no warning: the
+    monitor reports a step they make non-finite, and an energy that
+    overflows on finite data is inf.  `finish(history, status)` may then
+    rewrite the further rows in place before they are frozen.
+    `result_type` is `EvolveResult` or a subclass whose fields after
+    `status` view the further rows.
     """
     kernel = _kernel(config.model, grid.n)
-    n_steps, stride = config.n_steps, config.diagnostics_stride
-    history = np.empty(_history_shape(config, len(y), grid.n))
+    n_steps, stride, n = config.n_steps, config.diagnostics_stride, grid.n
+    history = np.empty(_history_shape(config, len(y), n))
+    columns = np.empty((5, history.shape[1]))
     # The monitor's stacked coefficients and irfft, written over every step.
-    monitor = np.empty((2 * len(y), y.shape[-1]), complex), np.empty((2 * len(y), grid.n))
+    monitor = np.empty((2 * len(y), y.shape[-1]), complex), np.empty((2 * len(y), n))
     kept = []
     status = RunStatus("completed")
-    # ik times an infinite coefficient is the NaN the monitor looks for.
-    with np.errstate(invalid="ignore"):
+    # ik times an infinite coefficient is the NaN the monitor looks for; a
+    # step of huge finite data overflows on the way to it.
+    with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps + 1):
             t = i * config.dt
             if i > 0:
@@ -527,27 +532,28 @@ def _integrate(result_type, config: EvolutionConfig, grid: Grid, y: np.ndarray, 
                 break
             tripped = check(y, lows, highs) or _threshold_reason(config, lows, highs)
             if i % stride == 0 or i == n_steps or tripped is not None:
-                history[:, len(kept)] = z
+                u, rho, ux = z[0], z[1], slopes[0]
+                history[:, len(kept)] = z[:len(y)]
+                # Means as sum / n, the bits of np.mean at half its cost; the
+                # integral of A u is the mean of u: A's multiplier at mode 0 is 1.
+                columns[:, len(kept)] = ((u * u + ux * ux + rho * rho).sum() / n, lows[0],
+                                         _max_abs(lows[1], highs[1]), u.sum() / n, rho.sum() / n)
                 kept.append(i)
             if tripped is not None:
                 status = RunStatus("blowup_detected", t=t, reason=tripped[0], value=tripped[1])
                 break
     times = np.array(kept) * config.dt
-    history = history[:, :len(kept)]
-    finish(history)
-    for arr in (times, history):
+    history, columns = history[:, :len(kept)], columns[:, :len(kept)]
+    finish(history, status)
+    for arr in (times, history, columns):
         arr.setflags(write=False)
-    (u, rho, *more), (ux, rhox, *more_x) = np.split(history, 2)
-    # The integral of A u is the mean of u: A's multiplier at mode 0 is 1.
-    diagnostics = DiagnosticsTable(times, np.mean(u * u + ux * ux + rho * rho, axis=1),
-                                   ux.min(axis=1), np.abs(rhox).max(axis=1),
-                                   u.mean(axis=1), rho.mean(axis=1))
-    return result_type(grid, config.model, times, u, rho, ux, rhox, diagnostics, status,
-                       *more, *more_x)
+    u, rho, *more = history
+    return result_type(grid, config.model, times, u, rho, DiagnosticsTable(times, *columns),
+                       status, *more)
 
 
 def evolve(config: EvolutionConfig, initial: VelocityPair) -> EvolveResult:
-    """Integrate to t_end, keeping the grid values and slopes of every stride-th step.
+    """Integrate to t_end, keeping the grid values of every stride-th step.
 
     Stops early with status blowup_detected when a threshold is crossed
     (checked at t=0 and after every step) or a step goes non-finite; the

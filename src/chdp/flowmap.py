@@ -42,13 +42,14 @@ before the Eulerian thresholds, it stops the run with
   no longer resolve the map, and phi would be wrong.  Restarting the
   labels from the identity and composing the sub-maps (remapping) is not
   done.
-Only the kept rows are turned back into (psi, f, psi_x, f_x) of
-phi = id + psi (`_group_rows`): Newton inverts chi
-(`spectral._inverse_points`, shared with `invert_diffeo`), evaluating
-(xi, xi_x, g) in one `_offgrid` call per iteration, so the last one also
-gives f = g o phi.  psi_x and f_x are the spectral derivatives of the
-kept psi and f, as `derivative` and the object form take them.  A folded
-row has no inverse and holds NaN there.
+Only the kept rows are turned back into (psi, f) of phi = id + psi
+(`_group_rows`): Newton inverts chi (`spectral._inverse_points`, shared
+with `invert_diffeo`), evaluating (xi, xi_x, g) in one `_offgrid` call
+per iteration, so the last one also gives f = g o phi.  A 'labels_folded'
+run's last row has no inverse and holds NaN there.  The slopes psi_x and
+f_x are taken only where they are read, by `FlowmapResult.jacobians` and
+`momentum_drift`, as the spectral derivatives of the kept psi and f that
+`derivative` and the object form take.
 `FlowmapResult` views the result: its (u, rho) part is the `EvolveResult`
 of `evolve` for the same config.
 Along exact two-component CH flows (rho o phi) phi_x and the full
@@ -64,8 +65,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from chdp.connection import Model, VelocityPair
-from chdp.evolution import (EvolutionConfig, EvolveResult, _initial_state, _integrate, _kernel,
-                            rk4)
+from chdp.evolution import (EvolutionConfig, EvolveResult, RunStatus, _initial_state, _integrate,
+                            _kernel, rk4)
 from chdp.spectral import (
     Diffeo,
     Grid,
@@ -120,15 +121,13 @@ class GroupElement:
 class FlowmapResult(EvolveResult):
     """The kept steps of the coupled run: `EvolveResult` plus the flow map.
 
-    Row i of psi, f, psi_x and f_x holds the grid values at times[i], the
-    steps `evolve` keeps for the same config; phi = id + psi.  Every array
-    is a read-only view of one history array.
+    Row i of psi and f holds the grid values at times[i], the steps
+    `evolve` keeps for the same config; phi = id + psi.  Every array is a
+    read-only view of one history array.
     """
 
     psi: np.ndarray
     f: np.ndarray
-    psi_x: np.ndarray
-    f_x: np.ndarray
 
     def group_element(self, i: int) -> GroupElement:
         return GroupElement(Diffeo(PeriodicField(self.grid, self.psi[i])),
@@ -137,41 +136,46 @@ class FlowmapResult(EvolveResult):
     def jacobians(self, rows=None) -> np.ndarray:
         """phi_x = 1 + psi_x at the given history rows (default all), shape (len(rows), n).
 
-        psi_x is the spectral derivative of the kept psi (`_group_rows`).
+        psi_x is the spectral derivative of the kept psi, taken here; a
+        folded row's is NaN.
         """
-        return 1.0 + (self.psi_x if rows is None else self.psi_x[rows])
+        return 1.0 + _slopes(self.grid, self.psi if rows is None else self.psi[rows])
 
 
-def _group_rows(grid: Grid, history: np.ndarray) -> None:
-    """Turn the kept (xi, g, xi_x, g_x) rows 2, 3, 6, 7 of history into (psi, f, psi_x, f_x).
+def _slopes(grid: Grid, rows: np.ndarray) -> np.ndarray:
+    """Spectral derivatives of the grid-value rows, as `derivative` takes them."""
+    return np.fft.irfft(np.fft.rfft(rows) * grid.ik, grid.n)
 
-    In place.  Row by row, Newton inverts chi = id + xi to phi = id + psi,
-    and the last iteration's `_offgrid` call gives f = g o phi.  psi_x and
-    f_x are the spectral derivatives of the kept psi and f, the slopes
-    `derivative` gives and the object form reads.  A folded row (min
-    chi_x <= 0) has no inverse and gets NaN.
+
+def _group_rows(grid: Grid, history: np.ndarray, status: RunStatus) -> None:
+    """Turn the kept (xi, g) rows 2, 3 of history into (psi, f), in place.
+
+    Row by row, Newton inverts chi = id + xi to phi = id + psi, and the
+    last iteration's `_offgrid` call gives f = g o phi.  The monitor stops
+    a run at its first folded step (min chi_x <= 0), so only the last row
+    of a 'labels_folded' run is folded: it has no inverse and gets NaN.
     """
-    for i in range(history.shape[1]):
-        if 1.0 + history[6, i].min() <= 0.0:
-            history[[2, 3, 6, 7], i] = np.nan
-            continue
+    count = history.shape[1]
+    if status.reason == "labels_folded":
+        count -= 1
+        history[2:, count] = np.nan
+    for i in range(count):
         xi_hat, g_hat = np.fft.rfft(history[2:4, i])
         y, (_, _, g) = _inverse_points(grid, history[2, i],
                                        np.stack((xi_hat, xi_hat * grid.ik, g_hat)),
                                        _LABELS_INVERSION_TOL)
         history[2, i] = y - grid.points
         history[3, i] = g
-        history[6:8, i] = np.fft.irfft(np.fft.rfft(history[2:4, i]) * grid.ik, grid.n)
 
 
 def evolve_flowmap(config: EvolutionConfig, initial: VelocityPair) -> FlowmapResult:
     """Co-integrate (u, rho, xi, g) from (initial, identity) with RK4; return phi = chi^-1.
 
     The state is the (4, n//2 + 1) Fourier coefficients stepped by the
-    step loop of `evolve`, keeping the grid values and slopes of the steps
-    it keeps (every `config.diagnostics_stride`-th, the last, a blow-up) in
-    one (8, kept steps, n) history, whose labels rows `_group_rows` turns into
-    (psi, f, psi_x, f_x) and the result's fields view.  Stops early on the
+    step loop of `evolve`, keeping the grid values of the steps it keeps
+    (every `config.diagnostics_stride`-th, the last, a blow-up) in one
+    (4, kept steps, n) history, whose labels rows `_group_rows` turns into
+    (psi, f) and the result's fields view.  Stops early on the
     blow-up monitor of `evolve` (same status and time, and the same
     ValueError on non-finite initial data): a non-finite step
     of any row first, then the labels, then the thresholds.  The labels
@@ -202,7 +206,7 @@ def evolve_flowmap(config: EvolutionConfig, initial: VelocityPair) -> FlowmapRes
 
     return _integrate(FlowmapResult, config, grid, y,
                       lambda v, z: rk4(kernel, v, config.dt, kernel(v, z)), check,
-                      lambda history: _group_rows(grid, history))
+                      lambda history, status: _group_rows(grid, history, status))
 
 
 def reconstruct_f(model: Model, rho0: PeriodicField, times: np.ndarray,
@@ -268,7 +272,8 @@ def momentum_drift(result: FlowmapResult, stride: int = 1) -> dict[str, np.ndarr
     DP tracks neither and returns {} without sampling any step.
 
     Per sampled row, one rfft gives the spectra of rho and m = helmholtz(u),
-    phi_x is 1 + the row's psi_x, and both series are evaluated at
+    phi_x is 1 + the row's psi_x, taken here with f_x from one rfft and one
+    irfft of (psi, f), and both series are evaluated at
     phi = id + psi one block of points at a time, by one `apply_series_matrix`
     call on the block's plan, of at most `_PLAN_BYTES`: O(n + block) memory.
     """
@@ -298,7 +303,8 @@ def momentum_drift(result: FlowmapResult, stride: int = 1) -> dict[str, np.ndarr
     for i in indices:
         hats = np.fft.rfft(np.stack((result.rho[i], result.u[i]))[tracked]) * to_momenta
         phi = grid.points + result.psi[i]
-        jac = 1.0 + result.psi_x[i]
+        psi_x, f_x = _slopes(grid, np.stack((result.psi[i], result.f[i])))
+        jac = 1.0 + psi_x
         at_phi = np.hstack([apply_series_matrix(series_matrix(grid, phi[j:j + block], kmax), hats)
                             for j in range(0, grid.n, block)])
         q, rho_w = [], 0.0  # rho = 0 on one-component models
@@ -308,7 +314,7 @@ def momentum_drift(result: FlowmapResult, stride: int = 1) -> dict[str, np.ndarr
         if model.has_metric:
             # (m o phi) phi_x^2 + (rho o phi) f_x phi_x, the velocity part
             # of Ad*_(phi,f)(m, rho); arrays, so a row with phi_x <= 0 serves.
-            q.append(at_phi[-1] * jac**2 + rho_w * result.f_x[i] * jac)
+            q.append(at_phi[-1] * jac**2 + rho_w * f_x * jac)
         first = q if first is None else first
         deviations.append([np.max(np.abs(a - b)) for a, b in zip(q, first)])
 

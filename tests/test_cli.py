@@ -410,8 +410,6 @@ def test_one_step_run(tmp_path, args):
         assert read_csv_column(tmp_path / "diagnostics.csv", "t") == ["0.0", "0.001"]
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("command", ["evolve", "flowmap"])
 def test_nonfinite_blowup_time(tmp_path, capsys, command):
     # u^2 overflows in the first step: the time reported is t=dt, not
@@ -432,7 +430,7 @@ def test_nonfinite_blowup_time(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["evolve", "flowmap"])
 def test_unallocatable_history_fails_before_out_dir(tmp_path, capsys, command):
-    # 10^10 kept steps of (u, rho) at n = 256 would need 74.5 TiB.
+    # 10^10 kept steps of (u, rho) at n = 256 would need 37.3 TiB (evolve) or 74.5 TiB.
     out = tmp_path / "X"
     code = main([command, "--model", "2ch", "--ic", "pair:1:0.1:1:0.1", "--n", "256",
                  "--dt", "1e-4", "--t-end", "1e6", "--stride", "1", "--out-dir", str(out)])
@@ -444,7 +442,7 @@ def test_unallocatable_history_fails_before_out_dir(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["evolve", "flowmap"])
 def test_unallocatable_grid_fails_before_out_dir(tmp_path, capsys, command):
-    # Even the first and last steps at n = 10^11 need 5.8 TiB (evolve) or 11.6 TiB.
+    # Even the first and last steps at n = 10^11 need 2.9 TiB (evolve) or 5.8 TiB.
     out = tmp_path / "X"
     code = main([command, "--model", "2ch", "--ic", "pair:1:0.1:1:0.1",
                  "--n", "100000000000", "--out-dir", str(out)])

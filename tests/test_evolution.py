@@ -396,7 +396,8 @@ class TestKernelWorkspaces:
         for (_, rows, _), seen, result in zip(runs, rows_seen, alone):
             z = np.stack(seen, axis=1)
             assert np.array_equal(z[:2], np.stack((result.u, result.rho)))
-            assert np.array_equal(z[rows:rows + 2], np.stack((result.u_x, result.rho_x)))
+            assert np.array_equal(z[rows].min(axis=1), result.diagnostics.min_ux)
+            assert np.array_equal(np.abs(z[rows + 1]).max(axis=1), result.diagnostics.max_abs_rhox)
 
 
 class TestStepCount:
@@ -482,7 +483,8 @@ class TestEvolve:
 
     def test_result_views_one_read_only_history(self, grid64):
         # Row 0 is the dealiased start bit for bit; every array views one
-        # history that no caller can write.
+        # history of the grid values alone, and no caller can write it or
+        # the diagnostics.
         config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.05, diagnostics_stride=10)
         initial = VelocityPair(cosine_field(grid64, 1, 0.2) + cosine_field(grid64, 30, 0.1),
                                cosine_field(grid64, 2, 0.1))
@@ -492,10 +494,12 @@ class TestEvolve:
         state = result.state(3)
         assert np.array_equal(state.u.values, result.u[3])
         assert np.array_equal(state.rho.values, result.rho[3])
-        arrays = (result.u, result.rho, result.u_x, result.rho_x)
-        assert all(a.base is result.u.base and not a.flags.writeable for a in arrays)
+        assert result.u.base.shape == (2, len(result.times), grid64.n)
+        assert result.rho.base is result.u.base
+        arrays = (result.u, result.rho, *vars(result.diagnostics).values())
+        assert not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError):
-            result.u_x[0, 0] = 1.0
+            result.rho[0, 0] = 1.0
 
     def test_single_component_rejects_rho(self, grid64):
         config = EvolutionConfig(Model.CH, dt=1e-2, t_end=0.1)

@@ -16,16 +16,18 @@ first), and each process measures every layer once, those down to
   `evolution._kernel`'s map of coefficients, for 2CH and 2DP;
 - `flow_step_ms` and `euler_step_ms`: one RK4 step of `evolve_flowmap`
   and of `evolve`, 2DP, monitor included, from two short runs (the
-  difference of a 30-step and a 10-step run over 20, so the per-run set-up
-  and diagnostics cancel);
+  difference of the fastest of 7 60-step runs and the fastest of 7
+  10-step runs, over 50, so the per-run set-up and diagnostics cancel; a
+  median of 30- and 10-step runs could not resolve 10 % at n = 4096);
 - `invert_diffeo_ms` and `invert_diffeo_peak_mb` (tracemalloc peak of one
   call, untimed);
 - `drift_ms` and `drift_peak_mb` (tracemalloc peak of one call, untimed):
   `flowmap.momentum_drift` of one fixed 2CH flow-map run of 4 steps
-  (dt 1e-4, every step kept, so 5 rows, kmax = n/2);
+  (dt 1e-4, every step kept, so 5 rows, kmax = n/2), which takes the
+  slopes psi_x and f_x of each row it reads;
 - `body_step_us`: one RK4 step of `evolve_rigidbody` on the reference spin
-  (inertia 1,2,3, omega 1,1,1, dt 1e-3), the difference of a 300-step and
-  a 100-step run over 200;
+  (inertia 1,2,3, omega 1,1,1, dt 1e-3), the fastest-of-7 difference of
+  a 60-step and a 10-step run over 50, as for the flow-map steps;
 - `reorthonormalize_us`: one `rigidbody._reorthonormalize` call on that
   spin's attitude at t=0.3 plus seeded noise of size 1e-14, which takes one
   polar iteration;
@@ -44,7 +46,8 @@ first), and each process measures every layer once, those down to
   DP's, and C8 reads the cached runs.
 
 A sample is the median over calls within one process (at least 5 calls
-and 0.1 s), or the one call of a criterion; the record holds every sample
+and 0.1 s), the difference of two fastest-of-7 runs for a step, or the
+one call of a criterion; the record holds every sample
 and each tree's median, and `targets` says for each tree whether each
 target below is met by its medians. BLAS runs on one thread.
 """
@@ -78,6 +81,20 @@ def _per_call(fn, min_calls=5, min_seconds=0.1):
         fn()
         times.append(time.perf_counter() - t0)
     return statistics.median(times)
+
+
+def _per_step(run):
+    """Seconds per step of run(count), from the fastest of 7 60-step and of 7 10-step runs."""
+    def fastest(count):
+        run(count)
+        times = []
+        for _ in range(7):
+            t0 = time.perf_counter()
+            run(count)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    return (fastest(60) - fastest(10)) / 50
 
 
 def measure() -> dict:
@@ -125,15 +142,12 @@ def measure() -> dict:
         initial = VelocityPair(spectral.PeriodicField(grid, state[0]),
                                spectral.PeriodicField(grid, state[1]))
 
-        def per_step(run):
-            def steps(count):
-                config = EvolutionConfig(Model.DP2, dt=1e-4, t_end=count * 1e-4,
-                                         diagnostics_stride=count)
-                return _per_call(lambda: run(config, initial))
-            return (steps(30) - steps(10)) / 20
+        def steps(run):
+            return lambda count: run(EvolutionConfig(Model.DP2, dt=1e-4, t_end=count * 1e-4,
+                                                     diagnostics_stride=count), initial)
 
-        out[f"flow_step_ms/n={n}"] = 1e3 * per_step(evolve_flowmap)
-        out[f"euler_step_ms/n={n}"] = 1e3 * per_step(evolve)
+        out[f"flow_step_ms/n={n}"] = 1e3 * _per_step(steps(evolve_flowmap))
+        out[f"euler_step_ms/n={n}"] = 1e3 * _per_step(steps(evolve))
 
         phi = spectral.Diffeo(spectral.PeriodicField(grid, state[2]))
         out[f"invert_diffeo_ms/n={n}"] = 1e3 * _per_call(lambda: spectral.invert_diffeo(phi))
@@ -154,10 +168,8 @@ def measure() -> dict:
 
     body = rigidbody.RigidBodyState.from_rest_attitude([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
-    def body_run(count):
-        return _per_call(lambda: rigidbody.evolve_rigidbody(body, dt=1e-3, t_end=count * 1e-3))
-
-    out["body_step_us"] = 1e6 * (body_run(300) - body_run(100)) / 200
+    out["body_step_us"] = 1e6 * _per_step(
+        lambda count: rigidbody.evolve_rigidbody(body, dt=1e-3, t_end=count * 1e-3))
     attitude = rigidbody.evolve_rigidbody(body, dt=1e-3, t_end=0.3).attitude[-1]
     near = attitude + 1e-14 * np.random.default_rng(10).standard_normal((3, 3))
     out["reorthonormalize_us"] = 1e6 * _per_call(lambda: rigidbody._reorthonormalize(near))
