@@ -177,13 +177,12 @@ def _flowmap(options):
                                          result.psi[i], jac_i, result.f[i])
         drifts = momentum_drift(result, stride=max(1, len(result.times) // 20))
         # A labels_folded run's last row has no phi (NaN): min phi_x is
-        # null, and the drifts are the maxima over the rows before it.
+        # null, and the drifts skip that row.
         folded = result.status.reason == "labels_folded"
         final = {
             "t": float(result.times[-1]),
             "min_phix": None if folded else float(jac[-1].min()),
-            "momentum_drift": {key: float(np.max(vals[:-1] if folded else vals))
-                               for key, vals in drifts.items()},
+            "momentum_drift": {key: float(np.max(vals)) for key, vals in drifts.items()},
         }
         return result.status, final, [
             f"flowmap: {_outcome(result.status, result.times[-1])} "

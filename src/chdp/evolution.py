@@ -41,25 +41,26 @@ same kernel also transports the flow map's labels (`chdp.flowmap`).
 `rhs` is the `VelocityPair` view of the two-row kernel.
 A step allocates no grid-sized temporary besides its stage derivatives
 and its result: each cached kernel writes a stage's coefficients, grid
-values, products, terms and term spectra into buffers it makes on its
-first stage call, and `rk4` sums the stages in place, in the order of
-the textbook sum, so the bits are those of fresh arrays.  What a stage
-and a step return is a new array.  A kernel serves one call at a time
-(chdp runs in one thread).  The step loop's monitor writes its irfft
-into two arrays made once per run.
+values, products, terms and term spectra into buffers it makes when it is
+built, and `rk4` sums the stages in place, in the order of the textbook
+sum, so the bits are those of fresh arrays.  What a stage and a step
+return is a new array.  A kernel serves one call at a time (chdp runs in
+one thread).  The step loop's monitor writes its irfft into two arrays
+made once per run.
 `evolve` and `evolve_flowmap` share one step loop, `_integrate`, with one
 monitor and one keep rule: the rows of every `diagnostics_stride`-th
 step, the last step and a blow-up step.  The monitor's single irfft per
-step (`points`) gives the grid values and slopes of every state row, and
-one minimum and one maximum over the slope rows decide the step: a NaN
-minimum marks a non-finite step (ik times an infinite or NaN coefficient
-is NaN), then the thresholds read them.  The next step's stage 1 starts
-from that irfft, since the kernel reads a stage's rows from it.  An
-Eulerian step thus costs 8 FFT calls, monitor included, and so does a
-flow-map step, whose stages transport the labels map on the grid
-(`chdp.flowmap`).  A kept step stores the grid values of the state rows
-alone in one real history array, and its diagnostics, five scalars from
-the monitor's irfft and its slope minima and maxima, in one column array.
+step (`_points`, a function of the grid, so no model kernel serves it)
+gives the grid values and slopes of every state row, and one minimum and
+one maximum over the slope rows decide the step: a NaN minimum marks a
+non-finite step (ik times an infinite or NaN coefficient is NaN), then
+the thresholds read them.  The next step's stage 1 starts from that
+irfft, since the kernel reads a stage's rows from it.  An Eulerian step
+thus costs 8 FFT calls, monitor included, and so does a flow-map step,
+whose stages transport the labels map on the grid (`chdp.flowmap`).  A
+kept step stores the grid values of the state rows alone in one real
+history array, and its diagnostics, five scalars from the monitor's
+irfft and its slope minima and maxima, in one column array.
 Both integrators return a result that views the history (`EvolveResult`,
 extended by the flow map's `FlowmapResult`) with the columns as a
 `DiagnosticsTable`.  `step_rk4` is one RK4 step of the Eulerian
@@ -243,15 +244,14 @@ class _Kernel:
     are 0 above the dealias cutoff, so an RK4 sum of band-limited
     coefficients stays band-limited.  The labels rows are not truncated.
 
-    `kernel(y, z)` starts from z, the monitor's `points(y)`: u and rho are
-    z[0] and z[1], u_x is z[rows], and on four rows xi_x and g_x are z[-2]
-    and z[-1], as in the stage's own irfft.
+    `kernel(y, z)` starts from z, the monitor's `_points(grid, y)`: u and
+    rho are z[0] and z[1], u_x is z[rows], and on four rows xi_x and g_x
+    are z[-2] and z[-1], as in the stage's own irfft.
 
-    The first stage call makes the kernel's workspaces (`_workspaces`),
-    and every stage call writes into them: a kernel used only for
-    `points` makes none.  A stage's result is a new array all the same,
+    The kernel makes its stage buffers when it is built, and every stage
+    call writes into them.  A stage's result is a new array all the same,
     since `rk4` holds k1..k4 at once, and the operations are those on
-    fresh arrays, so the bits are too.  The workspaces make a kernel serve
+    fresh arrays, so the bits are too.  The buffers make a kernel serve
     one call at a time.
     """
 
@@ -299,45 +299,21 @@ class _Kernel:
             self._gathers[length] = tuple(where[side] for side in np.array(list(columns)).T)
         for arr in (self.sums, self.weights, *self._gathers[rows + 1], *self._gathers[2 * rows]):
             arr.setflags(write=False)
-        self._work = None  # `_workspaces`, made by the first stage call
-
-    def points(self, y: np.ndarray,
-               out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-        """Grid values of every row of the Fourier coefficients y, then their slopes.
-
-        One irfft with no 1/n scaling (norm="forward"): for y = (u, rho) it
-        gives (u, rho, u_x, rho_x), and for (u, rho, xi, g) it gives
-        (u, rho, xi, g, u_x, rho_x, xi_x, g_x).  `out`, if given, is
-        (coefficients, grid values) to write the stacked coefficients and
-        the result into; else both are new arrays.  The bits are the same
-        either way.
-        """
-        spec, grid = (np.empty((2 * len(y), len(self.ik)), complex), None) if out is None else out
-        spec[:len(y)] = y
-        np.multiply(y, self.ik, spec[len(y):])
-        return np.fft.irfft(spec, self.n, out=grid, norm="forward")
-
-    def _workspaces(self) -> tuple[np.ndarray, ...]:
-        """The stage buffers, made on the first stage call and kept with the kernel.
-
-        The coefficients of the stage's irfft, whole and as its values and
-        its slopes rows, and its grid values; the two gathered rows of each
-        product; the grid values of the terms (then of u xi_x, u g_x on
-        four rows) and their rfft; and the weighted term spectra.
-        """
-        modes, count = len(self.ik), len(self.sums)
-        products = len(self._gathers[2 * self.rows][0])
-        terms = np.empty((count + (2 if self.rows == 4 else 0), self.n))
-        spectra = np.empty((len(terms), modes), complex)
-        spec = np.empty((self.rows + 1, modes), complex)
-        return (spec, spec[:2], spec[2:], np.empty((self.rows + 1, self.n)),
-                np.empty((products, self.n)), np.empty((products, self.n)),
-                terms, terms[:count], spectra, spectra[:count],
-                np.empty(self.weights.shape, complex))
+        # The stage buffers: the coefficients of the stage's irfft, whole
+        # and as its values and its slopes rows, and its grid values; the
+        # two gathered rows of each product; the grid values of the terms
+        # (then of u xi_x, u g_x on four rows) and their rfft; and the
+        # weighted term spectra.
+        count, modes = len(terms), len(ik)
+        term_values = np.empty((count + (2 if rows == 4 else 0), self.n))
+        spectra = np.empty((len(term_values), modes), complex)
+        spec = np.empty((rows + 1, modes), complex)
+        self._work = (spec, spec[:2], spec[2:], np.empty((rows + 1, self.n)),
+                      np.empty((len(columns), self.n)), np.empty((len(columns), self.n)),
+                      term_values, term_values[:count], spectra, spectra[:count],
+                      np.empty(self.weights.shape, complex))
 
     def __call__(self, y: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
-        if self._work is None:
-            self._work = self._workspaces()
         (spec, values, slopes, points, left, right, terms, eulerian, spectra, eulerian_spectra,
          weighted) = self._work
         if z is None:  # one irfft of the values of u and rho and the slopes the terms read
@@ -371,6 +347,23 @@ class _Kernel:
 def _kernel(model: Model, n: int, rows: int = 2) -> _Kernel:
     """The kernel of (model, n-point grid, state rows), built on first use and then shared."""
     return _Kernel(model, Grid(n), rows)
+
+
+def _points(grid: Grid, y: np.ndarray,
+            out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Grid values of every row of the Fourier coefficients y, then their slopes.
+
+    One irfft with no 1/n scaling (norm="forward"): for y = (u, rho) it
+    gives (u, rho, u_x, rho_x), and for (u, rho, xi, g) it gives
+    (u, rho, xi, g, u_x, rho_x, xi_x, g_x).  `out`, if given, is
+    (coefficients, grid values) to write the stacked coefficients and the
+    result into; else both are new arrays.  The bits are the same either
+    way.
+    """
+    spec, values = (np.empty((2 * len(y), len(grid.ik)), complex), None) if out is None else out
+    spec[:len(y)] = y
+    np.multiply(y, grid.ik, spec[len(y):])
+    return np.fft.irfft(spec, grid.n, out=values, norm="forward")
 
 
 def _pair(grid: Grid, y: np.ndarray) -> VelocityPair:
@@ -420,10 +413,11 @@ def step_rk4(model: Model, y: np.ndarray, dt: float,
     stay band-limited.  A non-finite coefficient is not an error here: it
     makes the result non-finite, and `evolve`'s monitor stops the run on
     it.  `points` may pass the grid values and slopes (u, rho, u_x, rho_x)
-    of y, the irfft the monitor made, and stage 1 starts from them: the
-    step then makes 7 FFT calls, not 8, and gives the same bits.  `evolve`
-    steps its coefficients through this public function so that the
-    benchmark's tracer counts it, stage 1 included, as the stepping layer.
+    of y, the monitor's irfft `_points(grid, y)`, and stage 1 starts from
+    them: the step then makes 7 FFT calls, not 8, and gives the same
+    bits.  `evolve` steps its coefficients through this public function so
+    that the benchmark's tracer counts it, stage 1 included, as the
+    stepping layer.
     """
     kernel = _kernel(model, 2 * (y.shape[-1] - 1))
     return rk4(kernel, y, dt, None if points is None else kernel(y, points))
@@ -443,7 +437,7 @@ def _initial_state(config: EvolutionConfig, initial: VelocityPair) -> np.ndarray
     with np.errstate(over="ignore", invalid="ignore"):
         hats = np.stack((initial.u.hat, initial.rho.hat))
         y = np.where(grid.dealias_mask, hats, 0.0) / grid.n
-        finite = np.isfinite(_kernel(config.model, grid.n).points(y)).all()
+        finite = np.isfinite(_points(grid, y)).all()
     if not finite:
         raise ValueError("initial data must have finite grid values, coefficients and slopes")
     return y
@@ -486,13 +480,14 @@ def _integrate(result_type, config: EvolutionConfig, grid: Grid, y: np.ndarray, 
     """Step the coefficients y, (u, rho) in rows 0-1, to t_end; a `result_type` views the kept steps.
 
     `step(y, z)` is one RK4 step of y, where z is the monitor's irfft of y,
-    from which it computes stage 1.  After every step, and at t=0, the
-    monitor turns every row of y into grid values and slopes in one irfft
-    and reads the minimum and maximum of each slope row, `lows` and
-    `highs`, in one pass each.  A NaN minimum marks a non-finite step
-    (ik times an infinite or NaN coefficient is NaN, also at modes 0 and
-    n/2, and a NaN slope coefficient leaves its irfft row with a NaN): it
-    stops the run unkept, before any other test.  The start is finite,
+    from which it computes stage 1; the model lives in `step` alone.
+    After every step, and at t=0, the monitor turns every row of y into
+    grid values and slopes in one irfft, `_points(grid, y)`, and reads the
+    minimum and maximum of each slope row, `lows` and `highs`, in one pass
+    each.  A NaN minimum marks a non-finite step (ik times an infinite or
+    NaN coefficient is NaN, also at modes 0 and n/2, and a NaN slope
+    coefficient leaves its irfft row with a NaN): it stops the run unkept,
+    before any other test.  The start is finite,
     as `_initial_state` checks, so only a step can be non-finite.  Then
     the run stops at `check(y, lows, highs)`, which returns (criterion,
     value) or None, else at a threshold.  Kept steps (every
@@ -509,7 +504,6 @@ def _integrate(result_type, config: EvolutionConfig, grid: Grid, y: np.ndarray, 
     `result_type` is `EvolveResult` or a subclass whose fields after
     `status` view the further rows.
     """
-    kernel = _kernel(config.model, grid.n)
     n_steps, stride, n = config.n_steps, config.diagnostics_stride, grid.n
     history = np.empty(_history_shape(config, len(y), n))
     columns = np.empty((5, history.shape[1]))
@@ -524,7 +518,7 @@ def _integrate(result_type, config: EvolutionConfig, grid: Grid, y: np.ndarray, 
             t = i * config.dt
             if i > 0:
                 y = step(y, z)
-            z = kernel.points(y, out=monitor)
+            z = _points(grid, y, out=monitor)
             slopes = z[len(y):]
             lows, highs = slopes.min(1).tolist(), slopes.max(1).tolist()
             if any(map(math.isnan, lows)):

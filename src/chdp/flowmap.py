@@ -46,10 +46,11 @@ Only the kept rows are turned back into (psi, f) of phi = id + psi
 (`_group_rows`): Newton inverts chi (`spectral._inverse_points`, shared
 with `invert_diffeo`), evaluating (xi, xi_x, g) in one `_offgrid` call
 per iteration, so the last one also gives f = g o phi.  A 'labels_folded'
-run's last row has no inverse and holds NaN there.  The slopes psi_x and
-f_x are taken only where they are read, by `FlowmapResult.jacobians` and
-`momentum_drift`, as the spectral derivatives of the kept psi and f that
-`derivative` and the object form take.
+run's last row has no inverse and holds NaN there, and `momentum_drift`
+skips it.  The slopes psi_x and f_x are taken only where they are read,
+by `FlowmapResult.jacobians` and `momentum_drift`, as the spectral
+derivatives of the kept psi and f that `derivative` and the object form
+take.
 `FlowmapResult` views the result: its (u, rho) part is the `EvolveResult`
 of `evolve` for the same config.
 Along exact two-component CH flows (rho o phi) phi_x and the full
@@ -268,8 +269,10 @@ def momentum_drift(result: FlowmapResult, stride: int = 1) -> dict[str, np.ndarr
     family, (rho o phi) phi_x^2 for DP) on two-component models, 'm0' for
     the velocity component of the coadjoint-transported pair on the
     metric models (CH, 2CH).  Values are arrays over the sampled steps:
-    every `stride`-th kept row and the last (stride: an integer >= 1).
-    DP tracks neither and returns {} without sampling any step.
+    every `stride`-th kept row that has a map and the last of those
+    (stride: an integer >= 1).  The last row of a 'labels_folded' run has
+    no map (`_group_rows`), so its drift is not sampled.  DP tracks
+    neither and returns {} without sampling any step.
 
     Per sampled row, one rfft gives the spectra of rho and m = helmholtz(u),
     phi_x is 1 + the row's psi_x, taken here with f_x from one rfft and one
@@ -286,7 +289,8 @@ def momentum_drift(result: FlowmapResult, stride: int = 1) -> dict[str, np.ndarr
     if not keys:
         return {}
     grid = result.grid
-    indices = sorted({*range(0, len(result.times), stride), len(result.times) - 1})
+    count = len(result.times) - (result.status.reason == "labels_folded")
+    indices = sorted({*range(0, count, stride), count - 1})
     rho_power = 1 if model in (Model.CH, Model.CH2) else 2
     # Rows 0-1 are dealiased every step, so rho needs the modes up to the
     # cutoff only.  m = helmholtz(u) keeps every mode, as the coadjoint

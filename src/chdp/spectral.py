@@ -62,9 +62,10 @@ class InversionError(RuntimeError):
 class Grid:
     """Uniform periodic grid with n samples x_j = j/n on [0, 1).
 
-    n must be even and at least 16.  `dealias_cutoff` is the largest mode
-    kept by the 2/3 rule, chosen so quadratic products of kept modes are
-    alias-free after truncation (3*cutoff < n).
+    n must be an integer (an int or an np.integer), even and at least 16.
+    `dealias_cutoff` is the largest mode kept by the 2/3 rule, chosen so
+    quadratic products of kept modes are alias-free after truncation
+    (3*cutoff < n).
 
     The read-only spectral symbols, one entry per rfft mode k: `ik`, the
     d/dx multiplier 2*pi*i*k with the Nyquist mode dropped;
@@ -75,6 +76,8 @@ class Grid:
     n: int
 
     def __post_init__(self):
+        if not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"grid size must be an integer, got {self.n!r}")
         if self.n % 2 != 0:
             raise ValueError("grid size must be even")
         if self.n < 16:

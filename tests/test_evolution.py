@@ -11,6 +11,7 @@ from chdp.connection import Model, VelocityPair, christoffel
 from chdp.evolution import (
     EvolutionConfig,
     _kernel,
+    _points,
     evolve,
     rhs,
     rhs_momentum_form,
@@ -180,7 +181,7 @@ class TestKernel:
         # `evolve` hands the monitor's irfft of y to the next step as stage
         # 1's: the same spectra through the same call, so the same bits.
         y = spectra(random_state(grid256, rng, model, max_mode=grid256.dealias_cutoff))
-        points = _kernel(model, grid256.n).points(y)
+        points = _points(grid256, y)
         assert np.array_equal(step_rk4(model, y, 1e-3, points=points), step_rk4(model, y, 1e-3))
 
 
@@ -338,7 +339,7 @@ class TestKernelWorkspaces:
         kernel = _kernel(model, grid256.n, rows)
         states = [np.stack([random_band_limited(grid256, rng, 8, 0.3).hat for _ in range(rows)])
                   for _ in range(3)]
-        outputs = [kernel(states[0]), kernel(states[1], kernel.points(states[1]))]
+        outputs = [kernel(states[0]), kernel(states[1], _points(grid256, states[1]))]
         kept = [out.copy() for out in outputs]
         outputs.append(kernel(states[2]))
         for out in outputs:
@@ -348,21 +349,24 @@ class TestKernelWorkspaces:
         for out, before in zip(outputs, kept):
             assert np.array_equal(out, before)
 
-    def test_only_stage_calls_make_workspaces(self):
-        # The flow map's monitor reads `points` alone.
-        kernel = evolution._Kernel(Model.CH2, Grid(64), 2)
-        kernel.points(np.zeros((2, 33), complex))
-        assert kernel._work is None
+    def test_flowmap_run_builds_only_its_kernel(self):
+        # The monitor reads the grid alone, so a flow map builds its
+        # four-row kernel and no two-row one.
+        _kernel.cache_clear()
+        grid = Grid(64)
+        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=2e-3)
+        evolve_flowmap(config, VelocityPair(cosine_field(grid, 1, 0.1), cosine_field(grid, 1, 0.1)))
+        assert _kernel.cache_info().currsize == 1
+        _kernel.cache_clear()
 
     @pytest.mark.parametrize("rows", [2, 4])
     def test_points_into_buffers_give_the_same_bits(self, rows, grid256, rng):
         # The step loop's monitor writes every step into the same two arrays.
-        kernel = _kernel(Model.CH2, grid256.n)
         y = np.stack([random_band_limited(grid256, rng, 8, 0.3).hat for _ in range(rows)])
         out = np.empty((2 * rows, y.shape[-1]), complex), np.empty((2 * rows, grid256.n))
-        z = kernel.points(y, out)
+        z = _points(grid256, y, out)
         assert z is out[1]
-        assert np.array_equal(z, kernel.points(y))
+        assert np.array_equal(z, _points(grid256, y))
 
     def test_interleaved_runs_give_the_rows_of_each_run_alone(self, grid256):
         # evolve 2CH, evolve DP and flowmap 2DP stepped in turn, each stage
@@ -376,13 +380,12 @@ class TestKernelWorkspaces:
         alone = [evolve(configs[0], runs[0][2]), evolve(configs[1], runs[1][2]),
                  evolve_flowmap(configs[2], runs[2][2])]
         kernels = [_kernel(model, grid256.n, rows) for model, rows, _ in runs]
-        monitors = [_kernel(model, grid256.n) for model, _, _ in runs]
         states = []
         for config, (_, rows, initial) in zip(configs, runs):
             y = np.zeros((rows, grid256.n // 2 + 1), complex)
             y[:2] = evolution._initial_state(config, initial)
             states.append(y)
-        rows_seen = [[monitor.points(y)] for monitor, y in zip(monitors, states)]
+        rows_seen = [[_points(grid256, y)] for y in states]
         for _ in range(configs[0].n_steps):
             for i, (kernel, z) in enumerate(zip(kernels, (seen[-1] for seen in rows_seen))):
                 j = (i + 1) % len(runs)
@@ -392,7 +395,7 @@ class TestKernelWorkspaces:
                     return kernel(s)
 
                 states[i] = evolution.rk4(stage, states[i], 1e-3, kernel(states[i], z))
-                rows_seen[i].append(monitors[i].points(states[i]))
+                rows_seen[i].append(_points(grid256, states[i]))
         for (_, rows, _), seen, result in zip(runs, rows_seen, alone):
             z = np.stack(seen, axis=1)
             assert np.array_equal(z[:2], np.stack((result.u, result.rho)))

@@ -17,7 +17,7 @@ from object_form import (
 )
 from chdp import flowmap
 from chdp.connection import Model, VelocityPair, bracket
-from chdp.evolution import EvolutionConfig, _kernel, _Kernel, evolve, rk4
+from chdp.evolution import EvolutionConfig, _kernel, _Kernel, _points, evolve, rk4
 from chdp.flowmap import GroupElement, evolve_flowmap, momentum_drift, reconstruct_f
 from chdp.spectral import (
     Diffeo,
@@ -470,7 +470,7 @@ def test_labels_step_from_monitor_points_is_exact(model, rng):
                                      (grid.n // 2 - 1, 0.02), (grid.n // 2 - 1, 0.1))])
     if not model.two_component:
         y[1] = 0.0
-    k1 = kernel(y, kernel.points(y))
+    k1 = kernel(y, _points(grid, y))
     assert np.array_equal(k1, kernel(y))
     assert np.array_equal(k1[:2], _kernel(model, grid.n)(y[:2]))
     assert np.array_equal(rk4(kernel, y, 1e-3, k1), rk4(kernel, y, 1e-3))
@@ -566,6 +566,20 @@ class TestMomentumDrift:
         for values in drifts.values():
             assert values.shape == (len(res.times),)
             assert np.all(np.isfinite(values)) and values[0] == 0.0
+
+    def test_folded_last_row_is_not_sampled(self):
+        # The step to t=0.05 folds the labels: the last row has no map, and
+        # the drift samples only the rows before it.
+        grid = Grid(32)
+        config = EvolutionConfig(Model.CH2, dt=0.05, t_end=1.0)
+        res = evolve_flowmap(config, VelocityPair(cosine_field(grid, 1, 5.0),
+                                                  cosine_field(grid, 1, 5.0)))
+        assert res.status.reason == "labels_folded"
+        drifts = momentum_drift(res)
+        assert set(drifts) == {"rho0", "m0"}
+        for values in drifts.values():
+            assert values.shape == (len(res.times) - 1,)
+            assert np.all(np.isfinite(values))
 
     @pytest.mark.parametrize("stride", [0, -1])
     def test_rejects_stride_below_one(self, stride):

@@ -44,6 +44,14 @@ def test_grid_invariants():
         Grid(63)
     with pytest.raises(ValueError):
         Grid(8)
+    assert Grid(np.int64(256)).dealias_cutoff == 85
+
+
+@pytest.mark.parametrize("n", [256.0, "256"])
+def test_grid_size_must_be_an_integer(n):
+    # A float size would build (cutoff 85.0) and fail later in np.fft.
+    with pytest.raises(ValueError, match=f"grid size must be an integer, got {n!r}"):
+        Grid(n)
 
 
 def test_field_roundtrip(grid128, rng):

@@ -7,10 +7,8 @@ Each repeat runs one fresh process per tree (alternating which goes
 first), and each process measures every layer once, those down to
 `momentum_drift` at each n in {64, 256, 1024, 4096}:
 
-- `dense_plan_ms`: the dense off-grid plan, `series_matrix` at the dealias
-  cutoff applied to the stacked (u, rho) weights, as the flow-map stage
-  used to do;
-- `offgrid_ms`: the same values from `spectral._offgrid`;
+- `offgrid_ms`: `spectral._offgrid` of the stacked (u, rho) spectra at
+  the dealias cutoff, at the points x + xi of a seeded displacement xi;
 - `kernel_us/2ch` and `kernel_us/2dp`: one call of the Eulerian
   right-hand side on the Fourier coefficients (rfft / n) of (u, rho),
   `evolution._kernel`'s map of coefficients, for 2CH and 2DP;
@@ -125,14 +123,6 @@ def measure() -> dict:
         for row in (0, 1):
             state[row] = spectral.dealias(spectral.PeriodicField(grid, state[row])).values
         y = x + state[2]
-
-        def dense():
-            plan = spectral.series_matrix(grid, y, kmax=kmax)
-            weights = np.fft.rfft(state[:2])[:, :kmax + 1] / n
-            weights[:, 1:] *= 2.0
-            return (plan @ weights.T).real.T
-
-        out[f"dense_plan_ms/n={n}"] = 1e3 * _per_call(dense)
         spectra = np.fft.rfft(state[:2])
         out[f"offgrid_ms/n={n}"] = 1e3 * _per_call(lambda: spectral._offgrid(spectra, y, kmax))
         for model in (Model.CH2, Model.DP2):
@@ -256,9 +246,6 @@ def main(argv=None):
         med = {key: value["median"] for key, value in record[side]["metrics"].items()}
         ratios[side] = {f"flow_step_over_euler_step/n={n}":
                         med[f"flow_step_ms/n={n}"] / med[f"euler_step_ms/n={n}"] for n in SIZES}
-        ratios[side].update({f"dense_plan_over_offgrid/n={n}":
-                             med[f"dense_plan_ms/n={n}"] / med[f"offgrid_ms/n={n}"]
-                             for n in SIZES})
     ratios["parent_over_change"] = {
         key: record["parent"]["metrics"][key]["median"] / record["change"]["metrics"][key]["median"]
         for key in record["change"]["metrics"]
