@@ -285,8 +285,10 @@ def _rigidbody(options):
         traj = evolve_rigidbody(state, dt=options.dt, t_end=options.t_end)
         csvio.write_rigidbody(out / "rigidbody.csv", traj)
         drifts = conservation_drifts(traj)
+        # A drift of invariants that overflowed is null, as in `evolve`.
         final = {"t": float(traj.times[-1]),
-                 **{key: drifts[key] for key in ("pi_drift", "energy_drift", "coadjoint_drift")}}
+                 **{key: drifts[key] if math.isfinite(drifts[key]) else None
+                    for key in ("pi_drift", "energy_drift", "coadjoint_drift")}}
         return RunStatus("completed"), final, [
             f"rigidbody: pi drift {drifts['pi_drift']:.3e} over t={options.t_end:g} -> {out}"]
 

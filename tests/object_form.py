@@ -4,8 +4,9 @@ Each operation here builds `PeriodicField` objects and calls the
 single-field spectral operators, one FFT at a time.  `chdp.evolution`,
 `chdp.flowmap` and `chdp.curvature` compute the same quantities on stacked
 arrays with batched FFTs; the tests compare the two to round-off.  The
-rigid-body stepper here takes `np.cross` and the SVD polar factor, where
-`chdp.rigidbody` takes one stacked product per stage and Newton-Schulz.
+rigid-body stepper here takes `np.cross` and the SVD polar factor of every
+step, where `chdp.rigidbody` takes one stacked product per stage and
+Newton-Schulz on the kept attitudes.
 `write_columns` is the `csv.writer` form of `chdp.csvio`'s joined writer,
 and `rk4` the textbook sum that `chdp.evolution.rk4` computes in place.
 

@@ -752,6 +752,30 @@ class TestRigidbodyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: rigid-body step 1 with dt=0.001: ") and "reduce dt" in err
 
+    def test_overflowing_body_momentum_fails_before_out_dir(self, tmp_path, capsys):
+        # Finite inputs whose I * Omega overflows: an input error, not a step's.
+        out = tmp_path / "body"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["rigidbody", "--inertia", "1e300,1e300,1e300", "--omega0", "1e10,1,1",
+                         "--dt", "0.1", "--t-end", "1", "--out-dir", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --inertia/--omega0: body momentum") and "reduce dt" not in err
+        assert not out.exists()
+
+    def test_overflowed_energy_drift_is_null(self, tmp_path):
+        # The energy Omega . I Omega overflows; run.json stays strict JSON.
+        out = tmp_path / "body"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["rigidbody", "--inertia", "1e200,1e200,1e200", "--omega0", "1e100,0,0",
+                         "--dt", "1e-101", "--t-end", "1e-101", "--out-dir", str(out)])
+        assert code == 0
+        final = read_manifest(out / "run.json")["final_diagnostics"]
+        assert final["energy_drift"] is None
+        assert final["pi_drift"] == final["coadjoint_drift"] == 0.0
+
     def test_overflowed_attitude_is_named_non_finite(self, tmp_path, capsys):
         # Its distance from orthonormal is no number: the error says so, not "nan".
         code = main(["rigidbody", "--inertia", "1,2,3", "--omega0", "1e100,1,1", "--dt", "1e-3",

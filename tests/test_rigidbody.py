@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import object_form
 from object_form import euler_rhs
 from chdp.rigidbody import (
     RigidBodyState,
+    _AttitudeError,
     _rates,
     _reorthonormalize,
     _stacked,
@@ -90,6 +93,13 @@ class TestStateValidation:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             RigidBodyState(attitude, omega, inertia)
 
+    def test_rejects_overflowing_body_momentum(self):
+        # Finite inertia and omega whose product I * Omega overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="body momentum inertia \\* omega must be finite"):
+                RigidBodyState.from_rest_attitude([1e10, 1.0, 1.0], [1e300, 1e300, 1e300])
+
 
 @pytest.fixture(scope="module")
 def reference_run():
@@ -144,6 +154,30 @@ class TestReorthonormalize:
         with pytest.raises(ValueError, match=message):
             _reorthonormalize(mat)
 
+    def test_stack_matches_single_calls(self, rng):
+        # Rows that take no iteration, one, and several.
+        stack = np.array([_random_rotation(rng) + scale * rng.standard_normal((3, 3))
+                          for scale in (0.0, 1e-15, 1e-12, 1e-6, 1e-2, 0.1) for _ in range(4)])
+        projected = _reorthonormalize(stack)
+        assert projected.shape == stack.shape
+        for mat, rot in zip(stack, projected):
+            assert np.array_equal(rot, _reorthonormalize(mat))
+
+    @pytest.mark.parametrize("bad, message", [
+        (1.5 * np.eye(3), "attitude is 1.25 from orthonormal"),
+        (np.diag([1.0, 1.0, -1.0]), "determinant"),
+        (_with_entry(np.eye(3), (2, 1), np.nan), "is non-finite, far from orthonormal"),
+    ], ids=["far", "reflection", "nan"])
+    def test_stack_names_its_first_bad_row(self, rng, bad, message):
+        stack = np.array([_random_rotation(rng) for _ in range(8)])
+        stack[3] = bad
+        stack[6] = 2.0 * np.eye(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(_AttitudeError, match=message) as info:
+                _reorthonormalize(stack)
+        assert info.value.row == 3
+
 
 class TestEvolve:
     def test_principal_axis_rotation(self):
@@ -190,6 +224,15 @@ class TestEvolve:
                                      for v in vars(traj).values())}
         assert sum(a.nbytes for a in owners.values()) == _trajectory_bytes(30)
 
+    def test_overflowed_energy_drift_is_not_a_number(self):
+        # I * Omega is 1e300, finite; the energy Omega . I Omega overflows.
+        state = RigidBodyState.from_rest_attitude([1e100, 0.0, 0.0], [1e200, 1e200, 1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            drifts = conservation_drifts(evolve_rigidbody(state, dt=1e-101, t_end=2e-101))
+        assert np.isnan(drifts["energy_drift"])
+        assert drifts["pi_drift"] == drifts["coadjoint_drift"] == 0.0
+
     def test_conservation_drifts(self, reference_run):
         drifts = conservation_drifts(reference_run)
         assert set(drifts) == {"pi_drift", "energy_drift", "casimir_drift", "coadjoint_drift"}
@@ -201,6 +244,33 @@ class TestEvolve:
         traj = evolve_rigidbody(state, dt=0.5, t_end=8.0)
         gram = np.einsum("tki,tkj->tij", traj.attitude, traj.attitude)
         assert np.max(np.abs(gram - np.eye(3))) <= 1e-15
+
+    def test_omega_and_energy_do_not_read_the_attitude(self, rng):
+        # Row 0 of the stepped state, the body momentum, depends on row 0
+        # alone: the premise that lets the attitude be projected after the
+        # step, not inside it.
+        runs = [evolve_rigidbody(RigidBodyState(attitude, [1.0, 1.0, 1.0], [1.0, 2.0, 3.0]),
+                                 dt=1e-2, t_end=3.0)
+                for attitude in (np.eye(3), _random_rotation(rng))]
+        assert np.array_equal(runs[0].omega, runs[1].omega)
+        assert np.array_equal(runs[0].energy, runs[1].energy)
+
+    def test_kept_attitudes_orthonormal(self, reference_run):
+        # R^T R by the products the projection stops on.
+        attitude = reference_run.attitude
+        gram = attitude.transpose(0, 2, 1) @ attitude
+        assert np.max(np.abs(gram - np.eye(3))) <= 1e-15
+
+    # Stability is judged on the attitude the loop carries, which no step
+    # projects: these runs leave the stable region where a step's own
+    # propagator does not.
+    @pytest.mark.parametrize("dt, t_end, step", [(0.5, 200.0, 123), (0.8, 40.0, 11),
+                                                 (1.0, 40.0, 4)])
+    def test_carried_attitude_past_stability_rejected(self, dt, t_end, step):
+        state = RigidBodyState.from_rest_attitude([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=rf"step {step} with dt={dt!r}: attitude is 0\.5\d* "
+                                             rf"from orthonormal .*; reduce dt"):
+            evolve_rigidbody(state, dt=dt, t_end=t_end)
 
     def test_dt_past_stability_rejected(self):
         state = RigidBodyState.from_rest_attitude([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])

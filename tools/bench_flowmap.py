@@ -26,9 +26,11 @@ first), and each process measures every layer once, those down to
 - `body_step_us`: one RK4 step of `evolve_rigidbody` on the reference spin
   (inertia 1,2,3, omega 1,1,1, dt 1e-3), the fastest-of-7 difference of
   a 60-step and a 10-step run over 50, as for the flow-map steps;
-- `reorthonormalize_us`: one `rigidbody._reorthonormalize` call on that
-  spin's attitude at t=0.3 plus seeded noise of size 1e-14, which takes one
-  polar iteration;
+- `attitude_projection_ms`: the projection of the attitudes kept over
+  that spin's 5001-row trajectory (dt 1e-3, t = 5) onto SO(3): the 5000
+  attitudes the step loop carries, which no step projects, through
+  `rigidbody._reorthonormalize` in blocks of `rigidbody._BLOCK_ROWS` rows,
+  as `evolve_rigidbody` projects them;
 - `scan_ms/M=8` and `scan_ms/M=16`: `curvature.positivity_scan(M)` on
   its default grid;
 - `scan_csv_ms/M=16`: `csvio.write_scan` of that mode-16 table (32760
@@ -160,9 +162,15 @@ def measure() -> dict:
 
     out["body_step_us"] = 1e6 * _per_step(
         lambda count: rigidbody.evolve_rigidbody(body, dt=1e-3, t_end=count * 1e-3))
-    attitude = rigidbody.evolve_rigidbody(body, dt=1e-3, t_end=0.3).attitude[-1]
-    near = attitude + 1e-14 * np.random.default_rng(10).standard_normal((3, 3))
-    out["reorthonormalize_us"] = 1e6 * _per_call(lambda: rigidbody._reorthonormalize(near))
+    z = rigidbody._stacked(body)
+    carried = np.empty((5000, 3, 3))
+    for step in range(5000):
+        z = evolution.rk4(lambda y: rigidbody._rates(y, body.inertia), z, 1e-3)
+        carried[step] = z[1:]
+    rows = rigidbody._BLOCK_ROWS
+    out["attitude_projection_ms"] = 1e3 * _per_call(
+        lambda: [rigidbody._reorthonormalize(carried[start:start + rows])
+                 for start in range(0, 5000, rows)])
 
     from chdp import csvio, curvature
 
