@@ -1,9 +1,10 @@
 """Geometric core: Christoffel maps, algebra bracket, and metric.
 
 Velocity pairs (u, rho) live in the tangent space at the identity of the
-semidirect product group.  The four models share one dispatch surface:
-the single-component CH/DP maps act on the first slot only, the
-two-component maps couple both slots.
+semidirect product group.  The four models share one Christoffel map,
+`christoffel`: the single-component CH/DP maps are the rho = 0
+restrictions of the two-component 2CH/2DP maps and act on the first slot
+only.
 
 All bilinear maps dealias their quadratic products (2/3 rule) before any
 inverse-Helmholtz or derivative is applied, so iterated applications stay
@@ -18,6 +19,7 @@ from enum import Enum
 from chdp.spectral import (
     Grid,
     PeriodicField,
+    _check_same_grid,
     dealias,
     dealiased_product,
     derivative,
@@ -31,10 +33,6 @@ from chdp.spectral import (
 __all__ = [
     "Model",
     "VelocityPair",
-    "christoffel_ch",
-    "christoffel_dp",
-    "christoffel_2ch",
-    "christoffel_2dp",
     "christoffel",
     "ad_transpose",
     "bracket",
@@ -68,8 +66,7 @@ class VelocityPair:
     rho: PeriodicField
 
     def __post_init__(self):
-        if self.u.grid.n != self.rho.grid.n:
-            raise ValueError("components must share a grid")
+        _check_same_grid(self.u, self.rho)
 
     @property
     def grid(self) -> Grid:
@@ -95,63 +92,41 @@ class VelocityPair:
     __rmul__ = __mul__
 
 
-def christoffel_ch(u: PeriodicField, v: PeriodicField) -> PeriodicField:
-    """CH Christoffel map at the identity: -Ainv d/dx (u v + u_x v_x / 2)."""
-    q = u * v + 0.5 * (derivative(u) * derivative(v))
-    return -helmholtz_inverse(derivative(dealias(q)))
+def christoffel(model: Model, a: VelocityPair, b: VelocityPair) -> VelocityPair:
+    """Christoffel map Gamma(a, b) of the model at the identity.
 
+    With a = (u, rho), b = (v, tau) and Ainv the inverse of 1 - d^2/dx^2:
 
-def christoffel_dp(u: PeriodicField, v: PeriodicField) -> PeriodicField:
-    """DP Christoffel map at the identity: -(3/2) Ainv d/dx (u v)."""
-    return -1.5 * helmholtz_inverse(derivative(dealiased_product(u, v)))
+        CH:  (-Ainv d/dx (u v + u_x v_x / 2), 0)
+        2CH: (CH first slot - Ainv d/dx (rho tau) / 2, -(u_x tau + v_x rho) / 2)
+        DP:  (-(3/2) Ainv d/dx (u v), 0)
+        2DP: (DP first slot - Ainv(u_x tau + v_x rho) / 2 + Ainv d/dx (rho tau),
+              -(u_x tau + v_x rho))
 
-
-def christoffel_2ch(a: VelocityPair, b: VelocityPair) -> VelocityPair:
-    """Two-component CH Christoffel map.
-
-    First slot: CH map of the velocities minus Ainv d/dx (rho tau) / 2.
-    Second slot: -(u_x tau + v_x rho) / 2.
+    Each one-component map is the rho = tau = 0 restriction of its
+    two-component map: CH and DP ignore the density slots, and their
+    result's density slot is zero.
     """
     u, rho = a.u, a.rho
     v, tau = b.u, b.rho
-    first = (christoffel_ch(u, v)
-             - 0.5 * helmholtz_inverse(derivative(dealiased_product(rho, tau))))
-    second = -0.5 * (dealiased_product(derivative(u), tau)
-                     + dealiased_product(derivative(v), rho))
-    return VelocityPair(first, second)
-
-
-def christoffel_2dp(a: VelocityPair, b: VelocityPair) -> VelocityPair:
-    """Two-component DP Christoffel map.
-
-    First slot: DP map of the velocities minus Ainv(u_x tau + v_x rho)/2
-    plus Ainv d/dx (rho tau).  Second slot: -(u_x tau + v_x rho).
-    """
-    u, rho = a.u, a.rho
-    v, tau = b.u, b.rho
+    if model.has_metric:
+        q = u * v + 0.5 * (derivative(u) * derivative(v))
+        first = -helmholtz_inverse(derivative(dealias(q)))
+        if not model.two_component:
+            return VelocityPair.single(first)
+        first = first - 0.5 * helmholtz_inverse(derivative(dealiased_product(rho, tau)))
+        second = -0.5 * (dealiased_product(derivative(u), tau)
+                         + dealiased_product(derivative(v), rho))
+        return VelocityPair(first, second)
+    first = -1.5 * helmholtz_inverse(derivative(dealiased_product(u, v)))
+    if not model.two_component:
+        return VelocityPair.single(first)
     cross = (dealiased_product(derivative(u), tau)
              + dealiased_product(derivative(v), rho))
-    first = (christoffel_dp(u, v)
+    first = (first
              - 0.5 * helmholtz_inverse(cross)
              + helmholtz_inverse(derivative(dealiased_product(rho, tau))))
     return VelocityPair(first, -cross)
-
-
-def christoffel(model: Model, a: VelocityPair, b: VelocityPair) -> VelocityPair:
-    """Uniform entry point used by the evolution and curvature layers.
-
-    For the single-component models the density slots are ignored and the
-    result's density slot is zero.
-    """
-    if model is Model.CH:
-        return VelocityPair.single(christoffel_ch(a.u, b.u))
-    if model is Model.DP:
-        return VelocityPair.single(christoffel_dp(a.u, b.u))
-    if model is Model.CH2:
-        return christoffel_2ch(a, b)
-    if model is Model.DP2:
-        return christoffel_2dp(a, b)
-    raise ValueError(f"unknown model {model!r}")
 
 
 def ad_transpose(a: VelocityPair, b: VelocityPair) -> VelocityPair:

@@ -37,8 +37,8 @@ the table of every cosine plane up to a mode, `scan_direction` its
 one-row table on the same grid.  Any other plane is its own two-row
 basis (`_two_row_planes`): `unnormalized_curvature` and
 `sectional_curvature` one plane, `negative_search` one per trial,
-stacked.  `chdp.connection.christoffel_2ch` with `metric` is the
-field-by-field form they agree with to round-off.
+stacked.  `chdp.connection.christoffel` of `Model.CH2` with `metric` is
+the field-by-field form they agree with to round-off.
 
 Resolution: products of two directions reach twice their largest mode M,
 so the scans take modes, not a grid: `scan_direction`, `positivity_scan`
@@ -57,7 +57,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from chdp.connection import VelocityPair
-from chdp.spectral import Grid, _fft_size
+from chdp.spectral import Grid, _check_same_grid, _fft_size
 
 __all__ = [
     "CosineDirectionPair",
@@ -208,8 +208,7 @@ def _two_row_planes(grid: Grid, bases: np.ndarray):
 
 def _plane(a: VelocityPair, b: VelocityPair) -> tuple[float, float, float]:
     """(S, Gram, <a, a> <b, b>) of the plane of a and b."""
-    if a.grid.n != b.grid.n:
-        raise ValueError(f"grid mismatch: n={a.grid.n} vs n={b.grid.n}")
+    _check_same_grid(a, b)
     bases = np.array([(a.u.values, a.rho.values), (b.u.values, b.rho.values)])
     return tuple(map(float, _two_row_planes(a.grid, bases)))
 

@@ -72,6 +72,7 @@ from chdp.spectral import (
     Diffeo,
     Grid,
     PeriodicField,
+    _check_same_grid,
     _inverse_points,
     apply_series_matrix,
     series_matrix,
@@ -106,12 +107,7 @@ class GroupElement:
     f: PeriodicField
 
     def __post_init__(self):
-        if self.phi.grid.n != self.f.grid.n:
-            raise ValueError("components must share a grid")
-
-    @property
-    def grid(self) -> Grid:
-        return self.phi.grid
+        _check_same_grid(self.phi, self.f)
 
 
 # ---------------------------------------------------------------------------

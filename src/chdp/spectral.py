@@ -144,9 +144,6 @@ class PeriodicField:
             self._hat = hat
         return self._hat
 
-    def mean(self) -> float:
-        return float(self._values.mean())
-
     def __add__(self, other):
         if isinstance(other, PeriodicField):
             _check_same_grid(self, other)
@@ -161,9 +158,6 @@ class PeriodicField:
             return PeriodicField(self.grid, self._values - other._values)
         return PeriodicField(self.grid, self._values - other)
 
-    def __rsub__(self, other):
-        return PeriodicField(self.grid, other - self._values)
-
     def __neg__(self):
         return PeriodicField(self.grid, -self._values)
 
@@ -174,9 +168,6 @@ class PeriodicField:
         return PeriodicField(self.grid, self._values * other)
 
     __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"PeriodicField(n={self.grid.n}, mean={self.mean():.3g})"
 
 
 def zero_field(grid: Grid) -> PeriodicField:
@@ -499,10 +490,6 @@ class Diffeo:
     def warped_points(self) -> np.ndarray:
         """phi evaluated at the grid points (not reduced mod 1)."""
         return self.grid.points + self.displacement.values
-
-    def __repr__(self):
-        return (f"Diffeo(n={self.grid.n}, "
-                f"min_jacobian={self.jacobian.values.min():.3g})")
 
 
 def compose(f: PeriodicField, phi: Diffeo) -> PeriodicField:

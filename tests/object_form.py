@@ -16,7 +16,9 @@ here too, on `GroupElement`s: the tests check the group identities on
 them, and `chdp.flowmap.momentum_drift` against the coadjoint action.
 `conserved_energy` and `mean_invariants` are the one-state forms of the
 `DiagnosticsTable` columns, and `cosine_pair` samples a
-`CosineDirectionPair` as two `VelocityPair`s.
+`CosineDirectionPair` as two `VelocityPair`s.  `curvature_terms` and
+`negative_search` take S field by field, from `chdp.connection`'s
+`christoffel` of `Model.CH2` and `metric`.
 
 Three views the tests read and no command runs live here as well:
 `kernel_gram_determinant` (`chdp.curvature`'s Gram determinant of one
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from chdp.connection import Model, VelocityPair, christoffel_2ch, metric
+from chdp.connection import Model, VelocityPair, christoffel, metric
 from chdp.curvature import CosineDirectionPair, _plane
 from chdp.evolution import step_count
 from chdp.flowmap import GroupElement
@@ -202,11 +204,11 @@ def coadjoint_action(g: GroupElement, m: PeriodicField,
     By the dense plan with every mode, in the operation order of
     `chdp.flowmap.momentum_drift`.
     """
-    plan = series_matrix(g.grid, g.phi.warped_points)
+    plan = series_matrix(g.phi.grid, g.phi.warped_points)
     rho_w, m_w = apply_series_matrix(plan, np.stack((rho.hat, m.hat)))
     jac = g.phi.jacobian.values
     m0 = m_w * jac**2 + rho_w * derivative(g.f).values * jac
-    return BodyMomentum(PeriodicField(g.grid, m0), PeriodicField(g.grid, rho_w * jac))
+    return BodyMomentum(PeriodicField(g.phi.grid, m0), PeriodicField(g.phi.grid, rho_w * jac))
 
 
 def body_velocity(g: GroupElement, phi_t: PeriodicField,
@@ -218,7 +220,7 @@ def body_velocity(g: GroupElement, phi_t: PeriodicField,
     jac = g.phi.jacobian.values
     u1 = phi_t.values / jac
     u2 = f_t.values - derivative(g.f).values / jac * phi_t.values
-    return VelocityPair(PeriodicField(g.grid, u1), PeriodicField(g.grid, u2))
+    return VelocityPair(PeriodicField(g.phi.grid, u1), PeriodicField(g.phi.grid, u2))
 
 
 def cosine_pair(grid: Grid, direction: CosineDirectionPair) -> tuple[VelocityPair, VelocityPair]:
@@ -238,8 +240,9 @@ def cosine_pair(grid: Grid, direction: CosineDirectionPair) -> tuple[VelocityPai
 
 def curvature_terms(a: VelocityPair, b: VelocityPair) -> tuple[float, float]:
     """<Gamma(a, b), Gamma(a, b)> and <Gamma(a, a), Gamma(b, b)>; S is their difference."""
-    gamma_ab = christoffel_2ch(a, b)
-    return metric(gamma_ab, gamma_ab), metric(christoffel_2ch(a, a), christoffel_2ch(b, b))
+    gamma_ab = christoffel(Model.CH2, a, b)
+    return metric(gamma_ab, gamma_ab), metric(christoffel(Model.CH2, a, a),
+                                              christoffel(Model.CH2, b, b))
 
 
 def gram_determinant(a: VelocityPair, b: VelocityPair) -> float:

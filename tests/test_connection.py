@@ -8,10 +8,6 @@ from chdp.connection import (
     ad_transpose,
     bracket,
     christoffel,
-    christoffel_2ch,
-    christoffel_2dp,
-    christoffel_ch,
-    christoffel_dp,
     metric,
 )
 from chdp.spectral import (
@@ -46,48 +42,62 @@ def ch_gamma_cosine_oracle(grid, k_mode, l_mode):
 
 class TestChristoffelCH:
     def test_zero_input(self, grid64, rng):
-        v = random_band_limited(grid64, rng, 6)
-        out = christoffel_ch(zero_field(grid64), v)
-        assert np.max(np.abs(out.values)) <= 1e-15
+        zero = VelocityPair.single(zero_field(grid64))
+        v = VelocityPair.single(random_band_limited(grid64, rng, 6))
+        assert np.max(np.abs(christoffel(Model.CH, zero, v).u.values)) <= 1e-15
 
     def test_constants(self, grid64):
-        c = zero_field(grid64) + 0.8
-        assert np.max(np.abs(christoffel_ch(c, c).values)) <= 1e-15
+        c = VelocityPair.single(zero_field(grid64) + 0.8)
+        assert np.max(np.abs(christoffel(Model.CH, c, c).u.values)) <= 1e-15
 
     @pytest.mark.parametrize("k,l", [(1, 1), (1, 2), (2, 3), (1, 4)])
     def test_cosine_closed_form(self, grid128, k, l):
-        out = christoffel_ch(cosine_field(grid128, k), cosine_field(grid128, l))
+        out = christoffel(Model.CH, VelocityPair.single(cosine_field(grid128, k)),
+                          VelocityPair.single(cosine_field(grid128, l))).u
         assert np.max(np.abs(out.values - ch_gamma_cosine_oracle(grid128, k, l))) <= 1e-12
 
     def test_zero_mean(self, grid64, rng):
-        u = random_band_limited(grid64, rng, 8) + 0.3
-        v = random_band_limited(grid64, rng, 8) + 0.1
-        assert abs(christoffel_ch(u, v).mean()) <= 1e-14
+        u = VelocityPair.single(random_band_limited(grid64, rng, 8) + 0.3)
+        v = VelocityPair.single(random_band_limited(grid64, rng, 8) + 0.1)
+        assert abs(christoffel(Model.CH, u, v).u.values.mean()) <= 1e-14
 
 
 class TestChristoffelDP:
     def test_zero_input(self, grid64, rng):
-        v = random_band_limited(grid64, rng, 6)
-        assert np.max(np.abs(christoffel_dp(zero_field(grid64), v).values)) == 0.0
+        zero = VelocityPair.single(zero_field(grid64))
+        v = VelocityPair.single(random_band_limited(grid64, rng, 6))
+        assert np.max(np.abs(christoffel(Model.DP, zero, v).u.values)) == 0.0
 
     def test_constants(self, grid64):
-        c = zero_field(grid64) + 1.2
-        assert np.max(np.abs(christoffel_dp(c, c).values)) <= 1e-15
+        c = VelocityPair.single(zero_field(grid64) + 1.2)
+        assert np.max(np.abs(christoffel(Model.DP, c, c).u.values)) <= 1e-15
 
     def test_cosine_value(self, grid64):
         # cos^2(2 pi x) = 1/2 + cos(4 pi x)/2, so the DP map returns
         # (3/2) * (2 pi) / (1 + 16 pi^2) * sin(4 pi x).
-        u = cosine_field(grid64, 1)
+        u = VelocityPair.single(cosine_field(grid64, 1))
         expected = 1.5 * TWO_PI / (1.0 + (2 * TWO_PI) ** 2) * np.sin(2 * TWO_PI * grid64.points)
-        assert np.max(np.abs(christoffel_dp(u, u).values - expected)) <= 1e-13
+        assert np.max(np.abs(christoffel(Model.DP, u, u).u.values - expected)) <= 1e-13
 
 
 class TestTwoComponentMaps:
     def test_2ch_reduces_to_ch(self, grid64, rng):
-        u = random_band_limited(grid64, rng, 8)
-        v = random_band_limited(grid64, rng, 8)
-        out = christoffel_2ch(VelocityPair.single(u), VelocityPair.single(v))
-        assert np.array_equal(out.u.values, christoffel_ch(u, v).values)
+        u = VelocityPair.single(random_band_limited(grid64, rng, 8))
+        v = VelocityPair.single(random_band_limited(grid64, rng, 8))
+        out = christoffel(Model.CH2, u, v)
+        ch = christoffel(Model.CH, u, v)
+        assert np.array_equal(out.u.values, ch.u.values)
+        assert np.max(np.abs(out.rho.values)) == 0.0
+        assert np.max(np.abs(ch.rho.values)) == 0.0
+
+    @pytest.mark.parametrize("model", [Model.CH, Model.DP])
+    def test_one_component_ignores_density(self, model, grid64, rng):
+        # CH and DP are the rho = tau = 0 restrictions of 2CH and 2DP.
+        a = random_pair(grid64, rng)
+        b = random_pair(grid64, rng)
+        out = christoffel(model, a, b)
+        bare = christoffel(model, VelocityPair.single(a.u), VelocityPair.single(b.u))
+        assert np.array_equal(out.u.values, bare.u.values)
         assert np.max(np.abs(out.rho.values)) == 0.0
 
     def test_2ch_pure_density(self, grid64):
@@ -97,7 +107,7 @@ class TestTwoComponentMaps:
         tau = cosine_field(grid64, 2)
         a = VelocityPair(zero_field(grid64), rho)
         b = VelocityPair(zero_field(grid64), tau)
-        out = christoffel_2ch(a, b)
+        out = christoffel(Model.CH2, a, b)
         x = grid64.points
         expected = (0.5 * TWO_PI / 2 / (1 + TWO_PI**2) * np.sin(TWO_PI * x)
                     + 0.5 * 3 * TWO_PI / 2 / (1 + (3 * TWO_PI) ** 2) * np.sin(3 * TWO_PI * x))
@@ -105,18 +115,18 @@ class TestTwoComponentMaps:
         assert np.max(np.abs(out.rho.values)) == 0.0
 
     def test_2dp_reduces_to_dp(self, grid64, rng):
-        u = random_band_limited(grid64, rng, 8)
-        v = random_band_limited(grid64, rng, 8)
-        out = christoffel_2dp(VelocityPair.single(u), VelocityPair.single(v))
-        assert np.array_equal(out.u.values, christoffel_dp(u, v).values)
+        u = VelocityPair.single(random_band_limited(grid64, rng, 8))
+        v = VelocityPair.single(random_band_limited(grid64, rng, 8))
+        out = christoffel(Model.DP2, u, v)
+        assert np.array_equal(out.u.values, christoffel(Model.DP, u, v).u.values)
         assert np.max(np.abs(out.rho.values)) == 0.0
 
     def test_2dp_pure_density(self, grid64):
         # ((0,rho),(0,tau)) keeps only +Ainv d/dx(rho tau) in the first slot.
         rho = cosine_field(grid64, 1)
         tau = cosine_field(grid64, 2)
-        out = christoffel_2dp(VelocityPair(zero_field(grid64), rho),
-                              VelocityPair(zero_field(grid64), tau))
+        out = christoffel(Model.DP2, VelocityPair(zero_field(grid64), rho),
+                          VelocityPair(zero_field(grid64), tau))
         x = grid64.points
         expected = -(TWO_PI / 2 / (1 + TWO_PI**2) * np.sin(TWO_PI * x)
                      + 3 * TWO_PI / 2 / (1 + (3 * TWO_PI) ** 2) * np.sin(3 * TWO_PI * x))
@@ -126,10 +136,10 @@ class TestTwoComponentMaps:
     def test_2dp_diagonal(self, grid64, rng):
         # On the diagonal the map must match the displayed combination.
         s = random_pair(grid64, rng, max_mode=6)
-        out = christoffel_2dp(s, s)
+        out = christoffel(Model.DP2, s, s)
         from chdp.spectral import dealiased_product, helmholtz_inverse
         ux = derivative(s.u)
-        first = (christoffel_dp(s.u, s.u)
+        first = (christoffel(Model.DP, s, s).u
                  - helmholtz_inverse(dealiased_product(ux, s.rho))
                  + helmholtz_inverse(derivative(dealiased_product(s.rho, s.rho))))
         second = -2.0 * dealiased_product(ux, s.rho)
@@ -138,18 +148,6 @@ class TestTwoComponentMaps:
 
 
 class TestDispatch:
-    def test_dispatch_matches_direct(self, grid64, rng):
-        a = random_pair(grid64, rng)
-        b = random_pair(grid64, rng)
-        out_2ch = christoffel(Model.CH2, a, b)
-        direct = christoffel_2ch(a, b)
-        assert np.array_equal(out_2ch.u.values, direct.u.values)
-        out_2dp = christoffel(Model.DP2, a, b)
-        assert np.array_equal(out_2dp.u.values, christoffel_2dp(a, b).u.values)
-        out_ch = christoffel(Model.CH, VelocityPair.single(a.u), VelocityPair.single(b.u))
-        assert np.array_equal(out_ch.u.values, christoffel_ch(a.u, b.u).values)
-        assert np.max(np.abs(out_ch.rho.values)) == 0.0
-
     @pytest.mark.parametrize("model", list(Model))
     def test_symmetry_exact(self, model, grid64, rng):
         a = random_pair(grid64, rng)
@@ -169,6 +167,11 @@ class TestDispatch:
         rhs = alpha * christoffel(model, a, b) + beta * christoffel(model, a2, b)
         assert np.max(np.abs(lhs.u.values - rhs.u.values)) <= 1e-11
         assert np.max(np.abs(lhs.rho.values - rhs.rho.values)) <= 1e-11
+
+
+def test_pair_grid_mismatch(grid64, grid128):
+    with pytest.raises(ValueError, match="grid mismatch"):
+        VelocityPair(zero_field(grid64), zero_field(grid128))
 
 
 class TestMetric:
@@ -241,6 +244,6 @@ class TestBracketAndAdTranspose:
             derivative(a.rho) * b.u + derivative(b.rho) * a.u,
         )
         alt = 0.5 * (transport + ad_transpose(a, b) + ad_transpose(b, a))
-        out = christoffel_2ch(a, b)
+        out = christoffel(Model.CH2, a, b)
         assert np.max(np.abs(out.u.values - alt.u.values)) <= 1e-10
         assert np.max(np.abs(out.rho.values - alt.rho.values)) <= 1e-10

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import object_form
 from object_form import cosine_pair, kernel_gram_determinant
 from chdp import curvature, verification
-from chdp.connection import VelocityPair, christoffel_ch
+from chdp.connection import Model, VelocityPair, christoffel
 from chdp.curvature import (
     CosineDirectionPair,
     DegeneratePlaneError,
@@ -44,9 +44,10 @@ def quadrature_integrals(grid, direction):
     u1, u2, v1, v2 = u.u, u.rho, v.u, v.rho
     i1 = 0.25 * inner_l2(derivative(u2 * v2), helmholtz_inverse(derivative(u2 * v2)))
     i2 = -0.25 * inner_l2(derivative(u2 * u2), helmholtz_inverse(derivative(v2 * v2)))
-    i3 = 0.5 * (inner_l2(christoffel_ch(u1, u1), derivative(v2 * v2))
-                + inner_l2(christoffel_ch(v1, v1), derivative(u2 * u2))
-                - 2.0 * inner_l2(christoffel_ch(u1, v1), derivative(u2 * v2)))
+    # The CH map reads the velocity slots u1, v1 alone.
+    i3 = 0.5 * (inner_l2(christoffel(Model.CH, u, u).u, derivative(v2 * v2))
+                + inner_l2(christoffel(Model.CH, v, v).u, derivative(u2 * u2))
+                - 2.0 * inner_l2(christoffel(Model.CH, u, v).u, derivative(u2 * v2)))
     u1x, v1x = derivative(u1), derivative(v1)
     i4 = (0.25 * (inner_l2(u1x * u1x, v2 * v2) + inner_l2(v1x * v1x, u2 * u2))
           - 0.5 * inner_l2(u1x * u2, v1x * v2))
@@ -76,6 +77,11 @@ class TestUnnormalized:
         lhs = unnormalized_curvature(alpha * a, beta * b)
         rhs = alpha**2 * beta**2 * unnormalized_curvature(a, b)
         assert lhs == pytest.approx(rhs, abs=1e-10, rel=1e-10)
+
+    def test_grid_mismatch(self, grid64, grid128):
+        with pytest.raises(ValueError, match="grid mismatch"):
+            unnormalized_curvature(VelocityPair.single(cosine_field(grid64, 1)),
+                                   VelocityPair.single(cosine_field(grid128, 2)))
 
     def test_reduces_to_ch_closed_form(self, grid128):
         for mk, ml in [(1, 2), (2, 3), (1, 4), (3, 4)]:

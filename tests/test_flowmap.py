@@ -70,6 +70,10 @@ class TestGroup:
                              - right.phi.displacement.values)) <= 1e-9
         assert np.max(np.abs(left.f.values - right.f.values)) <= 1e-9
 
+    def test_grid_mismatch(self, grid64, grid128):
+        with pytest.raises(ValueError, match="grid mismatch"):
+            GroupElement(Diffeo(zero_field(grid64)), zero_field(grid128))
+
 
 class TestAdjoint:
     def test_identity_element_acts_trivially(self, grid128, rng):

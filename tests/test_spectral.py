@@ -87,7 +87,7 @@ def test_derivative_finite_difference_oracle(grid128):
 
 def test_derivative_zero_mean(grid64, rng):
     f = random_band_limited(grid64, rng, 10) + 0.7
-    assert abs(derivative(f).mean()) <= 1e-14
+    assert abs(derivative(f).values.mean()) <= 1e-14
 
 
 def test_helmholtz_eigenfunction(grid64):

@@ -25,7 +25,10 @@ first), and each process measures every layer once, those down to
   slopes psi_x and f_x of each row it reads;
 - `body_step_us`: one RK4 step of `evolve_rigidbody` on the reference spin
   (inertia 1,2,3, omega 1,1,1, dt 1e-3), the fastest-of-7 difference of
-  a 60-step and a 10-step run over 50, as for the flow-map steps;
+  a (10 + 4 `rigidbody._BLOCK_ROWS`)-step and a 10-step run over their
+  step difference, as for the flow-map steps: the kept attitudes are
+  projected in blocks of `_BLOCK_ROWS` rows, so the difference holds four
+  whole blocks and each step's share of their projection;
 - `attitude_projection_ms`: the projection of the attitudes kept over
   that spin's 5001-row trajectory (dt 1e-3, t = 5) onto SO(3): the 5000
   attitudes the step loop carries, which no step projects, through
@@ -83,8 +86,8 @@ def _per_call(fn, min_calls=5, min_seconds=0.1):
     return statistics.median(times)
 
 
-def _per_step(run):
-    """Seconds per step of run(count), from the fastest of 7 60-step and of 7 10-step runs."""
+def _per_step(run, steps=60):
+    """Seconds per step of run(count), from the fastest of 7 `steps`-step and of 7 10-step runs."""
     def fastest(count):
         run(count)
         times = []
@@ -94,7 +97,7 @@ def _per_step(run):
             times.append(time.perf_counter() - t0)
         return min(times)
 
-    return (fastest(60) - fastest(10)) / 50
+    return (fastest(steps) - fastest(10)) / (steps - 10)
 
 
 def measure() -> dict:
@@ -161,7 +164,8 @@ def measure() -> dict:
     body = rigidbody.RigidBodyState.from_rest_attitude([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
     out["body_step_us"] = 1e6 * _per_step(
-        lambda count: rigidbody.evolve_rigidbody(body, dt=1e-3, t_end=count * 1e-3))
+        lambda count: rigidbody.evolve_rigidbody(body, dt=1e-3, t_end=count * 1e-3),
+        steps=10 + 4 * rigidbody._BLOCK_ROWS)
     z = rigidbody._stacked(body)
     carried = np.empty((5000, 3, 3))
     for step in range(5000):
