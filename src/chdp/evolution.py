@@ -45,8 +45,7 @@ values, products, terms and term spectra into buffers it makes when it is
 built, and `rk4` sums the stages in place, in the order of the textbook
 sum, so the bits are those of fresh arrays.  What a stage and a step
 return is a new array.  A kernel serves one call at a time (chdp runs in
-one thread).  The step loop's monitor writes its irfft into two arrays
-made once per run.
+one thread).
 `evolve` and `evolve_flowmap` share one step loop, `_integrate`, with one
 monitor and one keep rule: the rows of every `diagnostics_stride`-th
 step, the last step and a blow-up step.  The monitor's single irfft per
@@ -55,12 +54,12 @@ gives the grid values and slopes of every state row, and one minimum and
 one maximum over the slope rows decide the step: a NaN minimum marks a
 non-finite step (ik times an infinite or NaN coefficient is NaN), then
 the thresholds read them.  The next step's stage 1 starts from that
-irfft, since the kernel reads a stage's rows from it.  An Eulerian step
-thus costs 8 FFT calls, monitor included, and so does a flow-map step,
-whose stages transport the labels map on the grid (`chdp.flowmap`).  A
-kept step stores the grid values of the state rows alone in one real
-history array, and its diagnostics, five scalars from the monitor's
-irfft and its slope minima and maxima, in one column array.
+irfft, which has the layout of a stage's own (stated at `_points`).  An
+Eulerian step thus costs 8 FFT calls, monitor included, and so does a
+flow-map step, whose stages transport the labels map on the grid
+(`chdp.flowmap`).  A kept step stores the grid values of the state rows
+alone in one real history array, and its diagnostics, five scalars from
+the monitor's irfft and its slope minima and maxima, in one column array.
 Both integrators return a result that views the history (`EvolveResult`,
 extended by the flow map's `FlowmapResult`) with the columns as a
 `DiagnosticsTable`.  `step_rk4` is one RK4 step of the Eulerian
@@ -244,9 +243,8 @@ class _Kernel:
     are 0 above the dealias cutoff, so an RK4 sum of band-limited
     coefficients stays band-limited.  The labels rows are not truncated.
 
-    `kernel(y, z)` starts from z, the monitor's `_points(grid, y)`: u and
-    rho are z[0] and z[1], u_x is z[rows], and on four rows xi_x and g_x
-    are z[-2] and z[-1], as in the stage's own irfft.
+    `kernel(y, z)` starts from z, the monitor's `_points(grid, y)`, which
+    has the layout of the stage's own irfft (stated at `_points`).
 
     The kernel makes its stage buffers when it is built, and every stage
     call writes into them.  A stage's result is a new array all the same,
@@ -260,7 +258,7 @@ class _Kernel:
         self.rows = rows
         self.ik = ik = grid.ik
         lift = ik / grid.helmholtz_symbol  # Ainv d/dx
-        u, rho, ux = 0, 1, 2  # rows of (u, rho, u_x)
+        u, rho, ux = 0, 1, 2  # rows of (u, rho, u_x) in every irfft the kernel reads
         # Per term, the (coefficient, left, right) of each product it sums
         # and its multipliers in u_t and rho_t, before the mask and the 1/n.
         if model in (Model.CH, Model.CH2):
@@ -290,14 +288,9 @@ class _Kernel:
         for term, (products, *_) in enumerate(terms):
             for coef, left, right in products:
                 self.sums[term, columns[left, right]] = coef
-        # The rows of each product's left and right factors, by the length
-        # of the irfft read: a stage's own, (u, rho, u_x) and on four rows
-        # xi_x and g_x, has u_x in row 2; the monitor's has it in row `rows`.
-        self._gathers = {}
-        for length, ux_row in ((rows + 1, 2), (2 * rows, rows)):
-            where = np.array([0, 1, ux_row])
-            self._gathers[length] = tuple(where[side] for side in np.array(list(columns)).T)
-        for arr in (self.sums, self.weights, *self._gathers[rows + 1], *self._gathers[2 * rows]):
+        # The rows of each product's left and right factors.
+        self._left_rows, self._right_rows = (np.array(side) for side in zip(*columns))
+        for arr in (self.sums, self.weights, self._left_rows, self._right_rows):
             arr.setflags(write=False)
         # The stage buffers: the coefficients of the stage's irfft, whole
         # and as its values and its slopes rows, and its grid values; the
@@ -322,11 +315,10 @@ class _Kernel:
             if self.rows == 4:
                 np.multiply(y[2:], self.ik, slopes[1:])
             z = np.fft.irfft(spec, self.n, out=points, norm="forward")
-        left_rows, right_rows = self._gathers[len(z)]
         # mode="wrap" (the rows are in range) writes into `out` with no
         # buffer, where the default mode makes one.
-        z.take(left_rows, 0, left, "wrap")
-        left *= z.take(right_rows, 0, right, "wrap")
+        z.take(self._left_rows, 0, left, "wrap")
+        left *= z.take(self._right_rows, 0, right, "wrap")
         np.matmul(self.sums, left, eulerian)
         if self.rows == 4:
             np.multiply(z[0], z[-2:], terms[-2:])
@@ -351,18 +343,21 @@ def _kernel(model: Model, n: int, rows: int = 2) -> _Kernel:
 
 def _points(grid: Grid, y: np.ndarray,
             out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Grid values of every row of the Fourier coefficients y, then their slopes.
+    """Grid values and slopes of the Fourier coefficients y, pair of rows by pair.
 
-    One irfft with no 1/n scaling (norm="forward"): for y = (u, rho) it
-    gives (u, rho, u_x, rho_x), and for (u, rho, xi, g) it gives
-    (u, rho, xi, g, u_x, rho_x, xi_x, g_x).  `out`, if given, is
-    (coefficients, grid values) to write the stacked coefficients and the
-    result into; else both are new arrays.  The bits are the same either
-    way.
+    One irfft with no 1/n scaling (norm="forward") gives each state pair's
+    grid values, then its slopes: (u, rho, u_x, rho_x) for y = (u, rho),
+    (u, rho, u_x, rho_x, xi, g, xi_x, g_x) for (u, rho, xi, g).  This is
+    the step loop's one irfft layout: here and in a stage's own irfft
+    (`_Kernel`), (u, rho, u_x[, xi_x, g_x]), u, rho and u_x are rows 0-2
+    and xi_x, g_x the last two.  `out`, if given, is (coefficients, grid
+    values) to write the stacked coefficients and the result into; else
+    both are new arrays, with the same bits.
     """
     spec, values = (np.empty((2 * len(y), len(grid.ik)), complex), None) if out is None else out
-    spec[:len(y)] = y
-    np.multiply(y, grid.ik, spec[len(y):])
+    by_pair, pairs = y.reshape(-1, 2, y.shape[-1]), spec.reshape(-1, 2, 2, spec.shape[-1])
+    pairs[:, 0] = by_pair
+    np.multiply(by_pair, grid.ik, pairs[:, 1])
     return np.fft.irfft(spec, grid.n, out=values, norm="forward")
 
 
@@ -480,35 +475,38 @@ def _integrate(result_type, config: EvolutionConfig, grid: Grid, y: np.ndarray, 
     """Step the coefficients y, (u, rho) in rows 0-1, to t_end; a `result_type` views the kept steps.
 
     `step(y, z)` is one RK4 step of y, where z is the monitor's irfft of y,
-    from which it computes stage 1; the model lives in `step` alone.
-    After every step, and at t=0, the monitor turns every row of y into
-    grid values and slopes in one irfft, `_points(grid, y)`, and reads the
-    minimum and maximum of each slope row, `lows` and `highs`, in one pass
-    each.  A NaN minimum marks a non-finite step (ik times an infinite or
-    NaN coefficient is NaN, also at modes 0 and n/2, and a NaN slope
-    coefficient leaves its irfft row with a NaN): it stops the run unkept,
-    before any other test.  The start is finite,
-    as `_initial_state` checks, so only a step can be non-finite.  Then
-    the run stops at `check(y, lows, highs)`, which returns (criterion,
-    value) or None, else at a threshold.  Kept steps (every
-    `config.diagnostics_stride`-th, the last, a blow-up) fill one real
-    (len(y), kept steps, n) history array with the grid values of the rows
-    of y, and one (5, kept steps) array with their diagnostics from the
+    from which it computes stage 1; the model lives in `step` alone.  After
+    every step, and at t=0, the monitor turns every row of y into grid
+    values and slopes in one irfft, `_points(grid, y)` (its layout is stated
+    there), and reads the minimum and maximum of each slope row, `lows` and
+    `highs` in the order (u_x, rho_x, ...), in one pass each.  A NaN minimum
+    marks a non-finite step (ik times an infinite or NaN coefficient is NaN,
+    also at modes 0 and n/2, and a NaN slope coefficient leaves its irfft
+    row with a NaN): it stops the run unkept, before any other test.  The
+    start is finite, as `_initial_state` checks, so only a step can be
+    non-finite.  Then the run stops at `check(y, lows, highs)`, which
+    returns (criterion, value) or None, else at a threshold.  Kept steps
+    (every `config.diagnostics_stride`-th, the last, a blow-up) fill one
+    real (len(y), kept steps, n) history array with the grid values of the
+    rows of y, and one (5, kept steps) array with their diagnostics from the
     same irfft and reductions: the energy, min u_x, max |rho_x|, and the
-    means of u and rho.  The irfft and its stacked coefficients go into
-    two arrays made once per run, so z is written over by the next step's
-    monitor.  Overflow and invalid operations raise no warning: the
-    monitor reports a step they make non-finite, and an energy that
-    overflows on finite data is inf.  `finish(history, status)` may then
-    rewrite the further rows in place before they are frozen.
-    `result_type` is `EvolveResult` or a subclass whose fields after
-    `status` view the further rows.
+    means of u and rho.  The irfft and its stacked coefficients go into two
+    arrays made once per run, so z is written over by the next step's
+    monitor; its value and slope rows and the history are read through
+    views, made with them, by state pair.  Overflow and invalid operations
+    raise no warning: the monitor reports a step they make non-finite, and
+    an energy that overflows on finite data is inf.  `finish(history,
+    status)` may then rewrite the further rows in place before they are
+    frozen.  `result_type` is `EvolveResult` or a subclass whose fields
+    after `status` view the further rows.
     """
     n_steps, stride, n = config.n_steps, config.diagnostics_stride, grid.n
     history = np.empty(_history_shape(config, len(y), n))
     columns = np.empty((5, history.shape[1]))
-    # The monitor's stacked coefficients and irfft, written over every step.
     monitor = np.empty((2 * len(y), y.shape[-1]), complex), np.empty((2 * len(y), n))
+    z = monitor[1]
+    values, slopes = np.moveaxis(z.reshape(-1, 2, 2, n), 1, 0)
+    history_pairs = history.reshape(-1, 2, history.shape[1], n)
     kept = []
     status = RunStatus("completed")
     # ik times an infinite coefficient is the NaN the monitor looks for; a
@@ -518,16 +516,15 @@ def _integrate(result_type, config: EvolutionConfig, grid: Grid, y: np.ndarray, 
             t = i * config.dt
             if i > 0:
                 y = step(y, z)
-            z = _points(grid, y, out=monitor)
-            slopes = z[len(y):]
-            lows, highs = slopes.min(1).tolist(), slopes.max(1).tolist()
+            _points(grid, y, out=monitor)
+            lows, highs = slopes.min(-1).ravel().tolist(), slopes.max(-1).ravel().tolist()
             if any(map(math.isnan, lows)):
                 status = RunStatus("blowup_detected", t=t, reason="non_finite")
                 break
             tripped = check(y, lows, highs) or _threshold_reason(config, lows, highs)
             if i % stride == 0 or i == n_steps or tripped is not None:
-                u, rho, ux = z[0], z[1], slopes[0]
-                history[:, len(kept)] = z[:len(y)]
+                u, rho, ux = z[:3]
+                history_pairs[:, :, len(kept)] = values
                 # Means as sum / n, the bits of np.mean at half its cost; the
                 # integral of A u is the mean of u: A's multiplier at mode 0 is 1.
                 columns[:, len(kept)] = ((u * u + ux * ux + rho * rho).sum() / n, lows[0],

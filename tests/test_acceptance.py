@@ -5,6 +5,7 @@ output).  The same checks back the `chdp verify` CLI command.  A last test
 checks that the criteria share one smooth reference run per model.
 """
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -22,10 +23,28 @@ def test_acceptance(criterion_id, name):
     assert result.passed, result.line()
 
 
+def test_lagrangian_consistency_catches_a_wrong_map(monkeypatch):
+    # psi 0.1 % too large on every kept row.  The round trip
+    # (u o phi) o phi^-1 = u holds for any phi; the map's time derivative
+    # does not: phi_t is then about 1e-3 |u| off u o phi.
+    real = verification._smooth_run
+
+    def stretched(model_value):
+        run = real(model_value)
+        return dataclasses.replace(run, psi=run.psi * 1.001)
+
+    monkeypatch.setattr(verification, "_smooth_run", stretched)
+    passed, detail = verification.check_lagrangian_consistency(0)
+    assert not passed, detail
+
+
 @pytest.fixture
 def short_smooth_runs(monkeypatch):
-    """The smooth reference runs cut to 100 steps, made afresh and not kept."""
-    monkeypatch.setattr(verification, "SMOOTH_T_END", 0.01)
+    """The smooth reference runs cut to 200 steps, made afresh and not kept.
+
+    200 steps keep 5 rows, the last five that C8 differences in time.
+    """
+    monkeypatch.setattr(verification, "SMOOTH_T_END", 0.02)
     verification._smooth_run.cache_clear()
     yield
     verification._smooth_run.cache_clear()

@@ -60,3 +60,27 @@ def test_command_loads_only_its_module(child_env, tmp_path, argv, own):
     argv = argv + ["--out-dir", str(tmp_path)]
     loaded = _loaded(child_env, f"from chdp import cli\nassert cli.main({argv!r}) == 0")
     assert loaded & COMMAND_MODULES == own
+
+
+def test_runtime_needs_numpy_alone(child_env, tmp_path):
+    # pyproject.toml lists numpy alone.  With scipy, sympy and hypothesis
+    # blocked, every chdp module imports, every command but verify runs at a
+    # smoke size, and the criteria that need no smooth run pass.
+    pair = ["--model", "2ch", "--ic", "pair:1:0.1:1:0.1", "--n", "32", "--dt", "1e-3",
+            "--t-end", "2e-3"]
+    commands = [["evolve", *pair], ["flowmap", *pair], ["curvature"],
+                ["curvature-scan", "--max-mode", "2"], ["rigidbody", "--t-end", "0.01"]]
+    code = "\n".join([
+        "import importlib, sys",
+        "for name in ('scipy', 'sympy', 'hypothesis'):",
+        "    sys.modules[name] = None",
+        f"for name in {MODULES!r}:",
+        "    importlib.import_module(name)",
+        "from chdp import cli, verification",
+        f"for i, argv in enumerate({commands!r}):",
+        f"    assert cli.main(argv + ['--out-dir', {str(tmp_path)!r} + f'/{{i}}']) == 0, argv",
+        "for criterion in ('C1', 'C3', 'C5', 'C9', 'C10'):",
+        "    result = verification.run_criterion(criterion, seed=0)",
+        "    assert result.passed, result.line()",
+    ])
+    assert _loaded(child_env, code) == set(MODULES)

@@ -176,7 +176,7 @@ class TestKernel:
         step_rk4(model, y, 1e-4)
         assert len(calls) == 8
 
-    @pytest.mark.parametrize("model", [Model.CH2, Model.DP])
+    @pytest.mark.parametrize("model", list(Model))
     def test_step_from_monitor_points_is_exact(self, model, grid256, rng):
         # `evolve` hands the monitor's irfft of y to the next step as stage
         # 1's: the same spectra through the same call, so the same bits.
@@ -368,6 +368,15 @@ class TestKernelWorkspaces:
         assert z is out[1]
         assert np.array_equal(z, _points(grid256, y))
 
+    @pytest.mark.parametrize("n", [64, 96, 256, 1024])
+    def test_points_lays_out_each_pair_alone(self, n, rng):
+        # The irfft of (u, rho, xi, g) is that of (u, rho) and then that of
+        # (xi, g), bit for bit: each pair's values, then its slopes.
+        grid = Grid(n)
+        y = np.stack([random_band_limited(grid, rng, n // 2 - 1, 0.3).hat / n for _ in range(4)])
+        assert np.array_equal(_points(grid, y),
+                              np.concatenate((_points(grid, y[:2]), _points(grid, y[2:]))))
+
     def test_interleaved_runs_give_the_rows_of_each_run_alone(self, grid256):
         # evolve 2CH, evolve DP and flowmap 2DP stepped in turn, each stage
         # of one run followed by a stage of the next run's kernel.
@@ -396,11 +405,11 @@ class TestKernelWorkspaces:
 
                 states[i] = evolution.rk4(stage, states[i], 1e-3, kernel(states[i], z))
                 rows_seen[i].append(_points(grid256, states[i]))
-        for (_, rows, _), seen, result in zip(runs, rows_seen, alone):
-            z = np.stack(seen, axis=1)
+        for seen, result in zip(rows_seen, alone):
+            z = np.stack(seen, axis=1)  # (u, rho, u_x, rho_x) first on two and four rows
             assert np.array_equal(z[:2], np.stack((result.u, result.rho)))
-            assert np.array_equal(z[rows].min(axis=1), result.diagnostics.min_ux)
-            assert np.array_equal(np.abs(z[rows + 1]).max(axis=1), result.diagnostics.max_abs_rhox)
+            assert np.array_equal(z[2].min(axis=1), result.diagnostics.min_ux)
+            assert np.array_equal(np.abs(z[3]).max(axis=1), result.diagnostics.max_abs_rhox)
 
 
 class TestStepCount:
