@@ -16,11 +16,11 @@ as `wall_seconds`, writes run.json and prints the command's lines.
 run.json holds `config`, the command's own options keyed by flag name
 without the dashes (`--NAME=VALUE` for each key replays the run, with a
 true switch given bare and null or false keys left out), `status`,
-`final_diagnostics` and `wall_seconds`; a blow-up adds `reason`,
-`blowup_t` and `blowup_value`.
+`final_diagnostics` (each non-finite float in it null) and `wall_seconds`;
+a blow-up adds `reason`, `blowup_t` and `blowup_value`.
 
 Exit codes: 0 completed, 2 blow-up detected (an expected physical outcome,
-not a crash), 1 an error or, for `verify`, a failed criterion.
+not a crash), 1 an error or a failed run (a `verify` criterion, a curvature bound).
 """
 
 from __future__ import annotations
@@ -152,9 +152,7 @@ def _evolve(options):
         csvio.write_diagnostics(out / "diagnostics.csv", result.diagnostics)
         for i, step in _snapshots(result.times, config.dt, options.snapshot_stride):
             csvio.write_snapshot(out / f"snapshot_{step:06d}.csv", result.state(i))
-        # A diagnostic that overflowed (the energy of huge data) is null.
-        final = {name: float(column[-1]) if np.isfinite(column[-1]) else None
-                 for name, column in vars(result.diagnostics).items()}
+        final = {name: float(column[-1]) for name, column in vars(result.diagnostics).items()}
         return result.status, final, [
             f"evolve: {_outcome(result.status, result.times[-1])} "
             f"({len(result.diagnostics)} diagnostic records) -> {out}"]
@@ -176,19 +174,27 @@ def _flowmap(options):
             csvio.write_flowmap_snapshot(out / f"flowmap_{step:06d}.csv", initial.grid,
                                          result.psi[i], jac_i, result.f[i])
         drifts = momentum_drift(result, stride=max(1, len(result.times) // 20))
-        # A labels_folded run's last row has no phi (NaN): min phi_x is
-        # null, and the drifts skip that row.
-        folded = result.status.reason == "labels_folded"
-        final = {
-            "t": float(result.times[-1]),
-            "min_phix": None if folded else float(jac[-1].min()),
-            "momentum_drift": {key: float(np.max(vals)) for key, vals in drifts.items()},
-        }
+        final = {"t": float(result.times[-1]), "min_phix": float(jac[-1].min()),
+                 "momentum_drift": {key: float(np.max(vals)) for key, vals in drifts.items()}}
         return result.status, final, [
             f"flowmap: {_outcome(result.status, result.times[-1])} "
             f"({len(rows)} snapshots) -> {out}"]
 
     return work
+
+
+def _bounds(table, final: dict, lines: list[str]) -> RunStatus:
+    """Completed, or failed with final["violations"], the rows breaking each bound,
+    and a line per broken bound naming its first plane."""
+    broken = {name: mask for name, mask in table.violations().items() if mask.any()}
+    if not broken:
+        return RunStatus("completed")
+    final["violations"] = {name: int(np.count_nonzero(mask)) for name, mask in broken.items()}
+    for name, mask in broken.items():
+        r = np.argmax(mask)
+        lines.append(f"{name} on {final['violations'][name]} of {len(table)} planes, first at "
+                     f"modes ({table.m_k1[r]}, {table.m_k2[r]})+({table.m_l1[r]}, {table.m_l2[r]})")
+    return RunStatus("failed")
 
 
 def _curvature(options):
@@ -204,8 +210,8 @@ def _curvature(options):
         csvio.write_scan(out / "curvature.csv", table)
         final = {"S_numeric": float(table.s_numeric[0]), "S_closed": float(table.s_closed[0]),
                  "Sec": float(table.sec[0]), "gram": float(table.gram[0])}
-        return RunStatus("completed"), final, [
-            " ".join(f"{name}={value!r}" for name, value in final.items())]
+        lines = [" ".join(f"{name}={value!r}" for name, value in final.items())]
+        return _bounds(table, final, lines), final, lines
 
     return work
 
@@ -263,9 +269,10 @@ def _scan(options):
             lines.append(f"negative-curvature search: {negatives} negative planes "
                          f"in {trials} trials"
                          + (f", most negative Sec {sec[0]:.4f}" if sec else ""))
-        lines.append(f"curvature-scan: {len(table)} tuples, min S "
-                     f"{summary['min_S_numeric']:.6f} > 0 -> {out}")
-        return RunStatus("completed"), summary, lines
+        status = _bounds(table, summary, lines)
+        lines.append(f"curvature-scan: {len(table)} tuples, min S {summary['min_S_numeric']:.6f}"
+                     f"{' > 0' if status.completed else ', bounds broken'} -> {out}")
+        return status, summary, lines
 
     return work
 
@@ -285,10 +292,8 @@ def _rigidbody(options):
         traj = evolve_rigidbody(state, dt=options.dt, t_end=options.t_end)
         csvio.write_rigidbody(out / "rigidbody.csv", traj)
         drifts = conservation_drifts(traj)
-        # A drift of invariants that overflowed is null, as in `evolve`.
         final = {"t": float(traj.times[-1]),
-                 **{key: drifts[key] if math.isfinite(drifts[key]) else None
-                    for key in ("pi_drift", "energy_drift", "coadjoint_drift")}}
+                 **{key: drifts[key] for key in ("pi_drift", "energy_drift", "coadjoint_drift")}}
         return RunStatus("completed"), final, [
             f"rigidbody: pi drift {drifts['pi_drift']:.3e} over t={options.t_end:g} -> {out}"]
 
@@ -383,6 +388,13 @@ def parse_config(argv) -> argparse.Namespace:
     return config
 
 
+def _finite_or_null(value):
+    """value with each non-finite float in it, at any depth of dicts, as None (JSON null)."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def run(config: argparse.Namespace) -> int:
     """Run a parsed command into --out-dir; return its exit code."""
     out = Path(config.out_dir)
@@ -396,7 +408,8 @@ def run(config: argparse.Namespace) -> int:
     options = {dest.replace("_", "-"): value for dest, value in vars(config).items()
                if dest not in ("command", "work")}
     payload = {"config": options, "status": status.kind,
-               "final_diagnostics": final_diagnostics, "wall_seconds": wall_seconds}
+               "final_diagnostics": _finite_or_null(final_diagnostics),
+               "wall_seconds": wall_seconds}
     if status.reason is not None:  # blowup_value is null for non_finite
         payload.update(reason=status.reason, blowup_t=status.t, blowup_value=status.value)
     csvio.write_manifest(out / "run.json", payload)

@@ -34,7 +34,8 @@ cos(2 pi m x) of every mode the grid resolves), and the table pairs the
 rows its tuples use once, then reads each plane's S, Gram and closed
 form in chunks into a `ScanTable` of 1-D columns.  `positivity_scan` is
 the table of every cosine plane up to a mode, `scan_direction` its
-one-row table on the same grid.  Any other plane is its own two-row
+one-row table on the same grid, and `ScanTable.violations` states the
+bounds of both once, as row masks.  Any other plane is its own two-row
 basis (`_two_row_planes`): `unnormalized_curvature` and
 `sectional_curvature` one plane, `negative_search` one per trial,
 stacked.  `chdp.connection.christoffel` of `Model.CH2` with `metric` is
@@ -44,8 +45,7 @@ Resolution: products of two directions reach twice their largest mode M,
 so the scans take modes, not a grid: `scan_direction`, `positivity_scan`
 and `negative_search` run on `scan_grid(M)`, the smallest grid of
 FFT-friendly size with at least `_grid_floor(M)` points, the one
-resolution rule, which `_plane_bytes` sizes a plane from; every scan row
-must match the closed form to C1's tolerance.
+resolution rule, which `_plane_bytes` sizes a plane from.
 """
 
 from __future__ import annotations
@@ -85,6 +85,9 @@ _CHUNK = 128
 # its Gamma-pair sums (about 50 numbers per plane, 0.4 MB a pass) and the
 # temporaries of its closed forms (about 15) however many planes it holds.
 _PLANE_CHUNK = 1 << 10
+# The bounds' tolerances: C1's on the closed-form error, and the density family's.
+_CLOSED_FORM_TOL = 1e-8
+_DENSITY_TOL = 1e-12
 
 
 class DegeneratePlaneError(ValueError):
@@ -137,6 +140,19 @@ class ScanTable:
     def closed_form_error(self) -> np.ndarray:
         """|S_numeric - S_closed| / (1 + |S_closed|) of every row, C1's measure."""
         return np.abs(self.s_numeric - self.s_closed) / (1.0 + np.abs(self.s_closed))
+
+    def violations(self) -> dict[str, np.ndarray]:
+        """The rows that break each bound, a mask per bound keyed by its name.
+
+        Each is tested as "not within", so a NaN breaks every bound it enters.
+        """
+        density = self.m_k1 == 0
+        return {
+            "S <= 0": ~density & ~((self.s_numeric > 0.0) & (self.s_closed > 0.0)),
+            "S off the closed form": ~(self.closed_form_error() <= _CLOSED_FORM_TOL),
+            "Sec < 1/8": density & ~(self.sec >= 0.125 - _DENSITY_TOL),
+            "Gram != 1/4": density & ~(np.abs(self.gram - 0.25) <= _DENSITY_TOL),
+        }
 
 
 def _gram(f: np.ndarray, root_weight: np.ndarray, out=None) -> np.ndarray:
@@ -380,15 +396,10 @@ def scan_direction(direction: CosineDirectionPair) -> ScanTable:
     return _cosine_table(scan_grid(direction.max_mode), tuples, np.array([[0, 1]]))
 
 
-def positivity_scan(max_mode: int, enforce: bool = True) -> ScanTable:
-    """Enumerate cosine direction pairs with modes <= max_mode, on scan_grid(max_mode).
+def positivity_scan(max_mode: int) -> ScanTable:
+    """The table of cosine direction pairs with modes <= max_mode, on scan_grid(max_mode).
 
-    Scans the full family (asserting S > 0) and the zero-first-component
-    family (asserting Sec >= 1/8 - 1e-12 and Gram = 1/4), skipping the
-    degenerate u = v tuples.  Every row must also agree with the closed
-    form at C1's tolerance, |S_numeric - S_closed| <= 1e-8 (1 + |S_closed|).
-    With enforce, a violated bound raises RuntimeError naming the
-    offending tuples.
+    The full family, then the density family, without u = v; see `ScanTable.violations`.
     """
     if max_mode < 2:
         raise ValueError("max_mode must be at least 2")
@@ -404,32 +415,7 @@ def positivity_scan(max_mode: int, enforce: bool = True) -> ScanTable:
     planes = np.concatenate((np.column_stack(np.triu_indices(full, 1)),
                              full + np.column_stack(np.triu_indices(max_mode, 1))))
     log.debug("scanning %d planes of %d slot tuples on n=%d", len(planes), len(tuples), grid.n)
-    table = _cosine_table(grid, tuples, planes)
-
-    density = table.m_k1 == 0
-    s_low = ~density & ((table.s_numeric <= 0.0) | (table.s_closed <= 0.0))
-    error = table.closed_form_error()
-    disagree = error > 1e-8
-    sec_low = density & (table.sec < 0.125 - 1e-12)
-    gram_off = density & (np.abs(table.gram - 0.25) > 1e-12)
-    bad = np.flatnonzero(s_low | disagree | sec_low | gram_off)
-    if enforce and len(bad):
-        t, violations = table, []
-        for r in bad:
-            k1, k2, l1, l2 = t.m_k1[r], t.m_k2[r], t.m_l1[r], t.m_l2[r]
-            if s_low[r]:
-                violations.append(f"S <= 0 at modes ({k1}, {k2})+({l1}, {l2}): "
-                                  f"numeric {t.s_numeric[r]:.6e}, closed {t.s_closed[r]:.6e}")
-            if disagree[r]:
-                violations.append(f"S off the closed form at modes ({k1}, {k2})+({l1}, {l2}): "
-                                  f"numeric {t.s_numeric[r]:.12e}, closed {t.s_closed[r]:.12e}, "
-                                  f"rel err {error[r]:.2e} > 1e-8")
-            if sec_low[r]:
-                violations.append(f"Sec < 1/8 at density modes ({k2}, {l2}): {t.sec[r]:.12f}")
-            if gram_off[r]:
-                violations.append(f"Gram != 1/4 at density modes ({k2}, {l2}): {t.gram[r]:.15f}")
-        raise RuntimeError("curvature bounds violated:\n" + "\n".join(violations))
-    return table
+    return _cosine_table(grid, tuples, planes)
 
 
 def negative_search(rng: np.random.Generator, trials: int,

@@ -720,6 +720,68 @@ class TestCurvatureCommands:
         assert grids == [16, 60]
 
 
+    @pytest.mark.parametrize("args, column, value, violations, line", [
+        (["curvature-scan", "--max-mode", "3"], "S_numeric", -1.0, {"S <= 0": 1},
+         "S <= 0 on 1 of 39 planes, first at modes (1, 1)+(1, 2)"),
+        (["curvature", "--k1", "1", "--k2", "1", "--l1", "1", "--l2", "2"], "S_numeric", -1.0,
+         {"S <= 0": 1}, "S <= 0 on 1 of 1 planes, first at modes (1, 1)+(1, 2)"),
+        (["curvature", "--k1", "0", "--k2", "2", "--l1", "0", "--l2", "3"], "gram", np.nan,
+         {"Gram != 1/4": 1}, "Gram != 1/4 on 1 of 1 planes, first at modes (0, 2)+(0, 3)"),
+    ], ids=["scan", "curvature", "curvature-nan"])
+    def test_broken_bound_fails_the_run(self, tmp_path, monkeypatch, capsys, args, column, value,
+                                        violations, line):
+        # The first plane breaks a bound: exit 1 with the CSV and run.json
+        # written, no exception, and the bound named on stdout.
+        real = curvature._cosine_table
+
+        def broken(grid, tuples, planes):
+            table = real(grid, tuples, planes)
+            if column == "S_numeric":  # its closed form moves with it
+                table.s_numeric[0] = table.s_closed[0] = value
+            else:
+                table.gram[0] = value
+            return table
+
+        monkeypatch.setattr(curvature, "_cosine_table", broken)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*args, "--out-dir", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert line + "\n" in out and "> 0" not in out
+        csv_name = "scan.csv" if args[0] == "curvature-scan" else "curvature.csv"
+        assert read_csv_column(tmp_path / csv_name, column)[0] == repr(value)
+        manifest = read_manifest(tmp_path / "run.json")
+        assert manifest["status"] == "failed"
+        assert manifest["final_diagnostics"]["violations"] == violations
+        if args[0] == "curvature":
+            assert manifest["final_diagnostics"][column] == (None if np.isnan(value) else value)
+
+    def test_nan_scan_row_writes_strict_json(self, tmp_path, monkeypatch):
+        # Every non-finite diagnostic is null, at any depth.
+        real = curvature._cosine_table
+
+        def broken(grid, tuples, planes):
+            table = real(grid, tuples, planes)
+            table.s_numeric[0] = table.gram[-1] = np.nan
+            return table
+
+        monkeypatch.setattr(curvature, "_cosine_table", broken)
+        monkeypatch.setattr(curvature, "negative_search", lambda *args: [(0, float("nan"))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["curvature-scan", "--max-mode", "3", "--negative-search", "1",
+                         "--out-dir", str(tmp_path)]) == 1
+        assert read_csv_column(tmp_path / "scan.csv", "S_numeric")[0] == "nan"
+        manifest = read_manifest(tmp_path / "run.json")
+        final = manifest["final_diagnostics"]
+        assert manifest["status"] == "failed"
+        assert final["min_S_numeric"] is final["max_closed_form_rel_err"] is None
+        assert final["min_sec_density_family"] >= 0.125 - 1e-12
+        assert final["negative_search"]["most_negative"] is None
+        assert final["negative_search"]["sec_quantiles"] == {"0": None, "0.01": None, "0.5": None}
+        assert final["violations"] == {"S <= 0": 1, "S off the closed form": 1, "Gram != 1/4": 1}
+
+
 class TestRigidbodyCommand:
     def test_outputs(self, tmp_path):
         out = tmp_path / "body"

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import object_form
-from object_form import cosine_pair, kernel_gram_determinant
+from object_form import cosine_pair, kernel_gram_determinant, read_manifest
 from chdp import curvature, verification
+from chdp.cli import main
 from chdp.connection import Model, VelocityPair, christoffel
 from chdp.curvature import (
     CosineDirectionPair,
@@ -256,7 +257,7 @@ class TestScan:
         with pytest.raises(ValueError):
             positivity_scan(1)
 
-    def test_bound_violations_named(self, monkeypatch):
+    def test_bound_violations_named(self, tmp_path, monkeypatch, capsys):
         real = curvature._cosine_table
 
         def broken(grid, tuples, planes):
@@ -266,16 +267,22 @@ class TestScan:
             return table
 
         monkeypatch.setattr(curvature, "_cosine_table", broken)
-        with pytest.raises(RuntimeError) as info:
-            positivity_scan(3)
-        message = str(info.value)
-        assert "S <= 0 at modes (1, 1)+(1, 2): numeric -1.000000e+00" in message
-        assert "Gram != 1/4 at density modes (2, 3): 0.300000000000000" in message
-        table = positivity_scan(3, enforce=False)
+        table = positivity_scan(3)
         assert len(table) == 36 + 3
         assert table.s_numeric[0] == -1.0 and table.gram[-1] == 0.3
+        masks = {name: np.flatnonzero(mask).tolist() for name, mask in table.violations().items()}
+        assert masks == {"S <= 0": [0], "S off the closed form": [0], "Sec < 1/8": [],
+                         "Gram != 1/4": [38]}
+        assert main(["curvature-scan", "--max-mode", "3", "--out-dir", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "S <= 0 on 1 of 39 planes, first at modes (1, 1)+(1, 2)\n" in out
+        assert "Gram != 1/4 on 1 of 39 planes, first at modes (0, 2)+(0, 3)\n" in out
+        manifest = read_manifest(tmp_path / "run.json")
+        assert manifest["status"] == "failed"
+        assert manifest["final_diagnostics"]["violations"] == {
+            "S <= 0": 1, "S off the closed form": 1, "Gram != 1/4": 1}
 
-    def test_closed_form_disagreement_named(self, monkeypatch):
+    def test_closed_form_disagreement_named(self, tmp_path, monkeypatch, capsys):
         # S off by 1e-6 relative keeps every sign bound, so only the
         # per-row agreement check can name the plane.
         real = curvature._cosine_table
@@ -286,14 +293,17 @@ class TestScan:
             return table
 
         monkeypatch.setattr(curvature, "_cosine_table", perturbed)
-        with pytest.raises(RuntimeError) as info:
-            positivity_scan(3)
-        lines = str(info.value).splitlines()[1:]
-        assert len(lines) == 1
-        assert lines[0].startswith("S off the closed form at modes (1, 1)+(3, 1): ")
-        assert "> 1e-8" in lines[0]
-        table = positivity_scan(3, enforce=False)
+        table = positivity_scan(3)
         assert 1e-8 < table.closed_form_error()[5] < 2e-6
+        masks = {name: np.flatnonzero(mask).tolist() for name, mask in table.violations().items()}
+        assert masks == {"S <= 0": [], "S off the closed form": [5], "Sec < 1/8": [],
+                         "Gram != 1/4": []}
+        assert main(["curvature-scan", "--max-mode", "3", "--out-dir", str(tmp_path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "S off the closed form on 1 of 39 planes, first at modes (1, 1)+(3, 1)"
+        assert len(lines) == 2 and lines[1].startswith("curvature-scan: 39 tuples")
+        assert read_manifest(tmp_path / "run.json")["final_diagnostics"]["violations"] == {
+            "S off the closed form": 1}
 
     def test_closed_forms_in_chunks(self, monkeypatch):
         # A chunk of 7 planes splits the mode-4 scan's 126 rows at uneven
@@ -320,6 +330,58 @@ class TestScan:
         b = positivity_scan(2)
         for f in fields(a):
             assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
+class TestViolations:
+    """`ScanTable.violations`: one mask per bound, each tested as "not within"."""
+
+    # Row 0 is the full plane (1, 1)+(1, 2), row 38 the density plane (0, 2)+(0, 3).
+    @pytest.mark.parametrize("columns, row, value, name", [
+        # S and its closed form move together, so only the sign breaks.
+        (("s_numeric", "s_closed"), 0, 0.0, "S <= 0"),
+        (("s_numeric", "s_closed"), 0, -1e-300, "S <= 0"),
+        (("sec",), 38, 0.125 - 2e-12, "Sec < 1/8"),
+        (("gram",), 38, 0.25 + 2e-12, "Gram != 1/4"),
+        (("gram",), 38, 0.25 - 2e-12, "Gram != 1/4"),
+    ])
+    def test_one_break_per_bound(self, columns, row, value, name):
+        table = positivity_scan(3)
+        assert not any(mask.any() for mask in table.violations().values())
+        for column in columns:
+            getattr(table, column)[row] = value
+        masks = {key: np.flatnonzero(mask).tolist() for key, mask in table.violations().items()}
+        assert masks == {key: [row] if key == name else [] for key in masks}
+
+    @pytest.mark.parametrize("row", [5, 38])
+    def test_closed_form_break_alone(self, row):
+        # Off by 1e-6 relative, on a full and on a density plane: no sign changes.
+        table = positivity_scan(3)
+        table.s_numeric[row] *= 1.0 + 1e-6
+        masks = {key: np.flatnonzero(mask).tolist() for key, mask in table.violations().items()}
+        assert masks == {key: [row] if key == "S off the closed form" else [] for key in masks}
+
+    def test_bounds_hold_at_their_tolerances(self):
+        table = positivity_scan(3)
+        table.sec[38] = 0.125 - curvature._DENSITY_TOL
+        table.gram[37] = 0.25 + curvature._DENSITY_TOL / 2
+        assert not any(mask.any() for mask in table.violations().values())
+
+    @pytest.mark.parametrize("column, row, names", [
+        ("s_numeric", 0, {"S <= 0", "S off the closed form"}),
+        ("s_closed", 0, {"S <= 0", "S off the closed form"}),
+        ("s_numeric", 38, {"S off the closed form"}),
+        ("s_closed", 38, {"S off the closed form"}),
+        ("sec", 38, {"Sec < 1/8"}),
+        ("gram", 38, {"Gram != 1/4"}),
+        # Sec and Gram enter no bound of a full plane.
+        ("sec", 0, set()),
+        ("gram", 0, set()),
+    ])
+    def test_nan_breaks_every_bound_it_enters(self, column, row, names):
+        table = positivity_scan(3)
+        getattr(table, column)[row] = np.nan
+        masks = {key: np.flatnonzero(mask).tolist() for key, mask in table.violations().items()}
+        assert masks == {key: [row] if key in names else [] for key in masks}
 
 
 class TestResolution:
