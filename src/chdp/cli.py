@@ -261,7 +261,7 @@ def _scan(options):
                 "trials": trials,
                 "negative_planes": negatives,
                 "most_negative": sec[0] if sec else None,
-                # Over the kept planes (Gram > 1e-9); null when none is kept.
+                # Over the kept (non-degenerate) planes; null when none is kept.
                 "negative_fraction": negatives / len(sec) if sec else None,
                 "sec_quantiles": {str(q): _quantile(sec, q) if sec else None
                                   for q in _SEC_QUANTILES},

@@ -88,6 +88,8 @@ _PLANE_CHUNK = 1 << 10
 # The bounds' tolerances: C1's on the closed-form error, and the density family's.
 _CLOSED_FORM_TOL = 1e-8
 _DENSITY_TOL = 1e-12
+# Gram <= this * <a, a> <b, b> makes a plane degenerate: scale-free, as Sec is.
+_DEGENERATE_GRAM = 1e-12
 
 
 class DegeneratePlaneError(ValueError):
@@ -235,9 +237,9 @@ def unnormalized_curvature(a: VelocityPair, b: VelocityPair) -> float:
 
 
 def sectional_curvature(a: VelocityPair, b: VelocityPair) -> float:
-    """S(a, b) / Gram; degenerate when Gram <= 1e-12 <a, a> <b, b>, as Sec is scale-free."""
+    """S(a, b) / Gram; degenerate when Gram <= `_DEGENERATE_GRAM` <a, a> <b, b>."""
     s, gram, norms = _plane(a, b)
-    if gram <= 1e-12 * norms:
+    if gram <= _DEGENERATE_GRAM * norms:
         raise DegeneratePlaneError(f"gram determinant {gram:.3e} too small for norms {norms:.3e}")
     return s / gram
 
@@ -427,9 +429,9 @@ def negative_search(rng: np.random.Generator, trials: int,
     coefficient, standard normal times 1/m, in that order (one draw of
     shape (trials, 4, max_mode, 2) gives the same stream, which is drawn
     _CHUNK trials at a time, so memory does not grow with trials).  Planes
-    with Gram <= 1e-9 are dropped.  Returns (trial, Sec) sorted
-    most-negative first.  Reported, never asserted: the bounds above hold
-    only on the cosine families.
+    that `sectional_curvature` calls degenerate are dropped.  Returns
+    (trial, Sec) sorted most-negative first.  Reported, never asserted: the
+    bounds above hold only on the cosine families.
     """
     grid = scan_grid(max_mode)
     modes = np.arange(1, max_mode + 1)
@@ -443,8 +445,8 @@ def negative_search(rng: np.random.Generator, trials: int,
         y = np.zeros((count, 4, grid.n))
         for m in range(max_mode):
             y += coef[..., m, 0, None] * cos[m] + coef[..., m, 1, None] * sin[m]
-        s, gram, _ = _two_row_planes(grid, y.reshape(count, 2, 2, grid.n))
-        kept = np.flatnonzero(gram > 1e-9)
+        s, gram, norms = _two_row_planes(grid, y.reshape(count, 2, 2, grid.n))
+        kept = np.flatnonzero(gram > _DEGENERATE_GRAM * norms)
         results.extend(zip((start + kept).tolist(), (s[kept] / gram[kept]).tolist()))
     results.sort(key=lambda item: item[1])
     return results

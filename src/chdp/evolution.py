@@ -190,7 +190,7 @@ class RunStatus:
     """Outcome of a run: 'completed' or 'blowup_detected' with time, reason and value.
 
     `value` is the monitored quantity that crossed its threshold (min u_x,
-    max |rho_x| or min phi_x); a non-finite step carries none.
+    max |rho_x|, min chi_x or the labels' tail); a non-finite step carries none.
     """
 
     kind: str
@@ -261,7 +261,7 @@ class _Kernel:
         u, rho, ux = 0, 1, 2  # rows of (u, rho, u_x) in every irfft the kernel reads
         # Per term, the (coefficient, left, right) of each product it sums
         # and its multipliers in u_t and rho_t, before the mask and the 1/n.
-        if model in (Model.CH, Model.CH2):
+        if model.has_metric:
             # u_t = -u u_x - lift (u^2 + u_x^2/2 + rho^2/2),  rho_t = -(u rho)_x
             terms = [([(1.0, u, ux)], -1.0, 0.0),
                      ([(1.0, u, u), (0.5, ux, ux), (0.5, rho, rho)], -lift, 0.0),
@@ -383,19 +383,19 @@ def rhs_momentum_form(model: Model, state: VelocityPair) -> VelocityPair:
     ux = derivative(u)
     mx = derivative(m)
     rhox = derivative(rho)
-    if model in (Model.CH, Model.CH2):
+    if model.has_metric:
         m_t = -dealiased_product(u, mx) - 2.0 * dealiased_product(m, ux)
-        if model is Model.CH2:
+        if model.two_component:
             m_t = m_t - dealiased_product(rho, rhox)
-        rho_t = (-derivative(dealiased_product(rho, u)) if model is Model.CH2
+        rho_t = (-derivative(dealiased_product(rho, u)) if model.two_component
                  else zero_field(u.grid))
     else:
         m_t = -3.0 * dealiased_product(m, ux) - dealiased_product(mx, u)
-        if model is Model.DP2:
+        if model.two_component:
             m_t = (m_t - dealiased_product(rho, ux)
                    + 2.0 * dealiased_product(rho, rhox))
         rho_t = (-2.0 * dealiased_product(rho, ux) - dealiased_product(rhox, u)
-                 if model is Model.DP2 else zero_field(u.grid))
+                 if model.two_component else zero_field(u.grid))
     return VelocityPair(m_t, rho_t)
 
 
@@ -471,7 +471,7 @@ def _history_shape(config: EvolutionConfig, rows: int, n: int) -> tuple[int, int
 
 
 def _integrate(result_type, config: EvolutionConfig, grid: Grid, y: np.ndarray, step,
-               check=lambda y, lows, highs: None, finish=lambda history, status: None):
+               check=lambda y, lows: None, finish=lambda history, status: None):
     """Step the coefficients y, (u, rho) in rows 0-1, to t_end; a `result_type` views the kept steps.
 
     `step(y, z)` is one RK4 step of y, where z is the monitor's irfft of y,
@@ -484,8 +484,8 @@ def _integrate(result_type, config: EvolutionConfig, grid: Grid, y: np.ndarray, 
     also at modes 0 and n/2, and a NaN slope coefficient leaves its irfft
     row with a NaN): it stops the run unkept, before any other test.  The
     start is finite, as `_initial_state` checks, so only a step can be
-    non-finite.  Then the run stops at `check(y, lows, highs)`, which
-    returns (criterion, value) or None, else at a threshold.  Kept steps
+    non-finite.  Then the run stops at `check(y, lows)`, which returns
+    (criterion, value) or None, else at a threshold.  Kept steps
     (every `config.diagnostics_stride`-th, the last, a blow-up) fill one
     real (len(y), kept steps, n) history array with the grid values of the
     rows of y, and one (5, kept steps) array with their diagnostics from the
@@ -521,7 +521,7 @@ def _integrate(result_type, config: EvolutionConfig, grid: Grid, y: np.ndarray, 
             if any(map(math.isnan, lows)):
                 status = RunStatus("blowup_detected", t=t, reason="non_finite")
                 break
-            tripped = check(y, lows, highs) or _threshold_reason(config, lows, highs)
+            tripped = check(y, lows) or _threshold_reason(config, lows, highs)
             if i % stride == 0 or i == n_steps or tripped is not None:
                 u, rho, ux = z[:3]
                 history_pairs[:, :, len(kept)] = values

@@ -29,11 +29,10 @@ form, against 6e-15.
 
 The monitor's minimum and maximum of each slope row decide the step.  A
 NaN minimum of any row, the labels' included, stops the run as
-non-finite, unkept, as on `evolve`; min phi_x is 1 / max chi_x.  Then,
-before the Eulerian thresholds, it stops the run with
+non-finite, unkept, as on `evolve`.  Then, before the Eulerian
+thresholds, it stops the run with
 - 'labels_folded' (value min chi_x) when chi_x <= 0 somewhere: chi is no
   longer invertible;
-- 'phix_degenerate' (value min phi_x) at or below `_JACOBIAN_FLOOR`;
 - 'labels_unresolved' (value: the tail) when the spectral tail of xi or
   g exceeds `_LABELS_TAIL_LIMIT`.  A row's tail is its largest rfft
   coefficient above 2/3 of the dealias cutoff over its largest at modes
@@ -42,15 +41,17 @@ before the Eulerian thresholds, it stops the run with
   no longer resolve the map, and phi would be wrong.  Restarting the
   labels from the identity and composing the sub-maps (remapping) is not
   done.
+No floor on phi_x is needed: unfolded, chi_x = 1 + xi_x is positive and
+sums to n over the grid (no mode 0), so min phi_x = 1 / max chi_x > 1 / n.
 Only the kept rows are turned back into (psi, f) of phi = id + psi
-(`_group_rows`): Newton inverts chi (`spectral._inverse_points`, shared
-with `invert_diffeo`), evaluating (xi, xi_x, g) in one `_offgrid` call
-per iteration, so the last one also gives f = g o phi.  A 'labels_folded'
-run's last row has no inverse and holds NaN there, and `momentum_drift`
-skips it.  The slopes psi_x and f_x are taken only where they are read,
-by `FlowmapResult.jacobians` and `momentum_drift`, as the spectral
-derivatives of the kept psi and f that `derivative` and the object form
-take.
+(`_group_rows`): Newton inverts chi from the grid rows (xi, g)
+(`spectral._inverse_points`, shared with `invert_diffeo`), evaluating
+(xi, xi_x, g) in one `_offgrid` call per iteration, so the last one also
+gives f = g o phi.  A 'labels_folded' run's last row has no inverse and
+holds NaN there, and `momentum_drift` skips it.  The slopes psi_x and
+f_x are taken only where they are read, by `FlowmapResult.jacobians` and
+`momentum_drift`, as the spectral derivatives of the kept psi and f that
+`derivative` and the object form take.
 `FlowmapResult` views the result: its (u, rho) part is the `EvolveResult`
 of `evolve` for the same config.
 Along exact two-component CH flows (rho o phi) phi_x and the full
@@ -86,13 +87,11 @@ __all__ = [
     "momentum_drift",
 ]
 
-# `evolve_flowmap` stops with reason 'phix_degenerate' once min phi_x is at
-# or below the floor, and with 'labels_unresolved' once the spectral tail
-# of xi or g exceeds the limit.  On 2CH with amplitude 0.3 in both slots,
-# n = 256, dt = 1e-3, the tail of g is 6e-6 at t = 0.5, where psi agrees
-# with the Lagrangian form to 3e-13 and f to 1e-11, and 1e-2 at t = 0.7,
-# where psi agrees to 2e-5 only.
-_JACOBIAN_FLOOR = 1e-8
+# `evolve_flowmap` stops with reason 'labels_unresolved' once the spectral
+# tail of xi or g exceeds the limit.  On 2CH with amplitude 0.3 in both
+# slots, n = 256, dt = 1e-3, the tail of g is 6e-6 at t = 0.5, where psi
+# agrees with the Lagrangian form to 3e-13 and f to 1e-11, and 1e-2 at
+# t = 0.7, where psi agrees to 2e-5 only.
 _LABELS_TAIL_LIMIT = 1e-4
 # The kept-row Newton inversion of chi stops once max |chi(phi) - x| is at
 # or below this (at 1e-12, psi of C7's 2CH run is off by 9e-13).
@@ -157,10 +156,7 @@ def _group_rows(grid: Grid, history: np.ndarray, status: RunStatus) -> None:
         count -= 1
         history[2:, count] = np.nan
     for i in range(count):
-        xi_hat, g_hat = np.fft.rfft(history[2:4, i])
-        y, (_, _, g) = _inverse_points(grid, history[2, i],
-                                       np.stack((xi_hat, xi_hat * grid.ik, g_hat)),
-                                       _LABELS_INVERSION_TOL)
+        y, (g,) = _inverse_points(grid, history[2:4, i], _LABELS_INVERSION_TOL)
         history[2, i] = y - grid.points
         history[3, i] = g
 
@@ -176,10 +172,9 @@ def evolve_flowmap(config: EvolutionConfig, initial: VelocityPair) -> FlowmapRes
     blow-up monitor of `evolve` (same status and time, and the same
     ValueError on non-finite initial data): a non-finite step
     of any row first, then the labels, then the thresholds.  The labels
-    stop it at 'labels_folded' (min chi_x <= 0), 'phix_degenerate' (min
-    phi_x = 1 / max chi_x at or below `_JACOBIAN_FLOOR`) and
-    'labels_unresolved' (the spectral tail of xi or g above
-    `_LABELS_TAIL_LIMIT`), each with its value.
+    stop it at 'labels_folded' (min chi_x <= 0) and 'labels_unresolved'
+    (the spectral tail of xi or g above `_LABELS_TAIL_LIMIT`), each with
+    its value.
     """
     grid = initial.grid
     kernel = _kernel(config.model, grid.n, 4)
@@ -188,13 +183,10 @@ def evolve_flowmap(config: EvolutionConfig, initial: VelocityPair) -> FlowmapRes
     cutoff = grid.dealias_cutoff
     top = 2 * cutoff // 3 + 1  # the first mode above 2/3 of the cutoff
 
-    def check(v, lows, highs):  # lows[2], highs[2]: min and max xi_x; chi_x = 1 + xi_x
+    def check(v, lows):  # lows[2]: min xi_x; chi_x = 1 + xi_x
         min_chix = 1.0 + lows[2]
         if min_chix <= 0.0:
             return "labels_folded", min_chix
-        min_phix = 1.0 / (1.0 + highs[2])
-        if min_phix <= _JACOBIAN_FLOOR:
-            return "phix_degenerate", min_phix
         size = np.abs(v[2:, 1:])  # modes 1..n/2 of xi and g
         tails = [a / b if b > 0.0 else (np.inf if a > 0.0 else 0.0)
                  for a, b in zip(size[:, top - 1:].max(axis=1).tolist(),
@@ -217,9 +209,9 @@ def reconstruct_f(model: Model, rho0: PeriodicField, times: np.ndarray,
     steps (`_simpson`), fourth order in their time step, so with every step
     kept (`diagnostics_stride=1`) it matches the integrator's accuracy.
     """
-    if np.min(jacobians) <= 0.0:
+    if not np.all(jacobians > 0.0):  # NaN included
         raise ValueError("jacobian history must stay positive")
-    power = 1 if model in (Model.CH, Model.CH2) else 2
+    power = 1 if model.has_metric else 2
     integral = _simpson(jacobians**(-power), np.asarray(times, dtype=float))
     return PeriodicField(rho0.grid, rho0.values * integral)
 
@@ -287,7 +279,7 @@ def momentum_drift(result: FlowmapResult, stride: int = 1) -> dict[str, np.ndarr
     grid = result.grid
     count = len(result.times) - (result.status.reason == "labels_folded")
     indices = sorted({*range(0, count, stride), count - 1})
-    rho_power = 1 if model in (Model.CH, Model.CH2) else 2
+    rho_power = 1 if model.has_metric else 2
     # Rows 0-1 are dealiased every step, so rho needs the modes up to the
     # cutoff only.  m = helmholtz(u) keeps every mode, as the coadjoint
     # action it tracks does: helmholtz scales the round-off above the cutoff

@@ -11,7 +11,7 @@ fields.  Its window weights come from one polynomial per window slot in
 the point's offset within its fine cell, fitted to the kernel once per
 process, so no sqrt or exp is taken per point.  `evaluate`, `compose`
 and the Newton inversion shared by `invert_diffeo` and the flow map's
-kept rows (`_inverse_points`) use it.  `flowmap.momentum_drift`
+kept rows (`_inverse_points`, on grid rows) use it.  `flowmap.momentum_drift`
 still evaluates through `series_matrix`, a plan built by doubling, over
 blocks of points whose plans have a bounded size: O(n + block) memory.
 Both evaluators take stacked (F, n//2 + 1) spectra, giving (F, M) values.
@@ -505,22 +505,25 @@ _INVERSION_TOL = 1e-12
 _INVERSION_MAX_ITER = 50
 
 
-def _inverse_points(grid: Grid, values: np.ndarray, hats: np.ndarray,
+def _inverse_points(grid: Grid, rows: np.ndarray,
                     tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Points y with y + d(y) = x at the grid points x, and the series of hats at y.
+    """Points y with y + d(y) = x at the grid points x, and the further rows at y.
 
-    d is a displacement with grid values `values`, series hats[0] and slope
-    series hats[1]; further rows of hats ride along.  Newton per grid
-    point from a guess that interpolates the monotone sampled pairs
-    (x_k + d(x_k), x_k), extended by one period on both sides, so every
-    target is bracketed.  Each iteration evaluates every row of hats at
-    the iterate in one `_offgrid` call (modes 0..n/2), in O(n) memory; it
-    stops once max |y + d(y) - x| <= tol and returns y with that call's
-    (F, n) values.  Raises InversionError if Newton stalls (a symptom of a
-    near-degenerate Jacobian).
+    rows[0] holds the grid values of a displacement d, and further rows
+    ride along; one rfft gives their series, and d_x's is d's times `ik`,
+    as `derivative` takes it.  Newton per grid point from a guess that
+    interpolates the monotone sampled pairs (x_k + d(x_k), x_k), extended
+    by one period on both sides, so every target is bracketed.  Each
+    iteration evaluates (d, d_x, further rows) at the iterate in one
+    `_offgrid` call (modes 0..n/2), in O(n) memory; it stops once
+    max |y + d(y) - x| <= tol and returns y with that call's values of
+    the further rows, (len(rows) - 1, n).  Raises InversionError if Newton
+    stalls (a symptom of a near-degenerate Jacobian).
     """
+    hats = np.fft.rfft(rows)
+    hats = np.concatenate((hats[:1], hats[:1] * grid.ik, hats[1:]))
     x = grid.points
-    fx = x + values
+    fx = x + rows[0]
     knots_x = np.concatenate([fx - 1.0, fx, fx + 1.0])
     knots_y = np.concatenate([x - 1.0, x, x + 1.0])
     y = np.interp(x, knots_x, knots_y)
@@ -528,7 +531,7 @@ def _inverse_points(grid: Grid, values: np.ndarray, hats: np.ndarray,
         at_y = _offgrid(hats, y, grid.n // 2)
         residual = y + at_y[0] - x
         if np.max(np.abs(residual)) <= tol:
-            return y, at_y
+            return y, at_y[2:]
         y = y - residual / (1.0 + at_y[1])
     raise InversionError(
         f"diffeomorphism inversion did not reach {tol:g} "
@@ -541,7 +544,5 @@ def invert_diffeo(phi: Diffeo) -> Diffeo:
     Raises InversionError if Newton stalls.
     """
     grid = phi.grid
-    psi = phi.displacement
-    hats = np.stack([psi.hat, psi.hat * grid.ik])  # psi_x as `derivative` gives it
-    y = _inverse_points(grid, psi.values, hats, _INVERSION_TOL)[0]
+    y = _inverse_points(grid, phi.displacement.values[None], _INVERSION_TOL)[0]
     return Diffeo(PeriodicField(grid, y - grid.points))

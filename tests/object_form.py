@@ -263,7 +263,7 @@ def negative_search(grid, rng, trials: int, max_mode: int) -> list[tuple[int, fl
         b = VelocityPair(random_band_limited(grid, rng, max_mode),
                          random_band_limited(grid, rng, max_mode))
         gram = gram_determinant(a, b)
-        if gram <= 1e-9:
+        if gram <= 1e-12 * metric(a, a) * metric(b, b):
             continue
         first, second = curvature_terms(a, b)
         results.append((trial, (first - second) / gram))

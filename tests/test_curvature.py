@@ -608,6 +608,27 @@ def test_negative_search_trials_are_one_plane_values():
         assert sectional_curvature(VelocityPair(u, rho), VelocityPair(v, tau)) == sec, trial
 
 
+class _ScaledDraws:
+    """A generator whose standard normal draws are those of rng times factor."""
+
+    def __init__(self, rng, factor):
+        self.rng, self.factor = rng, factor
+
+    def standard_normal(self, shape):
+        return self.factor * self.rng.standard_normal(shape)
+
+
+def test_negative_search_is_scale_free():
+    # Gram and S both scale as the fourth power of the draws, so the
+    # degeneracy rule is relative: draws scaled by 1e-4 (Gram near 1e-14)
+    # keep every plane and its Sec, as sectional_curvature would.
+    whole = dict(negative_search(np.random.default_rng(7), 64, 8))
+    small = dict(negative_search(_ScaledDraws(np.random.default_rng(7), 1e-4), 64, 8))
+    assert sorted(small) == sorted(whole) == list(range(64))
+    for trial, sec in whole.items():
+        assert small[trial] == pytest.approx(sec, rel=1e-12), trial
+
+
 def test_negative_search_memory_does_not_grow_with_trials():
     # 2000 trials at max mode 8 held every direction at once: 18 MB.
     negative_search(np.random.default_rng(0), 1, 8)  # plans and grids, cached

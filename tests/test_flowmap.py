@@ -242,31 +242,30 @@ class TestEvolveFlowmap:
         g = res.group_element(len(res.times) - 1)
         assert np.max(np.abs(phi_t - compose(PeriodicField(grid, res.u[-1]), g.phi).values)) <= 1e-7
 
-    def test_jacobian_degeneracy_reason(self, monkeypatch):
-        monkeypatch.setattr(flowmap, "_JACOBIAN_FLOOR", 0.5)
+    @pytest.mark.parametrize("model, amplitudes, dt, tail_limit, reason", [
+        (Model.CH2, (0.3, 0.3), 1e-3, np.inf, "labels_folded"),
+        (Model.CH, (2.0, 0.0), 5e-4, flowmap._LABELS_TAIL_LIMIT, "labels_unresolved"),
+    ], ids=["2ch_until_folded", "ch_amplitude_2"])
+    def test_min_phix_stays_above_one_over_n(self, monkeypatch, model, amplitudes, dt,
+                                             tail_limit, reason):
+        # On an unfolded step the grid values of chi_x = 1 + xi_x are
+        # positive and sum to n (xi_x has no mode 0), so max chi_x < n and
+        # min phi_x = 1 / max chi_x > 1 / n: no floor on phi_x can trip
+        # first.  chi is rebuilt here by inverting each kept phi, up to the
+        # fold of the first run (its tail check off) and the unresolved
+        # labels of the second.
+        monkeypatch.setattr(flowmap, "_LABELS_TAIL_LIMIT", tail_limit)
         grid = Grid(256)
-        config = EvolutionConfig(Model.CH2, dt=5e-4, t_end=3.0)
-        res = evolve_flowmap(config, VelocityPair.single(cosine_field(grid, 1, 2.0)))
-        assert res.status.kind == "blowup_detected"
-        assert res.status.reason == "phix_degenerate"
-
-    def test_jacobian_degeneracy_value(self, monkeypatch):
-        # The value is the monitored min phi_x = 1 / max chi_x at the
-        # stopping step: at or below the floor, which the step before stayed
-        # above.  chi is rebuilt here by inverting the kept phi.
-        monkeypatch.setattr(flowmap, "_JACOBIAN_FLOOR", 0.5)
-        grid = Grid(128)
-        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=1.0, diagnostics_stride=1)
-        res = evolve_flowmap(config, VelocityPair.single(cosine_field(grid, 1, 1.0)))
-        assert res.status.reason == "phix_degenerate"
-        assert res.status.t == res.times[-1]
-
-        def monitored(i):
-            return 1.0 / invert_diffeo(res.group_element(i).phi).jacobian.values.max()
-
-        before, last = monitored(len(res.times) - 2), monitored(len(res.times) - 1)
-        assert before > 0.5 >= res.status.value
-        assert res.status.value == pytest.approx(last, rel=1e-10)
+        config = EvolutionConfig(model, dt=dt, t_end=3.0, diagnostics_stride=10)
+        res = evolve_flowmap(config, VelocityPair(cosine_field(grid, 1, amplitudes[0]),
+                                                  cosine_field(grid, 1, amplitudes[1])))
+        assert res.status.reason == reason
+        unfolded = len(res.times) - (reason == "labels_folded")
+        chi_x = np.stack([invert_diffeo(res.group_element(i).phi).jacobian.values
+                          for i in range(unfolded)])
+        assert np.all(chi_x > 0.0)
+        assert chi_x.sum(axis=1) == pytest.approx(grid.n, rel=1e-12)
+        assert 1.0 < chi_x[-1].max() and chi_x.max() < grid.n
 
     def test_compression_stops_on_unresolved_labels(self):
         # chi steepens where phi compresses.  The spectral tail of the labels
@@ -515,6 +514,26 @@ class TestReconstructF:
         with pytest.raises(ValueError):
             reconstruct_f(Model.CH2, zero_field(grid) + 1.0, times, jac)
 
+    def test_rejects_nan_jacobian(self):
+        # NaN is not positive: it raises as a negative entry does, not
+        # through to a field holding NaN.
+        grid = Grid(64)
+        times = np.linspace(0.0, 0.4, 5)
+        jac = np.ones((5, 64))
+        jac[3, 7] = np.nan
+        with pytest.raises(ValueError, match="must stay positive"):
+            reconstruct_f(Model.CH2, zero_field(grid) + 1.0, times, jac)
+
+    def test_rejects_folded_run(self):
+        # A 'labels_folded' run's last row has no map, so its jacobians are NaN.
+        grid = Grid(32)
+        config = EvolutionConfig(Model.CH2, dt=0.05, t_end=1.0)
+        initial = VelocityPair(cosine_field(grid, 1, 5.0), cosine_field(grid, 1, 5.0))
+        res = evolve_flowmap(config, initial)
+        assert res.status.reason == "labels_folded"
+        with pytest.raises(ValueError, match="must stay positive"):
+            reconstruct_f(Model.CH2, initial.rho, res.times, res.jacobians())
+
     @pytest.mark.parametrize("model", [Model.CH2, Model.DP2])
     def test_matches_ode_to_fourth_order(self, model):
         grid = Grid(128)
@@ -555,7 +574,7 @@ class TestMomentumDrift:
 
     @pytest.mark.parametrize("model", list(Model))
     def test_row_with_folded_map(self, model):
-        # A run stopped by phix_degenerate may store a row with phi_x <= 0.
+        # momentum_drift works on arrays, so it takes a planted row with phi_x <= 0 as it is.
         grid = Grid(64)
         config = EvolutionConfig(model, dt=1e-2, t_end=0.02)
         rho = cosine_field(grid, 1, 0.2) if model.two_component else zero_field(grid)

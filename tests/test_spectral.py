@@ -241,6 +241,19 @@ def test_invert_reports_a_stalled_newton(grid128, rng, monkeypatch):
         invert_diffeo(phi)
 
 
+def test_inverse_points_carry_further_rows(grid128, rng):
+    # rows[0] is a displacement d, the others ride along: y + d(y) = x to
+    # tol, and each further row comes back as its series at y.
+    d = random_band_limited(grid128, rng, 5, scale=0.03)
+    g, h = (random_band_limited(grid128, rng, 8) for _ in range(2))
+    tol = 1e-14
+    y, at_y = spectral._inverse_points(grid128, np.stack((d.values, g.values, h.values)), tol)
+    assert at_y.shape == (2, grid128.n)
+    assert np.max(np.abs(y + evaluate(d, y) - grid128.points)) <= tol
+    for field, values in zip((g, h), at_y):
+        assert np.max(np.abs(values - evaluate(field, y))) <= 1e-13
+
+
 def test_compose_roundtrip(grid128, rng):
     # moderate band, moderate warp
     f = random_band_limited(grid128, rng, grid128.dealias_cutoff // 2)
