@@ -45,13 +45,14 @@ No floor on phi_x is needed: unfolded, chi_x = 1 + xi_x is positive and
 sums to n over the grid (no mode 0), so min phi_x = 1 / max chi_x > 1 / n.
 Only the kept rows are turned back into (psi, f) of phi = id + psi
 (`_group_rows`): Newton inverts chi from the grid rows (xi, g)
-(`spectral._inverse_points`, shared with `invert_diffeo`), evaluating
-(xi, xi_x, g) in one `_offgrid` call per iteration, so the last one also
-gives f = g o phi.  A 'labels_folded' run's last row has no inverse and
-holds NaN there, and `momentum_drift` skips it.  The slopes psi_x and
-f_x are taken only where they are read, by `FlowmapResult.jacobians` and
-`momentum_drift`, as the spectral derivatives of the kept psi and f that
-`derivative` and the object form take.
+(`spectral._inverse_points`, as `invert_diffeo` does, so both give the
+same psi), evaluating (xi, xi_x, g) in one `_offgrid` call per
+iteration, so the last one also gives f = g o phi.  A 'labels_folded'
+run's last row has no inverse and holds NaN there, and `momentum_drift`
+skips it.  The slopes psi_x and f_x are taken only where they are read,
+by `FlowmapResult.jacobians` and `momentum_drift`, as the spectral
+derivatives of the kept psi and f that `derivative` and the object form
+take.
 `FlowmapResult` views the result: its (u, rho) part is the `EvolveResult`
 of `evolve` for the same config.
 Along exact two-component CH flows (rho o phi) phi_x and the full
@@ -93,9 +94,6 @@ __all__ = [
 # agrees with the Lagrangian form to 3e-13 and f to 1e-11, and 1e-2 at
 # t = 0.7, where psi agrees to 2e-5 only.
 _LABELS_TAIL_LIMIT = 1e-4
-# The kept-row Newton inversion of chi stops once max |chi(phi) - x| is at
-# or below this (at 1e-12, psi of C7's 2CH run is off by 9e-13).
-_LABELS_INVERSION_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -156,7 +154,7 @@ def _group_rows(grid: Grid, history: np.ndarray, status: RunStatus) -> None:
         count -= 1
         history[2:, count] = np.nan
     for i in range(count):
-        y, (g,) = _inverse_points(grid, history[2:4, i], _LABELS_INVERSION_TOL)
+        y, (g,) = _inverse_points(grid, history[2:4, i])
         history[2, i] = y - grid.points
         history[3, i] = g
 
@@ -297,7 +295,7 @@ def momentum_drift(result: FlowmapResult, stride: int = 1) -> dict[str, np.ndarr
         phi = grid.points + result.psi[i]
         psi_x, f_x = _slopes(grid, np.stack((result.psi[i], result.f[i])))
         jac = 1.0 + psi_x
-        at_phi = np.hstack([apply_series_matrix(series_matrix(grid, phi[j:j + block], kmax), hats)
+        at_phi = np.hstack([apply_series_matrix(series_matrix(phi[j:j + block], kmax), hats)
                             for j in range(0, grid.n, block)])
         q, rho_w = [], 0.0  # rho = 0 on one-component models
         if model.two_component:

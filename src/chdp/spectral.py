@@ -11,9 +11,10 @@ fields.  Its window weights come from one polynomial per window slot in
 the point's offset within its fine cell, fitted to the kernel once per
 process, so no sqrt or exp is taken per point.  `evaluate`, `compose`
 and the Newton inversion shared by `invert_diffeo` and the flow map's
-kept rows (`_inverse_points`, on grid rows) use it.  `flowmap.momentum_drift`
-still evaluates through `series_matrix`, a plan built by doubling, over
-blocks of points whose plans have a bounded size: O(n + block) memory.
+kept rows (`_inverse_points`, on grid rows, to `_INVERSION_TOL`) use
+it, over every mode 0..n/2.  `flowmap.momentum_drift` still evaluates
+through `series_matrix`, a plan built by doubling to a mode it names,
+over blocks of points whose plans have a bounded size: O(n + block) memory.
 Both evaluators take stacked (F, n//2 + 1) spectra, giving (F, M) values.
 
 With period 1, integer mode m carries angular wavenumber 2*pi*m.
@@ -248,7 +249,7 @@ def inner_h1(f: PeriodicField, g: PeriodicField) -> float:
 # Off-grid evaluation (composition with circle maps)
 # ---------------------------------------------------------------------------
 
-def series_matrix(grid: Grid, y, kmax: int | None = None) -> np.ndarray:
+def series_matrix(y, kmax: int) -> np.ndarray:
     """Matrix E with E[j, k] = exp(2*pi*i*k*y_j) for k = 0..kmax; y is flattened.
 
     Built by doubling: with rows 0..b-1 of the (kmax + 1, M) transpose
@@ -257,12 +258,10 @@ def series_matrix(grid: Grid, y, kmax: int | None = None) -> np.ndarray:
     transposed view.  Its round-off grows like k, as that of sequential
     products does.  One plan can be reused on several fields
     (`apply_series_matrix`); it costs O(M*K) memory, so callers bound M.
-    Passing a smaller kmax is exact for fields whose modes above kmax
-    vanish.  `_offgrid` computes the same values in O(M) memory.
+    A kmax below n/2 is exact for fields whose modes above kmax vanish.
+    `_offgrid` computes the values of kmax = n/2 in O(M) memory.
     """
     y = np.asarray(y, dtype=float).ravel()
-    if kmax is None:
-        kmax = grid.n // 2
     plan = np.empty((kmax + 1, y.size), dtype=complex)
     plan[0] = 1.0
     plan[1:2] = np.exp(2j * np.pi * y)  # no row to fill when kmax = 0
@@ -375,22 +374,21 @@ def _fft_size(m: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _offgrid_plan(n: int, kmax: int) -> tuple[int, np.ndarray]:
-    """Fine-grid size and per-mode deconvolution factors for `_offgrid`.
+def _offgrid_plan(n: int) -> tuple[int, np.ndarray]:
+    """Fine-grid size and deconvolution factors of modes 0..n/2 for `_offgrid`.
 
-    factor[k] = 1 / (n * kernel_hat(k)), halved at the coarse Nyquist mode
-    n/2, so that only modes 1..n/2-1 carry the doubled weight of
+    factor[k] = 1 / (n * kernel_hat(k)), halved at the Nyquist mode n/2,
+    so that only modes 1..n/2-1 carry the doubled weight of
     `apply_series_matrix`.  kernel_hat is the kernel's Fourier transform,
     by Gauss-Legendre quadrature of its (even) cosine integral.
     """
-    nfine = _fft_size(max(_ES_OVERSAMPLING * (2 * kmax + 1), 2 * _ES_WIDTH))
+    nfine = _fft_size(max(_ES_OVERSAMPLING * (n + 1), 2 * _ES_WIDTH))
     nodes, weights = np.polynomial.legendre.leggauss(3 * _ES_WIDTH)
     kernel = _es_kernel(nodes.copy())
-    phase = (np.pi * _ES_WIDTH / nfine) * np.outer(np.arange(kmax + 1), nodes)
+    phase = (np.pi * _ES_WIDTH / nfine) * np.outer(np.arange(n // 2 + 1), nodes)
     kernel_hat = (_ES_WIDTH / (2.0 * nfine)) * (np.cos(phase) @ (weights * kernel))
     factor = 1.0 / (n * kernel_hat)
-    if kmax == n // 2:
-        factor[-1] *= 0.5
+    factor[-1] *= 0.5
     factor.setflags(write=False)
     return nfine, factor
 
@@ -405,13 +403,13 @@ def _offgrid_plan(n: int, kmax: int) -> tuple[int, np.ndarray]:
 _OFFGRID_BLOCK = 1024
 
 
-def _offgrid(hats: np.ndarray, y, kmax: int) -> np.ndarray:
-    """Truncated Fourier series of stacked fields at arbitrary points (type-2 NUFFT).
+def _offgrid(hats: np.ndarray, y) -> np.ndarray:
+    """Fourier series of stacked fields at arbitrary points (type-2 NUFFT).
 
-    hats holds (F, n//2 + 1) rfft spectra of fields on an n-point grid, of
-    which modes 0..kmax enter.  Returns the (F, M) values at the M points y
-    in the convention of `apply_series_matrix`, which takes the same hats:
-    modes 1..n/2-1 doubled, mode 0 and the Nyquist mode n/2 not, real part.
+    hats holds the (F, n//2 + 1) rfft spectra of fields on an n-point grid.
+    Returns the (F, M) values at the M points y in the convention of
+    `apply_series_matrix`, which takes the same hats: modes 1..n/2-1
+    doubled, mode 0 and the Nyquist mode n/2 not, real part.
 
     The modes, divided by the kernel's transform, go onto an oversampled
     fine grid in one batched irfft, written into a buffer padded by the
@@ -423,14 +421,14 @@ def _offgrid(hats: np.ndarray, y, kmax: int) -> np.ndarray:
     Points may lie in any period; non-finite points give NaN.
     """
     n = 2 * (hats.shape[-1] - 1)
-    nfine, factor = _offgrid_plan(n, kmax)
+    nfine, factor = _offgrid_plan(n)
     fields = hats.shape[0]
     # Column p of `fine` holds fine point p - lead (mod nfine), so the window
     # of fine points i-6..i+7 around every point in cell i is one row of
-    # `windows`.  irfft pads the modes above kmax with zeros.
+    # `windows`.  irfft pads the modes above n/2 with zeros.
     lead = _ES_WIDTH // 2 - 1
     fine = np.empty((fields, nfine + _ES_WIDTH))
-    np.fft.irfft(hats[:, :kmax + 1] * factor, n=nfine, out=fine[:, lead:lead + nfine])
+    np.fft.irfft(hats * factor, n=nfine, out=fine[:, lead:lead + nfine])
     fine[:, :lead] = fine[:, nfine:nfine + lead]
     fine[:, lead + nfine:] = fine[:, lead:_ES_WIDTH]
     step = fine.strides[1]
@@ -459,8 +457,8 @@ def _offgrid(hats: np.ndarray, y, kmax: int) -> np.ndarray:
 
 
 def evaluate(f: PeriodicField, y) -> np.ndarray:
-    """Truncated Fourier series of f (modes 0..n/2) at arbitrary points y, by `_offgrid`."""
-    return _offgrid(f.hat[None], y, f.grid.n // 2)[0]
+    """Fourier series of f (modes 0..n/2) at arbitrary points y, by `_offgrid`."""
+    return _offgrid(f.hat[None], y)[0]
 
 
 class Diffeo:
@@ -498,15 +496,14 @@ def compose(f: PeriodicField, phi: Diffeo) -> PeriodicField:
     return PeriodicField(f.grid, evaluate(f, phi.warped_points))
 
 
-# Newton in `invert_diffeo` stops once max |phi(y) - x| <= _INVERSION_TOL, and
-# `_inverse_points` raises InversionError if that takes more than
-# _INVERSION_MAX_ITER steps.
-_INVERSION_TOL = 1e-12
+# Newton in `_inverse_points` stops once max |phi(y) - x| <= _INVERSION_TOL
+# (at 1e-12, psi of C7's 2CH run was off by 9e-13), and raises
+# InversionError if that takes more than _INVERSION_MAX_ITER steps.
+_INVERSION_TOL = 1e-14
 _INVERSION_MAX_ITER = 50
 
 
-def _inverse_points(grid: Grid, rows: np.ndarray,
-                    tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _inverse_points(grid: Grid, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Points y with y + d(y) = x at the grid points x, and the further rows at y.
 
     rows[0] holds the grid values of a displacement d, and further rows
@@ -515,10 +512,10 @@ def _inverse_points(grid: Grid, rows: np.ndarray,
     interpolates the monotone sampled pairs (x_k + d(x_k), x_k), extended
     by one period on both sides, so every target is bracketed.  Each
     iteration evaluates (d, d_x, further rows) at the iterate in one
-    `_offgrid` call (modes 0..n/2), in O(n) memory; it stops once
-    max |y + d(y) - x| <= tol and returns y with that call's values of
-    the further rows, (len(rows) - 1, n).  Raises InversionError if Newton
-    stalls (a symptom of a near-degenerate Jacobian).
+    `_offgrid` call, in O(n) memory; it stops once max |y + d(y) - x| <=
+    `_INVERSION_TOL` and returns y with that call's values of the further
+    rows, (len(rows) - 1, n).  Raises InversionError if Newton stalls (a
+    symptom of a near-degenerate Jacobian).
     """
     hats = np.fft.rfft(rows)
     hats = np.concatenate((hats[:1], hats[:1] * grid.ik, hats[1:]))
@@ -528,21 +525,22 @@ def _inverse_points(grid: Grid, rows: np.ndarray,
     knots_y = np.concatenate([x - 1.0, x, x + 1.0])
     y = np.interp(x, knots_x, knots_y)
     for _ in range(_INVERSION_MAX_ITER):
-        at_y = _offgrid(hats, y, grid.n // 2)
+        at_y = _offgrid(hats, y)
         residual = y + at_y[0] - x
-        if np.max(np.abs(residual)) <= tol:
+        if np.max(np.abs(residual)) <= _INVERSION_TOL:
             return y, at_y[2:]
         y = y - residual / (1.0 + at_y[1])
     raise InversionError(
-        f"diffeomorphism inversion did not reach {tol:g} "
+        f"diffeomorphism inversion did not reach {_INVERSION_TOL:g} "
         f"in {_INVERSION_MAX_ITER} Newton steps")
 
 
 def invert_diffeo(phi: Diffeo) -> Diffeo:
-    """Inverse circle map, by `_inverse_points` to a residual of _INVERSION_TOL.
+    """Inverse circle map, by `_inverse_points` to a residual of `_INVERSION_TOL`.
 
-    Raises InversionError if Newton stalls.
+    A flow map's kept chi inverts to its kept psi bit for bit.  Raises
+    InversionError if Newton stalls.
     """
     grid = phi.grid
-    y = _inverse_points(grid, phi.displacement.values[None], _INVERSION_TOL)[0]
+    y = _inverse_points(grid, phi.displacement.values[None])[0]
     return Diffeo(PeriodicField(grid, y - grid.points))

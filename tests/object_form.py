@@ -126,7 +126,7 @@ class FlowState:
 
 def _flow_rhs(model: Model, state: FlowState) -> FlowState:
     grid = state.psi.grid
-    plan = series_matrix(grid, grid.points + state.psi.values, kmax=grid.dealias_cutoff)
+    plan = series_matrix(grid.points + state.psi.values, grid.dealias_cutoff)
     psi_dot, f_dot = apply_series_matrix(plan, np.stack((state.pair.u.hat, state.pair.rho.hat)))
     return FlowState(rhs(model, state.pair), PeriodicField(grid, psi_dot),
                      PeriodicField(grid, f_dot))
@@ -204,7 +204,7 @@ def coadjoint_action(g: GroupElement, m: PeriodicField,
     By the dense plan with every mode, in the operation order of
     `chdp.flowmap.momentum_drift`.
     """
-    plan = series_matrix(g.phi.grid, g.phi.warped_points)
+    plan = series_matrix(g.phi.warped_points, g.phi.grid.n // 2)
     rho_w, m_w = apply_series_matrix(plan, np.stack((rho.hat, m.hat)))
     jac = g.phi.jacobian.values
     m0 = m_w * jac**2 + rho_w * derivative(g.f).values * jac

@@ -479,6 +479,31 @@ def test_labels_step_from_monitor_points_is_exact(model, rng):
     assert np.array_equal(rk4(kernel, y, 1e-3, k1), rk4(kernel, y, 1e-3))
 
 
+@pytest.mark.parametrize("model, n, amplitude",
+                         [(Model.CH2, 64, 0.3), (Model.CH2, 256, 0.1), (Model.DP2, 1024, 0.1)])
+def test_kept_psi_is_the_inverse_of_kept_chi(monkeypatch, model, n, amplitude):
+    # The kept rows and `invert_diffeo` take one Newton solve to one
+    # tolerance, so each kept chi = id + xi inverts to the kept psi, bit for bit.
+    grid = Grid(n)
+    inverse_points, calls = flowmap._inverse_points, []
+
+    def recording(grid, rows):
+        xi = rows[0].copy()  # the history row that the call's y replaces
+        y, further = inverse_points(grid, rows)
+        calls.append((xi, y))
+        return y, further
+
+    monkeypatch.setattr(flowmap, "_inverse_points", recording)
+    config = EvolutionConfig(model, dt=1e-3, t_end=0.1)
+    res = evolve_flowmap(config, VelocityPair(cosine_field(grid, 1, amplitude),
+                                              cosine_field(grid, 2, amplitude)))
+    assert res.status.kind == "completed" and len(calls) == len(res.times) == 11
+    for (xi, y), psi in zip(calls, res.psi):
+        assert np.array_equal(y - grid.points, psi)
+        inverse = invert_diffeo(Diffeo(PeriodicField(grid, xi)))
+        assert np.array_equal(inverse.displacement.values, psi)
+
+
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 7, 10])
 def test_simpson_matches_scipy(rng, count):
     # odd counts: composite rule; even: Cartwright's last-interval correction;
@@ -639,9 +664,9 @@ class TestMomentumDrift:
 
         plan_of, sizes = flowmap.series_matrix, []
 
-        def recording(grid, y, kmax):
+        def recording(y, kmax):
             sizes.append(np.size(y))
-            return plan_of(grid, y, kmax)
+            return plan_of(y, kmax)
 
         monkeypatch.setattr(flowmap, "series_matrix", recording)
         monkeypatch.setattr(flowmap, "_PLAN_BYTES", 16 * (kmax + 1) * 7)

@@ -237,17 +237,18 @@ def test_invert_reports_a_stalled_newton(grid128, rng, monkeypatch):
     # One step only tests the interpolated guess, which a warped map misses.
     monkeypatch.setattr(spectral, "_INVERSION_MAX_ITER", 1)
     phi = Diffeo(random_band_limited(grid128, rng, 5, scale=0.03))
-    with pytest.raises(InversionError, match=r"did not reach 1e-12 in 1 Newton steps"):
+    message = f"did not reach {spectral._INVERSION_TOL:g} in 1 Newton steps"
+    with pytest.raises(InversionError, match=message):
         invert_diffeo(phi)
 
 
 def test_inverse_points_carry_further_rows(grid128, rng):
     # rows[0] is a displacement d, the others ride along: y + d(y) = x to
-    # tol, and each further row comes back as its series at y.
+    # the Newton tolerance, and each further row comes back as its series at y.
     d = random_band_limited(grid128, rng, 5, scale=0.03)
     g, h = (random_band_limited(grid128, rng, 8) for _ in range(2))
-    tol = 1e-14
-    y, at_y = spectral._inverse_points(grid128, np.stack((d.values, g.values, h.values)), tol)
+    tol = spectral._INVERSION_TOL
+    y, at_y = spectral._inverse_points(grid128, np.stack((d.values, g.values, h.values)))
     assert at_y.shape == (2, grid128.n)
     assert np.max(np.abs(y + evaluate(d, y) - grid128.points)) <= tol
     for field, values in zip((g, h), at_y):
@@ -345,7 +346,7 @@ def test_series_matrix_by_doubling(rng, kmax):
     # exact entry to one rounding; the plan's round-off grows like k.  A 2-D
     # y is flattened.
     y = rng.integers(-3 * 2**20, 4 * 2**20, size=(4, 25)) / 2**20
-    plan = series_matrix(Grid(64), y, kmax=kmax)
+    plan = series_matrix(y, kmax)
     assert plan.shape == (y.size, kmax + 1)
     k = np.arange(kmax + 1)
     ky = np.outer(y.ravel(), k)
@@ -354,26 +355,24 @@ def test_series_matrix_by_doubling(rng, kmax):
 
 
 def dense_series(hats, y, kmax):
-    """The off-grid oracle: one dense `series_matrix` plan applied to the stacked spectra."""
-    grid = Grid(2 * (hats.shape[-1] - 1))
-    return apply_series_matrix(series_matrix(grid, y, kmax=kmax), hats)
+    """The off-grid oracle: one dense plan of modes 0..kmax applied to the stacked spectra."""
+    return apply_series_matrix(series_matrix(y, kmax), hats)
 
 
 @given(seed=st.integers(0, 2**31 - 1), half_n=st.integers(8, 256),
-       full_band=st.booleans(), fields=st.integers(1, 3), points=st.integers(1, 600))
+       fields=st.integers(1, 3), points=st.integers(1, 600))
 @settings(max_examples=60, deadline=None)
-def test_offgrid_matches_dense_plan(seed, half_n, full_band, fields, points):
+def test_offgrid_matches_dense_plan(seed, half_n, fields, points):
     # White-noise fields (every mode to n/2) at points spread over several
     # periods; 1e-12 relative to max|f| on the grid.
     grid = Grid(2 * half_n)
-    kmax = grid.n // 2 if full_band else grid.dealias_cutoff
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((fields, grid.n))
     y = rng.uniform(-3.0, 4.0, points)
     # Both evaluators take the same (F, n//2 + 1) spectra and give (F, M).
     hats = np.fft.rfft(values)
-    got = spectral._offgrid(hats, y, kmax)
-    want = apply_series_matrix(series_matrix(grid, y, kmax), hats)
+    got = spectral._offgrid(hats, y)
+    want = apply_series_matrix(series_matrix(y, grid.n // 2), hats)
     assert got.shape == want.shape == (fields, points)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(values))
 
@@ -398,9 +397,9 @@ def test_offgrid_blocks_give_one_pass_bits(monkeypatch, rng, fields, points):
     values = rng.standard_normal((fields, grid.n))
     y = np.concatenate([[np.nan], rng.uniform(-2.0, 3.0, points - 1)])
     hats = np.fft.rfft(values)
-    got = spectral._offgrid(hats, y, grid.n // 2)
+    got = spectral._offgrid(hats, y)
     monkeypatch.setattr(spectral, "_OFFGRID_BLOCK", points)
-    assert np.array_equal(got, spectral._offgrid(hats, y, grid.n // 2), equal_nan=True)
+    assert np.array_equal(got, spectral._offgrid(hats, y), equal_nan=True)
     want = dense_series(hats, y[1:], grid.n // 2)
     assert np.isnan(got[:, 0]).all()
     assert np.max(np.abs(got[:, 1:] - want)) <= 1e-12 * np.max(np.abs(values))
@@ -416,21 +415,20 @@ def test_fitted_weights_match_kernel(rng):
     assert np.max(np.abs(got - want)) <= 1e-14
 
 
-@pytest.mark.parametrize("n, full_band", [(16, True), (64, False), (128, True), (1024, False)])
-def test_offgrid_on_fine_grid_nodes(rng, n, full_band):
+@pytest.mark.parametrize("n", [16, 64, 128, 1024])
+def test_offgrid_on_fine_grid_nodes(rng, n):
     # Points exactly on the fine grid's nodes j / nfine, where t = -1 and
     # the window starts one node later than for the point just below; and
     # y = -1e-17 or -1e-300, which reduce to 1 - 1e-17 and 1 - 1e-300, both
     # rounding to 1, so x = nfine and the point lands in window row nfine.
-    kmax = n // 2 if full_band else Grid(n).dealias_cutoff
-    nfine = spectral._offgrid_plan(n, kmax)[0]
+    nfine = spectral._offgrid_plan(n)[0]
     values = rng.standard_normal((2, n))
     period_end = np.array([-1e-17, -1e-300])
     assert np.all((period_end - np.floor(period_end)) * nfine == nfine)
     y = np.concatenate([np.arange(nfine) / nfine, [1.0, -1.0, 2.0 - 1.0 / nfine], period_end])
     hats = np.fft.rfft(values)
-    got = spectral._offgrid(hats, y, kmax)
-    assert np.max(np.abs(got - dense_series(hats, y, kmax))) <= 1e-12 * np.max(np.abs(values))
+    got = spectral._offgrid(hats, y)
+    assert np.max(np.abs(got - dense_series(hats, y, n // 2))) <= 1e-12 * np.max(np.abs(values))
 
 
 def test_offgrid_non_finite_points(grid64, rng):
@@ -438,7 +436,7 @@ def test_offgrid_non_finite_points(grid64, rng):
     y = np.array([np.nan, np.inf, -np.inf, 0.3, 1e300])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        out = spectral._offgrid(np.stack([f.hat, f.hat]), y, grid64.n // 2)
+        out = spectral._offgrid(np.stack([f.hat, f.hat]), y)
     assert not np.any(np.isfinite(out[:, :3]))
     assert np.all(np.isfinite(out[:, 3:]))
     assert out[0, 3] == pytest.approx(dense_series(f.hat[None], [0.3], 32)[0, 0], abs=1e-12)
