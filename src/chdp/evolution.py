@@ -62,8 +62,9 @@ alone in one real history array, and its diagnostics, five scalars from
 the monitor's irfft and its slope minima and maxima, in one column array.
 Both integrators return a result that views the history (`EvolveResult`,
 extended by the flow map's `FlowmapResult`) with the columns as a
-`DiagnosticsTable`.  `step_rk4` is one RK4 step of the Eulerian
-coefficients; `evolve` steps through it.
+`DiagnosticsTable`.  `step_rk4` is one RK4 step of the stacked
+coefficients, two rows or four; `_integrate` steps both integrators
+through it.
 """
 
 from __future__ import annotations
@@ -336,7 +337,7 @@ class _Kernel:
 
 
 @lru_cache(maxsize=None)
-def _kernel(model: Model, n: int, rows: int = 2) -> _Kernel:
+def _kernel(model: Model, n: int, rows: int) -> _Kernel:
     """The kernel of (model, n-point grid, state rows), built on first use and then shared."""
     return _Kernel(model, Grid(n), rows)
 
@@ -367,7 +368,7 @@ def _pair(grid: Grid, y: np.ndarray) -> VelocityPair:
 
 def rhs(model: Model, state: VelocityPair) -> VelocityPair:
     """Time derivative (u_t, rho_t) of the weak Cauchy form."""
-    kernel = _kernel(model, state.grid.n)
+    kernel = _kernel(model, state.grid.n, 2)
     y = np.fft.rfft(np.stack((state.u.values, state.rho.values)), norm="forward")
     return _pair(state.grid, np.fft.irfft(kernel(y), kernel.n, norm="forward"))
 
@@ -401,20 +402,20 @@ def rhs_momentum_form(model: Model, state: VelocityPair) -> VelocityPair:
 
 def step_rk4(model: Model, y: np.ndarray, dt: float,
              points: np.ndarray | None = None) -> np.ndarray:
-    """One RK4 step of the (2, n//2 + 1) Fourier coefficients y of (u, rho): a new array.
+    """One RK4 step of the (rows, n//2 + 1) Fourier coefficients y: a new array.
 
-    The coefficients are the rfft over n, so `np.fft.irfft(y, n,
-    norm="forward")` gives the grid values.  Band-limited coefficients
-    stay band-limited.  A non-finite coefficient is not an error here: it
-    makes the result non-finite, and `evolve`'s monitor stops the run on
-    it.  `points` may pass the grid values and slopes (u, rho, u_x, rho_x)
-    of y, the monitor's irfft `_points(grid, y)`, and stage 1 starts from
-    them: the step then makes 7 FFT calls, not 8, and gives the same
-    bits.  `evolve` steps its coefficients through this public function so
-    that the benchmark's tracer counts it, stage 1 included, as the
-    stepping layer.
+    y is (u, rho), or the flow map's (u, rho, xi, g), stepped by the
+    kernel of its rows.  The coefficients are the rfft over n, so
+    `np.fft.irfft(y, n, norm="forward")` gives the grid values.
+    Band-limited coefficients stay band-limited.  A non-finite coefficient
+    is not an error here: it makes the result non-finite, and the step
+    loop's monitor stops the run on it.  `points` may pass the monitor's
+    irfft `_points(grid, y)` of y, and stage 1 starts from it: the step
+    then makes 7 FFT calls, not 8, and gives the same bits.  `evolve` and
+    `evolve_flowmap` step through this public function, which the
+    benchmark's tracer counts, stage 1 included, as the stepping layer.
     """
-    kernel = _kernel(model, 2 * (y.shape[-1] - 1))
+    kernel = _kernel(model, 2 * (y.shape[-1] - 1), len(y))
     return rk4(kernel, y, dt, None if points is None else kernel(y, points))
 
 
@@ -470,13 +471,13 @@ def _history_shape(config: EvolutionConfig, rows: int, n: int) -> tuple[int, int
     return rows, -(-config.n_steps // config.diagnostics_stride) + 1, n
 
 
-def _integrate(result_type, config: EvolutionConfig, grid: Grid, y: np.ndarray, step,
+def _integrate(result_type, config: EvolutionConfig, grid: Grid, y: np.ndarray,
                check=lambda y, lows: None, finish=lambda history, status: None):
     """Step the coefficients y, (u, rho) in rows 0-1, to t_end; a `result_type` views the kept steps.
 
-    `step(y, z)` is one RK4 step of y, where z is the monitor's irfft of y,
-    from which it computes stage 1; the model lives in `step` alone.  After
-    every step, and at t=0, the monitor turns every row of y into grid
+    Each step is `step_rk4(config.model, y, config.dt, z)`, where z is the
+    monitor's irfft of y, from which it computes stage 1.  After every
+    step, and at t=0, the monitor turns every row of y into grid
     values and slopes in one irfft, `_points(grid, y)` (its layout is stated
     there), and reads the minimum and maximum of each slope row, `lows` and
     `highs` in the order (u_x, rho_x, ...), in one pass each.  A NaN minimum
@@ -515,7 +516,7 @@ def _integrate(result_type, config: EvolutionConfig, grid: Grid, y: np.ndarray, 
         for i in range(n_steps + 1):
             t = i * config.dt
             if i > 0:
-                y = step(y, z)
+                y = step_rk4(config.model, y, config.dt, z)
             _points(grid, y, out=monitor)
             lows, highs = slopes.min(-1).ravel().tolist(), slopes.max(-1).ravel().tolist()
             if any(map(math.isnan, lows)):
@@ -552,7 +553,4 @@ def evolve(config: EvolutionConfig, initial: VelocityPair) -> EvolveResult:
     the value that crossed its threshold.  Initial data whose grid values,
     coefficients or slopes are not finite raise ValueError.
     """
-    # Steps go through the public `step_rk4`, the span perfbench's tracer
-    # counts as the stepping layer.
-    return _integrate(EvolveResult, config, initial.grid, _initial_state(config, initial),
-                      lambda y, z: step_rk4(config.model, y, config.dt, z))
+    return _integrate(EvolveResult, config, initial.grid, _initial_state(config, initial))

@@ -18,9 +18,9 @@ so a stage needs no off-grid evaluation.  It runs the step loop of
 `evolve` (`evolution._integrate`: RK4, blow-up monitor, kept-row history)
 on the Fourier coefficients (rfft / n) of (u, rho, xi, g), one complex
 (4, n//2 + 1) array, and keeps the steps `evolve` keeps: every
-`diagnostics_stride`-th step, the last step and a blow-up step.  Its
-stages are the Eulerian kernel on four state rows
-(`evolution._kernel(model, n, 4)`): one irfft of (u, rho, u_x, xi_x, g_x)
+`diagnostics_stride`-th step, the last step and a blow-up step.  Each
+step is `evolution.step_rk4`, as on `evolve`, whose stages are the
+Eulerian kernel on four state rows: one irfft of (u, rho, u_x, xi_x, g_x)
 and one rfft of the Eulerian terms and the products u xi_x, u g_x.
 Stage 1 reads its irfft from the monitor's: 8 FFT calls per step with
 the monitor's, as for `evolve`.  The transport rows are not truncated:
@@ -68,8 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from chdp.connection import Model, VelocityPair
-from chdp.evolution import (EvolutionConfig, EvolveResult, RunStatus, _initial_state, _integrate,
-                            _kernel, rk4)
+from chdp.evolution import EvolutionConfig, EvolveResult, RunStatus, _initial_state, _integrate
 from chdp.spectral import (
     Diffeo,
     Grid,
@@ -162,20 +161,19 @@ def _group_rows(grid: Grid, history: np.ndarray, status: RunStatus) -> None:
 def evolve_flowmap(config: EvolutionConfig, initial: VelocityPair) -> FlowmapResult:
     """Co-integrate (u, rho, xi, g) from (initial, identity) with RK4; return phi = chi^-1.
 
-    The state is the (4, n//2 + 1) Fourier coefficients stepped by the
-    step loop of `evolve`, keeping the grid values of the steps it keeps
-    (every `config.diagnostics_stride`-th, the last, a blow-up) in one
-    (4, kept steps, n) history, whose labels rows `_group_rows` turns into
-    (psi, f) and the result's fields view.  Stops early on the
-    blow-up monitor of `evolve` (same status and time, and the same
-    ValueError on non-finite initial data): a non-finite step
-    of any row first, then the labels, then the thresholds.  The labels
+    The state is the (4, n//2 + 1) Fourier coefficients stepped through
+    `step_rk4` by the step loop of `evolve`, keeping the grid values of
+    the steps it keeps (every `config.diagnostics_stride`-th, the last, a
+    blow-up) in one (4, kept steps, n) history, whose labels rows
+    `_group_rows` turns into (psi, f) and the result's fields view.  Stops
+    early on the blow-up monitor of `evolve` (same status and time, and
+    the same ValueError on non-finite initial data): a non-finite step of
+    any row first, then the labels, then the thresholds.  The labels
     stop it at 'labels_folded' (min chi_x <= 0) and 'labels_unresolved'
     (the spectral tail of xi or g above `_LABELS_TAIL_LIMIT`), each with
     its value.
     """
     grid = initial.grid
-    kernel = _kernel(config.model, grid.n, 4)
     y = np.zeros((4, grid.n // 2 + 1), dtype=complex)
     y[:2] = _initial_state(config, initial)
     cutoff = grid.dealias_cutoff
@@ -191,8 +189,7 @@ def evolve_flowmap(config: EvolutionConfig, initial: VelocityPair) -> FlowmapRes
                                  size[:, :cutoff].max(axis=1).tolist())]
         return ("labels_unresolved", max(tails)) if max(tails) > _LABELS_TAIL_LIMIT else None
 
-    return _integrate(FlowmapResult, config, grid, y,
-                      lambda v, z: rk4(kernel, v, config.dt, kernel(v, z)), check,
+    return _integrate(FlowmapResult, config, grid, y, check,
                       lambda history, status: _group_rows(grid, history, status))
 
 

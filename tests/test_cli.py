@@ -801,6 +801,7 @@ class TestRigidbodyCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: rigid-body step 1 with dt=2.0: attitude is 13 from")
+        assert "reduce dt" in err
         assert not (tmp_path / "rigidbody.csv").exists()
 
     @pytest.mark.parametrize("omega0", ["1e100,1,1", "1e200,0,0"])

@@ -468,6 +468,33 @@ class TestStepRk4:
         e2 = np.max(np.abs(integrate(2e-3) - ref))
         assert 14.0 <= e1 / e2 <= 18.0
 
+    def test_both_integrators_step_through_it(self, grid64, monkeypatch):
+        # One step form: `evolve` and `evolve_flowmap` each call step_rk4
+        # once per step, and the counted runs have the bits of plain ones.
+        config = EvolutionConfig(Model.DP2, dt=1e-3, t_end=0.02)
+        initial = VelocityPair(cosine_field(grid64, 1, 0.3), cosine_field(grid64, 2, 0.2))
+        for integrate, names in ((evolve, ["times", "u", "rho"]),
+                                 (evolve_flowmap, ["times", "u", "rho", "psi", "f"])):
+            want = integrate(config, initial)
+            with monkeypatch.context() as patch:
+                calls = count_calls(patch, evolution, ["step_rk4"])
+                got = integrate(config, initial)
+            assert len(calls) == 20
+            assert got.status == want.status
+            for name in names:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_one_kernel_per_state_rows(self, grid64):
+        # `evolve` and `rhs` share the 2-row kernel, the flow map has the
+        # 4-row one: no call builds a second key for the same kernel.
+        _kernel.cache_clear()
+        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=1e-2)
+        initial = VelocityPair(cosine_field(grid64, 1, 0.3), cosine_field(grid64, 2, 0.2))
+        evolve(config, initial)
+        evolve_flowmap(config, initial)
+        rhs(Model.CH2, initial)
+        assert _kernel.cache_info().currsize == 2
+
 
 @given(row=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
        zeros=st.lists(st.sampled_from([0.0, -0.0]), max_size=4))

@@ -475,7 +475,7 @@ def test_labels_step_from_monitor_points_is_exact(model, rng):
         y[1] = 0.0
     k1 = kernel(y, _points(grid, y))
     assert np.array_equal(k1, kernel(y))
-    assert np.array_equal(k1[:2], _kernel(model, grid.n)(y[:2]))
+    assert np.array_equal(k1[:2], _kernel(model, grid.n, 2)(y[:2]))
     assert np.array_equal(rk4(kernel, y, 1e-3, k1), rk4(kernel, y, 1e-3))
 
 
@@ -747,6 +747,20 @@ class TestMomentumDrift:
         drifts = momentum_drift(res)
         assert np.max(drifts["rho0"]) <= 1e-7
         assert "m0" not in drifts
+
+    def test_n96_conservation_to_round_off(self):
+        # A grid that is not a power of two, where the 1/n in the kernel's
+        # multipliers rounds: the energy and the flow map's momenta, at the
+        # CLI's drift stride, stay conserved to round-off.
+        grid = Grid(96)
+        config = EvolutionConfig(Model.CH2, dt=1e-3, t_end=0.1, diagnostics_stride=10)
+        initial = VelocityPair(cosine_field(grid, 1, 0.1), cosine_field(grid, 1, 0.1))
+        energy = evolve(config, initial).diagnostics.energy
+        assert np.max(np.abs(energy - energy[0])) / energy[0] <= 1e-12
+        res = evolve_flowmap(config, initial)
+        drifts = momentum_drift(res, stride=max(1, len(res.times) // 20))
+        assert np.max(drifts["m0"]) <= 1e-10
+        assert np.max(drifts["rho0"]) <= 1e-12
 
     def test_coadjoint_constancy_along_flow(self):
         # Ad*_{(phi, f)}(m(t), rho(t)) stays at its initial value.

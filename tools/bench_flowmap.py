@@ -127,7 +127,7 @@ def measure() -> dict:
         out[f"offgrid_ms/n={n}"] = 1e3 * _per_call(lambda: spectral._offgrid(spectra, y))
         for model in (Model.CH2, Model.DP2):
             out[f"kernel_us/{model.value}/n={n}"] = 1e6 * _per_call(
-                functools.partial(evolution._kernel(model, n), spectra / n))
+                functools.partial(evolution._kernel(model, n, 2), spectra / n))
 
         initial = VelocityPair(spectral.PeriodicField(grid, state[0]),
                                spectral.PeriodicField(grid, state[1]))
