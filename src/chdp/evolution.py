@@ -18,8 +18,8 @@ so no stage reads rho_x.  u u_x stays a product.  As (u^2)_x / 2 it
 would carry the round-off of the top modes of (u^2)^ times ik, which the
 cross-check against `rhs_momentum_form` (C5, A u_t against m_t)
 multiplies by A's 1 + (2 pi k)^2: its error went from 2.9e-10 to 1.5e-9,
-past C5's 1e-9.  Time stepping is fixed-step classical RK4 (`rk4`, shared by every
-integrator) with 2/3-rule dealiasing; blow-up is detected by non-finite
+past C5's 1e-9.  Time stepping is fixed-step classical RK4 (`rk4`, shared by both
+PDE integrators) with 2/3-rule dealiasing; blow-up is detected by non-finite
 values and by thresholds on min u_x and max |rho_x|, checked after every
 step (the thresholds also at t=0, where non-finite initial data are a
 ValueError).

@@ -7,10 +7,27 @@ pi = R Pi is constant.  Body and spatial momenta are exchanged by the
 (co)adjoint action, here plain rotation of 3-vectors, so Pi(t) = R(t)^T pi(0)
 along exact solutions; `coadjoint_drift` measures the numerical violation.
 
-For a row vector r, r @ hat(Omega) = r x Omega, so both equations are one
-product on the stacked (4, 3) state z = [Pi; R]:
-dz/dt = z hat(Omega) with Omega = Pi / I.  The stepper carries R as RK4
-leaves it; the attitudes it keeps are projected onto SO(3) in blocks.
+Euler's equation is the reduced one: it closes on Pi, the coadjoint
+(Euler-Arnold) form on so(3)*, and the attitude is rebuilt from it
+(Arnold, Ann. Inst. Fourier 16, 1966).  For a row vector r,
+r @ hat(Omega) = r x Omega, so both equations are one product on the
+stacked (4, 3) state z = [Pi; R]: dz/dt = z hat(Omega), Omega = Pi / I.
+The stepper takes classical RK4 of that stacked equation in two parts.
+Every stage rate is z_k A_k, A_k = hat(Omega_k), and Omega_k is fixed by
+row 0 of the stage alone.  So one step is z_{n+1} = z_n P_n, by
+
+    stage 1:  z A1
+    stage 2:  (z + dt/2 z A1) A2         = z B2,  B2 = (I + dt/2 A1) A2
+    stage 3:  (z + dt/2 z B2) A3         = z B3,  B3 = (I + dt/2 B2) A3
+    stage 4:  (z + dt z B3) A4           = z B4,  B4 = (I + dt B3) A4
+    z_{n+1} = z + dt/6 z (A1 + 2 B2 + 2 B3 + B4) = z P,
+              P = I + (dt/6) (A1 + 2 B2 + 2 B3 + B4).
+
+Row 0 of z P is RK4 of Pi' = Pi x Omega, stepped on three floats, and
+rows 1-3 are R_{n+1} = R_n P_n.  In exact arithmetic this is the RK4 step
+of the stacked state; only the rounding differs.  The stepper carries R
+as the products leave it; the attitudes it keeps are projected onto SO(3)
+in blocks.
 """
 
 from __future__ import annotations
@@ -19,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from chdp.evolution import rk4, step_count
+from chdp.evolution import step_count
 
 __all__ = [
     "RigidBodyState",
@@ -84,16 +101,6 @@ class RigidBodyState:
     @classmethod
     def from_rest_attitude(cls, omega, inertia) -> "RigidBodyState":
         return cls(np.eye(3), omega, inertia)
-
-
-def _stacked(state: RigidBodyState) -> np.ndarray:
-    """The stepper's state z = [Pi; R], Pi = I Omega the body momentum."""
-    return np.vstack([state.inertia * state.omega, state.attitude])
-
-
-def _rates(z: np.ndarray, inertia: np.ndarray) -> np.ndarray:
-    """dz/dt of the stacked state: row 0 Pi x Omega, rows 1-3 R hat(Omega)."""
-    return z.dot(hat(z[0] / inertia))
 
 
 @dataclass
@@ -187,38 +194,74 @@ def _trajectory_bytes(n_steps: int) -> int:
 
 
 def evolve_rigidbody(state0: RigidBodyState, dt: float, t_end: float) -> RigidBodyTrajectory:
-    """RK4 co-integration of (Pi, R); each kept R is projected onto SO(3).
+    """RK4 of (Pi, R) as Pi on three floats and R by each step's propagator.
 
-    `rk4` steps the stacked (4, 3) state, one `hat` per stage, and the loop
-    carries that state as it comes from the step: no step projects R.  Row
-    0, the body momentum, evolves by itself (its rate reads row 0 alone),
-    so `omega` and `energy` do not depend on R or on its projection.  The
-    kept attitudes are replaced by their polar factors `_BLOCK_ROWS` steps
-    at a time, as each block fills (Hairer, Lubich & Wanner, Geometric
-    Numerical Integration, 2nd ed., IV.4: projecting the output, not the
-    step).  Stability is judged on the carried R: when a block holds an R
-    too far from a rotation for the polar iteration, also one whose stages
-    overflowed, ValueError names the first such step.  The loop runs under
-    one `np.errstate` that silences overflow and invalid warnings, so the
-    error is what the caller sees.  On the reference spin (inertia 1,2,3,
-    omega 1,1,1), dt=2 fails at step 1, dt=1 at step 4, dt=0.8 at step 11
-    and dt=0.5 at step 123 (t=61.5), runs that a projection inside every
-    step would let go on; dt=0.5 to t=8 completes.
+    The module docstring derives the step: classical RK4 of the stacked
+    state z = [Pi; R] is z_{n+1} = z_n P_n, with P_n built from the four
+    stage generators hat(Omega_k).  For each block of `_BLOCK_ROWS` steps
+    the loop steps Euler's equation Pi' = Pi x Omega by that RK4 on Python
+    floats, its sum in `evolution.rk4`'s order, one `hat` per stage; then
+    it forms the block's P_n in batched 3x3 products and carries the
+    attitude as R_{n+1} = R_n P_n, one product per step.  No step projects
+    R, so `omega` and `energy` do not depend on R or on its projection.
+    The kept attitudes are replaced by their polar factors as each block
+    fills (Hairer, Lubich & Wanner, Geometric Numerical Integration, 2nd
+    ed., IV.4: projecting the output, not the step), and the next block
+    starts from the carried R, not the projected one.  Stability is judged
+    on the carried R: when a block holds an R too far from a rotation for
+    the polar iteration, also one whose stages overflowed, ValueError
+    names the first such step.  The loop runs under one `np.errstate` that
+    silences overflow and invalid warnings, and Python floats overflow to
+    inf and NaN with none, so the error is what the caller sees.  On the
+    reference spin (inertia 1,2,3, omega 1,1,1), dt=2 fails at step 1,
+    dt=1 at step 4, dt=0.8 at step 11 and dt=0.5 at step 123 (t=61.5),
+    runs that a projection inside every step would let go on; dt=0.5 to
+    t=8 completes.
     """
     n_steps = step_count(dt, t_end)
     inertia = state0.inertia
-    z = _stacked(state0)
-
-    def rhs(z):
-        return _rates(z, inertia)
-
+    i0, i1, i2 = inertia.tolist()
+    half, sixth = 0.5 * dt, dt / 6.0
     history = np.empty((n_steps + 1, 4, 3))
-    history[0] = z
+    history[0, 0] = inertia * state0.omega
+    history[0, 1:] = state0.attitude
+    p0, p1, p2 = history[0, 0].tolist()
+    carried = state0.attitude
+    # The four stage generators hat(Omega_k) of each step of a block.
+    generators = np.empty((min(_BLOCK_ROWS, n_steps), 4, 3, 3))
+
+    def rate(q0, q1, q2, gen, k):
+        """Pi x Omega at the stage momentum q; hat(Omega) into gen[k]."""
+        w0, w1, w2 = q0 / i0, q1 / i1, q2 / i2
+        gen[k] = hat((w0, w1, w2))
+        return q1 * w2 - q2 * w1, q2 * w0 - q0 * w2, q0 * w1 - q1 * w0
+
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(1, n_steps + 1, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, n_steps + 1)
-            for step in range(start, stop):
-                history[step] = z = rk4(rhs, z, dt)
+            block = generators[:stop - start]
+            momenta = []
+            for gen in block:
+                a0, a1, a2 = rate(p0, p1, p2, gen, 0)
+                b0, b1, b2 = rate(half * a0 + p0, half * a1 + p1, half * a2 + p2, gen, 1)
+                c0, c1, c2 = rate(half * b0 + p0, half * b1 + p1, half * b2 + p2, gen, 2)
+                d0, d1, d2 = rate(dt * c0 + p0, dt * c1 + p1, dt * c2 + p2, gen, 3)
+                p0 = (2.0 * b0 + a0 + 2.0 * c0 + d0) * sixth + p0
+                p1 = (2.0 * b1 + a1 + 2.0 * c1 + d1) * sixth + p1
+                p2 = (2.0 * b2 + a2 + 2.0 * c2 + d2) * sixth + p2
+                momenta.append((p0, p1, p2))
+            history[start:stop, 0] = momenta
+
+            # A_k and B_k of the module docstring, one (block, 3, 3) stack each.
+            gen1, gen2, gen3, gen4 = block.transpose(1, 0, 2, 3)
+            prod2 = (half * gen1 + _EYE) @ gen2
+            prod3 = (half * prod2 + _EYE) @ gen3
+            prod4 = (dt * prod3 + _EYE) @ gen4
+            propagators = (2.0 * prod2 + gen1 + 2.0 * prod3 + prod4) * sixth + _EYE
+            attitude = carried
+            for step, propagator in zip(range(start, stop), propagators):
+                attitude = np.matmul(attitude, propagator, out=history[step, 1:])
+            carried = attitude.copy()
             try:
                 history[start:stop, 1:] = _reorthonormalize(history[start:stop, 1:])
             except _AttitudeError as exc:

@@ -5,8 +5,10 @@ single-field spectral operators, one FFT at a time.  `chdp.evolution`,
 `chdp.flowmap` and `chdp.curvature` compute the same quantities on stacked
 arrays with batched FFTs; the tests compare the two to round-off.  The
 rigid-body stepper here takes `np.cross` and the SVD polar factor of every
-step, where `chdp.rigidbody` takes one stacked product per stage and
-Newton-Schulz on the kept attitudes.
+step, where `chdp.rigidbody` steps Euler's equation on three floats,
+carries R by each step's RK4 propagator and projects the kept attitudes by
+Newton-Schulz.  `stacked_trajectory` is the RK4 of the stacked state
+z = [Pi; R] whose step `chdp.rigidbody` factors into those two parts.
 `write_columns` is the `csv.writer` form of `chdp.csvio`'s joined writer,
 and `rk4` the textbook sum that `chdp.evolution.rk4` computes in place.
 
@@ -23,7 +25,7 @@ them, and `chdp.flowmap.momentum_drift` against the coadjoint action.
 Three views the tests read and no command runs live here as well:
 `kernel_gram_determinant` (`chdp.curvature`'s Gram determinant of one
 plane), `euler_rhs` (Euler's equation by `np.cross`, the oracle of row 0 of
-the rigid-body stepper's product) and `read_manifest` (a `run.json` as a
+`stacked_rates`) and `read_manifest` (a `run.json` as a
 dict; NaN and infinities are rejected, as strict JSON parsers do).
 """
 
@@ -39,7 +41,7 @@ from chdp.connection import Model, VelocityPair, christoffel, metric
 from chdp.curvature import CosineDirectionPair, _plane
 from chdp.evolution import step_count
 from chdp.flowmap import GroupElement
-from chdp.rigidbody import RigidBodyState, RigidBodyTrajectory
+from chdp.rigidbody import RigidBodyState, RigidBodyTrajectory, _reorthonormalize, hat
 from chdp.spectral import (
     Diffeo,
     Grid,
@@ -356,6 +358,39 @@ def rigidbody_trajectory(state0: RigidBodyState, dt: float,
     energy = np.einsum("ti,ti->t", omegas, body_momentum)
     return RigidBodyTrajectory(times, omegas, attitudes, body_momentum,
                                spatial_momentum, energy)
+
+
+def stacked_state(state: RigidBodyState) -> np.ndarray:
+    """The stacked (4, 3) state z = [Pi; R], Pi = I Omega the body momentum."""
+    return np.vstack([state.inertia * state.omega, state.attitude])
+
+
+def stacked_rates(z: np.ndarray, inertia: np.ndarray) -> np.ndarray:
+    """dz/dt = z hat(Omega), Omega = z[0] / I: row 0 Pi x Omega, rows 1-3 R hat(Omega)."""
+    return z.dot(hat(z[0] / inertia))
+
+
+def stacked_states(state0: RigidBodyState, dt: float, steps: int) -> np.ndarray:
+    """The (steps + 1, 4, 3) states of `rk4` on the stacked equation; no R is projected."""
+    z = stacked_state(state0)
+    states = np.empty((steps + 1, 4, 3))
+    states[0] = z
+    for step in range(1, steps + 1):
+        states[step] = z = rk4(lambda y: stacked_rates(y, state0.inertia), z, dt)
+    return states
+
+
+def stacked_trajectory(state0: RigidBodyState, dt: float, t_end: float) -> RigidBodyTrajectory:
+    """`stacked_states` to t_end, each kept R after the first projected by `_reorthonormalize`."""
+    n_steps = step_count(dt, t_end)
+    states = stacked_states(state0, dt, n_steps)
+    states[1:, 1:] = _reorthonormalize(states[1:, 1:])
+    body_momentum, attitudes = states[:, 0], states[:, 1:]
+    omegas = body_momentum / state0.inertia
+    spatial_momentum = np.einsum("tij,tj->ti", attitudes, body_momentum)
+    energy = np.einsum("ti,ti->t", omegas, body_momentum)
+    return RigidBodyTrajectory(np.arange(n_steps + 1) * dt, omegas, attitudes,
+                               body_momentum, spatial_momentum, energy)
 
 
 def write_columns(path, header, columns):

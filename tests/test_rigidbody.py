@@ -5,12 +5,11 @@ import pytest
 
 import object_form
 from object_form import euler_rhs
+from chdp import rigidbody
 from chdp.rigidbody import (
     RigidBodyState,
     _AttitudeError,
-    _rates,
     _reorthonormalize,
-    _stacked,
     _trajectory_bytes,
     coadjoint_drift,
     conservation_drifts,
@@ -61,7 +60,7 @@ class TestEulerRhs:
         for _ in range(200):
             attitude = _random_rotation(rng)
             state = RigidBodyState(attitude, rng.uniform(-0.5, 0.5, 3), rng.uniform(0.5, 2.0, 3))
-            rates = _rates(_stacked(state), state.inertia)
+            rates = object_form.stacked_rates(object_form.stacked_state(state), state.inertia)
             assert np.max(np.abs(rates[0] / state.inertia - euler_rhs(state))) <= 1e-15
             assert np.max(np.abs(rates[1:] - attitude @ hat(state.omega))) <= 1e-15
 
@@ -105,6 +104,15 @@ class TestStateValidation:
 def reference_run():
     state = RigidBodyState.from_rest_attitude([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
     return evolve_rigidbody(state, dt=1e-3, t_end=10.0)
+
+
+def _benchmark_spin(seed):
+    """The spin of the benchmark's `rigidbody` workload for a seed (dt 1e-3, t 5)."""
+    rng = np.random.default_rng(seed)
+    inertia = np.array([1.0, 2.0, 3.0]) + rng.uniform(-0.4, 0.4, 3)
+    omega = rng.standard_normal(3)
+    omega *= np.sqrt(3.0) / np.linalg.norm(omega)
+    return RigidBodyState.from_rest_attitude(omega, inertia)
 
 
 def _random_rotation(rng):
@@ -210,6 +218,46 @@ class TestEvolve:
         assert np.array_equal(reference_run.times, oracle.times)
         for name in ("omega", "attitude", "spatial_momentum", "energy"):
             assert np.max(np.abs(getattr(reference_run, name) - getattr(oracle, name))) <= 1e-12
+
+    @pytest.mark.parametrize("spin, t_end", [
+        (RigidBodyState.from_rest_attitude([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]), 10.0),
+        (_benchmark_spin(7), 5.0),
+    ], ids=["reference", "benchmark_seed7"])
+    def test_matches_stacked_rk4_oracle(self, spin, t_end):
+        # The same RK4 step as the stacked form's, in exact arithmetic: only
+        # the rounding differs.
+        run = evolve_rigidbody(spin, dt=1e-3, t_end=t_end)
+        oracle = object_form.stacked_trajectory(spin, dt=1e-3, t_end=t_end)
+        assert np.array_equal(run.times, oracle.times)
+        for name in ("omega", "attitude", "energy"):
+            assert np.max(np.abs(getattr(run, name) - getattr(oracle, name))) <= 1e-14
+
+    def test_one_hat_per_stage(self, monkeypatch):
+        # The count the benchmark's traced rigid-body run pins: four per step.
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return hat(x)
+
+        monkeypatch.setattr(rigidbody, "hat", counted)
+        state = RigidBodyState.from_rest_attitude([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+        evolve_rigidbody(state, dt=1e-2, t_end=3.0)
+        assert len(calls) == 4 * 300
+
+    def test_block_size_leaves_the_run_unchanged(self, monkeypatch):
+        # Each block starts from the carried attitude, not the projected one,
+        # so where the blocks end changes no bit.
+        state = RigidBodyState.from_rest_attitude([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+        runs = {}
+        for rows in (1, 7, 256):
+            monkeypatch.setattr(rigidbody, "_BLOCK_ROWS", rows)
+            runs[rows] = evolve_rigidbody(state, dt=1e-3, t_end=2.0)
+            with pytest.raises(ValueError, match=r"step 123 with dt=0\.5: "):
+                evolve_rigidbody(state, dt=0.5, t_end=200.0)
+        for rows in (1, 7):
+            for name, value in vars(runs[256]).items():
+                assert np.array_equal(getattr(runs[rows], name), value), (rows, name)
 
     def test_times_are_step_multiples(self):
         state = RigidBodyState.from_rest_attitude([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])

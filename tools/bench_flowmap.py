@@ -31,7 +31,8 @@ first), and each process measures every layer once, those down to
   whole blocks and each step's share of their projection;
 - `attitude_projection_ms`: the projection of the attitudes kept over
   that spin's 5001-row trajectory (dt 1e-3, t = 5) onto SO(3): the 5000
-  attitudes the step loop carries, which no step projects, through
+  attitudes that RK4 carries, which no step projects, from the stacked
+  oracle `object_form.stacked_states` of this checkout's `tests/`, through
   `rigidbody._reorthonormalize` in blocks of `rigidbody._BLOCK_ROWS` rows,
   as `evolve_rigidbody` projects them;
 - `scan_ms/M=8` and `scan_ms/M=16`: `curvature.positivity_scan(M)` on
@@ -156,16 +157,15 @@ def measure() -> dict:
 
     from chdp import rigidbody
 
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+    import object_form
+
     body = rigidbody.RigidBodyState.from_rest_attitude([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
     out["body_step_us"] = 1e6 * _per_step(
         lambda count: rigidbody.evolve_rigidbody(body, dt=1e-3, t_end=count * 1e-3),
         steps=10 + 4 * rigidbody._BLOCK_ROWS)
-    z = rigidbody._stacked(body)
-    carried = np.empty((5000, 3, 3))
-    for step in range(5000):
-        z = evolution.rk4(lambda y: rigidbody._rates(y, body.inertia), z, 1e-3)
-        carried[step] = z[1:]
+    carried = object_form.stacked_states(body, 1e-3, 5000)[1:, 1:]
     rows = rigidbody._BLOCK_ROWS
     out["attitude_projection_ms"] = 1e3 * _per_call(
         lambda: [rigidbody._reorthonormalize(carried[start:start + rows])
